@@ -21,7 +21,6 @@ from .intersection import GKPair, gross_keating, int_circ, int_circ_kr_closed, i
 from .kernel import build_matrix, row_reduce
 from .orbital import (
     INFINITY,
-    InvalidParamsError,
     OrbitalParams,
     derivative_closed_form,
     derivative_combo,
@@ -34,10 +33,6 @@ from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polyn
 from .verify import SUITE_NAMES, SweepConfig, run_suite
 
 
-class CliError(Exception):
-    """Parameter error reported with exit code 2."""
-
-
 def _add_orbit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-r", type=int, default=0, help="Hecke basis level (>= 0)")
     parser.add_argument("--vb", type=int, required=True, help="v(b)")
@@ -46,14 +41,19 @@ def _add_orbit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vda", default="0", help="v(d - a): a nonnegative integer or 'inf'")
 
 
-def _parse_params(args) -> OrbitalParams:
-    vda = INFINITY if str(args.vda).lower() in ("inf", "infinity") else int(args.vda)
-    p = OrbitalParams(r=args.r, vb=args.vb, vc=args.vc, ve=args.ve, vda=vda)
+def _parse_vda(text: str) -> int | float:
+    """--vda: a nonnegative integer or 'inf' (range checked by validate)."""
+    if text.lower() in ("inf", "infinity"):
+        return INFINITY
     try:
-        validate(p, allow_vanishing=True)
-    except InvalidParamsError as exc:
-        raise CliError(str(exc)) from None
-    return p
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--vda must be an integer or 'inf', got {text!r}") from None
+
+
+def _parse_params(args) -> OrbitalParams:
+    p = OrbitalParams(r=args.r, vb=args.vb, vc=args.vc, ve=args.ve, vda=_parse_vda(args.vda))
+    return validate(p, allow_vanishing=True)
 
 
 def _fraction_json(x: Fraction) -> list[int]:
@@ -115,10 +115,7 @@ def cmd_derivative(args) -> int:
 
 def cmd_combo(args) -> int:
     p = _parse_params(args)
-    try:
-        value = derivative_combo(p)
-    except InvalidParamsError as exc:
-        raise CliError(str(exc)) from None
+    value = derivative_combo(p)
     if args.raw:
         sign = -1 if (p.vc + p.r) % 2 else 1
         value = value.scale(sign)
@@ -133,25 +130,18 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_gk(args) -> int:
-    try:
-        pair = GKPair(args.n1, args.n2)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _print_qpoly(gross_keating(pair), args)
+    _print_qpoly(gross_keating(GKPair(args.n1, args.n2)), args)
     return 0
 
 
 def cmd_int(args) -> int:
     p = _parse_params(args)
-    try:
-        if args.mode == "circ":
-            value = int_circ(p)
-        elif args.mode == "total":
-            value = int_total(p)
-        else:
-            value = int_circ_kr_closed(p)
-    except InvalidParamsError as exc:
-        raise CliError(str(exc)) from None
+    if args.mode == "circ":
+        value = int_circ(p)
+    elif args.mode == "total":
+        value = int_total(p)
+    else:
+        value = int_circ_kr_closed(p)
     _print_qpoly(value, args)
     return 0
 
@@ -159,7 +149,7 @@ def cmd_int(args) -> int:
 def cmd_bc(args) -> int:
     if args.rank == "s3":
         if args.basis is not None:
-            value = bc_s3_on_basis(args.basis, max(args.r, args.basis))
+            value = bc_s3_on_basis(args.basis)
         else:
             value = satake_u3_indicator(args.r)
     else:
@@ -177,11 +167,7 @@ def cmd_bc(args) -> int:
 
 
 def cmd_kernel_matrix(args) -> int:
-    vda = INFINITY if str(args.vda).lower() in ("inf", "infinity") else int(args.vda)
-    try:
-        m = build_matrix(args.sum_bc, vda, args.N)
-    except InvalidParamsError as exc:
-        raise CliError(str(exc)) from None
+    m = build_matrix(args.sum_bc, _parse_vda(args.vda), args.N)
     m1, m2 = row_reduce(m)
     chosen = {"M": m, "M'": m1, "M''": m2}[args.stage]
     rows = [[str(chosen.entry(i, r)) for r in range(chosen.cols)] for i in range(chosen.rows)]
@@ -215,11 +201,7 @@ def cmd_verify(args) -> int:
         precision=args.precision,
         seed=args.seed,
     )
-    try:
-        results = run_suite(args.suite, config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return _report_results(results, args)
+    return _report_results(run_suite(args.suite, config), args)
 
 
 def _report_results(results, args) -> int:
@@ -301,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run an identity suite over a grid")
     sp.add_argument("suite", choices=SUITE_NAMES + ("intersection", "all"))
-    sp.add_argument("--default-grid", action="store_true", help="use the documented default grid (also the default)")
     sp.add_argument("--rmax", type=int, default=6)
     sp.add_argument("--sum-bc-max", dest="sum_bc_max", type=int, default=11)
     sp.add_argument("--ve-max", dest="ve_max", type=int, default=10)
@@ -320,7 +301,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:  # includes InvalidParamsError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

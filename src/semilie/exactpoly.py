@@ -1,16 +1,19 @@
 """Exact sparse Laurent-polynomial arithmetic.
 
-Two containers:
+Two kinds of container:
 
   * ``QPolynomial`` -- a Laurent polynomial in the residue-field size q with
     exact rational coefficients, stored sparsely as {exponent: coefficient}.
     Exponents may be negative.
-  * ``LaurentSeries`` -- a finitely supported Laurent polynomial in T whose
-    coefficients are QPolynomial values.  T stands for q**s, so a series is
-    an exact stand-in for a function of the complex parameter s.
+  * ``KeyedModule`` -- a finitely supported map from keys to QPolynomial
+    coefficients, the one container shared by every other object semilie
+    computes.  Each subclass fixes only its key rule, printing and JSON:
+    ``LaurentSeries`` here (keys are T exponents; T stands for q**s, so a
+    series is an exact stand-in for a function of the complex parameter s),
+    and ``satake.SatakeY``, ``satake.SatakeGL`` and ``orbital.HeckeVector``.
 
 Coefficients are Python ints or ``fractions.Fraction``; there is no floating
-point anywhere.  Both containers are canonical (zero coefficients are never
+point anywhere.  Both kinds are canonical (zero coefficients are never
 stored) and immutable by convention: every operation returns a new value, so
 instances are safe to share between threads.
 """
@@ -251,52 +254,76 @@ class QPolynomial:
         return f"QPolynomial({dict(sorted(self._terms.items()))!r})"
 
 
-class LaurentSeries:
-    """Finitely supported sum over k of QPolynomial coefficients times T**k."""
+def _as_qpoly(c: "QPolynomial | Scalar") -> QPolynomial:
+    return c if isinstance(c, QPolynomial) else QPolynomial.constant(c)
+
+
+def _accumulate(d: dict, key, c: QPolynomial) -> None:
+    """Add the nonzero ``c`` into ``d[key]``, pruning the entry if it cancels."""
+    cur = d.get(key)
+    s = c if cur is None else cur + c
+    if s:
+        d[key] = s
+    else:
+        del d[key]
+
+
+class KeyedModule:
+    """Finitely supported map from keys to nonzero QPolynomial coefficients.
+
+    The one sparse container behind ``LaurentSeries`` (keys: T exponents),
+    ``satake.SatakeY`` (Y-exponents i >= 0), ``orbital.HeckeVector`` (basis
+    levels r >= 0) and ``satake.SatakeGL`` (descending exponent tuples).
+    A subclass fixes its key rule by overriding ``_key``; construction,
+    the module operations and equality live here once.  Values of different
+    subclasses never compare equal and cannot be added.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, QPolynomial] | Iterable[tuple[int, QPolynomial]] = ()):
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[int, QPolynomial] = {}
-        for k, p in items:
-            if p:
-                cur = d.get(k)
-                p = p if cur is None else cur + p
-                if p:
-                    d[k] = p
-                elif k in d:
-                    del d[k]
+        d: dict = {}
+        for k, c in items:
+            k = self._key(k)
+            if k is None:
+                continue
+            c = _as_qpoly(c)
+            if c:
+                _accumulate(d, k, c)
         self._terms = d
 
+    def _key(self, k):
+        """Canonical form of the key ``k``; ``None`` drops the term, and an
+        inadmissible key raises ValueError."""
+        return k
+
     @classmethod
-    def _raw(cls, terms: dict[int, QPolynomial]) -> "LaurentSeries":
+    def _raw(cls, terms: dict) -> "KeyedModule":
+        """Adopt ``terms`` without copying; caller must hand over a fresh,
+        canonical dict (no zero values)."""
         self = object.__new__(cls)
         self._terms = terms
         return self
 
-    @classmethod
-    def zero(cls) -> "LaurentSeries":
-        return cls._raw({})
+    def _like(self, terms: dict) -> "KeyedModule":
+        """``_raw`` for a result of the same kind as ``self``."""
+        return self._raw(terms)
 
     @classmethod
-    def t_power(cls, k: int, coeff: QPolynomial | Scalar = 1) -> "LaurentSeries":
-        if isinstance(coeff, (int, Fraction)):
-            coeff = QPolynomial.constant(coeff)
-        return cls._raw({k: coeff} if coeff else {})
+    def zero(cls) -> "KeyedModule":
+        return cls()
 
     # ------------------------------------------------------------- structure
-    def items(self) -> Iterator[tuple[int, QPolynomial]]:
-        return iter(self._terms.items())
+    def items(self):
+        """The (key, coefficient) pairs in storage order."""
+        return self._terms.items()
 
-    def sorted_items(self) -> list[tuple[int, QPolynomial]]:
+    def sorted_items(self) -> list:
         return sorted(self._terms.items())
 
-    def coefficient(self, k: int) -> QPolynomial:
-        return self._terms.get(k, QPolynomial.zero())
-
-    def support(self) -> list[int]:
-        return sorted(self._terms)
+    def coefficient(self, k) -> QPolynomial:
+        return self._terms.get(self._key(k), QPolynomial.zero())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -304,54 +331,66 @@ class LaurentSeries:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    # ------------------------------------------------------------------ ring
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
+    # ---------------------------------------------------------------- module
+    def __add__(self, other: "KeyedModule") -> "KeyedModule":
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self._terms)
         for k, p in other._terms.items():
-            s = out.get(k)
-            s = p if s is None else s + p
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return LaurentSeries._raw(out)
+            _accumulate(out, k, p)
+        return self._like(out)
 
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries._raw({k: -p for k, p in self._terms.items()})
+    def __neg__(self) -> "KeyedModule":
+        return self._like({k: -p for k, p in self._terms.items()})
 
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
+    def __sub__(self, other: "KeyedModule") -> "KeyedModule":
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
+    def scale(self, c: "QPolynomial | Scalar") -> "KeyedModule":
+        """Multiply every coefficient by ``c``.  A product of nonzero Laurent
+        polynomials over Q is nonzero, so only c == 0 can prune."""
+        c = _as_qpoly(c)
+        return self._like({k: p * c for k, p in self._terms.items()} if c else {})
+
+    # ------------------------------------------------------------ comparison
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({ {k: str(c) for k, c in self.sorted_items()} })"
+
+
+class LaurentSeries(KeyedModule):
+    """Finitely supported sum over k of QPolynomial coefficients times T**k."""
+
+    __slots__ = ()
+
+    @classmethod
+    def t_power(cls, k: int, coeff: QPolynomial | Scalar = 1) -> "LaurentSeries":
+        coeff = _as_qpoly(coeff)
+        return cls._raw({k: coeff} if coeff else {})
+
+    def support(self) -> list[int]:
+        return sorted(self._terms)
+
+    # ------------------------------------------------------------------ ring
     def __mul__(self, other: "LaurentSeries | QPolynomial | Scalar") -> "LaurentSeries":
         if isinstance(other, LaurentSeries):
             out: dict[int, QPolynomial] = {}
             for k1, p1 in self._terms.items():
                 for k2, p2 in other._terms.items():
-                    k = k1 + k2
-                    prod = p1 * p2
-                    s = out.get(k)
-                    s = prod if s is None else s + prod
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                    _accumulate(out, k1 + k2, p1 * p2)
             return LaurentSeries._raw(out)
         if isinstance(other, (QPolynomial, int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def scale(self, c: "QPolynomial | Scalar") -> "LaurentSeries":
-        if isinstance(c, (int, Fraction)):
-            c = QPolynomial.constant(c)
-        if not c:
-            return LaurentSeries.zero()
-        return LaurentSeries._raw({k: p * c for k, p in self._terms.items()})
 
     # ---------------------------------------------------- s-space evaluation
     def at_one(self) -> QPolynomial:
@@ -375,13 +414,10 @@ class LaurentSeries:
         return total
 
     # ------------------------------------------------------------ comparison
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentSeries):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset((k, p) for k, p in self._terms.items()))
+    # perfbench/tracing.py wraps __eq__ through LaurentSeries.__dict__, so it
+    # is bound here; binding __eq__ in a class body resets __hash__ to None.
+    __eq__ = KeyedModule.__eq__
+    __hash__ = KeyedModule.__hash__
 
     # --------------------------------------------------------- serialization
     def to_json(self) -> dict:

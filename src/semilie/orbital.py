@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .exactpoly import LaurentSeries, QPolynomial, Scalar
+from .exactpoly import KeyedModule, LaurentSeries, QPolynomial, Scalar
 
 #: Sentinel for an unbounded v(d - a).  Compares larger than every int.
 INFINITY = math.inf
@@ -274,70 +274,21 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
     return out
 
 
-class HeckeVector:
+class HeckeVector(KeyedModule):
     """Finitely supported combination of the basis indicator functions,
     indexed by r >= 0, with int/Fraction or polynomial-in-q coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(
         self,
         coeffs: Mapping[int, Union[Scalar, QPolynomial]]
         | Iterable[tuple[int, Union[Scalar, QPolynomial]]] = (),
     ):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        d: dict[int, QPolynomial] = {}
-        for r, c in items:
-            if r < 0:
-                continue  # the basis has no negative indices; treat as 0
-            if not isinstance(c, QPolynomial):
-                c = QPolynomial.constant(c)
-            if c:
-                cur = d.get(r)
-                c = c if cur is None else cur + c
-                if c:
-                    d[r] = c
-                elif r in d:
-                    del d[r]
-        self._coeffs = d
+        super().__init__(coeffs)
 
-    def items(self) -> list[tuple[int, QPolynomial]]:
-        return sorted(self._coeffs.items())
-
-    def coefficient(self, r: int) -> QPolynomial:
-        return self._coeffs.get(r, QPolynomial.zero())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other: "HeckeVector") -> "HeckeVector":
-        out = dict(self._coeffs)
-        for r, c in other._coeffs.items():
-            s = out.get(r)
-            s = c if s is None else s + c
-            if s:
-                out[r] = s
-            elif r in out:
-                del out[r]
-        v = object.__new__(HeckeVector)
-        v._coeffs = out
-        return v
-
-    def scale(self, c: Union[Scalar, QPolynomial]) -> "HeckeVector":
-        if not isinstance(c, QPolynomial):
-            c = QPolynomial.constant(c)
-        v = object.__new__(HeckeVector)
-        v._coeffs = {r: p * c for r, p in self._coeffs.items()} if c else {}
-        v._coeffs = {r: p for r, p in v._coeffs.items() if p}
-        return v
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HeckeVector):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"HeckeVector({ {r: str(c) for r, c in self.items()} })"
+    def _key(self, r: int) -> int | None:
+        return r if r >= 0 else None  # the basis has no negative indices; treat as 0
 
 
 def derivative_of_vector(base: OrbitalParams, vec: HeckeVector) -> QPolynomial:

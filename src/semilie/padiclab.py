@@ -189,9 +189,6 @@ class QuadExtRing:
                 return x
 
 
-_GAP = object()  # marker for histogram memo slots
-
-
 class DiskCounter:
     """Histograms of v(1 - x*conj(x)) over closed disks, memoised by coset.
 
@@ -214,8 +211,8 @@ class DiskCounter:
         """Counts of v(1 - x*conj(x)) = v over the disk, indexed by v;
         index ``precision`` collects everything at or beyond precision."""
         key = self._coset_key(center, rho)
-        cached = self._memo.get(key, _GAP)
-        if cached is not _GAP:
+        cached = self._memo.get(key)
+        if cached is not None:
             return cached
         ring = self.ring
         p, prec, modulus, eps = ring.p, ring.precision, ring.modulus, ring.eps
@@ -240,8 +237,8 @@ class DiskCounter:
     ) -> tuple[int, ...]:
         """Same histogram over the intersection of two disks (rho1 >= rho2)."""
         key = (self._coset_key(c1, rho1), self._coset_key(c2, rho2))
-        cached = self._memo.get(key, _GAP)
-        if cached is not _GAP:
+        cached = self._memo.get(key)
+        if cached is not None:
             return cached
         ring = self.ring
         p, prec, modulus, eps = ring.p, ring.precision, ring.modulus, ring.eps

@@ -1,6 +1,7 @@
 """Satake transforms and base-change tables for ranks 2 and 3.
 
-Representations:
+Representations, both ``exactpoly.KeyedModule`` containers that differ
+only in their key rule, printing and JSON:
 
   * ``SatakeGL`` -- a symmetric Laurent polynomial in X_1..X_n, stored as a
     map from the sorted (descending) exponent tuple to its coefficient; each
@@ -26,101 +27,55 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Mapping, Union
 
-from .exactpoly import QPolynomial, Scalar
+from .exactpoly import KeyedModule, QPolynomial, Scalar, _accumulate
 
 CoeffLike = Union[Scalar, QPolynomial]
 
 
-def _as_poly(c: CoeffLike) -> QPolynomial:
-    return c if isinstance(c, QPolynomial) else QPolynomial.constant(c)
-
-
-class SatakeGL:
+class SatakeGL(KeyedModule):
     """Symmetric-group-invariant Laurent polynomial in X_1..X_n, stored as
     orbit sums keyed by descending exponent tuples."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms: Mapping[tuple, CoeffLike] | Iterable = ()):
         self.n = n
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[tuple, QPolynomial] = {}
-        for key, c in items:
-            key = tuple(sorted(key, reverse=True))
-            if len(key) != n:
-                raise ValueError(f"exponent tuple {key} has length != {n}")
-            c = _as_poly(c)
-            if c:
-                cur = d.get(key)
-                c = c if cur is None else cur + c
-                if c:
-                    d[key] = c
-                elif key in d:
-                    del d[key]
-        self._terms = d
+        super().__init__(terms)
 
-    def items(self) -> list[tuple[tuple, QPolynomial]]:
-        return sorted(self._terms.items())
+    def _key(self, key: tuple) -> tuple:
+        key = tuple(sorted(key, reverse=True))
+        if len(key) != self.n:
+            raise ValueError(f"exponent tuple {key} has length != {self.n}")
+        return key
 
-    def coefficient(self, key: tuple) -> QPolynomial:
-        return self._terms.get(tuple(sorted(key, reverse=True)), QPolynomial.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    def _like(self, terms: dict) -> "SatakeGL":
+        out = self._raw(terms)
+        out.n = self.n
+        return out
 
     def __add__(self, other: "SatakeGL") -> "SatakeGL":
-        if self.n != other.n:
+        if isinstance(other, SatakeGL) and self.n != other.n:
             raise ValueError("mixed variable counts")
-        out = SatakeGL(self.n)
-        d = dict(self._terms)
-        for k, c in other._terms.items():
-            s = d.get(k)
-            s = c if s is None else s + c
-            if s:
-                d[k] = s
-            elif k in d:
-                del d[k]
-        out._terms = d
-        return out
-
-    def __sub__(self, other: "SatakeGL") -> "SatakeGL":
-        return self + other.scale(-1)
-
-    def scale(self, c: CoeffLike) -> "SatakeGL":
-        c = _as_poly(c)
-        out = SatakeGL(self.n)
-        out._terms = {k: p * c for k, p in self._terms.items()} if c else {}
-        return out
+        return super().__add__(other)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, SatakeGL):
-            return self.n == other.n and self._terms == other._terms
-        return NotImplemented
+        return KeyedModule.__eq__(self, other) and self.n == other.n
+
+    __hash__ = KeyedModule.__hash__
 
     def __repr__(self) -> str:
-        return f"SatakeGL({self.n}, { {k: str(c) for k, c in self.items()} })"
+        return f"SatakeGL({self.n}, { {k: str(c) for k, c in self.sorted_items()} })"
 
 
-class SatakeY:
+class SatakeY(KeyedModule):
     """Palindromic Laurent polynomial in Y: coefficients of Y**i + Y**-i."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[int, CoeffLike] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[int, QPolynomial] = {}
-        for i, c in items:
-            if i < 0:
-                raise ValueError("SatakeY stores only i >= 0")
-            c = _as_poly(c)
-            if c:
-                cur = d.get(i)
-                c = c if cur is None else cur + c
-                if c:
-                    d[i] = c
-                elif i in d:
-                    del d[i]
-        self._terms = d
+    def _key(self, i: int) -> int:
+        if i < 0:
+            raise ValueError("SatakeY stores only i >= 0")
+        return i
 
     @classmethod
     def from_signed(cls, signed: Mapping[int, QPolynomial]) -> "SatakeY":
@@ -136,9 +91,7 @@ class SatakeY:
         for j in signed:
             if j < 0 and -j not in out and signed[j]:
                 raise ValueError(f"not palindromic at Y**{j}")
-        y = cls()
-        y._terms = out
-        return y
+        return cls._raw(out)
 
     @classmethod
     def one(cls) -> "SatakeY":
@@ -149,41 +102,8 @@ class SatakeY:
         """sum_{j=-k}^{k} Y**j; zero when k < 0."""
         return cls({i: 1 for i in range(k + 1)}) if k >= 0 else cls()
 
-    def items(self) -> list[tuple[int, QPolynomial]]:
-        return sorted(self._terms.items())
-
     def coefficient(self, i: int) -> QPolynomial:
-        return self._terms.get(abs(i), QPolynomial.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "SatakeY") -> "SatakeY":
-        d = dict(self._terms)
-        for i, c in other._terms.items():
-            s = d.get(i)
-            s = c if s is None else s + c
-            if s:
-                d[i] = s
-            elif i in d:
-                del d[i]
-        out = SatakeY()
-        out._terms = d
-        return out
-
-    def __sub__(self, other: "SatakeY") -> "SatakeY":
-        return self + other.scale(-1)
-
-    def scale(self, c: CoeffLike) -> "SatakeY":
-        c = _as_poly(c)
-        out = SatakeY()
-        out._terms = {i: p * c for i, p in self._terms.items()} if c else {}
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SatakeY):
-            return self._terms == other._terms
-        return NotImplemented
+        return super().coefficient(abs(i))
 
     def to_json(self) -> dict:
         return {"y_terms": [[i, self._terms[i].to_json()] for i in sorted(self._terms)]}
@@ -209,9 +129,6 @@ class SatakeY:
             else:
                 parts.append(f"({c}){y}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"SatakeY({ {i: str(c) for i, c in self.items()} })"
 
 
 def _compositions(total: int, parts: int):
@@ -261,13 +178,7 @@ def bc_gl3_to_u3(x: SatakeGL) -> SatakeY:
     signed: dict[int, QPolynomial] = {}
     for key, c in x._terms.items():
         for perm in set(permutations(key)):
-            j = perm[0] - perm[2]
-            cur = signed.get(j)
-            s = c if cur is None else cur + c
-            if s:
-                signed[j] = s
-            elif j in signed:
-                del signed[j]
+            _accumulate(signed, perm[0] - perm[2], c)
     return SatakeY.from_signed(signed)
 
 
@@ -314,16 +225,12 @@ def bc_s3_table(bound: int) -> list[SatakeY]:
     return images
 
 
-def bc_s3_on_basis(j: int, bound: int | None = None) -> SatakeY:
-    """Image of the level-j single-cell basis indicator; ``bound`` must be at
-    least j (defaults to j)."""
+def bc_s3_on_basis(j: int) -> SatakeY:
+    """Image of the level-j single-cell basis indicator.  The table is
+    unit-triangular, so it depends only on the levels up to j."""
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    if bound is None:
-        bound = j
-    if bound < j:
-        raise ValueError(f"bound {bound} < j {j}")
-    return bc_s3_table(bound)[j]
+    return bc_s3_table(j)[j]
 
 
 def bc_s2_combo_image(r: int) -> SatakeY:

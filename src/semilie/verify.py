@@ -66,9 +66,6 @@ from .satake import (
     satake_u3_indicator,
 )
 
-SUITE_NAMES = ("orbital", "miracle", "afl", "kernel", "satake", "volumes", "quaternion")
-
-
 @dataclass
 class SweepConfig:
     """Parameter ranges for the identity sweeps."""
@@ -472,13 +469,14 @@ _SUITE_RUNNERS = {
     "volumes": suite_volumes,
     "quaternion": suite_quaternion,
 }
+SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
 def run_suite(name: str, config: SweepConfig | None = None) -> list[SuiteResult]:
     """Run one named suite, or all of them; 'intersection' is an alias that
     runs the miracle and afl suites together."""
     if name == "all":
-        names = ["orbital", "miracle", "afl", "kernel", "satake", "volumes", "quaternion"]
+        names = SUITE_NAMES
     elif name == "intersection":
         names = ["miracle", "afl"]
     elif name in _SUITE_RUNNERS:

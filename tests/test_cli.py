@@ -51,6 +51,24 @@ def test_invalid_params_exit_2(capsys):
     assert "odd" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bc s3 --basis -1",
+        "bc s2 --basis -1",
+        "kernel-matrix --sum-bc 1 --vda abc -N 2",
+        "orbital --vb 0 --vc 1 --ve 0 --vda 1.5",
+        "derivative --vb 0 --vc 1 --ve 0 --at-q abc",
+        "volumes -p 4 -N 2",
+        "verify orbital --rmax -1",
+    ],
+)
+def test_parameter_error_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["orbital", "--vb", "0"])

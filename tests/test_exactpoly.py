@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 from helpers import qp, series
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semilie import LaurentSeries, QPolynomial
+from semilie import HeckeVector, LaurentSeries, QPolynomial, SatakeGL, SatakeY
 
 coeffs = st.one_of(
     st.integers(-9, 9),
@@ -40,6 +40,69 @@ def test_canonical_no_zero_terms():
     p = qp("q + 1") - qp("q")
     assert dict(p.items()) == {0: 1}
     assert (p - QPolynomial.one()).is_zero()
+
+
+# The four KeyedModule containers, each built from (int key, coefficient)
+# pairs; SatakeGL(3, .) takes the int key k to the exponent tuple (k, 0, 0).
+CONTAINERS = {
+    "LaurentSeries": LaurentSeries,
+    "SatakeY": SatakeY,
+    "HeckeVector": HeckeVector,
+    "SatakeGL3": lambda pairs: SatakeGL(3, [((0, k, 0), c) for k, c in pairs]),
+}
+containers = pytest.mark.parametrize("make", CONTAINERS.values(), ids=CONTAINERS.keys())
+container_terms = st.lists(st.tuples(st.integers(0, 4), st.one_of(coeffs, qpolys)), max_size=6)
+
+
+def assert_canonical(x):
+    assert all(p for _, p in x.items()), x
+
+
+@containers
+def test_container_canonical_no_zero_terms(make):
+    assert make([(1, qp("q + 1")), (1, qp("-q - 1"))]).is_zero()
+    assert not make([(0, 0), (2, QPolynomial.zero())])
+    x = make([(1, qp("q + 1")), (1, qp("-q")), (2, 3), (2, Fraction(-3))])
+    assert_canonical(x)
+    assert len(x.items()) == 1 and x == make([(1, 1)])
+    assert x.scale(0).is_zero()
+
+
+@containers
+@settings(max_examples=25)  # four classes share one implementation
+@given(container_terms, container_terms, st.one_of(coeffs, qpolys))
+def test_container_module_axioms(make, a_terms, b_terms, c):
+    a, b = make(a_terms), make(b_terms)
+    for x in (a + b, a - b, -a, a.scale(c)):
+        assert_canonical(x)
+    assert a + b - b == a
+    assert hash(a + b - b) == hash(a)
+    assert (a - a).is_zero()
+    assert (a + (-a)).is_zero()
+    assert a.scale(c) + b.scale(c) == (a + b).scale(c)
+
+
+def test_container_classes_never_equal():
+    values = [make([(0, 1)]) for make in CONTAINERS.values()]
+    values += [make([]) for make in CONTAINERS.values()]
+    values += [SatakeGL(2), SatakeGL(2, {(0, 0): 1})]
+    for i, x in enumerate(values):
+        for j, y in enumerate(values):
+            assert (x == y) == (i == j), (x, y)
+    with pytest.raises(TypeError):
+        LaurentSeries({0: 1}) + SatakeY({0: 1})
+    with pytest.raises(ValueError):
+        SatakeGL(2) + SatakeGL(3)
+
+
+def test_container_key_rules():
+    with pytest.raises(ValueError):
+        SatakeY({-1: 1})
+    assert HeckeVector({-1: 1}).is_zero()
+    assert [k for k, _ in SatakeGL(3, {(0, 1, 0): 1}).items()] == [(1, 0, 0)]
+    with pytest.raises(ValueError):
+        SatakeGL(3, {(1, 0): 1})
+    assert LaurentSeries({-3: 1}).support() == [-3]
 
 
 def test_geometric():

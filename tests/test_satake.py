@@ -107,10 +107,6 @@ class TestBcS3:
         for r in range(6):
             assert bc_s3_weight(r, r) == QPolynomial.one()
 
-    def test_bound_too_small(self):
-        with pytest.raises(ValueError):
-            bc_s3_on_basis(3, 1)
-
 
 class TestBcS2:
     def test_r0_identity(self):
