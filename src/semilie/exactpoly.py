@@ -28,6 +28,8 @@ Scalar = Union[int, Fraction]
 
 def _norm_scalar(c: Scalar) -> Scalar:
     """Collapse integral Fractions to int so dict equality stays canonical."""
+    if type(c) is int:  # the common case; skips the ABC isinstance check
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
@@ -57,6 +59,12 @@ class QPolynomial:
         self = object.__new__(cls)
         self._terms = terms
         return self
+
+    @classmethod
+    def _from_sums(cls, sums: dict[int, Scalar]) -> "QPolynomial":
+        """Canonical polynomial from accumulated {exponent: scalar} sums:
+        zeros dropped, integral Fractions collapsed to int."""
+        return cls._raw({e: _norm_scalar(c) for e, c in sums.items() if c})
 
     # ---------------------------------------------------------- constructors
     @classmethod
@@ -90,6 +98,10 @@ class QPolynomial:
 
     def sorted_items(self) -> list[tuple[int, Scalar]]:
         return sorted(self._terms.items())
+
+    def coefficients(self):
+        """Read-only view of the nonzero coefficients, in storage order."""
+        return self._terms.values()
 
     def coefficient(self, e: int) -> Scalar:
         return self._terms.get(e, 0)
@@ -139,16 +151,13 @@ class QPolynomial:
 
     def __mul__(self, other: "QPolynomial | Scalar") -> "QPolynomial":
         if isinstance(other, QPolynomial):
-            out: dict[int, Scalar] = {}
+            sums: dict[int, Scalar] = {}
+            get = sums.get
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
                     e = e1 + e2
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
-            return QPolynomial._raw({e: _norm_scalar(c) for e, c in out.items()})
+                    sums[e] = get(e, 0) + c1 * c2
+            return QPolynomial._from_sums(sums)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -395,10 +404,12 @@ class LaurentSeries(KeyedModule):
     # ---------------------------------------------------- s-space evaluation
     def at_one(self) -> QPolynomial:
         """Value at T = 1 (the series at s = 0): the sum of all coefficients."""
-        total = QPolynomial.zero()
+        sums: dict[int, Scalar] = {}
+        get = sums.get
         for p in self._terms.values():
-            total = total + p
-        return total
+            for e, c in p._terms.items():
+                sums[e] = get(e, 0) + c
+        return QPolynomial._from_sums(sums)
 
     def log_derivative_at_zero(self) -> QPolynomial:
         """d/ds at s = 0, divided by log q.
@@ -407,11 +418,13 @@ class LaurentSeries(KeyedModule):
         of the coefficients.  The transcendental factor log q is never
         materialised; every caller works with this normalisation.
         """
-        total = QPolynomial.zero()
+        sums: dict[int, Scalar] = {}
+        get = sums.get
         for k, p in self._terms.items():
             if k:
-                total = total + p.scale(k)
-        return total
+                for e, c in p._terms.items():
+                    sums[e] = get(e, 0) + k * c
+        return QPolynomial._from_sums(sums)
 
     # ------------------------------------------------------------ comparison
     # perfbench/tracing.py wraps __eq__ through LaurentSeries.__dict__, so it

@@ -26,7 +26,7 @@ derivative" D additionally carries the sign (-1)**(vc + r):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -66,10 +66,10 @@ class OrbitalParams:
         return self.ve - (self.vda + self.r)
 
     def with_r(self, r: int) -> "OrbitalParams":
-        return replace(self, r=r)
+        return OrbitalParams(r, self.vb, self.vc, self.ve, self.vda)
 
     def with_ve(self, ve: int) -> "OrbitalParams":
-        return replace(self, ve=ve)
+        return OrbitalParams(self.r, self.vb, self.vc, ve, self.vda)
 
     def label(self) -> dict:
         vda = "inf" if self.vda == INFINITY else self.vda
@@ -128,7 +128,7 @@ def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
     for k in range(lo, hi + 1):
         n_k = min((k - lo) // 2, (hi - k) // 2, cap)
         sign = -1 if k % 2 else 1
-        terms[k] = {e: sign for e in range(n_k + 1)}
+        terms[k] = dict.fromkeys(range(n_k + 1), sign)
     if vda < ve - r and vb + vc > 2 * vda:
         c_lo = 2 * vda - vb + r
         c_hi = 2 * ve + vc - 2 * vda - r
@@ -171,32 +171,32 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
     th = p.theta()
     base = vc + r
     acc: dict[int, dict[int, Scalar]] = {}
-
-    def bump(k: int, e: int, delta: int) -> None:
-        coeff = acc.setdefault(k, {})
-        s = coeff.get(e, 0) + delta
-        if s:
-            coeff[e] = s
-        else:
-            del coeff[e]
-
     for n2 in range(ve + 1):
         k0 = 2 * n2 + base
         for m in range(th + 2 * r + 1):
             k = k0 - m
-            bump(k, min(n2, m // 2), -1 if k % 2 else 1)
+            coeff = acc.setdefault(k, {})
+            e = min(n2, m // 2)
+            s = coeff.get(e, 0) + (-1 if k % 2 else 1)
+            if s:
+                coeff[e] = s
+            else:
+                del coeff[e]
     if th % 2 == 0:
         half = th // 2
         m_lo = th + 2 * r + 1
         for n2 in range(ve + 1):
             k0 = 2 * n2 + base
             e = min(n2, half + r)
-            for m in range(m_lo, max(r, n2 - half) + vb + vc + r + 1):
-                k = k0 - m
-                bump(k, e, -1 if k % 2 else 1)
-            for m in range(m_lo, n2 + half + r + 1):
-                k = k0 - m
-                bump(k, e, -1 if k % 2 else 1)
+            for m_hi in (max(r, n2 - half) + vb + vc + r, n2 + half + r):
+                for m in range(m_lo, m_hi + 1):
+                    k = k0 - m
+                    coeff = acc.setdefault(k, {})
+                    s = coeff.get(e, 0) + (-1 if k % 2 else 1)
+                    if s:
+                        coeff[e] = s
+                    else:
+                        del coeff[e]
     return LaurentSeries._raw(
         {k: QPolynomial._raw(c) for k, c in acc.items() if c}
     )

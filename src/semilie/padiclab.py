@@ -23,6 +23,7 @@ nothing.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -46,6 +47,11 @@ def _int_val(a: int, p: int, precision: int) -> int:
     return v
 
 
+def _is_odd_prime(p: int) -> bool:
+    """Trial division by odd d <= sqrt(p)."""
+    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
 def _smallest_nonresidue(p: int) -> int:
     residues = {pow(x, 2, p) for x in range(1, p)}
     for candidate in range(2, p):
@@ -58,7 +64,7 @@ class QuadExtRing:
     """The integers of the unramified quadratic extension, mod p**precision."""
 
     def __init__(self, p: int = 3, precision: int = 4, eps: int | None = None):
-        if p < 3 or p % 2 == 0:
+        if not _is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if precision < 1:
             raise ValueError(f"precision must be >= 1, got {precision}")

@@ -149,12 +149,8 @@ def satake_gl_det(n: int, r: int) -> SatakeGL:
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     weight = QPolynomial.q_power((n - 1) * r)
-    out = SatakeGL(n)
-    for comp in _compositions(r, n):
-        key = tuple(sorted(comp, reverse=True))
-        if key not in out._terms:
-            out._terms[key] = weight
-    return out
+    orbits = {tuple(sorted(comp, reverse=True)): weight for comp in _compositions(r, n)}
+    return SatakeGL(n, orbits)
 
 
 def satake_u3_indicator(r: int) -> SatakeY:

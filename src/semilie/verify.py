@@ -118,11 +118,11 @@ class SuiteResult:
     name: str
     checked: int = 0
     failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failures, and at least one check: a vacuous suite fails."""
+        return self.checked > 0 and not self.failures
 
     def fail(self, record: dict) -> None:
         self.failures.append(record)
@@ -133,7 +133,6 @@ class SuiteResult:
             "checked": self.checked,
             "passed": self.passed,
             "failures": self.failures,
-            "notes": self.notes,
         }
 
 
@@ -160,8 +159,8 @@ def suite_orbital(config: SweepConfig | None = None) -> SuiteResult:
         if deriv != log_deriv:
             res.fail({"identity": "derivative == signed series derivative", "params": p.label()})
         for k, coeff in series.items():
-            flipped = -coeff if k % 2 else coeff
-            if any(c < 0 for _, c in flipped.items()):
+            # (-1)^k coeff has no negative coefficient; coeff is never empty.
+            if (max(coeff.coefficients()) > 0) if k % 2 else (min(coeff.coefficients()) < 0):
                 res.fail({"identity": "sign pattern (-1)^k", "params": p.label(), "k": k})
                 break
         key = (p.r, p.vb + p.vc, p.ve, p.vda)

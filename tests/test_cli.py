@@ -61,12 +61,22 @@ def test_invalid_params_exit_2(capsys):
         "derivative --vb 0 --vc 1 --ve 0 --at-q abc",
         "volumes -p 4 -N 2",
         "verify orbital --rmax -1",
+        "volumes -p 9 -N 2",
+        "verify volumes -p 9",
     ],
 )
 def test_parameter_error_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    if "-p 9" in argv:
+        assert "p must be an odd prime, got 9" in err
+
+
+def test_verify_zero_checks_fails(capsys):
+    code, out, _ = run(capsys, "verify", "volumes", "-N", "1")
+    assert code == 1
+    assert out.strip() == "volumes: FAIL (0 checks)"
 
 
 def test_usage_error_exit_2():

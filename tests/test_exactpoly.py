@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import qp, series
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semilie import HeckeVector, LaurentSeries, QPolynomial, SatakeGL, SatakeY
@@ -121,6 +121,57 @@ def test_log_derivative_at_zero():
     assert LaurentSeries({0: qp("1"), 1: qp("-1")}).log_derivative_at_zero() == qp("-1")
     assert LaurentSeries({-1: qp("-1"), 1: qp("1")}).log_derivative_at_zero() == qp("2")
     assert series({0: "1", 1: "-1"}).log_derivative_at_zero() == qp("-1")
+
+
+@st.composite
+def s_eval_series(draw):
+    """Series with negative T-exponents whose s-evaluations may cancel to
+    zero or sum Fraction halves to an integer."""
+    pairs = draw(st.lists(st.tuples(st.integers(-6, 6), qpolys), max_size=4))
+    k1, j = draw(st.integers(-6, 6)), draw(st.integers(-3, 3))
+    p = draw(qpolys)
+    extra = draw(st.sampled_from(["none", "cancel_at_one", "cancel_log_derivative", "halves"]))
+    if extra == "cancel_at_one":
+        pairs += [(k1, p), (k1 + j, -p)]
+    elif extra == "cancel_log_derivative":
+        pairs += [(k1, p), (-k1, p)]
+    elif extra == "halves":
+        half = QPolynomial({j: Fraction(1, 2)})
+        pairs += [(k1, half), (k1 + 2 * j + 2, half)]
+    return LaurentSeries(pairs)
+
+
+def at_one_reference(f):
+    total = QPolynomial.zero()
+    for _, p in f.items():
+        total = total + p
+    return total
+
+
+def log_derivative_reference(f):
+    total = QPolynomial.zero()
+    for k, p in f.items():
+        total = total + p.scale(k)
+    return total
+
+
+def assert_canonical_scalars(poly):
+    for _, c in poly.items():
+        assert c != 0, poly
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), poly
+
+
+@settings(max_examples=25)
+@given(s_eval_series())
+@example(LaurentSeries({-1: qp("q - 1"), 2: qp("-q + 1")}))
+@example(LaurentSeries({-3: qp("(1/2)q"), 1: qp("(1/2)q - 2"), 0: qp("(1/3)")}))
+def test_s_evaluations_match_reference(f):
+    for got, want in (
+        (f.at_one(), at_one_reference(f)),
+        (f.log_derivative_at_zero(), log_derivative_reference(f)),
+    ):
+        assert got == want
+        assert_canonical_scalars(got)
 
 
 def test_div_exact():

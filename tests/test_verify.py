@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from semilie import INFINITY, SweepConfig, run_suite
-from semilie.verify import suite_miracle, suite_quaternion
+from semilie import INFINITY, LaurentSeries, QPolynomial, SweepConfig, run_suite
+from semilie import verify
+from semilie.verify import suite_miracle, suite_orbital, suite_quaternion
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2, quaternion_samples=20, precision=3)
 
@@ -44,3 +45,33 @@ def test_run_suite_aliases():
 def test_empty_ranges_rejected():
     with pytest.raises(ValueError):
         SweepConfig(r_max=-1)
+
+
+def flip_one_coefficient(series):
+    if series.is_zero():
+        return series
+    k, coeff = min(series.items())
+    e, c = coeff.sorted_items()[0]
+    return series + LaurentSeries.t_power(k, QPolynomial.q_power(e, -2 * c))
+
+
+@pytest.mark.parametrize(
+    "mutate, identities",
+    [
+        (flip_one_coefficient, {"closed_form == support_sum", "sign pattern (-1)^k"}),
+        (lambda series: series + LaurentSeries.t_power(0, 1), {"value at s=0 is 0"}),
+        (
+            lambda series: series + LaurentSeries.t_power(1, QPolynomial.q_power(1)),
+            {"derivative == signed series derivative"},
+        ),
+    ],
+    ids=["sign_flip", "constant_at_T0", "term_at_T1"],
+)
+def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutate, identities):
+    clean = suite_orbital(SMALL)
+    assert clean.passed and clean.checked == 5 * sum(1 for _ in SMALL.full_tuples())
+    original = verify.orbital_closed_form
+    monkeypatch.setattr(verify, "orbital_closed_form", lambda p: mutate(original(p)))
+    mutated = suite_orbital(SMALL)
+    assert not mutated.passed and mutated.checked == clean.checked
+    assert identities <= {f["identity"] for f in mutated.failures}
