@@ -205,14 +205,15 @@ def cmd_verify(args) -> int:
 
 
 def _report_results(results, args) -> int:
-    all_pass = True
-    for result in results:
-        status = "pass" if result.passed else "FAIL"
-        print(f"{result.name}: {status} ({result.checked} checks)")
-        for failure in result.failures:
-            print(json.dumps(failure))
-        all_pass = all_pass and result.passed
-    return 0 if all_pass else 1
+    if args.json:
+        print(json.dumps([result.to_json() for result in results]))
+    else:
+        for result in results:
+            status = "pass" if result.passed else "FAIL"
+            print(f"{result.name}: {status} ({result.checked} checks)")
+            for failure in result.failures:
+                print(json.dumps(failure))
+    return 0 if all(result.passed for result in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("volumes", help="disk-volume enumeration against the closed forms")
     sp.add_argument("-p", type=int, default=3, help="odd prime")
     sp.add_argument("-N", type=int, default=4, help="working precision")
+    sp.add_argument("--json", action="store_true", help="print the suite report as JSON")
     sp.set_defaults(func=cmd_volumes)
 
     sp = sub.add_parser("verify", help="run an identity suite over a grid")
@@ -291,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=int, default=3)
     sp.add_argument("-N", "--precision", dest="precision", type=int, default=4)
     sp.add_argument("--seed", type=int, default=20240501)
+    sp.add_argument("--json", action="store_true", help="print the suite reports as one JSON list")
     sp.set_defaults(func=cmd_verify)
 
     return parser

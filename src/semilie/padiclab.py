@@ -13,7 +13,11 @@ what keeps the enumeration a sound oracle.
 
 Measure normalisation: the ring of integers of the quadratic extension has
 volume 1, so each residue class mod p**precision has volume
-p**(-2*precision); all volumes are exact ``Fraction`` values.
+p**(-2*precision); all volumes are exact ``Fraction`` values.  Scaled by
+p**(2*precision), a volume is the number of residue classes the enumeration
+counts: ``one_disk_points`` gives the closed forms in that integer scaling,
+which is exact whenever n + 1 <= precision (the precision guard of every
+disk lemma), and the sweeps compare these counts as ints.
 
 The one-disk volume formula is stated for arbitrary field elements, but its
 constraint v(1 - x*conj(x)) = n >= 1 forces x*conj(x) to be a unit and hence
@@ -126,7 +130,8 @@ class QuadExtRing:
         return _int_val(a, self.p, self.precision)
 
     def is_unit(self, x: Element) -> bool:
-        return self.val(x) == 0
+        # Equals val(x) == 0: p divides p**precision, so reducing first changes nothing mod p.
+        return bool(x[0] % self.p or x[1] % self.p)
 
     def inverse(self, x: Element) -> Element:
         """1/(a + b sqrt(eps)) = conj(x)/norm(x); x must be a unit."""
@@ -291,16 +296,23 @@ def count_one_disk(
     return Fraction(count, ring.p ** (2 * ring.precision))
 
 
+def one_disk_points(ring: QuadExtRing, gap_val: int, rho: int, n: int) -> int:
+    """The closed-form one-disk volume times p**(2*precision): the number of
+    residue classes with v(1 - x*conj(x)) = n and v(x - xi) >= rho, for a
+    center xi with v(1 - norm(xi)) = ``gap_val``.  An int for n + 1 <= precision."""
+    if gap_val < rho:
+        return 0
+    q, prec = ring.p, ring.precision
+    if rho <= 0:
+        return q ** (2 * prec - n - 2) * (q * q - 1)
+    return q ** (2 * prec - n - rho - 1) * (q - 1)
+
+
 def formula_one_disk(ring: QuadExtRing, xi: Element, rho: int, n: int) -> Fraction:
     """The closed-form volume the enumeration must reproduce."""
     _check_one_disk_args(ring, xi, rho, n)
-    q = ring.p
     gap_val = ring.val_int(1 - ring.norm(xi))
-    if gap_val < rho:
-        return Fraction(0)
-    if rho <= 0:
-        return Fraction(1, q**n) * (1 - Fraction(1, q**2))
-    return Fraction(1, q ** (n + rho)) * (1 - Fraction(1, q))
+    return Fraction(one_disk_points(ring, gap_val, rho, n), ring.p ** (2 * ring.precision))
 
 
 def _check_two_disk_args(
@@ -341,14 +353,9 @@ def formula_two_disk(
     """Closed form: zero unless the smaller disk meets the unit-norm locus
     and sits inside the bigger disk, else the one-disk value at rho1."""
     _check_two_disk_args(ring, xi1, xi2, rho1, rho2, n)
-    q = ring.p
-    if ring.val_int(1 - ring.norm(xi1)) < rho1:
-        return Fraction(0)
     if ring.val(ring.sub(xi1, xi2)) < rho2:
         return Fraction(0)
-    if rho1 >= 1:
-        return Fraction(1, q ** (n + rho1)) * (1 - Fraction(1, q))
-    return Fraction(1, q**n) * (1 - Fraction(1, q**2))
+    return formula_one_disk(ring, xi1, rho1, n)
 
 
 # --------------------------------------------------------------- quaternions

@@ -25,11 +25,9 @@ diagonal), not by re-deriving integration formulas.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .exactpoly import KeyedModule, QPolynomial, Scalar, _accumulate
-
-CoeffLike = Union[Scalar, QPolynomial]
 
 
 class SatakeGL(KeyedModule):
@@ -38,7 +36,7 @@ class SatakeGL(KeyedModule):
 
     __slots__ = ("n",)
 
-    def __init__(self, n: int, terms: Mapping[tuple, CoeffLike] | Iterable = ()):
+    def __init__(self, n: int, terms: Mapping[tuple, Scalar | QPolynomial] | Iterable = ()):
         self.n = n
         super().__init__(terms)
 

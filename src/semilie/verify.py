@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator
 
 from .exactpoly import QPolynomial
@@ -46,10 +47,9 @@ from .orbital import (
 from .padiclab import (
     DiskCounter,
     QuadExtRing,
-    count_one_disk,
-    count_two_disk,
-    formula_one_disk,
-    formula_two_disk,
+    _check_one_disk_args,
+    _check_two_disk_args,
+    one_disk_points,
     quaternion_invariants,
     sample_admissible,
 )
@@ -372,61 +372,69 @@ def suite_volumes(config: SweepConfig | None = None) -> SuiteResult:
     One-disk: every unit center, every admissible (rho, n) within precision.
     Two-disk: every unit first center against offsets hitting every
     separation valuation, every admissible (rho1, rho2, n).
+
+    Each check compares the enumerated count of residue classes with the
+    closed form scaled to an int by ``one_disk_points``; a failure record
+    reports both as reduced volumes.
     """
     config = config or SweepConfig()
     ring = QuadExtRing(p=config.p, precision=config.precision)
     counter = DiskCounter(ring)
     res = SuiteResult("volumes")
     prec = ring.precision
-    rho_values = range(0, prec)
+    classes = ring.p ** (2 * prec)
+
+    def fail(lemma: str, params: dict, got: int, want: int) -> None:
+        got_v, want_v = Fraction(got, classes), Fraction(want, classes)
+        res.fail(
+            {
+                "lemma": lemma,
+                "params": params,
+                "enumerated": [got_v.numerator, got_v.denominator],
+                "formula": [want_v.numerator, want_v.denominator],
+                "match": False,
+            }
+        )
+
+    # A disk's n range runs from the lemmas' lower bound max(rho, 1) to
+    # precision - 1, so one argument check at its top n covers every n in it.
+    n_ranges = [range(max(rho, 1), prec) for rho in range(prec)]
     for xi in ring.units():
-        for rho in rho_values:
-            for n in range(max(rho, 1), prec):
-                got = count_one_disk(ring, xi, rho, n, counter)
-                want = formula_one_disk(ring, xi, rho, n)
-                res.checked += 1
-                if got != want:
-                    res.fail(
-                        {
-                            "lemma": "one_disk",
-                            "params": {"xi": xi, "rho": rho, "n": n},
-                            "enumerated": [got.numerator, got.denominator],
-                            "formula": [want.numerator, want.denominator],
-                            "match": False,
-                        }
-                    )
+        gap = ring.val_int(1 - ring.norm(xi))
+        for rho, ns in enumerate(n_ranges):
+            if not ns:
+                continue
+            _check_one_disk_args(ring, xi, rho, ns[-1])
+            hist = counter.histogram(xi, rho)
+            for n in ns:
+                want = one_disk_points(ring, gap, rho, n)
+                if hist[n] != want:
+                    fail("one_disk", {"xi": xi, "rho": rho, "n": n}, hist[n], want)
+            res.checked += len(ns)
     # Offsets delta = xi1 - xi2 with v(delta) = 0, 1, ..., >= precision.
     offsets = [(0, 0)]
     for v in range(prec):
         offsets.append((ring.p**v, 0))
         offsets.append((0, ring.p**v))
     for xi1 in ring.units():
+        gap = ring.val_int(1 - ring.norm(xi1))
         for da, db in offsets:
             xi2 = ring.sub(xi1, (da, db))
             if not ring.is_unit(xi2):
                 continue
-            for rho1 in range(0, prec):
+            sep = ring.val(ring.sub(xi1, xi2))
+            for rho1, ns in enumerate(n_ranges):
+                if not ns:
+                    continue
                 for rho2 in range(0, rho1 + 1):
-                    for n in range(max(rho1, 1), prec):
-                        got = count_two_disk(ring, xi1, xi2, rho1, rho2, n, counter)
-                        want = formula_two_disk(ring, xi1, xi2, rho1, rho2, n)
-                        res.checked += 1
-                        if got != want:
-                            res.fail(
-                                {
-                                    "lemma": "two_disk",
-                                    "params": {
-                                        "xi1": xi1,
-                                        "xi2": xi2,
-                                        "rho1": rho1,
-                                        "rho2": rho2,
-                                        "n": n,
-                                    },
-                                    "enumerated": [got.numerator, got.denominator],
-                                    "formula": [want.numerator, want.denominator],
-                                    "match": False,
-                                }
-                            )
+                    _check_two_disk_args(ring, xi1, xi2, rho1, rho2, ns[-1])
+                    hist = counter.pair_histogram(xi1, rho1, xi2, rho2)
+                    for n in ns:
+                        want = 0 if sep < rho2 else one_disk_points(ring, gap, rho1, n)
+                        if hist[n] != want:
+                            params = {"xi1": xi1, "xi2": xi2, "rho1": rho1, "rho2": rho2, "n": n}
+                            fail("two_disk", params, hist[n], want)
+                    res.checked += len(ns)
     return res
 
 

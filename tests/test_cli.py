@@ -63,6 +63,7 @@ def test_invalid_params_exit_2(capsys):
         "verify orbital --rmax -1",
         "volumes -p 9 -N 2",
         "verify volumes -p 9",
+        "volumes -p 9 -N 2 --json",
     ],
 )
 def test_parameter_error_exit_2(capsys, argv):
@@ -71,6 +72,27 @@ def test_parameter_error_exit_2(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
     if "-p 9" in argv:
         assert "p must be an odd prime, got 9" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected, exit_code",
+    [
+        ("volumes -p 3 -N 2 --json", [("volumes", 1170, True)], 0),
+        ("volumes -N 1 --json", [("volumes", 0, False)], 1),
+        (
+            "verify intersection --rmax 2 --sum-bc-max 3 --ve-max 3 --vda-max 2 --json",
+            [("miracle", 96, True), ("afl", 304, True)],
+            0,
+        ),
+    ],
+)
+def test_suite_reports_json(capsys, argv, expected, exit_code):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == exit_code
+    (line,) = out.splitlines()
+    reports = json.loads(line)
+    assert [(r["suite"], r["checked"], r["passed"]) for r in reports] == expected
+    assert all(r["failures"] == [] for r in reports)
 
 
 def test_verify_zero_checks_fails(capsys):

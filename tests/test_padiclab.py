@@ -15,6 +15,7 @@ from semilie.padiclab import (
     formula_one_disk,
     formula_two_disk,
     herm,
+    one_disk_points,
     quat_conj,
     quat_mul,
     quat_norm,
@@ -143,6 +144,72 @@ class TestOneDisk:
             count_one_disk(ring, ring.element(3, 3), 0, 1)  # center not a unit
         with pytest.raises(ValueError):
             count_one_disk(ring, ring.one(), 2, 1)  # n < rho
+
+
+def reference_one_disk(ring, xi, rho, n):
+    """The Fraction expression formula_one_disk used before the integer scaling."""
+    q = ring.p
+    if ring.val_int(1 - ring.norm(xi)) < rho:
+        return Fraction(0)
+    if rho <= 0:
+        return Fraction(1, q**n) * (1 - Fraction(1, q**2))
+    return Fraction(1, q ** (n + rho)) * (1 - Fraction(1, q))
+
+
+def reference_two_disk(ring, xi1, xi2, rho1, rho2, n):
+    """The Fraction expression formula_two_disk used before the integer scaling."""
+    q = ring.p
+    if ring.val_int(1 - ring.norm(xi1)) < rho1:
+        return Fraction(0)
+    if ring.val(ring.sub(xi1, xi2)) < rho2:
+        return Fraction(0)
+    if rho1 >= 1:
+        return Fraction(1, q ** (n + rho1)) * (1 - Fraction(1, q))
+    return Fraction(1, q**n) * (1 - Fraction(1, q**2))
+
+
+@pytest.mark.parametrize("p, precision", [(3, 2), (3, 3), (5, 2), (5, 3)])
+def test_closed_forms_match_reference(p, precision):
+    ring = QuadExtRing(p=p, precision=precision)
+    classes = p ** (2 * precision)
+    rhos = range(-2, precision)
+    offsets = [(0, 0)] + [(p**v, 0) for v in range(precision)] + [(0, p**v) for v in range(precision)]
+    gaps_seen = set()
+    for xi1 in ring.units():
+        gap = ring.val_int(1 - ring.norm(xi1))
+        for rho in rhos:
+            for n in range(max(rho, 1), precision):
+                want = formula_one_disk(ring, xi1, rho, n)
+                assert want == reference_one_disk(ring, xi1, rho, n), (xi1, rho, n)
+                points = one_disk_points(ring, gap, rho, n)
+                assert type(points) is int and points == want * classes
+        # Both two-disk forms see xi1 only through its gap and xi2 only through
+        # v(xi1 - xi2): one center per gap against every offset covers them all.
+        if gap in gaps_seen:
+            continue
+        gaps_seen.add(gap)
+        for delta in offsets:
+            xi2 = ring.sub(xi1, delta)
+            if not ring.is_unit(xi2):
+                continue
+            for rho1 in rhos:
+                for rho2 in range(-2, rho1 + 1):
+                    for n in range(max(rho1, 1), precision):
+                        got = formula_two_disk(ring, xi1, xi2, rho1, rho2, n)
+                        assert got == reference_two_disk(ring, xi1, xi2, rho1, rho2, n), (
+                            xi1, xi2, rho1, rho2, n,
+                        )
+
+
+@pytest.mark.parametrize("p, precision", [(3, 1), (3, 2), (5, 2)])
+def test_is_unit_matches_valuation(p, precision):
+    ring = QuadExtRing(p=p, precision=precision)
+    m = ring.modulus
+    values = [0, 1, -1, p, -p, p - 1, m, -m, 2 * m, m + 1, m - 1, m + p, -m - 1, 3 * m * p + 2, -(p**5)]
+    for a in values:
+        for b in values:
+            assert ring.is_unit((a, b)) == (ring.val((a, b)) == 0), (a, b)
+    assert not ring.is_unit((0, 0))
 
 
 class TestTwoDisk:

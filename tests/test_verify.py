@@ -1,11 +1,13 @@
 """Suite drivers: grids, determinism, and report schema."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from semilie import INFINITY, LaurentSeries, QPolynomial, SweepConfig, run_suite
 from semilie import verify
+from semilie.padiclab import DiskCounter
 from semilie.verify import suite_miracle, suite_orbital, suite_quaternion
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2, quaternion_samples=20, precision=3)
@@ -75,3 +77,53 @@ def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutate, identiti
     mutated = suite_orbital(SMALL)
     assert not mutated.passed and mutated.checked == clean.checked
     assert identities <= {f["identity"] for f in mutated.failures}
+
+
+VOLUMES = SweepConfig(precision=3)
+VOLUME_PARAMS = {"one_disk": {"xi", "rho", "n"}, "two_disk": {"xi1", "xi2", "rho1", "rho2", "n"}}
+
+
+def assert_volume_failures(result, lemmas):
+    assert not result.passed and result.checked == 42606
+    assert {f["lemma"] for f in result.failures} == lemmas
+    for f in result.failures:
+        assert set(f) == {"lemma", "params", "enumerated", "formula", "match"}
+        assert set(f["params"]) == VOLUME_PARAMS[f["lemma"]]
+        enumerated, formula = Fraction(*f["enumerated"]), Fraction(*f["formula"])
+        assert [enumerated.numerator, enumerated.denominator] == f["enumerated"]
+        assert [formula.numerator, formula.denominator] == f["formula"]
+        assert abs(enumerated - formula) == Fraction(1, 3**6) and f["match"] is False
+
+
+def test_volumes_suite_reports_mutated_closed_form(monkeypatch):
+    clean = verify.suite_volumes(VOLUMES)
+    assert clean.passed and clean.checked == 42606
+    original = verify.one_disk_points
+
+    def off_by_one(ring, gap_val, rho, n):
+        return original(ring, gap_val, rho, n) + ((rho, n) == (1, 2))
+
+    monkeypatch.setattr(verify, "one_disk_points", off_by_one)
+    mutated = verify.suite_volumes(VOLUMES)
+    assert_volume_failures(mutated, {"one_disk", "two_disk"})
+    for f in mutated.failures:
+        assert f["params"]["n"] == 2
+        assert f["params"].get("rho", f["params"].get("rho1")) == 1
+
+
+@pytest.mark.parametrize("method, lemma", [("histogram", "one_disk"), ("pair_histogram", "two_disk")])
+def test_volumes_suite_reports_mutated_histogram(monkeypatch, method, lemma):
+    original = getattr(DiskCounter, method)
+
+    def bumped(self, c1, rho1, *rest):
+        hist = original(self, c1, rho1, *rest)
+        if self._coset_key(c1, rho1) == (1, 0, 2):
+            hist = hist[:2] + (hist[2] + 1,) + hist[3:]
+        return hist
+
+    monkeypatch.setattr(DiskCounter, method, bumped)
+    mutated = verify.suite_volumes(VOLUMES)
+    assert_volume_failures(mutated, {lemma})
+    for f in mutated.failures:
+        params = f["params"]
+        assert params["n"] == 2 and params.get("rho", params.get("rho1")) == 2
