@@ -12,6 +12,7 @@ Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -61,9 +62,24 @@ def _fraction_json(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
+def _parse_at_q(text: str) -> Fraction:
+    """--at-q: an exact rational such as 5, -3/2 or 0.25."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--at-q must be an exact rational, got {text!r}") from None
+
+
+def _evaluate(poly: QPolynomial, q: Fraction):
+    """``poly`` at q, rejecting q = 0 where a negative power of q occurs."""
+    if not q and poly and poly.min_exponent() < 0:
+        raise ValueError(f"cannot evaluate at q = 0: the value has the term q^{poly.min_exponent()}")
+    return poly.evaluate(q)
+
+
 def _print_qpoly(poly: QPolynomial, args) -> None:
     if getattr(args, "at_q", None) is not None:
-        value = poly.evaluate(Fraction(args.at_q))
+        value = _evaluate(poly, _parse_at_q(args.at_q))
         if args.json:
             print(json.dumps({"value": _fraction_json(Fraction(value))}))
         else:
@@ -76,8 +92,8 @@ def _print_qpoly(poly: QPolynomial, args) -> None:
 
 def _print_series(series: LaurentSeries, args) -> None:
     if getattr(args, "at_q", None) is not None:
-        q = Fraction(args.at_q)
-        terms = [[k, _fraction_json(Fraction(c.evaluate(q)))] for k, c in series.sorted_items()]
+        q = _parse_at_q(args.at_q)
+        terms = [[k, _fraction_json(Fraction(_evaluate(c, q)))] for k, c in series.sorted_items()]
         if args.json:
             print(json.dumps({"t_terms": terms}))
         else:
@@ -216,7 +232,10 @@ def _report_results(results, args) -> int:
     return 0 if all(result.passed for result in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one in the process: callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="semilie",
         description="Exact rank-2 orbital integrals, intersection numbers and base-change tables.",

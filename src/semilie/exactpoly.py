@@ -227,11 +227,9 @@ class QPolynomial:
 
     # --------------------------------------------------------- serialization
     def to_json(self) -> dict:
-        triples = []
-        for e in sorted(self._terms):
-            c = Fraction(self._terms[e])
-            triples.append([e, c.numerator, c.denominator])
-        return {"q_terms": triples}
+        """{"q_terms": [[e, numerator, denominator], ...]} by increasing e;
+        int and Fraction coefficients both carry the two attributes."""
+        return {"q_terms": [[e, c.numerator, c.denominator] for e, c in sorted(self._terms.items())]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "QPolynomial":

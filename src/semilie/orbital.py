@@ -81,8 +81,13 @@ def validate(p: OrbitalParams, allow_vanishing: bool = False) -> OrbitalParams:
 
     ve < 0 is accepted only when ``allow_vanishing`` is set; such parameters
     are meaningful solely because every orbital/derivative operation is
-    identically zero there.
+    identically zero there.  r, vb, vc and ve must be exactly ``int`` (a
+    bool or float is rejected), and vda an ``int`` or ``INFINITY``.
     """
+    if type(p.r) is not int or type(p.vb) is not int or type(p.vc) is not int or type(p.ve) is not int:
+        fields = (("r", p.r), ("vb", p.vb), ("vc", p.vc), ("ve", p.ve))
+        name, value = next((n, v) for n, v in fields if type(v) is not int)
+        raise InvalidParamsError(f"{name} must be an int, got {value!r}")
     if p.r < 0:
         raise InvalidParamsError(f"r must be >= 0, got {p.r}")
     s = p.vb + p.vc
@@ -90,7 +95,7 @@ def validate(p: OrbitalParams, allow_vanishing: bool = False) -> OrbitalParams:
         raise InvalidParamsError(f"vb + vc must be odd, got {p.vb} + {p.vc} = {s}")
     if s < 1:
         raise InvalidParamsError(f"vb + vc must be >= 1, got {s}")
-    if p.vda != INFINITY and (not isinstance(p.vda, int) or p.vda < 0):
+    if p.vda != INFINITY and (type(p.vda) is not int or p.vda < 0):
         raise InvalidParamsError(f"vda must be a nonnegative int or INFINITY, got {p.vda!r}")
     if p.ve < 0 and not allow_vanishing:
         raise InvalidParamsError(

@@ -208,14 +208,26 @@ def bc_s3_table(bound: int) -> list[SatakeY]:
         BC(sum_{j<=r} [1 + 2q + ... + 2q**(r-j)] basis_j) = satake_u3_indicator(r)
 
     for r = 0..bound.  The system is unit-triangular, so the solution is
-    exact and unique."""
+    exact and unique.
+
+    Each level is solved in one accumulator of {i: {e: scalar}} sums: the
+    weighted lower images are subtracted term by term, and each Y-coefficient
+    becomes a canonical QPolynomial once, at the end."""
     images: list[SatakeY] = []
     for r in range(bound + 1):
-        rhs = satake_u3_indicator(r)
+        sums = {i: dict(c._terms) for i, c in satake_u3_indicator(r)._terms.items()}
         for j in range(r):
-            rhs = rhs - images[j].scale(bc_s3_weight(r, j))
+            weight = bc_s3_weight(r, j)._terms.items()
+            for i, c in images[j]._terms.items():
+                acc = sums.setdefault(i, {})
+                get = acc.get
+                for e1, c1 in c._terms.items():
+                    for e2, c2 in weight:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) - c1 * c2
         assert bc_s3_weight(r, r) == QPolynomial.one()
-        images.append(rhs)
+        coeffs = {i: QPolynomial._from_sums(acc) for i, acc in sums.items()}
+        images.append(SatakeY._raw({i: c for i, c in coeffs.items() if c}))
     return images
 
 

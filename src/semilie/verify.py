@@ -85,6 +85,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.r_max < 0 or self.ve_max < 0 or self.sum_bc_max < 1:
             raise ValueError("ranges must be nonempty")
+        if self.rmax_satake < 0:
+            raise ValueError(f"rmax_satake must be >= 0, got {self.rmax_satake}")
 
     def vda_values(self) -> list:
         vals: list = list(range(self.vda_max + 1))

@@ -1,11 +1,19 @@
 """Command-line interface behaviour: output formats, exit codes, JSON."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import semilie
 from semilie import LaurentSeries, QPolynomial
-from semilie.cli import main
+from semilie.cli import _evaluate, build_parser, main
 
 
 def run(capsys, *argv):
@@ -64,6 +72,8 @@ def test_invalid_params_exit_2(capsys):
         "volumes -p 9 -N 2",
         "verify volumes -p 9",
         "volumes -p 9 -N 2 --json",
+        "int --vb 0 --vc 3 --ve 2 -r 1 --at-q 1/0",
+        "verify satake --rmax-satake -1",
     ],
 )
 def test_parameter_error_exit_2(capsys, argv):
@@ -212,3 +222,59 @@ def test_volumes_small(capsys):
     code, out, _ = run(capsys, "volumes", "-p", "3", "-N", "2")
     assert code == 0
     assert "volumes: pass" in out
+
+
+def test_at_q_zero_meets_negative_power():
+    assert _evaluate(QPolynomial({0: 3, 2: 1}), Fraction(0)) == 3
+    with pytest.raises(ValueError, match="q = 0"):
+        _evaluate(QPolynomial({-1: 1, 0: 3}), Fraction(0))
+
+
+def fresh_main(argv):
+    """``main`` on a newly built, uncached parser."""
+    args = build_parser.__wrapped__().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def captured(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_shared_across_calls():
+    assert build_parser() is build_parser()
+    sequence = [
+        "orbital --vb 0",
+        "derivative --vb 0 --vc 3 --ve 1 --vda 1 --at-q 5",
+        "orbital -r 2 --vb -1 --vc 4 --ve 3 --vda 1 --json",
+        "verify nonsense",
+        "orbital -r 2 --vb -1 --vc 4 --ve 3 --at-q=-3/2 --json",
+        "gk --n1 4 --n2 7 --json",
+        "bc s3 --basis 3 --json",
+        "derivative --vb 0 --vc 3 --ve 1 --vda 1",
+        "orbital --vb 0",
+    ]
+    for argv in sequence:
+        got = captured(main, argv.split())
+        assert got == captured(fresh_main, argv.split()), argv
+        assert got[0] == (2 if argv in ("orbital --vb 0", "verify nonsense") else 0), argv
+
+
+def test_python_m_semilie():
+    src = str(Path(semilie.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "semilie", "gk", "--n1", "2", "--n2", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "q + 5\n"

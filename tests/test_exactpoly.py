@@ -1,5 +1,6 @@
 """Ring operations and the two s-space evaluations."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,25 @@ def test_json_roundtrip():
     assert LaurentSeries.from_json(s.to_json()) == s
     exponents = [t[0] for t in p.to_json()["q_terms"]]
     assert exponents == sorted(exponents)
+
+
+def to_json_reference(p):
+    """The encoding through one Fraction per term."""
+    triples = []
+    for e in sorted(p._terms):
+        c = Fraction(p._terms[e])
+        triples.append([e, c.numerator, c.denominator])
+    return {"q_terms": triples}
+
+
+@given(qpolys)
+@example(QPolynomial({-3: Fraction(-5, 4), 0: 7, 2: -1}))
+@example(QPolynomial({-1: -2, 1: Fraction(1, 3), 4: 9}))
+def test_to_json_matches_fraction_reference(p):
+    got = p.to_json()
+    assert json.dumps(got) == json.dumps(to_json_reference(p))
+    assert all(type(x) is int for triple in got["q_terms"] for x in triple)
+    assert QPolynomial.from_json(json.loads(json.dumps(got))) == p
 
 
 @given(qpolys, qpolys, qpolys)

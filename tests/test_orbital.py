@@ -1,5 +1,7 @@
 """Orbital integral closed form, support-sum oracle, and derivatives."""
 
+from fractions import Fraction
+
 import pytest
 from helpers import qp
 
@@ -61,6 +63,22 @@ class TestValidate:
     def test_bad_vda(self):
         with pytest.raises(InvalidParamsError, match="vda"):
             validate(params(vda=-1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("r", True), ("r", 1.5), ("vb", 0.0), ("vc", Fraction(1)), ("ve", False), ("ve", 2.0)],
+    )
+    def test_non_int_field_rejected(self, field, value):
+        with pytest.raises(InvalidParamsError, match=f"{field} must be an int"):
+            validate(params(**{field: value}), allow_vanishing=True)
+
+    @pytest.mark.parametrize("vda", [True, 1.5, 2.0, Fraction(1)])
+    def test_non_int_vda_rejected(self, vda):
+        with pytest.raises(InvalidParamsError, match="vda"):
+            validate(params(vda=vda))
+
+    def test_int_and_infinity_accepted(self):
+        validate(params(r=2, vb=-1, vc=4, ve=3, vda=INFINITY))
 
 
 class TestClosedForm:

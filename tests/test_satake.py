@@ -19,6 +19,17 @@ from semilie import (
 from semilie.satake import bc_s3_table, bc_s3_weight
 
 
+def bc_s3_table_reference(bound):
+    """The triangular solve through SatakeY subtraction and scaling."""
+    images = []
+    for r in range(bound + 1):
+        rhs = satake_u3_indicator(r)
+        for j in range(r):
+            rhs = rhs - images[j].scale(bc_s3_weight(r, j))
+        images.append(rhs)
+    return images
+
+
 class TestSatakeGLDet:
     def test_r0_is_one(self):
         assert satake_gl_det(3, 0) == SatakeGL(3, {(0, 0, 0): 1})
@@ -102,6 +113,14 @@ class TestBcS3:
             for j in range(r):
                 lhs = lhs + images[j].scale(qp(f"2q^{r - j}"))
             assert lhs == satake_u3_indicator(r) - satake_u3_indicator(r - 1), r
+
+    def test_table_matches_subtract_and_scale_reference(self):
+        for bound in range(21):
+            images = bc_s3_table(bound)
+            reference = bc_s3_table_reference(bound)
+            assert images == reference, bound
+            for image in images:
+                assert all(c and all(c.coefficients()) for _, c in image.items()), image
 
     def test_unit_diagonal(self):
         for r in range(6):
