@@ -6,7 +6,8 @@ volumes, verify.  Values print as human-readable polynomials by default;
 q numerically (exact rational arithmetic either way).
 
 Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
-2 on usage or parameter errors.
+2 on usage or parameter errors.  An orbit or gk query whose estimated work is
+above ``MAX_WORK`` is a parameter error.
 """
 
 from __future__ import annotations
@@ -28,10 +29,16 @@ from .orbital import (
     orbital_closed_form,
     orbital_support_sum,
     transfer_factor,
-    validate,
 )
 from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polynomial, satake_u3_indicator
 from .verify import SUITE_NAMES, SweepConfig, run_suite
+
+#: The most work one orbit or ``gk`` query may ask for, in q-terms and
+#: support-lattice points; with --at-q, a term also costs one unit per 64 bits
+#: of q**N.  A larger query exits 2 instead of running for minutes or out of
+#: memory.  The largest README example needs 1,476 units, a calculator query
+#: with r <= 30, ve <= 40, vb >= -50 and vb + vc <= 41 at most 17,835.
+MAX_WORK = 200_000
 
 
 def _add_orbit_args(parser: argparse.ArgumentParser) -> None:
@@ -43,7 +50,7 @@ def _add_orbit_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_vda(text: str) -> int | float:
-    """--vda: a nonnegative integer or 'inf' (range checked by validate)."""
+    """--vda: a nonnegative integer or 'inf' (range checked by OrbitalParams)."""
     if text.lower() in ("inf", "infinity"):
         return INFINITY
     try:
@@ -52,9 +59,28 @@ def _parse_vda(text: str) -> int | float:
         raise ValueError(f"--vda must be an integer or 'inf', got {text!r}") from None
 
 
+def _check_work(args, terms: int, degree: int) -> None:
+    """Reject ``terms`` q-terms of degree <= ``degree`` above ``MAX_WORK``."""
+    if getattr(args, "at_q", None) is not None:
+        q = _parse_at_q(args.at_q)
+        terms *= 1 + degree * max(q.numerator.bit_length(), q.denominator.bit_length()) // 64
+    if terms > MAX_WORK:
+        raise ValueError(f"the query needs about {terms} units of work, more than the limit of {MAX_WORK}")
+
+
 def _parse_params(args) -> OrbitalParams:
     p = OrbitalParams(r=args.r, vb=args.vb, vc=args.vc, ve=args.ve, vda=_parse_vda(args.vda))
-    return validate(p, allow_vanishing=True)
+    # Each q-polynomial has <= N + 1 terms; the closed-form series has
+    # 2ve + vb + vc + 2r + 1, int --mode total sums ve/2 + 1 of them.
+    ve1, n = max(p.ve + 1, 0), max(p.n_bound() + 1, 0)
+    if args.command == "orbital":
+        terms = (2 * p.ve + p.sum_bc() + 2 * p.r + 1) * n
+        if args.oracle:  # the support lattice
+            terms += ve1 * (2 * p.ve + 2 * p.sum_bc() + 3 * p.r + 1)
+    else:
+        terms = (ve1 // 2 + 1) * n if getattr(args, "mode", None) == "total" else n
+    _check_work(args, terms, p.n_bound())
+    return p
 
 
 def _fraction_json(x: Fraction) -> list[int]:
@@ -120,18 +146,9 @@ def cmd_orbital(args) -> int:
 
 
 def cmd_derivative(args) -> int:
+    """``derivative`` and ``combo``: D at level r, or against levels r and r - 1."""
     p = _parse_params(args)
-    value = derivative_closed_form(p)
-    if args.raw:
-        sign = -1 if (p.vc + p.r) % 2 else 1
-        value = value.scale(sign)
-    _print_qpoly(value, args)
-    return 0
-
-
-def cmd_combo(args) -> int:
-    p = _parse_params(args)
-    value = derivative_combo(p)
+    value = (derivative_combo if args.command == "combo" else derivative_closed_form)(p)
     if args.raw:
         sign = -1 if (p.vc + p.r) % 2 else 1
         value = value.scale(sign)
@@ -146,18 +163,14 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_gk(args) -> int:
+    _check_work(args, args.n1 // 2 + 1, args.n1 // 2)
     _print_qpoly(gross_keating(GKPair(args.n1, args.n2)), args)
     return 0
 
 
 def cmd_int(args) -> int:
     p = _parse_params(args)
-    if args.mode == "circ":
-        value = int_circ(p)
-    elif args.mode == "total":
-        value = int_total(p)
-    else:
-        value = int_circ_kr_closed(p)
+    value = {"circ": int_circ, "total": int_total, "kr": int_circ_kr_closed}[args.mode](p)
     _print_qpoly(value, args)
     return 0
 
@@ -262,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_orbit_args(sp)
     sp.add_argument("--raw", action="store_true", help="undo the (-1)^(vc+r) normalisation")
     common_output(sp)
-    sp.set_defaults(func=cmd_combo)
+    sp.set_defaults(func=cmd_derivative)
 
     sp = sub.add_parser("transfer", help="transfer factor (-1)^(vc+1)")
     _add_orbit_args(sp)
@@ -319,8 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # so that "--at-q -3/2" is not read as an option
+        if argv[i - 1] == "--at-q":
+            argv[i - 1 : i + 1] = [f"--at-q={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # includes InvalidParamsError

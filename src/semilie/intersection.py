@@ -22,7 +22,7 @@ from .orbital import (
     InvalidParamsError,
     OrbitalParams,
     derivative_closed_form,
-    validate,
+    require_ints,
 )
 
 
@@ -56,6 +56,9 @@ class GeometricParams:
     v_alpha_diff: int | float
 
     def __post_init__(self):
+        require_ints(v_nm_u=self.v_nm_u, v_beta=self.v_beta)
+        if self.v_alpha_diff != INFINITY:
+            require_ints(v_alpha_diff=self.v_alpha_diff)
         if self.v_nm_u < 0:
             raise ValueError(f"v(Nm u) must be >= 0 for integral u, got {self.v_nm_u}")
         if self.v_beta < 0:
@@ -103,7 +106,6 @@ def gk_from_params(p: OrbitalParams) -> GKPair:
         n2 = 2 ve + vb + vc + 2r - n1,
 
     with the empty sentinel when ve < 0."""
-    validate(p, allow_vanishing=True)
     if p.ve < 0:
         return GKPair.empty()
     n1 = min(2 * p.ve, p.vb + p.vc + 2 * p.r, 2 * p.vda + 2 * p.r)
@@ -113,7 +115,8 @@ def gk_from_params(p: OrbitalParams) -> GKPair:
 
 def int_circ(p: OrbitalParams) -> QPolynomial:
     """Primitive intersection number: GK at ve minus GK at ve - 1."""
-    validate(p)
+    if p.ve < 0:
+        raise InvalidParamsError(f"int_circ is undefined in the vanishing regime, got ve = {p.ve}")
     return gross_keating(gk_from_params(p)) - gross_keating(gk_from_params(p.with_ve(p.ve - 1)))
 
 
@@ -123,7 +126,8 @@ def int_total(p: OrbitalParams) -> QPolynomial:
     Equals derivative_closed_form(p) exactly (checked by the identity
     sweeps), which is what ties the geometric side to the orbital side.
     """
-    validate(p)
+    if p.ve < 0:
+        raise InvalidParamsError(f"int_total is undefined in the vanishing regime, got ve = {p.ve}")
     out = QPolynomial.zero()
     ve = p.ve
     while ve >= 0:
@@ -142,7 +146,6 @@ def int_circ_kr_closed(p: OrbitalParams) -> QPolynomial:
 
     where N = min(ve, (vb+vc-1)/2 + r, vda + r) and, in the first case,
     C = (vb + vc - 2 vda - 1)/2.  Equals int_circ(r) - int_circ(r-1)."""
-    validate(p)
     if p.r < 1:
         raise InvalidParamsError(f"int_circ_kr_closed needs r >= 1, got {p.r}")
     if p.ve < 1:
@@ -173,7 +176,8 @@ def verify_miracle(p: OrbitalParams) -> dict:
     """Check that GK at (p, ve) equals D(ve) + D(ve - 1) in normalised form.
 
     Never raises on a mismatch; returns a report with both sides."""
-    validate(p)
+    if p.ve < 0:
+        raise InvalidParamsError(f"verify_miracle is undefined in the vanishing regime, got ve = {p.ve}")
     lhs = gross_keating(gk_from_params(p))
     rhs = derivative_closed_form(p) + derivative_closed_form(p.with_ve(p.ve - 1))
     return {

@@ -26,6 +26,7 @@ from .orbital import (
     OrbitalParams,
     derivative_closed_form,
     derivative_of_vector,
+    require_ints,
 )
 
 
@@ -57,20 +58,14 @@ class DerivMatrix:
 def build_matrix(sum_bc: int, vda: int | float, n_cap: int) -> DerivMatrix:
     """Entry (i, r) = D(r, vb + vc = sum_bc, ve = i, vda) for
     0 <= i <= n_cap + floor(theta/2) + 1 and 0 <= r <= n_cap."""
-    if sum_bc % 2 == 0 or sum_bc < 1:
-        raise InvalidParamsError(f"sum_bc must be odd and >= 1, got {sum_bc}")
-    if vda != INFINITY and (not isinstance(vda, int) or vda < 0):
-        raise InvalidParamsError(f"vda must be a nonnegative int or INFINITY, got {vda!r}")
+    base = OrbitalParams(r=0, vb=0, vc=sum_bc, ve=0, vda=vda)
+    require_ints(N=n_cap)
     if n_cap < 0:
         raise InvalidParamsError(f"N must be >= 0, got {n_cap}")
-    theta = min(sum_bc, 2 * vda)
-    rows = n_cap + theta // 2 + 2
+    rows = n_cap + base.theta() // 2 + 2
     entries = tuple(
-        tuple(
-            derivative_closed_form(OrbitalParams(r=r, vb=0, vc=sum_bc, ve=i, vda=vda))
-            for r in range(n_cap + 1)
-        )
-        for i in range(rows)
+        tuple(derivative_closed_form(row.with_r(r)) for r in range(n_cap + 1))
+        for row in map(base.with_ve, range(rows))
     )
     return DerivMatrix(sum_bc=sum_bc, vda=vda, n_cap=n_cap, entries=entries)
 

@@ -8,6 +8,10 @@ An orbit is parametrised by five valuation integers:
   ve   -- v(e),        negative values put the orbit in the vanishing regime,
   vda  -- v(d - a),    >= 0, or INFINITY when only a lower bound is known.
 
+``OrbitalParams`` checks all of this when it is constructed, with r, vb, vc
+and ve exact ints.  ve < 0 always constructs: every orbital integral and
+derivative is 0 there; ``int_circ``, ``int_total``, ``verify_miracle`` reject it.
+
 The residue-field size q stays symbolic: every operation returns a
 ``QPolynomial`` or ``LaurentSeries`` (see ``exactpoly``), and numeric
 evaluation happens only when a caller asks for it.
@@ -40,6 +44,13 @@ class InvalidParamsError(ValueError):
     """Raised when orbit parameters violate the admissibility constraints."""
 
 
+def require_ints(**fields) -> None:
+    """Reject the first field that is not exactly an ``int`` (bools included)."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise InvalidParamsError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OrbitalParams:
     """Valuation data of a regular semisimple orbit plus a basis index r."""
@@ -49,6 +60,19 @@ class OrbitalParams:
     vc: int
     ve: int
     vda: int | float = 0
+
+    def __post_init__(self):
+        if not type(self.r) is type(self.vb) is type(self.vc) is type(self.ve) is int:
+            require_ints(r=self.r, vb=self.vb, vc=self.vc, ve=self.ve)
+        if self.r < 0:
+            raise InvalidParamsError(f"r must be >= 0, got {self.r}")
+        s = self.vb + self.vc
+        if s % 2 == 0:
+            raise InvalidParamsError(f"vb + vc must be odd, got {self.vb} + {self.vc} = {s}")
+        if s < 1:
+            raise InvalidParamsError(f"vb + vc must be >= 1, got {s}")
+        if self.vda != INFINITY and (type(self.vda) is not int or self.vda < 0):
+            raise InvalidParamsError(f"vda must be a nonnegative int or INFINITY, got {self.vda!r}")
 
     def sum_bc(self) -> int:
         return self.vb + self.vc
@@ -76,54 +100,20 @@ class OrbitalParams:
         return {"r": self.r, "vb": self.vb, "vc": self.vc, "ve": self.ve, "vda": vda}
 
 
-def validate(p: OrbitalParams, allow_vanishing: bool = False) -> OrbitalParams:
-    """Check the admissibility constraints, returning ``p`` unchanged.
-
-    ve < 0 is accepted only when ``allow_vanishing`` is set; such parameters
-    are meaningful solely because every orbital/derivative operation is
-    identically zero there.  r, vb, vc and ve must be exactly ``int`` (a
-    bool or float is rejected), and vda an ``int`` or ``INFINITY``.
-    """
-    if type(p.r) is not int or type(p.vb) is not int or type(p.vc) is not int or type(p.ve) is not int:
-        fields = (("r", p.r), ("vb", p.vb), ("vc", p.vc), ("ve", p.ve))
-        name, value = next((n, v) for n, v in fields if type(v) is not int)
-        raise InvalidParamsError(f"{name} must be an int, got {value!r}")
-    if p.r < 0:
-        raise InvalidParamsError(f"r must be >= 0, got {p.r}")
-    s = p.vb + p.vc
-    if s % 2 == 0:
-        raise InvalidParamsError(f"vb + vc must be odd, got {p.vb} + {p.vc} = {s}")
-    if s < 1:
-        raise InvalidParamsError(f"vb + vc must be >= 1, got {s}")
-    if p.vda != INFINITY and (type(p.vda) is not int or p.vda < 0):
-        raise InvalidParamsError(f"vda must be a nonnegative int or INFINITY, got {p.vda!r}")
-    if p.ve < 0 and not allow_vanishing:
-        raise InvalidParamsError(
-            f"ve = {p.ve} < 0 (vanishing regime); pass allow_vanishing=True to accept"
-        )
-    return p
-
-
 def transfer_factor(p: OrbitalParams) -> int:
     """The matching sign (-1)**(vc + 1) = (-1)**vb."""
-    validate(p, allow_vanishing=True)
     return -1 if p.vc % 2 == 0 else 1
-
-
-def _vanishes(p: OrbitalParams) -> bool:
-    return p.ve < 0 or p.vb + p.vc < -2 * p.r
 
 
 def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
     """The orbital integral as a signed sum of geometric q-blocks times T**k.
 
-    Zero when ve < 0 or vb + vc < -2r.  Otherwise the coefficient of T**k is
+    Zero when ve < 0.  Otherwise the coefficient of T**k is
     (-1)**k (1 + q + ... + q**n(k)) over k in [-(vb+r), 2 ve + vc + r], plus,
     when vda < ve - r and vb + vc > 2 vda, a plateau correction
     (-1)**k c(k) q**(vda + r) over k in [2 vda - vb + r, 2 ve + vc - 2 vda - r].
     """
-    validate(p, allow_vanishing=True)
-    if _vanishes(p):
+    if p.ve < 0:
         return LaurentSeries.zero()
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     cap = p.n_bound()
@@ -171,7 +161,6 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
     nothing.  This is the oracle that ``orbital_closed_form`` is checked
     against, term by term.
     """
-    validate(p, allow_vanishing=True)
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     th = p.theta()
     base = vc + r
@@ -218,8 +207,7 @@ def derivative_closed_form(p: OrbitalParams) -> QPolynomial:
     correction q**(vda+r) * (kappa/2 when kappa is even, otherwise
     (ve + (vb+vc)/2 - 2 vda - r) - kappa/2).  Zero in the vanishing regime.
     """
-    validate(p, allow_vanishing=True)
-    if _vanishes(p):
+    if p.ve < 0:
         return QPolynomial.zero()
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     cap = p.n_bound()
@@ -250,13 +238,12 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
     with N = min(ve, (vb+vc-1)/2 + r, vda + r) and C, C' as below.
     Equals derivative_closed_form(r) - derivative_closed_form(r-1).
     """
-    validate(p, allow_vanishing=True)
     if p.r < 1:
         raise InvalidParamsError(
             "derivative_combo needs r >= 1; at r = 0 the combination is the "
             "single basis element, use derivative_closed_form"
         )
-    if _vanishes(p):
+    if p.ve < 0:
         return QPolynomial.zero()
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     s = vb + vc
@@ -304,7 +291,6 @@ def derivative_of_vector(base: OrbitalParams, vec: HeckeVector) -> QPolynomial:
     the result is sum_r c_r (-1)**(vc+r) D(r), i.e. the un-normalised
     derivative divided by log q only.
     """
-    validate(base, allow_vanishing=True)
     out = QPolynomial.zero()
     for r, c in vec.items():
         d = derivative_closed_form(base.with_r(r))

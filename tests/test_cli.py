@@ -10,10 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import semilie
 from semilie import LaurentSeries, QPolynomial
-from semilie.cli import _evaluate, build_parser, main
+from semilie.cli import MAX_WORK, _evaluate, build_parser, main
 
 
 def run(capsys, *argv):
@@ -74,6 +76,8 @@ def test_invalid_params_exit_2(capsys):
         "volumes -p 9 -N 2 --json",
         "int --vb 0 --vc 3 --ve 2 -r 1 --at-q 1/0",
         "verify satake --rmax-satake -1",
+        "kernel-matrix --sum-bc 2 -N 2",
+        "kernel-matrix --sum-bc 1 --vda -1 -N 2",
     ],
 )
 def test_parameter_error_exit_2(capsys, argv):
@@ -278,3 +282,98 @@ def test_python_m_semilie():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "q + 5\n"
+
+
+@pytest.mark.parametrize("tail", [["--json"], []])
+def test_at_q_negative_rational_as_separate_argument(tail):
+    head = ["orbital", "-r", "2", "--vb", "-1", "--vc", "4", "--ve", "3"]
+    joined = captured(main, head + ["--at-q=-3/2"] + tail)
+    assert joined[0] == 0 and joined[1]
+    assert captured(main, head + ["--at-q", "-3/2"] + tail) == joined
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("orbital --vb 0 --vc 1 --ve 100000000", f"limit of {MAX_WORK}"),
+        ("gk --n1 100000001 --n2 100000001", f"limit of {MAX_WORK}"),
+        ("int --mode total -r 1000 --vb 0 --vc 1001 --ve 1000 --vda inf", f"limit of {MAX_WORK}"),
+        ("orbital -r 150 --vb 0 --vc 1 --ve 200 --vda inf --oracle", f"limit of {MAX_WORK}"),
+        ("gk --n1 4000 --n2 4000 --at-q 1000000000000", f"limit of {MAX_WORK}"),
+        ("int --mode total --vb 0 --vc 1 --ve -1", "int_total is undefined in the vanishing regime"),
+        ("int --mode circ --vb 0 --vc 1 --ve -1", "int_circ is undefined in the vanishing regime"),
+    ],
+)
+def test_oversized_or_undefined_query_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and "allow_vanishing" not in err
+
+
+def test_largest_calculator_queries_admitted(capsys):
+    orbit = ["-r", "30", "--vb", "-50", "--vc", "91", "--ve", "40", "--vda", "inf", "--json"]
+    for head in (["orbital", "--oracle"], ["int", "--mode", "total"], ["combo"]):
+        code, _, err = run(capsys, *head, *orbit)
+        assert code == 0, (head, err)
+
+
+# Orbit, gk and --at-q values: ints up to 10**12 in size, mostly well formed
+# so that the size guard sees them, otherwise text bools, floats, fractions,
+# inf, empty strings or random text.
+_JUNK = st.one_of(
+    st.sampled_from(["True", "false", "inf", "-inf", "nan", "", " ", "1e3", "-3/2", "1/0"]),
+    st.floats().map(repr),
+    st.fractions(max_denominator=10**6).map(str),
+    st.text(max_size=5),
+)
+
+
+def _small_or_huge(lo, hi):
+    return st.one_of(st.integers(max(lo, -40), min(hi, 40)), st.integers(lo, hi))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["orbital", "derivative", "combo", "transfer", "int", "gk", "bc", "kernel-matrix"]))
+    argv = [command]
+    if command == "bc":
+        argv += [draw(st.sampled_from(["s2", "s3", "s4"]))]
+        argv += draw(st.sampled_from([["-r"], ["--basis"], ["--pr", "-r"]])) + [str(draw(st.integers(-2, 20)))]
+    elif command == "kernel-matrix":
+        argv += ["--sum-bc", str(draw(st.integers(-2, 41))), "--vda", draw(st.sampled_from(["0", "3", "20", "inf", "-1", "x"]))]
+        argv += ["-N", str(draw(st.integers(-1, 10))), "--stage", draw(st.sampled_from(["M", "M'", "M''"]))]
+    else:
+        huge = _small_or_huge(-10**12, 10**12)
+        if command == "gk":
+            n1 = draw(_small_or_huge(-2, 10**12))
+            fields = {"--n1": n1, "--n2": n1 + draw(_small_or_huge(-2, 10**12))}
+        else:
+            vb, sum_bc = draw(huge), 2 * draw(_small_or_huge(-2, 10**12 // 2)) + 1
+            vda = draw(st.one_of(_small_or_huge(-1, 10**12), st.just("inf")))
+            fields = {"-r": draw(_small_or_huge(-1, 10**12)), "--vb": vb, "--vc": sum_bc - vb,
+                      "--ve": draw(_small_or_huge(-2, 10**12)), "--vda": vda}
+        if command != "transfer":
+            fields["--at-q"] = draw(huge)
+        for flag, value in fields.items():
+            if draw(st.integers(0, 9)):  # else leave the flag out
+                argv += [flag, draw(_JUNK) if draw(st.integers(0, 7)) == 0 else str(value)]
+        mode = ["--mode", draw(st.sampled_from(["circ", "total", "kr"]))]
+        extras = {"orbital": ["--oracle"], "derivative": ["--raw"], "combo": ["--raw"], "int": mode}
+        argv += draw(st.sampled_from([[], extras.get(command, [])]))
+    if command != "transfer":
+        argv += draw(st.sampled_from([[], ["--json"]]))
+    junk = st.lists(st.text(max_size=4), min_size=1, max_size=2)
+    return argv + (draw(junk) if draw(st.integers(0, 3)) == 0 else [])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argvs())
+def test_cli_exit_code_contract(argv):
+    """Any argv exits 0, 1 or 2 without a traceback.  ``bc`` levels stay at
+    most 20 and ``kernel-matrix -N`` at most 10 (the calculator benchmark's
+    ranges): their cost grows with the level by design, and no size guard
+    covers them."""
+    code, _, err = captured(main, argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv

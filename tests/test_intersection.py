@@ -1,5 +1,7 @@
 """Gross-Keating values, intersection numbers, and the identity chain."""
 
+from fractions import Fraction
+
 import pytest
 from helpers import qp
 
@@ -9,6 +11,7 @@ from semilie import (
     GKPair,
     InvalidParamsError,
     OrbitalParams,
+    PartialOrbitalParams,
     derivative_closed_form,
     derivative_combo,
     geom_to_orbital,
@@ -157,3 +160,22 @@ class TestGeomTranslation:
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             GeometricParams(-1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("v_nm_u", 1.5), ("v_nm_u", True), ("v_nm_u", Fraction(1)),
+            ("v_beta", 1.0), ("v_beta", False), ("v_beta", Fraction(1)),
+            ("v_alpha_diff", 2.0), ("v_alpha_diff", True), ("v_alpha_diff", Fraction(2)),
+        ],
+    )
+    def test_non_int_geometry_rejected(self, field, value):
+        fields = {"v_nm_u": 1, "v_beta": 1, "v_alpha_diff": 2, field: value}
+        with pytest.raises(InvalidParamsError, match=f"{field} must be an int"):
+            geom_to_orbital(GeometricParams(**fields)).complete(1)
+
+    @pytest.mark.parametrize("field, value", [("ve", 1.5), ("ve", True), ("vda", Fraction(2)), ("sum_bc", 3.0)])
+    def test_partial_params_checked_on_completion(self, field, value):
+        fields = {"sum_bc": 3, "ve": 1, "vda": 2, field: value}
+        with pytest.raises(InvalidParamsError, match="vc" if field == "sum_bc" else field):
+            PartialOrbitalParams(**fields).complete(1)

@@ -10,7 +10,7 @@ import random
 import pytest
 from helpers import qp
 
-from semilie import INFINITY, OrbitalParams, build_matrix, certify_full_rank, row_reduce
+from semilie import INFINITY, InvalidParamsError, OrbitalParams, build_matrix, certify_full_rank, row_reduce
 from semilie.kernel import (
     phi_exceptional_window,
     phi_sequence_vector,
@@ -124,6 +124,25 @@ def assert_matrix(matrix, expected_rows):
     for i, row in enumerate(expected_rows):
         for r, text in enumerate(row):
             assert matrix.entry(i, r) == qp(text), (i, r, text, str(matrix.entry(i, r)))
+
+
+@pytest.mark.parametrize(
+    "sum_bc, vda, n_cap, message",
+    [
+        (2, 0, 2, "odd"),
+        (-1, 0, 2, ">= 1"),
+        (True, 0, 2, "vc must be an int"),
+        (1, -1, 2, "vda"),
+        (1, True, 2, "vda"),
+        (1, 2.0, 2, "vda"),
+        (1, 0, -1, "N must be >= 0"),
+        (1, 0, True, "N must be an int"),
+        (1, 0, 2.0, "N must be an int"),
+    ],
+)
+def test_build_matrix_rejects(sum_bc, vda, n_cap, message):
+    with pytest.raises(InvalidParamsError, match=message):
+        build_matrix(sum_bc, vda, n_cap)
 
 
 class TestFrozenMatrices:

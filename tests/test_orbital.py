@@ -13,10 +13,12 @@ from semilie import (
     derivative_closed_form,
     derivative_combo,
     derivative_of_vector,
+    int_circ,
+    int_total,
     orbital_closed_form,
     orbital_support_sum,
     transfer_factor,
-    validate,
+    verify_miracle,
 )
 
 
@@ -37,32 +39,38 @@ SMALL_GRID = [
 
 
 class TestValidate:
+    """``OrbitalParams`` checks admissibility when it is constructed."""
+
     def test_minimal_valid(self):
-        validate(params())
+        params()
 
     def test_even_sum_rejected(self):
         with pytest.raises(InvalidParamsError, match="odd"):
-            validate(params(vb=0, vc=2))
+            params(vb=0, vc=2)
 
     def test_worked_example_params(self):
-        validate(params(r=5, vb=-20, vc=37, ve=35, vda=9))
+        params(r=5, vb=-20, vc=37, ve=35, vda=9)
 
     def test_negative_r(self):
         with pytest.raises(InvalidParamsError, match="r must"):
-            validate(params(r=-1))
+            params(r=-1)
 
     def test_nonpositive_sum(self):
         with pytest.raises(InvalidParamsError, match=">= 1"):
-            validate(params(vb=-2, vc=1))
+            params(vb=-2, vc=1)
 
-    def test_negative_ve_needs_flag(self):
-        with pytest.raises(InvalidParamsError, match="vanishing"):
-            validate(params(ve=-1))
-        validate(params(ve=-1), allow_vanishing=True)
+    def test_negative_ve_constructs(self):
+        p = params(ve=-1)
+        assert p.with_ve(-5).ve == -5 and p.with_r(3).ve == -1
+
+    @pytest.mark.parametrize("fn", [int_total, int_circ, verify_miracle])
+    def test_negative_ve_rejected_where_undefined(self, fn):
+        with pytest.raises(InvalidParamsError, match=f"{fn.__name__} is undefined in the vanishing regime"):
+            fn(params(ve=-1))
 
     def test_bad_vda(self):
         with pytest.raises(InvalidParamsError, match="vda"):
-            validate(params(vda=-1))
+            params(vda=-1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -70,15 +78,22 @@ class TestValidate:
     )
     def test_non_int_field_rejected(self, field, value):
         with pytest.raises(InvalidParamsError, match=f"{field} must be an int"):
-            validate(params(**{field: value}), allow_vanishing=True)
+            params(**{field: value})
 
     @pytest.mark.parametrize("vda", [True, 1.5, 2.0, Fraction(1)])
     def test_non_int_vda_rejected(self, vda):
         with pytest.raises(InvalidParamsError, match="vda"):
-            validate(params(vda=vda))
+            params(vda=vda)
 
     def test_int_and_infinity_accepted(self):
-        validate(params(r=2, vb=-1, vc=4, ve=3, vda=INFINITY))
+        params(r=2, vb=-1, vc=4, ve=3, vda=INFINITY)
+
+    def test_derived_params_checked(self):
+        p = params(r=1, vb=0, vc=3, ve=2)
+        with pytest.raises(InvalidParamsError, match="r must"):
+            p.with_r(-1)
+        with pytest.raises(InvalidParamsError, match="ve must be an int"):
+            p.with_ve(1.0)
 
 
 class TestClosedForm:
