@@ -6,8 +6,8 @@ volumes, verify.  Values print as human-readable polynomials by default;
 q numerically (exact rational arithmetic either way).
 
 Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
-2 on usage or parameter errors.  An orbit or gk query whose estimated work is
-above ``MAX_WORK`` is a parameter error.
+2 on usage or parameter errors.  An orbit, gk or kernel-matrix query whose
+estimated work is above ``MAX_WORK`` is a parameter error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -33,12 +34,18 @@ from .orbital import (
 from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polynomial, satake_u3_indicator
 from .verify import SUITE_NAMES, SweepConfig, run_suite
 
-#: The most work one orbit or ``gk`` query may ask for, in q-terms and
-#: support-lattice points; with --at-q, a term also costs one unit per 64 bits
-#: of q**N.  A larger query exits 2 instead of running for minutes or out of
-#: memory.  The largest README example needs 1,476 units, a calculator query
-#: with r <= 30, ve <= 40, vb >= -50 and vb + vc <= 41 at most 17,835.
+#: The most work one orbit, ``gk`` or ``kernel-matrix`` query may ask for, in
+#: q-terms and support-lattice points; with --at-q, a term also costs one unit
+#: per 64 bits of q**N.  A larger query exits 2 instead of running for minutes
+#: or out of memory.  The largest README example needs 1,476 units, a
+#: calculator query with r <= 30, ve <= 40, vb >= -50 and vb + vc <= 41 at
+#: most 17,835.
 MAX_WORK = 200_000
+
+#: The most decimal digits, exponent included, that an --at-q literal may
+#: stand for: a q of more than 64 * MAX_WORK bits costs more than MAX_WORK
+#: units in a single term of degree 1.  Checked before the literal is expanded.
+MAX_AT_Q_DIGITS = 64 * MAX_WORK * 3 // 10
 
 
 def _add_orbit_args(parser: argparse.ArgumentParser) -> None:
@@ -89,7 +96,11 @@ def _fraction_json(x: Fraction) -> list[int]:
 
 
 def _parse_at_q(text: str) -> Fraction:
-    """--at-q: an exact rational such as 5, -3/2 or 0.25."""
+    """--at-q: an exact rational such as 5, -3/2, 0.25 or 1e3."""
+    exponent = re.search(r"e[-+]?([\d_]+)\s*$", text, re.IGNORECASE)
+    exponent = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(exponent) > len(str(MAX_AT_Q_DIGITS)) or len(text) + int(exponent or 0) > MAX_AT_Q_DIGITS:
+        raise ValueError(f"--at-q has more than {MAX_AT_Q_DIGITS} digits, exponent included")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -196,7 +207,13 @@ def cmd_bc(args) -> int:
 
 
 def cmd_kernel_matrix(args) -> int:
-    m = build_matrix(args.sum_bc, _parse_vda(args.vda), args.N)
+    vda, n = _parse_vda(args.vda), args.N
+    base = OrbitalParams(r=0, vb=0, vc=args.sum_bc, ve=0, vda=vda)
+    if n >= 0:  # (N + theta/2 + 2) x (N + 1) entries, the bottom right one the longest
+        n_rows = n + base.theta() // 2 + 2
+        degree = base.with_ve(n_rows - 1).with_r(n).n_bound()
+        _check_work(args, n_rows * (n + 1) * (degree + 1), degree)
+    m = build_matrix(args.sum_bc, vda, n)
     m1, m2 = row_reduce(m)
     chosen = {"M": m, "M'": m1, "M''": m2}[args.stage]
     rows = [[str(chosen.entry(i, r)) for r in range(chosen.cols)] for i in range(chosen.rows)]

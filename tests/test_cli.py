@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import semilie
 from semilie import LaurentSeries, QPolynomial
-from semilie.cli import MAX_WORK, _evaluate, build_parser, main
+from semilie.cli import MAX_AT_Q_DIGITS, MAX_WORK, _evaluate, build_parser, main
 
 
 def run(capsys, *argv):
@@ -300,6 +301,9 @@ def test_at_q_negative_rational_as_separate_argument(tail):
         ("int --mode total -r 1000 --vb 0 --vc 1001 --ve 1000 --vda inf", f"limit of {MAX_WORK}"),
         ("orbital -r 150 --vb 0 --vc 1 --ve 200 --vda inf --oracle", f"limit of {MAX_WORK}"),
         ("gk --n1 4000 --n2 4000 --at-q 1000000000000", f"limit of {MAX_WORK}"),
+        ("kernel-matrix --sum-bc 20000001 --vda inf -N 0", f"limit of {MAX_WORK}"),
+        ("kernel-matrix --sum-bc 4001 --vda inf -N 0", f"limit of {MAX_WORK}"),
+        ("kernel-matrix --sum-bc 1 -N 100000", f"limit of {MAX_WORK}"),
         ("int --mode total --vb 0 --vc 1 --ve -1", "int_total is undefined in the vanishing regime"),
         ("int --mode circ --vb 0 --vc 1 --ve -1", "int_circ is undefined in the vanishing regime"),
     ],
@@ -315,6 +319,23 @@ def test_largest_calculator_queries_admitted(capsys):
     for head in (["orbital", "--oracle"], ["int", "--mode", "total"], ["combo"]):
         code, _, err = run(capsys, *head, *orbit)
         assert code == 0, (head, err)
+    code, _, err = run(capsys, "kernel-matrix", "--sum-bc", "41", "--vda", "inf", "-N", "10", "--json")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999", "-7E+0_999999999", f"1e{MAX_AT_Q_DIGITS}"])
+def test_at_q_literal_bounded_before_parsing(capsys, literal):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gk", "--n1", "2", "--n2", "3", "--at-q", literal)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and err.startswith("error: --at-q ")
+
+
+@pytest.mark.parametrize(
+    "literal, value", [("1e3", "1005"), ("0.25", "21/4"), ("-3/2", "7/2"), ("1e0000000001", "15")]
+)
+def test_at_q_small_literals(capsys, literal, value):
+    assert run(capsys, "gk", "--n1", "2", "--n2", "3", "--at-q", literal) == (0, value + "\n", "")
 
 
 # Orbit, gk and --at-q values: ints up to 10**12 in size, mostly well formed
@@ -340,8 +361,8 @@ def _argvs(draw):
         argv += [draw(st.sampled_from(["s2", "s3", "s4"]))]
         argv += draw(st.sampled_from([["-r"], ["--basis"], ["--pr", "-r"]])) + [str(draw(st.integers(-2, 20)))]
     elif command == "kernel-matrix":
-        argv += ["--sum-bc", str(draw(st.integers(-2, 41))), "--vda", draw(st.sampled_from(["0", "3", "20", "inf", "-1", "x"]))]
-        argv += ["-N", str(draw(st.integers(-1, 10))), "--stage", draw(st.sampled_from(["M", "M'", "M''"]))]
+        argv += ["--sum-bc", str(draw(_small_or_huge(-2, 10**12))), "--vda", draw(st.sampled_from(["0", "3", "20", "inf", "-1", "x"]))]
+        argv += ["-N", str(draw(_small_or_huge(-1, 10**12))), "--stage", draw(st.sampled_from(["M", "M'", "M''"]))]
     else:
         huge = _small_or_huge(-10**12, 10**12)
         if command == "gk":
@@ -370,10 +391,10 @@ def _argvs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argvs())
 def test_cli_exit_code_contract(argv):
-    """Any argv exits 0, 1 or 2 without a traceback.  ``bc`` levels stay at
-    most 20 and ``kernel-matrix -N`` at most 10 (the calculator benchmark's
-    ranges): their cost grows with the level by design, and no size guard
-    covers them."""
+    """Any argv exits 0, 1 or 2 without a traceback.  ``kernel-matrix`` sizes
+    run up to 10**12, where the size guard rejects them; ``bc`` levels stay at
+    most 20 (the calculator benchmark's range): their cost grows with the
+    level by design, and no size guard covers them."""
     code, _, err = captured(main, argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv

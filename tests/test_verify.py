@@ -1,5 +1,6 @@
 """Suite drivers: grids, determinism, and report schema."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -77,6 +78,109 @@ def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutate, identiti
     mutated = suite_orbital(SMALL)
     assert not mutated.passed and mutated.checked == clean.checked
     assert identities <= {f["identity"] for f in mutated.failures}
+
+
+def plus_one(original):
+    return lambda *args: original(*args) + QPolynomial.one()
+
+
+def doubled(original):
+    return lambda *args: original(*args).scale(2)
+
+
+def flip_pass(original):
+    return lambda *args: {**original(*args), "pass": False}
+
+
+ORBIT = ["identity", "params"]
+SIDES = ["identity", "params", "lhs", "rhs"]
+SATAKE = ["identity", "r"]
+
+
+RECORD_CASES = [
+    (
+        "orbital",
+        "derivative_closed_form",
+        lambda f: lambda p: f(p) + QPolynomial.q_power(0, p.vb == 1),
+        {"derivative == signed series derivative": ORBIT, "derivative depends only on vb+vc": ORBIT},
+    ),
+    ("afl", "derivative_closed_form", plus_one, {"int_total == derivative_closed_form": SIDES}),
+    (
+        "afl",
+        "gk_from_params",
+        lambda f: lambda p: dataclasses.replace(f(p), n2=f(p).n2 + 1),
+        {"n1 + n2 == 2 ve + vb + vc + 2r": ORBIT},
+    ),
+    ("afl", "derivative_combo", plus_one, {"int_total(r) - int_total(r-1) == derivative_combo": SIDES}),
+    ("afl", "int_circ_kr_closed", plus_one, {"int_circ_kr_closed == int_circ(r) - int_circ(r-1)": SIDES}),
+    ("miracle", "verify_miracle", flip_pass, {None: ["params", "lhs", "rhs", "pass"]}),
+    (
+        "kernel",
+        "certify_full_rank",
+        lambda f: lambda m: dataclasses.replace(f(m), rank=f(m).rank - 1),
+        {"full rank certificate": ["identity", "params", "rank", "expected", "flags"]},
+    ),
+    (
+        "kernel",
+        "test_large_r_vanishing",
+        flip_pass,
+        {"large-r 1,2,1 vanishing": ["identity", "params", "value", "expected_zero", "pass"]},
+    ),
+    (
+        "kernel",
+        "test_phi_sequence",
+        flip_pass,
+        {
+            "sequence vanishing outside window": [
+                "identity", "params", "r", "window", "value", "pass", "inside_window",
+            ]
+        },
+    ),
+    (
+        "satake",
+        "satake_u3_indicator",
+        doubled,
+        {"rank-3 aggregate base change": SATAKE, "rank-3 single-cell base change": SATAKE},
+    ),
+    ("satake", "bc_gl3_to_u3", doubled, {"rank-3 determinant-route base change": SATAKE}),
+    (
+        "satake",
+        "proj_fiber_gl3",
+        lambda f: lambda r: {j: c.scale(2) for j, c in f(r).items()},
+        {"fiber projection difference": SATAKE},
+    ),
+    ("satake", "bc_s2_combo_image", doubled, {"rank-2 combination == sum of basis images": SATAKE}),
+    ("satake", "p_r_polynomial", doubled, {"three-term vanishing polynomial shape": SATAKE}),
+    (
+        "quaternion",
+        "quaternion_invariants",
+        flip_pass,
+        {"quaternion invariants": ["identity", "lam", "alpha", "beta", "s", "t", "checks"]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, callee, mutate, records", RECORD_CASES, ids=[f"{suite}-{callee}" for suite, callee, *_ in RECORD_CASES]
+)
+def test_suite_failure_records(monkeypatch, suite, callee, mutate, records):
+    """One mutated callee per case: the suite keeps its check count and
+    reports exactly the named identities, each record with its keys in order
+    and its exact values JSON-encoded."""
+    (clean,) = run_suite(suite, SMALL)
+    assert clean.passed
+    monkeypatch.setattr(verify, callee, mutate(getattr(verify, callee)))
+    (mutated,) = run_suite(suite, SMALL)
+    assert not mutated.passed and mutated.checked == clean.checked
+    assert {f.get("identity") for f in mutated.failures} == set(records)
+    for f in mutated.failures:
+        assert list(f) == records[f.get("identity")]
+        json.dumps(f)
+        if suite in ("orbital", "afl", "miracle"):
+            assert list(f["params"]) == ["r", "vb", "vc", "ve", "vda"]
+        for side in ("lhs", "rhs"):
+            if side in f:
+                assert QPolynomial.from_json(f[side]).to_json() == f[side]
 
 
 VOLUMES = SweepConfig(precision=3)
