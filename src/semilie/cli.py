@@ -6,15 +6,19 @@ volumes, verify.  Values print as human-readable polynomials by default;
 q numerically (exact rational arithmetic either way).
 
 Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
-2 on usage or parameter errors.  An orbit, gk or kernel-matrix query whose
-estimated work is above ``MAX_WORK`` is a parameter error.
+2 on usage or parameter errors.  An orbit, gk, bc or kernel-matrix query
+whose estimated work is above ``MAX_WORK`` is a parameter error.  A reader
+that closes stdout early cuts the output short, not the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -34,9 +38,9 @@ from .orbital import (
 from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polynomial, satake_u3_indicator
 from .verify import SUITE_NAMES, SweepConfig, run_suite
 
-#: The most work one orbit, ``gk`` or ``kernel-matrix`` query may ask for, in
-#: q-terms and support-lattice points; with --at-q, a term also costs one unit
-#: per 64 bits of q**N.  A larger query exits 2 instead of running for minutes
+#: The most work one orbit, ``gk``, ``bc`` or ``kernel-matrix`` query may ask
+#: for, in q-terms and support-lattice points; with --at-q, a term also costs
+#: one unit per 64 bits of q**N.  A larger query exits 2 instead of running for minutes
 #: or out of memory.  The largest README example needs 1,476 units, a
 #: calculator query with r <= 30, ve <= 40, vb >= -50 and vb + vc <= 41 at
 #: most 17,835.
@@ -68,8 +72,8 @@ def _parse_vda(text: str) -> int | float:
 
 def _check_work(args, terms: int, degree: int) -> None:
     """Reject ``terms`` q-terms of degree <= ``degree`` above ``MAX_WORK``."""
-    if getattr(args, "at_q", None) is not None:
-        q = _parse_at_q(args.at_q)
+    q = getattr(args, "at_q", None)
+    if q is not None:
         terms *= 1 + degree * max(q.numerator.bit_length(), q.denominator.bit_length()) // 64
     if terms > MAX_WORK:
         raise ValueError(f"the query needs about {terms} units of work, more than the limit of {MAX_WORK}")
@@ -116,7 +120,7 @@ def _evaluate(poly: QPolynomial, q: Fraction):
 
 def _print_qpoly(poly: QPolynomial, args) -> None:
     if getattr(args, "at_q", None) is not None:
-        value = _evaluate(poly, _parse_at_q(args.at_q))
+        value = _evaluate(poly, args.at_q)
         if args.json:
             print(json.dumps({"value": _fraction_json(Fraction(value))}))
         else:
@@ -129,8 +133,7 @@ def _print_qpoly(poly: QPolynomial, args) -> None:
 
 def _print_series(series: LaurentSeries, args) -> None:
     if getattr(args, "at_q", None) is not None:
-        q = _parse_at_q(args.at_q)
-        terms = [[k, _fraction_json(Fraction(_evaluate(c, q)))] for k, c in series.sorted_items()]
+        terms = [[k, _fraction_json(Fraction(_evaluate(c, args.at_q)))] for k, c in series.sorted_items()]
         if args.json:
             print(json.dumps({"t_terms": terms}))
         else:
@@ -187,22 +190,15 @@ def cmd_int(args) -> int:
 
 
 def cmd_bc(args) -> int:
+    basis = args.basis is not None
+    level = args.basis if basis else args.r
+    # An image has level + 1 Y-coefficients of at most three q-terms each.
+    _check_work(args, 3 * (level + 1), 0)
     if args.rank == "s3":
-        if args.basis is not None:
-            value = bc_s3_on_basis(args.basis)
-        else:
-            value = satake_u3_indicator(args.r)
+        value = (bc_s3_on_basis if basis else satake_u3_indicator)(level)
     else:
-        if args.basis is not None:
-            value = bc_s2_on_basis(args.basis)
-        elif args.pr:
-            value = p_r_polynomial(args.r)
-        else:
-            value = bc_s2_combo_image(args.r)
-    if args.json:
-        print(json.dumps(value.to_json()))
-    else:
-        print(value)
+        value = (bc_s2_on_basis if basis else p_r_polynomial if args.pr else bc_s2_combo_image)(level)
+    print(json.dumps(value.to_json()) if args.json else value)
     return 0
 
 
@@ -355,10 +351,22 @@ def main(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"--at-q={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if getattr(args, "at_q", None) is not None:
+            args.at_q = _parse_at_q(args.at_q)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = args.func(args)
     except ValueError as exc:  # includes InvalidParamsError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: stdout goes to the null device from here
+        # on, so the flush at interpreter exit does not fail as well.
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

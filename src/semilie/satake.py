@@ -17,9 +17,9 @@ q**(2r-1) otherwise.  The alternative convention with the parity indicator
 subtracted on equal parity fails the base-change identities verified in the
 test suite, so it is not used here.
 
-The base-change images of the individual basis indicators are obtained by
-exact triangular solves against the aggregate identities (which have unit
-diagonal), not by re-deriving integration formulas.
+The base-change images of the individual basis indicators are explicit
+formulas.  The aggregate identities are unit-triangular, so their solution
+is unique: ``verify satake`` proves the formulas at each level it checks.
 """
 
 from __future__ import annotations
@@ -202,41 +202,30 @@ def bc_s3_weight(r: int, j: int) -> QPolynomial:
 
 
 def bc_s3_table(bound: int) -> list[SatakeY]:
-    """Images of the single-cell basis indicators under the rank-3 symmetric
-    space base change, solved for from the aggregate identities
-
-        BC(sum_{j<=r} [1 + 2q + ... + 2q**(r-j)] basis_j) = satake_u3_indicator(r)
-
-    for r = 0..bound.  The system is unit-triangular, so the solution is
-    exact and unique.
-
-    Each level is solved in one accumulator of {i: {e: scalar}} sums: the
-    weighted lower images are subtracted term by term, and each Y-coefficient
-    becomes a canonical QPolynomial once, at the end."""
-    images: list[SatakeY] = []
-    for r in range(bound + 1):
-        sums = {i: dict(c._terms) for i, c in satake_u3_indicator(r)._terms.items()}
-        for j in range(r):
-            weight = bc_s3_weight(r, j)._terms.items()
-            for i, c in images[j]._terms.items():
-                acc = sums.setdefault(i, {})
-                get = acc.get
-                for e1, c1 in c._terms.items():
-                    for e2, c2 in weight:
-                        e = e1 + e2
-                        acc[e] = get(e, 0) - c1 * c2
-        assert bc_s3_weight(r, r) == QPolynomial.one()
-        coeffs = {i: QPolynomial._from_sums(acc) for i, acc in sums.items()}
-        images.append(SatakeY._raw({i: c for i, c in coeffs.items() if c}))
-    return images
+    """Images of the single-cell basis indicators at levels 0..bound under the
+    rank-3 symmetric space base change."""
+    return [bc_s3_on_basis(j) for j in range(bound + 1)]
 
 
 def bc_s3_on_basis(j: int) -> SatakeY:
-    """Image of the level-j single-cell basis indicator.  The table is
-    unit-triangular, so it depends only on the levels up to j."""
+    """Image of the level-j single-cell basis indicator: 1 at j = 0, and for
+    j >= 1 the coefficient of Y**i + Y**-i (the constant at i = 0) is
+
+        q**(2j)                      when i == j,
+        -(q**(2j-1) + q**(2j-2))     when j - i is odd,
+        q**(2j) + q**(2j-3)          when j - i >= 2 is even.
+
+    This is the unique solution of the unit-triangular aggregate identities
+    BC(sum_{j<=r} bc_s3_weight(r, j) basis_j) = satake_u3_indicator(r)."""
     if j < 0:
         raise ValueError(f"need j >= 0, got {j}")
-    return bc_s3_table(j)[j]
+    if j == 0:
+        return SatakeY.one()
+    odd = QPolynomial({2 * j - 1: -1, 2 * j - 2: -1})
+    even = QPolynomial({2 * j: 1, 2 * j - 3: 1})
+    coeffs = {i: odd if (j - i) % 2 else even for i in range(j)}
+    coeffs[j] = QPolynomial.q_power(2 * j)
+    return SatakeY(coeffs)
 
 
 def bc_s2_combo_image(r: int) -> SatakeY:
@@ -258,14 +247,11 @@ def bc_s2_combo_image(r: int) -> SatakeY:
 
 def bc_s2_on_basis(r: int) -> SatakeY:
     """Rank-2: Satake image of the base change of the single nested basis
-    indicator at level r, from the unit-triangular solve
-    image(r) = combo_image(r) - image(r-1)."""
+    indicator at level r, (-1)**r q**r sum_{|j|<=r} Y**j: the unique solution
+    of image(r) + image(r - 1) = bc_s2_combo_image(r), r = 0, 1, ...."""
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    image = SatakeY()
-    for k in range(r + 1):
-        image = bc_s2_combo_image(k) - image
-    return image
+    return SatakeY.window(r).scale(QPolynomial.q_power(r, (-1) ** r))
 
 
 def p_r_polynomial(r: int) -> SatakeY:

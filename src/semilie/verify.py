@@ -289,9 +289,8 @@ def suite_satake(config: SweepConfig | None = None) -> SuiteResult:
     images = bc_s3_table(rmax)
     two = QPolynomial.q_power(2)
     for r in range(rmax + 1):
-        # Aggregate identity: weighted sum of basis images reproduces the
-        # unitary-side indicator image (this is how the table was solved, so
-        # recompute the sum explicitly as a consistency check).
+        # Aggregate identity: the weighted basis formulas sum to the unitary
+        # indicator image (unit-triangular, so passing proves the formulas).
         agg = SatakeY()
         for j in range(r + 1):
             agg = agg + images[j].scale(bc_s3_weight(r, j))
@@ -320,7 +319,7 @@ def suite_satake(config: SweepConfig | None = None) -> SuiteResult:
                 for j in range(r + 1)
             )
             res.check(ok, identity="fiber projection difference", r=r)
-        # Rank 2: triangular solve against the combination images, and the
+        # Rank 2: the basis formula against the combination images, and the
         # three-term recombination of the vanishing polynomials.
         combo = bc_s2_combo_image(r)
         basis_sum = bc_s2_on_basis(r) + (bc_s2_on_basis(r - 1) if r >= 1 else SatakeY())

@@ -30,6 +30,18 @@ def bc_s3_table_reference(bound):
     return images
 
 
+def bc_s2_table_reference(bound):
+    """The rank-2 triangular solve image(r) = combo_image(r) - image(r-1)."""
+    images = [bc_s2_combo_image(0)]
+    for r in range(1, bound + 1):
+        images.append(bc_s2_combo_image(r) - images[-1])
+    return images
+
+
+def has_zero_coefficient(image):
+    return not all(c and all(c.coefficients()) for _, c in image.items())
+
+
 class TestSatakeGLDet:
     def test_r0_is_one(self):
         assert satake_gl_det(3, 0) == SatakeGL(3, {(0, 0, 0): 1})
@@ -115,12 +127,11 @@ class TestBcS3:
             assert lhs == satake_u3_indicator(r) - satake_u3_indicator(r - 1), r
 
     def test_table_matches_subtract_and_scale_reference(self):
-        for bound in range(21):
-            images = bc_s3_table(bound)
-            reference = bc_s3_table_reference(bound)
-            assert images == reference, bound
-            for image in images:
-                assert all(c and all(c.coefficients()) for _, c in image.items()), image
+        images, reference = bc_s3_table(60), bc_s3_table_reference(60)
+        assert len(images) == 61
+        for j, (image, expected) in enumerate(zip(images, reference)):
+            assert image == expected, j
+            assert bc_s3_on_basis(j) == expected and not has_zero_coefficient(image), j
 
     def test_unit_diagonal(self):
         for r in range(6):
@@ -135,6 +146,11 @@ class TestBcS2:
     def test_r1_combo(self):
         # -(q(Y + 1 + Y^-1) - 1)
         assert bc_s2_combo_image(1) == SatakeY({1: qp("-q"), 0: qp("1 - q")})
+
+    def test_basis_matches_triangular_solve_reference(self):
+        for r, expected in enumerate(bc_s2_table_reference(60)):
+            image = bc_s2_on_basis(r)
+            assert image == expected and not has_zero_coefficient(image), r
 
     def test_triangular_solve(self):
         for r in range(9):

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from semilie import INFINITY, LaurentSeries, QPolynomial, SweepConfig, run_suite
-from semilie import verify
+from semilie import INFINITY, LaurentSeries, QPolynomial, SatakeY, SweepConfig, run_suite
+from semilie import satake, verify
 from semilie.padiclab import DiskCounter
 from semilie.verify import suite_miracle, suite_orbital, suite_quaternion
 
@@ -181,6 +181,34 @@ def test_suite_failure_records(monkeypatch, suite, callee, mutate, records):
         for side in ("lhs", "rhs"):
             if side in f:
                 assert QPolynomial.from_json(f[side]).to_json() == f[side]
+
+
+def wrong_coefficient(original):
+    """The rank-3 formula with the constant term at level 2 off by one."""
+    return lambda j: original(j) + SatakeY.one() if j == 2 else original(j)
+
+
+def unsigned(original):
+    """The rank-2 formula without its sign (-1)**r."""
+    return lambda r: SatakeY.window(r).scale(QPolynomial.q_power(r))
+
+
+@pytest.mark.parametrize(
+    "module, formula, mutate, identities",
+    [
+        (satake, "bc_s3_on_basis", wrong_coefficient,
+         {"rank-3 aggregate base change", "rank-3 single-cell base change"}),
+        (verify, "bc_s2_on_basis", unsigned, {"rank-2 combination == sum of basis images"}),
+    ],
+    ids=["rank-3", "rank-2"],
+)
+def test_satake_suite_checks_the_formulas(monkeypatch, module, formula, mutate, identities):
+    """The base-change images are formulas, not solves of the identities the
+    suite checks, so a wrong formula fails its identity at the same count."""
+    monkeypatch.setattr(module, formula, mutate(getattr(module, formula)))
+    (mutated,) = run_suite("satake", SMALL)
+    assert not mutated.passed and mutated.checked == 50
+    assert {f["identity"] for f in mutated.failures} == identities
 
 
 VOLUMES = SweepConfig(precision=3)
