@@ -191,7 +191,11 @@ def cmd_int(args) -> int:
 
 def cmd_bc(args) -> int:
     basis = args.basis is not None
-    level = args.basis if basis else args.r
+    if args.pr and (basis or args.rank == "s3"):
+        raise ValueError("--pr, the rank-2 three-window vanishing polynomial, takes s2 and -r, not s3 or --basis")
+    if basis and args.r is not None:
+        raise ValueError("--basis gives the level itself: drop -r")
+    level = args.basis if basis else args.r or 0
     # An image has level + 1 Y-coefficients of at most three q-terms each.
     _check_work(args, 3 * (level + 1), 0)
     if args.rank == "s3":
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bc", help="base-change images on the unitary side")
     sp.add_argument("rank", choices=("s2", "s3"))
-    sp.add_argument("-r", type=int, default=0, help="level")
+    sp.add_argument("-r", type=int, default=None, help="level (default 0)")
     sp.add_argument("--basis", type=int, default=None, help="image of a single basis element instead")
     sp.add_argument("--pr", action="store_true", help="rank 2: the three-window vanishing polynomial")
     sp.add_argument("--json", action="store_true")

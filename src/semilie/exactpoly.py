@@ -184,10 +184,12 @@ class QPolynomial:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return QPolynomial.zero()
-        # Shift both to ordinary polynomials, divide, shift back.
+        # Shift both to ordinary polynomials, divide, shift back.  The
+        # quotient coefficients stay ints while the leading coefficient
+        # divides exactly, as it does in the fraction-free elimination.
         s_min, o_min = self.min_exponent(), other.min_exponent()
-        rem = {e - s_min: Fraction(c) for e, c in self._terms.items()}
-        div = {e - o_min: Fraction(c) for e, c in other._terms.items()}
+        rem = {e - s_min: c for e, c in self._terms.items()}
+        div = {e - o_min: c for e, c in other._terms.items()}
         d_deg = max(div)
         d_lead = div[d_deg]
         quot: dict[int, Scalar] = {}
@@ -195,8 +197,12 @@ class QPolynomial:
             r_deg = max(rem)
             if r_deg < d_deg:
                 raise ArithmeticError("inexact polynomial division")
-            f = rem[r_deg] / d_lead
-            quot[r_deg - d_deg] = _norm_scalar(f)
+            lead = rem[r_deg]
+            if type(lead) is int and type(d_lead) is int and not lead % d_lead:
+                f = lead // d_lead
+            else:
+                f = _norm_scalar(Fraction(lead, d_lead))
+            quot[r_deg - d_deg] = f
             for e, c in div.items():
                 t = e + r_deg - d_deg
                 s = rem.get(t, 0) - f * c
@@ -208,11 +214,22 @@ class QPolynomial:
 
     # ------------------------------------------------------------ evaluation
     def evaluate(self, q: Scalar) -> Scalar:
-        """Exact value at a numeric q (Fraction arithmetic throughout)."""
-        total = Fraction(0)
+        """Exact value at a numeric q; a negative power at q = 0 raises
+        ZeroDivisionError.
+
+        With q = a/b, lowest exponent m and highest exponent t, the value is
+        a**m / b**t times the sum of c a**(e - m) b**(t - e), which is
+        accumulated in ints (for int coefficients) and divided once.
+        """
+        if not self._terms:
+            return 0
+        q = Fraction(q)
+        a, b = q.numerator, q.denominator
+        m, t = self.min_exponent(), self.max_exponent()
+        total = 0
         for e, c in self._terms.items():
-            total += Fraction(c) * Fraction(q) ** e
-        return _norm_scalar(total)
+            total += c * a ** (e - m) * b ** (t - e)
+        return _norm_scalar(Fraction(total * a ** max(m, 0) * b ** max(-t, 0), a ** max(-m, 0) * b ** max(t, 0)))
 
     # ------------------------------------------------------------ comparison
     def __eq__(self, other: object) -> bool:
@@ -372,6 +389,29 @@ class KeyedModule:
         return f"{type(self).__name__}({ {k: str(c) for k, c in self.sorted_items()} })"
 
 
+def at_s_zero(terms: Iterable[tuple[int, Mapping[int, Scalar]]]) -> tuple[QPolynomial, QPolynomial]:
+    """Value and log-derivative at s = 0 of the series sum of c q**e T**k
+    over the ``(k, {e: c})`` pairs, in one pass.
+
+    The value is the sum of all coefficients (T = 1).  Since
+    d/ds (q**s)**k = k log(q) (q**s)**k, the derivative divided by log q is
+    the k-weighted sum; the transcendental factor log q is never
+    materialised, and every caller works with this normalisation.
+    """
+    value: dict[int, Scalar] = {}
+    weighted: dict[int, Scalar] = {}
+    v_get, w_get = value.get, weighted.get
+    for k, coeffs in terms:
+        if k:
+            for e, c in coeffs.items():
+                value[e] = v_get(e, 0) + c
+                weighted[e] = w_get(e, 0) + k * c
+        else:
+            for e, c in coeffs.items():
+                value[e] = v_get(e, 0) + c
+    return QPolynomial._from_sums(value), QPolynomial._from_sums(weighted)
+
+
 class LaurentSeries(KeyedModule):
     """Finitely supported sum over k of QPolynomial coefficients times T**k."""
 
@@ -402,27 +442,20 @@ class LaurentSeries(KeyedModule):
     # ---------------------------------------------------- s-space evaluation
     def at_one(self) -> QPolynomial:
         """Value at T = 1 (the series at s = 0): the sum of all coefficients."""
-        sums: dict[int, Scalar] = {}
-        get = sums.get
-        for p in self._terms.values():
-            for e, c in p._terms.items():
-                sums[e] = get(e, 0) + c
-        return QPolynomial._from_sums(sums)
+        return at_s_zero(self._term_maps())[0]
 
     def log_derivative_at_zero(self) -> QPolynomial:
-        """d/ds at s = 0, divided by log q.
+        """d/ds at s = 0, divided by log q (see ``at_s_zero``)."""
+        return at_s_zero(self._term_maps())[1]
 
-        Since d/ds (q**s)**k = k log(q) (q**s)**k, this is the k-weighted sum
-        of the coefficients.  The transcendental factor log q is never
-        materialised; every caller works with this normalisation.
-        """
-        sums: dict[int, Scalar] = {}
-        get = sums.get
-        for k, p in self._terms.items():
-            if k:
-                for e, c in p._terms.items():
-                    sums[e] = get(e, 0) + k * c
-        return QPolynomial._from_sums(sums)
+    def _term_maps(self) -> Iterator[tuple[int, dict[int, Scalar]]]:
+        return ((k, p._terms) for k, p in self._terms.items())
+
+    @classmethod
+    def _from_term_maps(cls, terms: dict[int, dict[int, Scalar]]) -> "LaurentSeries":
+        """Adopt a canonical {k: {e: c}} map (no empty inner map, no zero
+        coefficient) without copying, as ``_raw`` does."""
+        return cls._raw({k: QPolynomial._raw(c) for k, c in terms.items()})
 
     # ------------------------------------------------------------ comparison
     # perfbench/tracing.py wraps __eq__ through LaurentSeries.__dict__, so it

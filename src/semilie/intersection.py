@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactpoly import QPolynomial
+from .exactpoly import QPolynomial, Scalar, _norm_scalar
 from .orbital import (
     INFINITY,
     InvalidParamsError,
@@ -90,13 +90,11 @@ def gross_keating(g: GKPair) -> QPolynomial:
     if g.is_empty():
         return QPolynomial.zero()
     n1, n2 = g.n1, g.n2
-    if n1 % 2 == 1:
-        return QPolynomial(
-            {j: n1 + n2 - 4 * j for j in range((n1 - 1) // 2 + 1)}
-        )
-    terms: dict[int, object] = {j: n1 + n2 - 4 * j for j in range(n1 // 2)}
-    top = Fraction(n2 - n1 + 1, 2)
-    return QPolynomial(terms) + QPolynomial.q_power(n1 // 2, top)
+    # n1 <= n2 keeps every coefficient positive, so the dict is canonical.
+    terms: dict[int, Scalar] = {j: n1 + n2 - 4 * j for j in range((n1 + 1) // 2)}
+    if n1 % 2 == 0:
+        terms[n1 // 2] = _norm_scalar(Fraction(n2 - n1 + 1, 2))
+    return QPolynomial._raw(terms)
 
 
 def gk_from_params(p: OrbitalParams) -> GKPair:

@@ -113,8 +113,13 @@ def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
     when vda < ve - r and vb + vc > 2 vda, a plateau correction
     (-1)**k c(k) q**(vda + r) over k in [2 vda - vb + r, 2 ve + vc - 2 vda - r].
     """
+    return LaurentSeries._from_term_maps(_closed_form_terms(p))
+
+
+def _closed_form_terms(p: OrbitalParams) -> dict[int, dict[int, Scalar]]:
+    """``orbital_closed_form`` as a canonical {k: {e: c}} map."""
     if p.ve < 0:
-        return LaurentSeries.zero()
+        return {}
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     cap = p.n_bound()
     lo = -(vb + r)
@@ -140,9 +145,7 @@ def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
                 coeff[e] = s
             elif e in coeff:
                 del coeff[e]
-    return LaurentSeries._raw(
-        {k: QPolynomial._raw(c) for k, c in terms.items() if c}
-    )
+    return {k: c for k, c in terms.items() if c}
 
 
 def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
@@ -161,6 +164,11 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
     nothing.  This is the oracle that ``orbital_closed_form`` is checked
     against, term by term.
     """
+    return LaurentSeries._from_term_maps(_support_sum_terms(p))
+
+
+def _support_sum_terms(p: OrbitalParams) -> dict[int, dict[int, Scalar]]:
+    """``orbital_support_sum`` as a canonical {k: {e: c}} map."""
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     th = p.theta()
     base = vc + r
@@ -191,9 +199,7 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
                         coeff[e] = s
                     else:
                         del coeff[e]
-    return LaurentSeries._raw(
-        {k: QPolynomial._raw(c) for k, c in acc.items() if c}
-    )
+    return {k: c for k, c in acc.items() if c}
 
 
 def derivative_closed_form(p: OrbitalParams) -> QPolynomial:

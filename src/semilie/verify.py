@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .exactpoly import LaurentSeries, QPolynomial
+from .exactpoly import LaurentSeries, QPolynomial, at_s_zero
 from .intersection import (
     gk_from_params,
     gross_keating,
@@ -42,10 +42,10 @@ from .kernel import (
 from .orbital import (
     INFINITY,
     OrbitalParams,
+    _closed_form_terms,
+    _support_sum_terms,
     derivative_closed_form,
     derivative_combo,
-    orbital_closed_form,
-    orbital_support_sum,
 )
 from .padiclab import (
     DiskCounter,
@@ -158,11 +158,11 @@ def _encode(value):
 
 # --------------------------------------------------------------- orbital
 
-def _first_sign_break(series: LaurentSeries) -> int | None:
+def _first_sign_break(terms: dict[int, dict]) -> int | None:
     """The first k at which (-1)^k coeff has a negative coefficient, or None;
-    coeff is never empty."""
-    for k, coeff in series.items():
-        if (max(coeff.coefficients()) > 0) if k % 2 else (min(coeff.coefficients()) < 0):
+    ``terms`` is a canonical {k: {e: c}} map, so coeff is never empty."""
+    for k, coeff in terms.items():
+        if (max(coeff.values()) > 0) if k % 2 else (min(coeff.values()) < 0):
             return k
     return None
 
@@ -170,20 +170,24 @@ def _first_sign_break(series: LaurentSeries) -> int | None:
 def suite_orbital(config: SweepConfig | None = None) -> SuiteResult:
     """Closed form == support-sum oracle, value 0 at s = 0, derivative
     consistency against the series derivative, coefficient sign pattern, and
-    the reduction of the derivative to vb + vc; all over the full grid."""
+    the reduction of the derivative to vb + vc; all over the full grid.
+
+    Both series are compared as the builders' canonical {k: {e: c}} maps,
+    the forms the public ``orbital_closed_form`` and ``orbital_support_sum``
+    wrap, so no tuple allocates a ``LaurentSeries``."""
     config = config or SweepConfig()
     res = SuiteResult("orbital")
     seen_derivative: dict[tuple, QPolynomial] = {}
     for p in config.full_tuples():
-        series = orbital_closed_form(p)
-        res.check(series == orbital_support_sum(p), identity="closed_form == support_sum", params=p)
-        res.check(not series.at_one(), identity="value at s=0 is 0", params=p)
+        terms = _closed_form_terms(p)
+        res.check(terms == _support_sum_terms(p), identity="closed_form == support_sum", params=p)
+        value, log_deriv = at_s_zero(terms.items())
+        res.check(not value, identity="value at s=0 is 0", params=p)
         deriv = derivative_closed_form(p)
-        log_deriv = series.log_derivative_at_zero()
         if (p.vc + p.r) % 2:
             log_deriv = -log_deriv
         res.check(deriv == log_deriv, identity="derivative == signed series derivative", params=p)
-        k = _first_sign_break(series)
+        k = _first_sign_break(terms)
         res.check(k is None, identity="sign pattern (-1)^k", params=p, k=k)
         key = (p.r, p.vb + p.vc, p.ve, p.vda)
         res.check(

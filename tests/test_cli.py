@@ -68,6 +68,11 @@ def test_invalid_params_exit_2(capsys):
     [
         "bc s3 --basis -1",
         "bc s2 --basis -1",
+        "bc s3 --pr -r 3",
+        "bc s3 --pr",
+        "bc s2 --pr --basis 2",
+        "bc s2 --basis 2 -r 5",
+        "bc s3 --basis 2 -r 0",
         "kernel-matrix --sum-bc 1 --vda abc -N 2",
         "orbital --vb 0 --vc 1 --ve 0 --vda 1.5",
         "derivative --vb 0 --vc 1 --ve 0 --at-q abc",

@@ -184,9 +184,41 @@ def test_div_exact():
         qp("q^2 + 1").div_exact(qp("q - 1"))
 
 
+@given(qpolys, qpolys, st.integers(-6, 6))
+def test_div_exact_inverts_multiplication(a, b, e):
+    """div_exact undoes a product, keeping int coefficients int, and a
+    product plus a monomial is no multiple of a b that is not a monomial."""
+    if b.is_zero():
+        return
+    quotient = (a * b).div_exact(b)
+    assert quotient == a
+    assert_canonical_scalars(quotient)
+    if len(b) >= 2:
+        with pytest.raises(ArithmeticError):
+            (a * b + QPolynomial.q_power(e)).div_exact(b)
+
+
 def test_evaluate():
     assert qp("q^2 + q + 1").evaluate(3) == 13
     assert qp("q^-1").evaluate(2) == Fraction(1, 2)
+
+
+def evaluate_reference(p, q):
+    total = Fraction(0)
+    for e, c in p.items():
+        total += Fraction(c) * Fraction(q) ** e
+    return total
+
+
+@given(qpolys, st.one_of(coeffs, st.fractions(max_denominator=10**6)))
+def test_evaluate_matches_per_term_reference(p, q):
+    if not q and p and p.min_exponent() < 0:
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(q)
+        return
+    value = p.evaluate(q)
+    assert value == evaluate_reference(p, q)
+    assert type(value) is int or (type(value) is Fraction and value.denominator > 1)
 
 
 def test_str_formats():

@@ -12,6 +12,7 @@ from semilie import (
     InvalidParamsError,
     OrbitalParams,
     PartialOrbitalParams,
+    QPolynomial,
     derivative_closed_form,
     derivative_combo,
     geom_to_orbital,
@@ -40,6 +41,19 @@ class TestGrossKeating:
 
     def test_empty_sentinel(self):
         assert gross_keating(GKPair.empty()).is_zero()
+
+    def test_matches_constructor_form(self):
+        """The one-dict build against the sum of the generic constructor and
+        a q-power, with the top coefficient collapsed to an int when it can be."""
+        for n1 in range(61):
+            for n2 in range(n1, 91):
+                terms = {j: n1 + n2 - 4 * j for j in range((n1 - 1) // 2 + 1 if n1 % 2 else n1 // 2)}
+                want = QPolynomial(terms)
+                if n1 % 2 == 0:
+                    want = want + QPolynomial.q_power(n1 // 2, Fraction(n2 - n1 + 1, 2))
+                got = gross_keating(GKPair(n1, n2))
+                assert got == want, (n1, n2)
+                assert all(type(c) is int or c.denominator > 1 for c in got.coefficients()), (n1, n2)
 
     def test_inverted_pair_rejected(self):
         with pytest.raises(ValueError, match="n1 <= n2"):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from semilie import INFINITY, LaurentSeries, QPolynomial, SatakeY, SweepConfig, run_suite
-from semilie import satake, verify
+from semilie import orbital, satake, verify
 from semilie.padiclab import DiskCounter
 from semilie.verify import suite_miracle, suite_orbital, suite_quaternion
 
@@ -50,6 +50,29 @@ def test_empty_ranges_rejected():
         SweepConfig(r_max=-1)
 
 
+def term_maps(series):
+    return {k: dict(coeff.items()) for k, coeff in series.items()}
+
+
+@pytest.mark.parametrize(
+    "public, private",
+    [
+        (orbital.orbital_closed_form, orbital._closed_form_terms),
+        (orbital.orbital_support_sum, orbital._support_sum_terms),
+    ],
+    ids=["closed_form", "support_sum"],
+)
+def test_public_builders_wrap_their_term_maps(public, private):
+    """Each public series is the wrap of its builder's map, and the map is
+    canonical (what the generic constructor keeps), so the orbital suite may
+    compare maps with ==."""
+    for p in SMALL.full_tuples():
+        terms = private(p)
+        canonical = LaurentSeries((k, QPolynomial(coeff)) for k, coeff in terms.items())
+        assert term_maps(canonical) == terms
+        assert public(p) == LaurentSeries._from_term_maps(terms) == canonical
+
+
 def flip_one_coefficient(series):
     if series.is_zero():
         return series
@@ -71,10 +94,14 @@ def flip_one_coefficient(series):
     ids=["sign_flip", "constant_at_T0", "term_at_T1"],
 )
 def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutate, identities):
+    """The suite reads the closed form as the builder's {k: {e: c}} map; each
+    mutation is made on the series that map stands for."""
     clean = suite_orbital(SMALL)
     assert clean.passed and clean.checked == 5 * sum(1 for _ in SMALL.full_tuples())
-    original = verify.orbital_closed_form
-    monkeypatch.setattr(verify, "orbital_closed_form", lambda p: mutate(original(p)))
+    original = verify._closed_form_terms
+    monkeypatch.setattr(
+        verify, "_closed_form_terms", lambda p: term_maps(mutate(LaurentSeries._from_term_maps(original(p))))
+    )
     mutated = suite_orbital(SMALL)
     assert not mutated.passed and mutated.checked == clean.checked
     assert identities <= {f["identity"] for f in mutated.failures}
