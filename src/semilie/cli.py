@@ -18,6 +18,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -39,17 +40,19 @@ from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polyn
 from .verify import SUITE_NAMES, SweepConfig, run_suite
 
 #: The most work one orbit, ``gk``, ``bc`` or ``kernel-matrix`` query may ask
-#: for, in q-terms and support-lattice points; with --at-q, a term also costs
-#: one unit per 64 bits of q**N.  A larger query exits 2 instead of running for minutes
-#: or out of memory.  The largest README example needs 1,476 units, a
-#: calculator query with r <= 30, ve <= 40, vb >= -50 and vb + vc <= 41 at
-#: most 17,835.
+#: for, in q-terms and support-lattice points.  With --at-q, a term of degree
+#: <= N also costs (N * bits(q) / 1024) ** log2(3) units, rounded down: the
+#: powers of q that ``QPolynomial.evaluate`` forms have up to N * bits(q)
+#: bits, and their cost grows with that size to the Karatsuba exponent.  A
+#: larger query exits 2 instead of running for minutes or out of memory.  The
+#: largest README example needs 1,476 units, a calculator query with r <= 30,
+#: ve <= 40, vb >= -50 and vb + vc <= 41 at most 17,835.
 MAX_WORK = 200_000
 
 #: The most decimal digits, exponent included, that an --at-q literal may
-#: stand for: a q of more than 64 * MAX_WORK bits costs more than MAX_WORK
-#: units in a single term of degree 1.  Checked before the literal is expanded.
-MAX_AT_Q_DIGITS = 64 * MAX_WORK * 3 // 10
+#: stand for; a literal near this bound takes seconds to expand.  Checked
+#: before the literal is expanded.
+MAX_AT_Q_DIGITS = 3_840_000
 
 
 def _add_orbit_args(parser: argparse.ArgumentParser) -> None:
@@ -73,8 +76,11 @@ def _parse_vda(text: str) -> int | float:
 def _check_work(args, terms: int, degree: int) -> None:
     """Reject ``terms`` q-terms of degree <= ``degree`` above ``MAX_WORK``."""
     q = getattr(args, "at_q", None)
-    if q is not None:
-        terms *= 1 + degree * max(q.numerator.bit_length(), q.denominator.bit_length()) // 64
+    if q is not None and degree > 0:
+        # Every caller has more than ``degree`` terms, so a degree above
+        # MAX_WORK is refused anyway; the cap keeps the float finite.
+        bits = min(degree, MAX_WORK) * max(q.numerator.bit_length(), q.denominator.bit_length())
+        terms *= 1 + int((bits / 1024) ** math.log2(3))
     if terms > MAX_WORK:
         raise ValueError(f"the query needs about {terms} units of work, more than the limit of {MAX_WORK}")
 

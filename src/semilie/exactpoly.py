@@ -1,21 +1,22 @@
 """Exact sparse Laurent-polynomial arithmetic.
 
-Two kinds of container:
+One sparse container, ``_SparseMap``: a finitely supported map from keys to
+nonzero coefficients, kept canonical (no zero coefficient is ever stored).
+It holds construction, the module operations, equality and hashing once;
+each subclass fixes its key rule and how a coefficient becomes canonical.
 
-  * ``QPolynomial`` -- a Laurent polynomial in the residue-field size q with
-    exact rational coefficients, stored sparsely as {exponent: coefficient}.
-    Exponents may be negative.
-  * ``KeyedModule`` -- a finitely supported map from keys to QPolynomial
-    coefficients, the one container shared by every other object semilie
-    computes.  Each subclass fixes only its key rule, printing and JSON:
-    ``LaurentSeries`` here (keys are T exponents; T stands for q**s, so a
-    series is an exact stand-in for a function of the complex parameter s),
-    and ``satake.SatakeY``, ``satake.SatakeGL`` and ``orbital.HeckeVector``.
+  * ``QPolynomial`` -- a Laurent polynomial in the residue-field size q,
+    {exponent: scalar} with exponents possibly negative.  It adds the ring
+    product, exact division and evaluation at a numeric q.
+  * ``KeyedModule`` -- {key: QPolynomial}, the container of every other
+    value semilie computes: ``LaurentSeries`` here (keys are T exponents;
+    T stands for q**s, so a series is an exact stand-in for a function of
+    the complex parameter s), and ``satake.SatakeY``, ``satake.SatakeGL``
+    and ``orbital.HeckeVector``.
 
-Coefficients are Python ints or ``fractions.Fraction``; there is no floating
-point anywhere.  Both kinds are canonical (zero coefficients are never
-stored) and immutable by convention: every operation returns a new value, so
-instances are safe to share between threads.
+Scalars are Python ints or ``fractions.Fraction``; there is no floating
+point anywhere.  Values are immutable by convention: every operation
+returns a new value, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -35,30 +36,127 @@ def _norm_scalar(c: Scalar) -> Scalar:
     return c
 
 
-class QPolynomial:
-    """Laurent polynomial in q with exact rational coefficients."""
+def _join_signed(parts: list[tuple[str, str]]) -> str:
+    """'a - b + c' from ("+" or "-", body) pairs; "0" when there are none."""
+    if not parts:
+        return "0"
+    (first_sign, first_body), rest = parts[0], parts[1:]
+    out = first_body if first_sign == "+" else f"-{first_body}"
+    return out + "".join(f" {sign} {body}" for sign, body in rest)
+
+
+class _SparseMap:
+    """Finitely supported map from keys to nonzero coefficients.
+
+    A subclass supplies its key rule (``_key``) and ``_canon``, which makes
+    a coefficient canonical; a key missing from ``_terms`` stands for a zero
+    coefficient, which each subclass's ``coefficient`` returns.  Values of
+    different classes never compare equal and cannot be added.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict[int, Scalar] = {}
-        for e, c in items:
-            if c:
-                s = _norm_scalar(d.get(e, 0) + c)
-                if s:
-                    d[e] = s
-                elif e in d:
-                    del d[e]
-        self._terms = d
+        pairs = []
+        for k, c in items:
+            k = self._key(k)
+            if k is not None and c:
+                pairs.append((k, self._canon(c)))
+        self._terms = self._accumulate({}, pairs)
+
+    def _key(self, k):
+        """Canonical form of the key ``k``; ``None`` drops the term, and an
+        inadmissible key raises ValueError."""
+        return k
 
     @classmethod
-    def _raw(cls, terms: dict[int, Scalar]) -> "QPolynomial":
+    def _accumulate(cls, d: dict, pairs: Iterable[tuple], negate: bool = False) -> dict:
+        """Add (or with ``negate`` subtract) the nonzero canonical
+        coefficients of ``pairs`` into the canonical dict ``d``, pruning any
+        sum that cancels; returns ``d``."""
+        canon, get = cls._canon, d.get
+        for k, c in pairs:
+            cur = get(k)
+            if cur is None:
+                d[k] = -c if negate else c
+                continue
+            s = cur - c if negate else cur + c
+            if s:
+                d[k] = canon(s)
+            else:
+                del d[k]
+        return d
+
+    @classmethod
+    def _raw(cls, terms: dict):
         """Adopt ``terms`` without copying; caller must hand over a fresh,
         canonical dict (no zero values)."""
         self = object.__new__(cls)
         self._terms = terms
         return self
+
+    def _like(self, terms: dict):
+        """``_raw`` for a result of the same kind as ``self``; written out
+        rather than calling ``_raw``, since every ``+`` and ``-`` ends here."""
+        out = object.__new__(type(self))
+        out._terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    # ------------------------------------------------------------- structure
+    def items(self):
+        """The (key, coefficient) pairs in storage order."""
+        return self._terms.items()
+
+    def sorted_items(self) -> list:
+        return sorted(self._terms.items())
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    # ---------------------------------------------------------------- module
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(self._accumulate(dict(self._terms), other._terms.items()))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._like(self._accumulate(dict(self._terms), other._terms.items(), negate=True))
+
+    def scale(self, c):
+        """Multiply every coefficient by ``c``.  A product of nonzero
+        coefficients is nonzero, so only c == 0 can prune."""
+        c, canon = self._canon(c), self._canon
+        return self._like({k: canon(v * c) for k, v in self._terms.items()} if c else {})
+
+    # ------------------------------------------------------------ comparison
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+
+class QPolynomial(_SparseMap):
+    """Laurent polynomial in q with exact rational coefficients."""
+
+    __slots__ = ()
+    _canon = staticmethod(_norm_scalar)
 
     @classmethod
     def _from_sums(cls, sums: dict[int, Scalar]) -> "QPolynomial":
@@ -67,10 +165,6 @@ class QPolynomial:
         return cls._raw({e: _norm_scalar(c) for e, c in sums.items() if c})
 
     # ---------------------------------------------------------- constructors
-    @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls._raw({})
-
     @classmethod
     def one(cls) -> "QPolynomial":
         return cls._raw({0: 1})
@@ -93,27 +187,12 @@ class QPolynomial:
         return cls._raw({e: 1 for e in range(n + 1)})
 
     # ------------------------------------------------------------- structure
-    def items(self) -> Iterator[tuple[int, Scalar]]:
-        return iter(self._terms.items())
-
-    def sorted_items(self) -> list[tuple[int, Scalar]]:
-        return sorted(self._terms.items())
-
     def coefficients(self):
         """Read-only view of the nonzero coefficients, in storage order."""
         return self._terms.values()
 
     def coefficient(self, e: int) -> Scalar:
         return self._terms.get(e, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def min_exponent(self) -> int:
         return min(self._terms)
@@ -122,33 +201,6 @@ class QPolynomial:
         return max(self._terms)
 
     # ------------------------------------------------------------------ ring
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = _norm_scalar(s)
-            elif e in out:
-                del out[e]
-        return QPolynomial._raw(out)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial._raw({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = _norm_scalar(s)
-            elif e in out:
-                del out[e]
-        return QPolynomial._raw(out)
-
     def __mul__(self, other: "QPolynomial | Scalar") -> "QPolynomial":
         if isinstance(other, QPolynomial):
             sums: dict[int, Scalar] = {}
@@ -163,12 +215,6 @@ class QPolynomial:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def scale(self, c: Scalar) -> "QPolynomial":
-        c = _norm_scalar(c)
-        if not c:
-            return QPolynomial.zero()
-        return QPolynomial._raw({e: _norm_scalar(v * c) for e, v in self._terms.items()})
 
     def shift(self, n: int) -> "QPolynomial":
         """Multiply by q**n."""
@@ -233,14 +279,14 @@ class QPolynomial:
 
     # ------------------------------------------------------------ comparison
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QPolynomial):
+        if isinstance(other, QPolynomial):  # first: the sweeps compare polynomials
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == QPolynomial.constant(other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    # Binding __eq__ in a class body resets __hash__ to None.
+    __hash__ = _SparseMap.__hash__
 
     # --------------------------------------------------------- serialization
     def to_json(self) -> dict:
@@ -254,25 +300,18 @@ class QPolynomial:
 
     # -------------------------------------------------------------- printing
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for e in sorted(self._terms, reverse=True):
             c = self._terms[e]
-            mag = c if (isinstance(c, int) and c > 0) or (isinstance(c, Fraction) and c > 0) else -c
-            sign = "-" if c != mag else "+"
+            mag = c if c > 0 else -c
             mag_str = str(mag) if isinstance(mag, int) else f"({mag})"
             if e == 0:
                 body = mag_str
             else:
                 var = "q" if e == 1 else f"q^{e}"
                 body = var if mag == 1 else f"{mag_str}{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = first_body if first_sign == "+" else f"-{first_body}"
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            parts.append(("+" if c > 0 else "-", body))
+        return _join_signed(parts)
 
     def __repr__(self) -> str:
         return f"QPolynomial({dict(sorted(self._terms.items()))!r})"
@@ -282,108 +321,21 @@ def _as_qpoly(c: "QPolynomial | Scalar") -> QPolynomial:
     return c if isinstance(c, QPolynomial) else QPolynomial.constant(c)
 
 
-def _accumulate(d: dict, key, c: QPolynomial) -> None:
-    """Add the nonzero ``c`` into ``d[key]``, pruning the entry if it cancels."""
-    cur = d.get(key)
-    s = c if cur is None else cur + c
-    if s:
-        d[key] = s
-    else:
-        del d[key]
-
-
-class KeyedModule:
+class KeyedModule(_SparseMap):
     """Finitely supported map from keys to nonzero QPolynomial coefficients.
 
-    The one sparse container behind ``LaurentSeries`` (keys: T exponents),
+    The container behind ``LaurentSeries`` (keys: T exponents),
     ``satake.SatakeY`` (Y-exponents i >= 0), ``orbital.HeckeVector`` (basis
     levels r >= 0) and ``satake.SatakeGL`` (descending exponent tuples).
-    A subclass fixes its key rule by overriding ``_key``; construction,
-    the module operations and equality live here once.  Values of different
-    subclasses never compare equal and cannot be added.
+    A coefficient may be given as a scalar; it is stored as a constant
+    QPolynomial.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        d: dict = {}
-        for k, c in items:
-            k = self._key(k)
-            if k is None:
-                continue
-            c = _as_qpoly(c)
-            if c:
-                _accumulate(d, k, c)
-        self._terms = d
-
-    def _key(self, k):
-        """Canonical form of the key ``k``; ``None`` drops the term, and an
-        inadmissible key raises ValueError."""
-        return k
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "KeyedModule":
-        """Adopt ``terms`` without copying; caller must hand over a fresh,
-        canonical dict (no zero values)."""
-        self = object.__new__(cls)
-        self._terms = terms
-        return self
-
-    def _like(self, terms: dict) -> "KeyedModule":
-        """``_raw`` for a result of the same kind as ``self``."""
-        return self._raw(terms)
-
-    @classmethod
-    def zero(cls) -> "KeyedModule":
-        return cls()
-
-    # ------------------------------------------------------------- structure
-    def items(self):
-        """The (key, coefficient) pairs in storage order."""
-        return self._terms.items()
-
-    def sorted_items(self) -> list:
-        return sorted(self._terms.items())
+    __slots__ = ()
+    _canon = staticmethod(_as_qpoly)
 
     def coefficient(self, k) -> QPolynomial:
         return self._terms.get(self._key(k), QPolynomial.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    # ---------------------------------------------------------------- module
-    def __add__(self, other: "KeyedModule") -> "KeyedModule":
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, p in other._terms.items():
-            _accumulate(out, k, p)
-        return self._like(out)
-
-    def __neg__(self) -> "KeyedModule":
-        return self._like({k: -p for k, p in self._terms.items()})
-
-    def __sub__(self, other: "KeyedModule") -> "KeyedModule":
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: "QPolynomial | Scalar") -> "KeyedModule":
-        """Multiply every coefficient by ``c``.  A product of nonzero Laurent
-        polynomials over Q is nonzero, so only c == 0 can prune."""
-        c = _as_qpoly(c)
-        return self._like({k: p * c for k, p in self._terms.items()} if c else {})
-
-    # ------------------------------------------------------------ comparison
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({ {k: str(c) for k, c in self.sorted_items()} })"
@@ -428,11 +380,10 @@ class LaurentSeries(KeyedModule):
     # ------------------------------------------------------------------ ring
     def __mul__(self, other: "LaurentSeries | QPolynomial | Scalar") -> "LaurentSeries":
         if isinstance(other, LaurentSeries):
-            out: dict[int, QPolynomial] = {}
-            for k1, p1 in self._terms.items():
-                for k2, p2 in other._terms.items():
-                    _accumulate(out, k1 + k2, p1 * p2)
-            return LaurentSeries._raw(out)
+            products = (
+                (k1 + k2, p1 * p2) for k1, p1 in self._terms.items() for k2, p2 in other._terms.items()
+            )
+            return LaurentSeries._raw(self._accumulate({}, products))
         if isinstance(other, (QPolynomial, int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -473,15 +424,13 @@ class LaurentSeries(KeyedModule):
 
     # -------------------------------------------------------------- printing
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for k in sorted(self._terms):
             p = self._terms[k]
             sign = "+"
             if len(p) == 1:
                 ((e, c),) = p.items()
-                if (isinstance(c, int) or isinstance(c, Fraction)) and c < 0:
+                if c < 0:
                     sign, p = "-", -p
             body = str(p)
             if k != 0:
@@ -491,11 +440,7 @@ class LaurentSeries(KeyedModule):
                 else:
                     body = f"{body}*{tvar}" if len(p) == 1 else f"({body})*{tvar}"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = first_body if first_sign == "+" else f"-{first_body}"
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _join_signed(parts)
 
     def __repr__(self) -> str:
         return f"LaurentSeries({ {k: dict(sorted(p._terms.items())) for k, p in sorted(self._terms.items())}!r})"

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 from .exactpoly import KeyedModule, LaurentSeries, QPolynomial, Scalar
 
@@ -277,13 +275,6 @@ class HeckeVector(KeyedModule):
     indexed by r >= 0, with int/Fraction or polynomial-in-q coefficients."""
 
     __slots__ = ()
-
-    def __init__(
-        self,
-        coeffs: Mapping[int, Union[Scalar, QPolynomial]]
-        | Iterable[tuple[int, Union[Scalar, QPolynomial]]] = (),
-    ):
-        super().__init__(coeffs)
 
     def _key(self, r: int) -> int | None:
         return r if r >= 0 else None  # the basis has no negative indices; treat as 0

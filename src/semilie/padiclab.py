@@ -67,7 +67,7 @@ def _smallest_nonresidue(p: int) -> int:
 class QuadExtRing:
     """The integers of the unramified quadratic extension, mod p**precision."""
 
-    def __init__(self, p: int = 3, precision: int = 4, eps: int | None = None):
+    def __init__(self, p: int = 3, precision: int = 4):
         if not _is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if precision < 1:
@@ -75,9 +75,7 @@ class QuadExtRing:
         self.p = p
         self.precision = precision
         self.modulus = p**precision
-        self.eps = _smallest_nonresidue(p) if eps is None else eps % self.modulus
-        if pow(self.eps, (p - 1) // 2, p) != p - 1:
-            raise ValueError(f"eps = {self.eps} is not a non-residue unit mod {p}")
+        self.eps = _smallest_nonresidue(p)
 
     # ------------------------------------------------------------- elements
     def element(self, a: int, b: int = 0) -> Element:
@@ -115,9 +113,6 @@ class QuadExtRing:
     def norm(self, x: Element) -> int:
         """x * conj(x) = a**2 - eps*b**2, an int mod p**precision."""
         return (x[0] * x[0] - self.eps * x[1] * x[1]) % self.modulus
-
-    def trace(self, x: Element) -> int:
-        return (2 * x[0]) % self.modulus
 
     def val(self, x: Element) -> int:
         """min of the component valuations; ``precision`` means ">= precision"."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Mapping
 
-from .exactpoly import KeyedModule, QPolynomial, Scalar, _accumulate
+from .exactpoly import KeyedModule, QPolynomial, Scalar
 
 
 class SatakeGL(KeyedModule):
@@ -55,6 +55,9 @@ class SatakeGL(KeyedModule):
         if isinstance(other, SatakeGL) and self.n != other.n:
             raise ValueError("mixed variable counts")
         return super().__add__(other)
+
+    def __sub__(self, other: "SatakeGL") -> "SatakeGL":
+        return self + (-other) if isinstance(other, SatakeGL) else NotImplemented
 
     def __eq__(self, other: object) -> bool:
         return KeyedModule.__eq__(self, other) and self.n == other.n
@@ -169,11 +172,8 @@ def bc_gl3_to_u3(x: SatakeGL) -> SatakeY:
     (a, b, c) maps to Y**(a - c), extended over each orbit sum."""
     if x.n != 3:
         raise ValueError("base-change rule implemented for rank 3")
-    signed: dict[int, QPolynomial] = {}
-    for key, c in x._terms.items():
-        for perm in set(permutations(key)):
-            _accumulate(signed, perm[0] - perm[2], c)
-    return SatakeY.from_signed(signed)
+    monomials = ((perm[0] - perm[2], c) for key, c in x._terms.items() for perm in set(permutations(key)))
+    return SatakeY.from_signed(KeyedModule._accumulate({}, monomials))
 
 
 def proj_fiber_gl3(r: int) -> dict[int, QPolynomial]:

@@ -69,16 +69,18 @@ from .satake import (
     satake_u3_indicator,
 )
 
+#: The lowest vb of the full grid; vda = INFINITY is always on the grid too.
+_VB_MIN = -6
+
+
 @dataclass
 class SweepConfig:
     """Parameter ranges for the identity sweeps."""
 
     r_max: int = 6
     sum_bc_max: int = 11
-    vb_min: int = -6
     ve_max: int = 10
     vda_max: int = 6
-    include_vda_inf: bool = True
     rmax_satake: int = 8
     p: int = 3
     precision: int = 4
@@ -92,10 +94,7 @@ class SweepConfig:
             raise ValueError(f"rmax_satake must be >= 0, got {self.rmax_satake}")
 
     def vda_values(self) -> list:
-        vals: list = list(range(self.vda_max + 1))
-        if self.include_vda_inf:
-            vals.append(INFINITY)
-        return vals
+        return [*range(self.vda_max + 1), INFINITY]
 
     def sum_bc_values(self) -> list[int]:
         return list(range(1, self.sum_bc_max + 1, 2))
@@ -109,10 +108,10 @@ class SweepConfig:
                         yield OrbitalParams(r=r, vb=0, vc=s, ve=ve, vda=vda)
 
     def full_tuples(self) -> Iterator[OrbitalParams]:
-        """All splits vb in [vb_min, sum_bc]."""
+        """All splits vb in [_VB_MIN, sum_bc]."""
         for r in range(self.r_max + 1):
             for s in self.sum_bc_values():
-                for vb in range(self.vb_min, s + 1):
+                for vb in range(_VB_MIN, s + 1):
                     for ve in range(self.ve_max + 1):
                         for vda in self.vda_values():
                             yield OrbitalParams(r=r, vb=vb, vc=s - vb, ve=ve, vda=vda)

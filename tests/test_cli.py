@@ -384,6 +384,9 @@ def test_largest_calculator_queries_admitted(capsys):
         assert code == 0, (head, err)
     code, _, err = run(capsys, "kernel-matrix", "--sum-bc", "41", "--vda", "inf", "-N", "10", "--json")
     assert code == 0, err
+    # 45,602 q-terms of degree <= 150, evaluated at a small q in well under a second.
+    code, _, err = run(capsys, *"orbital --vb 0 --vc 301 --ve 150 --vda inf --at-q 7".split())
+    assert code == 0, err
     # The images are formulas, linear in the level: levels that took the
     # triangular solves more than 10 s now run in well under a second.
     start = time.perf_counter()

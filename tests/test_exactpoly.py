@@ -43,37 +43,43 @@ def test_canonical_no_zero_terms():
     assert (p - QPolynomial.one()).is_zero()
 
 
-# The four KeyedModule containers, each built from (int key, coefficient)
-# pairs; SatakeGL(3, .) takes the int key k to the exponent tuple (k, 0, 0).
+# The sparse containers, each built from (int key, coefficient) pairs;
+# SatakeGL(3, .) takes the int key k to the exponent tuple (k, 0, 0).  Each
+# comes with two coefficients of its kind that sum to 1, and the strategy
+# its coefficients are drawn from: QPolynomial takes scalars only.
+poly_coeffs = (qp("q + 1"), qp("-q"), st.one_of(coeffs, qpolys))
 CONTAINERS = {
-    "LaurentSeries": LaurentSeries,
-    "SatakeY": SatakeY,
-    "HeckeVector": HeckeVector,
-    "SatakeGL3": lambda pairs: SatakeGL(3, [((0, k, 0), c) for k, c in pairs]),
+    "LaurentSeries": (LaurentSeries, *poly_coeffs),
+    "SatakeY": (SatakeY, *poly_coeffs),
+    "HeckeVector": (HeckeVector, *poly_coeffs),
+    "SatakeGL3": (lambda pairs: SatakeGL(3, [((0, k, 0), c) for k, c in pairs]), *poly_coeffs),
+    "QPolynomial": (QPolynomial, Fraction(5, 2), Fraction(-3, 2), coeffs),
 }
-containers = pytest.mark.parametrize("make", CONTAINERS.values(), ids=CONTAINERS.keys())
-container_terms = st.lists(st.tuples(st.integers(0, 4), st.one_of(coeffs, qpolys)), max_size=6)
+containers = pytest.mark.parametrize("make, p, r, coeff", CONTAINERS.values(), ids=CONTAINERS.keys())
 
 
 def assert_canonical(x):
-    assert all(p for _, p in x.items()), x
+    assert all(c for _, c in x.items()), x
+    for _, c in x.items():
+        assert not isinstance(c, Fraction) or c.denominator > 1, x
 
 
 @containers
-def test_container_canonical_no_zero_terms(make):
-    assert make([(1, qp("q + 1")), (1, qp("-q - 1"))]).is_zero()
-    assert not make([(0, 0), (2, QPolynomial.zero())])
-    x = make([(1, qp("q + 1")), (1, qp("-q")), (2, 3), (2, Fraction(-3))])
+def test_container_canonical_no_zero_terms(make, p, r, coeff):
+    assert make([(1, p), (1, -p)]).is_zero()
+    assert not make([(0, 0), (2, p - p)])
+    x = make([(1, p), (1, r), (2, 3), (2, Fraction(-3))])
     assert_canonical(x)
     assert len(x.items()) == 1 and x == make([(1, 1)])
     assert x.scale(0).is_zero()
 
 
 @containers
-@settings(max_examples=25)  # four classes share one implementation
-@given(container_terms, container_terms, st.one_of(coeffs, qpolys))
-def test_container_module_axioms(make, a_terms, b_terms, c):
-    a, b = make(a_terms), make(b_terms)
+@settings(max_examples=25)  # five classes share one implementation
+@given(data=st.data())
+def test_container_module_axioms(make, p, r, coeff, data):
+    terms = st.lists(st.tuples(st.integers(0, 4), coeff), max_size=6)
+    a, b, c = make(data.draw(terms)), make(data.draw(terms)), data.draw(coeff)
     for x in (a + b, a - b, -a, a.scale(c)):
         assert_canonical(x)
     assert a + b - b == a
@@ -84,14 +90,16 @@ def test_container_module_axioms(make, a_terms, b_terms, c):
 
 
 def test_container_classes_never_equal():
-    values = [make([(0, 1)]) for make in CONTAINERS.values()]
-    values += [make([]) for make in CONTAINERS.values()]
+    values = [make([(0, 1)]) for make, *_ in CONTAINERS.values()]
+    values += [make([]) for make, *_ in CONTAINERS.values()]
     values += [SatakeGL(2), SatakeGL(2, {(0, 0): 1})]
     for i, x in enumerate(values):
         for j, y in enumerate(values):
             assert (x == y) == (i == j), (x, y)
     with pytest.raises(TypeError):
         LaurentSeries({0: 1}) + SatakeY({0: 1})
+    with pytest.raises(TypeError):
+        QPolynomial({0: 1}) + LaurentSeries({0: 1})
     with pytest.raises(ValueError):
         SatakeGL(2) + SatakeGL(3)
 
