@@ -117,10 +117,43 @@ def _parse_at_q(text: str) -> Fraction:
         raise ValueError(f"--at-q must be an exact rational, got {text!r}") from None
 
 
-def _evaluate(poly: QPolynomial, q: Fraction):
-    """``poly`` at q, rejecting q = 0 where a negative power of q occurs."""
+def _check_value_digits(poly: QPolynomial, q: Fraction) -> None:
+    """Refuse, before evaluating, a value whose numerator or denominator
+    would have more digits than ``sys.get_int_max_str_digits()`` lets an int
+    print with.
+
+    With q = a/b, lowest exponent m and highest t, poly(q) has a denominator
+    dividing D = lcm(coefficient denominators) * a**max(-m, 0) * b**max(t, 0)
+    and a numerator of at most D * sum |c q**e|.  Their digits are counted
+    from the logarithms of these bounds, so the count reads high only where
+    terms cancel or the fraction reduces, never low.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before 3.10.7
+    if not limit or not q or not poly:
+        return
+    log = math.log10
+    la, lb = log(abs(q.numerator)), log(q.denominator)
+    m, t = poly.min_exponent(), poly.max_exponent()
+    den = log(math.lcm(*(c.denominator for c in poly.coefficients()))) + max(-m, 0) * la + max(t, 0) * lb
+    terms = [log(abs(c.numerator)) - log(c.denominator) + e * (la - lb) for e, c in poly.items()]
+    top = max(terms)
+    top += log(sum(10 ** (x - top) for x in terms))
+    # 1e-6 absorbs the float rounding of the logarithms, so that 10**k counts k + 1 digits.
+    digits = 1 + math.floor(den + max(0.0, top) + 1e-6)
+    if digits > limit:
+        raise ValueError(f"the value at this q would have about {digits} digits, more than the {limit} an int may print with")
+
+
+def _check_evaluable(poly: QPolynomial, q: Fraction) -> None:
+    """Reject q = 0 where a negative power of q occurs, and a value too long to print."""
     if not q and poly and poly.min_exponent() < 0:
         raise ValueError(f"cannot evaluate at q = 0: the value has the term q^{poly.min_exponent()}")
+    _check_value_digits(poly, q)
+
+
+def _evaluate(poly: QPolynomial, q: Fraction):
+    """``poly`` at q, once ``_check_evaluable`` admits it."""
+    _check_evaluable(poly, q)
     return poly.evaluate(q)
 
 
@@ -139,7 +172,10 @@ def _print_qpoly(poly: QPolynomial, args) -> None:
 
 def _print_series(series: LaurentSeries, args) -> None:
     if getattr(args, "at_q", None) is not None:
-        terms = [[k, _fraction_json(Fraction(_evaluate(c, args.at_q)))] for k, c in series.sorted_items()]
+        items = series.sorted_items()
+        for _, c in items:  # all of them before evaluating any
+            _check_evaluable(c, args.at_q)
+        terms = [[k, _fraction_json(Fraction(c.evaluate(args.at_q)))] for k, c in items]
         if args.json:
             print(json.dumps({"t_terms": terms}))
         else:
@@ -222,10 +258,10 @@ def cmd_kernel_matrix(args) -> int:
     m = build_matrix(args.sum_bc, vda, n)
     m1, m2 = row_reduce(m)
     chosen = {"M": m, "M'": m1, "M''": m2}[args.stage]
-    rows = [[str(chosen.entry(i, r)) for r in range(chosen.cols)] for i in range(chosen.rows)]
     if args.json:
         print(json.dumps({"stage": args.stage, "rows": [[chosen.entry(i, r).to_json() for r in range(chosen.cols)] for i in range(chosen.rows)]}))
         return 0
+    rows = [[str(chosen.entry(i, r)) for r in range(chosen.cols)] for i in range(chosen.rows)]
     widths = [max(len(row[c]) for row in rows) for c in range(chosen.cols)]
     for row in rows:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))

@@ -285,8 +285,14 @@ class QPolynomial(_SparseMap):
             return self == QPolynomial.constant(other)
         return NotImplemented
 
-    # Binding __eq__ in a class body resets __hash__ to None.
-    __hash__ = _SparseMap.__hash__
+    def __hash__(self) -> int:
+        # A constant equals its scalar, so it hashes like it; 0 hashes as 0.
+        terms = self._terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and 0 in terms:
+            return hash(terms[0])
+        return _SparseMap.__hash__(self)
 
     # --------------------------------------------------------- serialization
     def to_json(self) -> dict:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -85,12 +86,15 @@ def test_invalid_params_exit_2(capsys):
         "verify satake --rmax-satake -1",
         "kernel-matrix --sum-bc 2 -N 2",
         "kernel-matrix --sum-bc 1 --vda -1 -N 2",
+        "gk --n1 2 --n2 3 --at-q 1e4400",
+        "gk --n1 40 --n2 41 --at-q 1e300",
     ],
 )
 def test_parameter_error_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv.split())
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert "set_int_max_str_digits" not in err  # semilie's own message, not the interpreter's
     if "-p 9" in argv:
         assert "p must be an odd prime, got 9" in err
 
@@ -402,6 +406,36 @@ def test_at_q_literal_bounded_before_parsing(capsys, literal):
     code, out, err = run(capsys, "gk", "--n1", "2", "--n2", "3", "--at-q", literal)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "") and err.startswith("error: --at-q ")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        ("gk --n1 2 --n2 3 --at-q 1e4300", 4301),
+        ("gk --n1 2 --n2 3 --at-q 1e-4300", 4301),
+        ("gk --n1 40 --n2 41 --at-q 1e300", 6001),
+        ("orbital -r 2 --vb -1 --vc 4 --ve 3 --at-q 1e3000", 6001),
+    ],
+)
+def test_at_q_value_too_long_refused_before_evaluating(capsys, monkeypatch, argv, digits, json_flag):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit != 4300:
+        pytest.skip("the digit counts assume the interpreter's default limit")
+    monkeypatch.setattr(QPolynomial, "evaluate", lambda *_: pytest.fail("evaluated"))
+    code, out, err = run(capsys, *argv.split(), *json_flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: the value at this q would have about {digits} digits, more than the {limit} an int may print with\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv", ["gk --n1 2 --n2 3 --at-q 1e4299", "gk --n1 2 --n2 3 --at-q 1e-4299", "gk --n1 2 --n2 3 --at-q 9e4299"])
+def test_at_q_value_at_the_digit_limit_admitted(capsys, argv):
+    """4,300 digits print; the estimate is exact here, as no term cancels."""
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, *argv.split(), *json_flag)
+        assert code == 0, err
+        assert max(len(s) for s in re.findall(r"\d+", out)) == 4300
 
 
 @pytest.mark.parametrize(

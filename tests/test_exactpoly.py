@@ -104,6 +104,26 @@ def test_container_classes_never_equal():
         SatakeGL(2) + SatakeGL(3)
 
 
+# Scalars, the constants they make, and small polynomials: a space where
+# equal pairs across kinds come up often.
+_hashables = st.one_of(
+    coeffs,
+    coeffs.map(QPolynomial.constant),
+    st.builds(QPolynomial, st.dictionaries(st.integers(-1, 1), st.integers(-1, 1), max_size=2)),
+)
+
+
+@given(_hashables, _hashables)
+@example(QPolynomial.one(), 1)
+@example(QPolynomial.zero(), 0)
+@example(QPolynomial.constant(Fraction(-3, 2)), Fraction(-3, 2))
+@example(QPolynomial({1: 1}), 1)
+def test_hash_agrees_with_equality(a, b):
+    if a == b:
+        assert hash(a) == hash(b), (a, b)
+    assert len({a, b}) == (1 if a == b else 2)
+
+
 def test_container_key_rules():
     with pytest.raises(ValueError):
         SatakeY({-1: 1})

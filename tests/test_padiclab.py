@@ -10,6 +10,8 @@ from semilie.padiclab import (
     DiskCounter,
     InsufficientPrecisionError,
     QuadExtRing,
+    _check_one_disk_args,
+    _check_two_disk_args,
     count_one_disk,
     count_two_disk,
     formula_one_disk,
@@ -210,6 +212,68 @@ def test_is_unit_matches_valuation(p, precision):
         for b in values:
             assert ring.is_unit((a, b)) == (ring.val((a, b)) == 0), (a, b)
     assert not ring.is_unit((0, 0))
+
+
+# Every raise path of the two argument checks, with its exact message, at
+# precision 3; where several conditions fail, the first in this order wins:
+# rho order, units, n >= max(rho, 1), precision.
+ONE_DISK_REFUSALS = [
+    (((3, 3), 0, 1), ValueError, "center (3, 3) must be a unit"),
+    (((0, 0), 5, 0), ValueError, "center (0, 0) must be a unit"),
+    (((1, 0), 0, 0), ValueError, "need n >= max(rho, 1), got n=0, rho=0"),
+    (((1, 0), -2, 0), ValueError, "need n >= max(rho, 1), got n=0, rho=-2"),
+    (((1, 0), 2, 1), ValueError, "need n >= max(rho, 1), got n=1, rho=2"),
+    (((1, 0), 4, 3), ValueError, "need n >= max(rho, 1), got n=3, rho=4"),
+    (((1, 0), 0, 3), InsufficientPrecisionError, "precision 3 too small for n=3, rho=0"),
+    (((2, 1), 3, 3), InsufficientPrecisionError, "precision 3 too small for n=3, rho=3"),
+]
+TWO_DISK_REFUSALS = [
+    (((1, 0), (1, 0), 0, 1, 1), ValueError, "need rho1 >= rho2, got 0 < 1"),
+    (((0, 3), (0, 0), 0, 1, 0), ValueError, "need rho1 >= rho2, got 0 < 1"),
+    (((3, 0), (1, 0), 1, 0, 1), ValueError, "centers must be units"),
+    (((1, 0), (0, 3), 1, 0, 1), ValueError, "centers must be units"),
+    (((1, 0), (0, 3), 0, 0, 0), ValueError, "centers must be units"),
+    (((1, 0), (1, 0), 0, 0, 0), ValueError, "need n >= max(rho1, 1), got n=0, rho1=0"),
+    (((1, 0), (1, 0), -1, -1, 0), ValueError, "need n >= max(rho1, 1), got n=0, rho1=-1"),
+    (((1, 0), (2, 0), 2, 1, 1), ValueError, "need n >= max(rho1, 1), got n=1, rho1=2"),
+    (((1, 0), (1, 0), 0, 0, 3), InsufficientPrecisionError, "precision 3 too small for n=3, rho1=0"),
+    (((1, 0), (1, 1), 3, 2, 3), InsufficientPrecisionError, "precision 3 too small for n=3, rho1=3"),
+]
+
+
+@pytest.mark.parametrize("args, error, message", ONE_DISK_REFUSALS)
+def test_one_disk_argument_refusals(ring, args, error, message):
+    with pytest.raises(error) as info:
+        _check_one_disk_args(ring, *args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("args, error, message", TWO_DISK_REFUSALS)
+def test_two_disk_argument_refusals(ring, args, error, message):
+    with pytest.raises(error) as info:
+        _check_two_disk_args(ring, *args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_argument_checks_admit_the_sweep_bounds(ring):
+    for rho in range(-2, 3):
+        for n in range(max(rho, 1), 3):
+            _check_one_disk_args(ring, (1, 0), rho, n)
+            for rho2 in range(-2, rho + 1):
+                _check_two_disk_args(ring, (1, 0), (2, 3), rho, rho2, n)
+
+
+def test_coset_key(ring):
+    counter = DiskCounter(ring)
+    centers = [(1, 0), (25, 13), (-1, 5), (7, -30), (100, 2)]
+    for xi in centers:
+        for rho in (-5, -1, 0):
+            assert counter._coset_key(xi, rho) == (0, 0, 0)
+        # Inside and past the precision: the class of the center as given, mod 3**rho.
+        for rho in range(1, 7):
+            for _ in range(2):  # the second call reads a cached modulus
+                assert counter._coset_key(xi, rho) == (xi[0] % 3**rho, xi[1] % 3**rho, rho)
+    assert counter._coset_key((-1, 5), 5) == (242, 5, 5)
 
 
 class TestTwoDisk:

@@ -8,7 +8,7 @@ import pytest
 
 from semilie import INFINITY, LaurentSeries, QPolynomial, SatakeY, SweepConfig, run_suite
 from semilie import orbital, satake, verify
-from semilie.padiclab import DiskCounter
+from semilie.padiclab import DiskCounter, QuadExtRing
 from semilie.verify import suite_miracle, suite_orbital, suite_quaternion
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2, quaternion_samples=20, precision=3)
@@ -286,3 +286,76 @@ def test_volumes_suite_reports_mutated_histogram(monkeypatch, method, lemma):
     for f in mutated.failures:
         params = f["params"]
         assert params["n"] == 2 and params.get("rho", params.get("rho1")) == 2
+
+
+def walk_volume_failures(config):
+    """suite_volumes' failure records from a walk over every (disk, n) in
+    sweep order, asking ``verify.one_disk_points`` for each n: the suite's
+    comparison before it tabulated the closed forms."""
+    ring = QuadExtRing(p=config.p, precision=config.precision)
+    counter, prec, p = DiskCounter(ring), ring.precision, ring.p
+    records = []
+
+    def compare(lemma, params, hist, wants):
+        for n, want in wants:
+            if hist[n] != want:
+                got, want = Fraction(hist[n], p ** (2 * prec)), Fraction(want, p ** (2 * prec))
+                records.append({"lemma": lemma, "params": {**params, "n": n}, "match": False,
+                                "enumerated": [got.numerator, got.denominator],
+                                "formula": [want.numerator, want.denominator]})
+
+    for xi in ring.units():
+        gap = ring.val_int(1 - ring.norm(xi))
+        for rho in range(prec):
+            wants = [(n, verify.one_disk_points(ring, gap, rho, n)) for n in range(max(rho, 1), prec)]
+            compare("one_disk", {"xi": xi, "rho": rho}, counter.histogram(xi, rho), wants)
+    deltas = [(0, 0)] + [d for v in range(prec) for d in ((p**v, 0), (0, p**v))]
+    for xi1 in ring.units():
+        gap = ring.val_int(1 - ring.norm(xi1))
+        for delta in deltas:
+            xi2 = ring.sub(xi1, delta)
+            if not ring.is_unit(xi2):
+                continue
+            for rho1 in range(prec):
+                for rho2 in range(rho1 + 1):
+                    far = ring.val(delta) < rho2
+                    wants = [(n, 0 if far else verify.one_disk_points(ring, gap, rho1, n)) for n in range(max(rho1, 1), prec)]
+                    hist = counter.pair_histogram(xi1, rho1, xi2, rho2)
+                    compare("two_disk", {"xi1": xi1, "xi2": xi2, "rho1": rho1, "rho2": rho2}, hist, wants)
+    return records
+
+
+def bump_points(where):
+    original = verify.one_disk_points
+    return lambda ring, gap, rho, n: original(ring, gap, rho, n) + where(rho, n)
+
+
+def bump_far_pairs(original):
+    """pair_histogram plus 1 at n = 1 where the disks miss (v(c1 - c2) < rho2)."""
+
+    def bumped(self, c1, rho1, c2, rho2):
+        hist = original(self, c1, rho1, c2, rho2)
+        if self.ring.val(self.ring.sub(c1, c2)) < rho2:
+            hist = hist[:1] + (hist[1] + 1,) + hist[2:]
+        return hist
+
+    return bumped
+
+
+# A mismatch walks the n range only where the one slice compare per histogram
+# fails, so each mutation must leave the records (and their order) of the walk.
+@pytest.mark.parametrize(
+    "target, mutation, count",
+    [
+        (verify, ("one_disk_points", bump_points(lambda rho, n: n == 2)), 23490),  # the last n
+        (verify, ("one_disk_points", bump_points(lambda rho, n: (rho, n) == (0, 1))), 5022),  # first n at rho = 0
+        (DiskCounter, ("pair_histogram", bump_far_pairs(DiskCounter.pair_histogram)), 1134),  # an all-zero row
+    ],
+    ids=["last_n", "rho0_first_n", "zero_row"],
+)
+def test_volumes_failure_records_match_the_per_n_walk(monkeypatch, target, mutation, count):
+    assert verify.suite_volumes(VOLUMES).failures == walk_volume_failures(VOLUMES) == []
+    monkeypatch.setattr(target, *mutation)
+    mutated = verify.suite_volumes(VOLUMES)
+    assert mutated.checked == 42606 and len(mutated.failures) == count
+    assert mutated.failures == walk_volume_failures(VOLUMES)
