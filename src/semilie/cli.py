@@ -7,8 +7,10 @@ q numerically (exact rational arithmetic either way).
 
 Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
 2 on usage or parameter errors.  An orbit, gk, bc or kernel-matrix query
-whose estimated work is above ``MAX_WORK`` is a parameter error.  A reader
-that closes stdout early cuts the output short, not the exit code.
+whose estimated work is above ``MAX_WORK`` is a parameter error, and so is
+a volumes sweep (``volumes``, ``verify volumes`` or ``verify all``) whose
+estimated histogram lookups are above ``MAX_VOLUME_WORK``.  A reader that
+closes stdout early cuts the output short, not the exit code.
 """
 
 from __future__ import annotations
@@ -49,6 +51,15 @@ from .verify import SUITE_NAMES, SweepConfig, run_suite
 #: ve <= 40, vb >= -50 and vb + vc <= 41 at most 17,835.
 MAX_WORK = 200_000
 
+#: The most histogram lookups a volumes sweep may make.  At precision N it
+#: makes about p**(2N) (2N + 1) N(N + 1)/2: each of the p**(2N) residue
+#: classes, roughly, is a center against 2N + 1 offsets and the N(N + 1)/2
+#: pairs of radii (533,628 against the estimate's 590,490 at p = 3, N = 4).
+#: At 2-3 µs a lookup (a 2-CPU host, Python 3.11) the bound is some 20-30 s;
+#: `-p 5 -N 3` needs 656,250, `-p 7 -N 3` 4,941,258, and `-p 5 -N 4` (35
+#: million) exits 2.
+MAX_VOLUME_WORK = 10_000_000
+
 #: The most decimal digits, exponent included, that an --at-q literal may
 #: stand for; a literal near this bound takes seconds to expand.  Checked
 #: before the literal is expanded.
@@ -73,16 +84,16 @@ def _parse_vda(text: str) -> int | float:
         raise ValueError(f"--vda must be an integer or 'inf', got {text!r}") from None
 
 
-def _check_work(args, terms: int, degree: int) -> None:
-    """Reject ``terms`` q-terms of degree <= ``degree`` above ``MAX_WORK``."""
+def _check_work(args, terms: int, degree: int, limit: int = MAX_WORK) -> None:
+    """Reject ``terms`` units of work (q-terms of degree <= ``degree``) above ``limit``."""
     q = getattr(args, "at_q", None)
     if q is not None and degree > 0:
         # Every caller has more than ``degree`` terms, so a degree above
         # MAX_WORK is refused anyway; the cap keeps the float finite.
         bits = min(degree, MAX_WORK) * max(q.numerator.bit_length(), q.denominator.bit_length())
         terms *= 1 + int((bits / 1024) ** math.log2(3))
-    if terms > MAX_WORK:
-        raise ValueError(f"the query needs about {terms} units of work, more than the limit of {MAX_WORK}")
+    if terms > limit:
+        raise ValueError(f"the query needs about {terms} units of work, more than the limit of {limit}")
 
 
 def _parse_params(args) -> OrbitalParams:
@@ -268,8 +279,17 @@ def cmd_kernel_matrix(args) -> int:
     return 0
 
 
+def _check_volume_work(args, config: SweepConfig) -> None:
+    """Refuse, before enumerating, a volumes sweep above ``MAX_VOLUME_WORK``
+    histogram lookups.  Past N = 16 the estimate stays at N = 16's, already
+    above the bound by a factor of 10**11 or more, so the power stays small."""
+    n = min(config.precision, 16)
+    _check_work(args, config.p ** (2 * n) * (2 * n + 1) * n * (n + 1) // 2, 0, MAX_VOLUME_WORK)
+
+
 def cmd_volumes(args) -> int:
     config = SweepConfig(p=args.p, precision=args.N)
+    _check_volume_work(args, config)
     (result,) = run_suite("volumes", config)
     return _report_results([result], args)
 
@@ -289,6 +309,8 @@ def cmd_verify(args) -> int:
         precision=args.precision,
         seed=args.seed,
     )
+    if args.suite in ("volumes", "all"):
+        _check_volume_work(args, config)
     return _report_results(run_suite(args.suite, config), args)
 
 

@@ -173,14 +173,9 @@ def geom_to_orbital(g: GeometricParams) -> PartialOrbitalParams:
 def verify_miracle(p: OrbitalParams) -> dict:
     """Check that GK at (p, ve) equals D(ve) + D(ve - 1) in normalised form.
 
-    Never raises on a mismatch; returns a report with both sides."""
+    Never raises on a mismatch; returns a report with both sides, raw."""
     if p.ve < 0:
         raise InvalidParamsError(f"verify_miracle is undefined in the vanishing regime, got ve = {p.ve}")
     lhs = gross_keating(gk_from_params(p))
     rhs = derivative_closed_form(p) + derivative_closed_form(p.with_ve(p.ve - 1))
-    return {
-        "params": p.label(),
-        "lhs": lhs.to_json(),
-        "rhs": rhs.to_json(),
-        "pass": lhs == rhs,
-    }
+    return {"params": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}

@@ -232,12 +232,12 @@ def large_r_vector(r: int) -> HeckeVector:
 
 def test_large_r_vanishing(p: OrbitalParams) -> dict:
     """Evaluate the 1,2,1 combination at ``p``; it must vanish for
-    r >= ve + 2, and is merely recorded otherwise."""
+    r >= ve + 2, and is merely recorded otherwise.  Reports raw values."""
     value = derivative_of_vector(p, large_r_vector(p.r))
     expected_zero = p.r >= p.ve + 2
     return {
-        "params": p.label(),
-        "value": value.to_json(),
+        "params": p,
+        "value": value,
         "expected_zero": expected_zero,
         "pass": (not expected_zero) or value.is_zero(),
     }
@@ -271,15 +271,15 @@ def phi_exceptional_window(p: OrbitalParams) -> tuple[int, int]:
 
 def test_phi_sequence(p: OrbitalParams, r: int) -> dict:
     """Evaluate the sequence combination at level r; it must vanish outside
-    the exceptional window, and is merely recorded inside it."""
+    the exceptional window, and is merely recorded inside it (raw values)."""
     value = derivative_of_vector(p, phi_sequence_vector(r))
     lo, hi = phi_exceptional_window(p)
     inside = lo <= r <= hi
     return {
-        "params": p.label(),
+        "params": p,
         "r": r,
         "window": [lo, hi],
-        "value": value.to_json(),
+        "value": value,
         "pass": inside or value.is_zero(),
         "inside_window": inside,
     }

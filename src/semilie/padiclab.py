@@ -51,9 +51,12 @@ def _int_val(a: int, p: int, precision: int) -> int:
     return v
 
 
-def _is_odd_prime(p: int) -> bool:
-    """Trial division by odd d <= sqrt(p)."""
-    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+def _check_ring_args(p: int, precision: int) -> None:
+    """Refuse p other than an odd prime (trial division) or precision < 1."""
+    if not (p >= 3 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
 
 
 def _smallest_nonresidue(p: int) -> int:
@@ -68,10 +71,7 @@ class QuadExtRing:
     """The integers of the unramified quadratic extension, mod p**precision."""
 
     def __init__(self, p: int = 3, precision: int = 4):
-        if not _is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if precision < 1:
-            raise ValueError(f"precision must be >= 1, got {precision}")
+        _check_ring_args(p, precision)
         self.p = p
         self.precision = precision
         self.modulus = p**precision

@@ -1,11 +1,12 @@
 """Identity-verification sweeps over parameter grids.
 
-Each suite checks one family of exact identities and returns a
-``SuiteResult`` carrying the number of checks performed and a JSON-ready
-record for every failure.  Every identity at every grid point is one check,
-made through ``SuiteResult.check(ok, **record)``, which counts it and, only
-if it fails, appends ``record`` with orbit parameters and exact values
-JSON-encoded.  Suites are deterministic (randomised ones take a seed) and
+Each suite, registered once by ``@_suite(name)``, checks one family of
+exact identities and returns a ``SuiteResult`` carrying the checks made,
+counted per named identity, and a JSON-ready record for every failure.
+Every identity at every grid point is one check, made through
+``SuiteResult.check(ok, identity, **record)``, which counts it and, only if
+it fails, appends ``record`` with orbit parameters and exact values encoded
+by ``_encode``.  Suites are deterministic (randomised ones take a seed) and
 order-independent.
 
 The default grid is r in [0, 6], vb + vc odd in {1, ..., 11} with
@@ -14,15 +15,16 @@ covers every case split of the closed forms (parity of the correction
 offset, parity of theta, and each branch attaining the degree bound).
 Identities that depend on (vb, vc) only through their sum are swept over the
 reduced grid with the canonical split vb = 0; the dependence reduction is
-itself one of the checked properties.
+itself one of the checked properties.  The default grid never reaches
+ve < 0, where both sides of every identity are 0.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .exactpoly import LaurentSeries, QPolynomial, at_s_zero
 from .intersection import (
@@ -46,11 +48,13 @@ from .orbital import (
     _support_sum_terms,
     derivative_closed_form,
     derivative_combo,
+    require_ints,
 )
 from .padiclab import (
     DiskCounter,
     QuadExtRing,
     _check_one_disk_args,
+    _check_ring_args,
     _check_two_disk_args,
     one_disk_points,
     quaternion_invariants,
@@ -75,7 +79,8 @@ _VB_MIN = -6
 
 @dataclass
 class SweepConfig:
-    """Parameter ranges for the identity sweeps."""
+    """Parameter ranges for the identity sweeps, validated when built: every
+    field an int, nonempty ranges, and p and precision a valid ring."""
 
     r_max: int = 6
     sum_bc_max: int = 11
@@ -88,6 +93,8 @@ class SweepConfig:
     seed: int = 20240501
 
     def __post_init__(self):
+        require_ints(**{f.name: getattr(self, f.name) for f in fields(self)})
+        _check_ring_args(self.p, self.precision)
         if self.r_max < 0 or self.ve_max < 0 or self.sum_bc_max < 1:
             raise ValueError("ranges must be nonempty")
         if self.rmax_satake < 0:
@@ -119,40 +126,78 @@ class SweepConfig:
 
 @dataclass
 class SuiteResult:
+    """One suite run.  ``identity_key`` is the failure-record key that names
+    the failed identity, first in the record; None leaves the name out."""
+
     name: str
     checked: int = 0
     failures: list = field(default_factory=list)
+    checks_by_identity: dict = field(default_factory=dict)
+    identity_key: str | None = "identity"
 
     @property
     def passed(self) -> bool:
         """No failures, and at least one check: a vacuous suite fails."""
         return self.checked > 0 and not self.failures
 
-    def check(self, ok: bool, **record) -> bool:
-        """Count one check; if it fails, append ``record`` as its report.
-        Orbit parameters and exact values are encoded only then."""
-        self.checked += 1
+    def count(self, identity: str, n: int = 1) -> None:
+        """Count ``n`` checks of ``identity``."""
+        self.checked += n
+        self.checks_by_identity[identity] = self.checks_by_identity.get(identity, 0) + n
+
+    def check(self, ok: bool, identity: str, /, **record) -> bool:
+        """Count one check of ``identity``; if it fails, record it."""
+        self.count(identity)
         if not ok:
-            self.failures.append({key: _encode(value) for key, value in record.items()})
+            self.record(identity, **record)
         return ok
+
+    def record(self, identity: str, /, **record) -> None:
+        """Append a failure of ``identity`` with ``record`` encoded: orbit
+        parameters and exact values are encoded only here."""
+        head = {self.identity_key: identity} if self.identity_key else {}
+        self.failures.append(head | {key: _encode(value) for key, value in record.items()})
 
     def to_json(self) -> dict:
         return {
             "suite": self.name,
             "checked": self.checked,
+            "checks_by_identity": self.checks_by_identity,
             "passed": self.passed,
             "failures": self.failures,
         }
 
 
 def _encode(value):
-    """A failure record's value in JSON form: orbit parameters by their
-    label, exact values by their ``to_json``; anything else as it is."""
+    """A failure record's value in JSON form: orbit parameters by their label,
+    exact values by ``to_json``, volumes as [num, den], anything else as is."""
     if isinstance(value, OrbitalParams):
         return value.label()
     if isinstance(value, (QPolynomial, LaurentSeries, SatakeY)):
         return value.to_json()
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
     return value
+
+
+_SUITES: dict[str, Callable[..., SuiteResult]] = {}
+
+
+def _suite(name: str, identity_key: str | None = "identity"):
+    """Register ``body(config, res)`` as ``suite(config=None) -> SuiteResult``,
+    which runs it on ``config`` (default: the default grid) and returns ``res``."""
+
+    def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
+        def suite(config: SweepConfig | None = None) -> SuiteResult:
+            res = SuiteResult(name, identity_key=identity_key)
+            body(config or SweepConfig(), res)
+            return res
+
+        suite.__name__, suite.__qualname__, suite.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        _SUITES[name] = suite
+        return suite
+
+    return register
 
 
 # --------------------------------------------------------------- orbital
@@ -166,7 +211,8 @@ def _first_sign_break(terms: dict[int, dict]) -> int | None:
     return None
 
 
-def suite_orbital(config: SweepConfig | None = None) -> SuiteResult:
+@_suite("orbital")
+def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     """Closed form == support-sum oracle, value 0 at s = 0, derivative
     consistency against the series derivative, coefficient sign pattern, and
     the reduction of the derivative to vb + vc; all over the full grid.
@@ -174,41 +220,34 @@ def suite_orbital(config: SweepConfig | None = None) -> SuiteResult:
     Both series are compared as the builders' canonical {k: {e: c}} maps,
     the forms the public ``orbital_closed_form`` and ``orbital_support_sum``
     wrap, so no tuple allocates a ``LaurentSeries``."""
-    config = config or SweepConfig()
-    res = SuiteResult("orbital")
     seen_derivative: dict[tuple, QPolynomial] = {}
     for p in config.full_tuples():
         terms = _closed_form_terms(p)
-        res.check(terms == _support_sum_terms(p), identity="closed_form == support_sum", params=p)
+        res.check(terms == _support_sum_terms(p), "closed_form == support_sum", params=p)
         value, log_deriv = at_s_zero(terms.items())
-        res.check(not value, identity="value at s=0 is 0", params=p)
+        res.check(not value, "value at s=0 is 0", params=p)
         deriv = derivative_closed_form(p)
         if (p.vc + p.r) % 2:
             log_deriv = -log_deriv
-        res.check(deriv == log_deriv, identity="derivative == signed series derivative", params=p)
+        res.check(deriv == log_deriv, "derivative == signed series derivative", params=p)
         k = _first_sign_break(terms)
-        res.check(k is None, identity="sign pattern (-1)^k", params=p, k=k)
+        res.check(k is None, "sign pattern (-1)^k", params=p, k=k)
         key = (p.r, p.vb + p.vc, p.ve, p.vda)
-        res.check(
-            seen_derivative.setdefault(key, deriv) == deriv, identity="derivative depends only on vb+vc",
-            params=p,
-        )
-    return res
+        res.check(seen_derivative.setdefault(key, deriv) == deriv, "derivative depends only on vb+vc", params=p)
 
 
 # ---------------------------------------------------------- intersection
 
-def suite_miracle(config: SweepConfig | None = None) -> SuiteResult:
+@_suite("miracle", identity_key=None)
+def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
     """Gross-Keating value == sum of normalised derivatives at ve and ve-1."""
-    config = config or SweepConfig()
-    res = SuiteResult("miracle")
     for p in config.reduced_tuples():
         report = verify_miracle(p)
-        res.check(report["pass"], **report)
-    return res
+        res.check(report["pass"], "gross_keating == D(ve) + D(ve-1)", **report)
 
 
-def suite_afl(config: SweepConfig | None = None) -> SuiteResult:
+@_suite("afl")
+def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
     """The rank-2 identity chain on the default grid:
 
       * total intersection number == normalised derivative (all r >= 0),
@@ -219,32 +258,22 @@ def suite_afl(config: SweepConfig | None = None) -> SuiteResult:
         the Gross-Keating difference (r >= 1, ve >= 1),
       * n1 + n2 == 2 ve + vb + vc + 2r.
     """
-    config = config or SweepConfig()
-    res = SuiteResult("afl")
     for p in config.reduced_tuples():
         total = int_total(p)
         deriv = derivative_closed_form(p)
-        res.check(total == deriv, identity="int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)
+        res.check(total == deriv, "int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)
         pair = gk_from_params(p)
-        res.check(
-            pair.n1 + pair.n2 == 2 * p.ve + p.vb + p.vc + 2 * p.r, identity="n1 + n2 == 2 ve + vb + vc + 2r",
-            params=p,
-        )
+        res.check(pair.n1 + pair.n2 == 2 * p.ve + p.vb + p.vc + 2 * p.r, "n1 + n2 == 2 ve + vb + vc + 2r", params=p)
         if p.r >= 1:
             lhs = total - int_total(p.with_r(p.r - 1))
             rhs = derivative_combo(p)
-            res.check(
-                lhs == rhs, identity="int_total(r) - int_total(r-1) == derivative_combo",
-                params=p, lhs=lhs, rhs=rhs,
-            )
+            res.check(lhs == rhs, "int_total(r) - int_total(r-1) == derivative_combo", params=p, lhs=lhs, rhs=rhs)
             if p.ve >= 1:
                 closed = int_circ_kr_closed(p)
                 diff = int_circ(p) - int_circ(p.with_r(p.r - 1))
                 res.check(
-                    closed == diff, identity="int_circ_kr_closed == int_circ(r) - int_circ(r-1)",
-                    params=p, lhs=closed, rhs=diff,
+                    closed == diff, "int_circ_kr_closed == int_circ(r) - int_circ(r-1)", params=p, lhs=closed, rhs=diff
                 )
-    return res
 
 
 # ---------------------------------------------------------------- kernel
@@ -256,17 +285,16 @@ KERNEL_RANK_GRID = {
 }
 
 
-def suite_kernel(config: SweepConfig | None = None) -> SuiteResult:
+@_suite("kernel")
+def suite_kernel(config: SweepConfig, res: SuiteResult) -> None:
     """Full-rank certificates over the rank grid, the large-r vanishing
     combination, and the almost-kernel sequence outside its window."""
-    config = config or SweepConfig()
-    res = SuiteResult("kernel")
     for s in KERNEL_RANK_GRID["sum_bc"]:
         for vda in KERNEL_RANK_GRID["vda"]:
             for n_cap in KERNEL_RANK_GRID["n_cap"]:
                 cert = certify_full_rank(build_matrix(s, vda, n_cap))
                 res.check(
-                    cert.passed, identity="full rank certificate",
+                    cert.passed, "full rank certificate",
                     params=cert.label(), rank=cert.rank, expected=cert.expected_rank, flags=cert.flags,
                 )
     for s in (1, 3, 5, 11):
@@ -275,20 +303,18 @@ def suite_kernel(config: SweepConfig | None = None) -> SuiteResult:
                 base = OrbitalParams(r=0, vb=0, vc=s, ve=ve, vda=vda)
                 for r in range(ve + 2, ve + 9):
                     report = test_large_r_vanishing(base.with_r(r))
-                    res.check(report["pass"], identity="large-r 1,2,1 vanishing", **report)
+                    res.check(report["pass"], "large-r 1,2,1 vanishing", **report)
                 for r in range(5, ve + 9):
                     report = test_phi_sequence(base, r)
-                    res.check(report["pass"], identity="sequence vanishing outside window", **report)
-    return res
+                    res.check(report["pass"], "sequence vanishing outside window", **report)
 
 
 # ---------------------------------------------------------------- satake
 
-def suite_satake(config: SweepConfig | None = None) -> SuiteResult:
+@_suite("satake")
+def suite_satake(config: SweepConfig, res: SuiteResult) -> None:
     """Base-change identities for ranks 3 and 2, for r = 0..rmax."""
-    config = config or SweepConfig()
     rmax = config.rmax_satake
-    res = SuiteResult("satake")
     images = bc_s3_table(rmax)
     two = QPolynomial.q_power(2)
     for r in range(rmax + 1):
@@ -297,13 +323,13 @@ def suite_satake(config: SweepConfig | None = None) -> SuiteResult:
         agg = SatakeY()
         for j in range(r + 1):
             agg = agg + images[j].scale(bc_s3_weight(r, j))
-        res.check(agg == satake_u3_indicator(r), identity="rank-3 aggregate base change", r=r)
+        res.check(agg == satake_u3_indicator(r), "rank-3 aggregate base change", r=r)
         # Second identity: single-cell combination gives the indicator difference.
         lhs = images[r]
         for j in range(r):
             lhs = lhs + images[j].scale(QPolynomial.q_power(r - j, 2))
         rhs = satake_u3_indicator(r) - satake_u3_indicator(r - 1)
-        res.check(lhs == rhs, identity="rank-3 single-cell base change", r=r)
+        res.check(lhs == rhs, "rank-3 single-cell base change", r=r)
         # Determinant-indicator route: BC(Sat(f_r)) - q^2 BC(Sat(f_{r-1}))
         # equals q^(2r) (Y^r + Y^(r-2) + ... + Y^-r).
         bc_r = bc_gl3_to_u3(satake_gl_det(3, r))
@@ -311,7 +337,7 @@ def suite_satake(config: SweepConfig | None = None) -> SuiteResult:
         expected = SatakeY(
             {i: QPolynomial.q_power(2 * r) for i in range(r % 2, r + 1, 2)}
         )
-        res.check(diff == expected, identity="rank-3 determinant-route base change", r=r)
+        res.check(diff == expected, "rank-3 determinant-route base change", r=r)
         # Fiber integration consistency.
         proj_r = proj_fiber_gl3(r)
         if r >= 1:
@@ -321,12 +347,12 @@ def suite_satake(config: SweepConfig | None = None) -> SuiteResult:
                 == QPolynomial.geometric(r - j)
                 for j in range(r + 1)
             )
-            res.check(ok, identity="fiber projection difference", r=r)
+            res.check(ok, "fiber projection difference", r=r)
         # Rank 2: the basis formula against the combination images, and the
         # three-term recombination of the vanishing polynomials.
         combo = bc_s2_combo_image(r)
         basis_sum = bc_s2_on_basis(r) + (bc_s2_on_basis(r - 1) if r >= 1 else SatakeY())
-        res.check(combo == basis_sum, identity="rank-2 combination == sum of basis images", r=r)
+        res.check(combo == basis_sum, "rank-2 combination == sum of basis images", r=r)
         # The clean three-term shape needs every window nonempty, i.e. r >= 3.
         if r >= 3:
             three_term = p_r_polynomial(r) - p_r_polynomial(r - 1).scale(QPolynomial.q_power(1))
@@ -337,13 +363,13 @@ def suite_satake(config: SweepConfig | None = None) -> SuiteResult:
                     r - 2: QPolynomial.q_power(r - 2),
                 }
             )
-            res.check(three_term == expected3, identity="three-term vanishing polynomial shape", r=r)
-    return res
+            res.check(three_term == expected3, "three-term vanishing polynomial shape", r=r)
 
 
 # ---------------------------------------------------------------- volumes
 
-def suite_volumes(config: SweepConfig | None = None) -> SuiteResult:
+@_suite("volumes", identity_key="lemma")
+def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     """Enumerated disk volumes against the closed forms.
 
     One-disk: every unit center, every admissible (rho, n) within precision.
@@ -358,24 +384,10 @@ def suite_volumes(config: SweepConfig | None = None) -> SuiteResult:
     histogram is checked by one slice compare; only a mismatch walks the n
     range to record each failing n in order.
     """
-    config = config or SweepConfig()
     ring = QuadExtRing(p=config.p, precision=config.precision)
     counter = DiskCounter(ring)
-    res = SuiteResult("volumes")
     prec = ring.precision
     classes = ring.p ** (2 * prec)
-
-    def fail(lemma: str, params: dict, got: int, want: int) -> None:
-        got_v, want_v = Fraction(got, classes), Fraction(want, classes)
-        res.failures.append(
-            {
-                "lemma": lemma,
-                "params": params,
-                "enumerated": [got_v.numerator, got_v.denominator],
-                "formula": [want_v.numerator, want_v.denominator],
-                "match": False,
-            }
-        )
 
     # A disk's n range runs from the lemmas' lower bound max(rho, 1) to
     # precision - 1, so one argument check at its top n covers every n in it.
@@ -386,6 +398,7 @@ def suite_volumes(config: SweepConfig | None = None) -> SuiteResult:
     disks = [(rho, range(max(rho, 1), prec)) for rho in range(prec) if max(rho, 1) < prec]
     wants = [[tuple(one_disk_points(ring, gap, rho, n) for n in ns) for rho, ns in disks] for gap in range(prec + 1)]
     zeros = [(0,) * len(ns) for _, ns in disks]
+    one_disk = two_disk = 0
     for xi in ring.units():
         want_at = wants[ring.val_int(1 - ring.norm(xi))]
         for rho, ns in disks:
@@ -395,10 +408,12 @@ def suite_volumes(config: SweepConfig | None = None) -> SuiteResult:
             if hist[ns.start:prec] != want:
                 for n, w in zip(ns, want):
                     if hist[n] != w:
-                        fail("one_disk", {"xi": xi, "rho": rho, "n": n}, hist[n], w)
+                        res.record("one_disk", params={"xi": xi, "rho": rho, "n": n},
+                                   enumerated=Fraction(hist[n], classes), formula=Fraction(w, classes), match=False)
             # Counted per histogram and compared as one slice, not by check():
             # a record per n made the suite about 1.5x slower.
-            res.checked += len(ns)
+            one_disk += len(ns)
+    res.count("one_disk", one_disk)
     # Offsets delta = xi1 - xi2 with v(delta) = 0, 1, ..., >= precision.
     offsets = [(0, 0)]
     for v in range(prec):
@@ -420,17 +435,17 @@ def suite_volumes(config: SweepConfig | None = None) -> SuiteResult:
                         for n, w in zip(ns, want):
                             if hist[n] != w:
                                 params = {"xi1": xi1, "xi2": xi2, "rho1": rho1, "rho2": rho2, "n": n}
-                                fail("two_disk", params, hist[n], w)
-                    res.checked += len(ns)
-    return res
+                                res.record("two_disk", params=params, enumerated=Fraction(hist[n], classes),
+                                           formula=Fraction(w, classes), match=False)
+                    two_disk += len(ns)
+    res.count("two_disk", two_disk)
 
 
-def suite_quaternion(config: SweepConfig | None = None) -> SuiteResult:
+@_suite("quaternion")
+def suite_quaternion(config: SweepConfig, res: SuiteResult) -> None:
     """Invariant identities for randomized admissible unitary data."""
-    config = config or SweepConfig()
     ring = QuadExtRing(p=config.p, precision=config.precision)
     rng = random.Random(config.seed)
-    res = SuiteResult("quaternion")
     for i in range(config.quaternion_samples):
         lam, alpha, beta = sample_admissible(ring, rng)
         if i % 2:
@@ -439,33 +454,17 @@ def suite_quaternion(config: SweepConfig | None = None) -> SuiteResult:
             s, t = ring.random_unit(rng), ring.zero()
         report = quaternion_invariants(ring, lam, alpha, beta, s, t)
         res.check(
-            report["pass"], identity="quaternion invariants",
-            lam=lam, alpha=alpha, beta=beta, s=s, t=t, checks=report["checks"],
+            report["pass"], "quaternion invariants", lam=lam, alpha=alpha, beta=beta, s=s, t=t, checks=report["checks"]
         )
-    return res
 
 
-_SUITE_RUNNERS = {
-    "orbital": suite_orbital,
-    "miracle": suite_miracle,
-    "afl": suite_afl,
-    "kernel": suite_kernel,
-    "satake": suite_satake,
-    "volumes": suite_volumes,
-    "quaternion": suite_quaternion,
-}
-SUITE_NAMES = tuple(_SUITE_RUNNERS)
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, config: SweepConfig | None = None) -> list[SuiteResult]:
     """Run one named suite, or all of them; 'intersection' is an alias that
     runs the miracle and afl suites together."""
-    if name == "all":
-        names = SUITE_NAMES
-    elif name == "intersection":
-        names = ["miracle", "afl"]
-    elif name in _SUITE_RUNNERS:
-        names = [name]
-    else:
+    names = {"all": SUITE_NAMES, "intersection": ("miracle", "afl")}.get(name, (name,))
+    if names[0] not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}, all")
-    return [_SUITE_RUNNERS[n](config) for n in names]
+    return [_SUITES[n](config) for n in names]

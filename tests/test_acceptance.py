@@ -36,6 +36,40 @@ from semilie.verify import (
 )
 
 
+# The default grid's check count per identity, for each suite.
+CHECKS_BY_IDENTITY = {
+    "orbital": dict.fromkeys(
+        [
+            "closed_form == support_sum", "value at s=0 is 0", "derivative == signed series derivative",
+            "sign pattern (-1)^k", "derivative depends only on vb+vc",
+        ],
+        48_048,
+    ),
+    "miracle": {"gross_keating == D(ve) + D(ve-1)": 3_696},
+    "afl": {
+        "int_total == derivative_closed_form": 3_696,
+        "n1 + n2 == 2 ve + vb + vc + 2r": 3_696,
+        "int_total(r) - int_total(r-1) == derivative_combo": 3_168,
+        "int_circ_kr_closed == int_circ(r) - int_circ(r-1)": 2_880,
+    },
+    "kernel": {"full rank certificate": 96, "large-r 1,2,1 vanishing": 504, "sequence vanishing outside window": 648},
+    "satake": {
+        "rank-3 aggregate base change": 9,
+        "rank-3 single-cell base change": 9,
+        "rank-3 determinant-route base change": 9,
+        "rank-2 combination == sum of basis images": 9,
+        "fiber projection difference": 8,
+        "three-term vanishing polynomial shape": 6,
+    },
+    "volumes": {"one_disk": 52_488, "two_disk": 969_570},
+    "quaternion": {"quaternion invariants": 120},
+}
+
+
+def counts_pinned(result) -> bool:
+    return result.checks_by_identity == CHECKS_BY_IDENTITY[result.name]
+
+
 def report(num: int, description: str, ok: bool, elapsed: float, extra: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     tail = f" {extra}" if extra else ""
@@ -146,7 +180,7 @@ def test_criterion_2_orbital_tables():
 def test_criterion_3_oracle_equivalence(orbital_sweep):
     result, elapsed = orbital_sweep
     oracle_failures = [f for f in result.failures if "support_sum" in f["identity"]]
-    ok = not oracle_failures and elapsed < 30.0
+    ok = not oracle_failures and elapsed < 30.0 and counts_pinned(result)
     report(
         3,
         "closed form == support-sum oracle on the full default grid",
@@ -160,7 +194,7 @@ def test_criterion_4_gk_derivative_identity():
     t0 = time.time()
     result = suite_miracle(SweepConfig())
     elapsed = time.time() - t0
-    ok = result.passed and elapsed < 10.0
+    ok = result.passed and elapsed < 10.0 and counts_pinned(result)
     report(4, "Gross-Keating == sum of two consecutive normalised derivatives", ok, elapsed)
 
 
@@ -174,7 +208,7 @@ def test_criterion_5_afl_identity():
     result = suite_afl(SweepConfig())
     elapsed = time.time() - t0
     failures = [f for f in result.failures if "derivative_combo" in f.get("identity", "")]
-    ok = result.passed and not failures
+    ok = result.passed and not failures and counts_pinned(result)
     report(5, "level difference of total intersection numbers == combo derivative", ok, elapsed)
 
 
@@ -211,14 +245,14 @@ def test_criterion_7_kernel_matrices():
 def test_criterion_8_vanishing_suites():
     t0 = time.time()
     result = suite_kernel(SweepConfig())
-    ok = result.passed
+    ok = result.passed and counts_pinned(result)
     report(8, "large-level vanishing and almost-kernel sequence outside window", ok, time.time() - t0)
 
 
 def test_criterion_9_base_change():
     t0 = time.time()
     result = suite_satake(SweepConfig(rmax_satake=8))
-    ok = result.passed
+    ok = result.passed and counts_pinned(result)
     report(9, "rank-3 and rank-2 base-change identities for levels 0..8", ok, time.time() - t0)
 
 
@@ -226,7 +260,7 @@ def test_criterion_10_volume_enumeration():
     t0 = time.time()
     result = suite_volumes(SweepConfig(p=3, precision=4))
     elapsed = time.time() - t0
-    ok = result.passed and elapsed < 60.0
+    ok = result.passed and elapsed < 60.0 and counts_pinned(result)
     report(
         10,
         "disk-volume enumeration matches closed forms at p=3, precision 4",
@@ -242,7 +276,7 @@ def test_criterion_11_property_suite(orbital_sweep):
     vanish_failures = [f for f in result.failures if "s=0" in f["identity"]]
     deriv_failures = [f for f in result.failures if "signed series" in f["identity"]]
     quat = suite_quaternion(SweepConfig(quaternion_samples=120))
-    ok = not vanish_failures and not deriv_failures and quat.passed and quat.checked >= 100
+    ok = not vanish_failures and not deriv_failures and quat.passed and quat.checked >= 100 and counts_pinned(quat)
     report(
         11,
         "s=0 vanishing + derivative consistency on full grid; quaternion invariants",

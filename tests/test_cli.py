@@ -88,6 +88,11 @@ def test_invalid_params_exit_2(capsys):
         "kernel-matrix --sum-bc 1 --vda -1 -N 2",
         "gk --n1 2 --n2 3 --at-q 1e4400",
         "gk --n1 40 --n2 41 --at-q 1e300",
+        "verify orbital -p 4",
+        "verify miracle -p 9",
+        "verify satake -N 0",
+        "volumes -p 11 -N 3",
+        "verify volumes -p 11 -N 3",
     ],
 )
 def test_parameter_error_exit_2(capsys, argv):
@@ -118,6 +123,19 @@ def test_suite_reports_json(capsys, argv, expected, exit_code):
     reports = json.loads(line)
     assert [(r["suite"], r["checked"], r["passed"]) for r in reports] == expected
     assert all(r["failures"] == [] for r in reports)
+
+
+@pytest.mark.parametrize("argv", ["verify all -p 5 -N 4", "volumes -p 3 -N 100000 --json"])
+def test_volume_work_refused_before_enumerating(capsys, monkeypatch, argv):
+    monkeypatch.setattr(verify, "DiskCounter", lambda ring: pytest.fail("enumerated"))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the query needs about ") and err.endswith(f"more than the limit of {cli.MAX_VOLUME_WORK}\n")
+
+
+@pytest.mark.parametrize("p, precision", [(3, 4), (5, 3), (7, 3)])
+def test_volume_work_admits_the_default_and_smoke_grids(p, precision):
+    cli._check_volume_work(None, verify.SweepConfig(p=p, precision=precision))
 
 
 def test_verify_zero_checks_fails(capsys):

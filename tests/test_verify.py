@@ -8,6 +8,7 @@ import pytest
 
 from semilie import INFINITY, LaurentSeries, QPolynomial, SatakeY, SweepConfig, run_suite
 from semilie import orbital, satake, verify
+from semilie.orbital import InvalidParamsError
 from semilie.padiclab import DiskCounter, QuadExtRing
 from semilie.verify import suite_miracle, suite_orbital, suite_quaternion
 
@@ -48,6 +49,48 @@ def test_run_suite_aliases():
 def test_empty_ranges_rejected():
     with pytest.raises(ValueError):
         SweepConfig(r_max=-1)
+
+
+@pytest.mark.parametrize("value", [True, 1.5], ids=["bool", "float"])
+def test_config_fields_must_be_ints(value):
+    """Refused when built, not partway through a sweep."""
+    with pytest.raises(InvalidParamsError, match=f"r_max must be an int, got {value}"):
+        SweepConfig(r_max=value)
+
+
+IDENTITIES = {
+    "orbital": {
+        "closed_form == support_sum", "value at s=0 is 0", "derivative == signed series derivative",
+        "sign pattern (-1)^k", "derivative depends only on vb+vc",
+    },
+    "miracle": {"gross_keating == D(ve) + D(ve-1)"},
+    "afl": {
+        "int_total == derivative_closed_form", "n1 + n2 == 2 ve + vb + vc + 2r",
+        "int_total(r) - int_total(r-1) == derivative_combo", "int_circ_kr_closed == int_circ(r) - int_circ(r-1)",
+    },
+    "kernel": {"full rank certificate", "large-r 1,2,1 vanishing", "sequence vanishing outside window"},
+    "satake": {
+        "rank-3 aggregate base change", "rank-3 single-cell base change", "rank-3 determinant-route base change",
+        "fiber projection difference", "rank-2 combination == sum of basis images",
+        "three-term vanishing polynomial shape",
+    },
+    "volumes": {"one_disk", "two_disk"},
+    "quaternion": {"quaternion invariants"},
+}
+
+
+@pytest.mark.parametrize("suite", list(IDENTITIES))
+def test_checks_by_identity(suite):
+    (result,) = run_suite(suite, SMALL)
+    counts = result.checks_by_identity
+    assert sum(counts.values()) == result.checked
+    assert all(counts.values())
+    assert set(counts) == IDENTITIES[suite]
+    assert result.to_json()["checks_by_identity"] == counts
+
+
+def test_suite_names_come_from_the_registry():
+    assert verify.SUITE_NAMES == tuple(IDENTITIES)
 
 
 def term_maps(series):
