@@ -7,10 +7,11 @@ q numerically (exact rational arithmetic either way).
 
 Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
 2 on usage or parameter errors.  An orbit, gk, bc or kernel-matrix query
-whose estimated work is above ``MAX_WORK`` is a parameter error, and so is
+whose estimated work is above ``MAX_WORK`` is a parameter error, and so are
 a volumes sweep (``volumes``, ``verify volumes`` or ``verify all``) whose
-estimated histogram lookups are above ``MAX_VOLUME_WORK``.  A reader that
-closes stdout early cuts the output short, not the exit code.
+estimated histogram lookups are above ``MAX_VOLUME_WORK`` and a ``verify``
+run of the orbit-grid or Satake suites estimated above ``MAX_GRID_WORK``.
+A reader that closes stdout early cuts the output short, not the exit code.
 """
 
 from __future__ import annotations
@@ -59,6 +60,19 @@ MAX_WORK = 200_000
 #: `-p 5 -N 3` needs 656,250, `-p 7 -N 3` 4,941,258, and `-p 5 -N 4` (35
 #: million) exits 2.
 MAX_VOLUME_WORK = 10_000_000
+
+#: The most work a sweep of the orbit grids may ask for.  The suites that
+#: read the orbit grid (orbital, miracle, afl, kernel) are charged the
+#: support-lattice points of the full grid, the orbital oracle's work and
+#: more than the others make: each tuple at the most points any tuple has,
+#: (ve + 1)(2 ve + 2 s + 2 r + 1) at the grid's top corner (see
+#: ``orbital.row_width``).  ``satake`` is charged (rmax_satake + 1)**4, its
+#: growth.  The default grid is charged 29,069,040 units for the 4,254,992
+#: lattice points it holds, and its orbital suite takes about 4 s on a
+#: 2-CPU host with Python 3.11; ``--rmax 8 --ve-max 13 --sum-bc-max 13``
+#: is charged 95,425,344, while ``--rmax 40 --ve-max 40 --sum-bc-max 41``
+#: (8 * 10**10) and ``verify satake --rmax 150`` (5 * 10**8) exit 2.
+MAX_GRID_WORK = 400_000_000
 
 #: The most decimal digits, exponent included, that an --at-q literal may
 #: stand for; a literal near this bound takes seconds to expand.  Checked
@@ -287,6 +301,18 @@ def _check_volume_work(args, config: SweepConfig) -> None:
     _check_work(args, config.p ** (2 * n) * (2 * n + 1) * n * (n + 1) // 2, 0, MAX_VOLUME_WORK)
 
 
+def _check_grid_work(args, config: SweepConfig) -> None:
+    """Refuse, before any suite runs, orbit-grid sweeps above
+    ``MAX_GRID_WORK`` units of work."""
+    work = 0
+    if args.suite in ("orbital", "miracle", "afl", "kernel", "intersection", "all"):
+        r, s, ve = config.r_max, config.sum_bc_max, config.ve_max
+        work += config.full_tuple_count() * (ve + 1) * (2 * ve + 2 * s + 2 * r + 1)
+    if args.suite in ("satake", "all"):
+        work += (config.rmax_satake + 1) ** 4
+    _check_work(args, work, 0, MAX_GRID_WORK)
+
+
 def cmd_volumes(args) -> int:
     config = SweepConfig(p=args.p, precision=args.N)
     _check_volume_work(args, config)
@@ -311,6 +337,7 @@ def cmd_verify(args) -> int:
     )
     if args.suite in ("volumes", "all"):
         _check_volume_work(args, config)
+    _check_grid_work(args, config)
     return _report_results(run_suite(args.suite, config), args)
 
 

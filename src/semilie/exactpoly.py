@@ -347,6 +347,33 @@ class KeyedModule(_SparseMap):
         return f"{type(self).__name__}({ {k: str(c) for k, c in self.sorted_items()} })"
 
 
+def unpack(x: int, width: int) -> dict[int, int]:
+    """The canonical {e: c} map of the q-polynomial packed in ``x``.
+
+    A polynomial sum of c_e q**e with e >= 0 and int coefficients
+    |c_e| < 2**(width - 1) packs to its value at q = 2**width, the int
+    sum of c_e 2**(width e) (Kronecker substitution).  Read in base
+    2**width with balanced digits, those in (-2**(width - 1), 2**(width - 1)),
+    each such int has exactly one expansion, so the digits read back lowest
+    first are the coefficients, and two such ints are equal exactly when
+    their polynomials are.  Sums and int multiples of packed polynomials are
+    the packed sums and multiples, as long as every coefficient of the
+    result stays in the digit range too.
+    """
+    out = {}
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    e = 0
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= full
+        if d:
+            out[e] = d
+        x = (x - d) >> width
+        e += 1
+    return out
+
+
 def at_s_zero(terms: Iterable[tuple[int, Mapping[int, Scalar]]]) -> tuple[QPolynomial, QPolynomial]:
     """Value and log-derivative at s = 0 of the series sum of c q**e T**k
     over the ``(k, {e: c})`` pairs, in one pass.
@@ -409,10 +436,20 @@ class LaurentSeries(KeyedModule):
         return ((k, p._terms) for k, p in self._terms.items())
 
     @classmethod
-    def _from_term_maps(cls, terms: dict[int, dict[int, Scalar]]) -> "LaurentSeries":
-        """Adopt a canonical {k: {e: c}} map (no empty inner map, no zero
-        coefficient) without copying, as ``_raw`` does."""
-        return cls._raw({k: QPolynomial._raw(c) for k, c in terms.items()})
+    def _from_rows(cls, rows: Mapping[int, int], width: int) -> "LaurentSeries":
+        """The series whose T**k coefficient is the q-polynomial packed in
+        ``rows[k]`` at ``width`` bits per digit (see ``unpack``); a zero row
+        is a zero coefficient.  Equal rows, common in the orbital series,
+        are unpacked once and share one (immutable) coefficient."""
+        polys: dict[int, QPolynomial] = {}
+        terms = {}
+        for k, x in rows.items():
+            if x:
+                poly = polys.get(x)
+                if poly is None:
+                    poly = polys[x] = QPolynomial._raw(unpack(x, width))
+                terms[k] = poly
+        return cls._raw(terms)
 
     # ------------------------------------------------------------ comparison
     # perfbench/tracing.py wraps __eq__ through LaurentSeries.__dict__, so it

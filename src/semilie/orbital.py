@@ -25,6 +25,15 @@ derivative" D additionally carries the sign (-1)**(vc + r):
 ``derivative_closed_form`` and ``derivative_combo`` return D;
 ``derivative_of_vector`` resolves the signs internally and returns the plain
 (1/log q)-normalised derivative of a linear combination of basis functions.
+
+Packed rows.  The two series builders, the closed form and the support-sum
+oracle, return one int per power of T: the q-polynomial coefficient of T**k
+evaluated at q = 2**B (``exactpoly.unpack`` reads it back).  The width B
+comes from the tuple (``row_width``), large enough that equal ints are
+equal polynomials and that sums of rows stay exact.  The public
+``orbital_closed_form`` and ``orbital_support_sum`` unpack those rows into a
+``LaurentSeries``; the orbital sweep in ``verify`` works on the rows
+themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactpoly import KeyedModule, LaurentSeries, QPolynomial, Scalar
+from .exactpoly import KeyedModule, LaurentSeries, QPolynomial
 
 #: Sentinel for an unbounded v(d - a).  Compares larger than every int.
 INFINITY = math.inf
@@ -111,39 +120,73 @@ def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
     when vda < ve - r and vb + vc > 2 vda, a plateau correction
     (-1)**k c(k) q**(vda + r) over k in [2 vda - vb + r, 2 ve + vc - 2 vda - r].
     """
-    return LaurentSeries._from_term_maps(_closed_form_terms(p))
+    width = row_width(p)
+    return LaurentSeries._from_rows(_closed_form_rows(p, width), width)
 
 
-def _closed_form_terms(p: OrbitalParams) -> dict[int, dict[int, Scalar]]:
-    """``orbital_closed_form`` as a canonical {k: {e: c}} map."""
+def row_width(p: OrbitalParams) -> int:
+    """Bits per q-digit B at which the T-power rows of ``p``'s series pack.
+
+    Each row of the two builders below is a q-polynomial with exponents in
+    [0, n_bound] (``n_bound`` <= ve) and int coefficients, packed as its
+    value at q = 2**B (see ``exactpoly.unpack``).  Every coefficient of the
+    rows, of their sum (the value at s = 0) and of their k-weighted sum (the
+    log-derivative) must be below 2**(B - 1) in absolute value.  Each
+    support-lattice point adds +-1 to one coefficient, so an oracle
+    coefficient is at most the number of points P <= (ve + 1)(2 ve + 2 s +
+    2 r + 1), s = vb + vc: per n2 the first block has theta + 2r + 1 <=
+    s + 2r + 1 points and the two extra blocks at most ve + s and ve.  A
+    closed-form coefficient, and any coefficient of the sum of its rows, is
+    at most the total coefficient mass M <= (2 ve + s + 2 r + 1)(n_bound +
+    1 + plateau height).  Both series live on k in [-(vb + r), 2 ve + vc + r],
+    so a k-weighted coefficient is at most K = max |k| times that, and
+    B = bits(max(P, M) * K) + 1 bounds all of them.  Zero rows (ve < 0) pack
+    at any width.
+    """
+    if p.ve < 0:
+        return 2
+    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
+    s = vb + vc
+    points = (ve + 1) * (2 * ve + 2 * s + 2 * r + 1)
+    plateau = ve - vda - r if vda < ve - r and s > 2 * vda else 0
+    mass = (2 * ve + s + 2 * r + 1) * (p.n_bound() + 1 + plateau)
+    k_max = max(abs(vb + r), abs(2 * ve + vc + r), 1)
+    return (max(points, mass) * k_max).bit_length() + 1
+
+
+def _closed_form_rows(p: OrbitalParams, width: int) -> dict[int, int]:
+    """``orbital_closed_form`` as packed rows {k: row}, ``width`` >=
+    ``row_width(p)``: with X = 2**width, row k is (-1)**k (1 + X + ... +
+    X**n(k)) plus the plateau monomial (-1)**k c(k) X**(vda + r), of the same
+    sign, so no row is 0.  Rows run over increasing k."""
     if p.ve < 0:
         return {}
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     cap = p.n_bound()
     lo = -(vb + r)
     hi = 2 * ve + vc + r
-    terms: dict[int, dict[int, Scalar]] = {}
+    geometric = [1]  # geometric[n] = 1 + X + ... + X**n
+    for n in range(1, cap + 1):
+        geometric.append(geometric[-1] | 1 << width * n)
+    rows = {}
     for k in range(lo, hi + 1):
-        n_k = min((k - lo) // 2, (hi - k) // 2, cap)
-        sign = -1 if k % 2 else 1
-        terms[k] = dict.fromkeys(range(n_k + 1), sign)
+        # n(k) = min((k - lo) // 2, (hi - k) // 2, cap), without calling min
+        n, n_hi = (k - lo) >> 1, (hi - k) >> 1
+        if n_hi < n:
+            n = n_hi
+        if cap < n:
+            n = cap
+        g = geometric[n]
+        rows[k] = -g if k & 1 else g
     if vda < ve - r and vb + vc > 2 * vda:
         c_lo = 2 * vda - vb + r
         c_hi = 2 * ve + vc - 2 * vda - r
         plateau = ve - vda - r
-        e = vda + r
+        x = 1 << width * (vda + r)
         for k in range(c_lo, c_hi + 1):
-            c_k = min(k - c_lo, c_hi - k, plateau)
-            if not c_k:
-                continue
-            sign = -1 if k % 2 else 1
-            coeff = terms.setdefault(k, {})
-            s = coeff.get(e, 0) + sign * c_k
-            if s:
-                coeff[e] = s
-            elif e in coeff:
-                del coeff[e]
-    return {k: c for k, c in terms.items() if c}
+            c_k = min(k - c_lo, c_hi - k, plateau) * x
+            rows[k] += -c_k if k & 1 else c_k
+    return rows
 
 
 def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
@@ -162,42 +205,38 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
     nothing.  This is the oracle that ``orbital_closed_form`` is checked
     against, term by term.
     """
-    return LaurentSeries._from_term_maps(_support_sum_terms(p))
+    width = row_width(p)
+    return LaurentSeries._from_rows(_support_sum_rows(p, width), width)
 
 
-def _support_sum_terms(p: OrbitalParams) -> dict[int, dict[int, Scalar]]:
-    """``orbital_support_sum`` as a canonical {k: {e: c}} map."""
-    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
+def _support_sum_rows(p: OrbitalParams, width: int) -> dict[int, int]:
+    """``orbital_support_sum`` as packed rows {k: row}, ``width`` >=
+    ``row_width(p)``, zero rows dropped.  Every lattice point adds its own
+    +-X**e, X = 2**width, to row k: only the accumulator is packed."""
+    r, vb, vc, ve = p.r, p.vb, p.vc, p.ve
     th = p.theta()
     base = vc + r
-    acc: dict[int, dict[int, Scalar]] = {}
+    power = [1 << width * e for e in range(ve + 1)]  # power[e] = X**e
+    rows: dict[int, int] = {}
+    get = rows.get
     for n2 in range(ve + 1):
         k0 = 2 * n2 + base
+        split, x_top = 2 * n2, power[n2]
         for m in range(th + 2 * r + 1):
             k = k0 - m
-            coeff = acc.setdefault(k, {})
-            e = min(n2, m // 2)
-            s = coeff.get(e, 0) + (-1 if k % 2 else 1)
-            if s:
-                coeff[e] = s
-            else:
-                del coeff[e]
+            x = power[m >> 1] if m < split else x_top  # X**min(n2, m // 2)
+            rows[k] = get(k, 0) - x if k & 1 else get(k, 0) + x
     if th % 2 == 0:
         half = th // 2
         m_lo = th + 2 * r + 1
         for n2 in range(ve + 1):
             k0 = 2 * n2 + base
-            e = min(n2, half + r)
+            x = power[min(n2, half + r)]
             for m_hi in (max(r, n2 - half) + vb + vc + r, n2 + half + r):
                 for m in range(m_lo, m_hi + 1):
                     k = k0 - m
-                    coeff = acc.setdefault(k, {})
-                    s = coeff.get(e, 0) + (-1 if k % 2 else 1)
-                    if s:
-                        coeff[e] = s
-                    else:
-                        del coeff[e]
-    return {k: c for k, c in acc.items() if c}
+                    rows[k] = get(k, 0) - x if k & 1 else get(k, 0) + x
+    return {k: x for k, x in rows.items() if x}
 
 
 def derivative_closed_form(p: OrbitalParams) -> QPolynomial:

@@ -27,7 +27,6 @@ nothing.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -51,18 +50,55 @@ def _int_val(a: int, p: int, precision: int) -> int:
     return v
 
 
+#: Miller-Rabin to the bases ``_PRIME_BASES``, the primes up to 41, decides
+#: primality exactly for every n below this bound (Sorenson and Webster,
+#: "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < ``PRIME_TEST_BOUND``."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_ring_args(p: int, precision: int) -> None:
-    """Refuse p other than an odd prime (trial division) or precision < 1."""
-    if not (p >= 3 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))):
+    """Refuse p other than an odd prime below ``PRIME_TEST_BOUND``, or
+    precision < 1."""
+    if p < 3 or not p & 1:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"p must be below {PRIME_TEST_BOUND}, where the primality test is exact, got {p}")
+    if not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
 
 
 def _smallest_nonresidue(p: int) -> int:
-    residues = {pow(x, 2, p) for x in range(1, p)}
+    """The least quadratic non-residue mod the odd prime p, by Euler's
+    criterion: a is a non-residue exactly when a**((p - 1)/2) = -1 mod p."""
     for candidate in range(2, p):
-        if candidate not in residues:
+        if pow(candidate, (p - 1) // 2, p) == p - 1:
             return candidate
     raise ValueError(f"no quadratic non-residue mod {p}")
 

@@ -16,17 +16,20 @@ offset, parity of theta, and each branch attaining the degree bound).
 Identities that depend on (vb, vc) only through their sum are swept over the
 reduced grid with the canonical split vb = 0; the dependence reduction is
 itself one of the checked properties.  The default grid never reaches
-ve < 0, where both sides of every identity are 0.
+ve < 0, where both sides of every identity are 0.  The orbital suite checks
+the series builders' packed rows, one int per power of T (see ``orbital``),
+without building a ``LaurentSeries``.
 """
 
 from __future__ import annotations
 
 import random
+from operator import mul
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exactpoly import LaurentSeries, QPolynomial, at_s_zero
+from .exactpoly import LaurentSeries, QPolynomial, unpack
 from .intersection import (
     gk_from_params,
     gross_keating,
@@ -44,11 +47,12 @@ from .kernel import (
 from .orbital import (
     INFINITY,
     OrbitalParams,
-    _closed_form_terms,
-    _support_sum_terms,
+    _closed_form_rows,
+    _support_sum_rows,
     derivative_closed_form,
     derivative_combo,
     require_ints,
+    row_width,
 )
 from .padiclab import (
     DiskCounter,
@@ -113,6 +117,13 @@ class SweepConfig:
                 for ve in range(self.ve_max + 1):
                     for vda in self.vda_values():
                         yield OrbitalParams(r=r, vb=0, vc=s, ve=ve, vda=vda)
+
+    def full_tuple_count(self) -> int:
+        """How many tuples ``full_tuples`` yields, counted without walking
+        them: sum over odd s of the s + 1 - _VB_MIN splits."""
+        odd = len(range(1, self.sum_bc_max + 1, 2))
+        splits = odd * odd + (1 - _VB_MIN) * odd  # 1 + 3 + ... + (2 odd - 1) = odd**2
+        return (self.r_max + 1) * splits * (self.ve_max + 1) * len(self.vda_values())
 
     def full_tuples(self) -> Iterator[OrbitalParams]:
         """All splits vb in [_VB_MIN, sum_bc]."""
@@ -202,11 +213,23 @@ def _suite(name: str, identity_key: str | None = "identity"):
 
 # --------------------------------------------------------------- orbital
 
-def _first_sign_break(terms: dict[int, dict]) -> int | None:
-    """The first k at which (-1)^k coeff has a negative coefficient, or None;
-    ``terms`` is a canonical {k: {e: c}} map, so coeff is never empty."""
-    for k, coeff in terms.items():
-        if (max(coeff.values()) > 0) if k % 2 else (min(coeff.values()) < 0):
+def _first_sign_break(rows: dict[int, int], width: int, digits: int) -> int | None:
+    """The first k at which (-1)**k row has a negative q-coefficient, or None.
+
+    ``rows`` are packed at ``width`` bits per digit (``exactpoly.unpack``)
+    with exponents below ``digits``.  Let y = (-1)**k row have balanced
+    digits d_e.  If every d_e >= 0, y is sum d_e 2**(width e) with each d_e
+    < 2**(width - 1): y >= 0 and its bits lie in the low width - 1 bits of
+    its first ``digits`` digits, the mask ``allowed``.  If some d_e < 0,
+    either y < 0 (its top digit is negative), or y > 0 and its lowest
+    negative digit d_j borrows: bits width j.. of y hold d_j + 2**width,
+    whose top bit is set.  So the pattern holds at k exactly when
+    y & ~allowed == 0, one mask test per row.
+    """
+    half, full = 1 << (width - 1), 1 << width
+    forbidden = ~((half - 1) * ((1 << width * digits) - 1) // (full - 1))
+    for k, x in rows.items():
+        if (-x if k % 2 else x) & forbidden:
             return k
     return None
 
@@ -217,20 +240,23 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     consistency against the series derivative, coefficient sign pattern, and
     the reduction of the derivative to vb + vc; all over the full grid.
 
-    Both series are compared as the builders' canonical {k: {e: c}} maps,
-    the forms the public ``orbital_closed_form`` and ``orbital_support_sum``
-    wrap, so no tuple allocates a ``LaurentSeries``."""
+    Both series are compared as the builders' packed rows, one int per T
+    power at the width ``row_width`` gives the tuple, the forms the public
+    ``orbital_closed_form`` and ``orbital_support_sum`` wrap: equal ints are
+    equal q-polynomials.  The value at s = 0 is the sum of the rows and the
+    log-derivative their k-weighted sum, unpacked once; no tuple allocates a
+    ``LaurentSeries``."""
     seen_derivative: dict[tuple, QPolynomial] = {}
     for p in config.full_tuples():
-        terms = _closed_form_terms(p)
-        res.check(terms == _support_sum_terms(p), "closed_form == support_sum", params=p)
-        value, log_deriv = at_s_zero(terms.items())
-        res.check(not value, "value at s=0 is 0", params=p)
+        width = row_width(p)
+        rows = _closed_form_rows(p, width)
+        res.check(rows == _support_sum_rows(p, width), "closed_form == support_sum", params=p)
+        res.check(not sum(rows.values()), "value at s=0 is 0", params=p)
+        weighted = sum(map(mul, rows, rows.values()))
+        log_deriv = QPolynomial._raw(unpack(-weighted if (p.vc + p.r) % 2 else weighted, width))
         deriv = derivative_closed_form(p)
-        if (p.vc + p.r) % 2:
-            log_deriv = -log_deriv
         res.check(deriv == log_deriv, "derivative == signed series derivative", params=p)
-        k = _first_sign_break(terms)
+        k = _first_sign_break(rows, width, max(p.n_bound() + 1, 0))
         res.check(k is None, "sign pattern (-1)^k", params=p, k=k)
         key = (p.r, p.vb + p.vc, p.ve, p.vda)
         res.check(seen_derivative.setdefault(key, deriv) == deriv, "derivative depends only on vb+vc", params=p)

@@ -51,3 +51,9 @@ def qp(text: str) -> QPolynomial:
 def series(terms: dict[int, str]) -> LaurentSeries:
     """Build a T-series from {k: 'q-polynomial text'}."""
     return LaurentSeries({k: qp(text) for k, text in terms.items()})
+
+
+def pack_row(coeffs: dict[int, int], width: int) -> int:
+    """A q-polynomial {e: c} packed as its value at q = 2**width, the form
+    ``semilie.exactpoly.unpack`` reads back."""
+    return sum(c << width * e for e, c in coeffs.items())

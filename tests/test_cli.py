@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -93,6 +94,14 @@ def test_invalid_params_exit_2(capsys):
         "verify satake -N 0",
         "volumes -p 11 -N 3",
         "verify volumes -p 11 -N 3",
+        "verify orbital --rmax 40 --ve-max 40 --sum-bc-max 41",
+        "verify kernel --ve-max 1000",
+        "verify satake --rmax 150",
+        "verify all --rmax-satake 10000",
+        "verify satake -p 561",
+        "verify satake -p 41041",
+        "verify orbital -p 3215031751",
+        "verify satake -p 3317044064679887385961981",
     ],
 )
 def test_parameter_error_exit_2(capsys, argv):
@@ -136,6 +145,50 @@ def test_volume_work_refused_before_enumerating(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("p, precision", [(3, 4), (5, 3), (7, 3)])
 def test_volume_work_admits_the_default_and_smoke_grids(p, precision):
     cli._check_volume_work(None, verify.SweepConfig(p=p, precision=precision))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify orbital --rmax 40 --ve-max 40 --sum-bc-max 41",
+        "verify miracle --ve-max 200",
+        "verify all --sum-bc-max 1001",
+        "verify satake --rmax 150 --json",
+    ],
+)
+def test_grid_work_refused_before_any_suite_runs(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("ran a suite"))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the query needs about ") and err.endswith(f"more than the limit of {cli.MAX_GRID_WORK}\n")
+
+
+@pytest.mark.parametrize(
+    "suite, config",
+    [
+        ("all", {}),
+        ("all", {"r_max": 2, "ve_max": 4, "sum_bc_max": 5, "precision": 3}),
+        ("orbital", {"r_max": 8, "ve_max": 13, "sum_bc_max": 13}),
+        ("satake", {"rmax_satake": 60}),
+    ],
+    ids=["default", "smoke", "wide_orbital", "satake_60"],
+)
+def test_grid_work_admits_the_default_and_ci_grids(monkeypatch, suite, config):
+    """Well inside the bound: at most a quarter of it."""
+    charged = []
+    monkeypatch.setattr(cli, "_check_work", lambda args, work, degree, limit: charged.append((work, limit)))
+    cli._check_grid_work(SimpleNamespace(suite=suite), verify.SweepConfig(**config))
+    ((work, limit),) = charged
+    assert 0 < work <= limit // 4 and limit == cli.MAX_GRID_WORK
+
+
+def test_large_prime_checked_at_once(capsys):
+    """A prime near 10**18 is checked by Miller-Rabin, not trial division;
+    satake never builds the ring."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "satake", "-p", "1000000000000000003")
+    assert (code, out) == (0, "satake: pass (38 checks)\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_zero_checks_fails(capsys):

@@ -1,0 +1,161 @@
+"""Packed T-power rows: the exactpoly codec and the orbital row builders.
+
+A row is a q-polynomial packed as its value at q = 2**width.  The reference
+builders below accumulate the same two series term by term into
+{k: {e: c}} maps, with no packing, so every packed row can be checked
+against the map it must unpack to.
+"""
+
+import pytest
+from helpers import pack_row
+from hypothesis import HealthCheck, given, note, settings
+from hypothesis import strategies as st
+
+from semilie import INFINITY, OrbitalParams
+from semilie.exactpoly import unpack
+from semilie.orbital import _closed_form_rows, _support_sum_rows, row_width
+from semilie.verify import SweepConfig, _first_sign_break
+
+SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2)
+
+
+def add_term(acc, k, e, c):
+    coeff = acc.setdefault(k, {})
+    coeff[e] = coeff.get(e, 0) + c
+    if not coeff[e]:
+        del coeff[e]
+
+
+def reference_closed_form(p):
+    """The closed form of ``orbital_closed_form``'s docstring, as a map."""
+    acc = {}
+    if p.ve < 0:
+        return acc
+    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
+    lo, hi = -(vb + r), 2 * ve + vc + r
+    for k in range(lo, hi + 1):
+        for e in range(min((k - lo) // 2, (hi - k) // 2, p.n_bound()) + 1):
+            add_term(acc, k, e, (-1) ** k)
+    if vda < ve - r and vb + vc > 2 * vda:
+        c_lo, c_hi = 2 * vda - vb + r, 2 * ve + vc - 2 * vda - r
+        for k in range(c_lo, c_hi + 1):
+            c_k = min(k - c_lo, c_hi - k, ve - vda - r)
+            if c_k:
+                add_term(acc, k, vda + r, (-1) ** k * c_k)
+    return {k: c for k, c in acc.items() if c}
+
+
+def reference_support_sum(p):
+    """The support-lattice sum of ``orbital_support_sum``'s docstring, as a map."""
+    acc = {}
+    r, vb, vc, ve = p.r, p.vb, p.vc, p.ve
+    th = p.theta()
+    for n2 in range(ve + 1):
+        for m in range(th + 2 * r + 1):
+            k = 2 * n2 - m + vc + r
+            add_term(acc, k, min(n2, m // 2), (-1) ** k)
+        if th % 2 == 0:
+            half = th // 2
+            for m_hi in (max(r, n2 - half) + vb + vc + r, n2 + half + r):
+                for m in range(th + 2 * r + 1, m_hi + 1):
+                    k = 2 * n2 - m + vc + r
+                    add_term(acc, k, min(n2, half + r), (-1) ** k)
+    return {k: c for k, c in acc.items() if c}
+
+
+BUILDERS = [(_closed_form_rows, reference_closed_form), (_support_sum_rows, reference_support_sum)]
+
+
+def unpacked(rows, width):
+    return {k: unpack(x, width) for k, x in rows.items()}
+
+
+def assert_rows_match(p):
+    width = row_width(p)
+    for build, reference in BUILDERS:
+        want = reference(p)
+        rows = build(p, width)
+        assert unpacked(rows, width) == want
+        # The width bound: every coefficient of the rows, of their sum and of
+        # their k-weighted sum is below 2**(width - 1) in absolute value.
+        value, weighted = {}, {}
+        for k, coeff in want.items():
+            for e, c in coeff.items():
+                value[e] = value.get(e, 0) + c
+                weighted[e] = weighted.get(e, 0) + k * c
+        biggest = max((abs(c) for m in (*want.values(), value, weighted) for c in m.values()), default=0)
+        assert biggest < 1 << (width - 1)
+        # The rows do not depend on the width.
+        wider = build(p, width + 16)
+        assert unpacked(wider, width + 16) == want
+        assert unpack(sum(wider.values()), width + 16) == unpack(sum(rows.values()), width)
+        assert unpack(sum(k * x for k, x in wider.items()), width + 16) == {e: c for e, c in weighted.items() if c}
+
+
+@st.composite
+def balanced_digits(draw):
+    width = draw(st.integers(2, 40))
+    bound = (1 << (width - 1)) - 1
+    coeffs = draw(st.dictionaries(st.integers(0, 30), st.integers(-bound, bound).filter(bool), max_size=12))
+    return width, coeffs
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(balanced_digits())
+def test_unpack_round_trip(case):
+    width, coeffs = case
+    assert unpack(pack_row(coeffs, width), width) == coeffs
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{0: 1, 3: -2}, {2: -1}, {0: 3, 1: -1, 2: 5}, {0: -7, 4: 7}, {0: 7, 1: -7, 2: 7}],
+    ids=["negative_top", "negative_monomial", "negative_under_positive_top", "low_negative", "alternating_at_bound"],
+)
+def test_unpack_negative_digits(coeffs):
+    assert unpack(pack_row(coeffs, 4), 4) == coeffs
+
+
+@pytest.mark.parametrize(
+    "coeffs, breaks",
+    [
+        ({0: 1, 1: 7, 2: 3}, False),
+        ({0: 3, 1: -1, 2: 5}, True),  # positive int, one digit borrows
+        ({0: 7, 1: 7, 2: -1}, True),  # negative top digit
+        ({}, False),
+    ],
+    ids=["nonnegative", "negative_under_positive_top", "negative_top", "zero"],
+)
+def test_sign_mask(coeffs, breaks):
+    """(-1)**k row must have no negative digit: the mask sees one under a
+    positive top digit, where the packed int itself is positive."""
+    x = pack_row(coeffs, 4)
+    assert _first_sign_break({0: x}, 4, 3) == (0 if breaks else None)
+    assert _first_sign_break({1: -x}, 4, 3) == (1 if breaks else None)
+
+
+def test_rows_match_the_reference_maps_on_a_small_grid():
+    for p in SMALL.full_tuples():
+        assert_rows_match(p)
+    for ve in (-3, -1):
+        p = OrbitalParams(r=2, vb=-1, vc=4, ve=ve, vda=1)
+        assert _closed_form_rows(p, row_width(p)) == _support_sum_rows(p, row_width(p)) == {}
+
+
+@st.composite
+def off_grid_params(draw):
+    """The calculator's ranges: r <= 30, ve <= 40 (and some ve < 0),
+    vda in {0..20, inf}, odd vb + vc <= 41 with vb in [-50, vb + vc]."""
+    sum_bc = draw(st.integers(0, 20)) * 2 + 1
+    vb = draw(st.integers(-50, sum_bc))
+    vda = draw(st.one_of(st.integers(0, 20), st.just(INFINITY)))
+    return OrbitalParams(r=draw(st.integers(0, 30)), vb=vb, vc=sum_bc - vb, ve=draw(st.integers(-3, 40)), vda=vda)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(off_grid_params())
+def test_rows_match_the_reference_maps_off_grid(p):
+    vda = "inf" if p.vda == INFINITY else p.vda
+    note(f"semilie orbital -r {p.r} --vb {p.vb} --vc {p.vc} --ve {p.ve} --vda {vda} --oracle")
+    assert_rows_match(p)

@@ -8,8 +8,10 @@ import pytest
 
 from semilie.padiclab import (
     DiskCounter,
+    PRIME_TEST_BOUND,
     InsufficientPrecisionError,
     QuadExtRing,
+    _check_ring_args,
     _check_one_disk_args,
     _check_two_disk_args,
     count_one_disk,
@@ -24,6 +26,7 @@ from semilie.padiclab import (
     quaternion_invariants,
     sample_admissible,
 )
+from semilie.padiclab import _is_prime, _smallest_nonresidue
 
 
 @pytest.fixture(scope="module")
@@ -368,3 +371,33 @@ class TestQuaternionInvariants:
                 ring.mul(ring.mul(lam_inv, lam_inv), ring.mul(beta, ring.conj(beta))),
             )
             assert ring.val(bc) == 2 * v_beta + 1
+
+
+def test_smallest_nonresidue_by_euler_criterion():
+    """The same eps as the least number missing from the set of squares."""
+    for p in filter(_is_prime, range(3, 200)):
+        squares = {x * x % p for x in range(1, p)}
+        assert _smallest_nonresidue(p) == min(a for a in range(2, p) if a not in squares)
+
+
+def test_ring_at_a_large_prime_is_cheap():
+    assert QuadExtRing(p=1000003, precision=1).eps == 2
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
+    assert _is_prime(1000000000000000003) and _is_prime(2**61 - 1)
+    assert not _is_prime(2**61 + 1) and not _is_prime((2**31 - 1) * (2**61 - 1))
+
+
+@pytest.mark.parametrize("p", [561, 41041, 3215031751, 3317044064679887385961981, 9, 1, 2, -7])
+def test_ring_args_refuse_non_primes(p):
+    """Carmichael numbers included; the bound itself is a strong pseudoprime
+    to every base up to 41, refused as out of range."""
+    with pytest.raises(ValueError, match="p must be"):
+        _check_ring_args(p, 1)
+
+
+def test_ring_args_refuse_p_above_the_bound():
+    with pytest.raises(ValueError, match=f"p must be below {PRIME_TEST_BOUND}, where the primality test is exact"):
+        _check_ring_args(PRIME_TEST_BOUND + 2, 1)

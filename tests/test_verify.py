@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from helpers import pack_row
 
 from semilie import INFINITY, LaurentSeries, QPolynomial, SatakeY, SweepConfig, run_suite
 from semilie import orbital, satake, verify
@@ -23,6 +24,15 @@ def test_default_grid_shape():
     assert len(reduced) == 7 * 6 * 11 * 8
     full = sum(1 for _ in config.full_tuples())
     assert full == 7 * sum(6 + s + 1 for s in (1, 3, 5, 7, 9, 11)) * 11 * 8
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SMALL, SweepConfig(), SweepConfig(r_max=0, sum_bc_max=12, ve_max=0, vda_max=0)],
+    ids=["small", "default", "even_sum_bc_max"],
+)
+def test_full_tuple_count(config):
+    assert config.full_tuple_count() == sum(1 for _ in config.full_tuples())
 
 
 def test_runs_are_deterministic():
@@ -97,23 +107,29 @@ def term_maps(series):
     return {k: dict(coeff.items()) for k, coeff in series.items()}
 
 
+def pack_terms(terms, width):
+    """Packed rows {k: int} of a {k: {e: c}} map (see ``exactpoly.unpack``)."""
+    return {k: pack_row(coeff, width) for k, coeff in terms.items()}
+
+
 @pytest.mark.parametrize(
     "public, private",
     [
-        (orbital.orbital_closed_form, orbital._closed_form_terms),
-        (orbital.orbital_support_sum, orbital._support_sum_terms),
+        (orbital.orbital_closed_form, orbital._closed_form_rows),
+        (orbital.orbital_support_sum, orbital._support_sum_rows),
     ],
     ids=["closed_form", "support_sum"],
 )
-def test_public_builders_wrap_their_term_maps(public, private):
-    """Each public series is the wrap of its builder's map, and the map is
-    canonical (what the generic constructor keeps), so the orbital suite may
-    compare maps with ==."""
+def test_public_builders_wrap_their_rows(public, private):
+    """Each public series is the wrap of its builder's packed rows, and the
+    rows hold no zero, so the orbital suite may compare rows with ==."""
     for p in SMALL.full_tuples():
-        terms = private(p)
-        canonical = LaurentSeries((k, QPolynomial(coeff)) for k, coeff in terms.items())
-        assert term_maps(canonical) == terms
-        assert public(p) == LaurentSeries._from_term_maps(terms) == canonical
+        width = orbital.row_width(p)
+        rows = private(p, width)
+        assert all(rows.values())
+        series = public(p)
+        assert series == LaurentSeries._from_rows(rows, width)
+        assert pack_terms(term_maps(series), width) == rows
 
 
 def flip_one_coefficient(series):
@@ -137,13 +153,15 @@ def flip_one_coefficient(series):
     ids=["sign_flip", "constant_at_T0", "term_at_T1"],
 )
 def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutate, identities):
-    """The suite reads the closed form as the builder's {k: {e: c}} map; each
-    mutation is made on the series that map stands for."""
+    """The suite reads the closed form as the builder's packed rows; each
+    mutation is made on the series those rows stand for."""
     clean = suite_orbital(SMALL)
     assert clean.passed and clean.checked == 5 * sum(1 for _ in SMALL.full_tuples())
-    original = verify._closed_form_terms
+    original = verify._closed_form_rows
     monkeypatch.setattr(
-        verify, "_closed_form_terms", lambda p: term_maps(mutate(LaurentSeries._from_term_maps(original(p))))
+        verify,
+        "_closed_form_rows",
+        lambda p, width: pack_terms(term_maps(mutate(LaurentSeries._from_rows(original(p, width), width))), width),
     )
     mutated = suite_orbital(SMALL)
     assert not mutated.passed and mutated.checked == clean.checked
