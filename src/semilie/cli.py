@@ -7,10 +7,9 @@ q numerically (exact rational arithmetic either way).
 
 Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
 2 on usage or parameter errors.  An orbit, gk, bc or kernel-matrix query
-whose estimated work is above ``MAX_WORK`` is a parameter error, and so are
-a volumes sweep (``volumes``, ``verify volumes`` or ``verify all``) whose
-estimated histogram lookups are above ``MAX_VOLUME_WORK`` and a ``verify``
-run of the orbit-grid or Satake suites estimated above ``MAX_GRID_WORK``.
+whose estimated work is above ``MAX_WORK`` is a parameter error, and so is a
+``verify`` or ``volumes`` run of which any suite is charged above
+``MAX_SWEEP_WORK``; each suite states its own charge (``verify.sweep_work``).
 A reader that closes stdout early cuts the output short, not the exit code.
 """
 
@@ -40,7 +39,7 @@ from .orbital import (
     transfer_factor,
 )
 from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polynomial, satake_u3_indicator
-from .verify import SUITE_NAMES, SweepConfig, run_suite
+from .verify import RMAX_FIELDS, SUITE_CHOICES, SweepConfig, run_suite, sweep_work
 
 #: The most work one orbit, ``gk``, ``bc`` or ``kernel-matrix`` query may ask
 #: for, in q-terms and support-lattice points.  With --at-q, a term of degree
@@ -52,27 +51,14 @@ from .verify import SUITE_NAMES, SweepConfig, run_suite
 #: ve <= 40, vb >= -50 and vb + vc <= 41 at most 17,835.
 MAX_WORK = 200_000
 
-#: The most histogram lookups a volumes sweep may make.  At precision N it
-#: makes about p**(2N) (2N + 1) N(N + 1)/2: each of the p**(2N) residue
-#: classes, roughly, is a center against 2N + 1 offsets and the N(N + 1)/2
-#: pairs of radii (533,628 against the estimate's 590,490 at p = 3, N = 4).
-#: At 2-3 µs a lookup (a 2-CPU host, Python 3.11) the bound is some 20-30 s;
-#: `-p 5 -N 3` needs 656,250, `-p 7 -N 3` 4,941,258, and `-p 5 -N 4` (35
-#: million) exits 2.
-MAX_VOLUME_WORK = 10_000_000
-
-#: The most work a sweep of the orbit grids may ask for.  The suites that
-#: read the orbit grid (orbital, miracle, afl, kernel) are charged the
-#: support-lattice points of the full grid, the orbital oracle's work and
-#: more than the others make: each tuple at the most points any tuple has,
-#: (ve + 1)(2 ve + 2 s + 2 r + 1) at the grid's top corner (see
-#: ``orbital.row_width``).  ``satake`` is charged (rmax_satake + 1)**4, its
-#: growth.  The default grid is charged 29,069,040 units for the 4,254,992
-#: lattice points it holds, and its orbital suite takes about 4 s on a
-#: 2-CPU host with Python 3.11; ``--rmax 8 --ve-max 13 --sum-bc-max 13``
-#: is charged 95,425,344, while ``--rmax 40 --ve-max 40 --sum-bc-max 41``
-#: (8 * 10**10) and ``verify satake --rmax 150`` (5 * 10**8) exit 2.
-MAX_GRID_WORK = 400_000_000
+#: The most work any one suite of a ``verify`` or ``volumes`` run may be
+#: charged, in the unit every suite's charge shares (see ``verify._suite``):
+#: about 0.12 µs of suite time on a 2-CPU host with Python 3.11, so some 50 s.
+#: The default grid's largest charge is its orbital suite's 29,069,040 units;
+#: ``verify orbital --rmax 40 --ve-max 40 --sum-bc-max 41`` (8 * 10**10),
+#: ``verify satake --rmax 150`` (5 * 10**8), ``volumes -p 5 -N 4`` (1.4 *
+#: 10**9) and ``verify quaternion -p 10000019`` (3.6 * 10**9) exit 2.
+MAX_SWEEP_WORK = 400_000_000
 
 #: The most decimal digits, exponent included, that an --at-q literal may
 #: stand for; a literal near this bound takes seconds to expand.  Checked
@@ -293,52 +279,26 @@ def cmd_kernel_matrix(args) -> int:
     return 0
 
 
-def _check_volume_work(args, config: SweepConfig) -> None:
-    """Refuse, before enumerating, a volumes sweep above ``MAX_VOLUME_WORK``
-    histogram lookups.  Past N = 16 the estimate stays at N = 16's, already
-    above the bound by a factor of 10**11 or more, so the power stays small."""
-    n = min(config.precision, 16)
-    _check_work(args, config.p ** (2 * n) * (2 * n + 1) * n * (n + 1) // 2, 0, MAX_VOLUME_WORK)
-
-
-def _check_grid_work(args, config: SweepConfig) -> None:
-    """Refuse, before any suite runs, orbit-grid sweeps above
-    ``MAX_GRID_WORK`` units of work."""
-    work = 0
-    if args.suite in ("orbital", "miracle", "afl", "kernel", "intersection", "all"):
-        r, s, ve = config.r_max, config.sum_bc_max, config.ve_max
-        work += config.full_tuple_count() * (ve + 1) * (2 * ve + 2 * s + 2 * r + 1)
-    if args.suite in ("satake", "all"):
-        work += (config.rmax_satake + 1) ** 4
-    _check_work(args, work, 0, MAX_GRID_WORK)
+def _run_sweep(args, name: str, config: SweepConfig) -> int:
+    """Run the suites ``name`` stands for on ``config``, refused before any
+    runs if one of them is charged above ``MAX_SWEEP_WORK``."""
+    _check_work(args, sweep_work(name, config), 0, MAX_SWEEP_WORK)
+    return _report_results(run_suite(name, config), args)
 
 
 def cmd_volumes(args) -> int:
-    config = SweepConfig(p=args.p, precision=args.N)
-    _check_volume_work(args, config)
-    (result,) = run_suite("volumes", config)
-    return _report_results([result], args)
+    # The subcommand is named after the one suite it runs.
+    return _run_sweep(args, args.command, SweepConfig(p=args.p, precision=args.N))
 
 
 def cmd_verify(args) -> int:
-    rmax_satake = args.rmax_satake
-    if rmax_satake is None:
-        # `verify satake --rmax 8` reads naturally as the base-change bound.
-        rmax_satake = args.rmax if args.suite == "satake" else 8
-    config = SweepConfig(
-        r_max=args.rmax,
-        sum_bc_max=args.sum_bc_max,
-        ve_max=args.ve_max,
-        vda_max=args.vda_max,
-        rmax_satake=rmax_satake,
-        p=args.p,
-        precision=args.precision,
-        seed=args.seed,
-    )
-    if args.suite in ("volumes", "all"):
-        _check_volume_work(args, config)
-    _check_grid_work(args, config)
-    return _report_results(run_suite(args.suite, config), args)
+    # `verify satake --rmax 8` reads naturally as the base-change bound.
+    rmax = {"r_max": args.rmax, RMAX_FIELDS.get(args.suite, "r_max"): args.rmax}
+    if args.rmax_satake is not None:
+        rmax["rmax_satake"] = args.rmax_satake
+    config = SweepConfig(**rmax, sum_bc_max=args.sum_bc_max, ve_max=args.ve_max, vda_max=args.vda_max,
+                         p=args.p, precision=args.precision, seed=args.seed)
+    return _run_sweep(args, args.suite, config)
 
 
 def _report_results(results, args) -> int:
@@ -424,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_volumes)
 
     sp = sub.add_parser("verify", help="run an identity suite over a grid")
-    sp.add_argument("suite", choices=SUITE_NAMES + ("intersection", "all"))
+    sp.add_argument("suite", choices=SUITE_CHOICES)
     sp.add_argument("--rmax", type=int, default=6)
     sp.add_argument("--sum-bc-max", dest="sum_bc_max", type=int, default=11)
     sp.add_argument("--ve-max", dest="ve_max", type=int, default=10)

@@ -22,7 +22,7 @@ returns a new value, so instances are safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -158,12 +158,6 @@ class QPolynomial(_SparseMap):
     __slots__ = ()
     _canon = staticmethod(_norm_scalar)
 
-    @classmethod
-    def _from_sums(cls, sums: dict[int, Scalar]) -> "QPolynomial":
-        """Canonical polynomial from accumulated {exponent: scalar} sums:
-        zeros dropped, integral Fractions collapsed to int."""
-        return cls._raw({e: _norm_scalar(c) for e, c in sums.items() if c})
-
     # ---------------------------------------------------------- constructors
     @classmethod
     def one(cls) -> "QPolynomial":
@@ -209,7 +203,7 @@ class QPolynomial(_SparseMap):
                 for e2, c2 in other._terms.items():
                     e = e1 + e2
                     sums[e] = get(e, 0) + c1 * c2
-            return QPolynomial._from_sums(sums)
+            return QPolynomial._raw({e: _norm_scalar(c) for e, c in sums.items() if c})
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -374,29 +368,6 @@ def unpack(x: int, width: int) -> dict[int, int]:
     return out
 
 
-def at_s_zero(terms: Iterable[tuple[int, Mapping[int, Scalar]]]) -> tuple[QPolynomial, QPolynomial]:
-    """Value and log-derivative at s = 0 of the series sum of c q**e T**k
-    over the ``(k, {e: c})`` pairs, in one pass.
-
-    The value is the sum of all coefficients (T = 1).  Since
-    d/ds (q**s)**k = k log(q) (q**s)**k, the derivative divided by log q is
-    the k-weighted sum; the transcendental factor log q is never
-    materialised, and every caller works with this normalisation.
-    """
-    value: dict[int, Scalar] = {}
-    weighted: dict[int, Scalar] = {}
-    v_get, w_get = value.get, weighted.get
-    for k, coeffs in terms:
-        if k:
-            for e, c in coeffs.items():
-                value[e] = v_get(e, 0) + c
-                weighted[e] = w_get(e, 0) + k * c
-        else:
-            for e, c in coeffs.items():
-                value[e] = v_get(e, 0) + c
-    return QPolynomial._from_sums(value), QPolynomial._from_sums(weighted)
-
-
 class LaurentSeries(KeyedModule):
     """Finitely supported sum over k of QPolynomial coefficients times T**k."""
 
@@ -426,14 +397,16 @@ class LaurentSeries(KeyedModule):
     # ---------------------------------------------------- s-space evaluation
     def at_one(self) -> QPolynomial:
         """Value at T = 1 (the series at s = 0): the sum of all coefficients."""
-        return at_s_zero(self._term_maps())[0]
+        pairs = (pair for p in self._terms.values() for pair in p._terms.items())
+        return QPolynomial._raw(QPolynomial._accumulate({}, pairs))
 
     def log_derivative_at_zero(self) -> QPolynomial:
-        """d/ds at s = 0, divided by log q (see ``at_s_zero``)."""
-        return at_s_zero(self._term_maps())[1]
-
-    def _term_maps(self) -> Iterator[tuple[int, dict[int, Scalar]]]:
-        return ((k, p._terms) for k, p in self._terms.items())
+        """d/ds at s = 0, divided by log q: since d/ds (q**s)**k =
+        k log(q) (q**s)**k, the k-weighted sum of the coefficients.  The
+        transcendental factor log q is never materialised, and every caller
+        works with this normalisation."""
+        pairs = ((e, _norm_scalar(k * c)) for k, p in self._terms.items() if k for e, c in p._terms.items())
+        return QPolynomial._raw(QPolynomial._accumulate({}, pairs))
 
     @classmethod
     def _from_rows(cls, rows: Mapping[int, int], width: int) -> "LaurentSeries":

@@ -124,6 +124,14 @@ def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
     return LaurentSeries._from_rows(_closed_form_rows(p, width), width)
 
 
+def support_points(r: int, s: int, ve: int) -> int:
+    """A bound on the support-lattice points of ``orbital_support_sum`` at
+    level r, vb + vc = s and v(e) = ve >= 0: (ve + 1)(2 ve + 2 s + 2 r + 1),
+    since per n2 the first block has theta + 2r + 1 <= s + 2r + 1 points and
+    the two extra blocks at most ve + s and ve."""
+    return (ve + 1) * (2 * ve + 2 * s + 2 * r + 1)
+
+
 def row_width(p: OrbitalParams) -> int:
     """Bits per q-digit B at which the T-power rows of ``p``'s series pack.
 
@@ -133,9 +141,7 @@ def row_width(p: OrbitalParams) -> int:
     rows, of their sum (the value at s = 0) and of their k-weighted sum (the
     log-derivative) must be below 2**(B - 1) in absolute value.  Each
     support-lattice point adds +-1 to one coefficient, so an oracle
-    coefficient is at most the number of points P <= (ve + 1)(2 ve + 2 s +
-    2 r + 1), s = vb + vc: per n2 the first block has theta + 2r + 1 <=
-    s + 2r + 1 points and the two extra blocks at most ve + s and ve.  A
+    coefficient is at most the number of points P (``support_points``).  A
     closed-form coefficient, and any coefficient of the sum of its rows, is
     at most the total coefficient mass M <= (2 ve + s + 2 r + 1)(n_bound +
     1 + plateau height).  Both series live on k in [-(vb + r), 2 ve + vc + r],
@@ -147,7 +153,7 @@ def row_width(p: OrbitalParams) -> int:
         return 2
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     s = vb + vc
-    points = (ve + 1) * (2 * ve + 2 * s + 2 * r + 1)
+    points = support_points(r, s, ve)
     plateau = ve - vda - r if vda < ve - r and s > 2 * vda else 0
     mass = (2 * ve + s + 2 * r + 1) * (p.n_bound() + 1 + plateau)
     k_max = max(abs(vb + r), abs(2 * ve + vc + r), 1)

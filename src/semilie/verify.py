@@ -1,13 +1,15 @@
 """Identity-verification sweeps over parameter grids.
 
-Each suite, registered once by ``@_suite(name)``, checks one family of
-exact identities and returns a ``SuiteResult`` carrying the checks made,
-counted per named identity, and a JSON-ready record for every failure.
+Each suite, registered once by ``@_suite(name, work=...)``, checks one
+family of exact identities and returns a ``SuiteResult`` carrying the checks
+made, counted per named identity, and a JSON-ready record for every failure.
 Every identity at every grid point is one check, made through
 ``SuiteResult.check(ok, identity, **record)``, which counts it and, only if
 it fails, appends ``record`` with orbit parameters and exact values encoded
 by ``_encode``.  Suites are deterministic (randomised ones take a seed) and
-order-independent.
+order-independent.  Each registration also states what a run of the suite
+costs, as a function of the ``SweepConfig`` fields the suite reads
+(``sweep_work``), so that a caller can refuse a run before it starts.
 
 The default grid is r in [0, 6], vb + vc odd in {1, ..., 11} with
 vb in [-6, vb + vc], ve in [0, 10] and vda in {0, ..., 6, INFINITY}; it
@@ -53,6 +55,7 @@ from .orbital import (
     derivative_combo,
     require_ints,
     row_width,
+    support_points,
 )
 from .padiclab import (
     DiskCounter,
@@ -121,9 +124,9 @@ class SweepConfig:
     def full_tuple_count(self) -> int:
         """How many tuples ``full_tuples`` yields, counted without walking
         them: sum over odd s of the s + 1 - _VB_MIN splits."""
-        odd = len(range(1, self.sum_bc_max + 1, 2))
+        odd = (self.sum_bc_max + 1) // 2  # arithmetic, not len(): fields may pass sys.maxsize
         splits = odd * odd + (1 - _VB_MIN) * odd  # 1 + 3 + ... + (2 odd - 1) = odd**2
-        return (self.r_max + 1) * splits * (self.ve_max + 1) * len(self.vda_values())
+        return (self.r_max + 1) * splits * (self.ve_max + 1) * (max(self.vda_max, -1) + 2)
 
     def full_tuples(self) -> Iterator[OrbitalParams]:
         """All splits vb in [_VB_MIN, sum_bc]."""
@@ -194,9 +197,13 @@ def _encode(value):
 _SUITES: dict[str, Callable[..., SuiteResult]] = {}
 
 
-def _suite(name: str, identity_key: str | None = "identity"):
+def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[SweepConfig], int]):
     """Register ``body(config, res)`` as ``suite(config=None) -> SuiteResult``,
-    which runs it on ``config`` (default: the default grid) and returns ``res``."""
+    which runs it on ``config`` (default: the default grid) and returns ``res``.
+
+    ``work(config)`` charges a run from the fields the suite reads, in a unit
+    of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
+    sweep: 29,069,040 units, 3.5 s)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -205,6 +212,7 @@ def _suite(name: str, identity_key: str | None = "identity"):
             return res
 
         suite.__name__, suite.__qualname__, suite.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        suite.work = work
         _SUITES[name] = suite
         return suite
 
@@ -234,7 +242,14 @@ def _first_sign_break(rows: dict[int, int], width: int, digits: int) -> int | No
     return None
 
 
-@_suite("orbital")
+def _grid_work(config: SweepConfig) -> int:
+    """Every full-grid tuple at the support-lattice points of the grid's top
+    corner, the most any tuple has: the orbital oracle's work, and more than
+    miracle and afl make."""
+    return config.full_tuple_count() * support_points(config.r_max, config.sum_bc_max, config.ve_max)
+
+
+@_suite("orbital", work=_grid_work)
 def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     """Closed form == support-sum oracle, value 0 at s = 0, derivative
     consistency against the series derivative, coefficient sign pattern, and
@@ -264,7 +279,7 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
 
 # ---------------------------------------------------------- intersection
 
-@_suite("miracle", identity_key=None)
+@_suite("miracle", identity_key=None, work=_grid_work)
 def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
     """Gross-Keating value == sum of normalised derivatives at ve and ve-1."""
     for p in config.reduced_tuples():
@@ -272,7 +287,7 @@ def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
         res.check(report["pass"], "gross_keating == D(ve) + D(ve-1)", **report)
 
 
-@_suite("afl")
+@_suite("afl", work=_grid_work)
 def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
     """The rank-2 identity chain on the default grid:
 
@@ -311,7 +326,9 @@ KERNEL_RANK_GRID = {
 }
 
 
-@_suite("kernel")
+# Charged 80 (ve_max + 20)**3, fitted to the suite's times at ve_max 10 to
+# 120 (0.28 s to 25 s): the rank grid is fixed, so only ve_max counts.
+@_suite("kernel", work=lambda config: 80 * (config.ve_max + 20) ** 3)
 def suite_kernel(config: SweepConfig, res: SuiteResult) -> None:
     """Full-rank certificates over the rank grid, the large-r vanishing
     combination, and the almost-kernel sequence outside its window."""
@@ -337,7 +354,7 @@ def suite_kernel(config: SweepConfig, res: SuiteResult) -> None:
 
 # ---------------------------------------------------------------- satake
 
-@_suite("satake")
+@_suite("satake", work=lambda config: (config.rmax_satake + 1) ** 4)
 def suite_satake(config: SweepConfig, res: SuiteResult) -> None:
     """Base-change identities for ranks 3 and 2, for r = 0..rmax."""
     rmax = config.rmax_satake
@@ -394,7 +411,26 @@ def suite_satake(config: SweepConfig, res: SuiteResult) -> None:
 
 # ---------------------------------------------------------------- volumes
 
-@_suite("volumes", identity_key="lemma")
+def _volumes_work(config: SweepConfig) -> int:
+    """40 units (a lookup takes 2-3 µs) per histogram lookup, of which the
+    suite makes about p**(2N) (2N + 1) N(N + 1)/2: roughly each of the
+    p**(2N) classes is a center against 2N + 1 offsets and N(N + 1)/2 radius
+    pairs (533,628 lookups against 590,490 at p = 3, N = 4).  Past N = 16,
+    already 10**11 times any sane bound, the estimate stays at N = 16's."""
+    n = min(config.precision, 16)
+    return 40 * config.p ** (2 * n) * (2 * n + 1) * n * (n + 1) // 2
+
+
+def _record_mismatches(res: SuiteResult, lemma: str, hist, ns: range, want: tuple, classes: int, **params) -> None:
+    """Record, in n order, each n of ``ns`` at which the histogram ``hist``
+    differs from the closed forms ``want``, both as reduced volumes."""
+    for n, w in zip(ns, want):
+        if hist[n] != w:
+            res.record(lemma, params=params | {"n": n}, enumerated=Fraction(hist[n], classes),
+                       formula=Fraction(w, classes), match=False)
+
+
+@_suite("volumes", identity_key="lemma", work=_volumes_work)
 def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     """Enumerated disk volumes against the closed forms.
 
@@ -432,10 +468,7 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
             hist = counter.histogram(xi, rho)
             want = want_at[rho]
             if hist[ns.start:prec] != want:
-                for n, w in zip(ns, want):
-                    if hist[n] != w:
-                        res.record("one_disk", params={"xi": xi, "rho": rho, "n": n},
-                                   enumerated=Fraction(hist[n], classes), formula=Fraction(w, classes), match=False)
+                _record_mismatches(res, "one_disk", hist, ns, want, classes, xi=xi, rho=rho)
             # Counted per histogram and compared as one slice, not by check():
             # a record per n made the suite about 1.5x slower.
             one_disk += len(ns)
@@ -458,16 +491,23 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
                     hist = counter.pair_histogram(xi1, rho1, xi2, rho2)
                     want = zeros[rho1] if sep < rho2 else want_at[rho1]
                     if hist[ns.start:prec] != want:
-                        for n, w in zip(ns, want):
-                            if hist[n] != w:
-                                params = {"xi1": xi1, "xi2": xi2, "rho1": rho1, "rho2": rho2, "n": n}
-                                res.record("two_disk", params=params, enumerated=Fraction(hist[n], classes),
-                                           formula=Fraction(w, classes), match=False)
+                        _record_mismatches(res, "two_disk", hist, ns, want, classes,
+                                           xi1=xi1, xi2=xi2, rho1=rho1, rho2=rho2)
                     two_disk += len(ns)
     res.count("two_disk", two_disk)
 
 
-@_suite("quaternion")
+def _quaternion_work(config: SweepConfig) -> int:
+    """Per sample (3p + 55N)(1 + (b/2000)**2), b = N bits(p): ``norm_preimage``
+    searches O(p) residues, then lifts through N digits on ints of up to b
+    bits.  Fitted to the times at p <= 100,003 and N <= 3,000, it charges
+    1.0-1.4 times each, but 0.6 times at p = 101, N = 1,000."""
+    n = config.precision
+    size = n * config.p.bit_length()
+    return config.quaternion_samples * (3 * config.p + 55 * n) * (4_000_000 + size * size) // 4_000_000
+
+
+@_suite("quaternion", work=_quaternion_work)
 def suite_quaternion(config: SweepConfig, res: SuiteResult) -> None:
     """Invariant identities for randomized admissible unitary data."""
     ring = QuadExtRing(p=config.p, precision=config.precision)
@@ -485,12 +525,29 @@ def suite_quaternion(config: SweepConfig, res: SuiteResult) -> None:
 
 
 SUITE_NAMES = tuple(_SUITES)
+#: The names that run several suites, and every name ``run_suite`` takes.
+_ALIASES = {"intersection": ("miracle", "afl"), "all": SUITE_NAMES}
+SUITE_CHOICES = SUITE_NAMES + tuple(_ALIASES)
+#: The field the command line's --rmax sets for a run of one suite, where it
+#: is not r_max.
+RMAX_FIELDS = {"satake": "rmax_satake"}
+
+
+def _suites(name: str) -> list[Callable[..., SuiteResult]]:
+    """The suites ``name`` stands for: one named suite, or an alias's."""
+    names = _ALIASES.get(name, (name,))
+    if names[0] not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}, all")
+    return [_SUITES[n] for n in names]
 
 
 def run_suite(name: str, config: SweepConfig | None = None) -> list[SuiteResult]:
     """Run one named suite, or all of them; 'intersection' is an alias that
     runs the miracle and afl suites together."""
-    names = {"all": SUITE_NAMES, "intersection": ("miracle", "afl")}.get(name, (name,))
-    if names[0] not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}, all")
-    return [_SUITES[n](config) for n in names]
+    return [suite(config) for suite in _suites(name)]
+
+
+def sweep_work(name: str, config: SweepConfig | None = None) -> int:
+    """The largest charge among the suites ``run_suite(name, config)`` runs
+    (see ``_suite``), computed without running any."""
+    return max(suite.work(config or SweepConfig()) for suite in _suites(name))

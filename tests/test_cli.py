@@ -10,7 +10,6 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -102,10 +101,17 @@ def test_invalid_params_exit_2(capsys):
         "verify satake -p 41041",
         "verify orbital -p 3215031751",
         "verify satake -p 3317044064679887385961981",
+        "verify quaternion -p 10000019",
+        "verify quaternion -N 20000",
+        "verify orbital --sum-bc-max 100000000000000000000",
+        "verify orbital --vda-max 100000000000000000000",
     ],
 )
-def test_parameter_error_exit_2(capsys, argv):
+def test_parameter_error_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("ran a suite"))
+    start = time.perf_counter()
     code, _, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert "set_int_max_str_digits" not in err  # semilie's own message, not the interpreter's
@@ -123,6 +129,9 @@ def test_parameter_error_exit_2(capsys, argv):
             [("miracle", 96, True), ("afl", 304, True)],
             0,
         ),
+        # The kernel suite is charged for ve_max alone, the one field it reads.
+        ("verify kernel --rmax 10000 --json", [("kernel", 1248, True)], 0),
+        ("verify kernel --ve-max 40 --json", [("kernel", 7908, True)], 0),
     ],
 )
 def test_suite_reports_json(capsys, argv, expected, exit_code):
@@ -139,12 +148,12 @@ def test_volume_work_refused_before_enumerating(capsys, monkeypatch, argv):
     monkeypatch.setattr(verify, "DiskCounter", lambda ring: pytest.fail("enumerated"))
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
-    assert err.startswith("error: the query needs about ") and err.endswith(f"more than the limit of {cli.MAX_VOLUME_WORK}\n")
+    assert err.startswith("error: the query needs about ") and err.endswith(f"more than the limit of {cli.MAX_SWEEP_WORK}\n")
 
 
 @pytest.mark.parametrize("p, precision", [(3, 4), (5, 3), (7, 3)])
 def test_volume_work_admits_the_default_and_smoke_grids(p, precision):
-    cli._check_volume_work(None, verify.SweepConfig(p=p, precision=precision))
+    assert verify.sweep_work("volumes", verify.SweepConfig(p=p, precision=precision)) <= cli.MAX_SWEEP_WORK
 
 
 @pytest.mark.parametrize(
@@ -160,7 +169,7 @@ def test_grid_work_refused_before_any_suite_runs(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("ran a suite"))
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
-    assert err.startswith("error: the query needs about ") and err.endswith(f"more than the limit of {cli.MAX_GRID_WORK}\n")
+    assert err.startswith("error: the query needs about ") and err.endswith(f"more than the limit of {cli.MAX_SWEEP_WORK}\n")
 
 
 @pytest.mark.parametrize(
@@ -173,13 +182,10 @@ def test_grid_work_refused_before_any_suite_runs(capsys, monkeypatch, argv):
     ],
     ids=["default", "smoke", "wide_orbital", "satake_60"],
 )
-def test_grid_work_admits_the_default_and_ci_grids(monkeypatch, suite, config):
+def test_grid_work_admits_the_default_and_ci_grids(suite, config):
     """Well inside the bound: at most a quarter of it."""
-    charged = []
-    monkeypatch.setattr(cli, "_check_work", lambda args, work, degree, limit: charged.append((work, limit)))
-    cli._check_grid_work(SimpleNamespace(suite=suite), verify.SweepConfig(**config))
-    ((work, limit),) = charged
-    assert 0 < work <= limit // 4 and limit == cli.MAX_GRID_WORK
+    work = verify.sweep_work(suite, verify.SweepConfig(**config))
+    assert 0 < work <= cli.MAX_SWEEP_WORK // 4
 
 
 def test_large_prime_checked_at_once(capsys):

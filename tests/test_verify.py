@@ -1,11 +1,14 @@
 """Suite drivers: grids, determinism, and report schema."""
 
 import dataclasses
+import functools
 import json
 from fractions import Fraction
 
 import pytest
 from helpers import pack_row
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semilie import INFINITY, LaurentSeries, QPolynomial, SatakeY, SweepConfig, run_suite
 from semilie import orbital, satake, verify
@@ -101,6 +104,49 @@ def test_checks_by_identity(suite):
 
 def test_suite_names_come_from_the_registry():
     assert verify.SUITE_NAMES == tuple(IDENTITIES)
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(SweepConfig))
+
+#: Admissible values of every field, most far past any grid that could run.
+FIELD_VALUES = {name: st.integers(0, 10**30) for name in FIELDS} | {
+    "sum_bc_max": st.integers(1, 10**30),
+    "precision": st.integers(1, 10**30),
+    "p": st.sampled_from([3, 5, 7, 101, 10007, 10000019, 1000000000000000003]),
+}
+
+
+@functools.cache
+def fields_read(name):
+    """The fields a run of suite ``name`` on SMALL reads, seen through a
+    config that logs every field it is asked for."""
+    seen = set()
+
+    class Logged(SweepConfig):
+        def __getattribute__(self, attr):
+            if attr in FIELDS:
+                seen.add(attr)
+            return super().__getattribute__(attr)
+
+    config = Logged(**dataclasses.asdict(SMALL))
+    seen.clear()  # building it validated every field
+    verify._SUITES[name](config)
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("name", verify.SUITE_NAMES)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_charge_ignores_fields_the_suite_never_reads(name, data):
+    """A suite is charged only for what it reads: changing every field it
+    never reads leaves its charge as it was."""
+    read = fields_read(name)
+    assert read
+    config = SweepConfig(**{field: data.draw(FIELD_VALUES[field], label=field) for field in FIELDS})
+    changed = dataclasses.replace(
+        config, **{field: data.draw(FIELD_VALUES[field], label=f"new {field}") for field in FIELDS if field not in read}
+    )
+    assert verify._SUITES[name].work(changed) == verify._SUITES[name].work(config)
 
 
 def term_maps(series):
