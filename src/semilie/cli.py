@@ -36,6 +36,7 @@ from .orbital import (
     derivative_combo,
     orbital_closed_form,
     orbital_support_sum,
+    support_points,
     transfer_factor,
 )
 from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polynomial, satake_u3_indicator
@@ -47,8 +48,8 @@ from .verify import RMAX_FIELDS, SUITE_CHOICES, SweepConfig, run_suite, sweep_wo
 #: powers of q that ``QPolynomial.evaluate`` forms have up to N * bits(q)
 #: bits, and their cost grows with that size to the Karatsuba exponent.  A
 #: larger query exits 2 instead of running for minutes or out of memory.  The
-#: largest README example needs 1,476 units, a calculator query with r <= 30,
-#: ve <= 40, vb >= -50 and vb + vc <= 41 at most 17,835.
+#: largest README example needs 1,420 units, a calculator query with r <= 30,
+#: ve <= 40, vb >= -50 and vb + vc <= 41 at most 16,605.
 MAX_WORK = 200_000
 
 #: The most work any one suite of a ``verify`` or ``volumes`` run may be
@@ -99,14 +100,15 @@ def _check_work(args, terms: int, degree: int, limit: int = MAX_WORK) -> None:
 def _parse_params(args) -> OrbitalParams:
     p = OrbitalParams(r=args.r, vb=args.vb, vc=args.vc, ve=args.ve, vda=_parse_vda(args.vda))
     # Each q-polynomial has <= N + 1 terms; the closed-form series has
-    # 2ve + vb + vc + 2r + 1, int --mode total sums ve/2 + 1 of them.
-    ve1, n = max(p.ve + 1, 0), max(p.n_bound() + 1, 0)
+    # 2ve + vb + vc + 2r + 1, int --mode total sums ve/2 + 1 of them, and
+    # --oracle walks the support lattice, which is empty for ve < 0.
+    n = max(p.n_bound() + 1, 0)
     if args.command == "orbital":
         terms = (2 * p.ve + p.sum_bc() + 2 * p.r + 1) * n
-        if args.oracle:  # the support lattice
-            terms += ve1 * (2 * p.ve + 2 * p.sum_bc() + 3 * p.r + 1)
+        if args.oracle and p.ve >= 0:
+            terms += support_points(p.r, p.sum_bc(), p.ve)
     else:
-        terms = (ve1 // 2 + 1) * n if getattr(args, "mode", None) == "total" else n
+        terms = (max(p.ve + 1, 0) // 2 + 1) * n if getattr(args, "mode", None) == "total" else n
     _check_work(args, terms, p.n_bound())
     return p
 

@@ -432,7 +432,18 @@ class LaurentSeries(KeyedModule):
 
     # --------------------------------------------------------- serialization
     def to_json(self) -> dict:
-        return {"t_terms": [[k, self._terms[k].to_json()] for k in sorted(self._terms)]}
+        """{"t_terms": [[k, q-polynomial], ...]} by increasing k; a
+        coefficient shared by several rows (see ``_from_rows``) is encoded
+        once and its encoding shared."""
+        encoded: dict[int, dict] = {}
+        t_terms = []
+        for k in sorted(self._terms):
+            poly = self._terms[k]
+            data = encoded.get(id(poly))
+            if data is None:
+                data = encoded[id(poly)] = poly.to_json()
+            t_terms.append([k, data])
+        return {"t_terms": t_terms}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LaurentSeries":

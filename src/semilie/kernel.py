@@ -136,7 +136,6 @@ class RankCertificate:
     n_cap: int
     rank: int
     expected_rank: int
-    pivot_rows: list[int]
     structural_zeros: bool
     antidiagonal_match: bool
     fallback_row_used: bool
@@ -176,7 +175,6 @@ def certify_full_rank(m: DerivMatrix) -> RankCertificate:
     )
 
     antidiagonal = True
-    pivot_rows: list[int] = []
     pivots: list[QPolynomial] = []
     fallback = False
     for r in range(m.cols):
@@ -187,20 +185,17 @@ def certify_full_rank(m: DerivMatrix) -> RankCertificate:
             antidiagonal = False
             flags.append(f"entry ({i},{r}) != predicted anti-diagonal value")
         if actual:
-            pivot_rows.append(i)
             pivots.append(actual)
         elif r == 0:
             # Zero pivot can legitimately happen only at column 0 when
             # r + floor(theta/2) <= 1; substitute the top row, whose leading
             # entry (sum_bc + 1)/2 is positive.
             fallback = True
-            pivot_rows.append(0)
             pivots.append(m2.entry(0, 0))
             if r + half > 1:
                 flags.append("unexpected zero pivot at column 0")
         else:
             flags.append(f"unexpected zero pivot at column {r}")
-            pivot_rows.append(i)
             pivots.append(actual)
 
     rank = _bareiss_rank(m.entries)
@@ -216,7 +211,6 @@ def certify_full_rank(m: DerivMatrix) -> RankCertificate:
         n_cap=m.n_cap,
         rank=rank,
         expected_rank=m.cols,
-        pivot_rows=pivot_rows,
         structural_zeros=structural,
         antidiagonal_match=antidiagonal,
         fallback_row_used=fallback,

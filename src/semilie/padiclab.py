@@ -191,31 +191,25 @@ class QuadExtRing:
         of the residue field; it lifts digit by digit since the norm form has
         a unit partial derivative at any nonzero point (p is odd).
         """
-        p, prec = self.p, self.precision
+        p, eps = self.p, self.eps
         m %= self.modulus
-        if m % p == 0:
+        m0 = m % p
+        if m0 == 0:
             raise ValueError(f"norm preimage needs a unit target, got {m}")
-        base = None
-        for a0 in range(p):
-            for b0 in range(p):
-                if (a0 or b0) and (a0 * a0 - self.eps * b0 * b0) % p == m % p:
-                    base = (a0, b0)
-                    break
-            if base:
-                break
-        assert base is not None
-        a, b = base
-        lift_a = a % p != 0
-        for k in range(2, prec + 1):
-            pk = p**k
-            err = (a * a - self.eps * b * b - m) % pk
-            step = err // p ** (k - 1)
+        a, b = next((a0, b0) for a0 in range(p) for b0 in range(p) if (a0 * a0 - eps * b0 * b0) % p == m0)
+        # Lift a if it is a unit, else b: the lifted coordinate keeps its
+        # residue mod p, so one inverse of the partial derivative serves
+        # every digit.  pk runs through p**(k - 1) for k = 2..precision.
+        lift_a = a != 0
+        inv = pow(2 * a if lift_a else 2 * eps * b, -1, p)
+        pk = p
+        for _ in range(1, self.precision):
+            step = (a * a - eps * b * b - m) % (pk * p) // pk
             if lift_a:
-                delta = (-step * pow(2 * a % p, -1, p)) % p
-                a += delta * p ** (k - 1)
+                a += (-step * inv) % p * pk
             else:
-                delta = (step * pow(2 * self.eps * b % p, -1, p)) % p
-                b += delta * p ** (k - 1)
+                b += step * inv % p * pk
+            pk *= p
         x = self.element(a, b)
         assert self.norm(x) == m
         return x
@@ -258,28 +252,13 @@ class DiskCounter:
 
     def histogram(self, center: Element, rho: int) -> tuple[int, ...]:
         """Counts of v(1 - x*conj(x)) = v over the disk, indexed by v;
-        index ``precision`` collects everything at or beyond precision."""
+        index ``precision`` collects everything at or beyond precision.
+
+        A disk is its own intersection with itself, so this is the memo
+        entry of the coincident pair."""
         key = self._coset_key(center, rho)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        ring = self.ring
-        p, prec, modulus, eps = ring.p, ring.precision, ring.modulus, ring.eps
-        rho_eff = key[2]
-        step = p**rho_eff
-        span = p ** (prec - rho_eff)
-        a0, b0, _ = key
-        counts = [0] * (prec + 1)
-        for i in range(span):
-            a = a0 + step * i
-            aa = a * a
-            for j in range(span):
-                b = b0 + step * j
-                gap = (1 - aa + eps * b * b) % modulus
-                counts[_int_val(gap, p, prec)] += 1
-        result = tuple(counts)
-        self._memo[key] = result
-        return result
+        key = (key, key)
+        return self._memo.get(key) or self._build(key)
 
     def pair_histogram(
         self, c1: Element, rho1: int, c2: Element, rho2: int
@@ -293,20 +272,23 @@ class DiskCounter:
             (c1[0] % pr1, c1[1] % pr1, rho1) if pr1 else self._coset_key(c1, rho1),
             (c2[0] % pr2, c2[1] % pr2, rho2) if pr2 else self._coset_key(c2, rho2),
         )
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
+        return self._memo.get(key) or self._build(key)
+
+    def _build(self, key: tuple) -> tuple[int, ...]:
+        """Enumerate the smaller disk ``key[0]`` point by point, count the
+        points inside the disk ``key[1]`` by v(1 - x*conj(x)), and memoise."""
         ring = self.ring
         p, prec, modulus, eps = ring.p, ring.precision, ring.modulus, ring.eps
-        (a0, b0, rho1_eff), (a2, b2, rho2_eff) = key
-        step = p**rho1_eff
-        span = p ** (prec - rho1_eff)
-        p_rho2 = p**rho2_eff
+        (a0, b0, rho1), (a2, b2, rho2) = key
+        if rho1 > prec:
+            raise InsufficientPrecisionError(f"precision {prec} too small for a disk of radius rho={rho1}")
+        step = p**rho1
+        span = p ** (prec - rho1)
+        p_rho2 = p**rho2
         counts = [0] * (prec + 1)
         for i in range(span):
             a = a0 + step * i
-            da_ok_all = (a - a2) % p_rho2 == 0
-            if not da_ok_all:
+            if (a - a2) % p_rho2:
                 continue
             aa = a * a
             for j in range(span):
@@ -315,8 +297,7 @@ class DiskCounter:
                     continue
                 gap = (1 - aa + eps * b * b) % modulus
                 counts[_int_val(gap, p, prec)] += 1
-        result = tuple(counts)
-        self._memo[key] = result
+        result = self._memo[key] = tuple(counts)
         return result
 
 
@@ -465,8 +446,7 @@ def quaternion_invariants(
         raise ValueError("test vector needs s = 0 or t = 0")
     if s == zero and t == zero:
         raise ValueError("test vector must be nonzero")
-    nm_g = (ring.norm(alpha) - ring.norm(beta) * ring.p) % ring.modulus
-    if ring.norm(lam) != nm_g:
+    if ring.norm(lam) != quat_norm(ring, (alpha, beta)):
         raise ValueError("constraint norm(lam) = norm(alpha + beta J) violated")
 
     lam_inv = ring.inverse(lam)

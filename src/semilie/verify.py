@@ -500,8 +500,12 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
 def _quaternion_work(config: SweepConfig) -> int:
     """Per sample (3p + 55N)(1 + (b/2000)**2), b = N bits(p): ``norm_preimage``
     searches O(p) residues, then lifts through N digits on ints of up to b
-    bits.  Fitted to the times at p <= 100,003 and N <= 3,000, it charges
-    1.0-1.4 times each, but 0.6 times at p = 101, N = 1,000."""
+    bits.  Fitted when the search reduced the target per residue and the
+    lift recomputed powers of p per digit.  Timed since (2-CPU Xeon, Python
+    3.11), the charge at 0.12 µs a unit is 1.1-2.1 times the suite's time at
+    p = 3 with N = 1,000-3,000, p = 101 with N = 1,000, p = 1,009 with
+    N = 500, p = 10,007 with N = 200 and p = 100,003 with N = 4, and 3.1
+    times at p = 100,003, N = 100."""
     n = config.precision
     size = n * config.p.bit_length()
     return config.quaternion_samples * (3 * config.p + 55 * n) * (4_000_000 + size * size) // 4_000_000

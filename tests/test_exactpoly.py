@@ -285,6 +285,16 @@ def test_to_json_matches_fraction_reference(p):
     assert QPolynomial.from_json(json.loads(json.dumps(got))) == p
 
 
+
+def test_series_to_json_encodes_a_shared_row_once():
+    x = 5 + (3 << 8)  # 3q + 5 at 8 bits per digit
+    s = LaurentSeries._from_rows({-1: x, 0: 1, 3: x, 4: 0}, 8)
+    got = s.to_json()
+    per_row = {"t_terms": [[k, s._terms[k].to_json()] for k in sorted(s._terms)]}
+    assert json.dumps(got) == json.dumps(per_row)
+    rows = dict(got["t_terms"])
+    assert rows[-1] is rows[3] and rows[0] == {"q_terms": [[0, 1, 1]]}
+
 @given(qpolys, qpolys, qpolys)
 def test_qpoly_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -70,6 +70,50 @@ class TestRing:
         with pytest.raises(ValueError):
             ring.norm_preimage(3)
 
+    @pytest.mark.parametrize("p, precision", [(3, 1), (3, 5), (5, 4), (7, 3), (101, 7)])
+    def test_norm_preimage_matches_reference(self, p, precision):
+        ring = QuadExtRing(p, precision)
+        rng = random.Random(p * 100 + precision)
+        targets = [1, 2, ring.modulus - 1] + [rng.randrange(ring.modulus) for _ in range(30)]
+        for m in targets:
+            if m % p:
+                assert ring.norm_preimage(m) == reference_norm_preimage(ring, m), m
+
+    def test_norm_preimage_lifts_either_coordinate(self):
+        ring = QuadExtRing(3, 4)
+        # m = 1 mod 3 starts from (0, 1) and lifts b; m = 2 mod 3 lifts a.
+        assert [reference_norm_preimage(QuadExtRing(3, 1), m) for m in (1, 2)] == [(0, 1), (1, 1)]
+        assert ring.norm_preimage(7) == reference_norm_preimage(ring, 7) and ring.norm_preimage(7)[0] == 0
+        assert ring.norm_preimage(8) == reference_norm_preimage(ring, 8) and ring.norm_preimage(8)[1] == 1
+
+
+def reference_norm_preimage(ring, m):
+    """The base search and Hensel lift ``norm_preimage`` used before it
+    hoisted the residue, the inverse and the powers of p."""
+    p, prec = ring.p, ring.precision
+    m %= ring.modulus
+    base = None
+    for a0 in range(p):
+        for b0 in range(p):
+            if (a0 or b0) and (a0 * a0 - ring.eps * b0 * b0) % p == m % p:
+                base = (a0, b0)
+                break
+        if base:
+            break
+    a, b = base
+    lift_a = a % p != 0
+    for k in range(2, prec + 1):
+        pk = p**k
+        err = (a * a - ring.eps * b * b - m) % pk
+        step = err // p ** (k - 1)
+        if lift_a:
+            delta = (-step * pow(2 * a % p, -1, p)) % p
+            a += delta * p ** (k - 1)
+        else:
+            delta = (step * pow(2 * ring.eps * b % p, -1, p)) % p
+            b += delta * p ** (k - 1)
+    return ring.element(a, b)
+
 
 class TestQuaternions:
     def test_j_squared_is_p(self, ring):
@@ -277,6 +321,28 @@ def test_coset_key(ring):
             for _ in range(2):  # the second call reads a cached modulus
                 assert counter._coset_key(xi, rho) == (xi[0] % 3**rho, xi[1] % 3**rho, rho)
     assert counter._coset_key((-1, 5), 5) == (242, 5, 5)
+
+
+def test_histogram_is_the_coincident_pair(ring):
+    counter = DiskCounter(ring)
+    for xi in [(1, 0), (25, 13), (2, 3)]:
+        for rho in range(-1, ring.precision + 1):
+            hist = counter.histogram(xi, rho)
+            entries = len(counter._memo)
+            assert counter.pair_histogram(xi, rho, xi, rho) == hist
+            assert len(counter._memo) == entries, (xi, rho)
+
+
+def test_disk_past_the_precision_refused():
+    counter = DiskCounter(QuadExtRing(3, 2))
+    # rho = precision is one residue class, the center's own.
+    assert counter.histogram((1, 0), 2) == (0, 0, 1)
+    assert counter.pair_histogram((4, 0), 2, (1, 0), 1) == (0, 1, 0)  # v(1 - 16) = 1
+    with pytest.raises(InsufficientPrecisionError, match="rho=3"):
+        counter.histogram((1, 0), 3)
+    with pytest.raises(InsufficientPrecisionError, match="rho=3"):
+        counter.pair_histogram((1, 0), 3, (1, 0), 0)
+    assert len(counter._memo) == 2
 
 
 class TestTwoDisk:
