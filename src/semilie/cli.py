@@ -5,6 +5,9 @@ volumes, verify.  Values print as human-readable polynomials by default;
 --json switches to the exact JSON encoding and --at-q <value> evaluates
 q numerically (exact rational arithmetic either way).
 
+The sweep commands, verify and volumes, take every default from
+``SweepConfig``: each flag given sets one field (``SWEEP_FLAGS``).
+
 Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
 2 on usage or parameter errors.  An orbit, gk, bc or kernel-matrix query
 whose estimated work is above ``MAX_WORK`` is a parameter error, and so is a
@@ -40,7 +43,7 @@ from .orbital import (
     transfer_factor,
 )
 from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polynomial, satake_u3_indicator
-from .verify import RMAX_FIELDS, SUITE_CHOICES, SweepConfig, run_suite, sweep_work
+from .verify import SUITE_CHOICES, SweepConfig, run_suite, sweep_work
 
 #: The most work one orbit, ``gk``, ``bc`` or ``kernel-matrix`` query may ask
 #: for, in q-terms and support-lattice points.  With --at-q, a term of degree
@@ -60,6 +63,19 @@ MAX_WORK = 200_000
 #: ``verify satake --rmax 150`` (5 * 10**8), ``volumes -p 5 -N 4`` (1.4 *
 #: 10**9) and ``verify quaternion -p 10000019`` (3.6 * 10**9) exit 2.
 MAX_SWEEP_WORK = 400_000_000
+
+#: The flags of the two sweep commands, each mapped to the ``SweepConfig``
+#: field it sets.  No flag has a default of its own: a flag left out leaves
+#: its field at the ``SweepConfig`` default.  By ``SWEEP_ALIASES``, a field
+#: given for one suite alone also sets a second one, unless that is given
+#: too: ``verify satake --rmax 8`` reads naturally as the base-change bound.
+SWEEP_FLAGS = {
+    "volumes": {"-p": "p", "-N": "precision"},
+    "verify": {"--rmax": "r_max", "--sum-bc-max": "sum_bc_max", "--ve-max": "ve_max", "--vda-max": "vda_max",
+               "--rmax-satake": "rmax_satake", "-p": "p", "-N --precision": "precision", "--seed": "seed"},
+}
+SWEEP_ALIASES = {"satake": {"r_max": "rmax_satake"}}
+_SWEEP_HELP = {("volumes", "p"): "odd prime", ("volumes", "precision"): "working precision"}
 
 #: The most decimal digits, exponent included, that an --at-q literal may
 #: stand for; a literal near this bound takes seconds to expand.  Checked
@@ -85,16 +101,21 @@ def _parse_vda(text: str) -> int | float:
         raise ValueError(f"--vda must be an integer or 'inf', got {text!r}") from None
 
 
-def _check_work(args, terms: int, degree: int, limit: int = MAX_WORK) -> None:
-    """Reject ``terms`` units of work (q-terms of degree <= ``degree``) above ``limit``."""
+def _refuse_above(work: int, limit: int) -> None:
+    if work > limit:
+        raise ValueError(f"the query needs about {work} units of work, more than the limit of {limit}")
+
+
+def _check_work(args, terms: int, degree: int) -> None:
+    """Reject a query of ``terms`` units of work (q-terms of degree <=
+    ``degree``) above ``MAX_WORK``."""
     q = getattr(args, "at_q", None)
     if q is not None and degree > 0:
         # Every caller has more than ``degree`` terms, so a degree above
         # MAX_WORK is refused anyway; the cap keeps the float finite.
         bits = min(degree, MAX_WORK) * max(q.numerator.bit_length(), q.denominator.bit_length())
         terms *= 1 + int((bits / 1024) ** math.log2(3))
-    if terms > limit:
-        raise ValueError(f"the query needs about {terms} units of work, more than the limit of {limit}")
+    _refuse_above(terms, MAX_WORK)
 
 
 def _parse_params(args) -> OrbitalParams:
@@ -114,7 +135,6 @@ def _parse_params(args) -> OrbitalParams:
 
 
 def _fraction_json(x: Fraction) -> list[int]:
-    x = Fraction(x)
     return [x.numerator, x.denominator]
 
 
@@ -219,19 +239,19 @@ def cmd_derivative(args) -> int:
     p = _parse_params(args)
     value = (derivative_combo if args.command == "combo" else derivative_closed_form)(p)
     if args.raw:
-        sign = -1 if (p.vc + p.r) % 2 else 1
-        value = value.scale(sign)
+        value = value.scale(-1 if (p.vc + p.r) % 2 else 1)
     _print_qpoly(value, args)
     return 0
 
 
 def cmd_transfer(args) -> int:
-    p = _parse_params(args)
-    print(transfer_factor(p))
+    print(transfer_factor(_parse_params(args)))
     return 0
 
 
 def cmd_gk(args) -> int:
+    if min(args.n1, args.n2) < 0:  # GKPair admits (-1, -1), the empty-divisor sentinel
+        raise ValueError(f"--n1 and --n2 must be >= 0, got ({args.n1}, {args.n2})")
     _check_work(args, args.n1 // 2 + 1, args.n1 // 2)
     _print_qpoly(gross_keating(GKPair(args.n1, args.n2)), args)
     return 0
@@ -239,8 +259,7 @@ def cmd_gk(args) -> int:
 
 def cmd_int(args) -> int:
     p = _parse_params(args)
-    value = {"circ": int_circ, "total": int_total, "kr": int_circ_kr_closed}[args.mode](p)
-    _print_qpoly(value, args)
+    _print_qpoly({"circ": int_circ, "total": int_total, "kr": int_circ_kr_closed}[args.mode](p), args)
     return 0
 
 
@@ -281,26 +300,16 @@ def cmd_kernel_matrix(args) -> int:
     return 0
 
 
-def _run_sweep(args, name: str, config: SweepConfig) -> int:
-    """Run the suites ``name`` stands for on ``config``, refused before any
-    runs if one of them is charged above ``MAX_SWEEP_WORK``."""
-    _check_work(args, sweep_work(name, config), 0, MAX_SWEEP_WORK)
+def cmd_sweep(args) -> int:
+    """``verify`` and ``volumes``: run the suites named on the ``SweepConfig``
+    of the flags given, refused before any runs if one of them is charged
+    above ``MAX_SWEEP_WORK``."""
+    name = getattr(args, "suite", args.command)  # volumes runs the suite it is named after
+    given = {field: vars(args)[field] for field in SWEEP_FLAGS[args.command].values() if field in vars(args)}
+    given = {target: given[field] for field, target in SWEEP_ALIASES.get(name, {}).items() if field in given} | given
+    config = SweepConfig(**given)
+    _refuse_above(sweep_work(name, config), MAX_SWEEP_WORK)
     return _report_results(run_suite(name, config), args)
-
-
-def cmd_volumes(args) -> int:
-    # The subcommand is named after the one suite it runs.
-    return _run_sweep(args, args.command, SweepConfig(p=args.p, precision=args.N))
-
-
-def cmd_verify(args) -> int:
-    # `verify satake --rmax 8` reads naturally as the base-change bound.
-    rmax = {"r_max": args.rmax, RMAX_FIELDS.get(args.suite, "r_max"): args.rmax}
-    if args.rmax_satake is not None:
-        rmax["rmax_satake"] = args.rmax_satake
-    config = SweepConfig(**rmax, sum_bc_max=args.sum_bc_max, ve_max=args.ve_max, vda_max=args.vda_max,
-                         p=args.p, precision=args.precision, seed=args.seed)
-    return _run_sweep(args, args.suite, config)
 
 
 def _report_results(results, args) -> int:
@@ -308,8 +317,7 @@ def _report_results(results, args) -> int:
         print(json.dumps([result.to_json() for result in results]))
     else:
         for result in results:
-            status = "pass" if result.passed else "FAIL"
-            print(f"{result.name}: {status} ({result.checked} checks)")
+            print(f"{result.name}: {'pass' if result.passed else 'FAIL'} ({result.checked} checks)")
             for failure in result.failures:
                 print(json.dumps(failure))
     return 0 if all(result.passed for result in results) else 1
@@ -335,17 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     common_output(sp)
     sp.set_defaults(func=cmd_orbital)
 
-    sp = sub.add_parser("derivative", help="normalised derivative at s = 0")
-    _add_orbit_args(sp)
-    sp.add_argument("--raw", action="store_true", help="undo the (-1)^(vc+r) normalisation")
-    common_output(sp)
-    sp.set_defaults(func=cmd_derivative)
-
-    sp = sub.add_parser("combo", help="normalised derivative against levels r and r-1 combined")
-    _add_orbit_args(sp)
-    sp.add_argument("--raw", action="store_true", help="undo the (-1)^(vc+r) normalisation")
-    common_output(sp)
-    sp.set_defaults(func=cmd_derivative)
+    for command, text in (("derivative", "normalised derivative at s = 0"),
+                          ("combo", "normalised derivative against levels r and r-1 combined")):
+        sp = sub.add_parser(command, help=text)
+        _add_orbit_args(sp)
+        sp.add_argument("--raw", action="store_true", help="undo the (-1)^(vc+r) normalisation")
+        common_output(sp)
+        sp.set_defaults(func=cmd_derivative)
 
     sp = sub.add_parser("transfer", help="transfer factor (-1)^(vc+1)")
     _add_orbit_args(sp)
@@ -379,24 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_kernel_matrix)
 
-    sp = sub.add_parser("volumes", help="disk-volume enumeration against the closed forms")
-    sp.add_argument("-p", type=int, default=3, help="odd prime")
-    sp.add_argument("-N", type=int, default=4, help="working precision")
-    sp.add_argument("--json", action="store_true", help="print the suite report as JSON")
-    sp.set_defaults(func=cmd_volumes)
-
-    sp = sub.add_parser("verify", help="run an identity suite over a grid")
-    sp.add_argument("suite", choices=SUITE_CHOICES)
-    sp.add_argument("--rmax", type=int, default=6)
-    sp.add_argument("--sum-bc-max", dest="sum_bc_max", type=int, default=11)
-    sp.add_argument("--ve-max", dest="ve_max", type=int, default=10)
-    sp.add_argument("--vda-max", dest="vda_max", type=int, default=6)
-    sp.add_argument("--rmax-satake", dest="rmax_satake", type=int, default=None)
-    sp.add_argument("-p", type=int, default=3)
-    sp.add_argument("-N", "--precision", dest="precision", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=20240501)
-    sp.add_argument("--json", action="store_true", help="print the suite reports as one JSON list")
-    sp.set_defaults(func=cmd_verify)
+    for command, text, json_text in (
+        ("volumes", "disk-volume enumeration against the closed forms", "print the suite report as JSON"),
+        ("verify", "run an identity suite over a grid", "print the suite reports as one JSON list"),
+    ):
+        sp = sub.add_parser(command, help=text)
+        if command == "verify":
+            sp.add_argument("suite", choices=SUITE_CHOICES)
+        for flags, field in SWEEP_FLAGS[command].items():
+            names = flags.split()  # --help names the value after the last flag, as argparse does by default
+            sp.add_argument(*names, dest=field, metavar=names[-1].lstrip("-").replace("-", "_").upper(), type=int,
+                            default=argparse.SUPPRESS, help=_SWEEP_HELP.get((command, field)))
+        sp.add_argument("--json", action="store_true", help=json_text)
+        sp.set_defaults(func=cmd_sweep)
 
     return parser
 

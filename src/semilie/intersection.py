@@ -28,15 +28,16 @@ from .orbital import (
 
 @dataclass(frozen=True)
 class GKPair:
-    """The two Gross-Keating valuation invariants, 0 <= n1 <= n2, or the
-    empty-divisor sentinel n1 < 0."""
+    """The two Gross-Keating valuation invariants, ints with 0 <= n1 <= n2,
+    or the empty-divisor sentinel (-1, -1) that ``empty()`` builds."""
 
     n1: int
     n2: int
 
     def __post_init__(self):
-        if self.n1 >= 0 and self.n2 < self.n1:
-            raise ValueError(f"need n1 <= n2, got ({self.n1}, {self.n2})")
+        require_ints(n1=self.n1, n2=self.n2)
+        if not 0 <= self.n1 <= self.n2 and (self.n1, self.n2) != (-1, -1):
+            raise InvalidParamsError(f"need 0 <= n1 <= n2, got ({self.n1}, {self.n2})")
 
     @classmethod
     def empty(cls) -> "GKPair":

@@ -34,7 +34,6 @@ from typing import Callable, Iterator
 from .exactpoly import LaurentSeries, QPolynomial, unpack
 from .intersection import (
     gk_from_params,
-    gross_keating,
     int_circ,
     int_circ_kr_closed,
     int_total,
@@ -121,12 +120,15 @@ class SweepConfig:
                     for vda in self.vda_values():
                         yield OrbitalParams(r=r, vb=0, vc=s, ve=ve, vda=vda)
 
-    def full_tuple_count(self) -> int:
-        """How many tuples ``full_tuples`` yields, counted without walking
-        them: sum over odd s of the s + 1 - _VB_MIN splits."""
+    def reduced_tuple_count(self) -> int:
+        """How many tuples ``reduced_tuples`` yields, counted without walking them."""
         odd = (self.sum_bc_max + 1) // 2  # arithmetic, not len(): fields may pass sys.maxsize
-        splits = odd * odd + (1 - _VB_MIN) * odd  # 1 + 3 + ... + (2 odd - 1) = odd**2
-        return (self.r_max + 1) * splits * (self.ve_max + 1) * (max(self.vda_max, -1) + 2)
+        return (self.r_max + 1) * odd * (self.ve_max + 1) * (max(self.vda_max, -1) + 2)
+
+    def full_tuple_count(self) -> int:
+        """How many tuples ``full_tuples`` yields: each odd s splits s + 1 -
+        _VB_MIN ways, on average (sum_bc_max + 1)/2 + 1 - _VB_MIN."""
+        return self.reduced_tuple_count() * ((self.sum_bc_max + 1) // 2 + 1 - _VB_MIN)
 
     def full_tuples(self) -> Iterator[OrbitalParams]:
         """All splits vb in [_VB_MIN, sum_bc]."""
@@ -244,9 +246,35 @@ def _first_sign_break(rows: dict[int, int], width: int, digits: int) -> int | No
 
 def _grid_work(config: SweepConfig) -> int:
     """Every full-grid tuple at the support-lattice points of the grid's top
-    corner, the most any tuple has: the orbital oracle's work, and more than
-    miracle and afl make."""
+    corner, the most any tuple has: the orbital oracle's work."""
     return config.full_tuple_count() * support_points(config.r_max, config.sum_bc_max, config.ve_max)
+
+
+def _miracle_work(config: SweepConfig) -> int:
+    """200 + 2n units per reduced tuple, n = min(ve_max, (sum_bc_max - 1)/2
+    + r_max) the top q-degree on the grid (vda = INFINITY is on it): a
+    tuple builds one Gross-Keating polynomial and two derivatives of at most
+    n + 1 terms.  Timed on a 2-CPU Xeon with Python 3.11 (single runs), the
+    charge at 0.12 µs a unit is 1.04-1.77 times the suite's time (15-37 µs a
+    tuple) from the default grid to ve_max = 200 and to r_max = ve_max =
+    100; --rmax 40 --ve-max 40 --sum-bc-max 41 runs in 7.9 s, charged
+    79,074,240."""
+    n = min(config.ve_max, (config.sum_bc_max - 1) // 2 + config.r_max)
+    return config.reduced_tuple_count() * (200 + 2 * n)
+
+
+def _afl_work(config: SweepConfig) -> int:
+    """120 (ve_max + 4) units per reduced tuple: ``int_total`` sums ve/2 + 1
+    Gross-Keating differences at two levels, and the sizes of those level
+    off, so a tuple's time grows with ve_max alone.  Timed on a 2-CPU Xeon
+    with Python 3.11 (single runs), the charge at 0.12 µs a unit is
+    0.97-1.55 times the suite's time (130-780 µs a tuple) from the default
+    grid to ve_max = 80 and to r_max = ve_max = 60: --rmax 20 --ve-max 20
+    --sum-bc-max 21 runs in 10-12 s, charged 111,767,040, and --rmax 40
+    --ve-max 40 --sum-bc-max 41, 178 s, is refused at 1,491,114,240.  At
+    ve_max = r_max = 0, where no tuple makes the r >= 1 checks, it is 2.3
+    times."""
+    return config.reduced_tuple_count() * 120 * (config.ve_max + 4)
 
 
 @_suite("orbital", work=_grid_work)
@@ -279,7 +307,7 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
 
 # ---------------------------------------------------------- intersection
 
-@_suite("miracle", identity_key=None, work=_grid_work)
+@_suite("miracle", identity_key=None, work=_miracle_work)
 def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
     """Gross-Keating value == sum of normalised derivatives at ve and ve-1."""
     for p in config.reduced_tuples():
@@ -287,7 +315,7 @@ def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
         res.check(report["pass"], "gross_keating == D(ve) + D(ve-1)", **report)
 
 
-@_suite("afl", work=_grid_work)
+@_suite("afl", work=_afl_work)
 def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
     """The rank-2 identity chain on the default grid:
 
@@ -532,9 +560,6 @@ SUITE_NAMES = tuple(_SUITES)
 #: The names that run several suites, and every name ``run_suite`` takes.
 _ALIASES = {"intersection": ("miracle", "afl"), "all": SUITE_NAMES}
 SUITE_CHOICES = SUITE_NAMES + tuple(_ALIASES)
-#: The field the command line's --rmax sets for a run of one suite, where it
-#: is not r_max.
-RMAX_FIELDS = {"satake": "rmax_satake"}
 
 
 def _suites(name: str) -> list[Callable[..., SuiteResult]]:

@@ -105,6 +105,10 @@ def test_invalid_params_exit_2(capsys):
         "verify quaternion -N 20000",
         "verify orbital --sum-bc-max 100000000000000000000",
         "verify orbital --vda-max 100000000000000000000",
+        "gk --n1 -5 --n2 3",
+        "gk --n1 -1 --n2 -7",
+        "gk --n1 -1 --n2 -1",
+        "gk --n1 2 --n2 -3",
     ],
 )
 def test_parameter_error_exit_2(capsys, monkeypatch, argv):
@@ -160,7 +164,9 @@ def test_volume_work_admits_the_default_and_smoke_grids(p, precision):
     "argv",
     [
         "verify orbital --rmax 40 --ve-max 40 --sum-bc-max 41",
-        "verify miracle --ve-max 200",
+        "verify miracle --rmax 200 --ve-max 200 --sum-bc-max 201",
+        "verify afl --rmax 40 --ve-max 40 --sum-bc-max 41",
+        "verify intersection --ve-max 200",
         "verify all --sum-bc-max 1001",
         "verify satake --rmax 150 --json",
     ],
@@ -188,12 +194,28 @@ def test_grid_work_admits_the_default_and_ci_grids(suite, config):
     assert 0 < work <= cli.MAX_SWEEP_WORK // 4
 
 
+@pytest.mark.parametrize(
+    "suite, config",
+    [
+        ("miracle", {"ve_max": 200}),
+        ("miracle", {"r_max": 40, "ve_max": 40, "sum_bc_max": 41}),
+        ("afl", {"r_max": 20, "ve_max": 20, "sum_bc_max": 21}),
+    ],
+    ids=["miracle_ve_200", "miracle_40", "afl_20"],
+)
+def test_reduced_grid_suites_charged_for_their_grid(suite, config):
+    """miracle and afl walk the reduced grid, so runs far past the orbital
+    suite's bound fit theirs (each runs in 2-12 s on a 2-CPU host)."""
+    config = verify.SweepConfig(**config)
+    assert verify.sweep_work(suite, config) <= cli.MAX_SWEEP_WORK < verify.sweep_work("orbital", config)
+
+
 def test_large_prime_checked_at_once(capsys):
     """A prime near 10**18 is checked by Miller-Rabin, not trial division;
     satake never builds the ring."""
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", "satake", "-p", "1000000000000000003")
-    assert (code, out) == (0, "satake: pass (38 checks)\n")
+    assert (code, out) == (0, "satake: pass (50 checks)\n")
     assert time.perf_counter() - start < 1
 
 
@@ -290,10 +312,36 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_satake_rmax_alias(capsys):
+    """Given to satake alone, --rmax sets rmax_satake."""
+    (res,) = verify.run_suite("satake", verify.SweepConfig(rmax_satake=3))
+    assert res.checked == 20
     code, out, _ = run(capsys, "verify", "satake", "--rmax", "3")
-    assert code == 0
-    # 3 identity families per level (plus extras), far fewer checks at rmax=3
-    assert "satake: pass" in out
+    assert (code, out) == (0, "satake: pass (20 checks)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        ("verify satake --rmax 3", {"r_max": 3, "rmax_satake": 3}),
+        ("verify satake --rmax 3 --rmax-satake 5", {"r_max": 3, "rmax_satake": 5}),
+        ("verify satake --rmax-satake 5", {"rmax_satake": 5}),
+        ("verify all --rmax 3", {"r_max": 3}),
+        ("verify intersection --rmax 3 -N 2 --seed 7", {"r_max": 3, "precision": 2, "seed": 7}),
+        ("verify quaternion --precision 5 -p 7", {"precision": 5, "p": 7}),
+        ("volumes -p 5 -N 3", {"p": 5, "precision": 3}),
+        *((f"verify {name}", {}) for name in verify.SUITE_CHOICES),
+        ("volumes", {}),
+    ],
+)
+def test_sweep_flags_set_their_fields(capsys, monkeypatch, argv, fields):
+    """Each flag given sets its own field, --rmax also rmax_satake when
+    satake runs alone, and every other field keeps its ``SweepConfig``
+    default: with no flags a sweep runs on ``SweepConfig()``, so the command
+    line states no default of its own."""
+    configs = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, config: configs.append(config) or [])
+    assert run(capsys, *argv.split()) == (0, "", "")
+    assert configs == [verify.SweepConfig(**fields)]
 
 
 def test_mismatch_exit_code_1(capsys):

@@ -59,6 +59,17 @@ class TestGrossKeating:
         with pytest.raises(ValueError, match="n1 <= n2"):
             GKPair(3, 1)
 
+    @pytest.mark.parametrize("n1, n2", [(-5, 3), (-1, -7), (-1, 0), (-2, -2), (0, -1), (2, -3)])
+    def test_negative_pair_rejected(self, n1, n2):
+        """Only the sentinel (-1, -1) of ``empty()`` may hold a negative."""
+        with pytest.raises(InvalidParamsError, match="0 <= n1 <= n2"):
+            GKPair(n1, n2)
+
+    @pytest.mark.parametrize("n1, n2", [(True, 2), (1, 2.0), (1.0, 2), (0, False)])
+    def test_non_int_pair_rejected(self, n1, n2):
+        with pytest.raises(InvalidParamsError, match="must be an int"):
+            GKPair(n1, n2)
+
 
 class TestTranslation:
     def test_direct_min(self):
@@ -67,6 +78,12 @@ class TestTranslation:
 
     def test_vanishing_sentinel(self):
         assert gk_from_params(OrbitalParams(r=0, vb=0, vc=1, ve=-1, vda=0)).is_empty()
+
+    def test_int_circ_at_ve_zero_reaches_the_sentinel(self):
+        """int_circ at ve = 0 subtracts the empty pair at ve - 1 = -1."""
+        p = OrbitalParams(r=1, vb=0, vc=3, ve=0, vda=0)
+        assert gk_from_params(p.with_ve(-1)) == GKPair.empty()
+        assert int_circ(p) == gross_keating(gk_from_params(p))
 
     def test_pair_sum_invariant(self):
         for p in GRID:

@@ -36,6 +36,7 @@ def test_default_grid_shape():
 )
 def test_full_tuple_count(config):
     assert config.full_tuple_count() == sum(1 for _ in config.full_tuples())
+    assert config.reduced_tuple_count() == sum(1 for _ in config.reduced_tuples())
 
 
 def test_runs_are_deterministic():
