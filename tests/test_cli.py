@@ -164,7 +164,7 @@ def test_volume_work_admits_the_default_and_smoke_grids(p, precision):
     "argv",
     [
         "verify orbital --rmax 40 --ve-max 40 --sum-bc-max 41",
-        "verify miracle --rmax 200 --ve-max 200 --sum-bc-max 201",
+        "verify miracle --rmax 200 --ve-max 200",
         "verify afl --rmax 40 --ve-max 40 --sum-bc-max 41",
         "verify intersection --ve-max 200",
         "verify all --sum-bc-max 1001",
