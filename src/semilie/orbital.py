@@ -144,20 +144,20 @@ def row_width(p: OrbitalParams) -> int:
     coefficient is at most the number of points P (``support_points``).  A
     closed-form coefficient, and any coefficient of the sum of its rows, is
     at most the total coefficient mass M <= (2 ve + s + 2 r + 1)(n_bound +
-    1 + plateau height).  Both series live on k in [-(vb + r), 2 ve + vc + r],
-    so a k-weighted coefficient is at most K = max |k| times that, and
-    B = bits(max(P, M) * K) + 1 bounds all of them.  Zero rows (ve < 0) pack
-    at any width.
+    1 + plateau height), and M <= P: the plateau is active only where
+    vda < ve - r and s > 2 vda, so (s - 1)/2 >= vda, n_bound = vda + r and
+    n_bound + plateau = ve; elsewhere it is 0 and n_bound <= ve.  Either way
+    n_bound + 1 + plateau <= ve + 1, and 2 ve + s + 2 r + 1 <= 2 ve + 2 s +
+    2 r + 1 as s >= 1.  Both series live on k in [-(vb + r), 2 ve + vc + r],
+    so a k-weighted coefficient is at most K = max |k| times P, and
+    B = bits(P * K) + 1 bounds all of them.  B reads only r, vb, vc and ve,
+    never vda.  Zero rows (ve < 0) pack at any width.
     """
     if p.ve < 0:
         return 2
-    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
-    s = vb + vc
-    points = support_points(r, s, ve)
-    plateau = ve - vda - r if vda < ve - r and s > 2 * vda else 0
-    mass = (2 * ve + s + 2 * r + 1) * (p.n_bound() + 1 + plateau)
+    r, vb, vc, ve = p.r, p.vb, p.vc, p.ve
     k_max = max(abs(vb + r), abs(2 * ve + vc + r), 1)
-    return (max(points, mass) * k_max).bit_length() + 1
+    return (support_points(r, vb + vc, ve) * k_max).bit_length() + 1
 
 
 def _closed_form_rows(p: OrbitalParams, width: int) -> dict[int, int]:

@@ -205,7 +205,7 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
 
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
-    sweep: 29,069,040 units, 3.5 s)."""
+    sweep: 29,069,040 units, 3.5 s; it runs in 3.1-3.4 s)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -265,15 +265,14 @@ def _miracle_work(config: SweepConfig) -> int:
 
 def _afl_work(config: SweepConfig) -> int:
     """120 (ve_max + 4) units per reduced tuple: ``int_total`` sums ve/2 + 1
-    Gross-Keating differences at two levels, and the sizes of those level
-    off, so a tuple's time grows with ve_max alone.  Timed on a 2-CPU Xeon
-    with Python 3.11 (single runs), the charge at 0.12 µs a unit is
-    0.97-1.55 times the suite's time (130-780 µs a tuple) from the default
-    grid to ve_max = 80 and to r_max = ve_max = 60: --rmax 20 --ve-max 20
-    --sum-bc-max 21 runs in 10-12 s, charged 111,767,040, and --rmax 40
-    --ve-max 40 --sum-bc-max 41, 178 s, is refused at 1,491,114,240.  At
-    ve_max = r_max = 0, where no tuple makes the r >= 1 checks, it is 2.3
-    times."""
+    Gross-Keating differences, and the sizes of those level off, so a
+    tuple's time grows with ve_max alone.  Fitted when each tuple also
+    recomputed ``int_total`` at r - 1.  Timed since (2-CPU Xeon, Python
+    3.11, single runs), the charge at 0.12 µs a unit is 1.7-2.4 times the
+    suite's time (106-544 µs a tuple) from the default grid to ve_max = 80,
+    to r_max = ve_max = 60 and to ve_max = r_max = 0: --rmax 20 --ve-max 20
+    --sum-bc-max 21 runs in 7.7 s, charged 111,767,040, and --rmax 40
+    --ve-max 40 --sum-bc-max 41, 98 s, is refused at 1,491,114,240."""
     return config.reduced_tuple_count() * 120 * (config.ve_max + 4)
 
 
@@ -288,12 +287,24 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     ``orbital_closed_form`` and ``orbital_support_sum`` wrap: equal ints are
     equal q-polynomials.  The value at s = 0 is the sum of the rows and the
     log-derivative their k-weighted sum, unpacked once; no tuple allocates a
-    ``LaurentSeries``."""
+    ``LaurentSeries``.
+
+    The oracle reads a tuple only through its orbit (r, vb, vc, ve) and
+    theta, and the width only through the orbit; ``full_tuples`` walks vda
+    innermost.  So each orbit's width is computed once, and its oracle rows
+    once per theta (at most vda_max + 2 of them), kept only while the walk
+    stays on that orbit.  Every tuple still builds its own closed form and
+    compares it with the lattice sum for exactly its own inputs."""
     seen_derivative: dict[tuple, QPolynomial] = {}
+    orbit = None
     for p in config.full_tuples():
-        width = row_width(p)
+        if orbit != (p.r, p.vb, p.vc, p.ve):
+            orbit, width, oracle = (p.r, p.vb, p.vc, p.ve), row_width(p), {}
+        theta = p.theta()
+        if theta not in oracle:
+            oracle[theta] = _support_sum_rows(p, width)
         rows = _closed_form_rows(p, width)
-        res.check(rows == _support_sum_rows(p, width), "closed_form == support_sum", params=p)
+        res.check(rows == oracle[theta], "closed_form == support_sum", params=p)
         res.check(not sum(rows.values()), "value at s=0 is 0", params=p)
         weighted = sum(map(mul, rows, rows.values()))
         log_deriv = QPolynomial._raw(unpack(-weighted if (p.vc + p.r) % 2 else weighted, width))
@@ -326,20 +337,32 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
       * the clean closed form for the single-cell intersection number ==
         the Gross-Keating difference (r >= 1, ve >= 1),
       * n1 + n2 == 2 ve + vb + vc + 2r.
+
+    ``reduced_tuples`` walks r outermost, so the values at r - 1 are those
+    the level below computed: ``int_total`` and ``int_circ`` run once per
+    tuple, kept by (vb + vc, ve, vda) for the current level and the one
+    below it only.
     """
+    level, here, below = None, {}, {}
     for p in config.reduced_tuples():
+        if p.r != level:
+            level, here, below = p.r, {}, here
+        key = (p.vb + p.vc, p.ve, p.vda)
         total = int_total(p)
+        circ = int_circ(p) if p.ve >= 1 else None
+        here[key] = total, circ
         deriv = derivative_closed_form(p)
         res.check(total == deriv, "int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)
         pair = gk_from_params(p)
         res.check(pair.n1 + pair.n2 == 2 * p.ve + p.vb + p.vc + 2 * p.r, "n1 + n2 == 2 ve + vb + vc + 2r", params=p)
         if p.r >= 1:
-            lhs = total - int_total(p.with_r(p.r - 1))
+            total_below, circ_below = below[key]
+            lhs = total - total_below
             rhs = derivative_combo(p)
             res.check(lhs == rhs, "int_total(r) - int_total(r-1) == derivative_combo", params=p, lhs=lhs, rhs=rhs)
             if p.ve >= 1:
                 closed = int_circ_kr_closed(p)
-                diff = int_circ(p) - int_circ(p.with_r(p.r - 1))
+                diff = circ - circ_below
                 res.check(
                     closed == diff, "int_circ_kr_closed == int_circ(r) - int_circ(r-1)", params=p, lhs=closed, rhs=diff
                 )

@@ -6,6 +6,8 @@ builders below accumulate the same two series term by term into
 against the map it must unpack to.
 """
 
+import dataclasses
+
 import pytest
 from helpers import pack_row
 from hypothesis import HealthCheck, given, note, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from semilie import INFINITY, OrbitalParams
 from semilie.exactpoly import unpack
-from semilie.orbital import _closed_form_rows, _support_sum_rows, row_width
+from semilie.orbital import _closed_form_rows, _support_sum_rows, row_width, support_points
 from semilie.verify import SweepConfig, _first_sign_break
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2)
@@ -142,13 +144,16 @@ def test_rows_match_the_reference_maps_on_a_small_grid():
         assert _closed_form_rows(p, row_width(p)) == _support_sum_rows(p, row_width(p)) == {}
 
 
+VDA = st.one_of(st.integers(0, 20), st.just(INFINITY))
+
+
 @st.composite
 def off_grid_params(draw):
     """The calculator's ranges: r <= 30, ve <= 40 (and some ve < 0),
     vda in {0..20, inf}, odd vb + vc <= 41 with vb in [-50, vb + vc]."""
     sum_bc = draw(st.integers(0, 20)) * 2 + 1
     vb = draw(st.integers(-50, sum_bc))
-    vda = draw(st.one_of(st.integers(0, 20), st.just(INFINITY)))
+    vda = draw(VDA)
     return OrbitalParams(r=draw(st.integers(0, 30)), vb=vb, vc=sum_bc - vb, ve=draw(st.integers(-3, 40)), vda=vda)
 
 
@@ -159,3 +164,23 @@ def test_rows_match_the_reference_maps_off_grid(p):
     vda = "inf" if p.vda == INFINITY else p.vda
     note(f"semilie orbital -r {p.r} --vb {p.vb} --vc {p.vc} --ve {p.ve} --vda {vda} --oracle")
     assert_rows_match(p)
+
+
+def mass_bound(p):
+    """The closed form's coefficient-mass bound, (2 ve + s + 2 r + 1)(n_bound
+    + 1 + plateau height), which ``row_width`` need not read."""
+    s = p.sum_bc()
+    plateau = p.ve - p.vda - p.r if p.vda < p.ve - p.r and s > 2 * p.vda else 0
+    return (2 * p.ve + s + 2 * p.r + 1) * (p.n_bound() + 1 + plateau)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(off_grid_params(), st.lists(VDA, min_size=1, max_size=4))
+def test_row_width_reads_no_vda(p, others):
+    """The mass bound is at most the lattice bound, so the width is the same
+    at every vda of an orbit: the orbital sweep computes it once per orbit."""
+    for vda in (p.vda, *others):
+        q = dataclasses.replace(p, vda=vda)
+        assert row_width(q) == row_width(p)
+        if q.ve >= 0:
+            assert mass_bound(q) <= support_points(q.r, q.sum_bc(), q.ve)

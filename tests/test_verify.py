@@ -10,7 +10,7 @@ from helpers import pack_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semilie import INFINITY, LaurentSeries, QPolynomial, SatakeY, SweepConfig, run_suite
+from semilie import INFINITY, LaurentSeries, OrbitalParams, QPolynomial, SatakeY, SweepConfig, run_suite
 from semilie import orbital, satake, verify
 from semilie.orbital import InvalidParamsError
 from semilie.padiclab import DiskCounter, QuadExtRing
@@ -213,6 +213,77 @@ def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutate, identiti
     mutated = suite_orbital(SMALL)
     assert not mutated.passed and mutated.checked == clean.checked
     assert identities <= {f["identity"] for f in mutated.failures}
+
+
+def counted(monkeypatch, name):
+    """Wrap ``verify.<name>`` so that each call's arguments are recorded."""
+    calls, original = [], getattr(verify, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, name, wrapper)
+    return calls
+
+
+def test_orbital_oracle_runs_once_per_orbit_and_theta(monkeypatch):
+    """The oracle reads a tuple only through (r, vb, vc, ve, theta), and the
+    suite runs it once for each of those, at the orbit's width."""
+    calls = counted(monkeypatch, "_support_sum_rows")
+    assert suite_orbital(SMALL).passed
+    keys = [(p.r, p.vb, p.vc, p.ve, p.theta()) for p, _ in calls]
+    assert len(keys) == len(set(keys)) == len({(p.r, p.vb, p.vc, p.ve, p.theta()) for p in SMALL.full_tuples()})
+    assert all(width == orbital.row_width(p) for p, width in calls)
+
+
+def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
+    """At vb + vc = 1, vda = 1, 2 and INFINITY share theta = 1, so vda = 2 is
+    checked against the oracle rows built at vda = 1.  A closed form mutated
+    at vda = 2 alone fails there, and nowhere else."""
+    target = OrbitalParams(r=1, vb=-1, vc=2, ve=2, vda=2)
+    assert {dataclasses.replace(target, vda=vda).theta() for vda in (1, 2, INFINITY)} == {1}
+    original = verify._closed_form_rows
+
+    def mutated(p, width):
+        rows = original(p, width)
+        return {**rows, 0: rows[0] + 1} if p == target else rows
+
+    monkeypatch.setattr(verify, "_closed_form_rows", mutated)
+    res = suite_orbital(SMALL)
+    assert "closed_form == support_sum" in {f["identity"] for f in res.failures}
+    assert all(f["params"] == target.label() for f in res.failures)
+
+
+def test_afl_computes_int_total_once_per_tuple(monkeypatch):
+    """Level r - 1 comes from the level below: one ``int_total`` call per
+    reduced tuple, in the grid's order."""
+    calls = counted(monkeypatch, "int_total")
+    (res,) = run_suite("afl", SMALL)
+    assert res.passed
+    assert [p for (p,) in calls] == list(SMALL.reduced_tuples())
+
+
+LEVEL_DIFFERENCE = "int_total(r) - int_total(r-1) == derivative_combo"
+KR_CLOSED = "int_circ_kr_closed == int_circ(r) - int_circ(r-1)"
+
+
+@pytest.mark.parametrize(
+    "callee, failed",
+    [
+        ("int_total", {("int_total == derivative_closed_form", 1), (LEVEL_DIFFERENCE, 1), (LEVEL_DIFFERENCE, 2)}),
+        ("int_circ", {(KR_CLOSED, 1), (KR_CLOSED, 2)}),
+    ],
+)
+def test_afl_level_below_carries_a_mutation(monkeypatch, callee, failed):
+    """A value mutated at one r = 1 tuple fails its own checks and, read
+    back as the level below, the r = 2 check of the same tuple."""
+    target = OrbitalParams(r=1, vb=0, vc=3, ve=2, vda=1)
+    original = getattr(verify, callee)
+    monkeypatch.setattr(verify, callee, lambda p: original(p) + QPolynomial.one() if p == target else original(p))
+    (res,) = run_suite("afl", SMALL)
+    assert {(f["identity"], f["params"]["r"]) for f in res.failures} == failed
+    assert all(f["params"] == {**target.label(), "r": f["params"]["r"]} for f in res.failures)
 
 
 def plus_one(original):
