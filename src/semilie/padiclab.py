@@ -233,7 +233,8 @@ class DiskCounter:
     the same class; this makes full sweeps over all unit centers cheap while
     each histogram is still produced by brute enumeration.  The moduli
     p**rho for 0 <= rho <= precision are computed once, so finding a
-    center's coset takes one dict lookup and two reductions.
+    center's coset takes one dict lookup and two reductions; ``coset_keys``
+    finds its coset at every such rho in one call.
     """
 
     def __init__(self, ring: QuadExtRing):
@@ -250,6 +251,12 @@ class DiskCounter:
             pr = self._moduli[rho] = self.ring.p**rho
         return (center[0] % pr, center[1] % pr, rho)
 
+    def coset_keys(self, center: Element) -> list[tuple]:
+        """``_coset_key(center, rho)`` at each rho in 0..precision, indexed by rho."""
+        a, b = center
+        moduli = self._moduli
+        return [(a % moduli[rho], b % moduli[rho], rho) for rho in range(self.ring.precision + 1)]
+
     def histogram(self, center: Element, rho: int) -> tuple[int, ...]:
         """Counts of v(1 - x*conj(x)) = v over the disk, indexed by v;
         index ``precision`` collects everything at or beyond precision.
@@ -264,15 +271,12 @@ class DiskCounter:
         self, c1: Element, rho1: int, c2: Element, rho2: int
     ) -> tuple[int, ...]:
         """Same histogram over the intersection of two disks (rho1 >= rho2)."""
-        # _coset_key written out for the rho the sweeps use: the volume suite
-        # makes 96% of its lookups here, nearly all of them memo hits.
-        moduli = self._moduli
-        pr1, pr2 = moduli.get(rho1), moduli.get(rho2)
-        key = (
-            (c1[0] % pr1, c1[1] % pr1, rho1) if pr1 else self._coset_key(c1, rho1),
-            (c2[0] % pr2, c2[1] % pr2, rho2) if pr2 else self._coset_key(c2, rho2),
-        )
-        return self._memo.get(key) or self._build(key)
+        return self.keyed_histogram(self._coset_key(c1, rho1), self._coset_key(c2, rho2))
+
+    def keyed_histogram(self, key1: tuple, key2: tuple) -> tuple[int, ...]:
+        """``pair_histogram`` of the disks with coset keys ``key1`` and
+        ``key2``, for a caller that keys each center once (``coset_keys``)."""
+        return self._memo.get((key1, key2)) or self._build((key1, key2))
 
     def _build(self, key: tuple) -> tuple[int, ...]:
         """Enumerate the smaller disk ``key[0]`` point by point, count the
@@ -346,7 +350,7 @@ def formula_one_disk(ring: QuadExtRing, xi: Element, rho: int, n: int) -> Fracti
 def _check_two_disk_args(
     ring: QuadExtRing, xi1: Element, xi2: Element, rho1: int, rho2: int, n: int
 ) -> None:
-    # Written out like _check_one_disk_args: the volume sweep calls this per pair of disks.
+    # Written out like _check_one_disk_args: the volume sweep calls this per pair of centers.
     if rho1 < rho2:
         raise ValueError(f"need rho1 >= rho2, got {rho1} < {rho2}")
     p = ring.p

@@ -264,16 +264,17 @@ def _miracle_work(config: SweepConfig) -> int:
 
 
 def _afl_work(config: SweepConfig) -> int:
-    """120 (ve_max + 4) units per reduced tuple: ``int_total`` sums ve/2 + 1
-    Gross-Keating differences, and the sizes of those level off, so a
-    tuple's time grows with ve_max alone.  Fitted when each tuple also
-    recomputed ``int_total`` at r - 1.  Timed since (2-CPU Xeon, Python
-    3.11, single runs), the charge at 0.12 µs a unit is 1.7-2.4 times the
-    suite's time (106-544 µs a tuple) from the default grid to ve_max = 80,
-    to r_max = ve_max = 60 and to ve_max = r_max = 0: --rmax 20 --ve-max 20
-    --sum-bc-max 21 runs in 7.7 s, charged 111,767,040, and --rmax 40
-    --ve-max 40 --sum-bc-max 41, 98 s, is refused at 1,491,114,240."""
-    return config.reduced_tuple_count() * 120 * (config.ve_max + 4)
+    """60 (ve_max + 10) + ve_max**2 r_max / 100 units per reduced tuple:
+    the suite computes ``int_total`` once per tuple, summing ve/2 + 1
+    Gross-Keating differences whose sizes level off in ve, but grow with r
+    once ve is large.  Timed on a 2-CPU Xeon with Python 3.11 (single runs),
+    the charge at 0.12 µs a unit is 1.04-1.52 times the suite's time (113-
+    1,070 µs a tuple) from the default grid to ve_max = 180, to r_max = 150
+    and to r_max = ve_max = 60: --ve-max 100 runs in 21-25 s, charged
+    244,339,200, and --ve-max 130 (37 s) and --rmax 40 --ve-max 40
+    --sum-bc-max 41 are refused."""
+    ve, r = config.ve_max, config.r_max
+    return config.reduced_tuple_count() * (60 * (ve + 10) + ve * ve * r // 100)
 
 
 @_suite("orbital", work=_grid_work)
@@ -463,11 +464,15 @@ def suite_satake(config: SweepConfig, res: SuiteResult) -> None:
 # ---------------------------------------------------------------- volumes
 
 def _volumes_work(config: SweepConfig) -> int:
-    """40 units (a lookup takes 2-3 µs) per histogram lookup, of which the
-    suite makes about p**(2N) (2N + 1) N(N + 1)/2: roughly each of the
-    p**(2N) classes is a center against 2N + 1 offsets and N(N + 1)/2 radius
-    pairs (533,628 lookups against 590,490 at p = 3, N = 4).  Past N = 16,
-    already 10**11 times any sane bound, the estimate stays at N = 16's."""
+    """40 units per histogram lookup, of which the suite makes about p**(2N)
+    (2N + 1) N(N + 1)/2: roughly each of the p**(2N) classes is a center
+    against 2N + 1 offsets and N(N + 1)/2 radius pairs (533,628 lookups
+    against 590,490 at p = 3, N = 4).  Past N = 16, already 10**11 times any
+    sane bound, the estimate stays at N = 16's.  Timed on a 2-CPU Xeon with
+    Python 3.11 (single runs), a lookup with its share of the enumeration
+    takes 1.1-2.4 µs, so the charge at 0.12 µs a unit is 1.9-4.6 times the
+    suite's time at p = 3 with N = 2-5, p = 5 and 7 with N = 3, and p = 11
+    with N = 2: -p 7 -N 3 runs in 9.1 s, charged 197,650,320."""
     n = min(config.precision, 16)
     return 40 * config.p ** (2 * n) * (2 * n + 1) * n * (n + 1) // 2
 
@@ -495,7 +500,9 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     only through v(1 - norm(center)), so they are tabulated once per run, as
     one tuple per (gap valuation, rho) over the disk's n range, and each
     histogram is checked by one slice compare; only a mismatch walks the n
-    range to record each failing n in order.
+    range to record each failing n in order.  The two-disk sweep keys each
+    center's cosets once (``DiskCounter.coset_keys``), so a disk pair costs
+    one memo lookup by those keys and that one compare.
     """
     ring = QuadExtRing(p=config.p, precision=config.precision)
     counter = DiskCounter(ring)
@@ -524,27 +531,38 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
             # a record per n made the suite about 1.5x slower.
             one_disk += len(ns)
     res.count("one_disk", one_disk)
-    # Offsets delta = xi1 - xi2 with v(delta) = 0, 1, ..., >= precision.
-    offsets = [(0, 0)]
+    # Offsets delta = xi1 - xi2 with v(delta) = 0, 1, ..., >= precision,
+    # each with its valuation: sep = v(xi1 - xi2) is that of the offset.
+    offsets = [((0, 0), prec)]
     for v in range(prec):
-        offsets.append((ring.p**v, 0))
-        offsets.append((0, ring.p**v))
+        offsets.append(((ring.p**v, 0), v))
+        offsets.append(((0, ring.p**v), v))
+    keyed_histogram = counter.keyed_histogram
     for xi1 in ring.units():
         want_at = wants[ring.val_int(1 - ring.norm(xi1))]
-        for da, db in offsets:
-            xi2 = ring.sub(xi1, (da, db))
+        keys1 = counter.coset_keys(xi1)
+        for delta, sep in offsets:
+            xi2 = ring.sub(xi1, delta)
             if not ring.is_unit(xi2):
                 continue
-            sep = ring.val(ring.sub(xi1, xi2))
+            # Every disk pair below has rho2 <= rho1 <= n with n running
+            # from max(rho1, 1) to precision - 1, and whether the centers are
+            # units does not depend on the radii, so one argument check at
+            # the top rho1 with rho2 = 0 and n = precision - 1 covers every
+            # (rho1, rho2, n) the loop visits.  No disks (precision 1), no
+            # pairs to check.
+            if disks:
+                _check_two_disk_args(ring, xi1, xi2, disks[-1][0], 0, prec - 1)
+            keys2 = counter.coset_keys(xi2)
             for rho1, ns in disks:
-                for rho2 in range(0, rho1 + 1):
-                    _check_two_disk_args(ring, xi1, xi2, rho1, rho2, ns[-1])
-                    hist = counter.pair_histogram(xi1, rho1, xi2, rho2)
-                    want = zeros[rho1] if sep < rho2 else want_at[rho1]
+                key1, hit, miss = keys1[rho1], want_at[rho1], zeros[rho1]
+                for rho2 in range(rho1 + 1):
+                    hist = keyed_histogram(key1, keys2[rho2])
+                    want = hit if rho2 <= sep else miss
                     if hist[ns.start:prec] != want:
                         _record_mismatches(res, "two_disk", hist, ns, want, classes,
                                            xi1=xi1, xi2=xi2, rho1=rho1, rho2=rho2)
-                    two_disk += len(ns)
+                two_disk += len(ns) * (rho1 + 1)
     res.count("two_disk", two_disk)
 
 

@@ -449,13 +449,18 @@ def test_volumes_suite_reports_mutated_closed_form(monkeypatch):
         assert f["params"].get("rho", f["params"].get("rho1")) == 1
 
 
-@pytest.mark.parametrize("method, lemma", [("histogram", "one_disk"), ("pair_histogram", "two_disk")])
-def test_volumes_suite_reports_mutated_histogram(monkeypatch, method, lemma):
+@pytest.mark.parametrize(
+    "method, first_key, lemma",
+    [("histogram", DiskCounter._coset_key, "one_disk"), ("keyed_histogram", lambda self, key1, key2: key1, "two_disk")],
+    ids=["histogram-one_disk", "keyed_histogram-two_disk"],
+)
+def test_volumes_suite_reports_mutated_histogram(monkeypatch, method, first_key, lemma):
+    """Plus 1 at n = 2 on every histogram whose first disk has coset key (1, 0, 2)."""
     original = getattr(DiskCounter, method)
 
-    def bumped(self, c1, rho1, *rest):
-        hist = original(self, c1, rho1, *rest)
-        if self._coset_key(c1, rho1) == (1, 0, 2):
+    def bumped(self, *args):
+        hist = original(self, *args)
+        if first_key(self, *args) == (1, 0, 2):
             hist = hist[:2] + (hist[2] + 1,) + hist[3:]
         return hist
 
@@ -465,6 +470,51 @@ def test_volumes_suite_reports_mutated_histogram(monkeypatch, method, lemma):
     for f in mutated.failures:
         params = f["params"]
         assert params["n"] == 2 and params.get("rho", params.get("rho1")) == 2
+
+
+def volume_pairs(config):
+    """The two-disk sweep's center pairs (xi1, xi2), in sweep order."""
+    ring = QuadExtRing(p=config.p, precision=config.precision)
+    p, prec = ring.p, ring.precision
+    deltas = [(0, 0)] + [d for v in range(prec) for d in ((p**v, 0), (0, p**v))]
+    pairs = ((xi1, ring.sub(xi1, delta)) for xi1 in ring.units() for delta in deltas)
+    return [(xi1, xi2) for xi1, xi2 in pairs if ring.is_unit(xi2)]
+
+
+def test_coset_keys_are_the_coset_key_at_each_rho():
+    ring = QuadExtRing(p=VOLUMES.p, precision=VOLUMES.precision)
+    counter = DiskCounter(ring)
+    for c in ring.units():
+        keys = counter.coset_keys(c)
+        assert keys == [counter._coset_key(c, rho) for rho in range(ring.precision + 1)], c
+
+
+def test_keyed_histogram_is_the_pair_histogram_memo_entry():
+    ring = QuadExtRing(p=VOLUMES.p, precision=VOLUMES.precision)
+    counter = DiskCounter(ring)
+    for xi1, xi2 in volume_pairs(VOLUMES):
+        keys1, keys2 = counter.coset_keys(xi1), counter.coset_keys(xi2)
+        for rho1 in range(ring.precision + 1):
+            for rho2 in range(rho1 + 1):
+                hist = counter.keyed_histogram(keys1[rho1], keys2[rho2])
+                assert hist is counter.pair_histogram(xi1, rho1, xi2, rho2), (xi1, xi2, rho1, rho2)
+
+
+def test_volumes_checks_two_disk_args_once_per_center_pair(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "_check_two_disk_args", lambda ring, *args: calls.append(args))
+    assert verify.suite_volumes(VOLUMES).passed
+    # At the top rho1 = precision - 1, with rho2 = 0 and the top n = precision - 1.
+    assert calls == [(xi1, xi2, 2, 0, 2) for xi1, xi2 in volume_pairs(VOLUMES)]
+
+
+def test_volumes_two_disk_arg_refusal_aborts_the_suite(monkeypatch):
+    def refuse(ring, xi1, xi2, rho1, rho2, n):
+        raise ValueError("centers must be units")
+
+    monkeypatch.setattr(verify, "_check_two_disk_args", refuse)
+    with pytest.raises(ValueError, match="centers must be units"):
+        verify.suite_volumes(VOLUMES)
 
 
 def walk_volume_failures(config):
@@ -488,19 +538,14 @@ def walk_volume_failures(config):
         for rho in range(prec):
             wants = [(n, verify.one_disk_points(ring, gap, rho, n)) for n in range(max(rho, 1), prec)]
             compare("one_disk", {"xi": xi, "rho": rho}, counter.histogram(xi, rho), wants)
-    deltas = [(0, 0)] + [d for v in range(prec) for d in ((p**v, 0), (0, p**v))]
-    for xi1 in ring.units():
+    for xi1, xi2 in volume_pairs(config):
         gap = ring.val_int(1 - ring.norm(xi1))
-        for delta in deltas:
-            xi2 = ring.sub(xi1, delta)
-            if not ring.is_unit(xi2):
-                continue
-            for rho1 in range(prec):
-                for rho2 in range(rho1 + 1):
-                    far = ring.val(delta) < rho2
-                    wants = [(n, 0 if far else verify.one_disk_points(ring, gap, rho1, n)) for n in range(max(rho1, 1), prec)]
-                    hist = counter.pair_histogram(xi1, rho1, xi2, rho2)
-                    compare("two_disk", {"xi1": xi1, "xi2": xi2, "rho1": rho1, "rho2": rho2}, hist, wants)
+        for rho1 in range(prec):
+            for rho2 in range(rho1 + 1):
+                far = ring.val(ring.sub(xi1, xi2)) < rho2
+                wants = [(n, 0 if far else verify.one_disk_points(ring, gap, rho1, n)) for n in range(max(rho1, 1), prec)]
+                hist = counter.pair_histogram(xi1, rho1, xi2, rho2)
+                compare("two_disk", {"xi1": xi1, "xi2": xi2, "rho1": rho1, "rho2": rho2}, hist, wants)
     return records
 
 
@@ -510,11 +555,13 @@ def bump_points(where):
 
 
 def bump_far_pairs(original):
-    """pair_histogram plus 1 at n = 1 where the disks miss (v(c1 - c2) < rho2)."""
+    """keyed_histogram plus 1 at n = 1 where the disks miss: the first key
+    reduced mod p**rho2 differs from the second (v(c1 - c2) < rho2)."""
 
-    def bumped(self, c1, rho1, c2, rho2):
-        hist = original(self, c1, rho1, c2, rho2)
-        if self.ring.val(self.ring.sub(c1, c2)) < rho2:
+    def bumped(self, key1, key2):
+        hist = original(self, key1, key2)
+        pr = self.ring.p ** key2[2]
+        if (key1[0] % pr, key1[1] % pr) != key2[:2]:
             hist = hist[:1] + (hist[1] + 1,) + hist[2:]
         return hist
 
@@ -528,7 +575,7 @@ def bump_far_pairs(original):
     [
         (verify, ("one_disk_points", bump_points(lambda rho, n: n == 2)), 23490),  # the last n
         (verify, ("one_disk_points", bump_points(lambda rho, n: (rho, n) == (0, 1))), 5022),  # first n at rho = 0
-        (DiskCounter, ("pair_histogram", bump_far_pairs(DiskCounter.pair_histogram)), 1134),  # an all-zero row
+        (DiskCounter, ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)), 1134),  # an all-zero row
     ],
     ids=["last_n", "rho0_first_n", "zero_row"],
 )
