@@ -60,8 +60,9 @@ MAX_WORK = 200_000
 #: about 0.12 µs of suite time on a 2-CPU host with Python 3.11, so some 50 s.
 #: The default grid's largest charge is its orbital suite's 29,069,040 units;
 #: ``verify orbital --rmax 40 --ve-max 40 --sum-bc-max 41`` (8 * 10**10),
-#: ``verify satake --rmax 150`` (5 * 10**8), ``volumes -p 5 -N 4`` (1.4 *
-#: 10**9) and ``verify quaternion -p 10000019`` (3.6 * 10**9) exit 2.
+#: ``verify satake --rmax 150`` (5 * 10**8), ``volumes -p 5 -N 4`` (6.3 *
+#: 10**8), ``verify quaternion -p 10000019`` (3.6 * 10**9) and ``verify
+#: quaternion -N 20000`` (1.0 * 10**9) exit 2.
 MAX_SWEEP_WORK = 400_000_000
 
 #: The flags of the two sweep commands, each mapped to the ``SweepConfig``

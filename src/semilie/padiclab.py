@@ -178,10 +178,7 @@ class QuadExtRing:
                 yield (a, b)
 
     def units(self) -> Iterator[Element]:
-        p = self.p
-        for x in self.elements():
-            if x[0] % p or x[1] % p:
-                yield x
+        return filter(self.is_unit, self.elements())
 
     # --------------------------------------------------------- norm preimage
     def norm_preimage(self, m: int) -> Element:
@@ -199,16 +196,21 @@ class QuadExtRing:
         a, b = next((a0, b0) for a0 in range(p) for b0 in range(p) if (a0 * a0 - eps * b0 * b0) % p == m0)
         # Lift a if it is a unit, else b: the lifted coordinate keeps its
         # residue mod p, so one inverse of the partial derivative serves
-        # every digit.  pk runs through p**(k - 1) for k = 2..precision.
+        # every digit.  pk runs through p**(k - 1) for k = 2..precision and err
+        # is (norm - m) / pk: adding d*pk to a adds pk*d*(2a + d*pk) to the norm.
         lift_a = a != 0
         inv = pow(2 * a if lift_a else 2 * eps * b, -1, p)
+        err = (a * a - eps * b * b - m) // p
         pk = p
         for _ in range(1, self.precision):
-            step = (a * a - eps * b * b - m) % (pk * p) // pk
             if lift_a:
-                a += (-step * inv) % p * pk
+                d = -err * inv % p
+                err = (err + d * (2 * a + d * pk)) // p
+                a += d * pk
             else:
-                b += step * inv % p * pk
+                d = err * inv % p
+                err = (err - eps * d * (2 * b + d * pk)) // p
+                b += d * pk
             pk *= p
         x = self.element(a, b)
         assert self.norm(x) == m
@@ -231,31 +233,27 @@ class DiskCounter:
     The disk {x : v(x - center) >= rho} depends on the center only through
     its class mod p**max(rho, 0), so histograms are shared across centers in
     the same class; this makes full sweeps over all unit centers cheap while
-    each histogram is still produced by brute enumeration.  The moduli
-    p**rho for 0 <= rho <= precision are computed once, so finding a
-    center's coset takes one dict lookup and two reductions; ``coset_keys``
-    finds its coset at every such rho in one call.
+    each histogram is still produced by brute enumeration.  A disk's coset
+    key is (center mod p**rho, rho); ``coset_keys`` gives a center's key at
+    every rho in 0..precision at once, from moduli computed once.
     """
 
     def __init__(self, ring: QuadExtRing):
         self.ring = ring
         self._memo: dict = {}
-        self._moduli = {rho: ring.p**rho for rho in range(ring.precision + 1)}
-
-    def _coset_key(self, center: Element, rho: int) -> tuple:
-        """(center mod p**rho, rho), with every rho <= 0 keyed as rho = 0."""
-        pr = self._moduli.get(rho)
-        if pr is None:  # off the sweeps: rho < 0 or rho > precision
-            if rho < 0:
-                return (0, 0, 0)
-            pr = self._moduli[rho] = self.ring.p**rho
-        return (center[0] % pr, center[1] % pr, rho)
+        self._moduli = [ring.p**rho for rho in range(ring.precision + 1)]
 
     def coset_keys(self, center: Element) -> list[tuple]:
-        """``_coset_key(center, rho)`` at each rho in 0..precision, indexed by rho."""
+        """(center mod p**rho, rho) at each rho in 0..precision, indexed by rho."""
         a, b = center
-        moduli = self._moduli
-        return [(a % moduli[rho], b % moduli[rho], rho) for rho in range(self.ring.precision + 1)]
+        return [(a % pr, b % pr, rho) for rho, pr in enumerate(self._moduli)]
+
+    def _coset_key(self, center: Element, rho: int) -> tuple:
+        """``coset_keys(center)[rho]``, with every rho <= 0 keyed as rho = 0;
+        a disk smaller than one residue class is refused."""
+        if rho > self.ring.precision:
+            raise InsufficientPrecisionError(f"precision {self.ring.precision} too small for a disk of radius rho={rho}")
+        return self.coset_keys(center)[max(rho, 0)]
 
     def histogram(self, center: Element, rho: int) -> tuple[int, ...]:
         """Counts of v(1 - x*conj(x)) = v over the disk, indexed by v;
@@ -264,8 +262,7 @@ class DiskCounter:
         A disk is its own intersection with itself, so this is the memo
         entry of the coincident pair."""
         key = self._coset_key(center, rho)
-        key = (key, key)
-        return self._memo.get(key) or self._build(key)
+        return self.keyed_histogram(key, key)
 
     def pair_histogram(
         self, c1: Element, rho1: int, c2: Element, rho2: int
@@ -284,8 +281,6 @@ class DiskCounter:
         ring = self.ring
         p, prec, modulus, eps = ring.p, ring.precision, ring.modulus, ring.eps
         (a0, b0, rho1), (a2, b2, rho2) = key
-        if rho1 > prec:
-            raise InsufficientPrecisionError(f"precision {prec} too small for a disk of radius rho={rho1}")
         step = p**rho1
         span = p ** (prec - rho1)
         p_rho2 = p**rho2
@@ -306,9 +301,7 @@ class DiskCounter:
 
 
 def _check_one_disk_args(ring: QuadExtRing, xi: Element, rho: int, n: int) -> None:
-    # Written out rather than through is_unit and max: the volume sweep calls this per disk.
-    p = ring.p
-    if not (xi[0] % p or xi[1] % p):
+    if not ring.is_unit(xi):
         raise ValueError(f"center {xi} must be a unit")
     if n < rho or n < 1:
         raise ValueError(f"need n >= max(rho, 1), got n={n}, rho={rho}")
@@ -350,11 +343,9 @@ def formula_one_disk(ring: QuadExtRing, xi: Element, rho: int, n: int) -> Fracti
 def _check_two_disk_args(
     ring: QuadExtRing, xi1: Element, xi2: Element, rho1: int, rho2: int, n: int
 ) -> None:
-    # Written out like _check_one_disk_args: the volume sweep calls this per pair of centers.
     if rho1 < rho2:
         raise ValueError(f"need rho1 >= rho2, got {rho1} < {rho2}")
-    p = ring.p
-    if not (xi1[0] % p or xi1[1] % p) or not (xi2[0] % p or xi2[1] % p):
+    if not (ring.is_unit(xi1) and ring.is_unit(xi2)):
         raise ValueError("centers must be units")
     if n < rho1 or n < 1:
         raise ValueError(f"need n >= max(rho1, 1), got n={n}, rho1={rho1}")
@@ -389,7 +380,8 @@ def formula_two_disk(
     _check_two_disk_args(ring, xi1, xi2, rho1, rho2, n)
     if ring.val(ring.sub(xi1, xi2)) < rho2:
         return Fraction(0)
-    return formula_one_disk(ring, xi1, rho1, n)
+    gap_val = ring.val_int(1 - ring.norm(xi1))
+    return Fraction(one_disk_points(ring, gap_val, rho1, n), ring.p ** (2 * ring.precision))
 
 
 # --------------------------------------------------------------- quaternions

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exactpoly import LaurentSeries, QPolynomial, unpack
+from .exactpoly import QPolynomial, unpack
 from .intersection import (
     gk_from_params,
     int_circ,
@@ -189,7 +189,7 @@ def _encode(value):
     exact values by ``to_json``, volumes as [num, den], anything else as is."""
     if isinstance(value, OrbitalParams):
         return value.label()
-    if isinstance(value, (QPolynomial, LaurentSeries, SatakeY)):
+    if isinstance(value, QPolynomial):
         return value.to_json()
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
@@ -464,17 +464,17 @@ def suite_satake(config: SweepConfig, res: SuiteResult) -> None:
 # ---------------------------------------------------------------- volumes
 
 def _volumes_work(config: SweepConfig) -> int:
-    """40 units per histogram lookup, of which the suite makes about p**(2N)
-    (2N + 1) N(N + 1)/2: roughly each of the p**(2N) classes is a center
-    against 2N + 1 offsets and N(N + 1)/2 radius pairs (533,628 lookups
-    against 590,490 at p = 3, N = 4).  Past N = 16, already 10**11 times any
+    """250,000 units a run, plus 60 + 6N(N + 1) per center pair: each of
+    the p**(2N) classes is a center against 2N + 1 offsets, and a pair costs
+    about 60 units of its own and 12 for each of its N(N + 1)/2 lookups with
+    their share of the enumeration.  Past N = 16, already 10**11 times any
     sane bound, the estimate stays at N = 16's.  Timed on a 2-CPU Xeon with
-    Python 3.11 (single runs), a lookup with its share of the enumeration
-    takes 1.1-2.4 µs, so the charge at 0.12 µs a unit is 1.9-4.6 times the
-    suite's time at p = 3 with N = 2-5, p = 5 and 7 with N = 3, and p = 11
-    with N = 2: -p 7 -N 3 runs in 9.1 s, charged 197,650,320."""
+    Python 3.11, the charge at 0.12 µs a unit is 1.3-1.7 times the suite's
+    time at p = 3 with N = 4 and 5, p = 5 with N = 3 and 4, p = 7 and 11
+    with N = 3 and p = 11-29 with N = 2 (1.1-5 times below 0.2 s, 2.3-2.5 at
+    N = 1): -p 3 -N 5 runs in 13 s, and -p 5 -N 4 (52 s) is refused."""
     n = min(config.precision, 16)
-    return 40 * config.p ** (2 * n) * (2 * n + 1) * n * (n + 1) // 2
+    return config.p ** (2 * n) * (2 * n + 1) * (60 + 6 * n * (n + 1)) + 250_000
 
 
 def _record_mismatches(res: SuiteResult, lemma: str, hist, ns: range, want: tuple, classes: int, **params) -> None:
@@ -500,9 +500,10 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     only through v(1 - norm(center)), so they are tabulated once per run, as
     one tuple per (gap valuation, rho) over the disk's n range, and each
     histogram is checked by one slice compare; only a mismatch walks the n
-    range to record each failing n in order.  The two-disk sweep keys each
-    center's cosets once (``DiskCounter.coset_keys``), so a disk pair costs
-    one memo lookup by those keys and that one compare.
+    range to record each failing n in order.  Both halves key each center's
+    cosets once (``DiskCounter.coset_keys``), so a disk or disk pair costs
+    one memo lookup by those keys (a disk is the coincident pair) and that
+    one compare.
     """
     ring = QuadExtRing(p=config.p, precision=config.precision)
     counter = DiskCounter(ring)
@@ -510,20 +511,25 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     classes = ring.p ** (2 * prec)
 
     # A disk's n range runs from the lemmas' lower bound max(rho, 1) to
-    # precision - 1, so one argument check at its top n covers every n in it.
-    # Either every rho in range(prec) has a nonempty n range (prec >= 2) or
-    # none does, so the rows are indexed by rho: wants[gap][rho] holds the
-    # closed forms over rho's n range at a center with v(1 - norm(center)) =
-    # gap, and zeros[rho] the row of two disks that miss.
+    # precision - 1.  Either every rho in range(prec) has a nonempty n range
+    # (prec >= 2) or none does, so the rows are indexed by rho: wants[gap][rho]
+    # holds the closed forms over rho's n range at a center with
+    # v(1 - norm(center)) = gap, and zeros[rho] the row of two disks that miss.
+    # Being a unit does not depend on the radii, so one argument check per
+    # center (pair) at the top rho1 with rho2 = 0 and n = precision - 1 covers
+    # every disk (pair) the loops visit; no disks (precision 1), no check.
     disks = [(rho, range(max(rho, 1), prec)) for rho in range(prec) if max(rho, 1) < prec]
     wants = [[tuple(one_disk_points(ring, gap, rho, n) for n in ns) for rho, ns in disks] for gap in range(prec + 1)]
     zeros = [(0,) * len(ns) for _, ns in disks]
+    keyed_histogram = counter.keyed_histogram
     one_disk = two_disk = 0
     for xi in ring.units():
         want_at = wants[ring.val_int(1 - ring.norm(xi))]
+        keys = counter.coset_keys(xi)
+        if disks:
+            _check_one_disk_args(ring, xi, disks[-1][0], prec - 1)
         for rho, ns in disks:
-            _check_one_disk_args(ring, xi, rho, ns[-1])
-            hist = counter.histogram(xi, rho)
+            hist = keyed_histogram(keys[rho], keys[rho])
             want = want_at[rho]
             if hist[ns.start:prec] != want:
                 _record_mismatches(res, "one_disk", hist, ns, want, classes, xi=xi, rho=rho)
@@ -537,7 +543,6 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     for v in range(prec):
         offsets.append(((ring.p**v, 0), v))
         offsets.append(((0, ring.p**v), v))
-    keyed_histogram = counter.keyed_histogram
     for xi1 in ring.units():
         want_at = wants[ring.val_int(1 - ring.norm(xi1))]
         keys1 = counter.coset_keys(xi1)
@@ -545,12 +550,6 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
             xi2 = ring.sub(xi1, delta)
             if not ring.is_unit(xi2):
                 continue
-            # Every disk pair below has rho2 <= rho1 <= n with n running
-            # from max(rho1, 1) to precision - 1, and whether the centers are
-            # units does not depend on the radii, so one argument check at
-            # the top rho1 with rho2 = 0 and n = precision - 1 covers every
-            # (rho1, rho2, n) the loop visits.  No disks (precision 1), no
-            # pairs to check.
             if disks:
                 _check_two_disk_args(ring, xi1, xi2, disks[-1][0], 0, prec - 1)
             keys2 = counter.coset_keys(xi2)
@@ -567,17 +566,17 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
 
 
 def _quaternion_work(config: SweepConfig) -> int:
-    """Per sample (3p + 55N)(1 + (b/2000)**2), b = N bits(p): ``norm_preimage``
-    searches O(p) residues, then lifts through N digits on ints of up to b
-    bits.  Fitted when the search reduced the target per residue and the
-    lift recomputed powers of p per digit.  Timed since (2-CPU Xeon, Python
-    3.11), the charge at 0.12 µs a unit is 1.1-2.1 times the suite's time at
-    p = 3 with N = 1,000-3,000, p = 101 with N = 1,000, p = 1,009 with
-    N = 500, p = 10,007 with N = 200 and p = 100,003 with N = 4, and 3.1
-    times at p = 100,003, N = 100."""
+    """Per sample 3p + 20N + b**2/200, b = N bits(p): ``norm_preimage``
+    searches O(p) residues and lifts through N small-by-big digit updates,
+    and the invariants multiply and invert ints of b bits.  Timed on a 2-CPU
+    Xeon with Python 3.11 (single runs), the charge at 0.12 µs a unit is
+    1.24-1.73 times the suite's time at p = 3 with N = 500-15,000, p = 101
+    with N = 1,000-5,000, p = 1,009 with N = 500-4,000, p = 10,007 with
+    N = 100-2,000, p = 100,003 with N = 4 and 100 and p = 1,000,003 with
+    N = 4: -p 3 -N 12000 runs in 33 s, and -N 15000 (54 s) is refused."""
     n = config.precision
     size = n * config.p.bit_length()
-    return config.quaternion_samples * (3 * config.p + 55 * n) * (4_000_000 + size * size) // 4_000_000
+    return config.quaternion_samples * (3 * config.p + 20 * n + size * size // 200)
 
 
 @_suite("quaternion", work=_quaternion_work)

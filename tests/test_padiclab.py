@@ -70,7 +70,7 @@ class TestRing:
         with pytest.raises(ValueError):
             ring.norm_preimage(3)
 
-    @pytest.mark.parametrize("p, precision", [(3, 1), (3, 5), (5, 4), (7, 3), (101, 7)])
+    @pytest.mark.parametrize("p, precision", [(3, 1), (3, 5), (5, 4), (7, 3), (101, 7), (3, 200), (10007, 50)])
     def test_norm_preimage_matches_reference(self, p, precision):
         ring = QuadExtRing(p, precision)
         rng = random.Random(p * 100 + precision)
@@ -316,11 +316,14 @@ def test_coset_key(ring):
     for xi in centers:
         for rho in (-5, -1, 0):
             assert counter._coset_key(xi, rho) == (0, 0, 0)
-        # Inside and past the precision: the class of the center as given, mod 3**rho.
-        for rho in range(1, 7):
-            for _ in range(2):  # the second call reads a cached modulus
-                assert counter._coset_key(xi, rho) == (xi[0] % 3**rho, xi[1] % 3**rho, rho)
-    assert counter._coset_key((-1, 5), 5) == (242, 5, 5)
+        # Inside the precision: the class of the center as given, mod 3**rho.
+        for rho in range(1, ring.precision + 1):
+            assert counter._coset_key(xi, rho) == (xi[0] % 3**rho, xi[1] % 3**rho, rho)
+        # Past it, a disk smaller than one residue class.
+        for rho in range(ring.precision + 1, 7):
+            with pytest.raises(InsufficientPrecisionError, match=f"^precision 3 too small for a disk of radius rho={rho}$"):
+                counter._coset_key(xi, rho)
+    assert counter._coset_key((-1, 5), 3) == (26, 5, 3)
 
 
 def test_histogram_is_the_coincident_pair(ring):

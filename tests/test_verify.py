@@ -450,23 +450,26 @@ def test_volumes_suite_reports_mutated_closed_form(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "method, first_key, lemma",
-    [("histogram", DiskCounter._coset_key, "one_disk"), ("keyed_histogram", lambda self, key1, key2: key1, "two_disk")],
+    "second_key, lemmas",
+    [(lambda key2: key2 == (1, 0, 2), {"one_disk", "two_disk"}), (lambda key2: key2 != (1, 0, 2), {"two_disk"})],
     ids=["histogram-one_disk", "keyed_histogram-two_disk"],
 )
-def test_volumes_suite_reports_mutated_histogram(monkeypatch, method, first_key, lemma):
-    """Plus 1 at n = 2 on every histogram whose first disk has coset key (1, 0, 2)."""
-    original = getattr(DiskCounter, method)
+def test_volumes_suite_reports_mutated_histogram(monkeypatch, second_key, lemmas):
+    """Plus 1 at n = 2 on every histogram whose first disk has coset key
+    (1, 0, 2) and whose second key passes ``second_key``.  A disk is the
+    memo entry of its coincident pair, so key1 == key2 reaches both lemmas."""
+    original = DiskCounter.keyed_histogram
 
-    def bumped(self, *args):
-        hist = original(self, *args)
-        if first_key(self, *args) == (1, 0, 2):
+    def bumped(self, key1, key2):
+        hist = original(self, key1, key2)
+        if key1 == (1, 0, 2) and second_key(key2):
             hist = hist[:2] + (hist[2] + 1,) + hist[3:]
         return hist
 
-    monkeypatch.setattr(DiskCounter, method, bumped)
+    monkeypatch.setattr(DiskCounter, "keyed_histogram", bumped)
     mutated = verify.suite_volumes(VOLUMES)
-    assert_volume_failures(mutated, {lemma})
+    assert_volume_failures(mutated, lemmas)
+    assert mutated.failures == walk_volume_failures(VOLUMES)
     for f in mutated.failures:
         params = f["params"]
         assert params["n"] == 2 and params.get("rho", params.get("rho1")) == 2
@@ -481,12 +484,12 @@ def volume_pairs(config):
     return [(xi1, xi2) for xi1, xi2 in pairs if ring.is_unit(xi2)]
 
 
-def test_coset_keys_are_the_coset_key_at_each_rho():
+def test_coset_keys_are_the_center_mod_p_rho():
     ring = QuadExtRing(p=VOLUMES.p, precision=VOLUMES.precision)
     counter = DiskCounter(ring)
-    for c in ring.units():
-        keys = counter.coset_keys(c)
-        assert keys == [counter._coset_key(c, rho) for rho in range(ring.precision + 1)], c
+    for a, b in ring.units():
+        want = [(a % ring.p**rho, b % ring.p**rho, rho) for rho in range(ring.precision + 1)]
+        assert counter.coset_keys((a, b)) == want, (a, b)
 
 
 def test_keyed_histogram_is_the_pair_histogram_memo_entry():
@@ -498,6 +501,23 @@ def test_keyed_histogram_is_the_pair_histogram_memo_entry():
             for rho2 in range(rho1 + 1):
                 hist = counter.keyed_histogram(keys1[rho1], keys2[rho2])
                 assert hist is counter.pair_histogram(xi1, rho1, xi2, rho2), (xi1, xi2, rho1, rho2)
+
+
+def test_volumes_checks_one_disk_args_once_per_center(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "_check_one_disk_args", lambda ring, *args: calls.append(args))
+    assert verify.suite_volumes(VOLUMES).passed
+    # At the top rho = precision - 1 and the top n = precision - 1.
+    assert calls == [(xi, 2, 2) for xi in QuadExtRing(p=VOLUMES.p, precision=VOLUMES.precision).units()]
+    calls.clear()
+    assert verify.suite_volumes(SweepConfig(precision=1)).checked == 0 and calls == []  # no disks
+
+    def refuse(ring, xi, rho, n):
+        raise ValueError(f"center {xi} must be a unit")
+
+    monkeypatch.setattr(verify, "_check_one_disk_args", refuse)
+    with pytest.raises(ValueError, match="must be a unit"):
+        verify.suite_volumes(VOLUMES)
 
 
 def test_volumes_checks_two_disk_args_once_per_center_pair(monkeypatch):
