@@ -45,6 +45,10 @@ from .orbital import (
 from .satake import bc_s2_combo_image, bc_s2_on_basis, bc_s3_on_basis, p_r_polynomial, satake_u3_indicator
 from .verify import SUITE_CHOICES, SweepConfig, run_suite, sweep_work
 
+#: JSON text of a value: every value printed is a freshly built tree of
+#: dicts, lists, strs and ints, so the encoder skips its circular-reference walk.
+_json = json.JSONEncoder(check_circular=False).encode
+
 #: The most work one orbit, ``gk``, ``bc`` or ``kernel-matrix`` query may ask
 #: for, in q-terms and support-lattice points.  With --at-q, a term of degree
 #: <= N also costs (N * bits(q) / 1024) ** log2(3) units, rounded down: the
@@ -195,11 +199,11 @@ def _print_qpoly(poly: QPolynomial, args) -> None:
     if getattr(args, "at_q", None) is not None:
         value = _evaluate(poly, args.at_q)
         if args.json:
-            print(json.dumps({"value": _fraction_json(Fraction(value))}))
+            print(_json({"value": _fraction_json(Fraction(value))}))
         else:
             print(value)
     elif args.json:
-        print(json.dumps(poly.to_json()))
+        print(_json(poly.to_json()))
     else:
         print(poly)
 
@@ -211,12 +215,12 @@ def _print_series(series: LaurentSeries, args) -> None:
             _check_evaluable(c, args.at_q)
         terms = [[k, _fraction_json(Fraction(c.evaluate(args.at_q)))] for k, c in items]
         if args.json:
-            print(json.dumps({"t_terms": terms}))
+            print(_json({"t_terms": terms}))
         else:
             body = " ".join(f"({num}/{den})*T^{k}" if den != 1 else f"({num})*T^{k}" for k, (num, den) in terms)
             print(body if body else "0")
     elif args.json:
-        print(json.dumps(series.to_json()))
+        print(_json(series.to_json()))
     else:
         print(series)
 
@@ -277,7 +281,7 @@ def cmd_bc(args) -> int:
         value = (bc_s3_on_basis if basis else satake_u3_indicator)(level)
     else:
         value = (bc_s2_on_basis if basis else p_r_polynomial if args.pr else bc_s2_combo_image)(level)
-    print(json.dumps(value.to_json()) if args.json else value)
+    print(_json(value.to_json()) if args.json else value)
     return 0
 
 
@@ -292,7 +296,7 @@ def cmd_kernel_matrix(args) -> int:
     m1, m2 = row_reduce(m)
     chosen = {"M": m, "M'": m1, "M''": m2}[args.stage]
     if args.json:
-        print(json.dumps({"stage": args.stage, "rows": [[chosen.entry(i, r).to_json() for r in range(chosen.cols)] for i in range(chosen.rows)]}))
+        print(_json({"stage": args.stage, "rows": [[chosen.entry(i, r).to_json() for r in range(chosen.cols)] for i in range(chosen.rows)]}))
         return 0
     rows = [[str(chosen.entry(i, r)) for r in range(chosen.cols)] for i in range(chosen.rows)]
     widths = [max(len(row[c]) for row in rows) for c in range(chosen.cols)]
@@ -315,12 +319,12 @@ def cmd_sweep(args) -> int:
 
 def _report_results(results, args) -> int:
     if args.json:
-        print(json.dumps([result.to_json() for result in results]))
+        print(_json([result.to_json() for result in results]))
     else:
         for result in results:
             print(f"{result.name}: {'pass' if result.passed else 'FAIL'} ({result.checked} checks)")
             for failure in result.failures:
-                print(json.dumps(failure))
+                print(_json(failure))
     return 0 if all(result.passed for result in results) else 1
 
 

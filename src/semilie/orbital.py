@@ -217,32 +217,45 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
 
 def _support_sum_rows(p: OrbitalParams, width: int) -> dict[int, int]:
     """``orbital_support_sum`` as packed rows {k: row}, ``width`` >=
-    ``row_width(p)``, zero rows dropped.  Every lattice point adds its own
-    +-X**e, X = 2**width, to row k: only the accumulator is packed."""
+    ``row_width(p)``, in increasing k with zero rows dropped.
+
+    Every lattice point adds its own X**e, X = 2**width, to the unsigned
+    total of row k, kept in a list indexed by k - lo; the sign (-1)**k is
+    applied once per row.  lo is the walk's own lowest k: k rises by 2 per
+    n2 step and each block's top m by at most 1, so every block reaches its
+    lowest k at n2 = 0, and lo is the least of those.  Only the accumulator
+    is packed."""
+    if p.ve < 0:
+        return {}
     r, vb, vc, ve = p.r, p.vb, p.vc, p.ve
     th = p.theta()
+    even = th % 2 == 0
+    half = th // 2
     base = vc + r
+    m_top = th + 2 * r  # the first block's top m; the extra blocks' at n2 = 0 follow
+    if even:
+        m_top = max(m_top, max(r, -half) + vb + vc + r, half + r)
+    lo = base - m_top
     power = [1 << width * e for e in range(ve + 1)]  # power[e] = X**e
-    rows: dict[int, int] = {}
-    get = rows.get
+    acc = [0] * (2 * ve + m_top + 1)  # acc[k - lo], k in [lo, 2 ve + base]
     for n2 in range(ve + 1):
-        k0 = 2 * n2 + base
+        i0 = 2 * n2 + m_top  # the index of k at m = 0
         split, x_top = 2 * n2, power[n2]
         for m in range(th + 2 * r + 1):
-            k = k0 - m
-            x = power[m >> 1] if m < split else x_top  # X**min(n2, m // 2)
-            rows[k] = get(k, 0) - x if k & 1 else get(k, 0) + x
-    if th % 2 == 0:
-        half = th // 2
+            acc[i0 - m] += power[m >> 1] if m < split else x_top  # X**min(n2, m // 2)
+    if even:
         m_lo = th + 2 * r + 1
         for n2 in range(ve + 1):
-            k0 = 2 * n2 + base
+            i0 = 2 * n2 + m_top
             x = power[min(n2, half + r)]
             for m_hi in (max(r, n2 - half) + vb + vc + r, n2 + half + r):
                 for m in range(m_lo, m_hi + 1):
-                    k = k0 - m
-                    rows[k] = get(k, 0) - x if k & 1 else get(k, 0) + x
-    return {k: x for k, x in rows.items() if x}
+                    acc[i0 - m] += x
+    rows = {}
+    for k, x in enumerate(acc, lo):
+        if x:
+            rows[k] = -x if k & 1 else x
+    return rows
 
 
 def derivative_closed_form(p: OrbitalParams) -> QPolynomial:

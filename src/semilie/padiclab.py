@@ -277,10 +277,17 @@ class DiskCounter:
 
     def _build(self, key: tuple) -> tuple[int, ...]:
         """Enumerate the smaller disk ``key[0]`` point by point, count the
-        points inside the disk ``key[1]`` by v(1 - x*conj(x)), and memoise."""
+        points inside the disk ``key[1]`` by v(1 - x*conj(x)), and memoise.
+        Runs only on a memo miss, so it is where a hand-made key with a
+        radius outside 0..precision is refused, before anything is stored."""
         ring = self.ring
         p, prec, modulus, eps = ring.p, ring.precision, ring.modulus, ring.eps
         (a0, b0, rho1), (a2, b2, rho2) = key
+        for rho in (rho1, rho2):
+            if rho < 0:
+                raise ValueError(f"a coset key's radius must be >= 0, got rho={rho}")
+            if rho > prec:
+                raise InsufficientPrecisionError(f"precision {prec} too small for a disk of radius rho={rho}")
         step = p**rho1
         span = p ** (prec - rho1)
         p_rho2 = p**rho2

@@ -6,10 +6,13 @@ made, counted per named identity, and a JSON-ready record for every failure.
 Every identity at every grid point is one check, made through
 ``SuiteResult.check(ok, identity, **record)``, which counts it and, only if
 it fails, appends ``record`` with orbit parameters and exact values encoded
-by ``_encode``.  Suites are deterministic (randomised ones take a seed) and
-order-independent.  Each registration also states what a run of the suite
-costs, as a function of the ``SweepConfig`` fields the suite reads
-(``sweep_work``), so that a caller can refuse a run before it starts.
+by ``_encode``.  The orbital and volumes sweeps make the same counts and
+records in bulk: each identity counted once per run (``SuiteResult.count``)
+and each failure appended as it occurs (``SuiteResult.record``).  Suites are
+deterministic (randomised ones take a seed) and order-independent.  Each
+registration also states what a run of the suite costs, as a function of
+the ``SweepConfig`` fields the suite reads (``sweep_work``), so that a caller
+can refuse a run before it starts.
 
 The default grid is r in [0, 6], vb + vc odd in {1, ..., 11} with
 vb in [-6, vb + vc], ve in [0, 10] and vda in {0, ..., 6, INFINITY}; it
@@ -205,7 +208,8 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
 
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
-    sweep: 29,069,040 units, 3.5 s; it runs in 3.1-3.4 s)."""
+    sweep: 29,069,040 units, 3.5 s; it runs in 2.3-2.7 s, so the charge is
+    1.3-1.5 times its time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -277,6 +281,22 @@ def _afl_work(config: SweepConfig) -> int:
     return config.reduced_tuple_count() * (60 * (ve + 10) + ve * ve * r // 100)
 
 
+def _row_sums(rows: dict[int, int], width: int, negate: bool) -> tuple[bool, QPolynomial]:
+    """Whether the rows sum to 0 (the value at s = 0), and their k-weighted
+    sum unpacked, negated if ``negate`` (the signed log-derivative)."""
+    weighted = sum(map(mul, rows, rows.values()))
+    return not sum(rows.values()), QPolynomial._raw(unpack(-weighted if negate else weighted, width))
+
+
+_ORBITAL_IDENTITIES = (
+    "closed_form == support_sum",
+    "value at s=0 is 0",
+    "derivative == signed series derivative",
+    "sign pattern (-1)^k",
+    "derivative depends only on vb+vc",
+)
+
+
 @_suite("orbital", work=_grid_work)
 def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     """Closed form == support-sum oracle, value 0 at s = 0, derivative
@@ -295,26 +315,51 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     innermost.  So each orbit's width is computed once, and its oracle rows
     once per theta (at most vda_max + 2 of them), kept only while the walk
     stays on that orbit.  Every tuple still builds its own closed form and
-    compares it with the lattice sum for exactly its own inputs."""
+    compares it with the lattice sum for exactly its own inputs.
+
+    The three checks that read only the rows (the value at s = 0, the signed
+    log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
+    pattern) are read once per oracle entry, the sign pattern once per digit
+    count n_bound + 1: a tuple whose closed-form rows equal the entry's rows
+    reuses them, and a tuple whose rows differ reads its own.  Each identity
+    is counted once for the whole grid; failures are recorded as they occur,
+    in tuple order and, within a tuple, in the order above."""
     seen_derivative: dict[tuple, QPolynomial] = {}
     orbit = None
+    tuples = 0
     for p in config.full_tuples():
+        tuples += 1
         if orbit != (p.r, p.vb, p.vc, p.ve):
             orbit, width, oracle = (p.r, p.vb, p.vc, p.ve), row_width(p), {}
+            negate = (p.vc + p.r) % 2
         theta = p.theta()
-        if theta not in oracle:
-            oracle[theta] = _support_sum_rows(p, width)
+        entry = oracle.get(theta)
+        if entry is None:
+            oracle_rows = _support_sum_rows(p, width)
+            entry = oracle[theta] = (oracle_rows, *_row_sums(oracle_rows, width, negate), {})
+        oracle_rows, zero, log_deriv, breaks = entry
         rows = _closed_form_rows(p, width)
-        res.check(rows == oracle[theta], "closed_form == support_sum", params=p)
-        res.check(not sum(rows.values()), "value at s=0 is 0", params=p)
-        weighted = sum(map(mul, rows, rows.values()))
-        log_deriv = QPolynomial._raw(unpack(-weighted if (p.vc + p.r) % 2 else weighted, width))
+        digits = max(p.n_bound() + 1, 0)
+        if rows == oracle_rows:
+            if digits not in breaks:
+                breaks[digits] = _first_sign_break(rows, width, digits)
+            k = breaks[digits]
+        else:
+            res.record("closed_form == support_sum", params=p)
+            zero, log_deriv = _row_sums(rows, width, negate)
+            k = _first_sign_break(rows, width, digits)
+        if not zero:
+            res.record("value at s=0 is 0", params=p)
         deriv = derivative_closed_form(p)
-        res.check(deriv == log_deriv, "derivative == signed series derivative", params=p)
-        k = _first_sign_break(rows, width, max(p.n_bound() + 1, 0))
-        res.check(k is None, "sign pattern (-1)^k", params=p, k=k)
+        if deriv != log_deriv:
+            res.record("derivative == signed series derivative", params=p)
+        if k is not None:
+            res.record("sign pattern (-1)^k", params=p, k=k)
         key = (p.r, p.vb + p.vc, p.ve, p.vda)
-        res.check(seen_derivative.setdefault(key, deriv) == deriv, "derivative depends only on vb+vc", params=p)
+        if seen_derivative.setdefault(key, deriv) != deriv:
+            res.record("derivative depends only on vb+vc", params=p)
+    for identity in _ORBITAL_IDENTITIES:
+        res.count(identity, tuples)
 
 
 # ---------------------------------------------------------- intersection

@@ -144,6 +144,18 @@ def test_rows_match_the_reference_maps_on_a_small_grid():
         assert _closed_form_rows(p, row_width(p)) == _support_sum_rows(p, row_width(p)) == {}
 
 
+@pytest.mark.parametrize("vda", [0, 1, 20, INFINITY], ids=["vda0", "vda1", "vda20", "vda_inf"])
+@pytest.mark.parametrize("ve", [0, 40], ids=["ve0", "ve40"])
+def test_rows_match_the_reference_maps_at_the_calculator_corner(ve, vda):
+    """vb = -50 with vb + vc = 41 and r = 30 puts the lowest k of the
+    calculator ranges in an extra block at every even theta (vda finite),
+    below the first block's; vda = INFINITY has the odd theta, no extra blocks."""
+    p = OrbitalParams(r=30, vb=-50, vc=91, ve=ve, vda=vda)
+    assert (p.theta() % 2 == 0) == (vda != INFINITY)
+    assert_rows_match(p)
+    assert min(_support_sum_rows(p, row_width(p))) == min(reference_support_sum(p))
+
+
 VDA = st.one_of(st.integers(0, 20), st.just(INFINITY))
 
 

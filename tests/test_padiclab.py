@@ -348,6 +348,30 @@ def test_disk_past_the_precision_refused():
     assert len(counter._memo) == 2
 
 
+@pytest.mark.parametrize(
+    "key1, key2, error, message",
+    [
+        ((0, 0, 5), (0, 0, 0), InsufficientPrecisionError, "precision 3 too small for a disk of radius rho=5"),
+        ((0, 0, 0), (0, 0, -1), ValueError, "a coset key's radius must be >= 0, got rho=-1"),
+        ((0, 0, 0), (0, 0, 4), InsufficientPrecisionError, "precision 3 too small for a disk of radius rho=4"),
+    ],
+    ids=["first_past_precision", "second_negative", "second_past_precision"],
+)
+def test_keyed_histogram_refuses_malformed_keys(ring, key1, key2, error, message):
+    """A hand-made coset key with a radius outside 0..precision is refused
+    with the package's error, and leaves no memo entry behind."""
+    counter = DiskCounter(ring)
+    with pytest.raises(error) as info:
+        counter.keyed_histogram(key1, key2)
+    assert type(info.value) is error and str(info.value) == message
+    assert counter._memo == {}
+    # Valid keys still build, one memo entry each.
+    keys = counter.coset_keys((1, 0))
+    assert counter.keyed_histogram(keys[3], keys[0]) == counter.pair_histogram((1, 0), 3, (1, 0), 0)
+    assert counter.keyed_histogram(keys[0], keys[0]) == counter.histogram((1, 0), 0)
+    assert len(counter._memo) == 2
+
+
 class TestTwoDisk:
     def test_coincident_reduces_to_one_disk(self, ring, counter):
         xi = ring.one()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from semilie import INFINITY, LaurentSeries, OrbitalParams, QPolynomial, SatakeY, SweepConfig, run_suite
 from semilie import orbital, satake, verify
+from semilie.exactpoly import unpack
 from semilie.orbital import InvalidParamsError
 from semilie.padiclab import DiskCounter, QuadExtRing
 from semilie.verify import suite_miracle, suite_orbital, suite_quaternion
@@ -187,32 +188,99 @@ def flip_one_coefficient(series):
     return series + LaurentSeries.t_power(k, QPolynomial.q_power(e, -2 * c))
 
 
+#: Mutations of the closed-form series, made on the series its rows stand for.
+CLOSED_FORM_MUTATIONS = {
+    "sign_flip": flip_one_coefficient,
+    "constant_at_T0": lambda series: series + LaurentSeries.t_power(0, 1),
+    "term_at_T1": lambda series: series + LaurentSeries.t_power(1, QPolynomial.q_power(1)),
+}
+
+#: At vb + vc = 1, vda = 1, 2 and INFINITY share theta = 1, so this tuple is
+#: checked against the oracle rows built at vda = 1.
+SHARED_THETA_TARGET = OrbitalParams(r=1, vb=-1, vc=2, ve=2, vda=2)
+
+
+def mutated_rows(mutation, only=None):
+    """``verify._closed_form_rows`` with the rows of every tuple, or of
+    ``only`` alone, replaced by those of the mutated series."""
+    original, mutate = verify._closed_form_rows, CLOSED_FORM_MUTATIONS[mutation]
+
+    def rows(p, width):
+        out = original(p, width)
+        if only is None or p == only:
+            out = pack_terms(term_maps(mutate(LaurentSeries._from_rows(out, width))), width)
+        return out
+
+    return rows
+
+
 @pytest.mark.parametrize(
-    "mutate, identities",
+    "mutation, identities",
     [
-        (flip_one_coefficient, {"closed_form == support_sum", "sign pattern (-1)^k"}),
-        (lambda series: series + LaurentSeries.t_power(0, 1), {"value at s=0 is 0"}),
-        (
-            lambda series: series + LaurentSeries.t_power(1, QPolynomial.q_power(1)),
-            {"derivative == signed series derivative"},
-        ),
+        ("sign_flip", {"closed_form == support_sum", "sign pattern (-1)^k"}),
+        ("constant_at_T0", {"value at s=0 is 0"}),
+        ("term_at_T1", {"derivative == signed series derivative"}),
     ],
     ids=["sign_flip", "constant_at_T0", "term_at_T1"],
 )
-def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutate, identities):
+def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutation, identities):
     """The suite reads the closed form as the builder's packed rows; each
     mutation is made on the series those rows stand for."""
     clean = suite_orbital(SMALL)
     assert clean.passed and clean.checked == 5 * sum(1 for _ in SMALL.full_tuples())
-    original = verify._closed_form_rows
-    monkeypatch.setattr(
-        verify,
-        "_closed_form_rows",
-        lambda p, width: pack_terms(term_maps(mutate(LaurentSeries._from_rows(original(p, width), width))), width),
-    )
+    monkeypatch.setattr(verify, "_closed_form_rows", mutated_rows(mutation))
     mutated = suite_orbital(SMALL)
     assert not mutated.passed and mutated.checked == clean.checked
     assert identities <= {f["identity"] for f in mutated.failures}
+
+
+def walk_orbital(config):
+    """The orbital sweep as a plain per-tuple walk: five ``check`` calls at
+    each tuple, each on the tuple's own rows, with the oracle run afresh."""
+    res = verify.SuiteResult("orbital")
+    seen = {}
+    for p in config.full_tuples():
+        width = orbital.row_width(p)
+        rows = verify._closed_form_rows(p, width)
+        res.check(rows == orbital._support_sum_rows(p, width), "closed_form == support_sum", params=p)
+        res.check(not sum(rows.values()), "value at s=0 is 0", params=p)
+        weighted = sum(k * x for k, x in rows.items())
+        log_deriv = QPolynomial(unpack(-weighted if (p.vc + p.r) % 2 else weighted, width))
+        deriv = orbital.derivative_closed_form(p)
+        res.check(deriv == log_deriv, "derivative == signed series derivative", params=p)
+        k = verify._first_sign_break(rows, width, max(p.n_bound() + 1, 0))
+        res.check(k is None, "sign pattern (-1)^k", params=p, k=k)
+        key = (p.r, p.vb + p.vc, p.ve, p.vda)
+        res.check(seen.setdefault(key, deriv) == deriv, "derivative depends only on vb+vc", params=p)
+    return res
+
+
+@pytest.mark.parametrize(
+    "mutation, only",
+    [
+        (None, None),
+        ("sign_flip", None),
+        ("constant_at_T0", None),
+        ("term_at_T1", None),
+        ("constant_at_T0", SHARED_THETA_TARGET),
+        ("term_at_T1", SHARED_THETA_TARGET),
+    ],
+    ids=["clean", "sign_flip", "constant_at_T0", "term_at_T1", "constant_at_T0-shared", "term_at_T1-shared"],
+)
+def test_orbital_records_match_the_per_tuple_walk(monkeypatch, mutation, only):
+    """Reading the row checks once per oracle entry and counting each
+    identity once leaves the report as the per-tuple walk makes it: the
+    same counts in the same key order, the same records in the same order."""
+    if mutation:
+        monkeypatch.setattr(verify, "_closed_form_rows", mutated_rows(mutation, only))
+    got, want = suite_orbital(SMALL).to_json(), walk_orbital(SMALL).to_json()
+    assert bool(want["failures"]) == bool(mutation)
+    assert [*got.items()][:4] == [*want.items()][:4]  # suite, checked, counts, passed
+    assert [*got["checks_by_identity"]] == [*want["checks_by_identity"]]
+    assert len(got["failures"]) == len(want["failures"])
+    for i, (g, w) in enumerate(zip(got["failures"], want["failures"])):
+        assert json.dumps(g) == json.dumps(w), f"failure record {i}"
+    assert json.dumps(got) == json.dumps(want)
 
 
 def counted(monkeypatch, name):
@@ -238,10 +306,9 @@ def test_orbital_oracle_runs_once_per_orbit_and_theta(monkeypatch):
 
 
 def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
-    """At vb + vc = 1, vda = 1, 2 and INFINITY share theta = 1, so vda = 2 is
-    checked against the oracle rows built at vda = 1.  A closed form mutated
-    at vda = 2 alone fails there, and nowhere else."""
-    target = OrbitalParams(r=1, vb=-1, vc=2, ve=2, vda=2)
+    """A closed form mutated at ``SHARED_THETA_TARGET`` alone, checked
+    against the oracle rows built at vda = 1, fails there, and nowhere else."""
+    target = SHARED_THETA_TARGET
     assert {dataclasses.replace(target, vda=vda).theta() for vda in (1, 2, INFINITY)} == {1}
     original = verify._closed_form_rows
 
@@ -253,6 +320,28 @@ def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
     res = suite_orbital(SMALL)
     assert "closed_form == support_sum" in {f["identity"] for f in res.failures}
     assert all(f["params"] == target.label() for f in res.failures)
+
+
+@pytest.mark.parametrize("differs", [False, True], ids=["clean", "one_tuple_differs"])
+def test_row_checks_read_once_per_oracle_entry(monkeypatch, differs):
+    """The value at s = 0 and the log-derivative are read once per oracle
+    entry (orbit, theta), the sign pattern once per (orbit, theta, digits);
+    a tuple whose rows differ from its entry's reads its own, once more.
+    Every tuple still builds its own closed form and derivative."""
+    if differs:
+        monkeypatch.setattr(verify, "_closed_form_rows", mutated_rows("constant_at_T0", SHARED_THETA_TARGET))
+    breaks = counted(monkeypatch, "_first_sign_break")
+    sums = counted(monkeypatch, "_row_sums")
+    closed = counted(monkeypatch, "_closed_form_rows")
+    derivatives = counted(monkeypatch, "derivative_closed_form")
+    assert suite_orbital(SMALL).passed != differs
+    tuples = list(SMALL.full_tuples())
+    entries = {(p.r, p.vb, p.vc, p.ve, p.theta()) for p in tuples}
+    digits = {(p.r, p.vb, p.vc, p.ve, p.theta(), max(p.n_bound() + 1, 0)) for p in tuples}
+    assert len(entries) <= len(digits) < len(tuples)
+    assert len(sums) == len(entries) + differs
+    assert len(breaks) == len(digits) + differs
+    assert [p for p, _ in closed] == [p for (p,) in derivatives] == tuples
 
 
 def test_afl_computes_int_total_once_per_tuple(monkeypatch):
