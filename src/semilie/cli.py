@@ -35,10 +35,11 @@ from .kernel import build_matrix, row_reduce
 from .orbital import (
     INFINITY,
     OrbitalParams,
+    _closed_form_rows,
+    _support_sum_rows,
     derivative_closed_form,
     derivative_combo,
-    orbital_closed_form,
-    orbital_support_sum,
+    row_width,
     support_points,
     transfer_factor,
 )
@@ -208,9 +209,11 @@ def _print_qpoly(poly: QPolynomial, args) -> None:
         print(poly)
 
 
-def _print_series(series: LaurentSeries, args) -> None:
-    if getattr(args, "at_q", None) is not None:
-        items = series.sorted_items()
+def _print_series(rows: dict[int, int], width: int, args) -> None:
+    """The series packed in ``rows`` at ``width`` bits per digit: --json
+    prints the rows' own JSON text, the other forms unpack the rows once."""
+    if args.at_q is not None:
+        items = LaurentSeries._from_rows(rows, width).sorted_items()
         for _, c in items:  # all of them before evaluating any
             _check_evaluable(c, args.at_q)
         terms = [[k, _fraction_json(Fraction(c.evaluate(args.at_q)))] for k, c in items]
@@ -220,21 +223,27 @@ def _print_series(series: LaurentSeries, args) -> None:
             body = " ".join(f"({num}/{den})*T^{k}" if den != 1 else f"({num})*T^{k}" for k, (num, den) in terms)
             print(body if body else "0")
     elif args.json:
-        print(_json(series.to_json()))
+        print(LaurentSeries._rows_json_text(rows, width))
     else:
-        print(series)
+        print(LaurentSeries._from_rows(rows, width))
 
 
 def cmd_orbital(args) -> int:
+    """The series of ``orbital_closed_form``, and with --oracle the verdict
+    of ``orbital_support_sum`` against it, read from the two builders'
+    packed rows at one ``row_width`` as the orbital sweep reads them: equal
+    rows are equal series, so the verdict is one dict compare.  The
+    oracle's rows are unpacked only on a mismatch, to print them."""
     p = _parse_params(args)
-    series = orbital_closed_form(p)
-    _print_series(series, args)
+    width = row_width(p)
+    rows = _closed_form_rows(p, width)
+    _print_series(rows, width, args)
     if args.oracle:
-        oracle = orbital_support_sum(p)
-        match = series == oracle
+        oracle_rows = _support_sum_rows(p, width)
+        match = rows == oracle_rows
         print(f"oracle: {'match' if match else 'MISMATCH'}")
         if not match:
-            print(f"support sum: {oracle}")
+            print(f"support sum: {LaurentSeries._from_rows(oracle_rows, width)}")
             return 1
     return 0
 

@@ -424,6 +424,25 @@ class LaurentSeries(KeyedModule):
                 terms[k] = poly
         return cls._raw(terms)
 
+    @staticmethod
+    def _rows_json_text(rows: Mapping[int, int], width: int) -> str:
+        """The JSON text of ``_from_rows(rows, width).to_json()``, byte for
+        byte as the default ``json`` encoder writes it, built from the rows
+        without the series: zero rows are skipped and each distinct row is
+        unpacked and formatted once.  ``unpack`` yields int coefficients by
+        increasing exponent, so each term is ``[e, c, 1]`` in that order."""
+        encoded: dict[int, str] = {}
+        parts = []
+        for k in sorted(rows):
+            x = rows[k]
+            if x:
+                text = encoded.get(x)
+                if text is None:
+                    terms = ", ".join([f"[{e}, {c}, 1]" for e, c in unpack(x, width).items()])
+                    text = encoded[x] = f'{{"q_terms": [{terms}]}}'
+                parts.append(f"[{k}, {text}]")
+        return f'{{"t_terms": [{", ".join(parts)}]}}'
+
     # ------------------------------------------------------------ comparison
     # perfbench/tracing.py wraps __eq__ through LaurentSeries.__dict__, so it
     # is bound here; binding __eq__ in a class body resets __hash__ to None.

@@ -39,7 +39,6 @@ from .intersection import (
     gk_from_params,
     int_circ,
     int_circ_kr_closed,
-    int_total,
     verify_miracle,
 )
 from .kernel import (
@@ -268,14 +267,15 @@ def _miracle_work(config: SweepConfig) -> int:
 
 
 def _afl_work(config: SweepConfig) -> int:
-    """60 (ve_max + 10) + ve_max**2 r_max / 100 units per reduced tuple:
-    the suite computes ``int_total`` once per tuple, summing ve/2 + 1
-    Gross-Keating differences whose sizes level off in ve, but grow with r
-    once ve is large.  Timed on a 2-CPU Xeon with Python 3.11 (single runs),
-    the charge at 0.12 µs a unit is 1.04-1.52 times the suite's time (113-
-    1,070 µs a tuple) from the default grid to ve_max = 180, to r_max = 150
-    and to r_max = ve_max = 60: --ve-max 100 runs in 21-25 s, charged
-    244,339,200, and --ve-max 130 (37 s) and --rmax 40 --ve-max 40
+    """60 (ve_max + 10) + ve_max**2 r_max / 100 units per reduced tuple,
+    fitted while the suite summed ve/2 + 1 Gross-Keating differences per
+    tuple.  It now builds one difference per tuple (the total at ve is
+    taken from ve - 2), so the charge reads high: timed on a 2-CPU Xeon
+    with Python 3.11 (single runs), the suite takes 32-68 µs a tuple, and
+    the charge at 0.12 µs a unit is 4.5 times its time on the default grid,
+    3.6 times at r_max = 150, 11 times at r_max = ve_max = 60 and 20-31
+    times at ve_max = 100-180.  --ve-max 100 runs in 1.5 s, charged
+    244,339,200; --ve-max 130 (2.0 s) and --rmax 40 --ve-max 40
     --sum-bc-max 41 are refused."""
     ve, r = config.ve_max, config.r_max
     return config.reduced_tuple_count() * (60 * (ve + 10) + ve * ve * r // 100)
@@ -384,18 +384,23 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
         the Gross-Keating difference (r >= 1, ve >= 1),
       * n1 + n2 == 2 ve + vb + vc + 2r.
 
-    ``reduced_tuples`` walks r outermost, so the values at r - 1 are those
-    the level below computed: ``int_total`` and ``int_circ`` run once per
-    tuple, kept by (vb + vc, ve, vda) for the current level and the one
-    below it only.
+    ``int_circ`` runs once per tuple, and ``int_total``, the sum of
+    ``int_circ`` at ve, ve - 2, ..., is never called: the total at ve is
+    ``int_circ`` at ve plus the total at ve - 2, which this level computed
+    before, since ``reduced_tuples`` walks ve upwards within each (r,
+    vb + vc).  It walks r outermost, so the values at r - 1 are those the
+    level below computed.  Both are kept by (vb + vc, ve, vda) for the
+    current level and the one below it only.
     """
     level, here, below = None, {}, {}
+    zero = QPolynomial.zero()
     for p in config.reduced_tuples():
         if p.r != level:
             level, here, below = p.r, {}, here
-        key = (p.vb + p.vc, p.ve, p.vda)
-        total = int_total(p)
-        circ = int_circ(p) if p.ve >= 1 else None
+        s = p.vb + p.vc
+        key = (s, p.ve, p.vda)
+        circ = int_circ(p)
+        total = circ + (here[s, p.ve - 2, p.vda][0] if p.ve >= 2 else zero)
         here[key] = total, circ
         deriv = derivative_closed_form(p)
         res.check(total == deriv, "int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)

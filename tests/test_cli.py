@@ -48,6 +48,24 @@ def test_orbital_oracle_verdict(capsys):
     assert "oracle: match" in out
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_orbital_oracle_mismatch(capsys, monkeypatch, as_json):
+    """An oracle whose row at T**0 is off by 1 is reported, printed in full
+    and exits 1; the closed form is printed first, as it is on a match."""
+    p = semilie.OrbitalParams(r=2, vb=-1, vc=4, ve=3, vda=1)
+    original = cli._support_sum_rows
+    monkeypatch.setattr(cli, "_support_sum_rows", lambda p, width: {**original(p, width), 0: original(p, width)[0] + 1})
+    argv = "orbital -r 2 --vb -1 --vc 4 --ve 3 --vda 1 --oracle".split() + ["--json"] * as_json
+    code, out, _ = run(capsys, *argv)
+    first, verdict, oracle = out.splitlines()
+    assert code == 1
+    assert verdict == "oracle: MISMATCH"
+    perturbed = semilie.orbital_support_sum(p) + LaurentSeries.t_power(0, 1)
+    assert oracle == f"support sum: {perturbed}"
+    closed = semilie.orbital_closed_form(p)
+    assert first == (json.dumps(closed.to_json()) if as_json else str(closed))
+
+
 def test_orbital_json_roundtrip(capsys):
     code, out, _ = run(
         capsys, "orbital", "-r", "14", "--vb", "-5", "--vc", "100", "--ve", "3", "--json"

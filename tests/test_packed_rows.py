@@ -13,7 +13,8 @@ from helpers import pack_row
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from semilie import INFINITY, OrbitalParams
+from semilie import INFINITY, LaurentSeries, OrbitalParams
+from semilie.cli import _json
 from semilie.exactpoly import unpack
 from semilie.orbital import _closed_form_rows, _support_sum_rows, row_width, support_points
 from semilie.verify import SweepConfig, _first_sign_break
@@ -196,3 +197,37 @@ def test_row_width_reads_no_vda(p, others):
         assert row_width(q) == row_width(p)
         if q.ve >= 0:
             assert mass_bound(q) <= support_points(q.r, q.sum_bc(), q.ve)
+
+
+def assert_rows_json_matches(rows, width):
+    """The calculator's row JSON is the series' own JSON, byte for byte."""
+    assert LaurentSeries._rows_json_text(rows, width) == _json(LaurentSeries._from_rows(rows, width).to_json())
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(off_grid_params())
+def test_rows_json_text_off_grid(p):
+    width = row_width(p)
+    for build, _ in BUILDERS:
+        assert_rows_json_matches(build(p, width), width)
+
+
+@pytest.mark.parametrize("vda", [0, INFINITY], ids=["vda0", "vda_inf"])
+def test_rows_json_text_at_the_calculator_corner(vda):
+    p = OrbitalParams(r=30, vb=-50, vc=91, ve=40, vda=vda)
+    width = row_width(p)
+    for build, _ in BUILDERS:
+        rows = build(p, width)
+        assert len(set(rows.values())) < len(rows)  # shared rows are encoded once
+        assert_rows_json_matches(rows, width)
+
+
+def test_rows_json_text_skips_zero_rows_and_sorts_k():
+    width = 5
+    rows = {3: pack_row({0: 2, 4: -1}, width), -2: 0, 1: pack_row({1: -15}, width), -1: pack_row({0: 2, 4: -1}, width)}
+    text = LaurentSeries._rows_json_text(rows, width)
+    assert text == ('{"t_terms": [[-1, {"q_terms": [[0, 2, 1], [4, -1, 1]]}], [1, {"q_terms": [[1, -15, 1]]}], '
+                    '[3, {"q_terms": [[0, 2, 1], [4, -1, 1]]}]]}')
+    assert_rows_json_matches(rows, width)
+    assert LaurentSeries._rows_json_text({0: 0}, width) == _json(LaurentSeries.zero().to_json()) == '{"t_terms": []}'

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semilie import INFINITY, LaurentSeries, OrbitalParams, QPolynomial, SatakeY, SweepConfig, run_suite
-from semilie import orbital, satake, verify
+from semilie import intersection, orbital, satake, verify
 from semilie.exactpoly import unpack
 from semilie.orbital import InvalidParamsError
 from semilie.padiclab import DiskCounter, QuadExtRing
-from semilie.verify import suite_miracle, suite_orbital, suite_quaternion
+from semilie.verify import SuiteResult, suite_miracle, suite_orbital, suite_quaternion
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2, quaternion_samples=20, precision=3)
 
@@ -344,35 +344,75 @@ def test_row_checks_read_once_per_oracle_entry(monkeypatch, differs):
     assert [p for p, _ in closed] == [p for (p,) in derivatives] == tuples
 
 
-def test_afl_computes_int_total_once_per_tuple(monkeypatch):
-    """Level r - 1 comes from the level below: one ``int_total`` call per
-    reduced tuple, in the grid's order."""
-    calls = counted(monkeypatch, "int_total")
+def reference_afl(config):
+    """``suite_afl`` as a plain walk: ``int_total`` and ``int_circ`` called
+    afresh at every reduced tuple and at its level below."""
+    res = SuiteResult("afl")
+    for p in config.reduced_tuples():
+        total, deriv = intersection.int_total(p), verify.derivative_closed_form(p)
+        res.check(total == deriv, "int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)
+        pair = verify.gk_from_params(p)
+        res.check(pair.n1 + pair.n2 == 2 * p.ve + p.vb + p.vc + 2 * p.r, "n1 + n2 == 2 ve + vb + vc + 2r", params=p)
+        if p.r >= 1:
+            lhs, rhs = total - intersection.int_total(p.with_r(p.r - 1)), verify.derivative_combo(p)
+            res.check(lhs == rhs, "int_total(r) - int_total(r-1) == derivative_combo", params=p, lhs=lhs, rhs=rhs)
+            if p.ve >= 1:
+                closed = verify.int_circ_kr_closed(p)
+                diff = intersection.int_circ(p) - intersection.int_circ(p.with_r(p.r - 1))
+                res.check(
+                    closed == diff, "int_circ_kr_closed == int_circ(r) - int_circ(r-1)", params=p, lhs=closed, rhs=diff
+                )
+    return res
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["clean", "derivative_mutated"])
+def test_afl_matches_a_per_tuple_int_total_walk(monkeypatch, mutated):
+    """The suite never calls ``int_total`` and calls ``int_circ`` once per
+    reduced tuple, in the grid's order; its report is the plain walk's."""
+    if mutated:
+        target, original = OrbitalParams(r=1, vb=0, vc=3, ve=3, vda=1), verify.derivative_closed_form
+        monkeypatch.setattr(
+            verify, "derivative_closed_form", lambda p: original(p) + QPolynomial.one() if p == target else original(p)
+        )
+    want = reference_afl(SMALL).to_json()
+    totals = []
+    for module in (intersection, verify):
+        if hasattr(module, "int_total"):
+            monkeypatch.setattr(module, "int_total", lambda *args: totals.append(args) or intersection.int_total(*args))
+    circs = counted(monkeypatch, "int_circ")
     (res,) = run_suite("afl", SMALL)
-    assert res.passed
-    assert [p for (p,) in calls] == list(SMALL.reduced_tuples())
+    assert res.to_json() == want
+    assert res.passed != mutated
+    assert totals == []
+    assert [p for (p,) in circs] == list(SMALL.reduced_tuples())
 
 
 LEVEL_DIFFERENCE = "int_total(r) - int_total(r-1) == derivative_combo"
 KR_CLOSED = "int_circ_kr_closed == int_circ(r) - int_circ(r-1)"
+TOTAL = "int_total == derivative_closed_form"
 
 
 @pytest.mark.parametrize(
-    "callee, failed",
+    "ve, failed",
     [
-        ("int_total", {("int_total == derivative_closed_form", 1), (LEVEL_DIFFERENCE, 1), (LEVEL_DIFFERENCE, 2)}),
-        ("int_circ", {(KR_CLOSED, 1), (KR_CLOSED, 2)}),
+        (0, {(TOTAL, 1, 0), (TOTAL, 1, 2), (LEVEL_DIFFERENCE, 1, 0), (LEVEL_DIFFERENCE, 1, 2),
+             (LEVEL_DIFFERENCE, 2, 0), (LEVEL_DIFFERENCE, 2, 2)}),
+        (2, {(TOTAL, 1, 2), (LEVEL_DIFFERENCE, 1, 2), (LEVEL_DIFFERENCE, 2, 2), (KR_CLOSED, 1, 2), (KR_CLOSED, 2, 2)}),
     ],
+    ids=["ve0", "ve2"],
 )
-def test_afl_level_below_carries_a_mutation(monkeypatch, callee, failed):
-    """A value mutated at one r = 1 tuple fails its own checks and, read
-    back as the level below, the r = 2 check of the same tuple."""
-    target = OrbitalParams(r=1, vb=0, vc=3, ve=2, vda=1)
-    original = getattr(verify, callee)
-    monkeypatch.setattr(verify, callee, lambda p: original(p) + QPolynomial.one() if p == target else original(p))
+def test_afl_int_circ_mutation_reaches_every_value_built_from_it(monkeypatch, ve, failed):
+    """``int_circ`` mutated at one r = 1 tuple fails the checks of every
+    value built from it: the total there and, read back as the total at
+    ve - 2, the total two steps up (no higher ve here), each at its own
+    level and as the level below at r = 2; and with ve >= 1, the
+    single-cell difference at r = 1 and r = 2."""
+    target = OrbitalParams(r=1, vb=0, vc=3, ve=ve, vda=1)
+    original = verify.int_circ
+    monkeypatch.setattr(verify, "int_circ", lambda p: original(p) + QPolynomial.one() if p == target else original(p))
     (res,) = run_suite("afl", SMALL)
-    assert {(f["identity"], f["params"]["r"]) for f in res.failures} == failed
-    assert all(f["params"] == {**target.label(), "r": f["params"]["r"]} for f in res.failures)
+    assert {(f["identity"], f["params"]["r"], f["params"]["ve"]) for f in res.failures} == failed
+    assert all(f["params"] == {**target.label(), "r": f["params"]["r"], "ve": f["params"]["ve"]} for f in res.failures)
 
 
 def plus_one(original):
