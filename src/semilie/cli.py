@@ -29,9 +29,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactpoly import LaurentSeries, QPolynomial
+from .exactpoly import LaurentSeries, QPolynomial, _packed_json_text, unpack
 from .intersection import GKPair, gross_keating, int_circ, int_circ_kr_closed, int_total
-from .kernel import build_matrix, row_reduce
+from .kernel import _matrix_rows, _matrix_width, _packed_matrix, _reduce_rows
 from .orbital import (
     INFINITY,
     OrbitalParams,
@@ -295,21 +295,33 @@ def cmd_bc(args) -> int:
 
 
 def cmd_kernel_matrix(args) -> int:
+    """The matrix M of normalised derivatives at (--sum-bc, --vda, -N), or
+    its reduction M' or M'' (--stage), refused above ``MAX_WORK`` before
+    anything is built.  M is built once as ints, each entry its
+    q-polynomial at q = 2**B (``kernel._packed_matrix``), and reduced on
+    those ints.  B = bits(T) + 1, where T, the top coefficient of M's
+    bottom right entry, bounds every coefficient of M, M' and M''
+    (``kernel._matrix_width``); ``orbital.derivative_closed_form`` is the
+    reference each entry equals.  Each distinct int is encoded once: --json
+    prints text built from the ints, the text form unpacks them."""
     vda, n = _parse_vda(args.vda), args.N
-    base = OrbitalParams(r=0, vb=0, vc=args.sum_bc, ve=0, vda=vda)
-    if n >= 0:  # (N + theta/2 + 2) x (N + 1) entries, the bottom right one the longest
-        n_rows = n + base.theta() // 2 + 2
-        degree = base.with_ve(n_rows - 1).with_r(n).n_bound()
-        _check_work(args, n_rows * (n + 1) * (degree + 1), degree)
-    m = build_matrix(args.sum_bc, vda, n)
-    m1, m2 = row_reduce(m)
-    chosen = {"M": m, "M'": m1, "M''": m2}[args.stage]
+    n_rows = _matrix_rows(args.sum_bc, vda, n)
+    # (N + theta/2 + 2) x (N + 1) entries, the bottom right one the longest
+    degree = OrbitalParams(r=n, vb=0, vc=args.sum_bc, ve=n_rows - 1, vda=vda).n_bound()
+    _check_work(args, n_rows * (n + 1) * (degree + 1), degree)
+    width = _matrix_width(args.sum_bc, vda, n)
+    rows = _packed_matrix(args.sum_bc, vda, n, width)
+    if args.stage != "M":
+        rows = _reduce_rows(rows)[args.stage == "M''"]
+    encode = _packed_json_text if args.json else (lambda x, w: str(QPolynomial._raw(unpack(x, w))))
+    texts: dict[int, str] = {}
+    cells = [[texts.get(x) or texts.setdefault(x, encode(x, width)) for x in row] for row in rows]
     if args.json:
-        print(_json({"stage": args.stage, "rows": [[chosen.entry(i, r).to_json() for r in range(chosen.cols)] for i in range(chosen.rows)]}))
+        body = ", ".join(f"[{', '.join(row)}]" for row in cells)
+        print(f'{{"stage": {_json(args.stage)}, "rows": [{body}]}}')
         return 0
-    rows = [[str(chosen.entry(i, r)) for r in range(chosen.cols)] for i in range(chosen.rows)]
-    widths = [max(len(row[c]) for row in rows) for c in range(chosen.cols)]
-    for row in rows:
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    for row in cells:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return 0
 

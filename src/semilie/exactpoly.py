@@ -368,6 +368,15 @@ def unpack(x: int, width: int) -> dict[int, int]:
     return out
 
 
+def _packed_json_text(x: int, width: int) -> str:
+    """The JSON text of the q-polynomial packed in ``x`` at ``width`` bits
+    per digit, byte for byte as the default ``json`` encoder writes its
+    ``to_json()``: ``unpack`` yields int coefficients by increasing
+    exponent, so each term is ``[e, c, 1]`` in that order."""
+    terms = ", ".join([f"[{e}, {c}, 1]" for e, c in unpack(x, width).items()])
+    return f'{{"q_terms": [{terms}]}}'
+
+
 class LaurentSeries(KeyedModule):
     """Finitely supported sum over k of QPolynomial coefficients times T**k."""
 
@@ -429,8 +438,7 @@ class LaurentSeries(KeyedModule):
         """The JSON text of ``_from_rows(rows, width).to_json()``, byte for
         byte as the default ``json`` encoder writes it, built from the rows
         without the series: zero rows are skipped and each distinct row is
-        unpacked and formatted once.  ``unpack`` yields int coefficients by
-        increasing exponent, so each term is ``[e, c, 1]`` in that order."""
+        formatted once (``_packed_json_text``)."""
         encoded: dict[int, str] = {}
         parts = []
         for k in sorted(rows):
@@ -438,8 +446,7 @@ class LaurentSeries(KeyedModule):
             if x:
                 text = encoded.get(x)
                 if text is None:
-                    terms = ", ".join([f"[{e}, {c}, 1]" for e, c in unpack(x, width).items()])
-                    text = encoded[x] = f'{{"q_terms": [{terms}]}}'
+                    text = encoded[x] = _packed_json_text(x, width)
                 parts.append(f"[{k}, {text}]")
         return f'{{"t_terms": [{", ".join(parts)}]}}'
 

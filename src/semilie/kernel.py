@@ -8,6 +8,17 @@ D depends on vb and vc only through their sum, so a matrix is keyed by
 un-normalised derivative the stored entries differ by a global sign
 (-1)**vc, which changes neither rank nor any zero pattern.
 
+Packed entries.  The matrix is built once as ints (``_packed_matrix``):
+each entry is its q-polynomial evaluated at q = 2**B (``exactpoly.unpack``
+reads it back), at one width per matrix (``_matrix_width``): B = bits(T) +
+1, where T, the top coefficient of M's bottom right entry, bounds every
+coefficient of M, M' and M'' in absolute value.  An entry then costs a
+fixed number of int operations, and both row reductions subtract ints
+(``_reduce_rows``, which subtracts any entries with ``-``).
+``build_matrix`` unpacks each distinct int once;
+``orbital.derivative_closed_form`` stays the reference that the tests
+compare every entry against.
+
 Rank certification is two-sided: a fraction-free (Bareiss) elimination over
 exact q-polynomials computes the rank outright, and independently the
 reduced matrix M'' is checked against the predicted zero pattern and
@@ -16,15 +27,16 @@ anti-diagonal entries, whose product is spot-evaluated at q = 3, 5, 7.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import sub
 
-from .exactpoly import QPolynomial
+from .exactpoly import QPolynomial, unpack
 from .orbital import (
     INFINITY,
     HeckeVector,
     InvalidParamsError,
     OrbitalParams,
-    derivative_closed_form,
     derivative_of_vector,
     require_ints,
 )
@@ -55,32 +67,126 @@ class DerivMatrix:
         return self.entries[i][r]
 
 
-def build_matrix(sum_bc: int, vda: int | float, n_cap: int) -> DerivMatrix:
-    """Entry (i, r) = D(r, vb + vc = sum_bc, ve = i, vda) for
-    0 <= i <= n_cap + floor(theta/2) + 1 and 0 <= r <= n_cap."""
-    base = OrbitalParams(r=0, vb=0, vc=sum_bc, ve=0, vda=vda)
+def _matrix_rows(sum_bc: int, vda: int | float, n_cap: int) -> int:
+    """The number of rows, N + floor(theta/2) + 2, of the matrix at
+    (sum_bc, vda, N = n_cap); raises ``InvalidParamsError`` on parameters
+    no matrix has, first for (sum_bc, vda) as ``OrbitalParams`` checks
+    them, then for N."""
+    theta = OrbitalParams(r=0, vb=0, vc=sum_bc, ve=0, vda=vda).theta()
     require_ints(N=n_cap)
     if n_cap < 0:
         raise InvalidParamsError(f"N must be >= 0, got {n_cap}")
-    rows = n_cap + base.theta() // 2 + 2
-    entries = tuple(
-        tuple(derivative_closed_form(row.with_r(r)) for r in range(n_cap + 1))
-        for row in map(base.with_ve, range(rows))
-    )
+    return n_cap + theta // 2 + 2
+
+
+def _matrix_width(sum_bc: int, vda: int | float, n_cap: int) -> int:
+    """Bits per q-digit B at which the entries of M, M' and M'' pack.
+
+    Every coefficient of the three matrices must be below 2**(B - 1) in
+    absolute value (see ``exactpoly.unpack``).  Fix a column r, let a =
+    (s - 1)/2 + r and b = vda + r (s = sum_bc; b is infinite with vda),
+    and let D_i be the entry at ve = i, a sum of (i + a + 1 - 2j) q**j over
+    j <= c_i = min(i, a, b), less corr q**b when b <= a and k = i - b >= 0
+    (``orbital.derivative_closed_form``).
+
+    * M: since 2 c_i <= i + a, every main coefficient lies in [1, i + a +
+      1], and the correction (then c_i = b) leaves k/2 + a - b + 1 at q**b
+      for even k and (k + 1)/2 for odd k.  So D_i has its coefficients in
+      [0, i + a + 1].
+    * M' (row i >= 1 is D_i - D_(i-1); row 0 is D_0, in [0, a + 1]): it is
+      1 at each q**j with j <= c_(i-1) and j < b, plus a + 1 - i at q**i
+      when i <= min(a, b); and when i > b (b <= a), a - b + 1 at q**b for
+      even k and b - a for odd k.  So its coefficients lie in [0, a + 1],
+      but for b - a in [-a, 0] at q**b in rows i > b with i - b odd.
+    * M'' (row i >= 2 is M'_i - M'_(i-2)): where neither term is negative,
+      the difference lies in [-(a + 1), a + 1].  A negative M'_(i-2) at
+      q**b has i - 2 - b odd, so M'_i is the same b - a there: difference
+      0.  A negative M'_i at q**b cancels the same way when i - 2 > b;
+      otherwise i = b + 1, and q**b is above row i - 2's top degree, so the
+      difference is b - a.
+
+    Each bound is at most T = V + (s + 1)/2 + N, V = N + floor(theta/2) + 1
+    the last row's ve: the top coefficient of M's bottom right entry, which
+    it attains unless vda = N = 0.  So B = bits(T) + 1 holds them all, and
+    B - 1 would not.  Raises as ``_matrix_rows`` does.
+    """
+    last = _matrix_rows(sum_bc, vda, n_cap) - 1
+    return (last + (sum_bc + 1) // 2 + n_cap).bit_length() + 1
+
+
+def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int, width: int) -> list[tuple[int, ...]]:
+    """The rows of ``build_matrix(sum_bc, vda, n_cap)``, each entry packed at
+    ``width`` >= ``_matrix_width(sum_bc, vda, n_cap)`` bits per digit.
+
+    With X = 2**width and the prefix tables G[n] = X**0 + ... + X**n and
+    W[n] = 1 X + 2 X**2 + ... + n X**n, built once, the entry at (ve = i, r)
+    is top G[cap] - 2 W[cap] - corr X**(vda + r), top and cap as in
+    ``orbital.derivative_closed_form`` and corr its correction (0 where it
+    has none): a fixed number of int operations per entry.  Raises as
+    ``_matrix_rows`` does, in the same order as ``build_matrix``."""
+    n_rows = _matrix_rows(sum_bc, vda, n_cap)
+    geometric, weighted = [1], [0]  # G[n], W[n]
+    for n in range(1, n_rows):
+        x = 1 << width * n
+        geometric.append(geometric[-1] + x)
+        weighted.append(weighted[-1] + n * x)
+    half = (sum_bc - 1) // 2
+    corrected = sum_bc > 2 * vda  # else no entry has a correction
+    rows = []
+    for ve in range(n_rows):
+        row = []
+        for r in range(n_cap + 1):
+            cap = min(ve, half + r, vda + r)
+            x = (ve + half + 1 + r) * geometric[cap] - 2 * weighted[cap]
+            kap = ve - vda - r
+            if corrected and kap >= 0:
+                if kap % 2 == 0:
+                    corr = kap // 2
+                else:
+                    corr = (2 * ve + sum_bc - 4 * vda - 2 * r - kap) // 2
+                x -= corr << width * (vda + r)
+            row.append(x)
+        rows.append(tuple(row))
+    return rows
+
+
+def build_matrix(sum_bc: int, vda: int | float, n_cap: int) -> DerivMatrix:
+    """Entry (i, r) = D(r, vb + vc = sum_bc, ve = i, vda) for
+    0 <= i <= n_cap + floor(theta/2) + 1 and 0 <= r <= n_cap: the rows of
+    ``_packed_matrix``, each distinct int unpacked once and its
+    (immutable) ``QPolynomial`` shared."""
+    width = _matrix_width(sum_bc, vda, n_cap)
+    polys: dict[int, QPolynomial] = {}
+
+    def poly(x: int) -> QPolynomial:
+        out = polys.get(x)
+        if out is None:
+            out = polys[x] = QPolynomial._raw(unpack(x, width))
+        return out
+
+    entries = tuple(tuple(map(poly, row)) for row in _packed_matrix(sum_bc, vda, n_cap, width))
     return DerivMatrix(sum_bc=sum_bc, vda=vda, n_cap=n_cap, entries=entries)
+
+
+def _reduce_rows(rows: Sequence[tuple]) -> tuple[list[tuple], list[tuple]]:
+    """M' and M'' of the rows of M, as lists of tuples, for entries of any
+    type with ``-`` (``QPolynomial``s, or ints packed at one width): M'
+    keeps row 0 and takes each later row minus the row above it, and M''
+    keeps rows 0 and 1 of M' and takes each later row of M' minus the row
+    two above it."""
+    m1 = [*rows[:1], *(tuple(map(sub, row, above)) for above, row in zip(rows, rows[1:]))]
+    m2 = [*m1[:2], *(tuple(map(sub, row, above)) for above, row in zip(m1, m1[2:]))]
+    return m1, m2
 
 
 def row_reduce(m: DerivMatrix) -> tuple[DerivMatrix, DerivMatrix]:
     """Two row-reduction passes: single-step downward differences give M',
     then two-step differences of M' give M''."""
-    rows = [list(row) for row in m.entries]
-    for i in range(len(rows) - 2, -1, -1):
-        rows[i + 1] = [a - b for a, b in zip(rows[i + 1], rows[i])]
-    m1 = DerivMatrix(m.sum_bc, m.vda, m.n_cap, tuple(tuple(r) for r in rows))
-    for i in range(len(rows) - 3, -1, -1):
-        rows[i + 2] = [a - b for a, b in zip(rows[i + 2], rows[i])]
-    m2 = DerivMatrix(m.sum_bc, m.vda, m.n_cap, tuple(tuple(r) for r in rows))
-    return m1, m2
+    m1, m2 = _reduce_rows(m.entries)
+    return (
+        DerivMatrix(m.sum_bc, m.vda, m.n_cap, tuple(m1)),
+        DerivMatrix(m.sum_bc, m.vda, m.n_cap, tuple(m2)),
+    )
 
 
 def _bareiss_rank(entries) -> int:

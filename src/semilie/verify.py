@@ -253,32 +253,34 @@ def _grid_work(config: SweepConfig) -> int:
     return config.full_tuple_count() * support_points(config.r_max, config.sum_bc_max, config.ve_max)
 
 
+def _top_degree(config: SweepConfig) -> int:
+    """min(ve_max, (sum_bc_max - 1)/2 + r_max), the top q-degree on the
+    reduced grid (vda = INFINITY is on it)."""
+    return min(config.ve_max, (config.sum_bc_max - 1) // 2 + config.r_max)
+
+
 def _miracle_work(config: SweepConfig) -> int:
-    """200 + 2n units per reduced tuple, n = min(ve_max, (sum_bc_max - 1)/2
-    + r_max) the top q-degree on the grid (vda = INFINITY is on it): a
-    tuple builds one Gross-Keating polynomial and two derivatives of at most
+    """200 + 2n units per reduced tuple, n = ``_top_degree``: a tuple
+    builds one Gross-Keating polynomial and two derivatives of at most
     n + 1 terms.  Timed on a 2-CPU Xeon with Python 3.11 (single runs), the
     charge at 0.12 µs a unit is 1.04-1.77 times the suite's time (15-37 µs a
     tuple) from the default grid to ve_max = 200 and to r_max = ve_max =
     100; --rmax 40 --ve-max 40 --sum-bc-max 41 runs in 7.9 s, charged
     79,074,240."""
-    n = min(config.ve_max, (config.sum_bc_max - 1) // 2 + config.r_max)
-    return config.reduced_tuple_count() * (200 + 2 * n)
+    return config.reduced_tuple_count() * (200 + 2 * _top_degree(config))
 
 
 def _afl_work(config: SweepConfig) -> int:
-    """60 (ve_max + 10) + ve_max**2 r_max / 100 units per reduced tuple,
-    fitted while the suite summed ve/2 + 1 Gross-Keating differences per
-    tuple.  It now builds one difference per tuple (the total at ve is
-    taken from ve - 2), so the charge reads high: timed on a 2-CPU Xeon
-    with Python 3.11 (single runs), the suite takes 32-68 µs a tuple, and
-    the charge at 0.12 µs a unit is 4.5 times its time on the default grid,
-    3.6 times at r_max = 150, 11 times at r_max = ve_max = 60 and 20-31
-    times at ve_max = 100-180.  --ve-max 100 runs in 1.5 s, charged
-    244,339,200; --ve-max 130 (2.0 s) and --rmax 40 --ve-max 40
-    --sum-bc-max 41 are refused."""
-    ve, r = config.ve_max, config.r_max
-    return config.reduced_tuple_count() * (60 * (ve + 10) + ve * ve * r // 100)
+    """500 + 5n units per reduced tuple, n = ``_top_degree``: a tuple
+    builds one ``int_circ`` (two Gross-Keating polynomials), two
+    derivatives and, for r >= 1, the single-cell closed form, each of at
+    most n + 1 terms.  Timed on a 2-CPU Xeon with Python 3.11 (single
+    in-process runs, 36-89 µs a tuple), the charge at 0.12 µs a unit is
+    1.2-1.8 times the suite's time from the smoke grid and the default grid
+    to ve_max = 300, r_max = 456, sum_bc_max = 1075, vda_max = 715, r_max =
+    ve_max = 60 and r_max = ve_max = 100; --rmax 40 --ve-max 40
+    --sum-bc-max 41 runs in 15 s, charged 197,685,600."""
+    return config.reduced_tuple_count() * (500 + 5 * _top_degree(config))
 
 
 def _row_sums(rows: dict[int, int], width: int, negate: bool) -> tuple[bool, QPolynomial]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from semilie import LaurentSeries, QPolynomial
+from semilie import LaurentSeries, OrbitalParams, QPolynomial, derivative_closed_form
 
 _TERM = re.compile(
     r"""^
@@ -57,3 +57,23 @@ def pack_row(coeffs: dict[int, int], width: int) -> int:
     """A q-polynomial {e: c} packed as its value at q = 2**width, the form
     ``semilie.exactpoly.unpack`` reads back."""
     return sum(c << width * e for e, c in coeffs.items())
+
+
+def reference_stages(sum_bc: int, vda: int | float, n_cap: int) -> dict[str, list[list[QPolynomial]]]:
+    """{"M": M, "M'": M', "M''": M''} of the derivative matrix, built entry
+    by entry from ``derivative_closed_form`` and row-reduced by
+    ``QPolynomial`` subtraction, bottom row first: M' takes each row
+    below the top minus the row above it, M'' each row of M' below the
+    second minus the row two above it."""
+    theta = min(sum_bc, 2 * vda)
+    m = [
+        [derivative_closed_form(OrbitalParams(r=r, vb=0, vc=sum_bc, ve=ve, vda=vda)) for r in range(n_cap + 1)]
+        for ve in range(n_cap + theta // 2 + 2)
+    ]
+    m1 = [list(row) for row in m]
+    for i in range(len(m1) - 1, 0, -1):
+        m1[i] = [a - b for a, b in zip(m1[i], m1[i - 1])]
+    m2 = [list(row) for row in m1]
+    for i in range(len(m2) - 1, 1, -1):
+        m2[i] = [a - b for a, b in zip(m2[i], m2[i - 2])]
+    return {"M": m, "M'": m1, "M''": m2}

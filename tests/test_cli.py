@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,9 +16,10 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from helpers import reference_stages
 
 import semilie
-from semilie import LaurentSeries, QPolynomial, cli, verify
+from semilie import INFINITY, LaurentSeries, QPolynomial, cli, verify
 from semilie.cli import MAX_AT_Q_DIGITS, MAX_WORK, _evaluate, build_parser, main
 
 
@@ -190,8 +192,8 @@ def test_padic_work_admits_runs_inside_the_bound(suite, p, precision):
     [
         "verify orbital --rmax 40 --ve-max 40 --sum-bc-max 41",
         "verify miracle --rmax 200 --ve-max 200",
-        "verify afl --rmax 40 --ve-max 40 --sum-bc-max 41",
-        "verify intersection --ve-max 200",
+        "verify afl --ve-max 2145",
+        "verify intersection --rmax 1377",
         "verify all --sum-bc-max 1001",
         "verify satake --rmax 150 --json",
     ],
@@ -225,14 +227,26 @@ def test_grid_work_admits_the_default_and_ci_grids(suite, config):
         ("miracle", {"ve_max": 200}),
         ("miracle", {"r_max": 40, "ve_max": 40, "sum_bc_max": 41}),
         ("afl", {"r_max": 20, "ve_max": 20, "sum_bc_max": 21}),
+        ("afl", {"r_max": 40, "ve_max": 40, "sum_bc_max": 41}),
     ],
-    ids=["miracle_ve_200", "miracle_40", "afl_20"],
+    ids=["miracle_ve_200", "miracle_40", "afl_20", "afl_40"],
 )
 def test_reduced_grid_suites_charged_for_their_grid(suite, config):
     """miracle and afl walk the reduced grid, so runs far past the orbital
-    suite's bound fit theirs (each runs in 2-12 s on a 2-CPU host)."""
+    suite's bound fit theirs (each runs in 2-15 s on a 2-CPU host)."""
     config = verify.SweepConfig(**config)
     assert verify.sweep_work(suite, config) <= cli.MAX_SWEEP_WORK < verify.sweep_work("orbital", config)
+
+
+@pytest.mark.parametrize(
+    "field, admitted, refused",
+    [("ve_max", 2144, 2145), ("r_max", 1376, 1377), ("sum_bc_max", 2359, 2361), ("vda_max", 1572, 1573)],
+)
+def test_afl_refusal_boundaries(field, admitted, refused):
+    """The afl charge, with the other options at their defaults, admits
+    the README's largest runs and refuses the next ones."""
+    work = [verify.sweep_work("afl", verify.SweepConfig(**{field: v})) for v in (admitted, refused)]
+    assert work[0] <= cli.MAX_SWEEP_WORK < work[1]
 
 
 def test_large_prime_checked_at_once(capsys):
@@ -314,6 +328,30 @@ def test_kernel_matrix_stage(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 6
     assert lines[-1].split()[-1] == "-q^3"
+
+
+def _kernel_matrix_sample():
+    rng = random.Random(22)
+    sample = [(1, "0", 4), (17, "2", 4), (5, "8", 4), (41, "inf", 10), (41, "0", 10), (801, "inf", 0)]
+    return sample + [(rng.randrange(1, 42, 2), rng.choice([*map(str, range(21)), "inf"]), rng.randrange(11)) for _ in range(12)]
+
+
+@pytest.mark.parametrize("stage", ["M", "M'", "M''"])
+@pytest.mark.parametrize("sum_bc, vda, n_cap", _kernel_matrix_sample())
+def test_kernel_matrix_prints_the_reference(capsys, sum_bc, vda, n_cap, stage):
+    """Both forms print ``helpers.reference_stages``, encoded entry by
+    entry: ``json.dumps`` of each ``to_json()``, or ``str`` right-justified
+    to its column's width."""
+    entries = reference_stages(sum_bc, INFINITY if vda == "inf" else int(vda), n_cap)[stage]
+    argv = ["kernel-matrix", "--sum-bc", str(sum_bc), "--vda", vda, "-N", str(n_cap), "--stage", stage]
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"stage": stage, "rows": [[e.to_json() for e in row] for row in entries]}) + "\n"
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    cells = [[str(e) for e in row] for row in entries]
+    widths = [max(len(row[c]) for row in cells) for c in range(n_cap + 1)]
+    assert out == "".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in cells)
 
 
 def test_transfer(capsys):

@@ -8,16 +8,21 @@ independently of the code under test.
 import random
 
 import pytest
-from helpers import qp
+from helpers import qp, reference_stages
 
-from semilie import INFINITY, InvalidParamsError, OrbitalParams, build_matrix, certify_full_rank, row_reduce
+from semilie import INFINITY, InvalidParamsError, OrbitalParams, QPolynomial, build_matrix, certify_full_rank, row_reduce
+from semilie.exactpoly import unpack
 from semilie.kernel import (
+    _matrix_width,
+    _packed_matrix,
+    _reduce_rows,
     phi_exceptional_window,
     phi_sequence_vector,
     test_large_r_vanishing as large_r_report,
     test_phi_sequence as phi_sequence_report,
 )
 from semilie.orbital import derivative_of_vector
+from semilie.verify import KERNEL_RANK_GRID
 
 # --- Example A: sum_bc = 1, vda = 0 (6 x 5) ----------------------------------
 
@@ -138,11 +143,50 @@ def assert_matrix(matrix, expected_rows):
         (1, 0, -1, "N must be >= 0"),
         (1, 0, True, "N must be an int"),
         (1, 0, 2.0, "N must be an int"),
+        (2, -1, -1, "odd"),
+        (1, -1, -1, "vda"),
     ],
 )
 def test_build_matrix_rejects(sum_bc, vda, n_cap, message):
-    with pytest.raises(InvalidParamsError, match=message):
-        build_matrix(sum_bc, vda, n_cap)
+    """``build_matrix``, its width and its packed rows raise the same error."""
+    for make in (build_matrix, _matrix_width, lambda *params: _packed_matrix(*params, 8)):
+        with pytest.raises(InvalidParamsError, match=message):
+            make(sum_bc, vda, n_cap)
+
+
+CALC_VDAS = (*range(21), INFINITY)
+
+
+def unpacked(rows, width):
+    return [[QPolynomial._raw(unpack(x, width)) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("sum_bc", range(1, 42, 2))
+def test_packed_matrix_matches_the_closed_form(sum_bc):
+    """Every matrix of the calculator's range (vda in 0..20 or inf, N <= 10)
+    unpacks to ``derivative_closed_form`` at every entry, and so do its
+    reductions on the packed ints, at a width that some coefficient of M
+    needs in full (but at vda = N = 0)."""
+    for vda in CALC_VDAS:
+        for n_cap in range(11):
+            width = _matrix_width(sum_bc, vda, n_cap)
+            rows = _packed_matrix(sum_bc, vda, n_cap, width)
+            want = reference_stages(sum_bc, vda, n_cap)
+            m1, m2 = _reduce_rows(rows)
+            for stage, got in (("M", rows), ("M'", m1), ("M''", m2)):
+                assert unpacked(got, width) == want[stage], (sum_bc, vda, n_cap, stage)
+            top = max(abs(c) for row in want["M"] for e in row for c in e.coefficients())
+            assert top >= 1 << (width - 2) or vda == n_cap == 0, (sum_bc, vda, n_cap, width, top)
+
+
+def test_build_matrix_and_row_reduce_on_the_rank_grid():
+    for sum_bc in KERNEL_RANK_GRID["sum_bc"]:
+        for vda in KERNEL_RANK_GRID["vda"]:
+            for n_cap in KERNEL_RANK_GRID["n_cap"]:
+                m = build_matrix(sum_bc, vda, n_cap)
+                got = dict(zip(("M", "M'", "M''"), (m, *row_reduce(m))))
+                for stage, entries in reference_stages(sum_bc, vda, n_cap).items():
+                    assert [list(row) for row in got[stage].entries] == entries, (sum_bc, vda, n_cap, stage)
 
 
 class TestFrozenMatrices:
