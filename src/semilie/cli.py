@@ -8,6 +8,9 @@ q numerically (exact rational arithmetic either way).
 The sweep commands, verify and volumes, take every default from
 ``SweepConfig``: each flag given sets one field (``SWEEP_FLAGS``).
 
+orbital and kernel-matrix compute on packed ints, the matrix at the width
+``kernel._packed_matrix`` returns; ``exactpoly._decoded`` decodes each once.
+
 Exit codes: 0 on success / all checks passed, 1 on a verification mismatch,
 2 on usage or parameter errors.  An orbit, gk, bc or kernel-matrix query
 whose estimated work is above ``MAX_WORK`` is a parameter error, and so is a
@@ -28,10 +31,11 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
-from .exactpoly import LaurentSeries, QPolynomial, _packed_json_text, unpack
+from .exactpoly import LaurentSeries, QPolynomial, _decoded, _json_text, _printed
 from .intersection import GKPair, gross_keating, int_circ, int_circ_kr_closed, int_total
-from .kernel import _matrix_rows, _matrix_width, _packed_matrix, _reduce_rows
+from .kernel import _matrix_rows, _packed_matrix, _reduce_rows
 from .orbital import (
     INFINITY,
     OrbitalParams,
@@ -211,7 +215,7 @@ def _print_qpoly(poly: QPolynomial, args) -> None:
 
 def _print_series(rows: dict[int, int], width: int, args) -> None:
     """The series packed in ``rows`` at ``width`` bits per digit: --json
-    prints the rows' own JSON text, the other forms unpack the rows once."""
+    prints the rows' own JSON text, the other forms decode the rows once."""
     if args.at_q is not None:
         items = LaurentSeries._from_rows(rows, width).sorted_items()
         for _, c in items:  # all of them before evaluating any
@@ -233,7 +237,7 @@ def cmd_orbital(args) -> int:
     of ``orbital_support_sum`` against it, read from the two builders'
     packed rows at one ``row_width`` as the orbital sweep reads them: equal
     rows are equal series, so the verdict is one dict compare.  The
-    oracle's rows are unpacked only on a mismatch, to print them."""
+    oracle's rows are decoded only on a mismatch, to print them."""
     p = _parse_params(args)
     width = row_width(p)
     rows = _closed_form_rows(p, width)
@@ -297,25 +301,19 @@ def cmd_bc(args) -> int:
 def cmd_kernel_matrix(args) -> int:
     """The matrix M of normalised derivatives at (--sum-bc, --vda, -N), or
     its reduction M' or M'' (--stage), refused above ``MAX_WORK`` before
-    anything is built.  M is built once as ints, each entry its
-    q-polynomial at q = 2**B (``kernel._packed_matrix``), and reduced on
-    those ints.  B = bits(T) + 1, where T, the top coefficient of M's
-    bottom right entry, bounds every coefficient of M, M' and M''
-    (``kernel._matrix_width``); ``orbital.derivative_closed_form`` is the
-    reference each entry equals.  Each distinct int is encoded once: --json
-    prints text built from the ints, the text form unpacks them."""
+    anything is built.  M is built and reduced as packed ints; each distinct
+    entry is encoded once, as its JSON text with --json and as it prints
+    otherwise, and equals ``orbital.derivative_closed_form``."""
     vda, n = _parse_vda(args.vda), args.N
     n_rows = _matrix_rows(args.sum_bc, vda, n)
     # (N + theta/2 + 2) x (N + 1) entries, the bottom right one the longest
     degree = OrbitalParams(r=n, vb=0, vc=args.sum_bc, ve=n_rows - 1, vda=vda).n_bound()
     _check_work(args, n_rows * (n + 1) * (degree + 1), degree)
-    width = _matrix_width(args.sum_bc, vda, n)
-    rows = _packed_matrix(args.sum_bc, vda, n, width)
+    rows, width = _packed_matrix(args.sum_bc, vda, n)
     if args.stage != "M":
         rows = _reduce_rows(rows)[args.stage == "M''"]
-    encode = _packed_json_text if args.json else (lambda x, w: str(QPolynomial._raw(unpack(x, w))))
-    texts: dict[int, str] = {}
-    cells = [[texts.get(x) or texts.setdefault(x, encode(x, width)) for x in row] for row in rows]
+    texts = iter(_decoded(chain.from_iterable(rows), width, _json_text if args.json else _printed))
+    cells = [list(islice(texts, n + 1)) for _ in rows]
     if args.json:
         body = ", ".join(f"[{', '.join(row)}]" for row in cells)
         print(f'{{"stage": {_json(args.stage)}, "rows": [{body}]}}')

@@ -14,6 +14,9 @@ each subclass fixes its key rule and how a coefficient becomes canonical.
     the complex parameter s), and ``satake.SatakeY``, ``satake.SatakeGL``
     and ``orbital.HeckeVector``.
 
+The fast paths' packed ints (``unpack``) are read here alone: ``_decoded``
+decodes each distinct one once, and ``_sign_mask`` tests digit signs.
+
 Scalars are Python ints or ``fractions.Fraction``; there is no floating
 point anywhere.  Values are immutable by convention: every operation
 returns a new value, so instances are safe to share between threads.
@@ -22,7 +25,7 @@ returns a new value, so instances are safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -368,13 +371,50 @@ def unpack(x: int, width: int) -> dict[int, int]:
     return out
 
 
-def _packed_json_text(x: int, width: int) -> str:
-    """The JSON text of the q-polynomial packed in ``x`` at ``width`` bits
-    per digit, byte for byte as the default ``json`` encoder writes its
-    ``to_json()``: ``unpack`` yields int coefficients by increasing
-    exponent, so each term is ``[e, c, 1]`` in that order."""
-    terms = ", ".join([f"[{e}, {c}, 1]" for e, c in unpack(x, width).items()])
-    return f'{{"q_terms": [{terms}]}}'
+def _decoded(xs: Iterable[int], width: int, encode: Callable[[dict], object] = QPolynomial._raw) -> list:
+    """``encode`` of ``unpack(x, width)`` for each int x of ``xs``, in order:
+    each distinct int is decoded once, by default to its ``QPolynomial``, or
+    to its JSON text (``_json_text``) or printed form (``_printed``), and
+    equal ints share that one immutable value."""
+    memo = {}
+    out = []
+    for x in xs:
+        value = memo.get(x)
+        if value is None:
+            value = memo[x] = encode(unpack(x, width))
+        out.append(value)
+    return out
+
+
+def _json_text(terms: dict[int, int]) -> str:
+    """The JSON text of the q-polynomial of the ``unpack``ed ``terms``, byte
+    for byte as the default ``json`` encoder writes its ``to_json()``:
+    ``unpack`` yields int coefficients by increasing exponent, so each term
+    is ``[e, c, 1]`` in that order."""
+    text = ", ".join([f"[{e}, {c}, 1]" for e, c in terms.items()])
+    return f'{{"q_terms": [{text}]}}'
+
+
+def _printed(terms: dict[int, int]) -> str:
+    """The printed form of the q-polynomial of the ``unpack``ed ``terms``."""
+    return str(QPolynomial._raw(terms))
+
+
+def _sign_mask(width: int, digits: int) -> int:
+    """The mask m with x & m == 0 exactly when the int x, read at ``width``
+    bits per digit (see ``unpack``), has every balanced digit d_e >= 0 and
+    none but 0 from e = ``digits`` on.
+
+    If every d_e >= 0 and e < ``digits``, x is sum d_e 2**(width e) with
+    each d_e < 2**(width - 1): x >= 0 and its bits lie in the low width - 1
+    bits of its first ``digits`` digits, the bits ~m.  If some d_e < 0,
+    either x < 0 (its top digit is negative), or x > 0 and its lowest
+    negative digit d_j borrows: bits width j.. of x hold d_j + 2**width,
+    whose top bit is set.  A nonzero digit at e >= ``digits`` sets a bit
+    above ~m's.  So one mask test reads the digits' signs.
+    """
+    half, full = 1 << (width - 1), 1 << width
+    return ~((half - 1) * ((1 << width * digits) - 1) // (full - 1))
 
 
 class LaurentSeries(KeyedModule):
@@ -422,33 +462,20 @@ class LaurentSeries(KeyedModule):
         """The series whose T**k coefficient is the q-polynomial packed in
         ``rows[k]`` at ``width`` bits per digit (see ``unpack``); a zero row
         is a zero coefficient.  Equal rows, common in the orbital series,
-        are unpacked once and share one (immutable) coefficient."""
-        polys: dict[int, QPolynomial] = {}
-        terms = {}
-        for k, x in rows.items():
-            if x:
-                poly = polys.get(x)
-                if poly is None:
-                    poly = polys[x] = QPolynomial._raw(unpack(x, width))
-                terms[k] = poly
-        return cls._raw(terms)
+        share one coefficient (``_decoded``)."""
+        polys = _decoded(rows.values(), width)
+        return cls._raw({k: poly for (k, x), poly in zip(rows.items(), polys) if x})
 
     @staticmethod
     def _rows_json_text(rows: Mapping[int, int], width: int) -> str:
         """The JSON text of ``_from_rows(rows, width).to_json()``, byte for
         byte as the default ``json`` encoder writes it, built from the rows
         without the series: zero rows are skipped and each distinct row is
-        formatted once (``_packed_json_text``)."""
-        encoded: dict[int, str] = {}
-        parts = []
-        for k in sorted(rows):
-            x = rows[k]
-            if x:
-                text = encoded.get(x)
-                if text is None:
-                    text = encoded[x] = _packed_json_text(x, width)
-                parts.append(f"[{k}, {text}]")
-        return f'{{"t_terms": [{", ".join(parts)}]}}'
+        encoded once (``_decoded`` with ``_json_text``)."""
+        items = sorted(rows.items())
+        texts = _decoded([x for _, x in items], width, _json_text)
+        parts = ", ".join([f"[{k}, {text}]" for (k, x), text in zip(items, texts) if x])
+        return f'{{"t_terms": [{parts}]}}'
 
     # ------------------------------------------------------------ comparison
     # perfbench/tracing.py wraps __eq__ through LaurentSeries.__dict__, so it

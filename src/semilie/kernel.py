@@ -8,16 +8,12 @@ D depends on vb and vc only through their sum, so a matrix is keyed by
 un-normalised derivative the stored entries differ by a global sign
 (-1)**vc, which changes neither rank nor any zero pattern.
 
-Packed entries.  The matrix is built once as ints (``_packed_matrix``):
-each entry is its q-polynomial evaluated at q = 2**B (``exactpoly.unpack``
-reads it back), at one width per matrix (``_matrix_width``): B = bits(T) +
-1, where T, the top coefficient of M's bottom right entry, bounds every
-coefficient of M, M' and M'' in absolute value.  An entry then costs a
-fixed number of int operations, and both row reductions subtract ints
-(``_reduce_rows``, which subtracts any entries with ``-``).
-``build_matrix`` unpacks each distinct int once;
-``orbital.derivative_closed_form`` stays the reference that the tests
-compare every entry against.
+Packed entries.  ``_packed_matrix`` builds the matrix once as packed ints
+(see ``exactpoly``), a fixed number of int operations per entry, and returns
+them with the one width they pack at, which its docstring proves.  Both row
+reductions subtract ints (``_reduce_rows``), ``build_matrix`` decodes each
+distinct int once (``exactpoly._decoded``), and the tests compare every
+entry with ``orbital.derivative_closed_form``.
 
 Rank certification is two-sided: a fraction-free (Bareiss) elimination over
 exact q-polynomials computes the rank outright, and independently the
@@ -29,9 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import sub
 
-from .exactpoly import QPolynomial, unpack
+from .exactpoly import QPolynomial, _decoded
 from .orbital import (
     INFINITY,
     HeckeVector,
@@ -79,14 +76,17 @@ def _matrix_rows(sum_bc: int, vda: int | float, n_cap: int) -> int:
     return n_cap + theta // 2 + 2
 
 
-def _matrix_width(sum_bc: int, vda: int | float, n_cap: int) -> int:
-    """Bits per q-digit B at which the entries of M, M' and M'' pack.
+def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """The rows of ``build_matrix(sum_bc, vda, n_cap)`` packed in the
+    ``exactpoly`` form, and the width B, bits per q-digit, at which they
+    pack; raises as ``_matrix_rows`` does, in the same order as
+    ``build_matrix``.
 
-    Every coefficient of the three matrices must be below 2**(B - 1) in
-    absolute value (see ``exactpoly.unpack``).  Fix a column r, let a =
-    (s - 1)/2 + r and b = vda + r (s = sum_bc; b is infinite with vda),
-    and let D_i be the entry at ve = i, a sum of (i + a + 1 - 2j) q**j over
-    j <= c_i = min(i, a, b), less corr q**b when b <= a and k = i - b >= 0
+    Every coefficient of M, M' and M'' must be below 2**(B - 1) in absolute
+    value, the digit range of the packed form.  Fix a column r, let a =
+    (s - 1)/2 + r and b = vda + r (s = sum_bc; b is infinite with vda), and
+    let D_i be the entry at ve = i, a sum of (i + a + 1 - 2j) q**j over j <=
+    c_i = min(i, a, b), less corr q**b when b <= a and k = i - b >= 0
     (``orbital.derivative_closed_form``).
 
     * M: since 2 c_i <= i + a, every main coefficient lies in [1, i + a +
@@ -108,23 +108,16 @@ def _matrix_width(sum_bc: int, vda: int | float, n_cap: int) -> int:
     Each bound is at most T = V + (s + 1)/2 + N, V = N + floor(theta/2) + 1
     the last row's ve: the top coefficient of M's bottom right entry, which
     it attains unless vda = N = 0.  So B = bits(T) + 1 holds them all, and
-    B - 1 would not.  Raises as ``_matrix_rows`` does.
-    """
-    last = _matrix_rows(sum_bc, vda, n_cap) - 1
-    return (last + (sum_bc + 1) // 2 + n_cap).bit_length() + 1
+    B - 1 would not.
 
-
-def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int, width: int) -> list[tuple[int, ...]]:
-    """The rows of ``build_matrix(sum_bc, vda, n_cap)``, each entry packed at
-    ``width`` >= ``_matrix_width(sum_bc, vda, n_cap)`` bits per digit.
-
-    With X = 2**width and the prefix tables G[n] = X**0 + ... + X**n and
+    With X = 2**B and the prefix tables G[n] = X**0 + ... + X**n and
     W[n] = 1 X + 2 X**2 + ... + n X**n, built once, the entry at (ve = i, r)
     is top G[cap] - 2 W[cap] - corr X**(vda + r), top and cap as in
     ``orbital.derivative_closed_form`` and corr its correction (0 where it
-    has none): a fixed number of int operations per entry.  Raises as
-    ``_matrix_rows`` does, in the same order as ``build_matrix``."""
+    has none): a fixed number of int operations per entry.
+    """
     n_rows = _matrix_rows(sum_bc, vda, n_cap)
+    width = (n_rows - 1 + (sum_bc + 1) // 2 + n_cap).bit_length() + 1
     geometric, weighted = [1], [0]  # G[n], W[n]
     for n in range(1, n_rows):
         x = 1 << width * n
@@ -147,24 +140,17 @@ def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int, width: int) -> lis
                 x -= corr << width * (vda + r)
             row.append(x)
         rows.append(tuple(row))
-    return rows
+    return rows, width
 
 
 def build_matrix(sum_bc: int, vda: int | float, n_cap: int) -> DerivMatrix:
     """Entry (i, r) = D(r, vb + vc = sum_bc, ve = i, vda) for
     0 <= i <= n_cap + floor(theta/2) + 1 and 0 <= r <= n_cap: the rows of
-    ``_packed_matrix``, each distinct int unpacked once and its
-    (immutable) ``QPolynomial`` shared."""
-    width = _matrix_width(sum_bc, vda, n_cap)
-    polys: dict[int, QPolynomial] = {}
-
-    def poly(x: int) -> QPolynomial:
-        out = polys.get(x)
-        if out is None:
-            out = polys[x] = QPolynomial._raw(unpack(x, width))
-        return out
-
-    entries = tuple(tuple(map(poly, row)) for row in _packed_matrix(sum_bc, vda, n_cap, width))
+    ``_packed_matrix``, each distinct int decoded once and its (immutable)
+    ``QPolynomial`` shared."""
+    rows, width = _packed_matrix(sum_bc, vda, n_cap)
+    polys = iter(_decoded(chain.from_iterable(rows), width))
+    entries = tuple(tuple(islice(polys, n_cap + 1)) for _ in rows)
     return DerivMatrix(sum_bc=sum_bc, vda=vda, n_cap=n_cap, entries=entries)
 
 

@@ -27,13 +27,11 @@ derivative" D additionally carries the sign (-1)**(vc + r):
 (1/log q)-normalised derivative of a linear combination of basis functions.
 
 Packed rows.  The two series builders, the closed form and the support-sum
-oracle, return one int per power of T: the q-polynomial coefficient of T**k
-evaluated at q = 2**B (``exactpoly.unpack`` reads it back).  The width B
-comes from the tuple (``row_width``), large enough that equal ints are
-equal polynomials and that sums of rows stay exact.  The public
-``orbital_closed_form`` and ``orbital_support_sum`` unpack those rows into a
-``LaurentSeries``; the orbital sweep in ``verify`` works on the rows
-themselves.
+oracle, return one int per power of T, its q-polynomial coefficient packed
+(see ``exactpoly``) at the tuple's width (``row_width``).  The public
+``orbital_closed_form`` and ``orbital_support_sum`` decode the rows
+(``LaurentSeries._from_rows``); the orbital sweep in ``verify`` works on the
+rows themselves.
 """
 
 from __future__ import annotations

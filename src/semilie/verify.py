@@ -22,8 +22,8 @@ Identities that depend on (vb, vc) only through their sum are swept over the
 reduced grid with the canonical split vb = 0; the dependence reduction is
 itself one of the checked properties.  The default grid never reaches
 ve < 0, where both sides of every identity are 0.  The orbital suite checks
-the series builders' packed rows, one int per power of T (see ``orbital``),
-without building a ``LaurentSeries``.
+the series builders' packed rows (see ``orbital``) without building a
+``LaurentSeries``, through ``exactpoly._decoded`` and ``_sign_mask``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exactpoly import QPolynomial, unpack
+from .exactpoly import QPolynomial, _decoded, _sign_mask
 from .intersection import (
     gk_from_params,
     int_circ,
@@ -227,22 +227,12 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
 # --------------------------------------------------------------- orbital
 
 def _first_sign_break(rows: dict[int, int], width: int, digits: int) -> int | None:
-    """The first k at which (-1)**k row has a negative q-coefficient, or None.
-
-    ``rows`` are packed at ``width`` bits per digit (``exactpoly.unpack``)
-    with exponents below ``digits``.  Let y = (-1)**k row have balanced
-    digits d_e.  If every d_e >= 0, y is sum d_e 2**(width e) with each d_e
-    < 2**(width - 1): y >= 0 and its bits lie in the low width - 1 bits of
-    its first ``digits`` digits, the mask ``allowed``.  If some d_e < 0,
-    either y < 0 (its top digit is negative), or y > 0 and its lowest
-    negative digit d_j borrows: bits width j.. of y hold d_j + 2**width,
-    whose top bit is set.  So the pattern holds at k exactly when
-    y & ~allowed == 0, one mask test per row.
-    """
-    half, full = 1 << (width - 1), 1 << width
-    forbidden = ~((half - 1) * ((1 << width * digits) - 1) // (full - 1))
+    """The first k at which (-1)**k row has a negative q-coefficient or a
+    term of degree ``digits`` or more, or None: one ``exactpoly._sign_mask``
+    test per row, the ``rows`` packed at ``width`` bits per digit."""
+    mask = _sign_mask(width, digits)
     for k, x in rows.items():
-        if (-x if k % 2 else x) & forbidden:
+        if (-x if k % 2 else x) & mask:
             return k
     return None
 
@@ -285,9 +275,9 @@ def _afl_work(config: SweepConfig) -> int:
 
 def _row_sums(rows: dict[int, int], width: int, negate: bool) -> tuple[bool, QPolynomial]:
     """Whether the rows sum to 0 (the value at s = 0), and their k-weighted
-    sum unpacked, negated if ``negate`` (the signed log-derivative)."""
+    sum decoded, negated if ``negate`` (the signed log-derivative)."""
     weighted = sum(map(mul, rows, rows.values()))
-    return not sum(rows.values()), QPolynomial._raw(unpack(-weighted if negate else weighted, width))
+    return not sum(rows.values()), _decoded((-weighted if negate else weighted,), width)[0]
 
 
 _ORBITAL_IDENTITIES = (
@@ -309,8 +299,8 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     power at the width ``row_width`` gives the tuple, the forms the public
     ``orbital_closed_form`` and ``orbital_support_sum`` wrap: equal ints are
     equal q-polynomials.  The value at s = 0 is the sum of the rows and the
-    log-derivative their k-weighted sum, unpacked once; no tuple allocates a
-    ``LaurentSeries``.
+    log-derivative their k-weighted sum, decoded once (``exactpoly``); no
+    tuple allocates a ``LaurentSeries``.
 
     The oracle reads a tuple only through its orbit (r, vb, vc, ve) and
     theta, and the width only through the orbit; ``full_tuples`` walks vda
@@ -321,11 +311,11 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
 
     The three checks that read only the rows (the value at s = 0, the signed
     log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
-    pattern) are read once per oracle entry, the sign pattern once per digit
-    count n_bound + 1: a tuple whose closed-form rows equal the entry's rows
-    reuses them, and a tuple whose rows differ reads its own.  Each identity
-    is counted once for the whole grid; failures are recorded as they occur,
-    in tuple order and, within a tuple, in the order above."""
+    pattern) are read once per oracle entry: a tuple whose closed-form rows
+    equal the entry's rows reuses them, and a tuple whose rows differ reads
+    its own.  Each identity is counted once for the whole grid; failures are
+    recorded as they occur, in tuple order and, within a tuple, in the order
+    above."""
     seen_derivative: dict[tuple, QPolynomial] = {}
     orbit = None
     tuples = 0
@@ -337,19 +327,18 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
         theta = p.theta()
         entry = oracle.get(theta)
         if entry is None:
+            # The sign pattern reads n_bound = min(ve, (s - 1)/2 + r, vda + r), one
+            # number per entry as s = vb + vc is odd: either theta = 2 vda < s, so
+            # vda is fixed, or theta = s < 2 vda, so vda + r > (s - 1)/2 + r.
             oracle_rows = _support_sum_rows(p, width)
-            entry = oracle[theta] = (oracle_rows, *_row_sums(oracle_rows, width, negate), {})
-        oracle_rows, zero, log_deriv, breaks = entry
+            k = _first_sign_break(oracle_rows, width, max(p.n_bound() + 1, 0))
+            entry = oracle[theta] = (oracle_rows, *_row_sums(oracle_rows, width, negate), k)
+        oracle_rows, zero, log_deriv, k = entry
         rows = _closed_form_rows(p, width)
-        digits = max(p.n_bound() + 1, 0)
-        if rows == oracle_rows:
-            if digits not in breaks:
-                breaks[digits] = _first_sign_break(rows, width, digits)
-            k = breaks[digits]
-        else:
+        if rows != oracle_rows:
             res.record("closed_form == support_sum", params=p)
             zero, log_deriv = _row_sums(rows, width, negate)
-            k = _first_sign_break(rows, width, digits)
+            k = _first_sign_break(rows, width, max(p.n_bound() + 1, 0))
         if not zero:
             res.record("value at s=0 is 0", params=p)
         deriv = derivative_closed_form(p)

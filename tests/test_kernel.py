@@ -13,7 +13,6 @@ from helpers import qp, reference_stages
 from semilie import INFINITY, InvalidParamsError, OrbitalParams, QPolynomial, build_matrix, certify_full_rank, row_reduce
 from semilie.exactpoly import unpack
 from semilie.kernel import (
-    _matrix_width,
     _packed_matrix,
     _reduce_rows,
     phi_exceptional_window,
@@ -148,8 +147,8 @@ def assert_matrix(matrix, expected_rows):
     ],
 )
 def test_build_matrix_rejects(sum_bc, vda, n_cap, message):
-    """``build_matrix``, its width and its packed rows raise the same error."""
-    for make in (build_matrix, _matrix_width, lambda *params: _packed_matrix(*params, 8)):
+    """``build_matrix`` and its packed rows and width raise the same error."""
+    for make in (build_matrix, _packed_matrix):
         with pytest.raises(InvalidParamsError, match=message):
             make(sum_bc, vda, n_cap)
 
@@ -166,12 +165,18 @@ def test_packed_matrix_matches_the_closed_form(sum_bc):
     """Every matrix of the calculator's range (vda in 0..20 or inf, N <= 10)
     unpacks to ``derivative_closed_form`` at every entry, and so do its
     reductions on the packed ints, at a width that some coefficient of M
-    needs in full (but at vda = N = 0)."""
+    needs in full (but at vda = N = 0).
+
+    The reference is built once per vda, at N = 10.  The matrix at a smaller
+    N is its top left (N + theta/2 + 2) x (N + 1) block, and so are the
+    reductions: M' and M'' take differences within a column, of a row and
+    rows above it."""
     for vda in CALC_VDAS:
+        full = reference_stages(sum_bc, vda, 10)
         for n_cap in range(11):
-            width = _matrix_width(sum_bc, vda, n_cap)
-            rows = _packed_matrix(sum_bc, vda, n_cap, width)
-            want = reference_stages(sum_bc, vda, n_cap)
+            rows, width = _packed_matrix(sum_bc, vda, n_cap)
+            want = {stage: [row[: n_cap + 1] for row in m[: len(rows)]] for stage, m in full.items()}
+            assert len(rows) == n_cap + min(sum_bc, 2 * vda) // 2 + 2
             m1, m2 = _reduce_rows(rows)
             for stage, got in (("M", rows), ("M'", m1), ("M''", m2)):
                 assert unpacked(got, width) == want[stage], (sum_bc, vda, n_cap, stage)

@@ -3,7 +3,8 @@
 A row is a q-polynomial packed as its value at q = 2**width.  The reference
 builders below accumulate the same two series term by term into
 {k: {e: c}} maps, with no packing, so every packed row can be checked
-against the map it must unpack to.
+against the map it must unpack to.  Every site that decodes packed ints
+decodes each distinct int once.
 """
 
 import dataclasses
@@ -13,9 +14,10 @@ from helpers import pack_row
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from semilie import INFINITY, LaurentSeries, OrbitalParams
+from semilie import INFINITY, LaurentSeries, OrbitalParams, QPolynomial, build_matrix, cli, exactpoly
 from semilie.cli import _json
 from semilie.exactpoly import unpack
+from semilie.kernel import _packed_matrix, _reduce_rows
 from semilie.orbital import _closed_form_rows, _support_sum_rows, row_width, support_points
 from semilie.verify import SweepConfig, _first_sign_break
 
@@ -231,3 +233,70 @@ def test_rows_json_text_skips_zero_rows_and_sorts_k():
                     '[3, {"q_terms": [[0, 2, 1], [4, -1, 1]]}]]}')
     assert_rows_json_matches(rows, width)
     assert LaurentSeries._rows_json_text({0: 0}, width) == _json(LaurentSeries.zero().to_json()) == '{"t_terms": []}'
+
+
+MEMO_MATRICES = [(1, 0, 4), (41, INFINITY, 10)]
+
+
+@pytest.mark.parametrize("sum_bc, vda, n_cap", MEMO_MATRICES)
+def test_build_matrix_shares_one_polynomial_per_distinct_int(sum_bc, vda, n_cap):
+    rows, _ = _packed_matrix(sum_bc, vda, n_cap)
+    entries = build_matrix(sum_bc, vda, n_cap).entries
+    shared = {}
+    for row, polys in zip(rows, entries):
+        for x, poly in zip(row, polys):
+            assert shared.setdefault(x, poly) is poly
+    assert len({id(poly) for row in entries for poly in row}) == len(shared) < len(rows) * len(rows[0])
+
+
+def test_from_rows_shares_one_polynomial_per_distinct_row():
+    p = OrbitalParams(r=30, vb=-50, vc=91, ve=40, vda=0)
+    width = row_width(p)
+    rows = _closed_form_rows(p, width)
+    series = LaurentSeries._from_rows(rows, width)
+    shared = {}
+    for k, x in rows.items():
+        assert shared.setdefault(x, series.coefficient(k)) is series.coefficient(k)
+    assert len(shared) < len(rows)
+
+
+def count_calls(monkeypatch, owner, name, *more_owners):
+    """Wrap ``owner.<name>``, and the same function held by ``more_owners``,
+    so that each call's one argument is recorded."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(value):
+        calls.append(value)
+        return original(value)
+
+    for o in (owner, *more_owners):
+        monkeypatch.setattr(o, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("stage", ["M", "M''"])
+@pytest.mark.parametrize("sum_bc, vda, n_cap", MEMO_MATRICES)
+def test_kernel_matrix_encodes_each_distinct_entry_once(monkeypatch, capsys, sum_bc, vda, n_cap, stage):
+    """Both forms print every entry, the zero of M'' too, from one encoding
+    per distinct packed int."""
+    rows, _ = _packed_matrix(sum_bc, vda, n_cap)
+    if stage != "M":
+        rows = _reduce_rows(rows)[1]
+    distinct = len({x for row in rows for x in row})
+    argv = ["kernel-matrix", "--sum-bc", str(sum_bc), "--vda", str(vda), "-N", str(n_cap), "--stage", stage]
+    texts = count_calls(monkeypatch, exactpoly, "_json_text", cli)
+    assert cli.main([*argv, "--json"]) == 0
+    assert len(texts) == distinct
+    printed = count_calls(monkeypatch, QPolynomial, "__str__")
+    assert cli.main(argv) == 0
+    assert len(printed) == distinct
+    capsys.readouterr()
+
+
+def test_orbital_json_encodes_each_distinct_row_once(monkeypatch, capsys):
+    p = OrbitalParams(r=30, vb=-50, vc=91, ve=40, vda=0)
+    rows = _closed_form_rows(p, row_width(p))
+    texts = count_calls(monkeypatch, exactpoly, "_json_text", cli)
+    assert cli.main(["orbital", "-r", "30", "--vb", "-50", "--vc", "91", "--ve", "40", "--vda", "0", "--json"]) == 0
+    assert len(texts) == len({x for x in rows.values() if x}) < len(rows)
+    capsys.readouterr()

@@ -324,10 +324,10 @@ def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
 
 @pytest.mark.parametrize("differs", [False, True], ids=["clean", "one_tuple_differs"])
 def test_row_checks_read_once_per_oracle_entry(monkeypatch, differs):
-    """The value at s = 0 and the log-derivative are read once per oracle
-    entry (orbit, theta), the sign pattern once per (orbit, theta, digits);
-    a tuple whose rows differ from its entry's reads its own, once more.
-    Every tuple still builds its own closed form and derivative."""
+    """The value at s = 0, the log-derivative and the sign pattern are read
+    once per oracle entry (orbit, theta); a tuple whose rows differ from its
+    entry's reads its own, once more.  Every tuple still builds its own
+    closed form and derivative."""
     if differs:
         monkeypatch.setattr(verify, "_closed_form_rows", mutated_rows("constant_at_T0", SHARED_THETA_TARGET))
     breaks = counted(monkeypatch, "_first_sign_break")
@@ -337,11 +337,26 @@ def test_row_checks_read_once_per_oracle_entry(monkeypatch, differs):
     assert suite_orbital(SMALL).passed != differs
     tuples = list(SMALL.full_tuples())
     entries = {(p.r, p.vb, p.vc, p.ve, p.theta()) for p in tuples}
-    digits = {(p.r, p.vb, p.vc, p.ve, p.theta(), max(p.n_bound() + 1, 0)) for p in tuples}
-    assert len(entries) <= len(digits) < len(tuples)
+    assert len(entries) < len(tuples)
     assert len(sums) == len(entries) + differs
-    assert len(breaks) == len(digits) + differs
+    assert len(breaks) == len(entries) + differs
     assert [p for p, _ in closed] == [p for (p,) in derivatives] == tuples
+
+
+@pytest.mark.parametrize(
+    "config, n_entries",
+    [(SweepConfig(), 29_722), (SweepConfig(r_max=8, ve_max=13, sum_bc_max=13), 68_796)],
+    ids=["default", "rmax8_ve13_sbc13"],
+)
+def test_n_bound_is_one_number_per_oracle_entry(config, n_entries):
+    """``suite_orbital`` reads one sign break per oracle entry (orbit,
+    theta), at the digit count n_bound + 1: n_bound takes one value over the
+    tuples of each entry, on the default grid and past it."""
+    n_bound = {}
+    for p in config.full_tuples():
+        entry = (p.r, p.vb, p.vc, p.ve, p.theta())
+        assert n_bound.setdefault(entry, p.n_bound()) == p.n_bound(), p
+    assert len(n_bound) == n_entries
 
 
 def reference_afl(config):
