@@ -29,6 +29,7 @@ the series builders' packed rows (see ``orbital``) without building a
 from __future__ import annotations
 
 import random
+from functools import partial
 from operator import mul
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -507,13 +508,18 @@ def suite_satake(config: SweepConfig, res: SuiteResult) -> None:
 def _volumes_work(config: SweepConfig) -> int:
     """250,000 units a run, plus 60 + 6N(N + 1) per center pair: each of
     the p**(2N) classes is a center against 2N + 1 offsets, and a pair costs
-    about 60 units of its own and 12 for each of its N(N + 1)/2 lookups with
-    their share of the enumeration.  Past N = 16, already 10**11 times any
-    sane bound, the estimate stays at N = 16's.  Timed on a 2-CPU Xeon with
-    Python 3.11, the charge at 0.12 µs a unit is 1.3-1.7 times the suite's
-    time at p = 3 with N = 4 and 5, p = 5 with N = 3 and 4, p = 7 and 11
-    with N = 3 and p = 11-29 with N = 2 (1.1-5 times below 0.2 s, 2.3-2.5 at
-    N = 1): -p 3 -N 5 runs in 13 s, and -p 5 -N 4 (52 s) is refused."""
+    about 60 units of its own and 12 for each of its N(N + 1)/2 disk pairs
+    with their share of the enumeration.  Past N = 16, already 10**11 times
+    any sane bound, the estimate stays at N = 16's.  The charge was fitted
+    when every disk pair looked its histogram up, at 1.3-1.7 times the
+    suite's wall time on a 2-CPU Xeon with Python 3.11, and is kept so that
+    no refusal boundary moves.  On perfbench's host clock (that host in its
+    fast state), the charge at 0.12 µs a unit is now 3.2-4.6 times the
+    suite's time, where that sweep read 2.2-2.6, at p = 3 with N = 4 and 5,
+    p = 5 with N = 3 and 4, p = 7 and 11 with N = 3 and p = 11-31 with
+    N = 2 (4.4-25 times below 0.1 s at N = 2 and 3, where the 250,000 units
+    a run dominate, and about 340 at N = 1): -p 3 -N 5 runs in 4.1 s, and
+    -p 5 -N 4 (19 s) is refused."""
     n = min(config.precision, 16)
     return config.p ** (2 * n) * (2 * n + 1) * (60 + 6 * n * (n + 1)) + 250_000
 
@@ -525,6 +531,21 @@ def _record_mismatches(res: SuiteResult, lemma: str, hist, ns: range, want: tupl
         if hist[n] != w:
             res.record(lemma, params=params | {"n": n}, enumerated=Fraction(hist[n], classes),
                        formula=Fraction(w, classes), match=False)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key from ``fill(key)`` on its first
+    lookup and stores it, so every later lookup is a plain dict hit."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 @_suite("volumes", identity_key="lemma", work=_volumes_work)
@@ -539,16 +560,21 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     closed form scaled to an int by ``one_disk_points``; a failure record
     reports both as reduced volumes.  The closed forms depend on a center
     only through v(1 - norm(center)), so they are tabulated once per run, as
-    one tuple per (gap valuation, rho) over the disk's n range, and each
-    histogram is checked by one slice compare; only a mismatch walks the n
-    range to record each failing n in order.  Both halves key each center's
-    cosets once (``DiskCounter.coset_keys``), so a disk or disk pair costs
-    one memo lookup by those keys (a disk is the coincident pair) and that
-    one compare.
+    one tuple per (gap valuation, rho) over the disk's n range.  The one-disk
+    half keys each unit's cosets once (``DiskCounter.coset_keys``) and keeps
+    its keys and gap valuation for the two-disk half.  Each distinct pair of
+    coset keys (a disk is the coincident pair) is looked up once, by
+    ``DiskCounter.keyed_histogram``, and its slice over the n range kept, so
+    every later disk or disk pair with the same keys costs one dict hit and
+    one slice compare; only a mismatch reads the histogram again and walks
+    the n range to record each failing n in order.  At p = 3, N = 4 that is
+    5,832 key derivations and 10,525 lookups for 1,022,058 checks, and the
+    suite takes 0.30 s on perfbench's host clock (0.50 s when every disk and
+    disk pair made a lookup, 533,628 of them).
     """
     ring = QuadExtRing(p=config.p, precision=config.precision)
     counter = DiskCounter(ring)
-    prec = ring.precision
+    prec, modulus = ring.precision, ring.modulus
     classes = ring.p ** (2 * prec)
 
     # A disk's n range runs from the lemmas' lower bound max(rho, 1) to
@@ -563,17 +589,29 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     wants = [[tuple(one_disk_points(ring, gap, rho, n) for n in ns) for rho, ns in disks] for gap in range(prec + 1)]
     zeros = [(0,) * len(ns) for _, ns in disks]
     keyed_histogram = counter.keyed_histogram
+    # interned[x] is the first value equal to x that it saw, so equal keys,
+    # tuples of keys, unit entries and slices share one object: a unit's keys
+    # at rho < precision depend only on its class mod p**(precision - 1).
+    interned = _Memo(lambda x: x)
+
+    def fetch(key1: tuple, key2: tuple) -> tuple:
+        return interned[keyed_histogram(key1, key2)[max(key1[2], 1):prec]]
+
+    # slices[key1][key2] is the pair's histogram over key1's n range.
+    slices = _Memo(lambda key1: _Memo(partial(fetch, key1)))
+    # unit_of[a * modulus + b] holds the unit a + b sqrt(eps) as (its keys at
+    # every rho a disk has, v(1 - norm)); a non-unit's entry stays None.
+    unit_of: list = [None] * modulus**2
     one_disk = two_disk = 0
     for xi in ring.units():
-        want_at = wants[ring.val_int(1 - ring.norm(xi))]
-        keys = counter.coset_keys(xi)
+        keys = interned[tuple([interned[key] for key in counter.coset_keys(xi)[:prec]])]
+        gap = ring.val_int(1 - ring.norm(xi))
+        unit_of[xi[0] * modulus + xi[1]] = interned[keys, gap]
         if disks:
             _check_one_disk_args(ring, xi, disks[-1][0], prec - 1)
-        for rho, ns in disks:
-            hist = keyed_histogram(keys[rho], keys[rho])
-            want = want_at[rho]
-            if hist[ns.start:prec] != want:
-                _record_mismatches(res, "one_disk", hist, ns, want, classes, xi=xi, rho=rho)
+        for (rho, ns), key, want in zip(disks, keys, wants[gap]):
+            if slices[key][key] != want:
+                _record_mismatches(res, "one_disk", keyed_histogram(key, key), ns, want, classes, xi=xi, rho=rho)
             # Counted per histogram and compared as one slice, not by check():
             # a record per n made the suite about 1.5x slower.
             one_disk += len(ns)
@@ -585,22 +623,22 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
         offsets.append(((ring.p**v, 0), v))
         offsets.append(((0, ring.p**v), v))
     for xi1 in ring.units():
-        want_at = wants[ring.val_int(1 - ring.norm(xi1))]
-        keys1 = counter.coset_keys(xi1)
+        keys1, gap = unit_of[xi1[0] * modulus + xi1[1]]
+        want_at = wants[gap]
         for delta, sep in offsets:
             xi2 = ring.sub(xi1, delta)
-            if not ring.is_unit(xi2):
+            unit2 = unit_of[xi2[0] * modulus + xi2[1]]
+            if unit2 is None:  # xi2 is not a unit
                 continue
+            keys2 = unit2[0]
             if disks:
                 _check_two_disk_args(ring, xi1, xi2, disks[-1][0], 0, prec - 1)
-            keys2 = counter.coset_keys(xi2)
-            for rho1, ns in disks:
-                key1, hit, miss = keys1[rho1], want_at[rho1], zeros[rho1]
+            for (rho1, ns), key1, hit, miss in zip(disks, keys1, want_at, zeros):
+                row = slices[key1]
                 for rho2 in range(rho1 + 1):
-                    hist = keyed_histogram(key1, keys2[rho2])
                     want = hit if rho2 <= sep else miss
-                    if hist[ns.start:prec] != want:
-                        _record_mismatches(res, "two_disk", hist, ns, want, classes,
+                    if row[keys2[rho2]] != want:
+                        _record_mismatches(res, "two_disk", keyed_histogram(key1, keys2[rho2]), ns, want, classes,
                                            xi1=xi1, xi2=xi2, rho1=rho1, rho2=rho2)
                 two_disk += len(ns) * (rho1 + 1)
     res.count("two_disk", two_disk)

@@ -647,6 +647,36 @@ def test_keyed_histogram_is_the_pair_histogram_memo_entry():
                 assert hist is counter.pair_histogram(xi1, rho1, xi2, rho2), (xi1, xi2, rho1, rho2)
 
 
+def test_volumes_reads_each_key_pair_once(monkeypatch):
+    """A clean run keys each unit's cosets once and looks up each distinct
+    (key1, key2) pair of the disks and disk pairs it checks once."""
+    ring = QuadExtRing(p=VOLUMES.p, precision=VOLUMES.precision)
+    counter, prec = DiskCounter(ring), ring.precision
+    want = set()
+    for xi in ring.units():
+        keys = counter.coset_keys(xi)
+        want.update((keys[rho], keys[rho]) for rho in range(prec))
+    for xi1, xi2 in volume_pairs(VOLUMES):
+        keys1, keys2 = counter.coset_keys(xi1), counter.coset_keys(xi2)
+        want.update((keys1[rho1], keys2[rho2]) for rho1 in range(prec) for rho2 in range(rho1 + 1))
+    keyed, lookups = [], []
+    coset_keys, keyed_histogram = DiskCounter.coset_keys, DiskCounter.keyed_histogram
+
+    def counted_keys(self, center):
+        keyed.append(center)
+        return coset_keys(self, center)
+
+    def counted_lookup(self, key1, key2):
+        lookups.append((key1, key2))
+        return keyed_histogram(self, key1, key2)
+
+    monkeypatch.setattr(DiskCounter, "coset_keys", counted_keys)
+    monkeypatch.setattr(DiskCounter, "keyed_histogram", counted_lookup)
+    assert verify.suite_volumes(VOLUMES).passed
+    assert keyed == list(ring.units())
+    assert len(lookups) == len(set(lookups)) == len(want) and set(lookups) == want
+
+
 def test_volumes_checks_one_disk_args_once_per_center(monkeypatch):
     calls = []
     monkeypatch.setattr(verify, "_check_one_disk_args", lambda ring, *args: calls.append(args))
@@ -734,18 +764,22 @@ def bump_far_pairs(original):
 
 # A mismatch walks the n range only where the one slice compare per histogram
 # fails, so each mutation must leave the records (and their order) of the walk.
+# The suite indexes units and shares equal keys by the ring's modulus, so one
+# case runs on a second ring.
 @pytest.mark.parametrize(
-    "target, mutation, count",
+    "config, target, mutation, checked, count",
     [
-        (verify, ("one_disk_points", bump_points(lambda rho, n: n == 2)), 23490),  # the last n
-        (verify, ("one_disk_points", bump_points(lambda rho, n: (rho, n) == (0, 1))), 5022),  # first n at rho = 0
-        (DiskCounter, ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)), 1134),  # an all-zero row
+        (VOLUMES, verify, ("one_disk_points", bump_points(lambda rho, n: n == 2)), 42606, 23490),  # the last n
+        (VOLUMES, verify, ("one_disk_points", bump_points(lambda rho, n: (rho, n) == (0, 1))), 42606, 5022),  # first n at rho = 0
+        (VOLUMES, DiskCounter, ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)), 42606, 1134),  # an all-zero row
+        (SweepConfig(p=5, precision=2), DiskCounter, ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)),
+         10050, 1150),
     ],
-    ids=["last_n", "rho0_first_n", "zero_row"],
+    ids=["last_n", "rho0_first_n", "zero_row", "zero_row_p5_N2"],
 )
-def test_volumes_failure_records_match_the_per_n_walk(monkeypatch, target, mutation, count):
-    assert verify.suite_volumes(VOLUMES).failures == walk_volume_failures(VOLUMES) == []
+def test_volumes_failure_records_match_the_per_n_walk(monkeypatch, config, target, mutation, checked, count):
+    assert verify.suite_volumes(config).failures == walk_volume_failures(config) == []
     monkeypatch.setattr(target, *mutation)
-    mutated = verify.suite_volumes(VOLUMES)
-    assert mutated.checked == 42606 and len(mutated.failures) == count
-    assert mutated.failures == walk_volume_failures(VOLUMES)
+    mutated = verify.suite_volumes(config)
+    assert mutated.checked == checked and len(mutated.failures) == count
+    assert mutated.failures == walk_volume_failures(config)
