@@ -506,22 +506,25 @@ def suite_satake(config: SweepConfig, res: SuiteResult) -> None:
 # ---------------------------------------------------------------- volumes
 
 def _volumes_work(config: SweepConfig) -> int:
-    """250,000 units a run, plus 60 + 6N(N + 1) per center pair: each of
-    the p**(2N) classes is a center against 2N + 1 offsets, and a pair costs
-    about 60 units of its own and 12 for each of its N(N + 1)/2 disk pairs
-    with their share of the enumeration.  Past N = 16, already 10**11 times
-    any sane bound, the estimate stays at N = 16's.  The charge was fitted
-    when every disk pair looked its histogram up, at 1.3-1.7 times the
-    suite's wall time on a 2-CPU Xeon with Python 3.11, and is kept so that
-    no refusal boundary moves.  On perfbench's host clock (that host in its
-    fast state), the charge at 0.12 µs a unit is now 3.2-4.6 times the
-    suite's time, where that sweep read 2.2-2.6, at p = 3 with N = 4 and 5,
-    p = 5 with N = 3 and 4, p = 7 and 11 with N = 3 and p = 11-31 with
-    N = 2 (4.4-25 times below 0.1 s at N = 2 and 3, where the 250,000 units
-    a run dominate, and about 340 at N = 1): -p 3 -N 5 runs in 4.1 s, and
-    -p 5 -N 4 (19 s) is refused."""
+    """250,000 units a run plus the sweep's own work, with P = p**(2N)
+    residue classes and d = N(N + 1)/2 disk pairs per center pair: 20 units
+    for each of the about P(2N + 1) center pairs (each is a center against
+    2N + 1 offsets, with its argument check and one verdict lookup), 8 for
+    each of the P d points ``DiskCounter._build`` enumerates (each disk, at
+    every radius of its pairs), and 8 for each disk pair of the about
+    2N P/p**2 distinct comparisons (a unit entry, the second center's keys
+    and sep) that the sweep compares in full.  Past N = 16, already 10**11
+    times any sane bound, the estimate stays at N = 16's.  On perfbench's
+    host clock (a 2-CPU Xeon with Python 3.11 in its fast state), the charge
+    at 0.12 µs a unit is 1.4-1.8 times the suite's time at p = 3 with
+    N = 4-6, p = 5 with N = 3 and 4, p = 7, 11 and 13 with N = 3, p = 11-41
+    with N = 2 and p = 1009 with N = 1 (2.9-31 times below 0.1 s, at p = 3
+    with N = 2 and 3 and p = 7 with N = 2, where the 250,000 units a run
+    dominate): -p 3 -N 6 runs in 30 s, -p 11 -N 3 in 27 s and -p 41 -N 2 in
+    29 s, and -p 13 -N 3 (74 s) is refused."""
     n = min(config.precision, 16)
-    return config.p ** (2 * n) * (2 * n + 1) * (60 + 6 * n * (n + 1)) + 250_000
+    p = config.p
+    return p ** (2 * n - 2) * (p * p * (40 * n + 20 + 4 * n * (n + 1)) + 8 * n * n * (n + 1)) + 250_000
 
 
 def _record_mismatches(res: SuiteResult, lemma: str, hist, ns: range, want: tuple, classes: int, **params) -> None:
@@ -562,15 +565,21 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     only through v(1 - norm(center)), so they are tabulated once per run, as
     one tuple per (gap valuation, rho) over the disk's n range.  The one-disk
     half keys each unit's cosets once (``DiskCounter.coset_keys``) and keeps
-    its keys and gap valuation for the two-disk half.  Each distinct pair of
-    coset keys (a disk is the coincident pair) is looked up once, by
-    ``DiskCounter.keyed_histogram``, and its slice over the n range kept, so
-    every later disk or disk pair with the same keys costs one dict hit and
-    one slice compare; only a mismatch reads the histogram again and walks
-    the n range to record each failing n in order.  At p = 3, N = 4 that is
-    5,832 key derivations and 10,525 lookups for 1,022,058 checks, and the
-    suite takes 0.30 s on perfbench's host clock (0.50 s when every disk and
-    disk pair made a lookup, 533,628 of them).
+    its keys and gap valuation, interned as one unit entry, for the two-disk
+    half.  Each distinct pair of coset keys (a disk is the coincident pair)
+    is looked up once, by ``DiskCounter.keyed_histogram``, and its slice over
+    the n range kept, so a disk or disk pair with the same keys costs one
+    dict hit and one slice compare.  The inputs of a comparison fix its
+    verdict: a unit's disks are fixed by its entry, and a center pair's disk
+    pairs by (xi1's entry, xi2's keys, sep).  Each distinct comparison that
+    matched in full is remembered, so a unit or pair that repeats it costs
+    one dict lookup and adds its checks to the count; any other compares its
+    slices, and only a mismatch reads the histogram again and walks the n
+    range to record each failing n in order.  At p = 3, N = 4 that is 5,832
+    key derivations, 10,525 lookups and 684 distinct unit entries for the
+    5,832 units, and 5,292 distinct comparisons for the 51,030 center pairs,
+    for 1,022,058 checks; a perfbench ``grid_volumes`` pass takes 0.17 s on
+    the host clock (0.32 s when every unit and pair compared its slices).
     """
     ring = QuadExtRing(p=config.p, precision=config.precision)
     counter = DiskCounter(ring)
@@ -602,37 +611,65 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     # unit_of[a * modulus + b] holds the unit a + b sqrt(eps) as (its keys at
     # every rho a disk has, v(1 - norm)); a non-unit's entry stays None.
     unit_of: list = [None] * modulus**2
-    one_disk = two_disk = 0
+    # number[id(x)] numbers each interned keys tuple and unit entry x in the
+    # order first seen, so a distinct comparison is named by one small int: a
+    # unit by its entry's number, a center pair by (xi1's entry, xi2's keys,
+    # sep) numbered as below.  passed_units and passed_pairs hold the names
+    # that matched in full, that is recorded no failure (a slice that differs
+    # from its closed forms differs at some n), so a later unit or pair with
+    # the same name only adds its checks; any other is compared afresh, and a
+    # failing one is walked again at every unit or pair that reaches it.
+    # Dicts, not sets: at the default ring's 5,292 pair names one is under a
+    # third of a set's size.
+    number: dict = {}
+    passed_units: dict = {}
+    passed_pairs: dict = {}
+    units = pairs = 0
     for xi in ring.units():
         keys = interned[tuple([interned[key] for key in counter.coset_keys(xi)[:prec]])]
         gap = ring.val_int(1 - ring.norm(xi))
-        unit_of[xi[0] * modulus + xi[1]] = interned[keys, gap]
+        entry = unit_of[xi[0] * modulus + xi[1]] = interned[keys, gap]
+        number.setdefault(id(keys), len(number))
+        name = number.setdefault(id(entry), len(number))
+        units += 1
         if disks:
             _check_one_disk_args(ring, xi, disks[-1][0], prec - 1)
+        if name in passed_units:
+            continue
+        failures = len(res.failures)
         for (rho, ns), key, want in zip(disks, keys, wants[gap]):
             if slices[key][key] != want:
                 _record_mismatches(res, "one_disk", keyed_histogram(key, key), ns, want, classes, xi=xi, rho=rho)
-            # Counted per histogram and compared as one slice, not by check():
-            # a record per n made the suite about 1.5x slower.
-            one_disk += len(ns)
-    res.count("one_disk", one_disk)
+        if len(res.failures) == failures:
+            passed_units[name] = True
+    # Counted per unit and pair and compared as one slice per histogram, not
+    # by check(): a record per n made the suite about 1.5x slower.
+    res.count("one_disk", units * sum(len(ns) for _, ns in disks))
     # Offsets delta = xi1 - xi2 with v(delta) = 0, 1, ..., >= precision,
     # each with its valuation: sep = v(xi1 - xi2) is that of the offset.
     offsets = [((0, 0), prec)]
     for v in range(prec):
         offsets.append(((ring.p**v, 0), v))
         offsets.append(((0, ring.p**v), v))
+    seps, width = prec + 1, len(number)
     for xi1 in ring.units():
-        keys1, gap = unit_of[xi1[0] * modulus + xi1[1]]
+        entry1 = unit_of[xi1[0] * modulus + xi1[1]]
+        keys1, gap = entry1
         want_at = wants[gap]
+        base = number[id(entry1)] * width
         for delta, sep in offsets:
             xi2 = ring.sub(xi1, delta)
             unit2 = unit_of[xi2[0] * modulus + xi2[1]]
             if unit2 is None:  # xi2 is not a unit
                 continue
             keys2 = unit2[0]
+            pairs += 1
             if disks:
                 _check_two_disk_args(ring, xi1, xi2, disks[-1][0], 0, prec - 1)
+            name = (base + number[id(keys2)]) * seps + sep
+            if name in passed_pairs:
+                continue
+            failures = len(res.failures)
             for (rho1, ns), key1, hit, miss in zip(disks, keys1, want_at, zeros):
                 row = slices[key1]
                 for rho2 in range(rho1 + 1):
@@ -640,8 +677,9 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
                     if row[keys2[rho2]] != want:
                         _record_mismatches(res, "two_disk", keyed_histogram(key1, keys2[rho2]), ns, want, classes,
                                            xi1=xi1, xi2=xi2, rho1=rho1, rho2=rho2)
-                two_disk += len(ns) * (rho1 + 1)
-    res.count("two_disk", two_disk)
+            if len(res.failures) == failures:
+                passed_pairs[name] = True
+    res.count("two_disk", pairs * sum(len(ns) * (rho1 + 1) for rho1, ns in disks))
 
 
 def _quaternion_work(config: SweepConfig) -> int:

@@ -111,8 +111,8 @@ def test_invalid_params_exit_2(capsys):
         "verify orbital -p 4",
         "verify miracle -p 9",
         "verify satake -N 0",
-        "volumes -p 11 -N 3",
-        "verify volumes -p 11 -N 3",
+        "volumes -p 13 -N 3",
+        "verify volumes -p 13 -N 3",
         "verify orbital --rmax 40 --ve-max 40 --sum-bc-max 41",
         "verify kernel --ve-max 1000",
         "verify satake --rmax 150",
@@ -167,7 +167,7 @@ def test_suite_reports_json(capsys, argv, expected, exit_code):
     assert all(r["failures"] == [] for r in reports)
 
 
-@pytest.mark.parametrize("argv", ["verify all -p 5 -N 4", "volumes -p 3 -N 100000 --json"])
+@pytest.mark.parametrize("argv", ["verify all -p 5 -N 5", "volumes -p 3 -N 100000 --json"])
 def test_volume_work_refused_before_enumerating(capsys, monkeypatch, argv):
     monkeypatch.setattr(verify, "DiskCounter", lambda ring: pytest.fail("enumerated"))
     code, out, err = run(capsys, *argv.split())
@@ -180,7 +180,10 @@ def test_volume_work_admits_the_default_and_smoke_grids(p, precision):
     assert verify.sweep_work("volumes", verify.SweepConfig(p=p, precision=precision)) <= cli.MAX_SWEEP_WORK
 
 
-@pytest.mark.parametrize("suite, p, precision", [("quaternion", 10007, 1000), ("volumes", 29, 2)])
+@pytest.mark.parametrize(
+    "suite, p, precision",
+    [("quaternion", 10007, 1000), ("volumes", 29, 2), ("volumes", 5, 4), ("volumes", 11, 3), ("volumes", 41, 2)],
+)
 def test_padic_work_admits_runs_inside_the_bound(suite, p, precision):
     """Each was refused by an earlier, looser charge, but runs in 9-31 s on
     a 2-CPU host, inside the some 50 s that the bound stands for."""

@@ -744,8 +744,9 @@ def walk_volume_failures(config):
 
 
 def bump_points(where):
+    """one_disk_points plus 1 wherever ``where(gap, rho, n)`` holds."""
     original = verify.one_disk_points
-    return lambda ring, gap, rho, n: original(ring, gap, rho, n) + where(rho, n)
+    return lambda ring, gap, rho, n: original(ring, gap, rho, n) + where(gap, rho, n)
 
 
 def bump_far_pairs(original):
@@ -762,20 +763,37 @@ def bump_far_pairs(original):
     return bumped
 
 
+def bump_second_key(original, key2):
+    """keyed_histogram plus 1 at n = 2 wherever the second disk has coset
+    key ``key2``, and nowhere else."""
+
+    def bumped(self, key1, second):
+        hist = original(self, key1, second)
+        return hist[:2] + (hist[2] + 1,) + hist[3:] if second == key2 else hist
+
+    return bumped
+
+
 # A mismatch walks the n range only where the one slice compare per histogram
-# fails, so each mutation must leave the records (and their order) of the walk.
-# The suite indexes units and shares equal keys by the ring's modulus, so one
-# case runs on a second ring.
+# fails, and a comparison is skipped only where an equal one (the same unit
+# entry, or the same xi1 entry, xi2 keys and sep) matched in full, so each
+# mutation must leave the records (and their order) of the walk.  The suite
+# indexes units and shares equal keys by the ring's modulus, so one case runs
+# on a second ring.  The last two split comparisons that share all but one
+# part of their name: units with equal keys but not gap, and pairs with equal
+# xi1 entries and sep but not xi2 keys.
 @pytest.mark.parametrize(
     "config, target, mutation, checked, count",
     [
-        (VOLUMES, verify, ("one_disk_points", bump_points(lambda rho, n: n == 2)), 42606, 23490),  # the last n
-        (VOLUMES, verify, ("one_disk_points", bump_points(lambda rho, n: (rho, n) == (0, 1))), 42606, 5022),  # first n at rho = 0
+        (VOLUMES, verify, ("one_disk_points", bump_points(lambda gap, rho, n: n == 2)), 42606, 23490),  # the last n
+        (VOLUMES, verify, ("one_disk_points", bump_points(lambda gap, rho, n: (rho, n) == (0, 1))), 42606, 5022),  # first n at rho = 0
         (VOLUMES, DiskCounter, ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)), 42606, 1134),  # an all-zero row
         (SweepConfig(p=5, precision=2), DiskCounter, ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)),
          10050, 1150),
+        (VOLUMES, verify, ("one_disk_points", bump_points(lambda gap, rho, n: gap == 3 and n == 2)), 42606, 1278),
+        (VOLUMES, DiskCounter, ("keyed_histogram", bump_second_key(DiskCounter.keyed_histogram, (1, 0, 1))), 42606, 1215),
     ],
-    ids=["last_n", "rho0_first_n", "zero_row", "zero_row_p5_N2"],
+    ids=["last_n", "rho0_first_n", "zero_row", "zero_row_p5_N2", "one_gap", "one_key2_at_rho2_1"],
 )
 def test_volumes_failure_records_match_the_per_n_walk(monkeypatch, config, target, mutation, checked, count):
     assert verify.suite_volumes(config).failures == walk_volume_failures(config) == []
