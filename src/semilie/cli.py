@@ -345,6 +345,8 @@ def _report_results(results, args) -> int:
             print(f"{result.name}: {'pass' if result.passed else 'FAIL'} ({result.checked} checks)")
             for failure in result.failures:
                 print(_json(failure))
+            if result.failures_omitted:
+                print(f"({result.failures_omitted} more failures not recorded)")
     return 0 if all(result.passed for result in results) else 1
 
 

@@ -220,8 +220,8 @@ class QPolynomial(_SparseMap):
     def div_exact(self, other: "QPolynomial") -> "QPolynomial":
         """Exact Laurent division; raises ArithmeticError on a nonzero remainder.
 
-        Used by the fraction-free elimination, where every division is exact
-        by construction.
+        The tests' reference fraction-free elimination divides with it, where
+        every division is exact by construction.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")

@@ -9,14 +9,16 @@ un-normalised derivative the stored entries differ by a global sign
 (-1)**vc, which changes neither rank nor any zero pattern.
 
 Packed entries.  ``_packed_matrix`` builds the matrix once as packed ints
-(see ``exactpoly``), a fixed number of int operations per entry, and returns
-them with the one width they pack at, which its docstring proves.  Both row
-reductions subtract ints (``_reduce_rows``), ``build_matrix`` decodes each
-distinct int once (``exactpoly._decoded``), and the tests compare every
-entry with ``orbital.derivative_closed_form``.
+(see ``exactpoly``), a fixed number of int operations per entry
+(``orbital._packed_derivative``, which the orbital sweep shares), and
+returns them with the one width they pack at, which its docstring proves.
+Both row reductions subtract ints (``_reduce_rows``), ``build_matrix``
+decodes each distinct int once (``exactpoly._decoded``), and the tests
+compare every entry with ``orbital.derivative_closed_form``.
 
 Rank certification is two-sided: a fraction-free (Bareiss) elimination over
-exact q-polynomials computes the rank outright, and independently the
+the q-polynomial entries, packed as ints at a width every minor fits
+(``_packed_rank``), computes the rank outright, and independently the
 reduced matrix M'' is checked against the predicted zero pattern and
 anti-diagonal entries, whose product is spot-evaluated at q = 3, 5, 7.
 """
@@ -34,6 +36,8 @@ from .orbital import (
     HeckeVector,
     InvalidParamsError,
     OrbitalParams,
+    _derivative_tables,
+    _packed_derivative,
     derivative_of_vector,
     require_ints,
 )
@@ -110,36 +114,15 @@ def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int) -> tuple[list[tupl
     it attains unless vda = N = 0.  So B = bits(T) + 1 holds them all, and
     B - 1 would not.
 
-    With X = 2**B and the prefix tables G[n] = X**0 + ... + X**n and
-    W[n] = 1 X + 2 X**2 + ... + n X**n, built once, the entry at (ve = i, r)
-    is top G[cap] - 2 W[cap] - corr X**(vda + r), top and cap as in
-    ``orbital.derivative_closed_form`` and corr its correction (0 where it
-    has none): a fixed number of int operations per entry.
+    Each entry is ``orbital._packed_derivative`` at (r, 0, s, ve = i, vda),
+    a fixed number of int operations from the prefix tables of
+    ``orbital._derivative_tables``, built once at B.
     """
     n_rows = _matrix_rows(sum_bc, vda, n_cap)
     width = (n_rows - 1 + (sum_bc + 1) // 2 + n_cap).bit_length() + 1
-    geometric, weighted = [1], [0]  # G[n], W[n]
-    for n in range(1, n_rows):
-        x = 1 << width * n
-        geometric.append(geometric[-1] + x)
-        weighted.append(weighted[-1] + n * x)
-    half = (sum_bc - 1) // 2
-    corrected = sum_bc > 2 * vda  # else no entry has a correction
-    rows = []
-    for ve in range(n_rows):
-        row = []
-        for r in range(n_cap + 1):
-            cap = min(ve, half + r, vda + r)
-            x = (ve + half + 1 + r) * geometric[cap] - 2 * weighted[cap]
-            kap = ve - vda - r
-            if corrected and kap >= 0:
-                if kap % 2 == 0:
-                    corr = kap // 2
-                else:
-                    corr = (2 * ve + sum_bc - 4 * vda - 2 * r - kap) // 2
-                x -= corr << width * (vda + r)
-            row.append(x)
-        rows.append(tuple(row))
+    tables = _derivative_tables(width, n_rows - 1)
+    cols = range(n_cap + 1)
+    rows = [tuple([_packed_derivative(r, 0, sum_bc, ve, vda, tables) for r in cols]) for ve in range(n_rows)]
     return rows, width
 
 
@@ -175,25 +158,59 @@ def row_reduce(m: DerivMatrix) -> tuple[DerivMatrix, DerivMatrix]:
     )
 
 
-def _bareiss_rank(entries) -> int:
-    """Fraction-free elimination rank of a matrix of QPolynomials."""
-    mat = [list(row) for row in entries]
+def _rank_width(entries) -> int:
+    """The width at which ``_packed_rank`` packs ``entries``, q-polynomials
+    with int coefficients and exponents >= 0: bits(bound) + 2, bound the
+    product of the largest ``cols`` row 1-norms (each at least 1), a row's
+    1-norm the sum of |c| over its entries' coefficients.
+
+    Every entry the elimination keeps is a minor of the matrix (Sylvester's
+    identity, which makes each division exact), of at most ``cols`` rows.
+    Expanded as a sum over permutations, a k x k minor's coefficient 1-norm
+    is at most the product of its rows' 1-norms, so at most the bound, and
+    each of its coefficients is below 2**(width - 1) in absolute value.
+    """
+    cols = len(entries[0]) if entries else 0
+    norms = sorted((sum(abs(c) for poly in row for c in poly.coefficients()) for row in entries), reverse=True)
+    bound = 1
+    for norm in norms[:cols]:
+        bound *= max(norm, 1)
+    return bound.bit_length() + 2
+
+
+def _packed_rank(entries) -> int:
+    """The rank of a matrix of q-polynomials with int coefficients and
+    exponents >= 0, by fraction-free (Bareiss) elimination on the entries
+    packed at ``_rank_width`` (see ``exactpoly.unpack``).
+
+    Packing is evaluation at q = 2**width, a ring homomorphism, so every
+    int the elimination keeps is the value of the minor the same
+    elimination over q-polynomials would keep, and each division of the
+    value of prev * minor by the value of prev leaves no remainder.  A
+    minor's coefficients lie in the digit range, so its value is 0 exactly
+    when the minor is: the pivots are those of the q-polynomial elimination,
+    and so is the rank.  Each division checks its remainder all the same,
+    and raises ArithmeticError rather than return a rank."""
+    width = _rank_width(entries)
+    mat = [[sum(c << width * e for e, c in poly.items()) for poly in row] for row in entries]
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
-    prev = QPolynomial.one()
-    rank = 0
+    prev, rank = 1, 0
     for col in range(n_cols):
         pivot_row = next((i for i in range(rank, n_rows) if mat[i][col]), None)
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        piv = mat[rank][col]
+        row_p = mat[rank]
+        piv = row_p[col]
         for i in range(rank + 1, n_rows):
-            row_i, row_p = mat[i], mat[rank]
+            row_i = mat[i]
             head = row_i[col]
             for j in range(col + 1, n_cols):
-                row_i[j] = (piv * row_i[j] - head * row_p[j]).div_exact(prev)
-            row_i[col] = QPolynomial.zero()
+                row_i[j], rem = divmod(piv * row_i[j] - head * row_p[j], prev)
+                if rem:
+                    raise ArithmeticError("inexact division in the packed elimination")
+            row_i[col] = 0
         prev = piv
         rank += 1
         if rank == min(n_rows, n_cols):
@@ -290,7 +307,7 @@ def certify_full_rank(m: DerivMatrix) -> RankCertificate:
             flags.append(f"unexpected zero pivot at column {r}")
             pivots.append(actual)
 
-    rank = _bareiss_rank(m.entries)
+    rank = _packed_rank(m.entries)
 
     product = QPolynomial.one()
     for piv in pivots:

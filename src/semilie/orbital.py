@@ -28,10 +28,12 @@ derivative" D additionally carries the sign (-1)**(vc + r):
 
 Packed rows.  The two series builders, the closed form and the support-sum
 oracle, return one int per power of T, its q-polynomial coefficient packed
-(see ``exactpoly``) at the tuple's width (``row_width``).  The public
+(see ``exactpoly``) at any width from the tuple's ``row_width`` on.  The public
 ``orbital_closed_form`` and ``orbital_support_sum`` decode the rows
 (``LaurentSeries._from_rows``); the orbital sweep in ``verify`` works on the
-rows themselves.
+rows themselves.  ``_packed_derivative`` is ``derivative_closed_form``
+packed the same way, one int per tuple, for the sweep and the kernel
+matrix; ``derivative_closed_form`` stays the reference.
 """
 
 from __future__ import annotations
@@ -287,6 +289,49 @@ def derivative_closed_form(p: OrbitalParams) -> QPolynomial:
         if corr:
             out = out - QPolynomial.q_power(vda + r, corr)
     return out
+
+
+def _derivative_tables(width: int, n: int) -> tuple[int, list[int], list[int]]:
+    """(width, G, W), the prefix tables that ``_packed_derivative`` reads at
+    X = 2**width: G[m] = X**0 + ... + X**m and W[m] = 1 X + 2 X**2 + ... +
+    m X**m for 0 <= m <= n."""
+    geometric, weighted = [1], [0]
+    for m in range(1, n + 1):
+        x = 1 << width * m
+        geometric.append(geometric[-1] + x)
+        weighted.append(weighted[-1] + m * x)
+    return width, geometric, weighted
+
+
+def _packed_derivative(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> int:
+    """``derivative_closed_form`` at (r, vb, vc, ve, vda), packed (see
+    ``exactpoly.unpack``) at the width of ``tables``, ``_derivative_tables``
+    with n at least its top degree cap = min(ve, (vb + vc - 1)/2 + r,
+    vda + r): top G[cap] - 2 W[cap] - corr X**(vda + r), the main sum of
+    (top - 2j) q**j over j <= cap less the correction (0 where there is
+    none), top and corr as in the reference.  A fixed number of int
+    operations, reading vb and vc separately, as the reference does.
+
+    The width must hold D's coefficients, which lie in [0, ve + (vb + vc +
+    1)/2 + r] (the bound on M in ``kernel._packed_matrix``); any width at
+    least ``row_width`` does, as its 2**(B - 1) exceeds the support points
+    P >= 2 ve + 2(vb + vc) + 2 r + 1, more than that bound.  The arguments
+    must be admissible (``OrbitalParams``); ve < 0 gives 0."""
+    width, geometric, weighted = tables
+    s = vb + vc
+    cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
+    if ve < cap:
+        cap = ve
+    if vda + r < cap:
+        cap = vda + r
+    if cap < 0:
+        return 0
+    x = ((2 * ve + s + 1) // 2 + r) * geometric[cap] - 2 * weighted[cap]
+    kap = ve - vda - r
+    if kap >= 0 and s > 2 * vda:
+        corr = kap // 2 if kap % 2 == 0 else (2 * ve + s - 4 * vda - 2 * r - kap) // 2
+        x -= corr << width * (vda + r)
+    return x
 
 
 def derivative_combo(p: OrbitalParams) -> QPolynomial:

@@ -22,8 +22,9 @@ Identities that depend on (vb, vc) only through their sum are swept over the
 reduced grid with the canonical split vb = 0; the dependence reduction is
 itself one of the checked properties.  The default grid never reaches
 ve < 0, where both sides of every identity are 0.  The orbital suite checks
-the series builders' packed rows (see ``orbital``) without building a
-``LaurentSeries``, through ``exactpoly._decoded`` and ``_sign_mask``.
+the series builders' packed rows and the packed derivative (see
+``orbital``) as ints, without decoding them, its sign pattern through
+``exactpoly._sign_mask``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exactpoly import QPolynomial, _decoded, _sign_mask
+from .exactpoly import QPolynomial, _sign_mask
 from .intersection import (
     gk_from_params,
     int_circ,
@@ -52,6 +53,8 @@ from .orbital import (
     INFINITY,
     OrbitalParams,
     _closed_form_rows,
+    _derivative_tables,
+    _packed_derivative,
     _support_sum_rows,
     derivative_closed_form,
     derivative_combo,
@@ -143,16 +146,26 @@ class SweepConfig:
                             yield OrbitalParams(r=r, vb=vb, vc=s - vb, ve=ve, vda=vda)
 
 
+#: The most failure records a suite run keeps per identity; later failures
+#: are only counted (``SuiteResult.failures_omitted``), so that a run with
+#: millions of mismatches reports in bounded memory.
+RECORDS_PER_IDENTITY = 25_000
+
+
 @dataclass
 class SuiteResult:
     """One suite run.  ``identity_key`` is the failure-record key that names
-    the failed identity, first in the record; None leaves the name out."""
+    the failed identity, first in the record; None leaves the name out.
+    ``failures`` keeps the first ``RECORDS_PER_IDENTITY`` records of each
+    identity, in order, and ``failures_omitted`` counts the rest."""
 
     name: str
     checked: int = 0
     failures: list = field(default_factory=list)
     checks_by_identity: dict = field(default_factory=dict)
     identity_key: str | None = "identity"
+    failures_omitted: int = 0
+    records_by_identity: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -171,9 +184,19 @@ class SuiteResult:
             self.record(identity, **record)
         return ok
 
+    def full(self, identity: str) -> bool:
+        """Whether ``identity`` has its ``RECORDS_PER_IDENTITY`` records, so
+        that a caller may skip building the values of one more."""
+        return self.records_by_identity.get(identity, 0) >= RECORDS_PER_IDENTITY
+
     def record(self, identity: str, /, **record) -> None:
-        """Append a failure of ``identity`` with ``record`` encoded: orbit
-        parameters and exact values are encoded only here."""
+        """Append a failure of ``identity`` with ``record`` encoded, or only
+        count it once the identity is ``full``: orbit parameters and exact
+        values are encoded only here."""
+        if self.full(identity):
+            self.failures_omitted += 1
+            return
+        self.records_by_identity[identity] = self.records_by_identity.get(identity, 0) + 1
         head = {self.identity_key: identity} if self.identity_key else {}
         self.failures.append(head | {key: _encode(value) for key, value in record.items()})
 
@@ -184,6 +207,7 @@ class SuiteResult:
             "checks_by_identity": self.checks_by_identity,
             "passed": self.passed,
             "failures": self.failures,
+            "failures_omitted": self.failures_omitted,
         }
 
 
@@ -208,8 +232,9 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
 
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
-    sweep: 29,069,040 units, 3.5 s; it runs in 2.3-2.7 s, so the charge is
-    1.3-1.5 times its time)."""
+    sweep: 29,069,040 units, 3.5 s; it runs in 1.6-1.7 s on perfbench's host
+    clock, 1.9 s before its derivative side compared packed ints, so the
+    charge is 2.1-2.2 times its time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -274,11 +299,28 @@ def _afl_work(config: SweepConfig) -> int:
     return config.reduced_tuple_count() * (500 + 5 * _top_degree(config))
 
 
-def _row_sums(rows: dict[int, int], width: int, negate: bool) -> tuple[bool, QPolynomial]:
+def _row_sums(rows: dict[int, int], negate: bool) -> tuple[bool, int]:
     """Whether the rows sum to 0 (the value at s = 0), and their k-weighted
-    sum decoded, negated if ``negate`` (the signed log-derivative)."""
+    sum, negated if ``negate`` (the signed log-derivative), packed as the
+    rows are."""
     weighted = sum(map(mul, rows, rows.values()))
-    return not sum(rows.values()), _decoded((-weighted if negate else weighted,), width)[0]
+    return not sum(rows.values()), -weighted if negate else weighted
+
+
+def _block_width(config: SweepConfig, r: int, s: int) -> int:
+    """The width of the block (r, vb + vc = s) of ``full_tuples``: the
+    largest ``row_width`` of its tuples, reached at vb = _VB_MIN with
+    ve = ve_max.
+
+    ``row_width`` is bits(P K) + 1, P = ``support_points(r, s, ve)``, which
+    reads vb only through s, and K = max(|vb + r|, 2 ve + s - vb + r, 1)
+    (2 ve + vc + r, >= 0 as vb <= s).  P and K are nondecreasing in ve, so
+    the width is too.  In vb, K is convex, a max of convex functions, so on
+    [_VB_MIN, s] it is largest at an end; and the low end wins, since with
+    _VB_MIN <= 0 its K = 2 ve + s - _VB_MIN + r is at least both terms at
+    vb = s, s + r and 2 ve + r.
+    """
+    return row_width(OrbitalParams(r=r, vb=_VB_MIN, vc=s - _VB_MIN, ve=config.ve_max))
 
 
 _ORBITAL_IDENTITIES = (
@@ -296,35 +338,45 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     consistency against the series derivative, coefficient sign pattern, and
     the reduction of the derivative to vb + vc; all over the full grid.
 
-    Both series are compared as the builders' packed rows, one int per T
-    power at the width ``row_width`` gives the tuple, the forms the public
-    ``orbital_closed_form`` and ``orbital_support_sum`` wrap: equal ints are
-    equal q-polynomials.  The value at s = 0 is the sum of the rows and the
-    log-derivative their k-weighted sum, decoded once (``exactpoly``); no
-    tuple allocates a ``LaurentSeries``.
+    Both series and the derivative are compared as packed ints (see
+    ``exactpoly``): the series as the builders' rows, one int per T power,
+    the forms the public ``orbital_closed_form`` and ``orbital_support_sum``
+    wrap, and the derivative as ``orbital._packed_derivative``, one int per
+    tuple.  All of a block (r, vb + vc) of ``full_tuples`` packs at one
+    width, its largest ``row_width`` (``_block_width``), at which every
+    coefficient of the rows, of their sums and of the derivative fits, so
+    equal ints are equal q-polynomials.  The value at s = 0 is the sum of
+    the rows and the log-derivative their k-weighted sum; nothing is
+    decoded, and no tuple allocates a ``LaurentSeries`` or ``QPolynomial``.
 
     The oracle reads a tuple only through its orbit (r, vb, vc, ve) and
-    theta, and the width only through the orbit; ``full_tuples`` walks vda
-    innermost.  So each orbit's width is computed once, and its oracle rows
-    once per theta (at most vda_max + 2 of them), kept only while the walk
-    stays on that orbit.  Every tuple still builds its own closed form and
-    compares it with the lattice sum for exactly its own inputs.
+    theta; ``full_tuples`` walks vda innermost.  So each orbit's oracle rows
+    are built once per theta (at most vda_max + 2 of them), kept only while
+    the walk stays on that orbit.  Every tuple still builds its own closed
+    form and derivative and compares them with the lattice sum for exactly
+    its own inputs.
 
     The three checks that read only the rows (the value at s = 0, the signed
     log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
     pattern) are read once per oracle entry: a tuple whose closed-form rows
     equal the entry's rows reuses them, and a tuple whose rows differ reads
-    its own.  Each identity is counted once for the whole grid; failures are
-    recorded as they occur, in tuple order and, within a tuple, in the order
-    above."""
-    seen_derivative: dict[tuple, QPolynomial] = {}
-    orbit = None
+    its own.  The derivative at (ve, vda) is compared across the block's
+    splits of vb + vc, the first split's kept only while the walk stays in
+    the block.  Each identity is counted once for the whole grid; failures
+    are recorded as they occur, in tuple order and, within a tuple, in the
+    order above."""
+    block = orbit = None
     tuples = 0
     for p in config.full_tuples():
         tuples += 1
         if orbit != (p.r, p.vb, p.vc, p.ve):
-            orbit, width, oracle = (p.r, p.vb, p.vc, p.ve), row_width(p), {}
+            orbit, oracle = (p.r, p.vb, p.vc, p.ve), {}
             negate = (p.vc + p.r) % 2
+            if block != (p.r, p.vb + p.vc):
+                block = (p.r, p.vb + p.vc)
+                width = _block_width(config, *block)
+                tables = _derivative_tables(width, config.ve_max)
+                seen_derivative: dict[tuple, int] = {}
         theta = p.theta()
         entry = oracle.get(theta)
         if entry is None:
@@ -333,22 +385,21 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
             # vda is fixed, or theta = s < 2 vda, so vda + r > (s - 1)/2 + r.
             oracle_rows = _support_sum_rows(p, width)
             k = _first_sign_break(oracle_rows, width, max(p.n_bound() + 1, 0))
-            entry = oracle[theta] = (oracle_rows, *_row_sums(oracle_rows, width, negate), k)
+            entry = oracle[theta] = (oracle_rows, *_row_sums(oracle_rows, negate), k)
         oracle_rows, zero, log_deriv, k = entry
         rows = _closed_form_rows(p, width)
         if rows != oracle_rows:
             res.record("closed_form == support_sum", params=p)
-            zero, log_deriv = _row_sums(rows, width, negate)
+            zero, log_deriv = _row_sums(rows, negate)
             k = _first_sign_break(rows, width, max(p.n_bound() + 1, 0))
         if not zero:
             res.record("value at s=0 is 0", params=p)
-        deriv = derivative_closed_form(p)
+        deriv = _packed_derivative(p.r, p.vb, p.vc, p.ve, p.vda, tables)
         if deriv != log_deriv:
             res.record("derivative == signed series derivative", params=p)
         if k is not None:
             res.record("sign pattern (-1)^k", params=p, k=k)
-        key = (p.r, p.vb + p.vc, p.ve, p.vda)
-        if seen_derivative.setdefault(key, deriv) != deriv:
+        if seen_derivative.setdefault((p.ve, p.vda), deriv) != deriv:
             res.record("derivative depends only on vb+vc", params=p)
     for identity in _ORBITAL_IDENTITIES:
         res.count(identity, tuples)
@@ -529,9 +580,13 @@ def _volumes_work(config: SweepConfig) -> int:
 
 def _record_mismatches(res: SuiteResult, lemma: str, hist, ns: range, want: tuple, classes: int, **params) -> None:
     """Record, in n order, each n of ``ns`` at which the histogram ``hist``
-    differs from the closed forms ``want``, both as reduced volumes."""
+    differs from the closed forms ``want``, both as reduced volumes (their
+    Fractions built only while ``lemma`` has room for the record)."""
     for n, w in zip(ns, want):
         if hist[n] != w:
+            if res.full(lemma):
+                res.record(lemma)  # only counted, so its values are never built
+                continue
             res.record(lemma, params=params | {"n": n}, enumerated=Fraction(hist[n], classes),
                        formula=Fraction(w, classes), match=False)
 
@@ -615,10 +670,11 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     # order first seen, so a distinct comparison is named by one small int: a
     # unit by its entry's number, a center pair by (xi1's entry, xi2's keys,
     # sep) numbered as below.  passed_units and passed_pairs hold the names
-    # that matched in full, that is recorded no failure (a slice that differs
-    # from its closed forms differs at some n), so a later unit or pair with
-    # the same name only adds its checks; any other is compared afresh, and a
-    # failing one is walked again at every unit or pair that reaches it.
+    # that matched in full, every slice equal to its closed forms (read from
+    # the compares, not the records, which stop at RECORDS_PER_IDENTITY), so
+    # a later unit or pair with the same name only adds its checks; any other
+    # is compared afresh, and a failing one is walked again at every unit or
+    # pair that reaches it.
     # Dicts, not sets: at the default ring's 5,292 pair names one is under a
     # third of a set's size.
     number: dict = {}
@@ -636,11 +692,12 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
             _check_one_disk_args(ring, xi, disks[-1][0], prec - 1)
         if name in passed_units:
             continue
-        failures = len(res.failures)
+        matched = True
         for (rho, ns), key, want in zip(disks, keys, wants[gap]):
             if slices[key][key] != want:
+                matched = False
                 _record_mismatches(res, "one_disk", keyed_histogram(key, key), ns, want, classes, xi=xi, rho=rho)
-        if len(res.failures) == failures:
+        if matched:
             passed_units[name] = True
     # Counted per unit and pair and compared as one slice per histogram, not
     # by check(): a record per n made the suite about 1.5x slower.
@@ -669,15 +726,16 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
             name = (base + number[id(keys2)]) * seps + sep
             if name in passed_pairs:
                 continue
-            failures = len(res.failures)
+            matched = True
             for (rho1, ns), key1, hit, miss in zip(disks, keys1, want_at, zeros):
                 row = slices[key1]
                 for rho2 in range(rho1 + 1):
                     want = hit if rho2 <= sep else miss
                     if row[keys2[rho2]] != want:
+                        matched = False
                         _record_mismatches(res, "two_disk", keyed_histogram(key1, keys2[rho2]), ns, want, classes,
                                            xi1=xi1, xi2=xi2, rho1=rho1, rho2=rho2)
-            if len(res.failures) == failures:
+            if matched:
                 passed_pairs[name] = True
     res.count("two_disk", pairs * sum(len(ns) * (rho1 + 1) for rho1, ns in disks))
 

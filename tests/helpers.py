@@ -77,3 +77,34 @@ def reference_stages(sum_bc: int, vda: int | float, n_cap: int) -> dict[str, lis
     for i in range(len(m2) - 1, 1, -1):
         m2[i] = [a - b for a, b in zip(m2[i], m2[i - 2])]
     return {"M": m, "M'": m1, "M''": m2}
+
+
+def bareiss_rank(entries, seen: list | None = None) -> int:
+    """The rank of a matrix of ``QPolynomial``s by fraction-free (Bareiss)
+    elimination over ``QPolynomial`` mul and ``div_exact``: the reference
+    for ``semilie.kernel._packed_rank``, which takes the same pivots.  Each
+    entry the elimination computes is appended to ``seen`` when given."""
+    mat = [list(row) for row in entries]
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if n_rows else 0
+    prev = QPolynomial.one()
+    rank = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(rank, n_rows) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        piv = mat[rank][col]
+        for i in range(rank + 1, n_rows):
+            row_i, row_p = mat[i], mat[rank]
+            head = row_i[col]
+            for j in range(col + 1, n_cols):
+                row_i[j] = (piv * row_i[j] - head * row_p[j]).div_exact(prev)
+                if seen is not None:
+                    seen.append(row_i[j])
+            row_i[col] = QPolynomial.zero()
+        prev = piv
+        rank += 1
+        if rank == min(n_rows, n_cols):
+            break
+    return rank

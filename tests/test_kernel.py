@@ -8,12 +8,15 @@ independently of the code under test.
 import random
 
 import pytest
-from helpers import qp, reference_stages
+from helpers import bareiss_rank, qp, reference_stages
 
 from semilie import INFINITY, InvalidParamsError, OrbitalParams, QPolynomial, build_matrix, certify_full_rank, row_reduce
+from semilie import kernel
 from semilie.exactpoly import unpack
 from semilie.kernel import (
     _packed_matrix,
+    _packed_rank,
+    _rank_width,
     _reduce_rows,
     phi_exceptional_window,
     phi_sequence_vector,
@@ -192,6 +195,60 @@ def test_build_matrix_and_row_reduce_on_the_rank_grid():
                 got = dict(zip(("M", "M'", "M''"), (m, *row_reduce(m))))
                 for stage, entries in reference_stages(sum_bc, vda, n_cap).items():
                     assert [list(row) for row in got[stage].entries] == entries, (sum_bc, vda, n_cap, stage)
+
+
+def rank_grid_matrices():
+    return [
+        build_matrix(sum_bc, vda, n_cap)
+        for sum_bc in KERNEL_RANK_GRID["sum_bc"]
+        for vda in KERNEL_RANK_GRID["vda"]
+        for n_cap in KERNEL_RANK_GRID["n_cap"]
+    ]
+
+
+def with_column(entries, col, make):
+    """``entries`` with column ``col`` replaced by ``make(row)`` in each row."""
+    return [[make(row) if j == col else e for j, e in enumerate(row)] for row in entries]
+
+
+#: Rank-deficient matrices from a full-rank one, each one short of full rank.
+DEFICIENT = {
+    "zero_column": lambda m: with_column(m, 2, lambda row: QPolynomial.zero()),
+    "repeated_column": lambda m: with_column(m, 3, lambda row: row[1]),
+    "q_times_a_column": lambda m: with_column(m, 3, lambda row: row[0] * QPolynomial.q_power(1)),
+}
+
+
+def test_packed_rank_matches_the_reference_on_the_rank_grid():
+    for m in rank_grid_matrices():
+        assert _packed_rank(m.entries) == bareiss_rank(m.entries) == m.cols, (m.sum_bc, m.vda, m.n_cap)
+
+
+@pytest.mark.parametrize("make", DEFICIENT.values(), ids=DEFICIENT)
+@pytest.mark.parametrize("sum_bc, vda, n_cap", [(1, 0, 4), (17, 2, 4), (5, INFINITY, 6)])
+def test_packed_rank_matches_the_reference_below_full_rank(make, sum_bc, vda, n_cap):
+    entries = make(build_matrix(sum_bc, vda, n_cap).entries)
+    assert _packed_rank(entries) == bareiss_rank(entries) == n_cap
+
+
+def test_packed_elimination_keeps_every_minor_in_the_digit_range():
+    """Every entry the q-polynomial elimination computes, the minors the
+    packed one holds as ints, has its coefficients below 2**(width - 1) at
+    ``_rank_width``, on the rank grid and below full rank."""
+    matrices = [m.entries for m in rank_grid_matrices()]
+    matrices += [make(build_matrix(17, 8, 6).entries) for make in DEFICIENT.values()]
+    for entries in matrices:
+        seen = [e for row in entries for e in row]
+        bareiss_rank(entries, seen)
+        top = max(abs(c) for e in seen for c in e.coefficients())
+        assert top < 1 << (_rank_width(entries) - 1)
+
+
+def test_inexact_packed_division_raises(monkeypatch):
+    """A division that leaves a remainder raises, and no rank is returned."""
+    monkeypatch.setattr(kernel, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _packed_rank(build_matrix(3, 1, 2).entries)
 
 
 class TestFrozenMatrices:

@@ -8,6 +8,7 @@ decodes each distinct int once.
 """
 
 import dataclasses
+import functools
 
 import pytest
 from helpers import pack_row
@@ -18,8 +19,16 @@ from semilie import INFINITY, LaurentSeries, OrbitalParams, QPolynomial, build_m
 from semilie.cli import _json
 from semilie.exactpoly import unpack
 from semilie.kernel import _packed_matrix, _reduce_rows
-from semilie.orbital import _closed_form_rows, _support_sum_rows, row_width, support_points
-from semilie.verify import SweepConfig, _first_sign_break
+from semilie.orbital import (
+    _closed_form_rows,
+    _derivative_tables,
+    _packed_derivative,
+    _support_sum_rows,
+    derivative_closed_form,
+    row_width,
+    support_points,
+)
+from semilie.verify import SweepConfig, _block_width, _first_sign_break
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2)
 
@@ -179,6 +188,64 @@ def test_rows_match_the_reference_maps_off_grid(p):
     vda = "inf" if p.vda == INFINITY else p.vda
     note(f"semilie orbital -r {p.r} --vb {p.vb} --vc {p.vc} --ve {p.ve} --vda {vda} --oracle")
     assert_rows_match(p)
+
+
+@functools.cache
+def derivative_tables(width):
+    """Prefix tables at ``width`` up to degree 40, the calculator's top ve."""
+    return _derivative_tables(width, 40)
+
+
+@functools.cache
+def matrix_width(sum_bc, vda, n_cap):
+    return _packed_matrix(sum_bc, vda, n_cap)[1]
+
+
+def packed_matrix_width(p):
+    """The width of the smallest ``_packed_matrix`` holding ``p``'s
+    derivative, at row ve and column r: N >= r, N + theta/2 + 1 >= ve."""
+    return matrix_width(p.sum_bc(), p.vda, max(p.r, p.ve - p.theta() // 2 - 1))
+
+
+def assert_packed_derivative(p, width):
+    x = _packed_derivative(p.r, p.vb, p.vc, p.ve, p.vda, derivative_tables(width))
+    assert QPolynomial._raw(unpack(x, width)) == derivative_closed_form(p), (p, width)
+
+
+def test_packed_derivative_matches_the_closed_form_on_the_default_grid():
+    """At every full default-grid tuple, every split of vb + vc included, at
+    the orbital sweep's block width and at the kernel matrix's width."""
+    config = SweepConfig()
+    for p in config.full_tuples():
+        assert_packed_derivative(p, _block_width(config, p.r, p.sum_bc()))
+        assert_packed_derivative(p, packed_matrix_width(p))
+
+
+@pytest.mark.parametrize("vda", [0, 1, 20, INFINITY], ids=["vda0", "vda1", "vda20", "vda_inf"])
+@pytest.mark.parametrize("ve", [0, 40], ids=["ve0", "ve40"])
+def test_packed_derivative_matches_the_closed_form_at_the_calculator_corner(ve, vda):
+    p = OrbitalParams(r=30, vb=-50, vc=91, ve=ve, vda=vda)
+    for width in (row_width(p), packed_matrix_width(p)):
+        assert_packed_derivative(p, width)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(off_grid_params())
+def test_packed_derivative_matches_the_closed_form_off_grid(p):
+    """Any width from ``row_width`` on holds the derivative; ve < 0 packs 0."""
+    assert_packed_derivative(p, row_width(p))
+
+
+@pytest.mark.parametrize(
+    "config", [SweepConfig(), SweepConfig(r_max=8, ve_max=13, sum_bc_max=13)], ids=["default", "rmax8_ve13_sbc13"]
+)
+def test_block_width_is_the_widest_row_width_of_its_block(config):
+    """So every tuple's rows, sums and derivative fit at its block's width."""
+    widest = {}
+    for p in config.full_tuples():
+        block = (p.r, p.sum_bc())
+        widest[block] = max(widest.get(block, 0), row_width(p))
+    assert widest == {block: _block_width(config, *block) for block in widest}
 
 
 def mass_bound(p):

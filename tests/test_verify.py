@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semilie import INFINITY, LaurentSeries, OrbitalParams, QPolynomial, SatakeY, SweepConfig, run_suite
-from semilie import intersection, orbital, satake, verify
+from semilie import cli, intersection, orbital, satake, verify
 from semilie.exactpoly import unpack
 from semilie.orbital import InvalidParamsError
 from semilie.padiclab import DiskCounter, QuadExtRing
@@ -297,12 +297,15 @@ def counted(monkeypatch, name):
 
 def test_orbital_oracle_runs_once_per_orbit_and_theta(monkeypatch):
     """The oracle reads a tuple only through (r, vb, vc, ve, theta), and the
-    suite runs it once for each of those, at the orbit's width."""
+    suite runs it once for each of those, at a width that holds the orbit's
+    rows and is one width per block (r, vb + vc)."""
     calls = counted(monkeypatch, "_support_sum_rows")
     assert suite_orbital(SMALL).passed
     keys = [(p.r, p.vb, p.vc, p.ve, p.theta()) for p, _ in calls]
     assert len(keys) == len(set(keys)) == len({(p.r, p.vb, p.vc, p.ve, p.theta()) for p in SMALL.full_tuples()})
-    assert all(width == orbital.row_width(p) for p, width in calls)
+    assert all(width >= orbital.row_width(p) for p, width in calls)
+    block_width = {}
+    assert all(block_width.setdefault((p.r, p.vb + p.vc), width) == width for p, width in calls)
 
 
 def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
@@ -327,20 +330,20 @@ def test_row_checks_read_once_per_oracle_entry(monkeypatch, differs):
     """The value at s = 0, the log-derivative and the sign pattern are read
     once per oracle entry (orbit, theta); a tuple whose rows differ from its
     entry's reads its own, once more.  Every tuple still builds its own
-    closed form and derivative."""
+    closed form and packed derivative."""
     if differs:
         monkeypatch.setattr(verify, "_closed_form_rows", mutated_rows("constant_at_T0", SHARED_THETA_TARGET))
     breaks = counted(monkeypatch, "_first_sign_break")
     sums = counted(monkeypatch, "_row_sums")
     closed = counted(monkeypatch, "_closed_form_rows")
-    derivatives = counted(monkeypatch, "derivative_closed_form")
+    derivatives = counted(monkeypatch, "_packed_derivative")
     assert suite_orbital(SMALL).passed != differs
     tuples = list(SMALL.full_tuples())
     entries = {(p.r, p.vb, p.vc, p.ve, p.theta()) for p in tuples}
     assert len(entries) < len(tuples)
     assert len(sums) == len(entries) + differs
     assert len(breaks) == len(entries) + differs
-    assert [p for p, _ in closed] == [p for (p,) in derivatives] == tuples
+    assert [p for p, _ in closed] == [OrbitalParams(*args[:5]) for args in derivatives] == tuples
 
 
 @pytest.mark.parametrize(
@@ -450,8 +453,8 @@ SATAKE = ["identity", "r"]
 RECORD_CASES = [
     (
         "orbital",
-        "derivative_closed_form",
-        lambda f: lambda p: f(p) + QPolynomial.q_power(0, p.vb == 1),
+        "_packed_derivative",
+        lambda f: lambda r, vb, *rest: f(r, vb, *rest) + (vb == 1),  # + 1 at q**0 where vb == 1
         {"derivative == signed series derivative": ORBIT, "derivative depends only on vb+vc": ORBIT},
     ),
     ("afl", "derivative_closed_form", plus_one, {"int_total == derivative_closed_form": SIDES}),
@@ -801,3 +804,52 @@ def test_volumes_failure_records_match_the_per_n_walk(monkeypatch, config, targe
     mutated = verify.suite_volumes(config)
     assert mutated.checked == checked and len(mutated.failures) == count
     assert mutated.failures == walk_volume_failures(config)
+
+
+def first_records(failures, cap, key):
+    """The records of ``failures`` that a cap of ``cap`` per identity (read
+    from ``key``) keeps: the first ``cap`` of each, in order."""
+    kept = {}
+    return [f for f in failures if kept.setdefault(f[key], []).append(f) or len(kept[f[key]]) <= cap]
+
+
+def test_orbital_records_stop_at_the_cap(monkeypatch, capsys):
+    """Past ``RECORDS_PER_IDENTITY`` records of an identity, a failure is
+    only counted: the report keeps each identity's first records in order,
+    the same checks and verdict, and the count of the rest, which the text
+    report prints after the records."""
+    monkeypatch.setattr(verify, "_closed_form_rows", mutated_rows("sign_flip"))
+    full = suite_orbital(SMALL)
+    monkeypatch.setattr(verify, "RECORDS_PER_IDENTITY", 3)
+    capped = suite_orbital(SMALL).to_json()
+    assert capped["failures"] == first_records(full.failures, 3, "identity")
+    assert capped["failures_omitted"] == len(full.failures) - len(capped["failures"]) > 0
+    assert [*capped.items()][:4] == [*full.to_json().items()][:4]  # suite, checked, counts, passed
+    assert full.failures_omitted == 0
+    argv = ["verify", "orbital", "--rmax", "2", "--sum-bc-max", "3", "--ve-max", "3", "--vda-max", "2"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:-1] == [json.dumps(f) for f in capped["failures"]]
+    assert lines[-1] == f"({capped['failures_omitted']} more failures not recorded)"
+
+
+def test_volumes_records_stop_at_the_cap_without_building_their_values(monkeypatch):
+    """A capped volumes run meets every failure the uncapped one records,
+    so a comparison that failed is never remembered as passed, and builds
+    the two Fractions of a record only while its lemma has room."""
+    monkeypatch.setattr(verify, "one_disk_points", bump_points(lambda gap, rho, n: n == 2))  # the last n
+    full = verify.suite_volumes(VOLUMES)
+    assert len(full.failures) == 23490 and full.failures_omitted == 0
+    fractions = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args):
+            fractions.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(verify, "Fraction", CountedFraction)
+    monkeypatch.setattr(verify, "RECORDS_PER_IDENTITY", 5)
+    capped = verify.suite_volumes(VOLUMES)
+    assert capped.failures == first_records(full.failures, 5, "lemma")
+    assert len(capped.failures) + capped.failures_omitted == len(full.failures) and capped.checked == full.checked
+    assert len(fractions) == 2 * len(capped.failures) == 2 * 10
