@@ -30,7 +30,6 @@ the series builders' packed rows and the packed derivative (see
 from __future__ import annotations
 
 import random
-from functools import partial
 from operator import mul
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -65,9 +64,7 @@ from .orbital import (
 from .padiclab import (
     DiskCounter,
     QuadExtRing,
-    _check_one_disk_args,
     _check_ring_args,
-    _check_two_disk_args,
     one_disk_points,
     quaternion_invariants,
     sample_admissible,
@@ -233,8 +230,7 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
     sweep: 29,069,040 units, 3.5 s; it runs in 1.6-1.7 s on perfbench's host
-    clock, 1.9 s before its derivative side compared packed ints, so the
-    charge is 2.1-2.2 times its time)."""
+    clock, so the charge is 2.1-2.2 times its time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -560,11 +556,11 @@ def _volumes_work(config: SweepConfig) -> int:
     """250,000 units a run plus the sweep's own work, with P = p**(2N)
     residue classes and d = N(N + 1)/2 disk pairs per center pair: 20 units
     for each of the about P(2N + 1) center pairs (each is a center against
-    2N + 1 offsets, with its argument check and one verdict lookup), 8 for
-    each of the P d points ``DiskCounter._build`` enumerates (each disk, at
-    every radius of its pairs), and 8 for each disk pair of the about
-    2N P/p**2 distinct comparisons (a unit entry, the second center's keys
-    and sep) that the sweep compares in full.  Past N = 16, already 10**11
+    2N + 1 offsets, with one verdict lookup), 8 for each of the P d points
+    ``DiskCounter._build`` enumerates (each disk, at every radius of its
+    pairs), and 8 for each disk pair of the about 2N P/p**2 distinct
+    comparisons (a unit entry, the second center's keys and sep) that the
+    sweep compares in full.  Past N = 16, already 10**11
     times any sane bound, the estimate stays at N = 16's.  On perfbench's
     host clock (a 2-CPU Xeon with Python 3.11 in its fast state), the charge
     at 0.12 µs a unit is 1.4-1.8 times the suite's time at p = 3 with
@@ -591,21 +587,6 @@ def _record_mismatches(res: SuiteResult, lemma: str, hist, ns: range, want: tupl
                        formula=Fraction(w, classes), match=False)
 
 
-class _Memo(dict):
-    """A dict that fills a missing key from ``fill(key)`` on its first
-    lookup and stores it, so every later lookup is a plain dict hit."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill: Callable):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 @_suite("volumes", identity_key="lemma", work=_volumes_work)
 def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     """Enumerated disk volumes against the closed forms.
@@ -616,25 +597,29 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
 
     Each check compares the enumerated count of residue classes with the
     closed form scaled to an int by ``one_disk_points``; a failure record
-    reports both as reduced volumes.  The closed forms depend on a center
-    only through v(1 - norm(center)), so they are tabulated once per run, as
-    one tuple per (gap valuation, rho) over the disk's n range.  The one-disk
-    half keys each unit's cosets once (``DiskCounter.coset_keys``) and keeps
-    its keys and gap valuation, interned as one unit entry, for the two-disk
-    half.  Each distinct pair of coset keys (a disk is the coincident pair)
-    is looked up once, by ``DiskCounter.keyed_histogram``, and its slice over
-    the n range kept, so a disk or disk pair with the same keys costs one
-    dict hit and one slice compare.  The inputs of a comparison fix its
-    verdict: a unit's disks are fixed by its entry, and a center pair's disk
-    pairs by (xi1's entry, xi2's keys, sep).  Each distinct comparison that
-    matched in full is remembered, so a unit or pair that repeats it costs
-    one dict lookup and adds its checks to the count; any other compares its
-    slices, and only a mismatch reads the histogram again and walks the n
-    range to record each failing n in order.  At p = 3, N = 4 that is 5,832
-    key derivations, 10,525 lookups and 684 distinct unit entries for the
-    5,832 units, and 5,292 distinct comparisons for the 51,030 center pairs,
-    for 1,022,058 checks; a perfbench ``grid_volumes`` pass takes 0.17 s on
-    the host clock (0.32 s when every unit and pair compared its slices).
+    reports both as reduced volumes.  The lemmas' hypotheses hold by
+    construction, so no argument is re-checked: ``SweepConfig`` checks the
+    ring, every center is one of ``ring.units()`` (a second center is one
+    whose ``unit_of`` entry is set), and every (rho, n) comes from
+    ``disks``, where rho <= n <= precision - 1.  The closed forms depend on
+    a center only through v(1 - norm(center)), so they are tabulated once
+    per run, as one tuple per (gap valuation, rho) over the disk's n range.
+    The one-disk half keys each unit's cosets once
+    (``DiskCounter.coset_keys``) and keeps its keys and gap valuation,
+    interned as one unit entry, for the two-disk half.  Every histogram comes
+    from ``DiskCounter.keyed_histogram``, whose memo enumerates each distinct
+    pair of coset keys (a disk is the coincident pair) once; a comparison
+    reads the histogram's slice over the n range.  The inputs of a
+    comparison fix its verdict: a unit's disks are fixed by its entry, and a
+    center pair's disk pairs by (xi1's entry, xi2's keys, sep).  Each
+    distinct comparison that matched in full is remembered, so a unit or pair
+    that repeats it costs one dict lookup and adds its checks to the count;
+    any other compares its slices, and a mismatch walks the n range to record
+    each failing n in order.  At p = 3, N = 4 that is 5,832 key derivations,
+    684 distinct unit entries for the 5,832 units and 5,292 distinct
+    comparisons for the 51,030 center pairs, which make 55,656 lookups and
+    build 10,525 histograms for 1,022,058 checks; a perfbench
+    ``grid_volumes`` pass takes about 0.14 s on the host clock.
     """
     ring = QuadExtRing(p=config.p, precision=config.precision)
     counter = DiskCounter(ring)
@@ -646,59 +631,50 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     # (prec >= 2) or none does, so the rows are indexed by rho: wants[gap][rho]
     # holds the closed forms over rho's n range at a center with
     # v(1 - norm(center)) = gap, and zeros[rho] the row of two disks that miss.
-    # Being a unit does not depend on the radii, so one argument check per
-    # center (pair) at the top rho1 with rho2 = 0 and n = precision - 1 covers
-    # every disk (pair) the loops visit; no disks (precision 1), no check.
     disks = [(rho, range(max(rho, 1), prec)) for rho in range(prec) if max(rho, 1) < prec]
     wants = [[tuple(one_disk_points(ring, gap, rho, n) for n in ns) for rho, ns in disks] for gap in range(prec + 1)]
     zeros = [(0,) * len(ns) for _, ns in disks]
     keyed_histogram = counter.keyed_histogram
-    # interned[x] is the first value equal to x that it saw, so equal keys,
-    # tuples of keys, unit entries and slices share one object: a unit's keys
-    # at rho < precision depend only on its class mod p**(precision - 1).
-    interned = _Memo(lambda x: x)
-
-    def fetch(key1: tuple, key2: tuple) -> tuple:
-        return interned[keyed_histogram(key1, key2)[max(key1[2], 1):prec]]
-
-    # slices[key1][key2] is the pair's histogram over key1's n range.
-    slices = _Memo(lambda key1: _Memo(partial(fetch, key1)))
+    # interned.setdefault(x, x) is the first value equal to x that it saw, so
+    # equal keys, tuples of keys and unit entries share one object: a unit's
+    # keys at rho < precision depend only on its class mod p**(precision - 1).
+    interned: dict = {}
     # unit_of[a * modulus + b] holds the unit a + b sqrt(eps) as (its keys at
     # every rho a disk has, v(1 - norm)); a non-unit's entry stays None.
     unit_of: list = [None] * modulus**2
-    # number[id(x)] numbers each interned keys tuple and unit entry x in the
-    # order first seen, so a distinct comparison is named by one small int: a
-    # unit by its entry's number, a center pair by (xi1's entry, xi2's keys,
-    # sep) numbered as below.  passed_units and passed_pairs hold the names
-    # that matched in full, every slice equal to its closed forms (read from
-    # the compares, not the records, which stop at RECORDS_PER_IDENTITY), so
-    # a later unit or pair with the same name only adds its checks; any other
-    # is compared afresh, and a failing one is walked again at every unit or
-    # pair that reaches it.
-    # Dicts, not sets: at the default ring's 5,292 pair names one is under a
-    # third of a set's size.
-    number: dict = {}
+    # A distinct comparison is named by the ids of its interned inputs: a unit
+    # by id(entry), a center pair by id(xi2's keys) * (prec + 1) + sep within
+    # passed_pairs[id(xi1's entry)]: one int, where naming a pair by a tuple
+    # of the three made ``verify volumes -p 3 -N 6`` peak at 540 MB RSS
+    # against 488 MB.
+    # passed_units and the dicts in passed_pairs hold the names that matched
+    # in full, every slice equal to its closed forms (read from the compares,
+    # not the records, which stop at RECORDS_PER_IDENTITY), so a later unit or
+    # pair with the same name only adds its checks; any other is compared
+    # afresh, and a failing one is walked again at every unit or pair that
+    # reaches it.
+    # Dicts, not sets: a first center's entry has 5 to 10 pair names at p = 3,
+    # N = 4 and 5 and p = 5, N = 3, and such a dict is half a set's size.
     passed_units: dict = {}
     passed_pairs: dict = {}
     units = pairs = 0
     for xi in ring.units():
-        keys = interned[tuple([interned[key] for key in counter.coset_keys(xi)[:prec]])]
+        keys = tuple([interned.setdefault(key, key) for key in counter.coset_keys(xi)[:prec]])
+        keys = interned.setdefault(keys, keys)
         gap = ring.val_int(1 - ring.norm(xi))
-        entry = unit_of[xi[0] * modulus + xi[1]] = interned[keys, gap]
-        number.setdefault(id(keys), len(number))
-        name = number.setdefault(id(entry), len(number))
+        entry = (keys, gap)
+        entry = unit_of[xi[0] * modulus + xi[1]] = interned.setdefault(entry, entry)
         units += 1
-        if disks:
-            _check_one_disk_args(ring, xi, disks[-1][0], prec - 1)
-        if name in passed_units:
+        if id(entry) in passed_units:
             continue
         matched = True
         for (rho, ns), key, want in zip(disks, keys, wants[gap]):
-            if slices[key][key] != want:
+            hist = keyed_histogram(key, key)
+            if hist[ns.start:prec] != want:
                 matched = False
-                _record_mismatches(res, "one_disk", keyed_histogram(key, key), ns, want, classes, xi=xi, rho=rho)
+                _record_mismatches(res, "one_disk", hist, ns, want, classes, xi=xi, rho=rho)
         if matched:
-            passed_units[name] = True
+            passed_units[id(entry)] = True
     # Counted per unit and pair and compared as one slice per histogram, not
     # by check(): a record per n made the suite about 1.5x slower.
     res.count("one_disk", units * sum(len(ns) for _, ns in disks))
@@ -708,12 +684,12 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     for v in range(prec):
         offsets.append(((ring.p**v, 0), v))
         offsets.append(((0, ring.p**v), v))
-    seps, width = prec + 1, len(number)
+    seps = prec + 1
     for xi1 in ring.units():
         entry1 = unit_of[xi1[0] * modulus + xi1[1]]
         keys1, gap = entry1
         want_at = wants[gap]
-        base = number[id(entry1)] * width
+        passed = passed_pairs.setdefault(id(entry1), {})
         for delta, sep in offsets:
             xi2 = ring.sub(xi1, delta)
             unit2 = unit_of[xi2[0] * modulus + xi2[1]]
@@ -721,22 +697,20 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
                 continue
             keys2 = unit2[0]
             pairs += 1
-            if disks:
-                _check_two_disk_args(ring, xi1, xi2, disks[-1][0], 0, prec - 1)
-            name = (base + number[id(keys2)]) * seps + sep
-            if name in passed_pairs:
+            name = id(keys2) * seps + sep
+            if name in passed:
                 continue
             matched = True
             for (rho1, ns), key1, hit, miss in zip(disks, keys1, want_at, zeros):
-                row = slices[key1]
                 for rho2 in range(rho1 + 1):
                     want = hit if rho2 <= sep else miss
-                    if row[keys2[rho2]] != want:
+                    hist = keyed_histogram(key1, keys2[rho2])
+                    if hist[ns.start:prec] != want:
                         matched = False
-                        _record_mismatches(res, "two_disk", keyed_histogram(key1, keys2[rho2]), ns, want, classes,
+                        _record_mismatches(res, "two_disk", hist, ns, want, classes,
                                            xi1=xi1, xi2=xi2, rho1=rho1, rho2=rho2)
             if matched:
-                passed_pairs[name] = True
+                passed[name] = True
     res.count("two_disk", pairs * sum(len(ns) * (rho1 + 1) for rho1, ns in disks))
 
 

@@ -303,11 +303,21 @@ def test_two_disk_argument_refusals(ring, args, error, message):
 
 
 def test_argument_checks_admit_the_sweep_bounds(ring):
+    """Both checks admit radii below 0, and every (rho, n) and (rho1,
+    rho2 <= rho1, n) the volumes sweep visits (rho <= n <= precision - 1),
+    which is why the sweep re-checks no argument."""
     for rho in range(-2, 3):
         for n in range(max(rho, 1), 3):
             _check_one_disk_args(ring, (1, 0), rho, n)
             for rho2 in range(-2, rho + 1):
                 _check_two_disk_args(ring, (1, 0), (2, 3), rho, rho2, n)
+    for precision in range(2, 7):
+        sweep_ring = QuadExtRing(p=3, precision=precision)
+        for rho1 in range(precision):
+            for n in range(max(rho1, 1), precision):
+                _check_one_disk_args(sweep_ring, (1, 0), rho1, n)
+                for rho2 in range(rho1 + 1):
+                    _check_two_disk_args(sweep_ring, (1, 0), (2, 3), rho1, rho2, n)
 
 
 def test_coset_key(ring):

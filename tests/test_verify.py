@@ -651,8 +651,9 @@ def test_keyed_histogram_is_the_pair_histogram_memo_entry():
 
 
 def test_volumes_reads_each_key_pair_once(monkeypatch):
-    """A clean run keys each unit's cosets once and looks up each distinct
-    (key1, key2) pair of the disks and disk pairs it checks once."""
+    """A clean run keys each unit's cosets once and enumerates each distinct
+    (key1, key2) pair of the disks and disk pairs it checks once: every
+    later lookup of the pair is a ``keyed_histogram`` memo hit."""
     ring = QuadExtRing(p=VOLUMES.p, precision=VOLUMES.precision)
     counter, prec = DiskCounter(ring), ring.precision
     want = set()
@@ -662,8 +663,8 @@ def test_volumes_reads_each_key_pair_once(monkeypatch):
     for xi1, xi2 in volume_pairs(VOLUMES):
         keys1, keys2 = counter.coset_keys(xi1), counter.coset_keys(xi2)
         want.update((keys1[rho1], keys2[rho2]) for rho1 in range(prec) for rho2 in range(rho1 + 1))
-    keyed, lookups = [], []
-    coset_keys, keyed_histogram = DiskCounter.coset_keys, DiskCounter.keyed_histogram
+    keyed, lookups, built = [], [], []
+    coset_keys, keyed_histogram, build = DiskCounter.coset_keys, DiskCounter.keyed_histogram, DiskCounter._build
 
     def counted_keys(self, center):
         keyed.append(center)
@@ -673,45 +674,21 @@ def test_volumes_reads_each_key_pair_once(monkeypatch):
         lookups.append((key1, key2))
         return keyed_histogram(self, key1, key2)
 
+    def counted_build(self, key):
+        built.append(key)
+        return build(self, key)
+
     monkeypatch.setattr(DiskCounter, "coset_keys", counted_keys)
     monkeypatch.setattr(DiskCounter, "keyed_histogram", counted_lookup)
+    monkeypatch.setattr(DiskCounter, "_build", counted_build)
     assert verify.suite_volumes(VOLUMES).passed
     assert keyed == list(ring.units())
-    assert len(lookups) == len(set(lookups)) == len(want) and set(lookups) == want
+    assert len(built) == len(set(built)) == len(want) and set(built) == want
+    assert set(lookups) == want
 
 
-def test_volumes_checks_one_disk_args_once_per_center(monkeypatch):
-    calls = []
-    monkeypatch.setattr(verify, "_check_one_disk_args", lambda ring, *args: calls.append(args))
-    assert verify.suite_volumes(VOLUMES).passed
-    # At the top rho = precision - 1 and the top n = precision - 1.
-    assert calls == [(xi, 2, 2) for xi in QuadExtRing(p=VOLUMES.p, precision=VOLUMES.precision).units()]
-    calls.clear()
-    assert verify.suite_volumes(SweepConfig(precision=1)).checked == 0 and calls == []  # no disks
-
-    def refuse(ring, xi, rho, n):
-        raise ValueError(f"center {xi} must be a unit")
-
-    monkeypatch.setattr(verify, "_check_one_disk_args", refuse)
-    with pytest.raises(ValueError, match="must be a unit"):
-        verify.suite_volumes(VOLUMES)
-
-
-def test_volumes_checks_two_disk_args_once_per_center_pair(monkeypatch):
-    calls = []
-    monkeypatch.setattr(verify, "_check_two_disk_args", lambda ring, *args: calls.append(args))
-    assert verify.suite_volumes(VOLUMES).passed
-    # At the top rho1 = precision - 1, with rho2 = 0 and the top n = precision - 1.
-    assert calls == [(xi1, xi2, 2, 0, 2) for xi1, xi2 in volume_pairs(VOLUMES)]
-
-
-def test_volumes_two_disk_arg_refusal_aborts_the_suite(monkeypatch):
-    def refuse(ring, xi1, xi2, rho1, rho2, n):
-        raise ValueError("centers must be units")
-
-    monkeypatch.setattr(verify, "_check_two_disk_args", refuse)
-    with pytest.raises(ValueError, match="centers must be units"):
-        verify.suite_volumes(VOLUMES)
+def test_volumes_without_disks_makes_no_checks():
+    assert verify.suite_volumes(SweepConfig(precision=1)).checked == 0
 
 
 def walk_volume_failures(config):
@@ -781,10 +758,11 @@ def bump_second_key(original, key2):
 # fails, and a comparison is skipped only where an equal one (the same unit
 # entry, or the same xi1 entry, xi2 keys and sep) matched in full, so each
 # mutation must leave the records (and their order) of the walk.  The suite
-# indexes units and shares equal keys by the ring's modulus, so one case runs
-# on a second ring.  The last two split comparisons that share all but one
-# part of their name: units with equal keys but not gap, and pairs with equal
-# xi1 entries and sep but not xi2 keys.
+# indexes units and shares equal keys by the ring's modulus, so two cases run
+# on other rings, the second at p = 7, where each class mod p holds p**2 = 49
+# units with the same keys.  The last two split comparisons that share all
+# but one part of their name: units with equal keys but not gap, and pairs
+# with equal xi1 entries and sep but not xi2 keys.
 @pytest.mark.parametrize(
     "config, target, mutation, checked, count",
     [
@@ -793,10 +771,12 @@ def bump_second_key(original, key2):
         (VOLUMES, DiskCounter, ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)), 42606, 1134),  # an all-zero row
         (SweepConfig(p=5, precision=2), DiskCounter, ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)),
          10050, 1150),
+        (SweepConfig(p=7, precision=2), DiskCounter,
+         ("keyed_histogram", bump_far_pairs(DiskCounter.keyed_histogram)), 39690, 4606),
         (VOLUMES, verify, ("one_disk_points", bump_points(lambda gap, rho, n: gap == 3 and n == 2)), 42606, 1278),
         (VOLUMES, DiskCounter, ("keyed_histogram", bump_second_key(DiskCounter.keyed_histogram, (1, 0, 1))), 42606, 1215),
     ],
-    ids=["last_n", "rho0_first_n", "zero_row", "zero_row_p5_N2", "one_gap", "one_key2_at_rho2_1"],
+    ids=["last_n", "rho0_first_n", "zero_row", "zero_row_p5_N2", "zero_row_p7_N2", "one_gap", "one_key2_at_rho2_1"],
 )
 def test_volumes_failure_records_match_the_per_n_walk(monkeypatch, config, target, mutation, checked, count):
     assert verify.suite_volumes(config).failures == walk_volume_failures(config) == []
