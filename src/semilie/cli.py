@@ -8,6 +8,10 @@ q numerically (exact rational arithmetic either way).
 The sweep commands, verify and volumes, take every default from
 ``SweepConfig``: each flag given sets one field (``SWEEP_FLAGS``).
 
+``main`` parses a query once, with its command's parser; the top-level
+parser handles help and usage errors (no command or an unknown one, -h,
+arguments the command's parser leaves over).
+
 orbital and kernel-matrix compute on packed ints, the matrix at the width
 ``kernel._packed_matrix`` returns; ``exactpoly._decoded`` decodes each once.
 
@@ -93,23 +97,27 @@ _SWEEP_HELP = {("volumes", "p"): "odd prime", ("volumes", "precision"): "working
 #: before the literal is expanded.
 MAX_AT_Q_DIGITS = 3_840_000
 
+#: What --vda accepts, as ``_parse_vda`` reads it.
+_VDA_HELP = "v(d - a): a nonnegative integer, or 'inf' or 'infinity' in any case"
+
 
 def _add_orbit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-r", type=int, default=0, help="Hecke basis level (>= 0)")
     parser.add_argument("--vb", type=int, required=True, help="v(b)")
     parser.add_argument("--vc", type=int, required=True, help="v(c); vb + vc must be odd and >= 1")
     parser.add_argument("--ve", type=int, required=True, help="v(e); negative means the vanishing regime")
-    parser.add_argument("--vda", default="0", help="v(d - a): a nonnegative integer or 'inf'")
+    parser.add_argument("--vda", default="0", help=_VDA_HELP)
 
 
 def _parse_vda(text: str) -> int | float:
-    """--vda: a nonnegative integer or 'inf' (range checked by OrbitalParams)."""
+    """--vda: a nonnegative integer, or 'inf' or 'infinity' in any case
+    (range checked by OrbitalParams)."""
     if text.lower() in ("inf", "infinity"):
         return INFINITY
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"--vda must be an integer or 'inf', got {text!r}") from None
+        raise ValueError(f"--vda must be an integer, or 'inf' or 'infinity' in any case, got {text!r}") from None
 
 
 def _refuse_above(work: int, limit: int) -> None:
@@ -289,6 +297,8 @@ def cmd_bc(args) -> int:
     if basis and args.r is not None:
         raise ValueError("--basis gives the level itself: drop -r")
     level = args.basis if basis else args.r or 0
+    if level < 0 and not basis:  # the library reads a negative level as the zero image
+        raise ValueError(f"need r >= 0, got {level}")
     # An image has level + 1 Y-coefficients of at most three q-terms each.
     _check_work(args, 3 * (level + 1), 0)
     if args.rank == "s3":
@@ -404,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel-matrix", help="derivative matrix M and its reductions")
     sp.add_argument("--sum-bc", dest="sum_bc", type=int, required=True)
-    sp.add_argument("--vda", default="0")
+    sp.add_argument("--vda", default="0", help=_VDA_HELP)
     sp.add_argument("-N", type=int, required=True)
     sp.add_argument("--stage", choices=("M", "M'", "M''"), default="M")
     sp.add_argument("--json", action="store_true")
@@ -427,12 +437,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the query parsed once.
+
+    The full parse classifies every option string of a query and then hands
+    them all to the command's parser, which parses them again.  Here an argv
+    that starts with a command goes to that command's parser alone, and what
+    it leaves over is the top-level parser's usage error, as in the full
+    parse.  Any other argv (none, -h, an unknown command, a leading --)
+    takes the full parse.
+    """
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices  # the add_subparsers action's parsers
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # so that "--at-q -3/2" is not read as an option
         if argv[i - 1] == "--at-q":
             argv[i - 1 : i + 1] = [f"--at-q={argv[i]}"]
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if getattr(args, "at_q", None) is not None:
             args.at_q = _parse_at_q(args.at_q)

@@ -89,7 +89,8 @@ _VB_MIN = -6
 @dataclass
 class SweepConfig:
     """Parameter ranges for the identity sweeps, validated when built: every
-    field an int, nonempty ranges, and p and precision a valid ring."""
+    field an int, nonempty ranges, and p and precision a valid ring.
+    vda runs over 0..vda_max and INFINITY, so vda_max = -1 means INFINITY alone."""
 
     r_max: int = 6
     sum_bc_max: int = 11
@@ -108,6 +109,8 @@ class SweepConfig:
             raise ValueError("ranges must be nonempty")
         if self.rmax_satake < 0:
             raise ValueError(f"rmax_satake must be >= 0, got {self.rmax_satake}")
+        if self.vda_max < -1:
+            raise ValueError(f"vda_max must be >= -1 (INFINITY alone), got {self.vda_max}")
 
     def vda_values(self) -> list:
         return [*range(self.vda_max + 1), INFINITY]
@@ -126,7 +129,7 @@ class SweepConfig:
     def reduced_tuple_count(self) -> int:
         """How many tuples ``reduced_tuples`` yields, counted without walking them."""
         odd = (self.sum_bc_max + 1) // 2  # arithmetic, not len(): fields may pass sys.maxsize
-        return (self.r_max + 1) * odd * (self.ve_max + 1) * (max(self.vda_max, -1) + 2)
+        return (self.r_max + 1) * odd * (self.ve_max + 1) * (self.vda_max + 2)
 
     def full_tuple_count(self) -> int:
         """How many tuples ``full_tuples`` yields: each odd s splits s + 1 -

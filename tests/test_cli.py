@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -17,10 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from helpers import reference_stages
+from test_readme import readme_examples
 
 import semilie
 from semilie import INFINITY, LaurentSeries, QPolynomial, cli, verify
-from semilie.cli import MAX_AT_Q_DIGITS, MAX_WORK, _evaluate, build_parser, main
+from semilie.cli import MAX_AT_Q_DIGITS, MAX_WORK, _evaluate, _parse_args, build_parser, main
+from semilie.satake import bc_s2_combo_image, p_r_polynomial, satake_u3_indicator
 
 
 def run(capsys, *argv):
@@ -296,6 +299,27 @@ def test_derivative_and_at_q(capsys):
     assert out.strip() == "8"
 
 
+@pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity"])
+def test_vda_infinity_in_any_case(capsys, spelling):
+    code, out, _ = run(capsys, "derivative", "--vb", "0", "--vc", "3", "--ve", "1", "--vda", spelling, "--json")
+    assert code == 0
+    p = semilie.OrbitalParams(r=0, vb=0, vc=3, ve=1, vda=INFINITY)
+    assert json.loads(out) == semilie.derivative_closed_form(p).to_json()
+
+
+def test_vda_spellings_stated_alike(capsys):
+    """The --vda error text, its help and the README name the same spellings."""
+    words = "a nonnegative integer, or 'inf' or 'infinity' in any case"
+    code, _, err = run(capsys, "orbital", "--vb", "0", "--vc", "1", "--ve", "0", "--vda", "x")
+    assert (code, err) == (2, "error: --vda must be an integer, or 'inf' or 'infinity' in any case, got 'x'\n")
+    for command in ("orbital", "kernel-matrix"):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        assert words in " ".join(capsys.readouterr().out.split())
+    readme = (Path(semilie.__file__).resolve().parents[2] / "README.md").read_text()
+    assert words.replace("'", "`") in " ".join(readme.split())
+
+
 def test_combo_requires_r(capsys):
     code, _, err = run(capsys, "combo", "--vb", "0", "--vc", "1", "--ve", "0")
     assert code == 2
@@ -321,6 +345,15 @@ def test_bc_s3(capsys):
 def test_bc_s2_combo(capsys):
     code, out, _ = run(capsys, "bc", "s2", "-r", "0")
     assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("argv", ["bc s2 -r -1", "bc s3 -r -1", "bc s2 -r -2 --pr", "bc s3 -r -1 --json"])
+def test_bc_negative_level_exit_2(capsys, argv):
+    """A negative -r is a parameter error, as --basis -1 is, though the
+    library reads a negative level as the zero image."""
+    level = int(argv.split()[3])
+    assert run(capsys, *argv.split()) == (2, "", f"error: need r >= 0, got {level}\n")
+    assert not satake_u3_indicator(level) and not bc_s2_combo_image(level) and not p_r_polynomial(level)
 
 
 def test_kernel_matrix_stage(capsys):
@@ -469,6 +502,55 @@ def test_parser_shared_across_calls():
         got = captured(main, argv.split())
         assert got == captured(fresh_main, argv.split()), argv
         assert got[0] == (2 if argv in ("orbital --vb 0", "verify nonsense") else 0), argv
+
+
+DISPATCH_CORPUS = [argv for argv, _ in readme_examples()] + [[]] + [shlex.split(line) for line in (
+    # every command, with each of its output flags
+    "orbital -r 2 --vb -1 --vc 4 --ve 3 --vda 1 --oracle",
+    "orbital -r 2 --vb -1 --vc 4 --ve 3 --vda 1 --json",
+    "orbital -r 2 --vb -1 --vc 4 --ve 3 --vda 1 --at-q=5 --json",
+    "derivative --vb 0 --vc 3 --ve 1 --vda inf --raw --json",
+    "derivative --vb 0 --vc 3 --ve 1 --at-q=7",
+    "combo -r 5 --vb -20 --vc 37 --ve 35 --vda 9 --json",
+    "combo -r 5 --vb -20 --vc 37 --ve 35 --vda 9 --raw --at-q=1/2",
+    "transfer --vb 0 --vc 1 --ve 0",
+    "gk --n1 2 --n2 3 --json",
+    "gk --n1 2 --n2 3 --at-q=5",
+    "int --mode kr --vb 0 --vc 3 --ve 2 --json",
+    "int --vb 0 --vc 3 --ve 2 --at-q=2",
+    "bc s2 -r 3 --pr --json",
+    "bc s3 --basis 2 --json",
+    "kernel-matrix --sum-bc 1 --vda inf -N 4 --stage \"M'\" --json",
+    "volumes -p 5 -N 3 --json",
+    "verify satake --rmax 4 --json",
+    "verify orbital --rmax 1 --sum-bc-max 3 --ve-max 2 --vda-max -1 --precision 3 --seed 7",
+    # usage errors, help and the argvs left to the full parse
+    "orbital --vb 0 --vc 1 --ve 0 extra --zzz",
+    "gk --n1 2 --n2 3 --vb 0",
+    "orbital --vb 0 --vc 1 --ve 0 -- x",
+    "orbital --vb 0",
+    "orbital --vb 0 --vc 1 --ve x",
+    "bc",
+    "kernel-matrix --sum-bc 1 -N 2 --stage X",
+    "verify nonsense",
+    "nonsense --vb 0",
+    "-h",
+    "--help orbital",
+    "orbital -h",
+    "verify -h",
+    "-- orbital --vb 0 --vc 1 --ve 0",
+    "derivative --vb 0 --vc 3 --ve 1 --at-q=-3/2",
+    "verify miracle --rmax 4 --ve-m 6",
+    "gk --n1 2 --n2 3 --js",
+)]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: shlex.join(argv) or "<empty>")
+def test_parse_args_matches_the_full_parse(argv):
+    """``main``'s parse gives the namespace of the full parse, or its exit
+    code and the same bytes on stdout and stderr."""
+    full_parse = build_parser().parse_args
+    assert captured(lambda a: vars(_parse_args(a)), argv) == captured(lambda a: vars(full_parse(a)), argv)
 
 
 def module_env():

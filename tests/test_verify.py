@@ -32,8 +32,9 @@ def test_default_grid_shape():
 
 @pytest.mark.parametrize(
     "config",
-    [SMALL, SweepConfig(), SweepConfig(r_max=0, sum_bc_max=12, ve_max=0, vda_max=0)],
-    ids=["small", "default", "even_sum_bc_max"],
+    [SMALL, SweepConfig(), SweepConfig(r_max=0, sum_bc_max=12, ve_max=0, vda_max=0),
+     SweepConfig(r_max=1, sum_bc_max=3, ve_max=1, vda_max=-1)],
+    ids=["small", "default", "even_sum_bc_max", "vda_inf_only"],
 )
 def test_full_tuple_count(config):
     assert config.full_tuple_count() == sum(1 for _ in config.full_tuples())
@@ -64,6 +65,17 @@ def test_run_suite_aliases():
 def test_empty_ranges_rejected():
     with pytest.raises(ValueError):
         SweepConfig(r_max=-1)
+
+
+def test_vda_max_below_minus_one_rejected(capsys):
+    """-1 is the least vda_max, INFINITY alone; below it the grid would only
+    repeat that one, so it is refused rather than read as -1."""
+    assert SweepConfig(vda_max=-1).vda_values() == [INFINITY]
+    for vda_max in (-2, -5):
+        with pytest.raises(ValueError, match=f"vda_max must be >= -1 \\(INFINITY alone\\), got {vda_max}"):
+            SweepConfig(vda_max=vda_max)
+    assert cli.main(["verify", "orbital", "--vda-max", "-5"]) == 2
+    assert capsys.readouterr() == ("", "error: vda_max must be >= -1 (INFINITY alone), got -5\n")
 
 
 @pytest.mark.parametrize("value", [True, 1.5], ids=["bool", "float"])
