@@ -140,8 +140,10 @@ def _check_work(args, terms: int, degree: int) -> None:
 def _parse_params(args) -> OrbitalParams:
     p = OrbitalParams(r=args.r, vb=args.vb, vc=args.vc, ve=args.ve, vda=_parse_vda(args.vda))
     # Each q-polynomial has <= N + 1 terms; the closed-form series has
-    # 2ve + vb + vc + 2r + 1, int --mode total sums ve/2 + 1 of them, and
-    # --oracle walks the support lattice, which is empty for ve < 0.
+    # 2ve + vb + vc + 2r + 1, int --mode total is charged ve/2 + 1 of them
+    # (it sums ve + 1 packed Gross-Keating values, each a few int operations
+    # on ints of N + 1 digits, and decodes one), and --oracle walks the
+    # support lattice, which is empty for ve < 0.
     n = max(p.n_bound() + 1, 0)
     if args.command == "orbital":
         terms = (2 * p.ve + p.sum_bc() + 2 * p.r + 1) * n

@@ -15,7 +15,9 @@ each subclass fixes its key rule and how a coefficient becomes canonical.
     and ``orbital.HeckeVector``.
 
 The fast paths' packed ints (``unpack``) are read here alone: ``_decoded``
-decodes each distinct one once, and ``_sign_mask`` tests digit signs.
+decodes each distinct one once, ``QPolynomial._from_packed`` decodes one,
+``QPolynomial._packed`` packs a polynomial where it fits, and
+``_sign_mask`` tests digit signs.
 
 Scalars are Python ints or ``fractions.Fraction``; there is no floating
 point anywhere.  Values are immutable by convention: every operation
@@ -182,6 +184,26 @@ class QPolynomial(_SparseMap):
         if n < 0:
             return cls.zero()
         return cls._raw({e: 1 for e in range(n + 1)})
+
+    @classmethod
+    def _from_packed(cls, x: int, width: int) -> "QPolynomial":
+        """The q-polynomial packed in ``x`` at ``width`` bits per digit (see
+        ``unpack``)."""
+        return cls._raw(unpack(x, width))
+
+    def _packed(self, width: int) -> int | None:
+        """``self`` packed at ``width`` bits per digit, the int ``unpack``
+        reads back, or None where it does not pack: a negative exponent, a
+        Fraction coefficient or one of 2**(width - 1) or more in absolute
+        value.  None equals no int, so a polynomial that does not pack reads
+        as different from every packed one."""
+        half = 1 << (width - 1)
+        x = 0
+        for e, c in self._terms.items():
+            if e < 0 or type(c) is not int or not -half < c < half:
+                return None
+            x += c << width * e
+        return x
 
     # ------------------------------------------------------------- structure
     def coefficients(self):

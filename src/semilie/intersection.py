@@ -9,6 +9,17 @@ integral) the Gross-Keating pair degenerates; ``GKPair.empty()`` encodes this
 and ``gross_keating`` maps it to 0.  That choice is what makes the
 subtraction and telescoping identities below total, and it is validated by
 the identity sweeps rather than assumed.
+
+Packed values.  A Gross-Keating value that comes from orbit parameters has
+int coefficients.  ``_packed_gk`` computes it as one int, its value at
+q = 2**width (see ``exactpoly.unpack``), in a fixed number of int
+operations on ``orbital._derivative_tables``' prefix tables, the way
+``orbital._packed_derivative`` computes the derivative.  ``int_circ`` and
+``int_total`` add and subtract such ints and decode the result once; the
+miracle and afl sweeps in ``verify`` compare them without decoding.
+``gross_keating`` stays the reference for an arbitrary ``GKPair``, whose top
+coefficient may be a Fraction, and ``verify_miracle`` the ``QPolynomial``
+form of the miracle identity.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from .orbital import (
     INFINITY,
     InvalidParamsError,
     OrbitalParams,
+    _derivative_tables,
     derivative_closed_form,
     require_ints,
 )
@@ -98,6 +110,17 @@ def gross_keating(g: GKPair) -> QPolynomial:
     return QPolynomial._raw(terms)
 
 
+def _gk_pair(r: int, s: int, ve: int, vda: int | float) -> tuple[int, int]:
+    """(n1, n2) of the orbit at level r with vb + vc = s, ve >= 0 and vda:
+    n1 = min(2 ve, s + 2r, 2 vda + 2r) and n2 = 2 ve + s + 2r - n1."""
+    n1 = 2 * ve  # min(2 ve, s + 2r, 2 vda + 2r), without calling min
+    if s + 2 * r < n1:
+        n1 = s + 2 * r
+    if 2 * (vda + r) < n1:
+        n1 = 2 * (vda + r)
+    return n1, 2 * ve + s + 2 * r - n1
+
+
 def gk_from_params(p: OrbitalParams) -> GKPair:
     """Translate orbit valuations into the Gross-Keating pair:
 
@@ -107,32 +130,92 @@ def gk_from_params(p: OrbitalParams) -> GKPair:
     with the empty sentinel when ve < 0."""
     if p.ve < 0:
         return GKPair.empty()
-    n1 = min(2 * p.ve, p.vb + p.vc + 2 * p.r, 2 * p.vda + 2 * p.r)
-    n2 = 2 * p.ve + p.vb + p.vc + 2 * p.r - n1
-    return GKPair(n1, n2)
+    return GKPair(*_gk_pair(p.r, p.vb + p.vc, p.ve, p.vda))
+
+
+def _packed_gk(n1: int, n2: int, tables: tuple) -> int:
+    """``gross_keating(GKPair(n1, n2))`` for an integral pair (n1 odd, or
+    n2 - n1 odd), packed (see ``exactpoly.unpack``) at the width of
+    ``tables``, ``orbital._derivative_tables`` with n >= floor(n1/2).
+    Every pair ``_gk_pair`` gives is integral: n1 + n2 = 2 ve + vb + vc + 2r
+    is odd.
+
+    With m = floor(n1/2), the main sum of (n1 + n2 - 4j) q**j over j <= m
+    is (n1 + n2) G[m] - 4 W[m].  For odd n1 that is the value.  For even n1
+    the value's top term is (n2 - n1 + 1)/2 q**m where the main sum has
+    n1 + n2 - 4m = n2 - n1, so (n2 - n1 - 1)/2 X**m is taken off.
+
+    The width must hold the value's coefficients, which lie in [1, n1 + n2]:
+    n1 + n2 - 4j >= n2 - n1 + 2 for j <= (n1 - 1)/2, and (n2 - n1 + 1)/2 >= 1."""
+    width, geometric, weighted = tables
+    m = n1 >> 1
+    x = (n1 + n2) * geometric[m] - 4 * weighted[m]
+    if not n1 & 1:
+        x -= (n2 - n1 - 1) // 2 << width * m
+    return x
+
+
+def _packed_circ(r: int, s: int, ve: int, vda: int | float, tables: tuple) -> int:
+    """``int_circ`` at (r, vb + vc = s, ve >= 0, vda), packed as
+    ``_packed_gk`` is: the value at ve less the value at ve - 1, 0 at
+    ve - 1 = -1 (the empty sentinel).  Both values' coefficients lie in
+    [0, 2 ve + s + 2r], so the difference's lie in [-(2 ve + s + 2r),
+    2 ve + s + 2r]."""
+    x = _packed_gk(*_gk_pair(r, s, ve, vda), tables)
+    if ve:
+        x -= _packed_gk(*_gk_pair(r, s, ve - 1, vda), tables)
+    return x
+
+
+def _total_tables(p: OrbitalParams) -> tuple:
+    """``orbital._derivative_tables`` at the width at which ``int_total``
+    and ``int_circ`` pack p, bits(M) + 1 with M = (ve + 1)(2 ve + vb + vc +
+    2r), which ``int_total`` shows to hold both, and with n = ``n_bound``:
+    at every v(e) = i <= ve, floor(n1/2) = min(i, (vb + vc - 1)/2 + r,
+    vda + r) is at most that."""
+    width = ((p.ve + 1) * (2 * p.ve + p.vb + p.vc + 2 * p.r)).bit_length() + 1
+    return _derivative_tables(width, p.n_bound())
 
 
 def int_circ(p: OrbitalParams) -> QPolynomial:
-    """Primitive intersection number: GK at ve minus GK at ve - 1."""
+    """Primitive intersection number: GK at ve minus GK at ve - 1, packed
+    (``_packed_circ``) at ``int_total``'s width and decoded once."""
     if p.ve < 0:
         raise InvalidParamsError(f"int_circ is undefined in the vanishing regime, got ve = {p.ve}")
-    return gross_keating(gk_from_params(p)) - gross_keating(gk_from_params(p.with_ve(p.ve - 1)))
+    tables = _total_tables(p)
+    return QPolynomial._from_packed(_packed_circ(p.r, p.vb + p.vc, p.ve, p.vda, tables), tables[0])
 
 
 def int_total(p: OrbitalParams) -> QPolynomial:
-    """Total intersection number: sum of int_circ at ve, ve-2, ve-4, ...
+    """Total intersection number: the sum of int_circ at ve, ve - 2, ...,
+    down to ve mod 2.  Each int_circ is GK(i) - GK(i - 1), GK(i) the
+    Gross-Keating value at v(e) = i and GK(-1) = 0 the empty sentinel, so
+    the sum telescopes to one alternating sum,
 
-    Equals derivative_closed_form(p) exactly (checked by the identity
-    sweeps), which is what ties the geometric side to the orbital side.
+        sum_{i=0}^{ve} (-1)**(ve - i) GK(i),
+
+    made of ``_packed_gk`` ints and decoded once.  Equals
+    derivative_closed_form(p) exactly (checked by the identity sweeps),
+    which is what ties the geometric side to the orbital side.
+
+    It packs at width B = bits(M) + 1, M = (ve + 1)(2 ve + s + 2r) with
+    s = vb + vc, which holds every coefficient of the sum whatever cancels.
+    GK(i)'s coefficients lie in [1, n1 + n2] = [1, 2 i + s + 2r]
+    (``_packed_gk``), within [0, C] for C = 2 ve + s + 2r.  So a coefficient
+    of any signed sum of the ve + 1 values, each partial sum included, lies
+    in [-M, M], and M < 2**bits(M) = 2**(B - 1).  The bound reads only the
+    shape of each GK(i), never that the sum equals the derivative, so a
+    wrong closed form decodes to its own coefficients and never wraps into
+    a right one.  int_circ packs at the same width: its coefficients lie in
+    [-C, C] (``_packed_circ``).
     """
     if p.ve < 0:
         raise InvalidParamsError(f"int_total is undefined in the vanishing regime, got ve = {p.ve}")
-    out = QPolynomial.zero()
-    ve = p.ve
-    while ve >= 0:
-        out = out + int_circ(p.with_ve(ve))
-        ve -= 2
-    return out
+    r, s, ve, vda = p.r, p.vb + p.vc, p.ve, p.vda
+    tables = _total_tables(p)
+    x = sum([_packed_gk(*_gk_pair(r, s, i, vda), tables) for i in range(ve, -1, -2)])
+    x -= sum([_packed_gk(*_gk_pair(r, s, i, vda), tables) for i in range(ve - 1, -1, -2)])
+    return QPolynomial._from_packed(x, tables[0])
 
 
 def int_circ_kr_closed(p: OrbitalParams) -> QPolynomial:
@@ -151,12 +234,13 @@ def int_circ_kr_closed(p: OrbitalParams) -> QPolynomial:
         raise InvalidParamsError(f"int_circ_kr_closed needs ve >= 1, got {p.ve}")
     s = p.vb + p.vc
     cap = p.n_bound()
+    # c >= 0 and N >= 1, so each dict has two positive terms and is canonical.
     if p.ve - p.r == p.vda and p.vda <= (s - 1) // 2:
         c = (s - 2 * p.vda - 1) // 2
-        return QPolynomial({cap: c + 1, cap - 1: c + 2})
+        return QPolynomial._raw({cap: c + 1, cap - 1: c + 2})
     if (s - 1) // 2 + p.r < min(p.ve, p.vda + p.r):
         return QPolynomial.q_power(cap, 2)
-    return QPolynomial({cap: 1, cap - 1: 1})
+    return QPolynomial._raw({cap: 1, cap - 1: 1})
 
 
 def geom_to_orbital(g: GeometricParams) -> PartialOrbitalParams:

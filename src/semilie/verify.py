@@ -6,9 +6,10 @@ made, counted per named identity, and a JSON-ready record for every failure.
 Every identity at every grid point is one check, made through
 ``SuiteResult.check(ok, identity, **record)``, which counts it and, only if
 it fails, appends ``record`` with orbit parameters and exact values encoded
-by ``_encode``.  The orbital and volumes sweeps make the same counts and
-records in bulk: each identity counted once per run (``SuiteResult.count``)
-and each failure appended as it occurs (``SuiteResult.record``).  Suites are
+by ``_encode``.  The orbital, miracle, afl and volumes sweeps make the same
+counts and records in bulk: each identity counted once per run
+(``SuiteResult.count``) and each failure appended as it occurs
+(``SuiteResult.record``).  Suites are
 deterministic (randomised ones take a seed) and order-independent.  Each
 registration also states what a run of the suite costs, as a function of
 the ``SweepConfig`` fields the suite reads (``sweep_work``), so that a caller
@@ -24,7 +25,9 @@ itself one of the checked properties.  The default grid never reaches
 ve < 0, where both sides of every identity are 0.  The orbital suite checks
 the series builders' packed rows and the packed derivative (see
 ``orbital``) as ints, without decoding them, its sign pattern through
-``exactpoly._sign_mask``.
+``exactpoly._sign_mask``; the miracle and afl suites check the packed
+Gross-Keating values (see ``intersection``) against the packed derivative
+the same way, and decode a value only for a failure record.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from typing import Callable, Iterator
 
 from .exactpoly import QPolynomial, _sign_mask
 from .intersection import (
-    gk_from_params,
-    int_circ,
+    _gk_pair,
+    _packed_circ,
+    _packed_gk,
     int_circ_kr_closed,
-    verify_miracle,
 )
 from .kernel import (
     build_matrix,
@@ -55,7 +58,6 @@ from .orbital import (
     _derivative_tables,
     _packed_derivative,
     _support_sum_rows,
-    derivative_closed_form,
     derivative_combo,
     require_ints,
     row_width,
@@ -276,25 +278,29 @@ def _top_degree(config: SweepConfig) -> int:
 
 def _miracle_work(config: SweepConfig) -> int:
     """200 + 2n units per reduced tuple, n = ``_top_degree``: a tuple
-    builds one Gross-Keating polynomial and two derivatives of at most
-    n + 1 terms.  Timed on a 2-CPU Xeon with Python 3.11 (single runs), the
-    charge at 0.12 µs a unit is 1.04-1.77 times the suite's time (15-37 µs a
-    tuple) from the default grid to ve_max = 200 and to r_max = ve_max =
-    100; --rmax 40 --ve-max 40 --sum-bc-max 41 runs in 7.9 s, charged
-    79,074,240."""
+    builds one Gross-Keating value and two derivatives of at most n + 1
+    terms, each a packed int.  Timed on a 2-CPU Xeon with Python 3.11
+    (single in-process runs), the charge at 0.12 µs a unit is 5.8-12.3
+    times the suite's time (3.0-4.6 µs a tuple) from the default grid to
+    ve_max = 200 and to r_max = ve_max = 100; --rmax 40 --ve-max 40
+    --sum-bc-max 41 runs in 0.9 s, charged 79,074,240.  The charge was
+    fitted to the suite's QPolynomial form, 5-10 times slower, and is kept
+    so that no refusal boundary moves."""
     return config.reduced_tuple_count() * (200 + 2 * _top_degree(config))
 
 
 def _afl_work(config: SweepConfig) -> int:
     """500 + 5n units per reduced tuple, n = ``_top_degree``: a tuple
-    builds one ``int_circ`` (two Gross-Keating polynomials), two
-    derivatives and, for r >= 1, the single-cell closed form, each of at
-    most n + 1 terms.  Timed on a 2-CPU Xeon with Python 3.11 (single
-    in-process runs, 36-89 µs a tuple), the charge at 0.12 µs a unit is
-    1.2-1.8 times the suite's time from the smoke grid and the default grid
-    to ve_max = 300, r_max = 456, sum_bc_max = 1075, vda_max = 715, r_max =
-    ve_max = 60 and r_max = ve_max = 100; --rmax 40 --ve-max 40
-    --sum-bc-max 41 runs in 15 s, charged 197,685,600."""
+    builds one packed ``int_circ`` (two Gross-Keating values) and packed
+    derivative and, for r >= 1, ``derivative_combo`` and the single-cell
+    closed form, each of at most n + 1 terms.  Timed on a 2-CPU Xeon with
+    Python 3.11 (single in-process runs, 7.5-24 µs a tuple), the charge at
+    0.12 µs a unit is 4.1-8.3 times the suite's time from the smoke grid
+    and the default grid to ve_max = 300, r_max = 456, sum_bc_max = 1075,
+    vda_max = 715, r_max = ve_max = 60 and r_max = ve_max = 100; --rmax 40
+    --ve-max 40 --sum-bc-max 41 runs in 4.4 s, charged 197,685,600.  The
+    charge was fitted to the suite's QPolynomial form, 3-4 times slower,
+    and is kept so that no refusal boundary moves."""
     return config.reduced_tuple_count() * (500 + 5 * _top_degree(config))
 
 
@@ -406,12 +412,65 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
 
 # ---------------------------------------------------------- intersection
 
+def _miracle_width(config: SweepConfig) -> int:
+    """The width at which ``suite_miracle`` packs both sides of every
+    tuple: bits(B) + 1, B = 2 ve_max + sum_bc_max + 2 r_max + 1.
+
+    At a tuple (r, s = vb + vc, ve), the Gross-Keating value's coefficients
+    lie in [1, n1 + n2] = [1, 2 ve + s + 2r] (``intersection._packed_gk``),
+    and those of D(ve) and D(ve - 1) each in [0, ve + (s + 1)/2 + r]
+    (``orbital._packed_derivative``), so their sum's in [0, 2 ve + s + 1 +
+    2r].  Both bounds grow with r, s and ve, so at every tuple of the grid
+    they are at most B < 2**(width - 1)."""
+    return (2 * config.ve_max + config.sum_bc_max + 2 * config.r_max + 1).bit_length() + 1
+
+
+_MIRACLE = "gross_keating == D(ve) + D(ve-1)"
+
+
 @_suite("miracle", identity_key=None, work=_miracle_work)
 def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
-    """Gross-Keating value == sum of normalised derivatives at ve and ve-1."""
+    """Gross-Keating value == sum of normalised derivatives at ve and ve-1.
+
+    Both sides are packed ints at one width (``_miracle_width``): the
+    value is ``intersection._packed_gk`` at ``_gk_pair`` and each derivative
+    ``orbital._packed_derivative``.  Equal ints are equal q-polynomials, and
+    the sides are decoded only for a failure record, which holds the
+    ``verify_miracle`` report: params, lhs, rhs and pass."""
+    width = _miracle_width(config)
+    tables = _derivative_tables(width, config.ve_max)
+    tuples = 0
     for p in config.reduced_tuples():
-        report = verify_miracle(p)
-        res.check(report["pass"], "gross_keating == D(ve) + D(ve-1)", **report)
+        tuples += 1
+        r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
+        lhs = _packed_gk(*_gk_pair(r, vb + vc, ve, vda), tables)
+        rhs = _packed_derivative(r, vb, vc, ve, vda, tables) + _packed_derivative(r, vb, vc, ve - 1, vda, tables)
+        if lhs != rhs:
+            res.record(_MIRACLE, params=p, lhs=QPolynomial._from_packed(lhs, width),
+                       rhs=QPolynomial._from_packed(rhs, width), **{"pass": False})
+    res.count(_MIRACLE, tuples)
+
+
+def _afl_width(config: SweepConfig) -> int:
+    """The width at which ``suite_afl`` packs every value it compares:
+    bits(2M) + 1, M = (ve_max + 1)(2 ve_max + sum_bc_max + 2 r_max).
+
+    At a tuple (r, s = vb + vc, ve), with C = 2 ve + s + 2r: a total's
+    coefficients lie in [-(ve + 1) C, (ve + 1) C] (``intersection.int_total``),
+    so those of the difference of the totals at r and r - 1 within
+    2 (ve + 1) C; an int_circ's lie in [-C, C] (``intersection._packed_circ``),
+    so those of a difference of two within 2C; and D's in [0, ve + (s + 1)/2
+    + r] (``orbital._packed_derivative``), within C.  Each bound grows with
+    r, s and ve, so at every tuple of the grid all are at most 2M <
+    2**(width - 1)."""
+    m = (config.ve_max + 1) * (2 * config.ve_max + config.sum_bc_max + 2 * config.r_max)
+    return (2 * m).bit_length() + 1
+
+
+_AFL_TOTAL = "int_total == derivative_closed_form"
+_AFL_PAIR = "n1 + n2 == 2 ve + vb + vc + 2r"
+_AFL_LEVEL = "int_total(r) - int_total(r-1) == derivative_combo"
+_AFL_CELL = "int_circ_kr_closed == int_circ(r) - int_circ(r-1)"
 
 
 @_suite("afl", work=_afl_work)
@@ -426,39 +485,56 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
         the Gross-Keating difference (r >= 1, ve >= 1),
       * n1 + n2 == 2 ve + vb + vc + 2r.
 
-    ``int_circ`` runs once per tuple, and ``int_total``, the sum of
-    ``int_circ`` at ve, ve - 2, ..., is never called: the total at ve is
-    ``int_circ`` at ve plus the total at ve - 2, which this level computed
-    before, since ``reduced_tuples`` walks ve upwards within each (r,
-    vb + vc).  It walks r outermost, so the values at r - 1 are those the
-    level below computed.  Both are kept by (vb + vc, ve, vda) for the
-    current level and the one below it only.
+    Every value is a packed int at one width (``_afl_width``), so equal ints
+    are equal q-polynomials.  ``intersection._packed_circ`` runs once per
+    tuple, and no total is summed afresh: the total at ve is the int_circ at
+    ve plus the total at ve - 2, which this level computed before, since
+    ``reduced_tuples`` walks ve upwards within each (r, vb + vc).  It walks
+    r outermost, so the values at r - 1 are those the level below computed.
+    Both are kept by (vb + vc, ve, vda) for the current level and the one
+    below it only.  The derivative is ``orbital._packed_derivative``;
+    ``derivative_combo`` and ``int_circ_kr_closed`` are packed once each
+    (``QPolynomial._packed``), and one with a coefficient that does not fit
+    the width counts as a mismatch.  A packed side is decoded only for a
+    failure record.  Each identity is counted once for the whole grid.
     """
+    width = _afl_width(config)
+    tables = _derivative_tables(width, config.ve_max)
     level, here, below = None, {}, {}
-    zero = QPolynomial.zero()
+    tuples = levels = cells = 0
     for p in config.reduced_tuples():
-        if p.r != level:
-            level, here, below = p.r, {}, here
-        s = p.vb + p.vc
-        key = (s, p.ve, p.vda)
-        circ = int_circ(p)
-        total = circ + (here[s, p.ve - 2, p.vda][0] if p.ve >= 2 else zero)
+        tuples += 1
+        r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
+        s = vb + vc
+        if r != level:
+            level, here, below = r, {}, here
+        key = (s, ve, vda)
+        circ = _packed_circ(r, s, ve, vda, tables)
+        total = circ + here[s, ve - 2, vda][0] if ve >= 2 else circ
         here[key] = total, circ
-        deriv = derivative_closed_form(p)
-        res.check(total == deriv, "int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)
-        pair = gk_from_params(p)
-        res.check(pair.n1 + pair.n2 == 2 * p.ve + p.vb + p.vc + 2 * p.r, "n1 + n2 == 2 ve + vb + vc + 2r", params=p)
-        if p.r >= 1:
+        deriv = _packed_derivative(r, vb, vc, ve, vda, tables)
+        if total != deriv:
+            res.record(_AFL_TOTAL, params=p, lhs=QPolynomial._from_packed(total, width),
+                       rhs=QPolynomial._from_packed(deriv, width))
+        n1, n2 = _gk_pair(r, s, ve, vda)
+        if n1 + n2 != 2 * ve + vb + vc + 2 * r:
+            res.record(_AFL_PAIR, params=p)
+        if r >= 1:
+            levels += 1
             total_below, circ_below = below[key]
             lhs = total - total_below
-            rhs = derivative_combo(p)
-            res.check(lhs == rhs, "int_total(r) - int_total(r-1) == derivative_combo", params=p, lhs=lhs, rhs=rhs)
-            if p.ve >= 1:
+            combo = derivative_combo(p)
+            if combo._packed(width) != lhs:
+                res.record(_AFL_LEVEL, params=p, lhs=QPolynomial._from_packed(lhs, width), rhs=combo)
+            if ve >= 1:
+                cells += 1
                 closed = int_circ_kr_closed(p)
                 diff = circ - circ_below
-                res.check(
-                    closed == diff, "int_circ_kr_closed == int_circ(r) - int_circ(r-1)", params=p, lhs=closed, rhs=diff
-                )
+                if closed._packed(width) != diff:
+                    res.record(_AFL_CELL, params=p, lhs=closed, rhs=QPolynomial._from_packed(diff, width))
+    for identity, n in ((_AFL_TOTAL, tuples), (_AFL_PAIR, tuples), (_AFL_LEVEL, levels), (_AFL_CELL, cells)):
+        if n:
+            res.count(identity, n)
 
 
 # ---------------------------------------------------------------- kernel

@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from semilie import LaurentSeries, OrbitalParams, QPolynomial, derivative_closed_form
+from semilie import LaurentSeries, OrbitalParams, QPolynomial, derivative_closed_form, gk_from_params, gross_keating
 
 _TERM = re.compile(
     r"""^
@@ -57,6 +57,23 @@ def pack_row(coeffs: dict[int, int], width: int) -> int:
     """A q-polynomial {e: c} packed as its value at q = 2**width, the form
     ``semilie.exactpoly.unpack`` reads back."""
     return sum(c << width * e for e, c in coeffs.items())
+
+
+def reference_int_circ(p: OrbitalParams) -> QPolynomial:
+    """int_circ as the ``QPolynomial`` difference of the ``gross_keating``
+    values at ve and ve - 1: the reference for the packed
+    ``semilie.intersection.int_circ``."""
+    return gross_keating(gk_from_params(p)) - gross_keating(gk_from_params(p.with_ve(p.ve - 1)))
+
+
+def reference_int_total(p: OrbitalParams) -> QPolynomial:
+    """int_total as the ``QPolynomial`` sum of ``reference_int_circ`` at ve,
+    ve - 2, ..., down to ve mod 2: the reference for the packed
+    ``semilie.intersection.int_total``."""
+    out = QPolynomial.zero()
+    for ve in range(p.ve, -1, -2):
+        out = out + reference_int_circ(p.with_ve(ve))
+    return out
 
 
 def reference_stages(sum_bc: int, vda: int | float, n_cap: int) -> dict[str, list[list[QPolynomial]]]:

@@ -9,6 +9,7 @@ decodes each distinct int once.
 
 import dataclasses
 import functools
+from fractions import Fraction
 
 import pytest
 from helpers import pack_row
@@ -119,6 +120,21 @@ def balanced_digits(draw):
 def test_unpack_round_trip(case):
     width, coeffs = case
     assert unpack(pack_row(coeffs, width), width) == coeffs
+    poly = QPolynomial(coeffs)
+    assert poly._packed(width) == pack_row(coeffs, width)
+    assert QPolynomial._from_packed(pack_row(coeffs, width), width) == poly
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{0: 8}, {1: -8}, {0: 1, 2: 9}, {-1: 1}, {0: Fraction(1, 2)}],
+    ids=["top_of_range", "bottom_of_range", "past_range", "negative_exponent", "fraction"],
+)
+def test_packed_refuses_what_does_not_fit(coeffs):
+    """At width 4 a digit is in [-7, 7]: a polynomial with a coefficient
+    outside it, a negative exponent or a Fraction packs to None, which
+    equals no packed int."""
+    assert QPolynomial(coeffs)._packed(4) is None
 
 
 @pytest.mark.parametrize(

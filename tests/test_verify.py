@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from helpers import pack_row
+from helpers import pack_row, reference_int_circ, reference_int_total
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -374,21 +374,22 @@ def test_n_bound_is_one_number_per_oracle_entry(config, n_entries):
     assert len(n_bound) == n_entries
 
 
-def reference_afl(config):
-    """``suite_afl`` as a plain walk: ``int_total`` and ``int_circ`` called
-    afresh at every reduced tuple and at its level below."""
+def reference_afl(config, derivative=orbital.derivative_closed_form):
+    """``suite_afl`` as a plain ``QPolynomial`` walk: the total and int_circ
+    summed afresh from ``gross_keating`` values (``reference_int_total``,
+    ``reference_int_circ``) at every reduced tuple and at its level below."""
     res = SuiteResult("afl")
     for p in config.reduced_tuples():
-        total, deriv = intersection.int_total(p), verify.derivative_closed_form(p)
+        total, deriv = reference_int_total(p), derivative(p)
         res.check(total == deriv, "int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)
-        pair = verify.gk_from_params(p)
+        pair = intersection.gk_from_params(p)
         res.check(pair.n1 + pair.n2 == 2 * p.ve + p.vb + p.vc + 2 * p.r, "n1 + n2 == 2 ve + vb + vc + 2r", params=p)
         if p.r >= 1:
-            lhs, rhs = total - intersection.int_total(p.with_r(p.r - 1)), verify.derivative_combo(p)
+            lhs, rhs = total - reference_int_total(p.with_r(p.r - 1)), verify.derivative_combo(p)
             res.check(lhs == rhs, "int_total(r) - int_total(r-1) == derivative_combo", params=p, lhs=lhs, rhs=rhs)
             if p.ve >= 1:
                 closed = verify.int_circ_kr_closed(p)
-                diff = intersection.int_circ(p) - intersection.int_circ(p.with_r(p.r - 1))
+                diff = reference_int_circ(p) - reference_int_circ(p.with_r(p.r - 1))
                 res.check(
                     closed == diff, "int_circ_kr_closed == int_circ(r) - int_circ(r-1)", params=p, lhs=closed, rhs=diff
                 )
@@ -397,24 +398,32 @@ def reference_afl(config):
 
 @pytest.mark.parametrize("mutated", [False, True], ids=["clean", "derivative_mutated"])
 def test_afl_matches_a_per_tuple_int_total_walk(monkeypatch, mutated):
-    """The suite never calls ``int_total`` and calls ``int_circ`` once per
-    reduced tuple, in the grid's order; its report is the plain walk's."""
+    """The suite never calls ``int_total`` and calls ``_packed_circ`` once
+    per reduced tuple, in the grid's order; its report is the plain walk's,
+    also with the packed derivative and the walk's derivative both 1 too
+    large at one tuple."""
+    derivative = orbital.derivative_closed_form
     if mutated:
-        target, original = OrbitalParams(r=1, vb=0, vc=3, ve=3, vda=1), verify.derivative_closed_form
+        target, original = OrbitalParams(r=1, vb=0, vc=3, ve=3, vda=1), verify._packed_derivative
         monkeypatch.setattr(
-            verify, "derivative_closed_form", lambda p: original(p) + QPolynomial.one() if p == target else original(p)
+            verify, "_packed_derivative", lambda *args: original(*args) + (OrbitalParams(*args[:5]) == target)
         )
-    want = reference_afl(SMALL).to_json()
+
+        def derivative(p):
+            d = orbital.derivative_closed_form(p)
+            return d + QPolynomial.one() if p == target else d
+
+    want = reference_afl(SMALL, derivative).to_json()
     totals = []
     for module in (intersection, verify):
         if hasattr(module, "int_total"):
             monkeypatch.setattr(module, "int_total", lambda *args: totals.append(args) or intersection.int_total(*args))
-    circs = counted(monkeypatch, "int_circ")
+    circs = counted(monkeypatch, "_packed_circ")
     (res,) = run_suite("afl", SMALL)
     assert res.to_json() == want
     assert res.passed != mutated
     assert totals == []
-    assert [p for (p,) in circs] == list(SMALL.reduced_tuples())
+    assert [args[:4] for args in circs] == [(p.r, p.vb + p.vc, p.ve, p.vda) for p in SMALL.reduced_tuples()]
 
 
 LEVEL_DIFFERENCE = "int_total(r) - int_total(r-1) == derivative_combo"
@@ -432,21 +441,43 @@ TOTAL = "int_total == derivative_closed_form"
     ids=["ve0", "ve2"],
 )
 def test_afl_int_circ_mutation_reaches_every_value_built_from_it(monkeypatch, ve, failed):
-    """``int_circ`` mutated at one r = 1 tuple fails the checks of every
-    value built from it: the total there and, read back as the total at
-    ve - 2, the total two steps up (no higher ve here), each at its own
-    level and as the level below at r = 2; and with ve >= 1, the
-    single-cell difference at r = 1 and r = 2."""
+    """The packed int_circ (``_packed_circ``) 1 too large at one r = 1 tuple
+    fails the checks of every value built from it: the total there and,
+    read back as the total at ve - 2, the total two steps up (no higher ve
+    here), each at its own level and as the level below at r = 2; and with
+    ve >= 1, the single-cell difference at r = 1 and r = 2."""
     target = OrbitalParams(r=1, vb=0, vc=3, ve=ve, vda=1)
-    original = verify.int_circ
-    monkeypatch.setattr(verify, "int_circ", lambda p: original(p) + QPolynomial.one() if p == target else original(p))
+    original = verify._packed_circ
+    monkeypatch.setattr(verify, "_packed_circ", lambda *args: original(*args) + (args[:4] == (1, 3, ve, 1)))
     (res,) = run_suite("afl", SMALL)
     assert {(f["identity"], f["params"]["r"], f["params"]["ve"]) for f in res.failures} == failed
     assert all(f["params"] == {**target.label(), "r": f["params"]["r"], "ve": f["params"]["ve"]} for f in res.failures)
 
 
+def test_afl_counts_a_value_past_its_width_as_a_mismatch(monkeypatch):
+    """``derivative_combo`` less q plus 2**width at q**0 sums, as c << width e
+    over its terms, to the same int as the right value; its q**0 coefficient
+    does not fit the width, so ``QPolynomial._packed`` refuses it and every
+    level difference fails rather than matches."""
+    width, original = verify._afl_width(SMALL), verify.derivative_combo
+
+    def wrapped(p):
+        return original(p) - QPolynomial.q_power(1) + QPolynomial.constant(1 << width)
+
+    p = OrbitalParams(r=1, vb=0, vc=3, ve=2, vda=1)
+    assert pack_row(dict(wrapped(p).items()), width) == pack_row(dict(original(p).items()), width)
+    monkeypatch.setattr(verify, "derivative_combo", wrapped)
+    (res,) = run_suite("afl", SMALL)
+    assert [f["identity"] for f in res.failures] == [LEVEL_DIFFERENCE] * res.checks_by_identity[LEVEL_DIFFERENCE]
+
+
 def plus_one(original):
     return lambda *args: original(*args) + QPolynomial.one()
+
+
+def packed_plus_one(original):
+    """+ 1 at q**0 on a packed value."""
+    return lambda *args: original(*args) + 1
 
 
 def doubled(original):
@@ -469,16 +500,16 @@ RECORD_CASES = [
         lambda f: lambda r, vb, *rest: f(r, vb, *rest) + (vb == 1),  # + 1 at q**0 where vb == 1
         {"derivative == signed series derivative": ORBIT, "derivative depends only on vb+vc": ORBIT},
     ),
-    ("afl", "derivative_closed_form", plus_one, {"int_total == derivative_closed_form": SIDES}),
+    ("afl", "_packed_derivative", packed_plus_one, {"int_total == derivative_closed_form": SIDES}),
     (
         "afl",
-        "gk_from_params",
-        lambda f: lambda p: dataclasses.replace(f(p), n2=f(p).n2 + 1),
+        "_gk_pair",
+        lambda f: lambda *args: (f(*args)[0], f(*args)[1] + 1),
         {"n1 + n2 == 2 ve + vb + vc + 2r": ORBIT},
     ),
     ("afl", "derivative_combo", plus_one, {"int_total(r) - int_total(r-1) == derivative_combo": SIDES}),
     ("afl", "int_circ_kr_closed", plus_one, {"int_circ_kr_closed == int_circ(r) - int_circ(r-1)": SIDES}),
-    ("miracle", "verify_miracle", flip_pass, {None: ["params", "lhs", "rhs", "pass"]}),
+    ("miracle", "_packed_gk", packed_plus_one, {None: ["params", "lhs", "rhs", "pass"]}),
     (
         "kernel",
         "certify_full_rank",
