@@ -44,6 +44,7 @@ from .orbital import (
     INFINITY,
     OrbitalParams,
     _closed_form_rows,
+    _derivative_tables,
     _support_sum_rows,
     derivative_closed_form,
     derivative_combo,
@@ -224,11 +225,12 @@ def _print_qpoly(poly: QPolynomial, args) -> None:
         print(poly)
 
 
-def _print_series(rows: dict[int, int], width: int, args) -> None:
-    """The series packed in ``rows`` at ``width`` bits per digit: --json
-    prints the rows' own JSON text, the other forms decode the rows once."""
+def _print_series(pair: tuple[int, list[int]], width: int, args) -> None:
+    """The series of the packed pair (lo, rows) (see ``orbital``) at
+    ``width`` bits per digit: --json prints the rows' own JSON text, the
+    other forms decode the rows once."""
     if args.at_q is not None:
-        items = LaurentSeries._from_rows(rows, width).sorted_items()
+        items = LaurentSeries._from_rows(pair, width).sorted_items()
         for _, c in items:  # all of them before evaluating any
             _check_evaluable(c, args.at_q)
         terms = [[k, _fraction_json(Fraction(c.evaluate(args.at_q)))] for k, c in items]
@@ -238,27 +240,27 @@ def _print_series(rows: dict[int, int], width: int, args) -> None:
             body = " ".join(f"({num}/{den})*T^{k}" if den != 1 else f"({num})*T^{k}" for k, (num, den) in terms)
             print(body if body else "0")
     elif args.json:
-        print(LaurentSeries._rows_json_text(rows, width))
+        print(LaurentSeries._rows_json_text(pair, width))
     else:
-        print(LaurentSeries._from_rows(rows, width))
+        print(LaurentSeries._from_rows(pair, width))
 
 
 def cmd_orbital(args) -> int:
     """The series of ``orbital_closed_form``, and with --oracle the verdict
     of ``orbital_support_sum`` against it, read from the two builders'
-    packed rows at one ``row_width`` as the orbital sweep reads them: equal
-    rows are equal series, so the verdict is one dict compare.  The
-    oracle's rows are decoded only on a mismatch, to print them."""
+    packed pairs (lo, rows) at one ``row_width`` as the orbital sweep reads
+    them: equal pairs are equal series, so the verdict is one tuple compare.
+    The oracle's rows are decoded only on a mismatch, to print them."""
     p = _parse_params(args)
     width = row_width(p)
-    rows = _closed_form_rows(p, width)
-    _print_series(rows, width, args)
+    pair = _closed_form_rows(p, _derivative_tables(width, max(p.n_bound(), 0)))
+    _print_series(pair, width, args)
     if args.oracle:
-        oracle_rows = _support_sum_rows(p, width)
-        match = rows == oracle_rows
+        oracle_pair = _support_sum_rows(p, width)
+        match = pair == oracle_pair
         print(f"oracle: {'match' if match else 'MISMATCH'}")
         if not match:
-            print(f"support sum: {LaurentSeries._from_rows(oracle_rows, width)}")
+            print(f"support sum: {LaurentSeries._from_rows(oracle_pair, width)}")
             return 1
     return 0
 

@@ -480,23 +480,24 @@ class LaurentSeries(KeyedModule):
         return QPolynomial._raw(QPolynomial._accumulate({}, pairs))
 
     @classmethod
-    def _from_rows(cls, rows: Mapping[int, int], width: int) -> "LaurentSeries":
-        """The series whose T**k coefficient is the q-polynomial packed in
-        ``rows[k]`` at ``width`` bits per digit (see ``unpack``); a zero row
-        is a zero coefficient.  Equal rows, common in the orbital series,
-        share one coefficient (``_decoded``)."""
-        polys = _decoded(rows.values(), width)
-        return cls._raw({k: poly for (k, x), poly in zip(rows.items(), polys) if x})
+    def _from_rows(cls, pair: tuple[int, list[int]], width: int) -> "LaurentSeries":
+        """The series of the pair (lo, rows) whose T**(lo + i) coefficient is
+        the q-polynomial packed in ``rows[i]`` at ``width`` bits per digit
+        (see ``unpack``); a zero row is a zero coefficient.  Equal rows,
+        common in the orbital series, share one coefficient (``_decoded``)."""
+        lo, rows = pair
+        polys = _decoded(rows, width)
+        return cls._raw({k: poly for k, x, poly in zip(range(lo, lo + len(rows)), rows, polys) if x})
 
     @staticmethod
-    def _rows_json_text(rows: Mapping[int, int], width: int) -> str:
-        """The JSON text of ``_from_rows(rows, width).to_json()``, byte for
+    def _rows_json_text(pair: tuple[int, list[int]], width: int) -> str:
+        """The JSON text of ``_from_rows(pair, width).to_json()``, byte for
         byte as the default ``json`` encoder writes it, built from the rows
         without the series: zero rows are skipped and each distinct row is
         encoded once (``_decoded`` with ``_json_text``)."""
-        items = sorted(rows.items())
-        texts = _decoded([x for _, x in items], width, _json_text)
-        parts = ", ".join([f"[{k}, {text}]" for (k, x), text in zip(items, texts) if x])
+        lo, rows = pair
+        texts = _decoded(rows, width, _json_text)
+        parts = ", ".join([f"[{k}, {text}]" for k, x, text in zip(range(lo, lo + len(rows)), rows, texts) if x])
         return f'{{"t_terms": [{parts}]}}'
 
     # ------------------------------------------------------------ comparison

@@ -27,11 +27,14 @@ derivative" D additionally carries the sign (-1)**(vc + r):
 (1/log q)-normalised derivative of a linear combination of basis functions.
 
 Packed rows.  The two series builders, the closed form and the support-sum
-oracle, return one int per power of T, its q-polynomial coefficient packed
-(see ``exactpoly``) at any width from the tuple's ``row_width`` on.  The public
-``orbital_closed_form`` and ``orbital_support_sum`` decode the rows
-(``LaurentSeries._from_rows``); the orbital sweep in ``verify`` works on the
-rows themselves.  ``_packed_derivative`` is ``derivative_closed_form``
+oracle, return one canonical pair (lo, rows): ``rows`` lists the T-power
+coefficients of T**lo, T**(lo + 1), ... in order, each a q-polynomial packed
+(see ``exactpoly``) at any width from the tuple's ``row_width`` on, with no
+zero row at either end, so two pairs are equal exactly when their series
+are.  Both builders start at lo = -(vb + r); the zero series is (0, []).
+The public ``orbital_closed_form`` and ``orbital_support_sum`` decode the
+pair (``LaurentSeries._from_rows``); the orbital sweep in ``verify`` works
+on the pair itself.  ``_packed_derivative`` is ``derivative_closed_form``
 packed the same way, one int per tuple, for the sweep and the kernel
 matrix; ``derivative_closed_form`` stays the reference.
 """
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import neg
 
 from .exactpoly import KeyedModule, LaurentSeries, QPolynomial
 
@@ -121,7 +125,7 @@ def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
     (-1)**k c(k) q**(vda + r) over k in [2 vda - vb + r, 2 ve + vc - 2 vda - r].
     """
     width = row_width(p)
-    return LaurentSeries._from_rows(_closed_form_rows(p, width), width)
+    return LaurentSeries._from_rows(_closed_form_rows(p, _derivative_tables(width, max(p.n_bound(), 0))), width)
 
 
 def support_points(r: int, s: int, ve: int) -> int:
@@ -160,30 +164,32 @@ def row_width(p: OrbitalParams) -> int:
     return (support_points(r, vb + vc, ve) * k_max).bit_length() + 1
 
 
-def _closed_form_rows(p: OrbitalParams, width: int) -> dict[int, int]:
-    """``orbital_closed_form`` as packed rows {k: row}, ``width`` >=
-    ``row_width(p)``: with X = 2**width, row k is (-1)**k (1 + X + ... +
-    X**n(k)) plus the plateau monomial (-1)**k c(k) X**(vda + r), of the same
-    sign, so no row is 0.  Rows run over increasing k."""
+def _closed_form_rows(p: OrbitalParams, tables: tuple) -> tuple[int, list[int]]:
+    """``orbital_closed_form`` as the pair (lo, rows) (see "Packed rows"
+    above), packed at the width of ``tables``, ``_derivative_tables`` at a
+    width >= ``row_width(p)`` with n >= n_bound: with X = 2**width, row k is
+    (-1)**k G[n(k)], G[n] = 1 + X + ... + X**n, plus the plateau monomial
+    (-1)**k c(k) X**(vda + r), of the same sign, so no row is 0.
+
+    With j = k - lo, lo = -(vb + r), the span h = hi - lo = 2 ve + vb + vc
+    + 2 r is odd, so n(k) = min(j // 2, (h - j) // 2, cap) is the same at
+    j = 2i and 2i + 1: min(i, H - i, cap), H = (h - 1)/2 (``half``).  Over i in [0, H]
+    that is a tent G[0], ..., G[cap - 1], then G[cap] H + 1 - 2 cap times,
+    then G[cap - 1], ..., G[0], as cap <= ve and cap <= (vb + vc - 1)/2 + r
+    give 2 cap <= H.  The rows are the tent at even k and its negation at
+    odd k, each built by list slicing; only the plateau loops over k."""
     if p.ve < 0:
-        return {}
+        return 0, []
+    width, geometric, _ = tables
     r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
     cap = p.n_bound()
     lo = -(vb + r)
-    hi = 2 * ve + vc + r
-    geometric = [1]  # geometric[n] = 1 + X + ... + X**n
-    for n in range(1, cap + 1):
-        geometric.append(geometric[-1] | 1 << width * n)
-    rows = {}
-    for k in range(lo, hi + 1):
-        # n(k) = min((k - lo) // 2, (hi - k) // 2, cap), without calling min
-        n, n_hi = (k - lo) >> 1, (hi - k) >> 1
-        if n_hi < n:
-            n = n_hi
-        if cap < n:
-            n = cap
-        g = geometric[n]
-        rows[k] = -g if k & 1 else g
+    half = ve + (vb + vc - 1) // 2 + r
+    rise = geometric[:cap]
+    tent = rise + geometric[cap:cap + 1] * (half + 1 - 2 * cap) + rise[::-1]
+    rows = [0] * (2 * half + 2)
+    rows[lo & 1::2] = tent  # the even k
+    rows[(lo + 1) & 1::2] = map(neg, tent)  # the odd k
     if vda < ve - r and vb + vc > 2 * vda:
         c_lo = 2 * vda - vb + r
         c_hi = 2 * ve + vc - 2 * vda - r
@@ -191,8 +197,8 @@ def _closed_form_rows(p: OrbitalParams, width: int) -> dict[int, int]:
         x = 1 << width * (vda + r)
         for k in range(c_lo, c_hi + 1):
             c_k = min(k - c_lo, c_hi - k, plateau) * x
-            rows[k] += -c_k if k & 1 else c_k
-    return rows
+            rows[k - lo] += -c_k if k & 1 else c_k
+    return lo, rows
 
 
 def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
@@ -215,18 +221,24 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
     return LaurentSeries._from_rows(_support_sum_rows(p, width), width)
 
 
-def _support_sum_rows(p: OrbitalParams, width: int) -> dict[int, int]:
-    """``orbital_support_sum`` as packed rows {k: row}, ``width`` >=
-    ``row_width(p)``, in increasing k with zero rows dropped.
+def _support_sum_rows(p: OrbitalParams, width: int) -> tuple[int, list[int]]:
+    """``orbital_support_sum`` as the pair (lo, rows) (see "Packed rows"
+    above), packed at ``width`` >= ``row_width(p)``.
 
     Every lattice point adds its own X**e, X = 2**width, to the unsigned
     total of row k, kept in a list indexed by k - lo; the sign (-1)**k is
-    applied once per row.  lo is the walk's own lowest k: k rises by 2 per
-    n2 step and each block's top m by at most 1, so every block reaches its
-    lowest k at n2 = 0, and lo is the least of those.  Only the accumulator
-    is packed."""
+    applied to the odd k in one slice assignment, and zero rows at either
+    end are trimmed.  lo is the walk's own lowest k, base - m_top with
+    base = vc + r: k rises by 2 per n2 step and each block's top m by at
+    most 1, so every block reaches its lowest k at n2 = 0, and m_top is the
+    largest top m there.  That lo is -(vb + r), the closed form's: m_top =
+    vb + vc + 2 r.  At an odd theta, theta = vb + vc and m_top is the first
+    block's theta + 2 r.  At an even theta = 2 vda < vb + vc, half = vda >=
+    0, so max(r, -half) = r and the first extra block's top is r + vb + vc
+    + r, above the first block's 2 vda + 2 r and the second extra block's
+    vda + r.  Only the accumulator is packed."""
     if p.ve < 0:
-        return {}
+        return 0, []
     r, vb, vc, ve = p.r, p.vb, p.vc, p.ve
     th = p.theta()
     even = th % 2 == 0
@@ -251,11 +263,15 @@ def _support_sum_rows(p: OrbitalParams, width: int) -> dict[int, int]:
             for m_hi in (max(r, n2 - half) + vb + vc + r, n2 + half + r):
                 for m in range(m_lo, m_hi + 1):
                     acc[i0 - m] += x
-    rows = {}
-    for k, x in enumerate(acc, lo):
-        if x:
-            rows[k] = -x if k & 1 else x
-    return rows
+    acc[(lo + 1) & 1::2] = map(neg, acc[(lo + 1) & 1::2])  # the odd k
+    while acc and not acc[-1]:
+        acc.pop()
+    if not acc:
+        return 0, []
+    start = 0
+    while not acc[start]:
+        start += 1
+    return lo + start, acc[start:] if start else acc
 
 
 def derivative_closed_form(p: OrbitalParams) -> QPolynomial:
@@ -342,6 +358,8 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
 
     with N = min(ve, (vb+vc-1)/2 + r, vda + r) and C, C' as below.
     Equals derivative_closed_form(r) - derivative_closed_form(r-1).
+    C and C' are >= 0, so the coefficients are positive and are built as
+    one dict; C' is 0 at N = 0, which needs ve = 0 (r >= 1), so kappa < 0.
     """
     if p.r < 1:
         raise InvalidParamsError(
@@ -363,12 +381,11 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
     else:
         c_top = 0
     c_next = c_top + 1 if (kap >= 0 and s > 2 * vda) else 0
-    out = QPolynomial.geometric(cap)
-    if c_top:
-        out = out + QPolynomial.q_power(cap, c_top)
+    terms = dict.fromkeys(range(cap + 1), 1)
+    terms[cap] += c_top
     if c_next:
-        out = out + QPolynomial.q_power(cap - 1, c_next)
-    return out
+        terms[cap - 1] += c_next
+    return QPolynomial._raw(terms)
 
 
 class HeckeVector(KeyedModule):

@@ -23,7 +23,7 @@ Identities that depend on (vb, vc) only through their sum are swept over the
 reduced grid with the canonical split vb = 0; the dependence reduction is
 itself one of the checked properties.  The default grid never reaches
 ve < 0, where both sides of every identity are 0.  The orbital suite checks
-the series builders' packed rows and the packed derivative (see
+the series builders' packed pairs (lo, rows) and the packed derivative (see
 ``orbital``) as ints, without decoding them, its sign pattern through
 ``exactpoly._sign_mask``; the miracle and afl suites check the packed
 Gross-Keating values (see ``intersection``) against the packed derivative
@@ -33,7 +33,8 @@ the same way, and decode a value only for a failure record.
 from __future__ import annotations
 
 import random
-from operator import mul
+from functools import reduce
+from operator import mul, neg, or_
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -234,8 +235,9 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
 
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
-    sweep: 29,069,040 units, 3.5 s; it runs in 1.6-1.7 s on perfbench's host
-    clock, so the charge is 2.1-2.2 times its time)."""
+    sweep: 29,069,040 units, 3.5 s; on the (lo, rows) pairs it runs in
+    1.3-1.4 s on perfbench's host clock, so the charge is 2.5-2.7 times its
+    time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -253,13 +255,19 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
 
 # --------------------------------------------------------------- orbital
 
-def _first_sign_break(rows: dict[int, int], width: int, digits: int) -> int | None:
+def _first_sign_break(pair: tuple[int, list[int]], width: int, digits: int) -> int | None:
     """The first k at which (-1)**k row has a negative q-coefficient or a
-    term of degree ``digits`` or more, or None: one ``exactpoly._sign_mask``
-    test per row, the ``rows`` packed at ``width`` bits per digit."""
+    term of degree ``digits`` or more, or None, for the pair (lo, rows)
+    packed at ``width`` bits per digit.  An ``exactpoly._sign_mask`` bit is
+    set in the OR of the signed rows exactly when it is set in one of them,
+    so one mask test clears every row; k is sought row by row only on a hit."""
+    lo, rows = pair
     mask = _sign_mask(width, digits)
-    for k, x in rows.items():
-        if (-x if k % 2 else x) & mask:
+    signed = reduce(or_, rows[lo & 1::2], 0) | reduce(or_, map(neg, rows[(lo + 1) & 1::2]), 0)
+    if not signed & mask:
+        return None
+    for k, x in enumerate(rows, lo):
+        if (-x if k & 1 else x) & mask:
             return k
     return None
 
@@ -304,12 +312,13 @@ def _afl_work(config: SweepConfig) -> int:
     return config.reduced_tuple_count() * (500 + 5 * _top_degree(config))
 
 
-def _row_sums(rows: dict[int, int], negate: bool) -> tuple[bool, int]:
-    """Whether the rows sum to 0 (the value at s = 0), and their k-weighted
-    sum, negated if ``negate`` (the signed log-derivative), packed as the
-    rows are."""
-    weighted = sum(map(mul, rows, rows.values()))
-    return not sum(rows.values()), -weighted if negate else weighted
+def _row_sums(pair: tuple[int, list[int]], negate: bool) -> tuple[bool, int]:
+    """Whether the rows of the pair (lo, rows) sum to 0 (the value at
+    s = 0), and their k-weighted sum, negated if ``negate`` (the signed
+    log-derivative), packed as the rows are."""
+    lo, rows = pair
+    weighted = sum(map(mul, range(lo, lo + len(rows)), rows))
+    return not sum(rows), -weighted if negate else weighted
 
 
 def _block_width(config: SweepConfig, r: int, s: int) -> int:
@@ -344,10 +353,12 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     the reduction of the derivative to vb + vc; all over the full grid.
 
     Both series and the derivative are compared as packed ints (see
-    ``exactpoly``): the series as the builders' rows, one int per T power,
-    the forms the public ``orbital_closed_form`` and ``orbital_support_sum``
-    wrap, and the derivative as ``orbital._packed_derivative``, one int per
-    tuple.  All of a block (r, vb + vc) of ``full_tuples`` packs at one
+    ``exactpoly``): the series as the builders' canonical pairs (lo, rows),
+    one int per T power from T**lo on, equal exactly when the series are and
+    compared as tuples, the forms the public ``orbital_closed_form`` and
+    ``orbital_support_sum`` wrap, and the derivative as
+    ``orbital._packed_derivative``, one int per tuple; the closed form and
+    the derivative read the block's one set of prefix tables.  All of a block (r, vb + vc) of ``full_tuples`` packs at one
     width, its largest ``row_width`` (``_block_width``), at which every
     coefficient of the rows, of their sums and of the derivative fits, so
     equal ints are equal q-polynomials.  The value at s = 0 is the sum of
@@ -363,9 +374,9 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
 
     The three checks that read only the rows (the value at s = 0, the signed
     log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
-    pattern) are read once per oracle entry: a tuple whose closed-form rows
-    equal the entry's rows reuses them, and a tuple whose rows differ reads
-    its own.  The derivative at (ve, vda) is compared across the block's
+    pattern) are read once per oracle entry: a tuple whose closed-form pair
+    equals the entry's pair reuses them, and a tuple whose pair differs
+    reads its own.  The derivative at (ve, vda) is compared across the block's
     splits of vb + vc, the first split's kept only while the walk stays in
     the block.  Each identity is counted once for the whole grid; failures
     are recorded as they occur, in tuple order and, within a tuple, in the
@@ -388,15 +399,15 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
             # The sign pattern reads n_bound = min(ve, (s - 1)/2 + r, vda + r), one
             # number per entry as s = vb + vc is odd: either theta = 2 vda < s, so
             # vda is fixed, or theta = s < 2 vda, so vda + r > (s - 1)/2 + r.
-            oracle_rows = _support_sum_rows(p, width)
-            k = _first_sign_break(oracle_rows, width, max(p.n_bound() + 1, 0))
-            entry = oracle[theta] = (oracle_rows, *_row_sums(oracle_rows, negate), k)
-        oracle_rows, zero, log_deriv, k = entry
-        rows = _closed_form_rows(p, width)
-        if rows != oracle_rows:
+            oracle_pair = _support_sum_rows(p, width)
+            k = _first_sign_break(oracle_pair, width, max(p.n_bound() + 1, 0))
+            entry = oracle[theta] = (oracle_pair, *_row_sums(oracle_pair, negate), k)
+        oracle_pair, zero, log_deriv, k = entry
+        pair = _closed_form_rows(p, tables)
+        if pair != oracle_pair:
             res.record("closed_form == support_sum", params=p)
-            zero, log_deriv = _row_sums(rows, negate)
-            k = _first_sign_break(rows, width, max(p.n_bound() + 1, 0))
+            zero, log_deriv = _row_sums(pair, negate)
+            k = _first_sign_break(pair, width, max(p.n_bound() + 1, 0))
         if not zero:
             res.record("value at s=0 is 0", params=p)
         deriv = _packed_derivative(p.r, p.vb, p.vc, p.ve, p.vda, tables)

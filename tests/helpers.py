@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
 from semilie import LaurentSeries, OrbitalParams, QPolynomial, derivative_closed_form, gk_from_params, gross_keating
+from semilie.exactpoly import _sign_mask
+from semilie.orbital import _derivative_tables
 
 _TERM = re.compile(
     r"""^
@@ -57,6 +60,90 @@ def pack_row(coeffs: dict[int, int], width: int) -> int:
     """A q-polynomial {e: c} packed as its value at q = 2**width, the form
     ``semilie.exactpoly.unpack`` reads back."""
     return sum(c << width * e for e, c in coeffs.items())
+
+
+def tables_at(p: OrbitalParams, width: int) -> tuple:
+    """The prefix tables ``semilie.orbital._closed_form_rows`` reads for
+    ``p`` at ``width``: ``_derivative_tables`` up to p's n_bound."""
+    return _derivative_tables(width, max(p.n_bound(), 0))
+
+
+def reference_closed_form_rows(p: OrbitalParams, width: int) -> dict[int, int]:
+    """The closed form's packed rows as a {k: row} dict in increasing k,
+    built k by k: the reference for the pair (lo, rows) of
+    ``semilie.orbital._closed_form_rows``.  With X = 2**width, row k is
+    (-1)**k (1 + X + ... + X**n(k)) plus the plateau monomial (-1)**k c(k)
+    X**(vda + r), of the same sign, so no row is 0."""
+    if p.ve < 0:
+        return {}
+    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
+    cap = p.n_bound()
+    lo, hi = -(vb + r), 2 * ve + vc + r
+    geometric = [1]  # geometric[n] = 1 + X + ... + X**n
+    for n in range(1, cap + 1):
+        geometric.append(geometric[-1] | 1 << width * n)
+    rows = {}
+    for k in range(lo, hi + 1):
+        g = geometric[min((k - lo) >> 1, (hi - k) >> 1, cap)]
+        rows[k] = -g if k & 1 else g
+    if vda < ve - r and vb + vc > 2 * vda:
+        c_lo, c_hi = 2 * vda - vb + r, 2 * ve + vc - 2 * vda - r
+        x = 1 << width * (vda + r)
+        for k in range(c_lo, c_hi + 1):
+            c_k = min(k - c_lo, c_hi - k, ve - vda - r) * x
+            rows[k] += -c_k if k & 1 else c_k
+    return rows
+
+
+def reference_support_sum_rows(p: OrbitalParams, width: int) -> dict[int, int]:
+    """The support-lattice sum's packed rows as a {k: row} dict in
+    increasing k with zero rows dropped: the reference for the pair
+    (lo, rows) of ``semilie.orbital._support_sum_rows``, whose lattice walk
+    it repeats, the unsigned rows kept in a list indexed by k - lo."""
+    if p.ve < 0:
+        return {}
+    r, vb, vc, ve = p.r, p.vb, p.vc, p.ve
+    th = p.theta()
+    even = th % 2 == 0
+    half = th // 2
+    base = vc + r
+    m_top = th + 2 * r
+    if even:
+        m_top = max(m_top, max(r, -half) + vb + vc + r, half + r)
+    lo = base - m_top
+    power = [1 << width * e for e in range(ve + 1)]  # power[e] = X**e
+    acc = [0] * (2 * ve + m_top + 1)  # acc[k - lo]
+    for n2 in range(ve + 1):
+        i0 = 2 * n2 + m_top
+        split, x_top = 2 * n2, power[n2]
+        for m in range(th + 2 * r + 1):
+            acc[i0 - m] += power[m >> 1] if m < split else x_top  # X**min(n2, m // 2)
+    if even:
+        for n2 in range(ve + 1):
+            i0 = 2 * n2 + m_top
+            x = power[min(n2, half + r)]
+            for m_hi in (max(r, n2 - half) + vb + vc + r, n2 + half + r):
+                for m in range(th + 2 * r + 1, m_hi + 1):
+                    acc[i0 - m] += x
+    return {k: -x if k & 1 else x for k, x in enumerate(acc, lo) if x}
+
+
+def reference_row_sums(rows: dict[int, int], negate: bool) -> tuple[bool, int]:
+    """Whether the {k: row} rows sum to 0, and their k-weighted sum, negated
+    if ``negate``: the reference for ``semilie.verify._row_sums``."""
+    weighted = sum(map(mul, rows, rows.values()))
+    return not sum(rows.values()), -weighted if negate else weighted
+
+
+def reference_first_sign_break(rows: dict[int, int], width: int, digits: int) -> int | None:
+    """The least k at which (-1)**k rows[k] fails the sign mask, one row at a
+    time: the reference for ``semilie.verify._first_sign_break``."""
+    mask = _sign_mask(width, digits)
+    for k in sorted(rows):
+        x = rows[k]
+        if (-x if k & 1 else x) & mask:
+            return k
+    return None
 
 
 def reference_int_circ(p: OrbitalParams) -> QPolynomial:

@@ -59,7 +59,13 @@ def test_orbital_oracle_mismatch(capsys, monkeypatch, as_json):
     and exits 1; the closed form is printed first, as it is on a match."""
     p = semilie.OrbitalParams(r=2, vb=-1, vc=4, ve=3, vda=1)
     original = cli._support_sum_rows
-    monkeypatch.setattr(cli, "_support_sum_rows", lambda p, width: {**original(p, width), 0: original(p, width)[0] + 1})
+
+    def bumped(p, width):
+        lo, rows = original(p, width)
+        rows[-lo] += 1  # the row of T**0
+        return lo, rows
+
+    monkeypatch.setattr(cli, "_support_sum_rows", bumped)
     argv = "orbital -r 2 --vb -1 --vc 4 --ve 3 --vda 1 --oracle".split() + ["--json"] * as_json
     code, out, _ = run(capsys, *argv)
     first, verdict, oracle = out.splitlines()

@@ -288,7 +288,7 @@ def test_to_json_matches_fraction_reference(p):
 
 def test_series_to_json_encodes_a_shared_row_once():
     x = 5 + (3 << 8)  # 3q + 5 at 8 bits per digit
-    s = LaurentSeries._from_rows({-1: x, 0: 1, 3: x, 4: 0}, 8)
+    s = LaurentSeries._from_rows((-1, [x, 1, 0, 0, x, 0]), 8)  # T**-1 .. T**4
     got = s.to_json()
     per_row = {"t_terms": [[k, s._terms[k].to_json()] for k in sorted(s._terms)]}
     assert json.dumps(got) == json.dumps(per_row)

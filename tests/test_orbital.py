@@ -1,5 +1,7 @@
 """Orbital integral closed form, support-sum oracle, and derivatives."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from semilie import (
     HeckeVector,
     InvalidParamsError,
     OrbitalParams,
+    SweepConfig,
     derivative_closed_form,
     derivative_combo,
     derivative_of_vector,
@@ -171,11 +174,25 @@ class TestCombo:
             derivative_combo(params(r=0))
 
     def test_equals_difference_of_singles(self):
-        for p in SMALL_GRID:
+        """On the small grid, the default reduced grid and 600 seeded tuples
+        of the calculator's ranges (r <= 30, odd vb + vc <= 41, vb >= -50,
+        ve <= 40, vda in {0..20, INFINITY}): the same polynomial, printed and
+        encoded the same, its coefficients positive ints."""
+        rng = random.Random(29)
+        wide = []
+        for _ in range(600):
+            s = rng.randrange(1, 42, 2)
+            vb = rng.randint(-50, s)
+            vda = rng.choice([*range(21), INFINITY])
+            wide.append(OrbitalParams(rng.randint(1, 30), vb, s - vb, rng.randint(-3, 40), vda))
+        for p in [*SMALL_GRID, *SweepConfig().reduced_tuples(), *wide]:
             if p.r < 1:
                 continue
             expected = derivative_closed_form(p) - derivative_closed_form(p.with_r(p.r - 1))
-            assert derivative_combo(p) == expected, p
+            got = derivative_combo(p)
+            assert got == expected and str(got) == str(expected), p
+            assert json.dumps(got.to_json()) == json.dumps(expected.to_json()), p
+            assert all(type(c) is int and c > 0 for _, c in got.items()), p
 
     def test_large_vda_insensitive(self):
         a = derivative_combo(OrbitalParams(r=5, vb=-20, vc=37, ve=35, vda=9))

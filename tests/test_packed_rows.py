@@ -9,10 +9,18 @@ decodes each distinct int once.
 
 import dataclasses
 import functools
+import random
 from fractions import Fraction
 
 import pytest
-from helpers import pack_row
+from helpers import (
+    pack_row,
+    reference_closed_form_rows,
+    reference_first_sign_break,
+    reference_row_sums,
+    reference_support_sum_rows,
+    tables_at,
+)
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
@@ -29,7 +37,7 @@ from semilie.orbital import (
     row_width,
     support_points,
 )
-from semilie.verify import SweepConfig, _block_width, _first_sign_break
+from semilie.verify import SweepConfig, _block_width, _first_sign_break, _row_sums
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2)
 
@@ -78,19 +86,28 @@ def reference_support_sum(p):
     return {k: c for k, c in acc.items() if c}
 
 
-BUILDERS = [(_closed_form_rows, reference_closed_form), (_support_sum_rows, reference_support_sum)]
+def closed_form_pair(p, width):
+    """``_closed_form_rows`` at ``width``, the signature of ``_support_sum_rows``."""
+    return _closed_form_rows(p, tables_at(p, width))
 
 
-def unpacked(rows, width):
-    return {k: unpack(x, width) for k, x in rows.items()}
+BUILDERS = [(closed_form_pair, reference_closed_form), (_support_sum_rows, reference_support_sum)]
+
+
+def unpacked(pair, width):
+    """The {k: {e: c}} map of a pair (lo, rows), its zero rows left out."""
+    lo, rows = pair
+    return {k: unpack(x, width) for k, x in enumerate(rows, lo) if x}
 
 
 def assert_rows_match(p):
     width = row_width(p)
     for build, reference in BUILDERS:
         want = reference(p)
-        rows = build(p, width)
-        assert unpacked(rows, width) == want
+        pair = build(p, width)
+        assert unpacked(pair, width) == want
+        lo, rows = pair
+        assert all(rows) and (lo, lo + len(rows)) == ((min(want), max(want) + 1) if want else (0, 0))
         # The width bound: every coefficient of the rows, of their sum and of
         # their k-weighted sum is below 2**(width - 1) in absolute value.
         value, weighted = {}, {}
@@ -103,8 +120,10 @@ def assert_rows_match(p):
         # The rows do not depend on the width.
         wider = build(p, width + 16)
         assert unpacked(wider, width + 16) == want
-        assert unpack(sum(wider.values()), width + 16) == unpack(sum(rows.values()), width)
-        assert unpack(sum(k * x for k, x in wider.items()), width + 16) == {e: c for e, c in weighted.items() if c}
+        assert unpack(sum(wider[1]), width + 16) == unpack(sum(rows), width)
+        assert unpack(sum(k * x for k, x in enumerate(wider[1], wider[0])), width + 16) == {
+            e: c for e, c in weighted.items() if c
+        }
 
 
 @st.composite
@@ -160,8 +179,8 @@ def test_sign_mask(coeffs, breaks):
     """(-1)**k row must have no negative digit: the mask sees one under a
     positive top digit, where the packed int itself is positive."""
     x = pack_row(coeffs, 4)
-    assert _first_sign_break({0: x}, 4, 3) == (0 if breaks else None)
-    assert _first_sign_break({1: -x}, 4, 3) == (1 if breaks else None)
+    assert _first_sign_break((0, [x]), 4, 3) == (0 if breaks else None)
+    assert _first_sign_break((1, [-x]), 4, 3) == (1 if breaks else None)
 
 
 def test_rows_match_the_reference_maps_on_a_small_grid():
@@ -169,7 +188,7 @@ def test_rows_match_the_reference_maps_on_a_small_grid():
         assert_rows_match(p)
     for ve in (-3, -1):
         p = OrbitalParams(r=2, vb=-1, vc=4, ve=ve, vda=1)
-        assert _closed_form_rows(p, row_width(p)) == _support_sum_rows(p, row_width(p)) == {}
+        assert closed_form_pair(p, row_width(p)) == _support_sum_rows(p, row_width(p)) == (0, [])
 
 
 @pytest.mark.parametrize("vda", [0, 1, 20, INFINITY], ids=["vda0", "vda1", "vda20", "vda_inf"])
@@ -181,7 +200,7 @@ def test_rows_match_the_reference_maps_at_the_calculator_corner(ve, vda):
     p = OrbitalParams(r=30, vb=-50, vc=91, ve=ve, vda=vda)
     assert (p.theta() % 2 == 0) == (vda != INFINITY)
     assert_rows_match(p)
-    assert min(_support_sum_rows(p, row_width(p))) == min(reference_support_sum(p))
+    assert _support_sum_rows(p, row_width(p))[0] == min(reference_support_sum(p))
 
 
 VDA = st.one_of(st.integers(0, 20), st.just(INFINITY))
@@ -204,6 +223,103 @@ def test_rows_match_the_reference_maps_off_grid(p):
     vda = "inf" if p.vda == INFINITY else p.vda
     note(f"semilie orbital -r {p.r} --vb {p.vb} --vc {p.vc} --ve {p.ve} --vda {vda} --oracle")
     assert_rows_match(p)
+
+
+def pair_of(rows):
+    """The canonical pair (lo, rows) of a {k: row} dict: its zero rows at
+    either end dropped, those inside kept as 0."""
+    ks = [k for k, x in rows.items() if x]
+    if not ks:
+        return 0, []
+    lo = min(ks)
+    return lo, [rows.get(k, 0) for k in range(lo, max(ks) + 1)]
+
+
+def row_check_inputs(rows, width):
+    """The dict rows, and mutations of them that the orbital checks must
+    read as the dict form does: the first row's sign flipped, 1 added at
+    T**0 (below lo, above hi or inside), X added at T**1, an interior row
+    zeroed, and every row zeroed."""
+    x = 1 << width
+    yield rows
+    if rows:
+        k0 = min(rows)
+        yield {**rows, k0: -rows[k0]}
+    yield {**rows, 0: rows.get(0, 0) + 1}
+    yield {**rows, 1: rows.get(1, 0) + x}
+    if len(rows) > 2:
+        yield {**rows, sorted(rows)[1]: 0}
+    yield dict.fromkeys(rows, 0)
+
+
+def assert_pair_invariants(p, width, tables, oracle, references=True):
+    """Both builders' pairs at ``width``, the oracle's given as ``oracle``:
+    lo = -(vb + r), 2 ve + vb + vc + 2 r + 1 rows with none 0 at either
+    end, and the closed form's rows those of its dict reference, which the
+    oracle's pair equals.  With ``references``, the oracle's rows are also
+    its own dict reference's, and on them and their mutations the row sums
+    and the sign break read a pair as the dict references read the dict."""
+    pair = _closed_form_rows(p, tables)
+    assert pair == oracle
+    want = reference_closed_form_rows(p, width)
+    assert {k: x for k, x in enumerate(pair[1], pair[0]) if x} == want
+    if p.ve < 0:
+        assert pair == (0, []) and want == {}
+        return
+    lo, rows = pair
+    assert lo == -(p.vb + p.r) and len(rows) == 2 * p.ve + p.vb + p.vc + 2 * p.r + 1, (p, lo, len(rows))
+    assert rows[0] and rows[-1]
+    if not references:
+        return
+    assert reference_support_sum_rows(p, width) == want
+    digits = max(p.n_bound() + 1, 0)
+    negate = (p.vc + p.r) % 2
+    for mutated in row_check_inputs(want, width):
+        got = pair_of(mutated)
+        assert _row_sums(got, negate) == reference_row_sums(mutated, negate)
+        assert _first_sign_break(got, width, digits) == reference_first_sign_break(mutated, width, digits)
+
+
+def test_pair_invariants_on_the_default_grid():
+    """Every full default-grid tuple at its block's width, the oracle built
+    once per (orbit, theta) as the orbital sweep builds it.  The oracle's
+    pair equals the closed form's, so its rows are the closed form's dict
+    reference's too; the dict references and row checks are compared off
+    the grid."""
+    config = SweepConfig()
+    oracles, tables = {}, {}
+    for p in config.full_tuples():
+        width = _block_width(config, p.r, p.sum_bc())
+        key = (p.r, p.vb, p.vc, p.ve, p.theta())
+        if key not in oracles:
+            oracles[key] = _support_sum_rows(p, width)
+        if width not in tables:
+            tables[width] = _derivative_tables(width, config.ve_max)
+        assert_pair_invariants(p, width, tables[width], oracles[key], references=False)
+    assert len(oracles) == 29_722
+
+
+def seeded_off_grid_tuples(n, seed=30):
+    """n tuples past the default grid: r <= 30, odd vb + vc <= 91 with
+    vb in [-50, vb + vc], ve in {0, 1, 40}, vda in {0, 20, INFINITY}."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        s = rng.randrange(1, 92, 2)
+        vb = rng.randint(-50, s)
+        out.append(OrbitalParams(rng.randint(0, 30), vb, s - vb, rng.choice((0, 1, 40)), rng.choice((0, 20, INFINITY))))
+    return out
+
+
+def test_pair_invariants_off_grid():
+    """2,000 seeded tuples of both lo parities and one with ve < 0, with
+    both dict references and the row checks on mutated and zero rows."""
+    tuples = seeded_off_grid_tuples(2000)
+    assert {(p.vb + p.r) % 2 for p in tuples} == {0, 1}  # both parities of lo
+    assert {p.ve for p in tuples} == {0, 1, 40} and {p.vda for p in tuples} == {0, 20, INFINITY}
+    for p in tuples + [OrbitalParams(r=3, vb=-1, vc=4, ve=-2, vda=1)]:
+        width = row_width(p)
+        assert_pair_invariants(p, width, tables_at(p, width), _support_sum_rows(p, width))
 
 
 @functools.cache
@@ -284,9 +400,9 @@ def test_row_width_reads_no_vda(p, others):
             assert mass_bound(q) <= support_points(q.r, q.sum_bc(), q.ve)
 
 
-def assert_rows_json_matches(rows, width):
+def assert_rows_json_matches(pair, width):
     """The calculator's row JSON is the series' own JSON, byte for byte."""
-    assert LaurentSeries._rows_json_text(rows, width) == _json(LaurentSeries._from_rows(rows, width).to_json())
+    assert LaurentSeries._rows_json_text(pair, width) == _json(LaurentSeries._from_rows(pair, width).to_json())
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
@@ -303,19 +419,22 @@ def test_rows_json_text_at_the_calculator_corner(vda):
     p = OrbitalParams(r=30, vb=-50, vc=91, ve=40, vda=vda)
     width = row_width(p)
     for build, _ in BUILDERS:
-        rows = build(p, width)
-        assert len(set(rows.values())) < len(rows)  # shared rows are encoded once
-        assert_rows_json_matches(rows, width)
+        pair = build(p, width)
+        assert len(set(pair[1])) < len(pair[1])  # shared rows are encoded once
+        assert_rows_json_matches(pair, width)
 
 
 def test_rows_json_text_skips_zero_rows_and_sorts_k():
+    """Zero rows anywhere in the pair are skipped; k runs up from lo."""
     width = 5
-    rows = {3: pack_row({0: 2, 4: -1}, width), -2: 0, 1: pack_row({1: -15}, width), -1: pack_row({0: 2, 4: -1}, width)}
+    x = pack_row({0: 2, 4: -1}, width)
+    rows = (-2, [0, x, 0, pack_row({1: -15}, width), 0, x, 0])
     text = LaurentSeries._rows_json_text(rows, width)
     assert text == ('{"t_terms": [[-1, {"q_terms": [[0, 2, 1], [4, -1, 1]]}], [1, {"q_terms": [[1, -15, 1]]}], '
                     '[3, {"q_terms": [[0, 2, 1], [4, -1, 1]]}]]}')
     assert_rows_json_matches(rows, width)
-    assert LaurentSeries._rows_json_text({0: 0}, width) == _json(LaurentSeries.zero().to_json()) == '{"t_terms": []}'
+    for empty in ((0, []), (0, [0])):
+        assert LaurentSeries._rows_json_text(empty, width) == _json(LaurentSeries.zero().to_json()) == '{"t_terms": []}'
 
 
 MEMO_MATRICES = [(1, 0, 4), (41, INFINITY, 10)]
@@ -335,12 +454,12 @@ def test_build_matrix_shares_one_polynomial_per_distinct_int(sum_bc, vda, n_cap)
 def test_from_rows_shares_one_polynomial_per_distinct_row():
     p = OrbitalParams(r=30, vb=-50, vc=91, ve=40, vda=0)
     width = row_width(p)
-    rows = _closed_form_rows(p, width)
-    series = LaurentSeries._from_rows(rows, width)
+    pair = closed_form_pair(p, width)
+    series = LaurentSeries._from_rows(pair, width)
     shared = {}
-    for k, x in rows.items():
+    for k, x in enumerate(pair[1], pair[0]):
         assert shared.setdefault(x, series.coefficient(k)) is series.coefficient(k)
-    assert len(shared) < len(rows)
+    assert len(shared) < len(pair[1])
 
 
 def count_calls(monkeypatch, owner, name, *more_owners):
@@ -378,8 +497,8 @@ def test_kernel_matrix_encodes_each_distinct_entry_once(monkeypatch, capsys, sum
 
 def test_orbital_json_encodes_each_distinct_row_once(monkeypatch, capsys):
     p = OrbitalParams(r=30, vb=-50, vc=91, ve=40, vda=0)
-    rows = _closed_form_rows(p, row_width(p))
+    _, rows = closed_form_pair(p, row_width(p))
     texts = count_calls(monkeypatch, exactpoly, "_json_text", cli)
     assert cli.main(["orbital", "-r", "30", "--vb", "-50", "--vc", "91", "--ve", "40", "--vda", "0", "--json"]) == 0
-    assert len(texts) == len({x for x in rows.values() if x}) < len(rows)
+    assert len(texts) == len({x for x in rows if x}) < len(rows)
     capsys.readouterr()

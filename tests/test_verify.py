@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from helpers import pack_row, reference_int_circ, reference_int_total
+from helpers import pack_row, reference_int_circ, reference_int_total, tables_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,28 +168,33 @@ def term_maps(series):
 
 
 def pack_terms(terms, width):
-    """Packed rows {k: int} of a {k: {e: c}} map (see ``exactpoly.unpack``)."""
-    return {k: pack_row(coeff, width) for k, coeff in terms.items()}
+    """The canonical packed pair (lo, rows) of a {k: {e: c}} map of nonzero
+    coefficients (see ``orbital``): rows from its least k to its greatest,
+    0 where the map has no k, and (0, []) for the empty map."""
+    if not terms:
+        return 0, []
+    lo = min(terms)
+    return lo, [pack_row(terms.get(k, {}), width) for k in range(lo, max(terms) + 1)]
 
 
 @pytest.mark.parametrize(
     "public, private",
     [
-        (orbital.orbital_closed_form, orbital._closed_form_rows),
+        (orbital.orbital_closed_form, lambda p, width: orbital._closed_form_rows(p, tables_at(p, width))),
         (orbital.orbital_support_sum, orbital._support_sum_rows),
     ],
     ids=["closed_form", "support_sum"],
 )
 def test_public_builders_wrap_their_rows(public, private):
-    """Each public series is the wrap of its builder's packed rows, and the
-    rows hold no zero, so the orbital suite may compare rows with ==."""
+    """Each public series is the wrap of its builder's packed pair, and the
+    rows hold no zero, so the orbital suite may compare pairs with ==."""
     for p in SMALL.full_tuples():
         width = orbital.row_width(p)
-        rows = private(p, width)
-        assert all(rows.values())
+        pair = private(p, width)
+        assert all(pair[1])
         series = public(p)
-        assert series == LaurentSeries._from_rows(rows, width)
-        assert pack_terms(term_maps(series), width) == rows
+        assert series == LaurentSeries._from_rows(pair, width)
+        assert pack_terms(term_maps(series), width) == pair
 
 
 def flip_one_coefficient(series):
@@ -213,17 +218,28 @@ SHARED_THETA_TARGET = OrbitalParams(r=1, vb=-1, vc=2, ve=2, vda=2)
 
 
 def mutated_rows(mutation, only=None):
-    """``verify._closed_form_rows`` with the rows of every tuple, or of
-    ``only`` alone, replaced by those of the mutated series."""
+    """``verify._closed_form_rows`` with the pair of every tuple, or of
+    ``only`` alone, replaced by the canonical pair of the mutated series."""
     original, mutate = verify._closed_form_rows, CLOSED_FORM_MUTATIONS[mutation]
 
-    def rows(p, width):
-        out = original(p, width)
+    def rows(p, tables):
+        out = original(p, tables)
         if only is None or p == only:
+            width = tables[0]
             out = pack_terms(term_maps(mutate(LaurentSeries._from_rows(out, width))), width)
         return out
 
     return rows
+
+
+def test_constant_at_T0_below_lo_extends_lo():
+    """A mutation that adds a row below lo gives the canonical pair of the
+    mutated series: lo moves down to it, and the rows between are 0."""
+    p = OrbitalParams(r=0, vb=-6, vc=7, ve=1, vda=0)
+    tables = tables_at(p, orbital.row_width(p))
+    lo, rows = verify._closed_form_rows(p, tables)
+    assert lo == 6
+    assert mutated_rows("constant_at_T0")(p, tables) == (0, [1, 0, 0, 0, 0, 0, *rows])
 
 
 @pytest.mark.parametrize(
@@ -253,14 +269,15 @@ def walk_orbital(config):
     seen = {}
     for p in config.full_tuples():
         width = orbital.row_width(p)
-        rows = verify._closed_form_rows(p, width)
-        res.check(rows == orbital._support_sum_rows(p, width), "closed_form == support_sum", params=p)
-        res.check(not sum(rows.values()), "value at s=0 is 0", params=p)
-        weighted = sum(k * x for k, x in rows.items())
+        pair = verify._closed_form_rows(p, tables_at(p, width))
+        res.check(pair == orbital._support_sum_rows(p, width), "closed_form == support_sum", params=p)
+        lo, rows = pair
+        res.check(not sum(rows), "value at s=0 is 0", params=p)
+        weighted = sum(k * x for k, x in enumerate(rows, lo))
         log_deriv = QPolynomial(unpack(-weighted if (p.vc + p.r) % 2 else weighted, width))
         deriv = orbital.derivative_closed_form(p)
         res.check(deriv == log_deriv, "derivative == signed series derivative", params=p)
-        k = verify._first_sign_break(rows, width, max(p.n_bound() + 1, 0))
+        k = verify._first_sign_break(pair, width, max(p.n_bound() + 1, 0))
         res.check(k is None, "sign pattern (-1)^k", params=p, k=k)
         key = (p.r, p.vb + p.vc, p.ve, p.vda)
         res.check(seen.setdefault(key, deriv) == deriv, "derivative depends only on vb+vc", params=p)
@@ -327,9 +344,11 @@ def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
     assert {dataclasses.replace(target, vda=vda).theta() for vda in (1, 2, INFINITY)} == {1}
     original = verify._closed_form_rows
 
-    def mutated(p, width):
-        rows = original(p, width)
-        return {**rows, 0: rows[0] + 1} if p == target else rows
+    def mutated(p, tables):
+        lo, rows = original(p, tables)
+        if p == target:
+            rows[-lo] += 1  # the row of T**0
+        return lo, rows
 
     monkeypatch.setattr(verify, "_closed_form_rows", mutated)
     res = suite_orbital(SMALL)
