@@ -253,10 +253,11 @@ def cmd_orbital(args) -> int:
     The oracle's rows are decoded only on a mismatch, to print them."""
     p = _parse_params(args)
     width = row_width(p)
-    pair = _closed_form_rows(p, _derivative_tables(width, max(p.n_bound(), 0)))
+    fields = p.r, p.vb, p.vc, p.ve, p.vda
+    pair = _closed_form_rows(*fields, _derivative_tables(width, max(p.n_bound(), 0)))
     _print_series(pair, width, args)
     if args.oracle:
-        oracle_pair = _support_sum_rows(p, width)
+        oracle_pair = _support_sum_rows(*fields, width)
         match = pair == oracle_pair
         print(f"oracle: {'match' if match else 'MISMATCH'}")
         if not match:

@@ -16,6 +16,13 @@ Both row reductions subtract ints (``_reduce_rows``), ``build_matrix``
 decodes each distinct int once (``exactpoly._decoded``), and the tests
 compare every entry with ``orbital.derivative_closed_form``.
 
+Packed vanishing.  ``derivative_of_vector`` stays the reference for a
+Hecke combination's derivative.  The kernel sweep in ``verify`` computes the
+same value as one packed int: each vector's weights packed once
+(``_packed_weights``), the signed D(j) of an orbit packed once
+(``_signed_derivatives``), and their combination (``_packed_combination``)
+compared with 0, at a width its caller proves.
+
 Rank certification is two-sided: a fraction-free (Bareiss) elimination over
 the q-polynomial entries, packed as ints at a width every minor fits
 (``_packed_rank``), computes the rank outright, and independently the
@@ -326,6 +333,41 @@ def certify_full_rank(m: DerivMatrix) -> RankCertificate:
         spot_checks=spot,
         flags=flags,
     )
+
+
+def _packed_weights(vec: HeckeVector, width: int) -> list[tuple[int, int]]:
+    """The (level, weight) pairs of ``vec``, each weight packed at ``width``
+    (``QPolynomial._packed``).  Raises ArithmeticError on a weight that does
+    not pack there, which a width proven for the vector never meets."""
+    out = []
+    for r, c in vec.items():
+        x = c._packed(width)
+        if x is None:
+            raise ArithmeticError(f"the weight {c} at level {r} does not pack at width {width}")
+        out.append((r, x))
+    return out
+
+
+def _signed_derivatives(sum_bc: int, ve: int, vda: int | float, top: int, tables: tuple) -> list[int]:
+    """(-1)**(sum_bc + j) D(j) for j = 0, ..., ``top``, each
+    ``orbital._packed_derivative`` at (j, 0, sum_bc, ve, vda) packed at the
+    width of ``tables``: the signed derivatives that ``derivative_of_vector``
+    combines at the orbit with vb + vc = sum_bc, split as (0, sum_bc)."""
+    out = []
+    for j in range(top + 1):
+        d = _packed_derivative(j, 0, sum_bc, ve, vda, tables)
+        out.append(-d if (sum_bc + j) & 1 else d)
+    return out
+
+
+def _packed_combination(weights: list[tuple[int, int]], signed: list[int]) -> int:
+    """``derivative_of_vector`` packed: the sum of weight * signed[level]
+    over ``weights`` (``_packed_weights``), with ``signed`` from
+    ``_signed_derivatives``.  Packing is evaluation at q = 2**width, a ring
+    homomorphism, so the int is the packed value of the combination, and 0
+    exactly when it is, wherever the combination's coefficients fit the
+    width."""
+    return sum([w * signed[r] for r, w in weights])
 
 
 def large_r_vector(r: int) -> HeckeVector:

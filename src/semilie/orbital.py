@@ -35,8 +35,10 @@ are.  Both builders start at lo = -(vb + r); the zero series is (0, []).
 The public ``orbital_closed_form`` and ``orbital_support_sum`` decode the
 pair (``LaurentSeries._from_rows``); the orbital sweep in ``verify`` works
 on the pair itself.  ``_packed_derivative`` is ``derivative_closed_form``
-packed the same way, one int per tuple, for the sweep and the kernel
-matrix; ``derivative_closed_form`` stays the reference.
+packed the same way, one int per tuple, for the sweeps and the kernel
+matrix; ``derivative_closed_form`` stays the reference.  The three private
+builders take the five ints (r, vb, vc, ve, vda) rather than an
+``OrbitalParams``, so that a sweep builds none per tuple.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
     (-1)**k c(k) q**(vda + r) over k in [2 vda - vb + r, 2 ve + vc - 2 vda - r].
     """
     width = row_width(p)
-    return LaurentSeries._from_rows(_closed_form_rows(p, _derivative_tables(width, max(p.n_bound(), 0))), width)
+    tables = _derivative_tables(width, max(p.n_bound(), 0))
+    return LaurentSeries._from_rows(_closed_form_rows(p.r, p.vb, p.vc, p.ve, p.vda, tables), width)
 
 
 def support_points(r: int, s: int, ve: int) -> int:
@@ -164,12 +167,14 @@ def row_width(p: OrbitalParams) -> int:
     return (support_points(r, vb + vc, ve) * k_max).bit_length() + 1
 
 
-def _closed_form_rows(p: OrbitalParams, tables: tuple) -> tuple[int, list[int]]:
-    """``orbital_closed_form`` as the pair (lo, rows) (see "Packed rows"
-    above), packed at the width of ``tables``, ``_derivative_tables`` at a
-    width >= ``row_width(p)`` with n >= n_bound: with X = 2**width, row k is
-    (-1)**k G[n(k)], G[n] = 1 + X + ... + X**n, plus the plateau monomial
-    (-1)**k c(k) X**(vda + r), of the same sign, so no row is 0.
+def _closed_form_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> tuple[int, list[int]]:
+    """``orbital_closed_form`` at (r, vb, vc, ve, vda) as the pair (lo, rows)
+    (see "Packed rows" above), packed at the width of ``tables``,
+    ``_derivative_tables`` at a width >= ``row_width`` with n >= n_bound;
+    the arguments must be admissible (``OrbitalParams``).  With
+    X = 2**width, row k is (-1)**k G[n(k)], G[n] = 1 + X + ... + X**n, plus
+    the plateau monomial (-1)**k c(k) X**(vda + r), of the same sign, so no
+    row is 0.
 
     With j = k - lo, lo = -(vb + r), the span h = hi - lo = 2 ve + vb + vc
     + 2 r is odd, so n(k) = min(j // 2, (h - j) // 2, cap) is the same at
@@ -178,13 +183,15 @@ def _closed_form_rows(p: OrbitalParams, tables: tuple) -> tuple[int, list[int]]:
     then G[cap - 1], ..., G[0], as cap <= ve and cap <= (vb + vc - 1)/2 + r
     give 2 cap <= H.  The rows are the tent at even k and its negation at
     odd k, each built by list slicing; only the plateau loops over k."""
-    if p.ve < 0:
+    if ve < 0:
         return 0, []
     width, geometric, _ = tables
-    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
-    cap = p.n_bound()
+    a = (vb + vc - 1) // 2 + r
+    cap = ve if ve < a else a  # min(ve, (vb + vc - 1)/2 + r, vda + r)
+    if vda + r < cap:
+        cap = vda + r
     lo = -(vb + r)
-    half = ve + (vb + vc - 1) // 2 + r
+    half = ve + a
     rise = geometric[:cap]
     tent = rise + geometric[cap:cap + 1] * (half + 1 - 2 * cap) + rise[::-1]
     rows = [0] * (2 * half + 2)
@@ -218,12 +225,13 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
     against, term by term.
     """
     width = row_width(p)
-    return LaurentSeries._from_rows(_support_sum_rows(p, width), width)
+    return LaurentSeries._from_rows(_support_sum_rows(p.r, p.vb, p.vc, p.ve, p.vda, width), width)
 
 
-def _support_sum_rows(p: OrbitalParams, width: int) -> tuple[int, list[int]]:
-    """``orbital_support_sum`` as the pair (lo, rows) (see "Packed rows"
-    above), packed at ``width`` >= ``row_width(p)``.
+def _support_sum_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, width: int) -> tuple[int, list[int]]:
+    """``orbital_support_sum`` at (r, vb, vc, ve, vda) as the pair (lo, rows)
+    (see "Packed rows" above), packed at ``width`` >= ``row_width``; the
+    arguments must be admissible (``OrbitalParams``).
 
     Every lattice point adds its own X**e, X = 2**width, to the unsigned
     total of row k, kept in a list indexed by k - lo; the sign (-1)**k is
@@ -237,10 +245,9 @@ def _support_sum_rows(p: OrbitalParams, width: int) -> tuple[int, list[int]]:
     0, so max(r, -half) = r and the first extra block's top is r + vb + vc
     + r, above the first block's 2 vda + 2 r and the second extra block's
     vda + r.  Only the accumulator is packed."""
-    if p.ve < 0:
+    if ve < 0:
         return 0, []
-    r, vb, vc, ve = p.r, p.vb, p.vc, p.ve
-    th = p.theta()
+    th = min(vb + vc, 2 * vda)
     even = th % 2 == 0
     half = th // 2
     base = vc + r

@@ -62,6 +62,12 @@ def pack_row(coeffs: dict[int, int], width: int) -> int:
     return sum(c << width * e for e, c in coeffs.items())
 
 
+def orbit_fields(p: OrbitalParams) -> tuple:
+    """(r, vb, vc, ve, vda), the ints the private series builders of
+    ``semilie.orbital`` take in place of ``p``."""
+    return p.r, p.vb, p.vc, p.ve, p.vda
+
+
 def tables_at(p: OrbitalParams, width: int) -> tuple:
     """The prefix tables ``semilie.orbital._closed_form_rows`` reads for
     ``p`` at ``width``: ``_derivative_tables`` up to p's n_bound."""

@@ -60,8 +60,8 @@ def test_orbital_oracle_mismatch(capsys, monkeypatch, as_json):
     p = semilie.OrbitalParams(r=2, vb=-1, vc=4, ve=3, vda=1)
     original = cli._support_sum_rows
 
-    def bumped(p, width):
-        lo, rows = original(p, width)
+    def bumped(*args):
+        lo, rows = original(*args)
         rows[-lo] += 1  # the row of T**0
         return lo, rows
 

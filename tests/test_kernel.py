@@ -14,17 +14,21 @@ from semilie import INFINITY, InvalidParamsError, OrbitalParams, QPolynomial, bu
 from semilie import kernel
 from semilie.exactpoly import unpack
 from semilie.kernel import (
+    _packed_combination,
     _packed_matrix,
     _packed_rank,
+    _packed_weights,
     _rank_width,
     _reduce_rows,
+    _signed_derivatives,
+    large_r_vector,
     phi_exceptional_window,
     phi_sequence_vector,
     test_large_r_vanishing as large_r_report,
     test_phi_sequence as phi_sequence_report,
 )
-from semilie.orbital import derivative_of_vector
-from semilie.verify import KERNEL_RANK_GRID
+from semilie.orbital import HeckeVector, _derivative_tables, derivative_of_vector
+from semilie.verify import _KERNEL_SUMS, _KERNEL_VDAS, KERNEL_RANK_GRID, SweepConfig, _kernel_width
 
 # --- Example A: sum_bc = 1, vda = 0 (6 x 5) ----------------------------------
 
@@ -352,3 +356,41 @@ class TestVanishingSuites:
     def test_phi_needs_r_at_least_5(self):
         with pytest.raises(Exception):
             phi_sequence_vector(4)
+
+
+class TestPackedVanishing:
+    def test_packed_combinations_decode_to_derivative_of_vector(self):
+        """At every orbit and level of the kernel suite's vanishing checks up
+        to ve = 80, inside the sequence's window too, the packed combination
+        at the suite's width decodes to ``derivative_of_vector``: the width
+        holds every coefficient far past the default grid."""
+        config = SweepConfig(ve_max=80)
+        width = _kernel_width(config)
+        tables = _derivative_tables(width, config.ve_max)
+        top = config.ve_max + 8
+        vectors = {
+            "large": {r: large_r_vector(r) for r in range(2, top + 1)},
+            "phi": {r: phi_sequence_vector(r) for r in range(5, top + 1)},
+        }
+        weights = {name: {r: _packed_weights(vec, width) for r, vec in vecs.items()} for name, vecs in vectors.items()}
+        checked = 0
+        for s in _KERNEL_SUMS:
+            for vda in _KERNEL_VDAS:
+                for ve in range(0, config.ve_max + 1, 2):
+                    base = OrbitalParams(r=0, vb=0, vc=s, ve=ve, vda=vda)
+                    signed = _signed_derivatives(s, ve, vda, ve + 8, tables)
+                    for name, levels in (("large", range(ve + 2, ve + 9)), ("phi", range(5, ve + 9))):
+                        for r in levels:
+                            got = _packed_combination(weights[name][r], signed)
+                            want = derivative_of_vector(base, vectors[name][r])
+                            assert QPolynomial._from_packed(got, width) == want, (name, s, vda, ve, r)
+                            checked += 1
+        assert checked == 3444 + 21648  # the sequence's count takes in its window's levels
+
+    def test_weights_pack_at_the_width_or_raise(self):
+        """Weights pack as ``QPolynomial._packed`` does; one that does not
+        fit the width raises rather than packs wrong."""
+        vec = phi_sequence_vector(5)
+        assert _packed_weights(vec, 4) == [(r, c._packed(4)) for r, c in vec.items()]
+        with pytest.raises(ArithmeticError):
+            _packed_weights(HeckeVector({3: 8}), 4)

@@ -6,13 +6,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from helpers import pack_row, reference_int_circ, reference_int_total, tables_at
+from helpers import orbit_fields, pack_row, reference_int_circ, reference_int_total, tables_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semilie import INFINITY, LaurentSeries, OrbitalParams, QPolynomial, SatakeY, SweepConfig, run_suite
-from semilie import cli, intersection, orbital, satake, verify
-from semilie.exactpoly import unpack
+from semilie import INFINITY, HeckeVector, LaurentSeries, OrbitalParams, QPolynomial, SatakeY, SweepConfig, run_suite
+from semilie import cli, intersection, kernel, orbital, satake, verify
+from semilie.exactpoly import _sign_mask, unpack
 from semilie.orbital import InvalidParamsError
 from semilie.padiclab import DiskCounter, QuadExtRing
 from semilie.verify import SuiteResult, suite_miracle, suite_orbital, suite_quaternion
@@ -180,8 +180,8 @@ def pack_terms(terms, width):
 @pytest.mark.parametrize(
     "public, private",
     [
-        (orbital.orbital_closed_form, lambda p, width: orbital._closed_form_rows(p, tables_at(p, width))),
-        (orbital.orbital_support_sum, orbital._support_sum_rows),
+        (orbital.orbital_closed_form, lambda p, width: orbital._closed_form_rows(*orbit_fields(p), tables_at(p, width))),
+        (orbital.orbital_support_sum, lambda p, width: orbital._support_sum_rows(*orbit_fields(p), width)),
     ],
     ids=["closed_form", "support_sum"],
 )
@@ -205,11 +205,23 @@ def flip_one_coefficient(series):
     return series + LaurentSeries.t_power(k, QPolynomial.q_power(e, -2 * c))
 
 
+def past_top_degree(series):
+    """One more term at the least k, one q-degree past the series' top and
+    signed (-1)**k: its sign is the row's, so of the sign pattern only the
+    degree bound n_bound breaks."""
+    if series.is_zero():
+        return series
+    k = min(series.support())
+    top = max(coeff.max_exponent() for _, coeff in series.items())
+    return series + LaurentSeries.t_power(k, QPolynomial.q_power(top + 1, -1 if k % 2 else 1))
+
+
 #: Mutations of the closed-form series, made on the series its rows stand for.
 CLOSED_FORM_MUTATIONS = {
     "sign_flip": flip_one_coefficient,
     "constant_at_T0": lambda series: series + LaurentSeries.t_power(0, 1),
     "term_at_T1": lambda series: series + LaurentSeries.t_power(1, QPolynomial.q_power(1)),
+    "past_top_degree": past_top_degree,
 }
 
 #: At vb + vc = 1, vda = 1, 2 and INFINITY share theta = 1, so this tuple is
@@ -222,9 +234,9 @@ def mutated_rows(mutation, only=None):
     ``only`` alone, replaced by the canonical pair of the mutated series."""
     original, mutate = verify._closed_form_rows, CLOSED_FORM_MUTATIONS[mutation]
 
-    def rows(p, tables):
-        out = original(p, tables)
-        if only is None or p == only:
+    def rows(*args):
+        out, tables = original(*args), args[5]
+        if only is None or OrbitalParams(*args[:5]) == only:
             width = tables[0]
             out = pack_terms(term_maps(mutate(LaurentSeries._from_rows(out, width))), width)
         return out
@@ -237,9 +249,9 @@ def test_constant_at_T0_below_lo_extends_lo():
     mutated series: lo moves down to it, and the rows between are 0."""
     p = OrbitalParams(r=0, vb=-6, vc=7, ve=1, vda=0)
     tables = tables_at(p, orbital.row_width(p))
-    lo, rows = verify._closed_form_rows(p, tables)
+    lo, rows = verify._closed_form_rows(*orbit_fields(p), tables)
     assert lo == 6
-    assert mutated_rows("constant_at_T0")(p, tables) == (0, [1, 0, 0, 0, 0, 0, *rows])
+    assert mutated_rows("constant_at_T0")(*orbit_fields(p), tables) == (0, [1, 0, 0, 0, 0, 0, *rows])
 
 
 @pytest.mark.parametrize(
@@ -269,15 +281,15 @@ def walk_orbital(config):
     seen = {}
     for p in config.full_tuples():
         width = orbital.row_width(p)
-        pair = verify._closed_form_rows(p, tables_at(p, width))
-        res.check(pair == orbital._support_sum_rows(p, width), "closed_form == support_sum", params=p)
+        pair = verify._closed_form_rows(*orbit_fields(p), tables_at(p, width))
+        res.check(pair == orbital._support_sum_rows(*orbit_fields(p), width), "closed_form == support_sum", params=p)
         lo, rows = pair
         res.check(not sum(rows), "value at s=0 is 0", params=p)
         weighted = sum(k * x for k, x in enumerate(rows, lo))
         log_deriv = QPolynomial(unpack(-weighted if (p.vc + p.r) % 2 else weighted, width))
         deriv = orbital.derivative_closed_form(p)
         res.check(deriv == log_deriv, "derivative == signed series derivative", params=p)
-        k = verify._first_sign_break(pair, width, max(p.n_bound() + 1, 0))
+        k = verify._first_sign_break(pair, _sign_mask(width, max(p.n_bound() + 1, 0)))
         res.check(k is None, "sign pattern (-1)^k", params=p, k=k)
         key = (p.r, p.vb + p.vc, p.ve, p.vda)
         res.check(seen.setdefault(key, deriv) == deriv, "derivative depends only on vb+vc", params=p)
@@ -291,10 +303,12 @@ def walk_orbital(config):
         ("sign_flip", None),
         ("constant_at_T0", None),
         ("term_at_T1", None),
+        ("past_top_degree", None),
         ("constant_at_T0", SHARED_THETA_TARGET),
         ("term_at_T1", SHARED_THETA_TARGET),
     ],
-    ids=["clean", "sign_flip", "constant_at_T0", "term_at_T1", "constant_at_T0-shared", "term_at_T1-shared"],
+    ids=["clean", "sign_flip", "constant_at_T0", "term_at_T1", "past_top_degree", "constant_at_T0-shared",
+         "term_at_T1-shared"],
 )
 def test_orbital_records_match_the_per_tuple_walk(monkeypatch, mutation, only):
     """Reading the row checks once per oracle entry and counting each
@@ -330,6 +344,7 @@ def test_orbital_oracle_runs_once_per_orbit_and_theta(monkeypatch):
     rows and is one width per block (r, vb + vc)."""
     calls = counted(monkeypatch, "_support_sum_rows")
     assert suite_orbital(SMALL).passed
+    calls = [(OrbitalParams(*args[:5]), args[5]) for args in calls]
     keys = [(p.r, p.vb, p.vc, p.ve, p.theta()) for p, _ in calls]
     assert len(keys) == len(set(keys)) == len({(p.r, p.vb, p.vc, p.ve, p.theta()) for p in SMALL.full_tuples()})
     assert all(width >= orbital.row_width(p) for p, width in calls)
@@ -344,9 +359,9 @@ def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
     assert {dataclasses.replace(target, vda=vda).theta() for vda in (1, 2, INFINITY)} == {1}
     original = verify._closed_form_rows
 
-    def mutated(p, tables):
-        lo, rows = original(p, tables)
-        if p == target:
+    def mutated(*args):
+        lo, rows = original(*args)
+        if OrbitalParams(*args[:5]) == target:
             rows[-lo] += 1  # the row of T**0
         return lo, rows
 
@@ -374,7 +389,72 @@ def test_row_checks_read_once_per_oracle_entry(monkeypatch, differs):
     assert len(entries) < len(tuples)
     assert len(sums) == len(entries) + differs
     assert len(breaks) == len(entries) + differs
-    assert [p for p, _ in closed] == [OrbitalParams(*args[:5]) for args in derivatives] == tuples
+    assert [OrbitalParams(*args[:5]) for args in closed] == [OrbitalParams(*args[:5]) for args in derivatives] == tuples
+
+
+WALK_CONFIGS = [
+    SMALL,
+    SweepConfig(r_max=0, sum_bc_max=12, ve_max=0, vda_max=0),
+    SweepConfig(r_max=1, sum_bc_max=3, ve_max=1, vda_max=-1),
+    SweepConfig(r_max=3, sum_bc_max=5, ve_max=4, vda_max=1),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, tuples, calls_per_tuple",
+    [("orbital", SweepConfig.full_tuples, 1), ("miracle", SweepConfig.reduced_tuples, 2),
+     ("afl", SweepConfig.reduced_tuples, 1)],
+    ids=["orbital", "miracle", "afl"],
+)
+@pytest.mark.parametrize("config", WALK_CONFIGS, ids=["small", "even_sum_bc_max", "vda_inf_only", "rmax3_ve4"])
+def test_int_walks_visit_the_grid_in_order(monkeypatch, suite, tuples, calls_per_tuple, config):
+    """Each sweep walks its grid as ints and reads each tuple's packed
+    derivative first at the tuple itself (the miracle suite then at
+    ve - 1): those tuples are exactly ``full_tuples`` or ``reduced_tuples``,
+    in order, and each constructs as an ``OrbitalParams``."""
+    derivatives = counted(monkeypatch, "_packed_derivative")
+    (res,) = run_suite(suite, config)
+    assert res.passed
+    assert [OrbitalParams(*args[:5]) for args in derivatives[::calls_per_tuple]] == list(tuples(config))
+
+
+def walk_kernel_vanishing(config):
+    """The kernel suite's vanishing checks as one ``check`` per combination,
+    each on the ``kernel`` report built from ``derivative_of_vector``."""
+    res = SuiteResult("kernel")
+    for s in (1, 3, 5, 11):
+        for vda in (0, 2, INFINITY):
+            for ve in range(0, config.ve_max + 1, 2):
+                base = OrbitalParams(r=0, vb=0, vc=s, ve=ve, vda=vda)
+                for r in range(ve + 2, ve + 9):
+                    report = kernel.test_large_r_vanishing(base.with_r(r))
+                    res.check(report["pass"], "large-r 1,2,1 vanishing", **report)
+                for r in range(5, ve + 9):
+                    report = kernel.test_phi_sequence(base, r)
+                    res.check(report["pass"], "sequence vanishing outside window", **report)
+    return res
+
+
+@pytest.mark.parametrize("mutated", [None, "large_r_vector", "phi_sequence_vector"])
+def test_kernel_vanishing_matches_the_report_walk(monkeypatch, mutated):
+    """The packed vanishing checks count and record as the per-check walk
+    over the ``kernel`` reports does: the same counts, and the same records
+    in the same order, each value decoded from its packed int equal to the
+    report's ``derivative_of_vector``; also with a vector 1 too large at its
+    top level, which fails every check of its identity outside the window."""
+    if mutated:
+        wrong = plus_top_level(getattr(kernel, mutated))
+        monkeypatch.setattr(kernel, mutated, wrong)
+        monkeypatch.setattr(verify, mutated, wrong)
+    (got,) = run_suite("kernel", SMALL)
+    want = walk_kernel_vanishing(SMALL)
+    assert list(got.checks_by_identity.items())[1:] == list(want.checks_by_identity.items())
+    assert got.failures == want.failures
+    assert bool(got.failures) == bool(mutated)
+    if mutated:
+        identity = {"large_r_vector": "large-r 1,2,1 vanishing"}.get(mutated, "sequence vanishing outside window")
+        assert {f["identity"] for f in got.failures} == {identity}
+        assert all(not f.get("inside_window") for f in got.failures)
 
 
 @pytest.mark.parametrize(
@@ -507,6 +587,12 @@ def flip_pass(original):
     return lambda *args: {**original(*args), "pass": False}
 
 
+def plus_top_level(original):
+    """The Hecke vector at level r plus 1 at r, so that its derivative
+    gains D(r), which is never 0: the q**0 coefficient is at least 1."""
+    return lambda r: original(r) + HeckeVector({r: 1})
+
+
 ORBIT = ["identity", "params"]
 SIDES = ["identity", "params", "lhs", "rhs"]
 SATAKE = ["identity", "r"]
@@ -537,14 +623,14 @@ RECORD_CASES = [
     ),
     (
         "kernel",
-        "test_large_r_vanishing",
-        flip_pass,
+        "large_r_vector",
+        plus_top_level,
         {"large-r 1,2,1 vanishing": ["identity", "params", "value", "expected_zero", "pass"]},
     ),
     (
         "kernel",
-        "test_phi_sequence",
-        flip_pass,
+        "phi_sequence_vector",
+        plus_top_level,
         {
             "sequence vanishing outside window": [
                 "identity", "params", "r", "window", "value", "pass", "inside_window",
