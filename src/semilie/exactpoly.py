@@ -377,8 +377,24 @@ def unpack(x: int, width: int) -> dict[int, int]:
     first are the coefficients, and two such ints are equal exactly when
     their polynomials are.  Sums and int multiples of packed polynomials are
     the packed sums and multiples, as long as every coefficient of the
-    result stays in the digit range too.
+    result stays in the digit range too.  A nonzero ``x`` has no digits
+    below width 2 and raises ArithmeticError.
+
+    Read digit by digit, n digits cost O(n**2); past ``_UNPACK_SPLIT`` bits
+    ``x`` is split at k digits, in O(n log n) in all.  With X = 2**width,
+    H = X/2 (X**k - 1)/(X - 1) has the digit X/2 at each of the k places,
+    so the low k digits, each in [-X/2, X/2), sum to ((x + H) mod X**k) - H.
     """
+    if x and width < 2:
+        raise ArithmeticError(f"a nonzero int has no digits at width {width}")
+    if x.bit_length() > _UNPACK_SPLIT + 2 * width:
+        k = x.bit_length() // (2 * width)
+        size = 1 << width * k
+        offset = (size - 1) // ((1 << width) - 1) << (width - 1)
+        low = ((x + offset) & size - 1) - offset
+        out = unpack(low, width)
+        out.update((e + k, c) for e, c in unpack((x - low) >> width * k, width).items())
+        return out
     out = {}
     mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
     e = 0
@@ -391,6 +407,9 @@ def unpack(x: int, width: int) -> dict[int, int]:
         x = (x - d) >> width
         e += 1
     return out
+
+
+_UNPACK_SPLIT = 1 << 14  # bits
 
 
 def _decoded(xs: Iterable[int], width: int, encode: Callable[[dict], object] = QPolynomial._raw) -> list:

@@ -17,9 +17,8 @@ operations on ``orbital._derivative_tables``' prefix tables, the way
 ``orbital._packed_derivative`` computes the derivative.  ``int_circ`` and
 ``int_total`` add and subtract such ints and decode the result once; the
 miracle and afl sweeps in ``verify`` compare them without decoding.
-``gross_keating`` stays the reference for an arbitrary ``GKPair``, whose top
-coefficient may be a Fraction, and ``verify_miracle`` the ``QPolynomial``
-form of the miracle identity.
+``gross_keating`` decodes the same ``_packed_gk``, with one branch for the
+Fraction top coefficient of a pair no orbit gives.
 """
 
 from __future__ import annotations
@@ -27,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactpoly import QPolynomial, Scalar, _norm_scalar
+from .exactpoly import QPolynomial, unpack
 from .orbital import (
     INFINITY,
     InvalidParamsError,
     OrbitalParams,
     _derivative_tables,
+    _top_tables,
     derivative_closed_form,
     require_ints,
 )
@@ -99,14 +99,19 @@ def gross_keating(g: GKPair) -> QPolynomial:
     n1 odd:   sum_{j=0}^{(n1-1)/2} (n1 + n2 - 4j) q**j
     n1 even:  (n2 - n1 + 1)/2 * q**(n1/2) + sum_{j=0}^{n1/2-1} (n1+n2-4j) q**j
     empty:    0
+
+    ``_packed_gk`` decoded.  Its digits lie in [1, n1 + n2] (``_packed_gk``)
+    but where n1 and n2 - n1 are both even: there the top digit is
+    (n2 - n1)/2 + 1 <= n1 + n2 + 1, 1 at (0, 0), and (n2 - n1 + 1)/2 replaces
+    it.  So the width is bits(n1 + n2 + 1) + 1.
     """
     if g.is_empty():
         return QPolynomial.zero()
     n1, n2 = g.n1, g.n2
-    # n1 <= n2 keeps every coefficient positive, so the dict is canonical.
-    terms: dict[int, Scalar] = {j: n1 + n2 - 4 * j for j in range((n1 + 1) // 2)}
-    if n1 % 2 == 0:
-        terms[n1 // 2] = _norm_scalar(Fraction(n2 - n1 + 1, 2))
+    width = (n1 + n2 + 1).bit_length() + 1
+    terms = unpack(_packed_gk(n1, n2, _top_tables(width, n1 >> 1)), width)
+    if not (n1 | n2) & 1:  # n1 and n2 - n1 both even
+        terms[n1 >> 1] = Fraction(n2 - n1 + 1, 2)
     return QPolynomial._raw(terms)
 
 
@@ -121,24 +126,12 @@ def _gk_pair(r: int, s: int, ve: int, vda: int | float) -> tuple[int, int]:
     return n1, 2 * ve + s + 2 * r - n1
 
 
-def gk_from_params(p: OrbitalParams) -> GKPair:
-    """Translate orbit valuations into the Gross-Keating pair:
-
-        n1 = min(2 ve, vb + vc + 2r, 2 vda + 2r),
-        n2 = 2 ve + vb + vc + 2r - n1,
-
-    with the empty sentinel when ve < 0."""
-    if p.ve < 0:
-        return GKPair.empty()
-    return GKPair(*_gk_pair(p.r, p.vb + p.vc, p.ve, p.vda))
-
-
 def _packed_gk(n1: int, n2: int, tables: tuple) -> int:
-    """``gross_keating(GKPair(n1, n2))`` for an integral pair (n1 odd, or
-    n2 - n1 odd), packed (see ``exactpoly.unpack``) at the width of
-    ``tables``, ``orbital._derivative_tables`` with n >= floor(n1/2).
-    Every pair ``_gk_pair`` gives is integral: n1 + n2 = 2 ve + vb + vc + 2r
-    is odd.
+    """The Gross-Keating value (``gross_keating``) of an integral pair (n1
+    odd, or n2 - n1 odd), packed (see ``exactpoly.unpack``) at the width of
+    ``tables``, ``orbital._derivative_tables`` with n >= floor(n1/2) or
+    ``orbital._top_tables`` at n = floor(n1/2).  Every pair ``_gk_pair``
+    gives is integral: n1 + n2 = 2 ve + vb + vc + 2r is odd.
 
     With m = floor(n1/2), the main sum of (n1 + n2 - 4j) q**j over j <= m
     is (n1 + n2) G[m] - 4 W[m].  For odd n1 that is the value.  For even n1
@@ -261,6 +254,6 @@ def verify_miracle(p: OrbitalParams) -> dict:
     Never raises on a mismatch; returns a report with both sides, raw."""
     if p.ve < 0:
         raise InvalidParamsError(f"verify_miracle is undefined in the vanishing regime, got ve = {p.ve}")
-    lhs = gross_keating(gk_from_params(p))
+    lhs = gross_keating(GKPair(*_gk_pair(p.r, p.vb + p.vc, p.ve, p.vda)))
     rhs = derivative_closed_form(p) + derivative_closed_form(p.with_ve(p.ve - 1))
     return {"params": p, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}

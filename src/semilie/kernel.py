@@ -14,12 +14,12 @@ Packed entries.  ``_packed_matrix`` builds the matrix once as packed ints
 returns them with the one width they pack at, which its docstring proves.
 Both row reductions subtract ints (``_reduce_rows``), ``build_matrix``
 decodes each distinct int once (``exactpoly._decoded``), and the tests
-compare every entry with ``orbital.derivative_closed_form``.
+compare every entry with a dict-built D.
 
-Packed vanishing.  ``derivative_of_vector`` stays the reference for a
-Hecke combination's derivative.  The kernel sweep in ``verify`` computes the
-same value as one packed int: each vector's weights packed once
-(``_packed_weights``), the signed D(j) of an orbit packed once
+Packed vanishing.  ``derivative_of_vector`` sums ``QPolynomial`` values for
+any ``HeckeVector``, whose weights need not pack.  The kernel sweep in
+``verify`` computes the same value as one packed int: each vector's weights
+packed once (``_packed_weights``), the signed D(j) of an orbit packed once
 (``_signed_derivatives``), and their combination (``_packed_combination``)
 compared with 0, at a width its caller proves.
 
@@ -98,7 +98,7 @@ def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int) -> tuple[list[tupl
     (s - 1)/2 + r and b = vda + r (s = sum_bc; b is infinite with vda), and
     let D_i be the entry at ve = i, a sum of (i + a + 1 - 2j) q**j over j <=
     c_i = min(i, a, b), less corr q**b when b <= a and k = i - b >= 0
-    (``orbital.derivative_closed_form``).
+    (``orbital._packed_derivative``).
 
     * M: since 2 c_i <= i + a, every main coefficient lies in [1, i + a +
       1], and the correction (then c_i = b) leaves k/2 + a - b + 1 at q**b

@@ -34,11 +34,11 @@ zero row at either end, so two pairs are equal exactly when their series
 are.  Both builders start at lo = -(vb + r); the zero series is (0, []).
 The public ``orbital_closed_form`` and ``orbital_support_sum`` decode the
 pair (``LaurentSeries._from_rows``); the orbital sweep in ``verify`` works
-on the pair itself.  ``_packed_derivative`` is ``derivative_closed_form``
-packed the same way, one int per tuple, for the sweeps and the kernel
-matrix; ``derivative_closed_form`` stays the reference.  The three private
-builders take the five ints (r, vb, vc, ve, vda) rather than an
-``OrbitalParams``, so that a sweep builds none per tuple.
+on the pair itself.  ``_packed_derivative`` is D packed the same way, one
+int per tuple, which the sweeps and the kernel matrix read and
+``derivative_closed_form`` decodes.  The three private builders take the
+five ints (r, vb, vc, ve, vda) rather than an ``OrbitalParams``, so that a
+sweep builds none per tuple.
 """
 
 from __future__ import annotations
@@ -282,36 +282,15 @@ def _support_sum_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, width
 
 
 def derivative_closed_form(p: OrbitalParams) -> QPolynomial:
-    """The normalised derivative D = (-1)**(vc+r)/log(q) * dOrb/ds at s=0.
-
-    D depends on (vb, vc) only through vb + vc.  It is the main sum
-
-        sum_{j=0}^{N} ((2 ve + vb + vc + 1)/2 + r - 2j) q**j
-
-    minus, when kappa = ve - (vda + r) >= 0 and vb + vc > 2 vda, the
-    correction q**(vda+r) * (kappa/2 when kappa is even, otherwise
-    (ve + (vb+vc)/2 - 2 vda - r) - kappa/2).  Zero in the vanishing regime.
-    """
+    """The normalised derivative D = (-1)**(vc+r)/log(q) * dOrb/ds at s=0,
+    ``_packed_derivative`` decoded; 0 in the vanishing regime (ve < 0).
+    It packs at width bits(T) + 1, T = ve + (vb + vc + 1)/2 + r: D's
+    coefficients lie in [0, T], as ``kernel._packed_matrix`` proves."""
     if p.ve < 0:
         return QPolynomial.zero()
-    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
-    cap = p.n_bound()
-    top = (2 * ve + vb + vc + 1) // 2 + r
-    terms = {}
-    for j in range(cap + 1):
-        c = top - 2 * j
-        if c:
-            terms[j] = c
-    out = QPolynomial._raw(terms)
-    kap = p.kappa()
-    if kap >= 0 and vb + vc > 2 * vda:
-        if kap % 2 == 0:
-            corr = kap // 2
-        else:
-            corr = (2 * ve + vb + vc - 4 * vda - 2 * r - kap) // 2
-        if corr:
-            out = out - QPolynomial.q_power(vda + r, corr)
-    return out
+    width = (p.ve + (p.vb + p.vc + 1) // 2 + p.r).bit_length() + 1
+    x = _packed_derivative(p.r, p.vb, p.vc, p.ve, p.vda, _top_tables(width, p.n_bound()))
+    return QPolynomial._from_packed(x, width)
 
 
 def _derivative_tables(width: int, n: int) -> tuple[int, list[int], list[int]]:
@@ -326,20 +305,29 @@ def _derivative_tables(width: int, n: int) -> tuple[int, list[int], list[int]]:
     return width, geometric, weighted
 
 
-def _packed_derivative(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> int:
-    """``derivative_closed_form`` at (r, vb, vc, ve, vda), packed (see
-    ``exactpoly.unpack``) at the width of ``tables``, ``_derivative_tables``
-    with n at least its top degree cap = min(ve, (vb + vc - 1)/2 + r,
-    vda + r): top G[cap] - 2 W[cap] - corr X**(vda + r), the main sum of
-    (top - 2j) q**j over j <= cap less the correction (0 where there is
-    none), top and corr as in the reference.  A fixed number of int
-    operations, reading vb and vc separately, as the reference does.
+def _top_tables(width: int, n: int) -> tuple[int, dict[int, int], dict[int, int]]:
+    """``_derivative_tables(width, n)`` at m = n alone, as one-entry maps
+    (the tables hold O(n**2) bits): G[n] = (X**(n + 1) - 1)/(X - 1) and
+    W[n] = X (n X**(n + 1) - (n + 1) X**n + 1)/(X - 1)**2, X = 2**width."""
+    x, top = 1 << width, 1 << width * (n + 1)
+    weighted = x * (n * top - (n + 1) * (top >> width) + 1) // (x - 1) ** 2
+    return width, {n: (top - 1) // (x - 1)}, {n: weighted}
 
-    The width must hold D's coefficients, which lie in [0, ve + (vb + vc +
-    1)/2 + r] (the bound on M in ``kernel._packed_matrix``); any width at
-    least ``row_width`` does, as its 2**(B - 1) exceeds the support points
-    P >= 2 ve + 2(vb + vc) + 2 r + 1, more than that bound.  The arguments
-    must be admissible (``OrbitalParams``); ve < 0 gives 0."""
+
+def _packed_derivative(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> int:
+    """D at (r, vb, vc, ve, vda), packed (see ``exactpoly.unpack``) at the
+    width of ``tables``, ``_derivative_tables`` with n >= cap = min(ve,
+    (s - 1)/2 + r, vda + r), s = vb + vc, or ``_top_tables`` at n = cap;
+    the arguments must be admissible (``OrbitalParams``), and ve < 0 gives
+    0.  D is the main sum of (top - 2j) q**j over j <= cap, top = (2 ve + s
+    + 1)/2 + r, which is top G[cap] - 2 W[cap], less, when kappa = ve -
+    (vda + r) >= 0 and s > 2 vda, corr q**(vda + r): corr = kappa/2 for
+    even kappa, else (ve + s/2 - 2 vda - r) - kappa/2.
+
+    The width must hold D's coefficients, which lie in [0, ve + (s + 1)/2
+    + r] (the bound on M in ``kernel._packed_matrix``); any width at least
+    ``row_width`` does, as its 2**(B - 1) exceeds the support points
+    P >= 2 ve + 2 s + 2 r + 1, more than that bound."""
     width, geometric, weighted = tables
     s = vb + vc
     cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min

@@ -7,8 +7,9 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from semilie import LaurentSeries, OrbitalParams, QPolynomial, derivative_closed_form, gk_from_params, gross_keating
-from semilie.exactpoly import _sign_mask
+from semilie import GKPair, LaurentSeries, OrbitalParams, QPolynomial
+from semilie.exactpoly import _norm_scalar, _sign_mask
+from semilie.intersection import _gk_pair
 from semilie.orbital import _derivative_tables
 
 _TERM = re.compile(
@@ -152,11 +153,78 @@ def reference_first_sign_break(rows: dict[int, int], width: int, digits: int) ->
     return None
 
 
+def reference_derivative(p: OrbitalParams) -> QPolynomial:
+    """The normalised derivative D built as one dict of its coefficients:
+    the reference for ``semilie.orbital._packed_derivative``, which
+    ``derivative_closed_form`` decodes.
+
+    D depends on (vb, vc) only through vb + vc.  It is the main sum
+
+        sum_{j=0}^{N} ((2 ve + vb + vc + 1)/2 + r - 2j) q**j
+
+    minus, when kappa = ve - (vda + r) >= 0 and vb + vc > 2 vda, the
+    correction q**(vda+r) * (kappa/2 when kappa is even, otherwise
+    (ve + (vb+vc)/2 - 2 vda - r) - kappa/2).  Zero in the vanishing regime.
+    """
+    if p.ve < 0:
+        return QPolynomial.zero()
+    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
+    cap = p.n_bound()
+    top = (2 * ve + vb + vc + 1) // 2 + r
+    terms = {}
+    for j in range(cap + 1):
+        c = top - 2 * j
+        if c:
+            terms[j] = c
+    out = QPolynomial._raw(terms)
+    kap = p.kappa()
+    if kap >= 0 and vb + vc > 2 * vda:
+        if kap % 2 == 0:
+            corr = kap // 2
+        else:
+            corr = (2 * ve + vb + vc - 4 * vda - 2 * r - kap) // 2
+        if corr:
+            out = out - QPolynomial.q_power(vda + r, corr)
+    return out
+
+
+def reference_gross_keating(g: GKPair) -> QPolynomial:
+    """The Gross-Keating polynomial built as one dict of its coefficients:
+    the reference for ``semilie.intersection._packed_gk``, which
+    ``gross_keating`` decodes.
+
+    n1 odd:   sum_{j=0}^{(n1-1)/2} (n1 + n2 - 4j) q**j
+    n1 even:  (n2 - n1 + 1)/2 * q**(n1/2) + sum_{j=0}^{n1/2-1} (n1+n2-4j) q**j
+    empty:    0
+    """
+    if g.is_empty():
+        return QPolynomial.zero()
+    n1, n2 = g.n1, g.n2
+    # n1 <= n2 keeps every coefficient positive, so the dict is canonical.
+    terms = {j: n1 + n2 - 4 * j for j in range((n1 + 1) // 2)}
+    if n1 % 2 == 0:
+        terms[n1 // 2] = _norm_scalar(Fraction(n2 - n1 + 1, 2))
+    return QPolynomial._raw(terms)
+
+
+def gk_from_params(p: OrbitalParams) -> GKPair:
+    """Translate orbit valuations into the Gross-Keating pair:
+
+        n1 = min(2 ve, vb + vc + 2r, 2 vda + 2r),
+        n2 = 2 ve + vb + vc + 2r - n1,
+
+    with the empty sentinel when ve < 0."""
+    if p.ve < 0:
+        return GKPair.empty()
+    return GKPair(*_gk_pair(p.r, p.vb + p.vc, p.ve, p.vda))
+
+
 def reference_int_circ(p: OrbitalParams) -> QPolynomial:
-    """int_circ as the ``QPolynomial`` difference of the ``gross_keating``
-    values at ve and ve - 1: the reference for the packed
-    ``semilie.intersection.int_circ``."""
-    return gross_keating(gk_from_params(p)) - gross_keating(gk_from_params(p.with_ve(p.ve - 1)))
+    """int_circ as the ``QPolynomial`` difference of the
+    ``reference_gross_keating`` values at ve and ve - 1: the reference for
+    the packed ``semilie.intersection.int_circ``."""
+    below = reference_gross_keating(gk_from_params(p.with_ve(p.ve - 1)))
+    return reference_gross_keating(gk_from_params(p)) - below
 
 
 def reference_int_total(p: OrbitalParams) -> QPolynomial:
@@ -171,13 +239,13 @@ def reference_int_total(p: OrbitalParams) -> QPolynomial:
 
 def reference_stages(sum_bc: int, vda: int | float, n_cap: int) -> dict[str, list[list[QPolynomial]]]:
     """{"M": M, "M'": M', "M''": M''} of the derivative matrix, built entry
-    by entry from ``derivative_closed_form`` and row-reduced by
+    by entry from ``reference_derivative`` and row-reduced by
     ``QPolynomial`` subtraction, bottom row first: M' takes each row
     below the top minus the row above it, M'' each row of M' below the
     second minus the row two above it."""
     theta = min(sum_bc, 2 * vda)
     m = [
-        [derivative_closed_form(OrbitalParams(r=r, vb=0, vc=sum_bc, ve=ve, vda=vda)) for r in range(n_cap + 1)]
+        [reference_derivative(OrbitalParams(r=r, vb=0, vc=sum_bc, ve=ve, vda=vda)) for r in range(n_cap + 1)]
         for ve in range(n_cap + theta // 2 + 2)
     ]
     m1 = [list(row) for row in m]

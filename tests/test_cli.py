@@ -17,11 +17,11 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from helpers import reference_stages
+from helpers import reference_derivative, reference_gross_keating, reference_stages
 from test_readme import readme_examples
 
 import semilie
-from semilie import INFINITY, LaurentSeries, QPolynomial, cli, verify
+from semilie import INFINITY, GKPair, LaurentSeries, OrbitalParams, QPolynomial, cli, verify
 from semilie.cli import MAX_AT_Q_DIGITS, MAX_WORK, _evaluate, _parse_args, build_parser, main
 from semilie.satake import bc_s2_combo_image, p_r_polynomial, satake_u3_indicator
 
@@ -310,7 +310,7 @@ def test_vda_infinity_in_any_case(capsys, spelling):
     code, out, _ = run(capsys, "derivative", "--vb", "0", "--vc", "3", "--ve", "1", "--vda", spelling, "--json")
     assert code == 0
     p = semilie.OrbitalParams(r=0, vb=0, vc=3, ve=1, vda=INFINITY)
-    assert json.loads(out) == semilie.derivative_closed_form(p).to_json()
+    assert json.loads(out) == reference_derivative(p).to_json()
 
 
 def test_vda_spellings_stated_alike(capsys):
@@ -782,3 +782,57 @@ def test_cli_exit_code_contract(argv):
     code, _, err = captured(main, argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
+
+
+#: The corners (r, vb, vc, ve, vda) of the calculator's ranges at which CI
+#: checks that ``int --mode total`` prints what ``derivative`` prints.
+CORNERS = [
+    (30, -50, 91, 40, 0),
+    (30, -50, 91, 40, 20),
+    (30, -50, 91, 40, INFINITY),
+    (30, 0, 41, 40, 0),
+    (0, -50, 91, 40, INFINITY),
+    (30, -50, 91, 0, 20),
+    (30, -50, 91, 1, INFINITY),
+    (0, 0, 1, 1, 0),
+]
+
+
+def test_derivative_prints_the_reference():
+    """``derivative`` as text, --json, --raw and --at-q prints the dict-built
+    ``helpers.reference_derivative`` at the corners above and at 120 seeded
+    tuples of the calculator's off-grid ranges (r <= 30, odd vb + vc <= 41,
+    vb >= -50, vda in {0..20, inf}), ve in [-3, 40] so that ve < 0 is
+    drawn too."""
+    rng = random.Random(32)
+    tuples = list(CORNERS)
+    for _ in range(120):
+        s = rng.randrange(1, 42, 2)
+        vb = rng.randint(-50, s)
+        tuples.append((rng.randint(0, 30), vb, s - vb, rng.randint(-3, 40), rng.choice([*range(21), INFINITY])))
+    assert any(t[3] < 0 for t in tuples)
+    for r, vb, vc, ve, vda in tuples:
+        argv = ["derivative", "-r", str(r), "--vb", str(vb), "--vc", str(vc), "--ve", str(ve),
+                "--vda", "inf" if vda == INFINITY else str(vda)]
+        want = reference_derivative(OrbitalParams(r, vb, vc, ve, vda))
+        raw = want.scale(-1 if (vc + r) % 2 else 1)
+        for extra, printed in (
+            ([], str(want)),
+            (["--json"], json.dumps(want.to_json())),
+            (["--raw"], str(raw)),
+            (["--raw", "--json"], json.dumps(raw.to_json())),
+            (["--at-q", "-3/2"], str(want.evaluate(Fraction(-3, 2)))),
+        ):
+            assert captured(main, argv + extra) == (0, printed + "\n", ""), argv + extra
+
+
+def test_gk_prints_the_reference_at_every_pair():
+    """``gk`` prints the dict-built ``helpers.reference_gross_keating`` at
+    every pair 0 <= n1 <= n2 <= 60, non-integral pairs (n1 and n2 - n1 both
+    even) with their half-integer top coefficient included: (1/2) at
+    (0, 0)."""
+    assert captured(main, ["gk", "--n1", "0", "--n2", "0"]) == (0, "(1/2)\n", "")
+    for n1 in range(61):
+        for n2 in range(n1, 61):
+            want = str(reference_gross_keating(GKPair(n1, n2)))
+            assert captured(main, ["gk", "--n1", str(n1), "--n2", str(n2)]) == (0, want + "\n", ""), (n1, n2)

@@ -3,7 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from helpers import qp, reference_int_circ, reference_int_total
+from helpers import (
+    gk_from_params,
+    qp,
+    reference_derivative,
+    reference_gross_keating,
+    reference_int_circ,
+    reference_int_total,
+)
 
 from semilie import (
     INFINITY,
@@ -13,10 +20,8 @@ from semilie import (
     OrbitalParams,
     PartialOrbitalParams,
     QPolynomial,
-    derivative_closed_form,
     derivative_combo,
     geom_to_orbital,
-    gk_from_params,
     gross_keating,
     int_circ,
     int_circ_kr_closed,
@@ -85,7 +90,7 @@ class TestTranslation:
         """int_circ at ve = 0 subtracts the empty pair at ve - 1 = -1."""
         p = OrbitalParams(r=1, vb=0, vc=3, ve=0, vda=0)
         assert gk_from_params(p.with_ve(-1)) == GKPair.empty()
-        assert int_circ(p) == gross_keating(gk_from_params(p))
+        assert int_circ(p) == reference_gross_keating(gk_from_params(p))
 
     def test_pair_sum_invariant(self):
         for p in GRID:
@@ -110,13 +115,13 @@ class TestIntTotal:
 
     def test_matches_derivative_on_grid(self):
         for p in GRID:
-            assert int_total(p) == derivative_closed_form(p), p
+            assert int_total(p) == reference_derivative(p), p
 
 
 class TestPacked:
     def test_packed_gk_decodes_to_gross_keating_at_every_integral_pair(self):
         """Every integral pair 0 <= n1 <= n2 <= 90 (n1 odd, or n2 - n1 odd):
-        the packed value decodes to ``gross_keating``, with its coefficients
+        the packed value decodes to ``reference_gross_keating``, with its coefficients
         in [1, n1 + n2], the bound every packing width rests on."""
         width = (2 * 90).bit_length() + 1
         tables = _derivative_tables(width, 45)
@@ -126,7 +131,7 @@ class TestPacked:
                 if n1 % 2 == 0 and (n2 - n1) % 2 == 0:
                     continue  # a Fraction top coefficient: no orbit gives such a pair
                 got = QPolynomial._from_packed(_packed_gk(n1, n2, tables), width)
-                assert got == gross_keating(GKPair(n1, n2)), (n1, n2)
+                assert got == reference_gross_keating(GKPair(n1, n2)), (n1, n2)
                 assert all(1 <= c <= n1 + n2 for c in got.coefficients()), (n1, n2)
                 pairs += 1
         assert pairs == 4186 - 1081  # all pairs less those with n1 and n2 both even
@@ -134,7 +139,7 @@ class TestPacked:
     @pytest.mark.parametrize("ve", [0, 1, 2, 3, 4, 9, 24, 60])
     def test_int_total_and_int_circ_match_the_reference_sums(self, ve):
         """``int_total`` and ``int_circ`` equal the ``QPolynomial`` sums of
-        ``gross_keating`` values past calculator ranges (r <= 30, vb + vc <=
+        ``reference_gross_keating`` values past calculator ranges (r <= 30, vb + vc <=
         41, ve <= 60, vda in {0..20, INFINITY}) at the splits vb in {-50, 0,
         vb + vc}.  And the width holds the sum's coefficient bound: the plain
         sum of the ve + 1 Gross-Keating values, whose coefficients bound
@@ -148,7 +153,7 @@ class TestPacked:
                     for vb in (-50, 0, s):
                         p = OrbitalParams(r=r, vb=vb, vc=s - vb, ve=ve, vda=vda)
                         assert int_total(p) == total and int_circ(p) == circ, p
-                    values = [gross_keating(gk_from_params(base.with_ve(i))) for i in range(ve + 1)]
+                    values = [reference_gross_keating(gk_from_params(base.with_ve(i))) for i in range(ve + 1)]
                     absolute = sum(values, QPolynomial.zero())
                     bound = (ve + 1) * (2 * ve + s + 2 * r)
                     assert max(absolute.coefficients()) <= bound < 2 ** (_total_tables(base)[0] - 1), base

@@ -170,7 +170,7 @@ def unpacked(rows, width):
 @pytest.mark.parametrize("sum_bc", range(1, 42, 2))
 def test_packed_matrix_matches_the_closed_form(sum_bc):
     """Every matrix of the calculator's range (vda in 0..20 or inf, N <= 10)
-    unpacks to ``derivative_closed_form`` at every entry, and so do its
+    unpacks to ``helpers.reference_stages`` at every entry, and so do its
     reductions on the packed ints, at a width that some coefficient of M
     needs in full (but at vda = N = 0).
 

@@ -17,6 +17,7 @@ from helpers import (
     orbit_fields,
     pack_row,
     reference_closed_form_rows,
+    reference_derivative,
     reference_first_sign_break,
     reference_row_sums,
     reference_support_sum_rows,
@@ -34,7 +35,6 @@ from semilie.orbital import (
     _derivative_tables,
     _packed_derivative,
     _support_sum_rows,
-    derivative_closed_form,
     row_width,
     support_points,
 )
@@ -169,6 +169,34 @@ def test_packed_refuses_what_does_not_fit(coeffs):
 )
 def test_unpack_negative_digits(coeffs):
     assert unpack(pack_row(coeffs, 4), 4) == coeffs
+
+
+@pytest.mark.parametrize("x", [1, -1, 2, 3, 1 << 40])
+@pytest.mark.parametrize("width", [0, 1])
+def test_unpack_refuses_a_width_without_digits(x, width):
+    """Below width 2 the digit range holds only 0: a nonzero int raises
+    rather than loops, and 0 is still the zero polynomial at width 1."""
+    with pytest.raises(ArithmeticError):
+        unpack(x, width)
+    assert unpack(0, 1) == {}
+
+
+@pytest.mark.parametrize("width", [2, 5, 17, 64])
+def test_unpack_splits_a_long_int_and_reads_the_same_digits(width):
+    """Past ``_UNPACK_SPLIT`` bits an int is read in two parts, and reads
+    back every digit in [-X/2, X/2), X = 2**width, lowest first: with a
+    negative digit at the split, digits at both ends of the range and runs
+    of zero digits."""
+    rng = random.Random(width)
+    half = 1 << (width - 1)
+    n = 3 * exactpoly._UNPACK_SPLIT // width
+    for trial in range(4):
+        coeffs = {e: rng.choice([-half, -half + 1, -1, 0, 0, 1, half - 1]) for e in range(n)}
+        coeffs[n // 2 + trial] = -1
+        coeffs = {e: c for e, c in coeffs.items() if c}
+        x = pack_row(coeffs, width)
+        assert x.bit_length() > exactpoly._UNPACK_SPLIT + 2 * width
+        assert list(unpack(x, width).items()) == list(coeffs.items())
 
 
 @pytest.mark.parametrize(
@@ -347,7 +375,7 @@ def packed_matrix_width(p):
 
 def assert_packed_derivative(p, width):
     x = _packed_derivative(p.r, p.vb, p.vc, p.ve, p.vda, derivative_tables(width))
-    assert QPolynomial._raw(unpack(x, width)) == derivative_closed_form(p), (p, width)
+    assert QPolynomial._raw(unpack(x, width)) == reference_derivative(p), (p, width)
 
 
 def test_packed_derivative_matches_the_closed_form_on_the_default_grid():

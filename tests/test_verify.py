@@ -6,7 +6,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from helpers import orbit_fields, pack_row, reference_int_circ, reference_int_total, tables_at
+from helpers import (
+    gk_from_params,
+    orbit_fields,
+    pack_row,
+    reference_derivative,
+    reference_int_circ,
+    reference_int_total,
+    tables_at,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -287,7 +295,7 @@ def walk_orbital(config):
         res.check(not sum(rows), "value at s=0 is 0", params=p)
         weighted = sum(k * x for k, x in enumerate(rows, lo))
         log_deriv = QPolynomial(unpack(-weighted if (p.vc + p.r) % 2 else weighted, width))
-        deriv = orbital.derivative_closed_form(p)
+        deriv = reference_derivative(p)
         res.check(deriv == log_deriv, "derivative == signed series derivative", params=p)
         k = verify._first_sign_break(pair, _sign_mask(width, max(p.n_bound() + 1, 0)))
         res.check(k is None, "sign pattern (-1)^k", params=p, k=k)
@@ -473,15 +481,15 @@ def test_n_bound_is_one_number_per_oracle_entry(config, n_entries):
     assert len(n_bound) == n_entries
 
 
-def reference_afl(config, derivative=orbital.derivative_closed_form):
+def reference_afl(config, derivative=reference_derivative):
     """``suite_afl`` as a plain ``QPolynomial`` walk: the total and int_circ
-    summed afresh from ``gross_keating`` values (``reference_int_total``,
+    summed afresh from ``reference_gross_keating`` values (``reference_int_total``,
     ``reference_int_circ``) at every reduced tuple and at its level below."""
     res = SuiteResult("afl")
     for p in config.reduced_tuples():
         total, deriv = reference_int_total(p), derivative(p)
         res.check(total == deriv, "int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)
-        pair = intersection.gk_from_params(p)
+        pair = gk_from_params(p)
         res.check(pair.n1 + pair.n2 == 2 * p.ve + p.vb + p.vc + 2 * p.r, "n1 + n2 == 2 ve + vb + vc + 2r", params=p)
         if p.r >= 1:
             lhs, rhs = total - reference_int_total(p.with_r(p.r - 1)), verify.derivative_combo(p)
@@ -501,7 +509,7 @@ def test_afl_matches_a_per_tuple_int_total_walk(monkeypatch, mutated):
     per reduced tuple, in the grid's order; its report is the plain walk's,
     also with the packed derivative and the walk's derivative both 1 too
     large at one tuple."""
-    derivative = orbital.derivative_closed_form
+    derivative = reference_derivative
     if mutated:
         target, original = OrbitalParams(r=1, vb=0, vc=3, ve=3, vda=1), verify._packed_derivative
         monkeypatch.setattr(
@@ -509,7 +517,7 @@ def test_afl_matches_a_per_tuple_int_total_walk(monkeypatch, mutated):
         )
 
         def derivative(p):
-            d = orbital.derivative_closed_form(p)
+            d = reference_derivative(p)
             return d + QPolynomial.one() if p == target else d
 
     want = reference_afl(SMALL, derivative).to_json()
@@ -682,6 +690,33 @@ def test_suite_failure_records(monkeypatch, suite, callee, mutate, records):
         for side in ("lhs", "rhs"):
             if side in f:
                 assert QPolynomial.from_json(f[side]).to_json() == f[side]
+
+
+SMOKE = SweepConfig(r_max=2, ve_max=4, sum_bc_max=5)
+
+
+@pytest.mark.parametrize(
+    "module, formula, argv, printed, suites",
+    [
+        (orbital, "_packed_derivative", "derivative -r 0 --vb 0 --vc 5 --ve 4 --vda 1", "2q + 7", ["miracle", "afl"]),
+        (intersection, "_packed_gk", "gk --n1 2 --n2 3", "q + 5", ["miracle"]),
+    ],
+    ids=["derivative", "gk"],
+)
+def test_calculator_prints_the_formula_the_sweeps_check(monkeypatch, capsys, module, formula, argv, printed, suites):
+    """``derivative`` and ``gk`` print the packed forms the sweeps compare:
+    the form 1 too large at q**0, patched in its own module, which the
+    calculator's decoder reads, and in ``verify``, which imports it, moves
+    the printed value and fails the smoke grid's suites that read it."""
+    assert cli.main(argv.split()) == 0 and capsys.readouterr().out == printed + "\n"
+    wrong = packed_plus_one(getattr(module, formula))
+    monkeypatch.setattr(module, formula, wrong)
+    monkeypatch.setattr(verify, formula, wrong)
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out != printed + "\n"
+    for suite in suites:
+        (res,) = run_suite(suite, SMOKE)
+        assert not res.passed, suite
 
 
 def wrong_coefficient(original):
