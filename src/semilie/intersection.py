@@ -130,7 +130,7 @@ def _packed_gk(n1: int, n2: int, tables: tuple) -> int:
     """The Gross-Keating value (``gross_keating``) of an integral pair (n1
     odd, or n2 - n1 odd), packed (see ``exactpoly.unpack``) at the width of
     ``tables``, ``orbital._derivative_tables`` with n >= floor(n1/2) or
-    ``orbital._top_tables`` at n = floor(n1/2).  Every pair ``_gk_pair``
+    ``orbital._top_tables`` at degrees including floor(n1/2).  Every pair ``_gk_pair``
     gives is integral: n1 + n2 = 2 ve + vb + vc + 2r is odd.
 
     With m = floor(n1/2), the main sum of (n1 + n2 - 4j) q**j over j <= m
@@ -140,7 +140,7 @@ def _packed_gk(n1: int, n2: int, tables: tuple) -> int:
 
     The width must hold the value's coefficients, which lie in [1, n1 + n2]:
     n1 + n2 - 4j >= n2 - n1 + 2 for j <= (n1 - 1)/2, and (n2 - n1 + 1)/2 >= 1."""
-    width, geometric, weighted = tables
+    width, geometric, weighted, _ = tables
     m = n1 >> 1
     x = (n1 + n2) * geometric[m] - 4 * weighted[m]
     if not n1 & 1:
@@ -160,23 +160,32 @@ def _packed_circ(r: int, s: int, ve: int, vda: int | float, tables: tuple) -> in
     return x
 
 
+def _total_width(p: OrbitalParams) -> int:
+    """The width at which ``int_total`` and ``int_circ`` pack p, bits(M) +
+    1 with M = (ve + 1)(2 ve + vb + vc + 2r), which ``int_total`` shows to
+    hold both."""
+    return ((p.ve + 1) * (2 * p.ve + p.vb + p.vc + 2 * p.r)).bit_length() + 1
+
+
 def _total_tables(p: OrbitalParams) -> tuple:
-    """``orbital._derivative_tables`` at the width at which ``int_total``
-    and ``int_circ`` pack p, bits(M) + 1 with M = (ve + 1)(2 ve + vb + vc +
-    2r), which ``int_total`` shows to hold both, and with n = ``n_bound``:
-    at every v(e) = i <= ve, floor(n1/2) = min(i, (vb + vc - 1)/2 + r,
-    vda + r) is at most that."""
-    width = ((p.ve + 1) * (2 * p.ve + p.vb + p.vc + 2 * p.r)).bit_length() + 1
-    return _derivative_tables(width, p.n_bound())
+    """``orbital._derivative_tables`` at ``_total_width`` and with n =
+    ``n_bound``: at every v(e) = i <= ve, floor(n1/2) = min(i, (vb + vc -
+    1)/2 + r, vda + r) is at most that."""
+    return _derivative_tables(_total_width(p), p.n_bound())
 
 
 def int_circ(p: OrbitalParams) -> QPolynomial:
     """Primitive intersection number: GK at ve minus GK at ve - 1, packed
-    (``_packed_circ``) at ``int_total``'s width and decoded once."""
+    (``_packed_circ``) at ``int_total``'s width and decoded once.  The
+    prefix sums are read at the two degrees floor(n1/2) of ``_gk_pair`` at
+    ve and ve - 1 alone (``orbital._top_tables``), so the tables hold O(n)
+    bits, not the O(n**2) of ``orbital._derivative_tables``."""
     if p.ve < 0:
         raise InvalidParamsError(f"int_circ is undefined in the vanishing regime, got ve = {p.ve}")
-    tables = _total_tables(p)
-    return QPolynomial._from_packed(_packed_circ(p.r, p.vb + p.vc, p.ve, p.vda, tables), tables[0])
+    r, s, ve, vda = p.r, p.vb + p.vc, p.ve, p.vda
+    width = _total_width(p)
+    degrees = [_gk_pair(r, s, i, vda)[0] >> 1 for i in (ve, ve - 1) if i >= 0]
+    return QPolynomial._from_packed(_packed_circ(r, s, ve, vda, _top_tables(width, *degrees)), width)
 
 
 def int_total(p: OrbitalParams) -> QPolynomial:

@@ -34,18 +34,21 @@ zero row at either end, so two pairs are equal exactly when their series
 are.  Both builders start at lo = -(vb + r); the zero series is (0, []).
 The public ``orbital_closed_form`` and ``orbital_support_sum`` decode the
 pair (``LaurentSeries._from_rows``); the orbital sweep in ``verify`` works
-on the pair itself.  ``_packed_derivative`` is D packed the same way, one
-int per tuple, which the sweeps and the kernel matrix read and
-``derivative_closed_form`` decodes.  The three private builders take the
-five ints (r, vb, vc, ve, vda) rather than an ``OrbitalParams``, so that a
-sweep builds none per tuple.
+on the pair itself.  The closed form's rows may be shared: calls on the
+same ``_derivative_tables`` return one memoised list for every tuple of a
+tent, so no caller may mutate the rows a builder returns.
+``_packed_derivative`` is D packed the same way, one int per tuple, which
+the sweeps and the kernel matrix read and ``derivative_closed_form``
+decodes.  The three private builders take the five ints (r, vb, vc, ve,
+vda) rather than an ``OrbitalParams``, so that a sweep builds none per
+tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import neg
+from operator import add, neg, sub
 
 from .exactpoly import KeyedModule, LaurentSeries, QPolynomial
 
@@ -174,7 +177,8 @@ def _closed_form_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, table
     the arguments must be admissible (``OrbitalParams``).  With
     X = 2**width, row k is (-1)**k G[n(k)], G[n] = 1 + X + ... + X**n, plus
     the plateau monomial (-1)**k c(k) X**(vda + r), of the same sign, so no
-    row is 0.
+    row is 0.  The returned rows may be shared with other calls on the same
+    ``tables`` and must never be mutated.
 
     With j = k - lo, lo = -(vb + r), the span h = hi - lo = 2 ve + vb + vc
     + 2 r is odd, so n(k) = min(j // 2, (h - j) // 2, cap) is the same at
@@ -182,29 +186,41 @@ def _closed_form_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, table
     that is a tent G[0], ..., G[cap - 1], then G[cap] H + 1 - 2 cap times,
     then G[cap - 1], ..., G[0], as cap <= ve and cap <= (vb + vc - 1)/2 + r
     give 2 cap <= H.  The rows are the tent at even k and its negation at
-    odd k, each built by list slicing; only the plateau loops over k."""
+    odd k, each built by list slicing; they read only (half, cap, lo & 1)
+    and G, so they are built once per key and kept in the memo of
+    ``tables``.  The plateau adds the trapezoid c(k) = min(k - c_lo, c_hi -
+    k, plateau) X**(vda + r) to a copy of them: a ramp, a flat top and the
+    ramp reversed, c_hi - c_lo being odd and above 2 plateau, added with
+    the sign of k on the two stride-2 slices of its span."""
     if ve < 0:
         return 0, []
-    width, geometric, _ = tables
+    width, geometric, _, tents = tables
     a = (vb + vc - 1) // 2 + r
     cap = ve if ve < a else a  # min(ve, (vb + vc - 1)/2 + r, vda + r)
     if vda + r < cap:
         cap = vda + r
     lo = -(vb + r)
     half = ve + a
-    rise = geometric[:cap]
-    tent = rise + geometric[cap:cap + 1] * (half + 1 - 2 * cap) + rise[::-1]
-    rows = [0] * (2 * half + 2)
-    rows[lo & 1::2] = tent  # the even k
-    rows[(lo + 1) & 1::2] = map(neg, tent)  # the odd k
+    key = half, cap, lo & 1
+    rows = tents.get(key)
+    if rows is None:
+        rise = geometric[:cap]
+        tent = rise + geometric[cap:cap + 1] * (half + 1 - 2 * cap) + rise[::-1]
+        rows = tents[key] = [0] * (2 * half + 2)
+        rows[lo & 1::2] = tent  # the even k
+        rows[(lo + 1) & 1::2] = map(neg, tent)  # the odd k
     if vda < ve - r and vb + vc > 2 * vda:
         c_lo = 2 * vda - vb + r
         c_hi = 2 * ve + vc - 2 * vda - r
         plateau = ve - vda - r
         x = 1 << width * (vda + r)
-        for k in range(c_lo, c_hi + 1):
-            c_k = min(k - c_lo, c_hi - k, plateau) * x
-            rows[k - lo] += -c_k if k & 1 else c_k
+        ramp = range(0, plateau * x, x)
+        trapezoid = [*ramp, *[plateau * x] * (c_hi - c_lo + 1 - 2 * plateau), *ramp[::-1]]
+        rows = [*rows]
+        i, j = c_lo - lo, c_hi - lo + 1
+        first, second = (sub, add) if c_lo & 1 else (add, sub)
+        rows[i:j:2] = map(first, rows[i:j:2], trapezoid[::2])
+        rows[i + 1:j:2] = map(second, rows[i + 1:j:2], trapezoid[1::2])
     return lo, rows
 
 
@@ -257,19 +273,23 @@ def _support_sum_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, width
     lo = base - m_top
     power = [1 << width * e for e in range(ve + 1)]  # power[e] = X**e
     acc = [0] * (2 * ve + m_top + 1)  # acc[k - lo], k in [lo, 2 ve + base]
+    first = range(th + 2 * r + 1)  # the first block's m, the same at every n2
     for n2 in range(ve + 1):
         i0 = 2 * n2 + m_top  # the index of k at m = 0
         split, x_top = 2 * n2, power[n2]
-        for m in range(th + 2 * r + 1):
+        for m in first:
             acc[i0 - m] += power[m >> 1] if m < split else x_top  # X**min(n2, m // 2)
     if even:
         m_lo = th + 2 * r + 1
+        half_r, top_r = half + r, vb + vc + r
         for n2 in range(ve + 1):
             i0 = 2 * n2 + m_top
-            x = power[min(n2, half + r)]
-            for m_hi in (max(r, n2 - half) + vb + vc + r, n2 + half + r):
-                for m in range(m_lo, m_hi + 1):
-                    acc[i0 - m] += x
+            x = power[n2 if n2 < half_r else half_r]  # X**min(n2, half + r)
+            m_hi = (r if r > n2 - half else n2 - half) + top_r  # max(r, n2 - half) + vb + vc + r
+            for m in range(m_lo, m_hi + 1):
+                acc[i0 - m] += x
+            for m in range(m_lo, n2 + half_r + 1):
+                acc[i0 - m] += x
     acc[(lo + 1) & 1::2] = map(neg, acc[(lo + 1) & 1::2])  # the odd k
     while acc and not acc[-1]:
         acc.pop()
@@ -293,25 +313,31 @@ def derivative_closed_form(p: OrbitalParams) -> QPolynomial:
     return QPolynomial._from_packed(x, width)
 
 
-def _derivative_tables(width: int, n: int) -> tuple[int, list[int], list[int]]:
-    """(width, G, W), the prefix tables that ``_packed_derivative`` reads at
-    X = 2**width: G[m] = X**0 + ... + X**m and W[m] = 1 X + 2 X**2 + ... +
-    m X**m for 0 <= m <= n."""
+def _derivative_tables(width: int, n: int) -> tuple[int, list[int], list[int], dict]:
+    """(width, G, W, tents), the prefix tables that ``_packed_derivative``
+    reads at X = 2**width, G[m] = X**0 + ... + X**m and W[m] = 1 X + 2 X**2
+    + ... + m X**m for 0 <= m <= n, and the memo of the signed tent rows
+    that ``_closed_form_rows`` slices out of G, empty until it fills it."""
     geometric, weighted = [1], [0]
     for m in range(1, n + 1):
         x = 1 << width * m
         geometric.append(geometric[-1] + x)
         weighted.append(weighted[-1] + m * x)
-    return width, geometric, weighted
+    return width, geometric, weighted, {}
 
 
-def _top_tables(width: int, n: int) -> tuple[int, dict[int, int], dict[int, int]]:
-    """``_derivative_tables(width, n)`` at m = n alone, as one-entry maps
-    (the tables hold O(n**2) bits): G[n] = (X**(n + 1) - 1)/(X - 1) and
-    W[n] = X (n X**(n + 1) - (n + 1) X**n + 1)/(X - 1)**2, X = 2**width."""
-    x, top = 1 << width, 1 << width * (n + 1)
-    weighted = x * (n * top - (n + 1) * (top >> width) + 1) // (x - 1) ** 2
-    return width, {n: (top - 1) // (x - 1)}, {n: weighted}
+def _top_tables(width: int, *degrees: int) -> tuple[int, dict[int, int], dict[int, int], None]:
+    """``_derivative_tables`` read at the given degrees m alone, as maps
+    (the full tables hold O(n**2) bits), with no tent memo: G[m] =
+    (X**(m + 1) - 1)/(X - 1) and W[m] = X (m X**(m + 1) - (m + 1) X**m +
+    1)/(X - 1)**2, X = 2**width."""
+    x = 1 << width
+    geometric, weighted = {}, {}
+    for m in degrees:
+        top = 1 << width * (m + 1)
+        geometric[m] = (top - 1) // (x - 1)
+        weighted[m] = x * (m * top - (m + 1) * (top >> width) + 1) // (x - 1) ** 2
+    return width, geometric, weighted, None
 
 
 def _packed_derivative(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> int:
@@ -328,7 +354,7 @@ def _packed_derivative(r: int, vb: int, vc: int, ve: int, vda: int | float, tabl
     + r] (the bound on M in ``kernel._packed_matrix``); any width at least
     ``row_width`` does, as its 2**(B - 1) exceeds the support points
     P >= 2 ve + 2 s + 2 r + 1, more than that bound."""
-    width, geometric, weighted = tables
+    width, geometric, weighted, _ = tables
     s = vb + vc
     cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
     if ve < cap:

@@ -245,9 +245,9 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
 
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
-    sweep: 29,069,040 units, 3.5 s; walked as ints on the (lo, rows) pairs
-    it runs in 1.04-1.13 s on perfbench's host clock, so the charge is
-    3.1-3.4 times its time)."""
+    sweep: 29,069,040 units, 3.5 s; walked as ints on the (lo, rows) pairs,
+    with each block's tents built once, it runs in 0.91-0.93 s on
+    perfbench's host clock, so the charge is about 3.8 times its time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -374,7 +374,10 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     compared as tuples, the forms the public ``orbital_closed_form`` and
     ``orbital_support_sum`` wrap, and the derivative as
     ``orbital._packed_derivative``, one int per tuple; the closed form and
-    the derivative read the block's one set of prefix tables.  All of a
+    the derivative read the block's one set of prefix tables, whose memo
+    keeps each signed tent the closed form slices out of them, so each
+    (ve, cap, parity of lo) of the block builds its tent once and a
+    plateau tuple adds its trapezoid to a copy.  All of a
     block (r, vb + vc) of ``full_tuples`` packs at one width, its largest
     ``row_width`` (``_block_width``), at which every coefficient of the
     rows, of their sums and of the derivative fits, so equal ints are equal

@@ -1,5 +1,6 @@
 """Gross-Keating values, intersection numbers, and the identity chain."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from semilie import (
     int_total,
     verify_miracle,
 )
+from semilie import intersection, orbital
 from semilie.intersection import _packed_gk, _total_tables
 from semilie.orbital import _derivative_tables
 
@@ -157,6 +159,29 @@ class TestPacked:
                     absolute = sum(values, QPolynomial.zero())
                     bound = (ve + 1) * (2 * ve + s + 2 * r)
                     assert max(absolute.coefficients()) <= bound < 2 ** (_total_tables(base)[0] - 1), base
+
+    def test_int_circ_reads_the_two_degrees_alone(self, monkeypatch):
+        """``int_circ`` builds no O(n**2) prefix tables, only the two top
+        sums it reads, and equals ``reference_int_circ`` on seeded tuples in
+        the calculator's ranges (r <= 30, vb in [-50, vb + vc], odd vb + vc
+        <= 41, ve <= 40, vda in {0..20, INFINITY}) and at ve 0 and 1."""
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return _derivative_tables(*args)
+
+        monkeypatch.setattr(orbital, "_derivative_tables", counted)
+        monkeypatch.setattr(intersection, "_derivative_tables", counted)
+        rng = random.Random(33)
+        tuples = [OrbitalParams(r=0, vb=0, vc=1, ve=0, vda=0), OrbitalParams(r=2, vb=-3, vc=6, ve=1, vda=INFINITY)]
+        for _ in range(300):
+            s = rng.randrange(1, 42, 2)
+            vb = rng.randint(-50, s)
+            tuples.append(OrbitalParams(rng.randint(0, 30), vb, s - vb, rng.randint(0, 40), rng.choice([*range(21), INFINITY])))
+        for p in tuples:
+            assert int_circ(p) == reference_int_circ(p), p
+        assert not built
 
 
 class TestMiracle:

@@ -373,6 +373,75 @@ def packed_matrix_width(p):
     return matrix_width(p.sum_bc(), p.vda, max(p.r, p.ve - p.theta() // 2 - 1))
 
 
+def assert_memoised_rows(tuples, tables_for):
+    """``_closed_form_rows`` at each tuple in order, read from the tables
+    ``tables_for(p)`` returns, against its dict reference at their width.
+    Returns how many calls found their tent in the tables' memo and the
+    parities of c_lo = 2 vda - vb + r at the plateau tuples."""
+    hits, parities = 0, set()
+    for p in tuples:
+        tables = tables_for(p)
+        width, tents = tables[0], tables[3]
+        before = len(tents)
+        lo, rows = _closed_form_rows(*orbit_fields(p), tables)
+        hits += len(tents) == before
+        assert {k: x for k, x in enumerate(rows, lo) if x} == reference_closed_form_rows(p, width), p
+        if p.vda < p.ve - p.r and p.sum_bc() > 2 * p.vda:
+            parities.add((2 * p.vda - p.vb + p.r) & 1)
+    return hits, parities
+
+
+@pytest.mark.parametrize("config", [SMALL, SweepConfig()], ids=["small", "default"])
+def test_memoised_rows_match_the_reference_block_by_block(config):
+    """The grid walked in the orbital sweep's order with one set of tables
+    per block (r, vb + vc) at its width, as the sweep reads them: most
+    tuples reuse a tent an earlier tuple of the block memoised, plateau
+    tuples (which add to a copy) included, at both parities of c_lo."""
+    blocks = {}
+
+    def tables_for(p):
+        block = p.r, p.sum_bc()
+        if block not in blocks:
+            blocks[block] = _derivative_tables(_block_width(config, *block), config.ve_max)
+        return blocks[block]
+
+    hits, parities = assert_memoised_rows(config.full_tuples(), tables_for)
+    assert 2 * hits > config.full_tuple_count()
+    assert parities == {0, 1}
+
+
+def seeded_calculator_tuples(n, seed=33):
+    """n draws in the calculator's ranges, r <= 30, odd vb + vc <= 41 with
+    vb in [-50, vb + vc], ve <= 40, each walked at three vda in {0, ..., 20,
+    INFINITY} in a row, where tuples of equal cap share a tent."""
+    rng = random.Random(seed)
+    vdas = [*range(21), INFINITY]
+    out = []
+    for _ in range(n):
+        s = rng.randrange(1, 42, 2)
+        vb = rng.randint(-50, s)
+        r, ve = rng.randint(0, 30), rng.randint(0, 40)
+        out += [OrbitalParams(r, vb, s - vb, ve, vda) for vda in rng.sample(vdas, 3)]
+    return out
+
+
+def test_memoised_rows_match_the_reference_off_grid():
+    """Seeded calculator-range tuples at their ``row_width``, one set of
+    tables per width shared by the whole walk."""
+    shared = {}
+
+    def tables_for(p):
+        width = row_width(p)
+        if width not in shared:
+            shared[width] = _derivative_tables(width, 40)
+        return shared[width]
+
+    tuples = seeded_calculator_tuples(600)
+    hits, parities = assert_memoised_rows(tuples, tables_for)
+    assert hits > len(tuples) // 4
+    assert parities == {0, 1}
+
+
 def assert_packed_derivative(p, width):
     x = _packed_derivative(p.r, p.vb, p.vc, p.ve, p.vda, derivative_tables(width))
     assert QPolynomial._raw(unpack(x, width)) == reference_derivative(p), (p, width)
