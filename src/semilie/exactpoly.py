@@ -7,7 +7,7 @@ each subclass fixes its key rule and how a coefficient becomes canonical.
 
   * ``QPolynomial`` -- a Laurent polynomial in the residue-field size q,
     {exponent: scalar} with exponents possibly negative.  It adds the ring
-    product, exact division and evaluation at a numeric q.
+    product and evaluation at a numeric q.
   * ``KeyedModule`` -- {key: QPolynomial}, the container of every other
     value semilie computes: ``LaurentSeries`` here (keys are T exponents;
     T stands for q**s, so a series is an exact stand-in for a function of
@@ -239,44 +239,6 @@ class QPolynomial(_SparseMap):
         """Multiply by q**n."""
         return QPolynomial._raw({e + n: c for e, c in self._terms.items()})
 
-    def div_exact(self, other: "QPolynomial") -> "QPolynomial":
-        """Exact Laurent division; raises ArithmeticError on a nonzero remainder.
-
-        The tests' reference fraction-free elimination divides with it, where
-        every division is exact by construction.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return QPolynomial.zero()
-        # Shift both to ordinary polynomials, divide, shift back.  The
-        # quotient coefficients stay ints while the leading coefficient
-        # divides exactly, as it does in the fraction-free elimination.
-        s_min, o_min = self.min_exponent(), other.min_exponent()
-        rem = {e - s_min: c for e, c in self._terms.items()}
-        div = {e - o_min: c for e, c in other._terms.items()}
-        d_deg = max(div)
-        d_lead = div[d_deg]
-        quot: dict[int, Scalar] = {}
-        while rem:
-            r_deg = max(rem)
-            if r_deg < d_deg:
-                raise ArithmeticError("inexact polynomial division")
-            lead = rem[r_deg]
-            if type(lead) is int and type(d_lead) is int and not lead % d_lead:
-                f = lead // d_lead
-            else:
-                f = _norm_scalar(Fraction(lead, d_lead))
-            quot[r_deg - d_deg] = f
-            for e, c in div.items():
-                t = e + r_deg - d_deg
-                s = rem.get(t, 0) - f * c
-                if s:
-                    rem[t] = s
-                elif t in rem:
-                    del rem[t]
-        return QPolynomial._raw({e + s_min - o_min: c for e, c in quot.items()})
-
     # ------------------------------------------------------------ evaluation
     def evaluate(self, q: Scalar) -> Scalar:
         """Exact value at a numeric q; a negative power at q = 0 raises
@@ -463,27 +425,6 @@ class LaurentSeries(KeyedModule):
 
     __slots__ = ()
 
-    @classmethod
-    def t_power(cls, k: int, coeff: QPolynomial | Scalar = 1) -> "LaurentSeries":
-        coeff = _as_qpoly(coeff)
-        return cls._raw({k: coeff} if coeff else {})
-
-    def support(self) -> list[int]:
-        return sorted(self._terms)
-
-    # ------------------------------------------------------------------ ring
-    def __mul__(self, other: "LaurentSeries | QPolynomial | Scalar") -> "LaurentSeries":
-        if isinstance(other, LaurentSeries):
-            products = (
-                (k1 + k2, p1 * p2) for k1, p1 in self._terms.items() for k2, p2 in other._terms.items()
-            )
-            return LaurentSeries._raw(self._accumulate({}, products))
-        if isinstance(other, (QPolynomial, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     # ---------------------------------------------------- s-space evaluation
     def at_one(self) -> QPolynomial:
         """Value at T = 1 (the series at s = 0): the sum of all coefficients."""
@@ -527,22 +468,8 @@ class LaurentSeries(KeyedModule):
 
     # --------------------------------------------------------- serialization
     def to_json(self) -> dict:
-        """{"t_terms": [[k, q-polynomial], ...]} by increasing k; a
-        coefficient shared by several rows (see ``_from_rows``) is encoded
-        once and its encoding shared."""
-        encoded: dict[int, dict] = {}
-        t_terms = []
-        for k in sorted(self._terms):
-            poly = self._terms[k]
-            data = encoded.get(id(poly))
-            if data is None:
-                data = encoded[id(poly)] = poly.to_json()
-            t_terms.append([k, data])
-        return {"t_terms": t_terms}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "LaurentSeries":
-        return cls((k, QPolynomial.from_json(p)) for k, p in data["t_terms"])
+        """{"t_terms": [[k, q-polynomial], ...]} by increasing k."""
+        return {"t_terms": [[k, p.to_json()] for k, p in sorted(self._terms.items())]}
 
     # -------------------------------------------------------------- printing
     def __str__(self) -> str:

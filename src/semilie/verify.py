@@ -41,7 +41,7 @@ from functools import reduce
 from operator import mul, neg, or_
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from .exactpoly import QPolynomial, _sign_mask
 from .intersection import (
@@ -129,34 +129,17 @@ class SweepConfig:
     def sum_bc_values(self) -> list[int]:
         return list(range(1, self.sum_bc_max + 1, 2))
 
-    def reduced_tuples(self) -> Iterator[OrbitalParams]:
-        """(r, sum_bc, ve, vda) with the canonical split vb = 0, in the
-        order the miracle and afl sweeps walk them as ints."""
-        for r in range(self.r_max + 1):
-            for s in self.sum_bc_values():
-                for ve in range(self.ve_max + 1):
-                    for vda in self.vda_values():
-                        yield OrbitalParams(r=r, vb=0, vc=s, ve=ve, vda=vda)
-
     def reduced_tuple_count(self) -> int:
-        """How many tuples ``reduced_tuples`` yields, counted without walking them."""
+        """How many tuples (r, sum_bc, ve, vda) the miracle and afl sweeps
+        walk, with the canonical split vb = 0, counted without walking them."""
         odd = (self.sum_bc_max + 1) // 2  # arithmetic, not len(): fields may pass sys.maxsize
         return (self.r_max + 1) * odd * (self.ve_max + 1) * (self.vda_max + 2)
 
     def full_tuple_count(self) -> int:
-        """How many tuples ``full_tuples`` yields: each odd s splits s + 1 -
-        _VB_MIN ways, on average (sum_bc_max + 1)/2 + 1 - _VB_MIN."""
+        """How many tuples the orbital sweep walks, every split vb in
+        [_VB_MIN, sum_bc]: each odd s splits s + 1 - _VB_MIN ways, on
+        average (sum_bc_max + 1)/2 + 1 - _VB_MIN."""
         return self.reduced_tuple_count() * ((self.sum_bc_max + 1) // 2 + 1 - _VB_MIN)
-
-    def full_tuples(self) -> Iterator[OrbitalParams]:
-        """All splits vb in [_VB_MIN, sum_bc], in the order the orbital
-        sweep walks them as ints."""
-        for r in range(self.r_max + 1):
-            for s in self.sum_bc_values():
-                for vb in range(_VB_MIN, s + 1):
-                    for ve in range(self.ve_max + 1):
-                        for vda in self.vda_values():
-                            yield OrbitalParams(r=r, vb=vb, vc=s - vb, ve=ve, vda=vda)
 
 
 #: The most failure records a suite run keeps per identity; later failures
@@ -246,8 +229,9 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
     sweep: 29,069,040 units, 3.5 s; walked as ints on the (lo, rows) pairs,
-    with each block's tents built once, it runs in 0.91-0.93 s on
-    perfbench's host clock, so the charge is about 3.8 times its time)."""
+    at one width and with one table per run, each tent built once, it runs
+    in about 0.9 s of a 1.0 s ``grid_orbital`` pass on perfbench's host
+    clock, so the charge is about 3.8 times its time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -331,20 +315,22 @@ def _row_sums(pair: tuple[int, list[int]], negate: bool) -> tuple[bool, int]:
     return not sum(rows), -weighted if negate else weighted
 
 
-def _block_width(config: SweepConfig, r: int, s: int) -> int:
-    """The width of the block (r, vb + vc = s) of ``full_tuples``: the
-    largest ``row_width`` of its tuples, reached at vb = _VB_MIN with
-    ve = ve_max.
+def _orbital_width(config: SweepConfig) -> int:
+    """The width at which ``suite_orbital`` packs every tuple of the grid:
+    the ``row_width`` of its top corner, r = r_max, vb = _VB_MIN, vb + vc =
+    s the largest odd s on the grid and ve = ve_max.
 
     ``row_width`` is bits(P K) + 1, P = ``support_points(r, s, ve)``, which
     reads vb only through s, and K = max(|vb + r|, 2 ve + s - vb + r, 1)
-    (2 ve + vc + r, >= 0 as vb <= s).  P and K are nondecreasing in ve, so
-    the width is too.  In vb, K is convex, a max of convex functions, so on
-    [_VB_MIN, s] it is largest at an end; and the low end wins, since with
-    _VB_MIN <= 0 its K = 2 ve + s - _VB_MIN + r is at least both terms at
-    vb = s, s + r and 2 ve + r.
+    (2 ve + vc + r, >= 0 as vb <= s).  In vb, K is convex, a max of convex
+    functions, so on [_VB_MIN, s] it is largest at an end; and the low end
+    wins, since with _VB_MIN <= 0 its K = 2 ve + s - _VB_MIN + r is at least
+    both terms at vb = s, s + r and 2 ve + r.  That K and P are
+    nondecreasing in r, s and ve, so no tuple of the grid has a wider
+    ``row_width`` than the top corner.
     """
-    return row_width(OrbitalParams(r=r, vb=_VB_MIN, vc=s - _VB_MIN, ve=config.ve_max))
+    s = config.sum_bc_values()[-1]
+    return row_width(OrbitalParams(r=config.r_max, vb=_VB_MIN, vc=s - _VB_MIN, ve=config.ve_max))
 
 
 _ORBITAL_IDENTITIES = (
@@ -360,9 +346,10 @@ _ORBITAL_IDENTITIES = (
 def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     """Closed form == support-sum oracle, value 0 at s = 0, derivative
     consistency against the series derivative, coefficient sign pattern, and
-    the reduction of the derivative to vb + vc; all over the full grid.
+    the reduction of the derivative to vb + vc; all over the full grid:
+    every split vb in [_VB_MIN, vb + vc] of each odd vb + vc.
 
-    The suite walks ``full_tuples`` as nested loops over ints, r, s = vb +
+    The suite walks the full grid as nested loops over ints, r, s = vb +
     vc, vb, ve and vda in that order, and builds an ``OrbitalParams`` only
     for a failure record.  Every tuple it visits is admissible by
     construction: r >= 0, s odd and >= 1, ints throughout, and vda a
@@ -373,20 +360,19 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     one int per T power from T**lo on, equal exactly when the series are and
     compared as tuples, the forms the public ``orbital_closed_form`` and
     ``orbital_support_sum`` wrap, and the derivative as
-    ``orbital._packed_derivative``, one int per tuple; the closed form and
-    the derivative read the block's one set of prefix tables, whose memo
-    keeps each signed tent the closed form slices out of them, so each
-    (ve, cap, parity of lo) of the block builds its tent once and a
-    plateau tuple adds its trapezoid to a copy.  All of a
-    block (r, vb + vc) of ``full_tuples`` packs at one width, its largest
-    ``row_width`` (``_block_width``), at which every coefficient of the
-    rows, of their sums and of the derivative fits, so equal ints are equal
-    q-polynomials.  The value at s = 0 is the sum of the rows and the
-    log-derivative their k-weighted sum; nothing is decoded, and no tuple
-    allocates a ``LaurentSeries`` or ``QPolynomial``.
+    ``orbital._packed_derivative``, one int per tuple.  A run has one width
+    and one table: every tuple packs at the grid's widest ``row_width``
+    (``_orbital_width``), at which every coefficient of the rows, of their
+    sums and of the derivative fits, so equal ints are equal q-polynomials;
+    and the closed form and the derivative read one set of prefix tables,
+    whose memo keeps each signed tent the closed form slices out of them,
+    so each (half, cap, parity of lo) of the run builds its tent once and a
+    plateau tuple adds its trapezoid to a copy.  The value at s = 0 is the
+    sum of the rows and the log-derivative their k-weighted sum; nothing is
+    decoded, and no tuple allocates a ``LaurentSeries`` or ``QPolynomial``.
 
     The oracle reads a tuple only through its orbit (r, vb, vc, ve) and
-    theta; ``full_tuples`` walks vda innermost.  So each orbit's oracle rows
+    theta, and the walk takes vda innermost.  So each orbit's oracle rows
     are built once per theta (at most vda_max + 2 of them), kept only while
     the walk stays on that orbit.  Every tuple still builds its own closed
     form and derivative and compares them with the lattice sum for exactly
@@ -396,19 +382,20 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
     pattern) are read once per oracle entry: a tuple whose closed-form pair
     equals the entry's pair reuses them, and a tuple whose pair differs
-    reads its own.  The sign pattern reads its ``exactpoly._sign_mask`` from
-    the block's masks, one per digit count.  The derivative at (ve, vda) is
-    compared across the block's splits of vb + vc, the first split's kept
-    only while the walk stays in the block.  Each identity is counted once
-    for the whole grid; failures are recorded as they occur, in tuple order
-    and, within a tuple, in the order above."""
+    reads its own.  The sign pattern reads its ``exactpoly._sign_mask`` at
+    the digit count n_bound + 1 from the run's masks, one per n_bound in
+    [0, ve_max].  The derivative at (ve, vda) is compared across the splits
+    of one block (r, vb + vc), the first split's kept only while the walk
+    stays in the block.  Each identity is counted once for the whole grid;
+    failures are recorded as they occur, in tuple order and, within a
+    tuple, in the order above."""
     ves, vdas = range(config.ve_max + 1), config.vda_values()
+    width = _orbital_width(config)
+    tables = _derivative_tables(width, config.ve_max)
+    masks = [_sign_mask(width, n + 1) for n in ves]  # masks[n_bound]
     tuples = 0
     for r in range(config.r_max + 1):
         for s in config.sum_bc_values():
-            width = _block_width(config, r, s)
-            tables = _derivative_tables(width, config.ve_max)
-            masks: dict[int, int] = {}
             seen_derivative: dict[tuple, int] = {}
             for vb in range(_VB_MIN, s + 1):
                 vc = s - vb
@@ -423,10 +410,7 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
                             # The sign pattern reads n_bound = min(ve, (s - 1)/2 + r, vda + r),
                             # one number per entry as s is odd: either theta = 2 vda < s, so
                             # vda is fixed, or theta = s < 2 vda, so vda + r > (s - 1)/2 + r.
-                            digits = min(ve, (s - 1) // 2 + r, vda + r) + 1
-                            mask = masks.get(digits)
-                            if mask is None:
-                                mask = masks[digits] = _sign_mask(width, digits)
+                            mask = masks[min(ve, (s - 1) // 2 + r, vda + r)]
                             oracle_pair = _support_sum_rows(r, vb, vc, ve, vda, width)
                             k = _first_sign_break(oracle_pair, mask)
                             entry = oracle[theta] = (oracle_pair, *_row_sums(oracle_pair, negate), k, mask)
@@ -477,7 +461,7 @@ _MIRACLE = "gross_keating == D(ve) + D(ve-1)"
 def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
     """Gross-Keating value == sum of normalised derivatives at ve and ve-1.
 
-    The suite walks ``reduced_tuples`` as nested loops over ints, r, s, ve
+    The suite walks the reduced grid as nested loops over ints, r, s, ve
     and vda in that order, with vb = 0 and vc = s, admissible by
     construction as in ``suite_orbital``.  Both sides are packed ints at one
     width (``_miracle_width``): the value is ``intersection._packed_gk`` at
@@ -536,7 +520,7 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
         the Gross-Keating difference (r >= 1, ve >= 1),
       * n1 + n2 == 2 ve + vb + vc + 2r.
 
-    The suite walks ``reduced_tuples`` as nested loops over ints, as
+    The suite walks the reduced grid as nested loops over ints, as
     ``suite_miracle`` does.  Every value is a packed int at one width
     (``_afl_width``), so equal ints are equal q-polynomials.
     ``intersection._packed_circ`` runs once per tuple, and no total is
@@ -758,7 +742,7 @@ def _volumes_work(config: SweepConfig) -> int:
     2N + 1 offsets, with one verdict lookup), 8 for each of the P d points
     ``DiskCounter._build`` enumerates (each disk, at every radius of its
     pairs), and 8 for each disk pair of the about 2N P/p**2 distinct
-    comparisons (a unit entry, the second center's keys and sep) that the
+    comparisons (a unit entry and the second center's keys) that the
     sweep compares in full.  Past N = 16, already 10**11
     times any sane bound, the estimate stays at N = 16's.  On perfbench's
     host clock (a 2-CPU Xeon with Python 3.11 in its fast state), the charge
@@ -810,13 +794,13 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     pair of coset keys (a disk is the coincident pair) once; a comparison
     reads the histogram's slice over the n range.  The inputs of a
     comparison fix its verdict: a unit's disks are fixed by its entry, and a
-    center pair's disk pairs by (xi1's entry, xi2's keys, sep).  Each
+    center pair's disk pairs by (xi1's entry, xi2's keys).  Each
     distinct comparison that matched in full is remembered, so a unit or pair
     that repeats it costs one dict lookup and adds its checks to the count;
     any other compares its slices, and a mismatch walks the n range to record
     each failing n in order.  At p = 3, N = 4 that is 5,832 key derivations,
-    684 distinct unit entries for the 5,832 units and 5,292 distinct
-    comparisons for the 51,030 center pairs, which make 55,656 lookups and
+    684 distinct unit entries for the 5,832 units and 4,608 distinct
+    comparisons for the 51,030 center pairs, which make 48,816 lookups and
     build 10,525 histograms for 1,022,058 checks; a perfbench
     ``grid_volumes`` pass takes about 0.14 s on the host clock.
     """
@@ -841,11 +825,11 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     # unit_of[a * modulus + b] holds the unit a + b sqrt(eps) as (its keys at
     # every rho a disk has, v(1 - norm)); a non-unit's entry stays None.
     unit_of: list = [None] * modulus**2
-    # A distinct comparison is named by the ids of its interned inputs: a unit
-    # by id(entry), a center pair by id(xi2's keys) * (prec + 1) + sep within
-    # passed_pairs[id(xi1's entry)]: one int, where naming a pair by a tuple
-    # of the three made ``verify volumes -p 3 -N 6`` peak at 540 MB RSS
-    # against 488 MB.
+    # A distinct comparison is named by the ids of its interned inputs, one
+    # int: a unit by id(entry), a center pair by id(xi2's keys) within
+    # passed_pairs[id(xi1's entry)].  sep need not name a pair: the want reads
+    # it only as rho2 <= sep with rho2 <= rho1 <= precision - 1, which holds
+    # exactly when the centers share their coset key at rho2.
     # passed_units and the dicts in passed_pairs hold the names that matched
     # in full, every slice equal to its closed forms (read from the compares,
     # not the records, which stop at RECORDS_PER_IDENTITY), so a later unit or
@@ -883,7 +867,6 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     for v in range(prec):
         offsets.append(((ring.p**v, 0), v))
         offsets.append(((0, ring.p**v), v))
-    seps = prec + 1
     for xi1 in ring.units():
         entry1 = unit_of[xi1[0] * modulus + xi1[1]]
         keys1, gap = entry1
@@ -896,7 +879,7 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
                 continue
             keys2 = unit2[0]
             pairs += 1
-            name = id(keys2) * seps + sep
+            name = id(keys2)
             if name in passed:
                 continue
             matched = True

@@ -7,10 +7,11 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from semilie import GKPair, LaurentSeries, OrbitalParams, QPolynomial
-from semilie.exactpoly import _norm_scalar, _sign_mask
+from semilie import GKPair, LaurentSeries, OrbitalParams, QPolynomial, SweepConfig
+from semilie.exactpoly import _as_qpoly, _norm_scalar, _sign_mask
 from semilie.intersection import _gk_pair
 from semilie.orbital import _derivative_tables
+from semilie.verify import _VB_MIN
 
 _TERM = re.compile(
     r"""^
@@ -55,6 +56,87 @@ def qp(text: str) -> QPolynomial:
 def series(terms: dict[int, str]) -> LaurentSeries:
     """Build a T-series from {k: 'q-polynomial text'}."""
     return LaurentSeries({k: qp(text) for k, text in terms.items()})
+
+
+def t_power(k: int, coeff: QPolynomial | int | Fraction = 1) -> LaurentSeries:
+    """coeff T**k."""
+    coeff = _as_qpoly(coeff)
+    return LaurentSeries._raw({k: coeff} if coeff else {})
+
+
+def support(f: LaurentSeries) -> list[int]:
+    """The T exponents of ``f``'s nonzero coefficients, in increasing order."""
+    return sorted(k for k, _ in f.items())
+
+
+def series_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
+    """The product of two T-series: the sum over k1, k2 of the coefficient
+    products times T**(k1 + k2)."""
+    products = ((k1 + k2, p1 * p2) for k1, p1 in f.items() for k2, p2 in g.items())
+    return LaurentSeries._raw(LaurentSeries._accumulate({}, products))
+
+
+def series_from_json(data) -> LaurentSeries:
+    """The T-series of its ``to_json()`` encoding."""
+    return LaurentSeries((k, QPolynomial.from_json(p)) for k, p in data["t_terms"])
+
+
+def div_exact(a: QPolynomial, b: QPolynomial) -> QPolynomial:
+    """Exact Laurent division a / b; raises ArithmeticError on a nonzero
+    remainder.  ``bareiss_rank`` divides with it, where every division is
+    exact by construction."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if a.is_zero():
+        return QPolynomial.zero()
+    # Shift both to ordinary polynomials, divide, shift back.  The
+    # quotient coefficients stay ints while the leading coefficient
+    # divides exactly, as it does in the fraction-free elimination.
+    s_min, o_min = a.min_exponent(), b.min_exponent()
+    rem = {e - s_min: c for e, c in a.items()}
+    div = {e - o_min: c for e, c in b.items()}
+    d_deg = max(div)
+    d_lead = div[d_deg]
+    quot = {}
+    while rem:
+        r_deg = max(rem)
+        if r_deg < d_deg:
+            raise ArithmeticError("inexact polynomial division")
+        lead = rem[r_deg]
+        if type(lead) is int and type(d_lead) is int and not lead % d_lead:
+            f = lead // d_lead
+        else:
+            f = _norm_scalar(Fraction(lead, d_lead))
+        quot[r_deg - d_deg] = f
+        for e, c in div.items():
+            t = e + r_deg - d_deg
+            rest = rem.get(t, 0) - f * c
+            if rest:
+                rem[t] = rest
+            elif t in rem:
+                del rem[t]
+    return QPolynomial._raw({e + s_min - o_min: c for e, c in quot.items()})
+
+
+def reduced_tuples(config: SweepConfig):
+    """(r, sum_bc, ve, vda) with the canonical split vb = 0, in the order
+    the miracle and afl sweeps walk them as ints."""
+    for r in range(config.r_max + 1):
+        for s in config.sum_bc_values():
+            for ve in range(config.ve_max + 1):
+                for vda in config.vda_values():
+                    yield OrbitalParams(r=r, vb=0, vc=s, ve=ve, vda=vda)
+
+
+def full_tuples(config: SweepConfig):
+    """All splits vb in [_VB_MIN, sum_bc], in the order the orbital sweep
+    walks them as ints."""
+    for r in range(config.r_max + 1):
+        for s in config.sum_bc_values():
+            for vb in range(_VB_MIN, s + 1):
+                for ve in range(config.ve_max + 1):
+                    for vda in config.vda_values():
+                        yield OrbitalParams(r=r, vb=vb, vc=s - vb, ve=ve, vda=vda)
 
 
 def pack_row(coeffs: dict[int, int], width: int) -> int:
@@ -277,7 +359,7 @@ def bareiss_rank(entries, seen: list | None = None) -> int:
             row_i, row_p = mat[i], mat[rank]
             head = row_i[col]
             for j in range(col + 1, n_cols):
-                row_i[j] = (piv * row_i[j] - head * row_p[j]).div_exact(prev)
+                row_i[j] = div_exact(piv * row_i[j] - head * row_p[j], prev)
                 if seen is not None:
                     seen.append(row_i[j])
             row_i[col] = QPolynomial.zero()

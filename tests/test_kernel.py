@@ -8,7 +8,7 @@ independently of the code under test.
 import random
 
 import pytest
-from helpers import bareiss_rank, qp, reference_stages
+from helpers import bareiss_rank, qp, reference_derivative, reference_stages
 
 from semilie import INFINITY, InvalidParamsError, OrbitalParams, QPolynomial, build_matrix, certify_full_rank, row_reduce
 from semilie import kernel
@@ -362,8 +362,10 @@ class TestPackedVanishing:
     def test_packed_combinations_decode_to_derivative_of_vector(self):
         """At every orbit and level of the kernel suite's vanishing checks up
         to ve = 80, inside the sequence's window too, the packed combination
-        at the suite's width decodes to ``derivative_of_vector``: the width
-        holds every coefficient far past the default grid."""
+        at the suite's width decodes to the ``derivative_of_vector`` sum,
+        sum_j c_j (-1)**(vc + j) D(j), built from ``reference_derivative``
+        once per orbit and level j: the width holds every coefficient far
+        past the default grid, and the packed D(j) are the reference's."""
         config = SweepConfig(ve_max=80)
         width = _kernel_width(config)
         tables = _derivative_tables(width, config.ve_max)
@@ -379,10 +381,14 @@ class TestPackedVanishing:
                 for ve in range(0, config.ve_max + 1, 2):
                     base = OrbitalParams(r=0, vb=0, vc=s, ve=ve, vda=vda)
                     signed = _signed_derivatives(s, ve, vda, ve + 8, tables)
+                    refs = [reference_derivative(base.with_r(j)) for j in range(ve + 9)]
+                    refs = [-d if (s + j) % 2 else d for j, d in enumerate(refs)]
                     for name, levels in (("large", range(ve + 2, ve + 9)), ("phi", range(5, ve + 9))):
                         for r in levels:
                             got = _packed_combination(weights[name][r], signed)
-                            want = derivative_of_vector(base, vectors[name][r])
+                            want = QPolynomial.zero()
+                            for j, c in vectors[name][r].items():
+                                want = want + c * refs[j]
                             assert QPolynomial._from_packed(got, width) == want, (name, s, vda, ve, r)
                             checked += 1
         assert checked == 3444 + 21648  # the sequence's count takes in its window's levels

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import qp, reference_derivative
+from helpers import qp, reduced_tuples, reference_derivative
 
 from semilie import (
     INFINITY,
@@ -185,7 +185,7 @@ class TestCombo:
             vb = rng.randint(-50, s)
             vda = rng.choice([*range(21), INFINITY])
             wide.append(OrbitalParams(rng.randint(1, 30), vb, s - vb, rng.randint(-3, 40), vda))
-        for p in [*SMALL_GRID, *SweepConfig().reduced_tuples(), *wide]:
+        for p in [*SMALL_GRID, *reduced_tuples(SweepConfig()), *wide]:
             if p.r < 1:
                 continue
             expected = derivative_closed_form(p) - derivative_closed_form(p.with_r(p.r - 1))

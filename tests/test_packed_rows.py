@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    full_tuples,
     orbit_fields,
     pack_row,
     reference_closed_form_rows,
@@ -38,7 +39,7 @@ from semilie.orbital import (
     row_width,
     support_points,
 )
-from semilie.verify import SweepConfig, _block_width, _first_sign_break, _row_sums
+from semilie.verify import SweepConfig, _first_sign_break, _orbital_width, _row_sums
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2)
 
@@ -218,7 +219,7 @@ def test_sign_mask(coeffs, breaks):
 
 
 def test_rows_match_the_reference_maps_on_a_small_grid():
-    for p in SMALL.full_tuples():
+    for p in full_tuples(SMALL):
         assert_rows_match(p)
     for ve in (-3, -1):
         p = OrbitalParams(r=2, vb=-1, vc=4, ve=ve, vda=1)
@@ -315,21 +316,19 @@ def assert_pair_invariants(p, width, tables, oracle, references=True):
 
 
 def test_pair_invariants_on_the_default_grid():
-    """Every full default-grid tuple at its block's width, the oracle built
+    """Every full default-grid tuple at the run's width, the oracle built
     once per (orbit, theta) as the orbital sweep builds it.  The oracle's
     pair equals the closed form's, so its rows are the closed form's dict
     reference's too; the dict references and row checks are compared off
     the grid."""
     config = SweepConfig()
-    oracles, tables = {}, {}
-    for p in config.full_tuples():
-        width = _block_width(config, p.r, p.sum_bc())
+    width = _orbital_width(config)
+    oracles, tables = {}, _derivative_tables(width, config.ve_max)
+    for p in full_tuples(config):
         key = (p.r, p.vb, p.vc, p.ve, p.theta())
         if key not in oracles:
             oracles[key] = support_sum_pair(p, width)
-        if width not in tables:
-            tables[width] = _derivative_tables(width, config.ve_max)
-        assert_pair_invariants(p, width, tables[width], oracles[key], references=False)
+        assert_pair_invariants(p, width, tables, oracles[key], references=False)
     assert len(oracles) == 29_722
 
 
@@ -393,19 +392,12 @@ def assert_memoised_rows(tuples, tables_for):
 
 @pytest.mark.parametrize("config", [SMALL, SweepConfig()], ids=["small", "default"])
 def test_memoised_rows_match_the_reference_block_by_block(config):
-    """The grid walked in the orbital sweep's order with one set of tables
-    per block (r, vb + vc) at its width, as the sweep reads them: most
-    tuples reuse a tent an earlier tuple of the block memoised, plateau
+    """The grid walked block (r, vb + vc) by block in the orbital sweep's
+    order with one set of tables for the run at its width, as the sweep
+    reads them: most tuples reuse a tent an earlier tuple memoised, plateau
     tuples (which add to a copy) included, at both parities of c_lo."""
-    blocks = {}
-
-    def tables_for(p):
-        block = p.r, p.sum_bc()
-        if block not in blocks:
-            blocks[block] = _derivative_tables(_block_width(config, *block), config.ve_max)
-        return blocks[block]
-
-    hits, parities = assert_memoised_rows(config.full_tuples(), tables_for)
+    tables = _derivative_tables(_orbital_width(config), config.ve_max)
+    hits, parities = assert_memoised_rows(full_tuples(config), lambda p: tables)
     assert 2 * hits > config.full_tuple_count()
     assert parities == {0, 1}
 
@@ -449,10 +441,11 @@ def assert_packed_derivative(p, width):
 
 def test_packed_derivative_matches_the_closed_form_on_the_default_grid():
     """At every full default-grid tuple, every split of vb + vc included, at
-    the orbital sweep's block width and at the kernel matrix's width."""
+    the orbital sweep's width and at the kernel matrix's width."""
     config = SweepConfig()
-    for p in config.full_tuples():
-        assert_packed_derivative(p, _block_width(config, p.r, p.sum_bc()))
+    width = _orbital_width(config)
+    for p in full_tuples(config):
+        assert_packed_derivative(p, width)
         assert_packed_derivative(p, packed_matrix_width(p))
 
 
@@ -472,15 +465,14 @@ def test_packed_derivative_matches_the_closed_form_off_grid(p):
 
 
 @pytest.mark.parametrize(
-    "config", [SweepConfig(), SweepConfig(r_max=8, ve_max=13, sum_bc_max=13)], ids=["default", "rmax8_ve13_sbc13"]
+    "config",
+    [SweepConfig(), SweepConfig(r_max=8, ve_max=13, sum_bc_max=13), SweepConfig(r_max=0, sum_bc_max=12, ve_max=0)],
+    ids=["default", "rmax8_ve13_sbc13", "even_sum_bc_max"],
 )
-def test_block_width_is_the_widest_row_width_of_its_block(config):
-    """So every tuple's rows, sums and derivative fit at its block's width."""
-    widest = {}
-    for p in config.full_tuples():
-        block = (p.r, p.sum_bc())
-        widest[block] = max(widest.get(block, 0), row_width(p))
-    assert widest == {block: _block_width(config, *block) for block in widest}
+def test_run_width_is_the_widest_row_width_of_the_grid(config):
+    """So every tuple's rows, sums and derivative fit at the orbital
+    sweep's one width per run, which the grid's top corner attains."""
+    assert max(row_width(p) for p in full_tuples(config)) == _orbital_width(config)
 
 
 def mass_bound(p):

@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    full_tuples,
     gk_from_params,
     orbit_fields,
     pack_row,
     reference_derivative,
     reference_int_circ,
     reference_int_total,
+    reduced_tuples,
+    support,
+    t_power,
     tables_at,
 )
 from hypothesis import given, settings
@@ -32,9 +36,9 @@ def test_default_grid_shape():
     config = SweepConfig()
     assert config.vda_values() == [0, 1, 2, 3, 4, 5, 6, INFINITY]
     assert config.sum_bc_values() == [1, 3, 5, 7, 9, 11]
-    reduced = list(config.reduced_tuples())
+    reduced = list(reduced_tuples(config))
     assert len(reduced) == 7 * 6 * 11 * 8
-    full = sum(1 for _ in config.full_tuples())
+    full = sum(1 for _ in full_tuples(config))
     assert full == 7 * sum(6 + s + 1 for s in (1, 3, 5, 7, 9, 11)) * 11 * 8
 
 
@@ -45,8 +49,8 @@ def test_default_grid_shape():
     ids=["small", "default", "even_sum_bc_max", "vda_inf_only"],
 )
 def test_full_tuple_count(config):
-    assert config.full_tuple_count() == sum(1 for _ in config.full_tuples())
-    assert config.reduced_tuple_count() == sum(1 for _ in config.reduced_tuples())
+    assert config.full_tuple_count() == sum(1 for _ in full_tuples(config))
+    assert config.reduced_tuple_count() == sum(1 for _ in reduced_tuples(config))
 
 
 def test_runs_are_deterministic():
@@ -196,7 +200,7 @@ def pack_terms(terms, width):
 def test_public_builders_wrap_their_rows(public, private):
     """Each public series is the wrap of its builder's packed pair, and the
     rows hold no zero, so the orbital suite may compare pairs with ==."""
-    for p in SMALL.full_tuples():
+    for p in full_tuples(SMALL):
         width = orbital.row_width(p)
         pair = private(p, width)
         assert all(pair[1])
@@ -210,7 +214,7 @@ def flip_one_coefficient(series):
         return series
     k, coeff = min(series.items())
     e, c = coeff.sorted_items()[0]
-    return series + LaurentSeries.t_power(k, QPolynomial.q_power(e, -2 * c))
+    return series + t_power(k, QPolynomial.q_power(e, -2 * c))
 
 
 def past_top_degree(series):
@@ -219,16 +223,16 @@ def past_top_degree(series):
     degree bound n_bound breaks."""
     if series.is_zero():
         return series
-    k = min(series.support())
+    k = min(support(series))
     top = max(coeff.max_exponent() for _, coeff in series.items())
-    return series + LaurentSeries.t_power(k, QPolynomial.q_power(top + 1, -1 if k % 2 else 1))
+    return series + t_power(k, QPolynomial.q_power(top + 1, -1 if k % 2 else 1))
 
 
 #: Mutations of the closed-form series, made on the series its rows stand for.
 CLOSED_FORM_MUTATIONS = {
     "sign_flip": flip_one_coefficient,
-    "constant_at_T0": lambda series: series + LaurentSeries.t_power(0, 1),
-    "term_at_T1": lambda series: series + LaurentSeries.t_power(1, QPolynomial.q_power(1)),
+    "constant_at_T0": lambda series: series + t_power(0, 1),
+    "term_at_T1": lambda series: series + t_power(1, QPolynomial.q_power(1)),
     "past_top_degree": past_top_degree,
 }
 
@@ -275,7 +279,7 @@ def test_orbital_suite_reports_mutated_closed_form(monkeypatch, mutation, identi
     """The suite reads the closed form as the builder's packed rows; each
     mutation is made on the series those rows stand for."""
     clean = suite_orbital(SMALL)
-    assert clean.passed and clean.checked == 5 * sum(1 for _ in SMALL.full_tuples())
+    assert clean.passed and clean.checked == 5 * sum(1 for _ in full_tuples(SMALL))
     monkeypatch.setattr(verify, "_closed_form_rows", mutated_rows(mutation))
     mutated = suite_orbital(SMALL)
     assert not mutated.passed and mutated.checked == clean.checked
@@ -287,7 +291,7 @@ def walk_orbital(config):
     each tuple, each on the tuple's own rows, with the oracle run afresh."""
     res = verify.SuiteResult("orbital")
     seen = {}
-    for p in config.full_tuples():
+    for p in full_tuples(config):
         width = orbital.row_width(p)
         pair = verify._closed_form_rows(*orbit_fields(p), tables_at(p, width))
         res.check(pair == orbital._support_sum_rows(*orbit_fields(p), width), "closed_form == support_sum", params=p)
@@ -349,15 +353,25 @@ def counted(monkeypatch, name):
 def test_orbital_oracle_runs_once_per_orbit_and_theta(monkeypatch):
     """The oracle reads a tuple only through (r, vb, vc, ve, theta), and the
     suite runs it once for each of those, at a width that holds the orbit's
-    rows and is one width per block (r, vb + vc)."""
+    rows and is one width for the run."""
     calls = counted(monkeypatch, "_support_sum_rows")
     assert suite_orbital(SMALL).passed
     calls = [(OrbitalParams(*args[:5]), args[5]) for args in calls]
     keys = [(p.r, p.vb, p.vc, p.ve, p.theta()) for p, _ in calls]
-    assert len(keys) == len(set(keys)) == len({(p.r, p.vb, p.vc, p.ve, p.theta()) for p in SMALL.full_tuples()})
+    assert len(keys) == len(set(keys)) == len({(p.r, p.vb, p.vc, p.ve, p.theta()) for p in full_tuples(SMALL)})
     assert all(width >= orbital.row_width(p) for p, width in calls)
-    block_width = {}
-    assert all(block_width.setdefault((p.r, p.vb + p.vc), width) == width for p, width in calls)
+    assert {width for _, width in calls} == {verify._orbital_width(SMALL)}
+
+
+@pytest.mark.parametrize("config", [SMALL, SweepConfig(r_max=3, sum_bc_max=5, ve_max=4, vda_max=1)], ids=["small", "rmax3_ve4"])
+def test_orbital_sets_up_once_per_run(monkeypatch, config):
+    """One ``suite_orbital`` call builds one set of prefix tables, at the
+    run's width up to ve_max, and one sign mask per n_bound in [0, ve_max]."""
+    tables = counted(monkeypatch, "_derivative_tables")
+    masks = counted(monkeypatch, "_sign_mask")
+    assert suite_orbital(config).passed
+    assert tables == [(verify._orbital_width(config), config.ve_max)]
+    assert len(masks) <= config.ve_max + 1
 
 
 def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
@@ -393,7 +407,7 @@ def test_row_checks_read_once_per_oracle_entry(monkeypatch, differs):
     closed = counted(monkeypatch, "_closed_form_rows")
     derivatives = counted(monkeypatch, "_packed_derivative")
     assert suite_orbital(SMALL).passed != differs
-    tuples = list(SMALL.full_tuples())
+    tuples = list(full_tuples(SMALL))
     entries = {(p.r, p.vb, p.vc, p.ve, p.theta()) for p in tuples}
     assert len(entries) < len(tuples)
     assert len(sums) == len(entries) + differs
@@ -411,8 +425,7 @@ WALK_CONFIGS = [
 
 @pytest.mark.parametrize(
     "suite, tuples, calls_per_tuple",
-    [("orbital", SweepConfig.full_tuples, 1), ("miracle", SweepConfig.reduced_tuples, 2),
-     ("afl", SweepConfig.reduced_tuples, 1)],
+    [("orbital", full_tuples, 1), ("miracle", reduced_tuples, 2), ("afl", reduced_tuples, 1)],
     ids=["orbital", "miracle", "afl"],
 )
 @pytest.mark.parametrize("config", WALK_CONFIGS, ids=["small", "even_sum_bc_max", "vda_inf_only", "rmax3_ve4"])
@@ -476,7 +489,7 @@ def test_n_bound_is_one_number_per_oracle_entry(config, n_entries):
     theta), at the digit count n_bound + 1: n_bound takes one value over the
     tuples of each entry, on the default grid and past it."""
     n_bound = {}
-    for p in config.full_tuples():
+    for p in full_tuples(config):
         entry = (p.r, p.vb, p.vc, p.ve, p.theta())
         assert n_bound.setdefault(entry, p.n_bound()) == p.n_bound(), p
     assert len(n_bound) == n_entries
@@ -487,7 +500,7 @@ def reference_afl(config, derivative=reference_derivative):
     summed afresh from ``reference_gross_keating`` values (``reference_int_total``,
     ``reference_int_circ``) at every reduced tuple and at its level below."""
     res = SuiteResult("afl")
-    for p in config.reduced_tuples():
+    for p in reduced_tuples(config):
         total, deriv = reference_int_total(p), derivative(p)
         res.check(total == deriv, "int_total == derivative_closed_form", params=p, lhs=total, rhs=deriv)
         pair = gk_from_params(p)
@@ -531,7 +544,7 @@ def test_afl_matches_a_per_tuple_int_total_walk(monkeypatch, mutated):
     assert res.to_json() == want
     assert res.passed != mutated
     assert totals == []
-    assert [args[:4] for args in circs] == [(p.r, p.vb + p.vc, p.ve, p.vda) for p in SMALL.reduced_tuples()]
+    assert [args[:4] for args in circs] == [(p.r, p.vb + p.vc, p.ve, p.vda) for p in reduced_tuples(SMALL)]
 
 
 LEVEL_DIFFERENCE = "int_total(r) - int_total(r-1) == derivative_combo"
