@@ -247,58 +247,82 @@ def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
 def _support_sum_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, width: int) -> tuple[int, list[int]]:
     """``orbital_support_sum`` at (r, vb, vc, ve, vda) as the pair (lo, rows)
     (see "Packed rows" above), packed at ``width`` >= ``row_width``; the
-    arguments must be admissible (``OrbitalParams``).
-
-    Every lattice point adds its own X**e, X = 2**width, to the unsigned
-    total of row k, kept in a list indexed by k - lo; the sign (-1)**k is
-    applied to the odd k in one slice assignment, and zero rows at either
-    end are trimmed.  lo is the walk's own lowest k, base - m_top with
-    base = vc + r: k rises by 2 per n2 step and each block's top m by at
-    most 1, so every block reaches its lowest k at n2 = 0, and m_top is the
-    largest top m there.  That lo is -(vb + r), the closed form's: m_top =
-    vb + vc + 2 r.  At an odd theta, theta = vb + vc and m_top is the first
-    block's theta + 2 r.  At an even theta = 2 vda < vb + vc, half = vda >=
-    0, so max(r, -half) = r and the first extra block's top is r + vb + vc
-    + r, above the first block's 2 vda + 2 r and the second extra block's
-    vda + r.  Only the accumulator is packed."""
+    arguments must be admissible (``OrbitalParams``): the lattice walk
+    ``_support_walk`` at (r, vb + vc, ve, theta) finished at its lo by
+    ``_support_finish``.  lo is the walk's own lowest k, base - m_top with
+    base = vc + r; it is -(vb + r), the closed form's, as m_top = vb + vc +
+    2 r (see ``_support_walk``)."""
     if ve < 0:
         return 0, []
-    th = min(vb + vc, 2 * vda)
-    even = th % 2 == 0
-    half = th // 2
-    base = vc + r
-    m_top = th + 2 * r  # the first block's top m; the extra blocks' at n2 = 0 follow
+    s = vb + vc
+    m_top, acc = _support_walk(r, s, ve, min(s, 2 * vda), width)
+    return _support_finish(vc + r - m_top, acc)
+
+
+def _support_walk(r: int, s: int, ve: int, theta: int, width: int) -> tuple[int, list[int]]:
+    """The support lattice of ``orbital_support_sum`` at level r, vb + vc =
+    s, v(e) = ve >= 0 and theta = min(s, 2 vda), walked point by point, as
+    (m_top, acc): every lattice point adds its own X**e, X = 2**width, to
+    the unsigned total of its row k, kept in ``acc`` indexed by k - lo with
+    lo = base - m_top, base = vc + r.
+
+    The walk reads only (r, s, ve, theta, width).  The blocks' n2 and m
+    ranges and weights are written in r, ve, theta, half = theta/2 and
+    vb + vc + r = s + r; k = 2 n2 - m + base enters only through its index
+    k - lo = 2 n2 - m + m_top, where base cancels; and m_top is a function
+    of r, s and theta.  So every split vb of s with the same theta walks
+    the same lattice into the same list, and only lo, the offset of k,
+    depends on vc.
+
+    k rises by 2 per n2 step and each block's top m by at most 1, so every
+    block reaches its lowest k at n2 = 0, and m_top is the largest top m
+    there: m_top = s + 2 r.  At an odd theta, theta = s and m_top is the
+    first block's theta + 2 r.  At an even theta = 2 vda < s, half = vda >=
+    0, so max(r, -half) = r and the first extra block's top is r + s + r,
+    above the first block's 2 vda + 2 r and the second extra block's vda +
+    r.  Only the accumulator is packed."""
+    even = theta % 2 == 0
+    half = theta // 2
+    m_top = theta + 2 * r  # the first block's top m; the extra blocks' at n2 = 0 follow
     if even:
-        m_top = max(m_top, max(r, -half) + vb + vc + r, half + r)
-    lo = base - m_top
+        m_top = max(m_top, max(r, -half) + s + r, half + r)
     power = [1 << width * e for e in range(ve + 1)]  # power[e] = X**e
     acc = [0] * (2 * ve + m_top + 1)  # acc[k - lo], k in [lo, 2 ve + base]
-    first = range(th + 2 * r + 1)  # the first block's m, the same at every n2
+    first = range(theta + 2 * r + 1)  # the first block's m, the same at every n2
     for n2 in range(ve + 1):
         i0 = 2 * n2 + m_top  # the index of k at m = 0
         split, x_top = 2 * n2, power[n2]
         for m in first:
             acc[i0 - m] += power[m >> 1] if m < split else x_top  # X**min(n2, m // 2)
     if even:
-        m_lo = th + 2 * r + 1
-        half_r, top_r = half + r, vb + vc + r
+        m_lo = theta + 2 * r + 1
+        half_r, top_r = half + r, s + r
         for n2 in range(ve + 1):
             i0 = 2 * n2 + m_top
             x = power[n2 if n2 < half_r else half_r]  # X**min(n2, half + r)
-            m_hi = (r if r > n2 - half else n2 - half) + top_r  # max(r, n2 - half) + vb + vc + r
+            m_hi = (r if r > n2 - half else n2 - half) + top_r  # max(r, n2 - half) + s + r
             for m in range(m_lo, m_hi + 1):
                 acc[i0 - m] += x
             for m in range(m_lo, n2 + half_r + 1):
                 acc[i0 - m] += x
-    acc[(lo + 1) & 1::2] = map(neg, acc[(lo + 1) & 1::2])  # the odd k
-    while acc and not acc[-1]:
-        acc.pop()
-    if not acc:
+    return m_top, acc
+
+
+def _support_finish(lo: int, acc: list[int]) -> tuple[int, list[int]]:
+    """The pair (lo, rows) of a walk's unsigned accumulator ``acc``, row k
+    at acc[k - lo]: the sign (-1)**k applied to the odd k in one slice
+    assignment and zero rows at either end trimmed, into a new list, so
+    that ``acc`` may be finished again at another lo."""
+    rows = [*acc]
+    rows[(lo + 1) & 1::2] = map(neg, rows[(lo + 1) & 1::2])  # the odd k
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
         return 0, []
     start = 0
-    while not acc[start]:
+    while not rows[start]:
         start += 1
-    return lo + start, acc[start:] if start else acc
+    return lo + start, rows[start:] if start else rows
 
 
 def derivative_closed_form(p: OrbitalParams) -> QPolynomial:

@@ -66,7 +66,8 @@ from .orbital import (
     _closed_form_rows,
     _derivative_tables,
     _packed_derivative,
-    _support_sum_rows,
+    _support_finish,
+    _support_walk,
     derivative_combo,
     require_ints,
     row_width,
@@ -229,9 +230,10 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
     sweep: 29,069,040 units, 3.5 s; walked as ints on the (lo, rows) pairs,
-    at one width and with one table per run, each tent built once, it runs
-    in about 0.9 s of a 1.0 s ``grid_orbital`` pass on perfbench's host
-    clock, so the charge is about 3.8 times its time)."""
+    at one width and with one table per run, each tent built once and each
+    oracle lattice walked once per (r, vb + vc, ve, theta), it runs in
+    about 0.43 s of a 0.52 s ``grid_orbital`` pass on perfbench's host
+    clock, so the charge is about 8 times its time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -268,7 +270,10 @@ def _first_sign_break(pair: tuple[int, list[int]], mask: int) -> int | None:
 
 def _grid_work(config: SweepConfig) -> int:
     """Every full-grid tuple at the support-lattice points of the grid's top
-    corner, the most any tuple has: the orbital oracle's work."""
+    corner, the most any tuple has: the orbital oracle's work were it walked
+    once per tuple.  The sweep walks once per (r, vb + vc, ve, theta), 2,079
+    walks for the 48,048 default tuples, so this is a bound well above the
+    work; it is kept so that no refusal boundary moves."""
     return config.full_tuple_count() * support_points(config.r_max, config.sum_bc_max, config.ve_max)
 
 
@@ -371,12 +376,21 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     sum of the rows and the log-derivative their k-weighted sum; nothing is
     decoded, and no tuple allocates a ``LaurentSeries`` or ``QPolynomial``.
 
-    The oracle reads a tuple only through its orbit (r, vb, vc, ve) and
-    theta, and the walk takes vda innermost.  So each orbit's oracle rows
-    are built once per theta (at most vda_max + 2 of them), kept only while
-    the walk stays on that orbit.  Every tuple still builds its own closed
-    form and derivative and compares them with the lattice sum for exactly
-    its own inputs.
+    The oracle's lattice walk (``orbital._support_walk``) reads a tuple
+    only through (r, vb + vc, ve, theta), and its finish
+    (``orbital._support_finish``) reads vc only through lo = vc + r -
+    m_top, the walk's own m_top.  So each block (r, vb + vc) walks each
+    (ve, theta) once and keeps the walk while the sweep stays in the block,
+    shared by every split vb; and it finishes each walk once per parity of
+    lo, as two splits of the same parity sign the same rows and differ only
+    in lo, the finished rows shifted by it.  At ve >= 0 the walk's point
+    n2 = m = 0 adds 1 to the accumulator, whose entries are sums of
+    positive powers, so no finish is the zero series (0, []), whose lo
+    would not shift.  Each oracle entry (r, vb, vc, ve, theta) is so exactly
+    ``orbital._support_sum_rows`` at it, the walk followed by the finish at
+    the entry's own lo.  Every tuple still builds its own closed form and
+    derivative and compares them with the lattice sum for exactly its own
+    inputs.
 
     The three checks that read only the rows (the value at s = 0, the signed
     log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
@@ -397,6 +411,8 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     for r in range(config.r_max + 1):
         for s in config.sum_bc_values():
             seen_derivative: dict[tuple, int] = {}
+            walks: dict[tuple, tuple[int, list[int]]] = {}  # (ve, theta): (m_top, acc)
+            finished: dict[tuple, tuple[int, list[int]]] = {}  # (ve, theta, lo & 1): (lo shift, rows)
             for vb in range(_VB_MIN, s + 1):
                 vc = s - vb
                 negate = (vc + r) & 1
@@ -411,7 +427,17 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
                             # one number per entry as s is odd: either theta = 2 vda < s, so
                             # vda is fixed, or theta = s < 2 vda, so vda + r > (s - 1)/2 + r.
                             mask = masks[min(ve, (s - 1) // 2 + r, vda + r)]
-                            oracle_pair = _support_sum_rows(r, vb, vc, ve, vda, width)
+                            walk = walks.get((ve, theta))
+                            if walk is None:
+                                walk = walks[ve, theta] = _support_walk(r, s, ve, theta, width)
+                            m_top, acc = walk
+                            lo = vc + r - m_top
+                            shared = finished.get((ve, theta, lo & 1))
+                            if shared is None:
+                                first_lo, rows = _support_finish(lo, acc)
+                                shared = finished[ve, theta, lo & 1] = first_lo - lo, rows
+                            shift, rows = shared
+                            oracle_pair = lo + shift, rows
                             k = _first_sign_break(oracle_pair, mask)
                             entry = oracle[theta] = (oracle_pair, *_row_sums(oracle_pair, negate), k, mask)
                         oracle_pair, zero, log_deriv, k, mask = entry
@@ -741,9 +767,10 @@ def _volumes_work(config: SweepConfig) -> int:
     for each of the about P(2N + 1) center pairs (each is a center against
     2N + 1 offsets, with one verdict lookup), 8 for each of the P d points
     ``DiskCounter._build`` enumerates (each disk, at every radius of its
-    pairs), and 8 for each disk pair of the about 2N P/p**2 distinct
-    comparisons (a unit entry and the second center's keys) that the
-    sweep compares in full.  Past N = 16, already 10**11
+    pairs), and 8 for each disk pair of the distinct comparisons (a unit
+    entry and the second center's keys) that the sweep compares in full,
+    charged at about 2N P/p**2 of them, an estimate from above: 5,832 at
+    p = 3, N = 4, where the sweep makes 4,608.  Past N = 16, already 10**11
     times any sane bound, the estimate stays at N = 16's.  On perfbench's
     host clock (a 2-CPU Xeon with Python 3.11 in its fast state), the charge
     at 0.12 µs a unit is 1.4-1.8 times the suite's time at p = 3 with

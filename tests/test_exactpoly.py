@@ -285,8 +285,7 @@ def test_to_json_matches_fraction_reference(p):
     assert QPolynomial.from_json(json.loads(json.dumps(got))) == p
 
 
-
-def test_series_to_json_encodes_a_shared_row_once():
+def test_series_to_json_is_the_per_row_encoding():
     x = 5 + (3 << 8)  # 3q + 5 at 8 bits per digit
     s = LaurentSeries._from_rows((-1, [x, 1, 0, 0, x, 0]), 8)  # T**-1 .. T**4
     got = s.to_json()
@@ -294,6 +293,7 @@ def test_series_to_json_encodes_a_shared_row_once():
     assert json.dumps(got) == json.dumps(per_row)
     rows = dict(got["t_terms"])
     assert rows[0] == {"q_terms": [[0, 1, 1]]}
+
 
 @given(qpolys, qpolys, qpolys)
 def test_qpoly_ring_axioms(a, b, c):

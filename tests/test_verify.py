@@ -350,17 +350,72 @@ def counted(monkeypatch, name):
     return calls
 
 
-def test_orbital_oracle_runs_once_per_orbit_and_theta(monkeypatch):
-    """The oracle reads a tuple only through (r, vb, vc, ve, theta), and the
-    suite runs it once for each of those, at a width that holds the orbit's
-    rows and is one width for the run."""
-    calls = counted(monkeypatch, "_support_sum_rows")
-    assert suite_orbital(SMALL).passed
-    calls = [(OrbitalParams(*args[:5]), args[5]) for args in calls]
-    keys = [(p.r, p.vb, p.vc, p.ve, p.theta()) for p, _ in calls]
-    assert len(keys) == len(set(keys)) == len({(p.r, p.vb, p.vc, p.ve, p.theta()) for p in full_tuples(SMALL)})
-    assert all(width >= orbital.row_width(p) for p, width in calls)
-    assert {width for _, width in calls} == {verify._orbital_width(SMALL)}
+class ComparedPair(tuple):
+    """A closed-form pair (lo, rows) that records, in ``log``, the tuple it
+    was built for and each pair it is compared with by ``!=``."""
+
+    def __new__(cls, pair, params, log):
+        out = super().__new__(cls, pair)
+        out.params, out.log = params, log
+        return out
+
+    def __ne__(self, other):
+        self.log.append((self.params, other))
+        return tuple.__ne__(self, other)
+
+
+def block_key(p):
+    """(r, vb + vc, ve, theta), all that the oracle's lattice walk reads."""
+    return p.r, p.sum_bc(), p.ve, p.theta()
+
+
+@pytest.mark.parametrize("config", [SMALL, dataclasses.replace(SMALL, vda_max=-1)], ids=["small", "vda_inf_only"])
+def test_orbital_oracle_walks_once_per_sum_and_theta(monkeypatch, config):
+    """The oracle's lattice walk reads a tuple only through (r, vb + vc, ve,
+    theta), and the suite walks once for each of those, all at the run's
+    one width; the pair it compares with each tuple's closed form is
+    exactly the oracle run afresh at that tuple."""
+    walks = counted(monkeypatch, "_support_walk")
+    compared, original = [], verify._closed_form_rows
+
+    def closed(*args):
+        return ComparedPair(original(*args), OrbitalParams(*args[:5]), compared)
+
+    monkeypatch.setattr(verify, "_closed_form_rows", closed)
+    assert suite_orbital(config).passed
+    tuples = list(full_tuples(config))
+    keys = [args[:4] for args in walks]
+    assert len(keys) == len(set(keys)) and set(keys) == {block_key(p) for p in tuples}
+    width = verify._orbital_width(config)
+    assert {args[4] for args in walks} == {width}
+    assert [p for p, _ in compared] == tuples
+    for p, oracle_pair in compared:
+        assert width >= orbital.row_width(p)
+        assert oracle_pair == orbital._support_sum_rows(*orbit_fields(p), width), p
+
+
+@pytest.mark.parametrize("key", [(1, 3, 2, 2), (2, 3, 3, 3), (0, 1, 0, 1)], ids=["even_theta", "odd_theta", "corner"])
+def test_mutated_walk_fails_every_split_that_shares_it(monkeypatch, key):
+    """A lattice walk mutated at one key (r, vb + vc, ve, theta), its point
+    n2 = m = 0 counted twice, fails ``closed_form == support_sum`` at every
+    tuple that shares the key, every split vb and every vda of that theta,
+    and at no other: sharing the walk across splits hides none of them."""
+    original = orbital._support_walk
+
+    def mutated(*args):
+        m_top, acc = original(*args)
+        if args[:4] == key:
+            acc[m_top] += 1  # k - lo at n2 = m = 0, where X**0 = 1 is added
+        return m_top, acc
+
+    monkeypatch.setattr(orbital, "_support_walk", mutated)
+    monkeypatch.setattr(verify, "_support_walk", mutated)
+    res = suite_orbital(SMALL)
+    failed = [f["params"] for f in res.failures if f["identity"] == "closed_form == support_sum"]
+    sharing = [p.label() for p in full_tuples(SMALL) if block_key(p) == key]
+    assert len({p["vb"] for p in sharing}) == key[1] + 1 - verify._VB_MIN
+    assert failed == sharing
+    assert all(f["identity"] == "closed_form == support_sum" for f in res.failures)
 
 
 @pytest.mark.parametrize("config", [SMALL, SweepConfig(r_max=3, sum_bc_max=5, ve_max=4, vda_max=1)], ids=["small", "rmax3_ve4"])
