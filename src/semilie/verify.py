@@ -230,10 +230,11 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
     sweep: 29,069,040 units, 3.5 s; walked as ints on the (lo, rows) pairs,
-    at one width and with one table per run, each tent built once and each
-    oracle lattice walked once per (r, vb + vc, ve, theta), it runs in
-    about 0.43 s of a 0.52 s ``grid_orbital`` pass on perfbench's host
-    clock, so the charge is about 8 times its time)."""
+    at one width and with one table per run, each tent built once, each
+    oracle lattice walked once per (r, vb + vc, ve, theta) and its row checks
+    read once per finish, it runs in about 0.23 s of a 0.33 s
+    ``grid_orbital`` pass on perfbench's host clock, so the charge is about
+    15 times its time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -320,6 +321,32 @@ def _row_sums(pair: tuple[int, list[int]], negate: bool) -> tuple[bool, int]:
     return not sum(rows), -weighted if negate else weighted
 
 
+def _finish_checks(lo: int, acc: list[int], negate: bool, mask: int) -> tuple:
+    """A walk's accumulator ``acc`` finished at lo (``orbital._support_finish``)
+    with its three row checks read once, by ``_row_sums`` and
+    ``_first_sign_break``: (lo, pair, zero, log-derivative, signed row sum,
+    sign break, mask), the row sum signed as the log-derivative is."""
+    pair = _support_finish(lo, acc)
+    total = sum(pair[1])
+    return lo, pair, *_row_sums(pair, negate), -total if negate else total, _first_sign_break(pair, mask), mask
+
+
+def _shifted_checks(finish: tuple, lo: int) -> tuple:
+    """The oracle entry (pair, zero, log-derivative, sign break, mask) at lo
+    of a ``_finish_checks`` ``finish`` read at lo0 = lo - d, d even, derived
+    without reading the rows: the pair's lo moves by d, the value at s = 0
+    stays, the log-derivative moves by d times the signed row sum, and the
+    first sign break moves by d, or stays None.
+
+    That is ``_row_sums`` (at the same sign) and ``_first_sign_break`` (at
+    the same mask) at the shifted pair: as d is even, each row keeps the
+    parity of its k, so its sign and its mask test; the rows sum to the same
+    total; and their k-weighted sum gains d for each unit of it."""
+    lo0, (pair_lo, rows), zero, log_deriv, step, k, mask = finish
+    d = lo - lo0
+    return (pair_lo + d, rows), zero, log_deriv + d * step, k if k is None else k + d, mask
+
+
 def _orbital_width(config: SweepConfig) -> int:
     """The width at which ``suite_orbital`` packs every tuple of the grid:
     the ``row_width`` of its top corner, r = r_max, vb = _VB_MIN, vb + vc =
@@ -394,13 +421,25 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
 
     The three checks that read only the rows (the value at s = 0, the signed
     log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
-    pattern) are read once per oracle entry: a tuple whose closed-form pair
-    equals the entry's pair reuses them, and a tuple whose pair differs
-    reads its own.  The sign pattern reads its ``exactpoly._sign_mask`` at
-    the digit count n_bound + 1 from the run's masks, one per n_bound in
-    [0, ve_max].  The derivative at (ve, vda) is compared across the splits
-    of one block (r, vb + vc), the first split's kept only while the walk
-    stays in the block.  Each identity is counted once for the whole grid;
+    pattern) are read once per finish (ve, theta, lo & 1) of a block, by
+    ``_row_sums`` and ``_first_sign_break`` at the finish's own lo0
+    (``_finish_checks``), and kept in ``finished`` with its rows.  An
+    oracle entry at lo = lo0 + d derives its own from them
+    (``_shifted_checks``): the same value at s = 0, the log-derivative plus
+    d times the signed row sum, and the first sign break plus d, or None.
+    That is exact, as the entries that share a finish key
+      * hold the same rows, shifted by an even d (see ``_shifted_checks``);
+      * share n_bound = min(ve, (s - 1)/2 + r, vda + r), one number per
+        (r, s, ve, theta) as s is odd, so the sign mask;
+      * share the sign negate = (vc + r) & 1 = (lo + m_top) & 1, with m_top
+        the walk's own.
+    A tuple whose closed-form pair equals the entry's pair reuses the
+    entry's checks, and a tuple whose pair differs reads its own.  The sign
+    pattern reads its ``exactpoly._sign_mask`` at the digit count
+    n_bound + 1 from the run's masks, one per n_bound in [0, ve_max].  The
+    derivative at (ve, vda) is compared across the splits of one block
+    (r, vb + vc), the first split's kept only while the walk stays in the
+    block.  Each identity is counted once for the whole grid;
     failures are recorded as they occur, in tuple order and, within a
     tuple, in the order above."""
     ves, vdas = range(config.ve_max + 1), config.vda_values()
@@ -412,7 +451,7 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
         for s in config.sum_bc_values():
             seen_derivative: dict[tuple, int] = {}
             walks: dict[tuple, tuple[int, list[int]]] = {}  # (ve, theta): (m_top, acc)
-            finished: dict[tuple, tuple[int, list[int]]] = {}  # (ve, theta, lo & 1): (lo shift, rows)
+            finished: dict[tuple, tuple] = {}  # (ve, theta, lo & 1): its _finish_checks
             for vb in range(_VB_MIN, s + 1):
                 vc = s - vb
                 negate = (vc + r) & 1
@@ -423,10 +462,6 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
                         theta = s if s < 2 * vda else 2 * vda  # min(vb + vc, 2 vda)
                         entry = oracle.get(theta)
                         if entry is None:
-                            # The sign pattern reads n_bound = min(ve, (s - 1)/2 + r, vda + r),
-                            # one number per entry as s is odd: either theta = 2 vda < s, so
-                            # vda is fixed, or theta = s < 2 vda, so vda + r > (s - 1)/2 + r.
-                            mask = masks[min(ve, (s - 1) // 2 + r, vda + r)]
                             walk = walks.get((ve, theta))
                             if walk is None:
                                 walk = walks[ve, theta] = _support_walk(r, s, ve, theta, width)
@@ -434,12 +469,12 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
                             lo = vc + r - m_top
                             shared = finished.get((ve, theta, lo & 1))
                             if shared is None:
-                                first_lo, rows = _support_finish(lo, acc)
-                                shared = finished[ve, theta, lo & 1] = first_lo - lo, rows
-                            shift, rows = shared
-                            oracle_pair = lo + shift, rows
-                            k = _first_sign_break(oracle_pair, mask)
-                            entry = oracle[theta] = (oracle_pair, *_row_sums(oracle_pair, negate), k, mask)
+                                # The sign pattern reads n_bound = min(ve, (s - 1)/2 + r, vda + r),
+                                # one number per (ve, theta) as s is odd: either theta = 2 vda < s,
+                                # so vda is fixed, or theta = s < 2 vda, so vda + r > (s - 1)/2 + r.
+                                mask = masks[min(ve, (s - 1) // 2 + r, vda + r)]
+                                shared = finished[ve, theta, lo & 1] = _finish_checks(lo, acc, negate, mask)
+                            entry = oracle[theta] = _shifted_checks(shared, lo)
                         oracle_pair, zero, log_deriv, k, mask = entry
                         pair = _closed_form_rows(r, vb, vc, ve, vda, tables)
                         p = None

@@ -12,6 +12,7 @@ from helpers import (
     orbit_fields,
     pack_row,
     reference_derivative,
+    reference_gross_keating,
     reference_int_circ,
     reference_int_total,
     reduced_tuples,
@@ -323,7 +324,7 @@ def walk_orbital(config):
          "term_at_T1-shared"],
 )
 def test_orbital_records_match_the_per_tuple_walk(monkeypatch, mutation, only):
-    """Reading the row checks once per oracle entry and counting each
+    """Reading the row checks once per finish and counting each
     identity once leaves the report as the per-tuple walk makes it: the
     same counts in the same key order, the same records in the same order."""
     if mutation:
@@ -449,25 +450,105 @@ def test_shared_oracle_reports_only_the_mutated_tuple(monkeypatch):
     assert all(f["params"] == target.label() for f in res.failures)
 
 
-@pytest.mark.parametrize("differs", [False, True], ids=["clean", "one_tuple_differs"])
-def test_row_checks_read_once_per_oracle_entry(monkeypatch, differs):
+def finish_key(p):
+    """(r, vb + vc, ve, theta, lo & 1), lo = -(vb + r) the walk's lowest k:
+    one finish of the oracle's walk, whose rows every entry at that key
+    shares, shifted by its own lo."""
+    return (*block_key(p), (p.vb + p.r) & 1)
+
+
+def negate_top_row(monkeypatch, key):
+    """Negate, at the walk key ``key`` (r, vb + vc, ve, theta) alone, the top
+    row of the oracle's walk and of the closed form of every tuple that
+    shares the key: the same signed row change on both sides, so that the
+    pairs still agree.  The top row, k = 2 ve + vc + r, holds the walk's
+    point n2 = ve, m = 0 (never trimmed), and negated it breaks the row sum
+    and leaves a negative coefficient; its k is not 0 while ve >= 1."""
+    walk, closed = orbital._support_walk, verify._closed_form_rows
+
+    def mutated_walk(*args):
+        m_top, acc = walk(*args)
+        if args[:4] == key:
+            acc[-1] = -acc[-1]
+        return m_top, acc
+
+    def mutated_closed(*args):
+        lo, rows = closed(*args)
+        if block_key(OrbitalParams(*args[:5])) == key:
+            rows = [*rows[:-1], -rows[-1]]  # the closed form's rows may be shared with other tuples
+        return lo, rows
+
+    monkeypatch.setattr(orbital, "_support_walk", mutated_walk)
+    monkeypatch.setattr(verify, "_support_walk", mutated_walk)
+    monkeypatch.setattr(verify, "_closed_form_rows", mutated_closed)
+
+
+ROW_CHECK_CASES = ["clean", "one_tuple_differs", "negated_top_row"]
+
+
+@pytest.mark.parametrize("case", ROW_CHECK_CASES, ids=ROW_CHECK_CASES)
+def test_row_checks_read_once_per_finish(monkeypatch, case):
     """The value at s = 0, the log-derivative and the sign pattern are read
-    once per oracle entry (orbit, theta); a tuple whose rows differ from its
-    entry's reads its own, once more.  Every tuple still builds its own
-    closed form and packed derivative."""
+    once per finish (r, vb + vc, ve, theta, lo & 1) of the oracle's walk; a
+    tuple whose rows differ from its entry's reads its own, once more.  Each
+    oracle entry (orbit, theta) derives its own from its finish, and they
+    are exactly ``_row_sums`` and ``_first_sign_break`` at the entry's own
+    pair and mask, also where a walk and the closed forms sharing it are
+    mutated alike, so that the derived checks fail.  Every tuple still
+    builds its own closed form and packed derivative, in order."""
+    row_sums, first_sign_break = verify._row_sums, verify._first_sign_break
+    differs = case == "one_tuple_differs"
     if differs:
         monkeypatch.setattr(verify, "_closed_form_rows", mutated_rows("constant_at_T0", SHARED_THETA_TARGET))
+    if case == "negated_top_row":
+        negate_top_row(monkeypatch, (1, 3, 2, 2))
     breaks = counted(monkeypatch, "_first_sign_break")
     sums = counted(monkeypatch, "_row_sums")
     closed = counted(monkeypatch, "_closed_form_rows")
     derivatives = counted(monkeypatch, "_packed_derivative")
-    assert suite_orbital(SMALL).passed != differs
+    derived, shifted = [], verify._shifted_checks
+
+    def recorded(finish, lo):
+        out = shifted(finish, lo)
+        derived.append(out)
+        return out
+
+    monkeypatch.setattr(verify, "_shifted_checks", recorded)
+    assert suite_orbital(SMALL).passed == (case == "clean")
     tuples = list(full_tuples(SMALL))
-    entries = {(p.r, p.vb, p.vc, p.ve, p.theta()) for p in tuples}
-    assert len(entries) < len(tuples)
-    assert len(sums) == len(entries) + differs
-    assert len(breaks) == len(entries) + differs
+    finishes = {finish_key(p) for p in tuples}
+    entries = {(p.r, p.vb, p.vc, p.ve, p.theta()): p for p in tuples}  # each entry's first tuple
+    assert len(finishes) < len(entries) < len(tuples)
+    assert len(sums) == len(breaks) == len(finishes) + differs
+    assert len(derived) == len(entries)
+    width = verify._orbital_width(SMALL)
+    for p, (pair, zero, log_deriv, k, mask) in zip(entries.values(), derived):
+        assert pair == orbital._support_sum_rows(*orbit_fields(p), width), p
+        assert mask == _sign_mask(width, p.n_bound() + 1), p
+        assert (zero, log_deriv) == row_sums(pair, (p.vc + p.r) & 1), p
+        assert k == first_sign_break(pair, mask), p
     assert [OrbitalParams(*args[:5]) for args in closed] == [OrbitalParams(*args[:5]) for args in derivatives] == tuples
+
+
+ROW_IDENTITIES = ("value at s=0 is 0", "derivative == signed series derivative", "sign pattern (-1)^k")
+
+
+@pytest.mark.parametrize("key", [(1, 3, 2, 2), (2, 3, 3, 3), (0, 1, 1, 0)], ids=["even_theta", "odd_theta", "theta_0"])
+def test_mutated_finish_fails_every_entry_that_shares_it(monkeypatch, key):
+    """A walk and the closed forms that share it, mutated alike at one key
+    (r, vb + vc, ve, theta), agree, so every tuple there reuses its entry's
+    row checks, most of them derived from another entry's finish; each of the
+    three row identities fails at exactly the tuples that share the key, and
+    the report is the per-tuple walk's, which reads every tuple's rows
+    afresh."""
+    negate_top_row(monkeypatch, key)
+    res = suite_orbital(SMALL)
+    sharing = [p.label() for p in full_tuples(SMALL) if block_key(p) == key]
+    assert len({p["vb"] for p in sharing}) == key[1] + 1 - verify._VB_MIN
+    assert {f["identity"] for f in res.failures} == set(ROW_IDENTITIES)
+    for identity in ROW_IDENTITIES:
+        assert [f["params"] for f in res.failures if f["identity"] == identity] == sharing, identity
+    assert json.dumps(res.to_json()) == json.dumps(walk_orbital(SMALL).to_json())
 
 
 WALK_CONFIGS = [
@@ -535,19 +616,31 @@ def test_kernel_vanishing_matches_the_report_walk(monkeypatch, mutated):
 
 
 @pytest.mark.parametrize(
-    "config, n_entries",
-    [(SweepConfig(), 29_722), (SweepConfig(r_max=8, ve_max=13, sum_bc_max=13), 68_796)],
+    "config, n_entries, n_walks",
+    [(SweepConfig(), 29_722, 2_079), (SweepConfig(r_max=8, ve_max=13, sum_bc_max=13), 68_796, 4_410)],
     ids=["default", "rmax8_ve13_sbc13"],
 )
-def test_n_bound_is_one_number_per_oracle_entry(config, n_entries):
-    """``suite_orbital`` reads one sign break per oracle entry (orbit,
-    theta), at the digit count n_bound + 1: n_bound takes one value over the
-    tuples of each entry, on the default grid and past it."""
-    n_bound = {}
+def test_n_bound_is_one_number_per_oracle_entry(config, n_entries, n_walks):
+    """``suite_orbital`` reads the row checks once per finish of a walk and
+    derives each oracle entry's (orbit, theta) from them, which needs:
+    n_bound, whose digit count n_bound + 1 the sign break reads, one number
+    per walk key (r, vb + vc, ve, theta), so per entry; and the sign
+    (vc + r) & 1 one number per finish key (r, vb + vc, ve, theta, lo & 1),
+    lo = vc + r - m_top at the walk's own m_top; two finishes per walk, one
+    per parity of lo, on the default grid and past it."""
+    width = verify._orbital_width(config)
+    m_top, n_bound, negate, entries = {}, {}, {}, set()
     for p in full_tuples(config):
-        entry = (p.r, p.vb, p.vc, p.ve, p.theta())
-        assert n_bound.setdefault(entry, p.n_bound()) == p.n_bound(), p
-    assert len(n_bound) == n_entries
+        key = block_key(p)
+        if key not in m_top:
+            m_top[key] = orbital._support_walk(*key, width)[0]
+        lo = p.vc + p.r - m_top[key]
+        assert finish_key(p) == (*key, lo & 1), p
+        assert n_bound.setdefault(key, p.n_bound()) == p.n_bound(), p
+        assert negate.setdefault(finish_key(p), (p.vc + p.r) & 1) == (p.vc + p.r) & 1, p
+        entries.add((p.r, p.vb, p.vc, p.ve, p.theta()))
+    assert len(entries) == n_entries
+    assert len(n_bound) == n_walks and len(negate) == 2 * n_walks
 
 
 def reference_afl(config, derivative=reference_derivative):
@@ -762,6 +855,51 @@ def test_suite_failure_records(monkeypatch, suite, callee, mutate, records):
 
 
 SMOKE = SweepConfig(r_max=2, ve_max=4, sum_bc_max=5)
+
+
+def largest_coefficient(*values):
+    """The largest |coefficient| of the q-polynomials ``values``."""
+    return max((abs(c) for value in values for c in value._terms.values()), default=0)
+
+
+def miracle_values(p):
+    """Every value ``suite_miracle`` packs at ``p``: the Gross-Keating value,
+    D(ve), D(ve - 1) and their sum, from the dict references."""
+    here, below = reference_derivative(p), reference_derivative(p.with_ve(p.ve - 1))
+    return reference_gross_keating(gk_from_params(p)), here, below, here + below
+
+
+def afl_values(p):
+    """Every value ``suite_afl`` packs at ``p``: the total, int_circ and D,
+    and at r >= 1 the level differences of the total and of int_circ and
+    ``derivative_combo``, from the dict references."""
+    values = [reference_int_total(p), reference_int_circ(p), reference_derivative(p)]
+    if p.r >= 1:
+        q = p.with_r(p.r - 1)
+        values += [values[0] - reference_int_total(q), values[1] - reference_int_circ(q), orbital.derivative_combo(p)]
+    return values
+
+
+@pytest.mark.parametrize(
+    "config, largest",
+    [(SMOKE, {"miracle": 17, "afl": 9}), (SweepConfig(), {"miracle": 43, "afl": 22})],
+    ids=["smoke", "default"],
+)
+def test_packing_widths_hold_every_value(config, largest):
+    """Equal packed ints are equal q-polynomials only while every
+    coefficient is below 2**(width - 1) in absolute value: at every reduced
+    tuple, each value the miracle and afl sweeps pack fits their width
+    (``_miracle_width``, ``_afl_width``).  The largest |coefficient| is
+    recorded: on the default grid miracle's 43 against 64 is the tightest
+    margin, so a width one bit lower fails, and afl's is 22 against 1,024."""
+    widths = {"miracle": verify._miracle_width(config), "afl": verify._afl_width(config)}
+    got = {"miracle": 0, "afl": 0}
+    for p in reduced_tuples(config):
+        got["miracle"] = max(got["miracle"], largest_coefficient(*miracle_values(p)))
+        got["afl"] = max(got["afl"], largest_coefficient(*afl_values(p)))
+    assert got == largest
+    for suite, width in widths.items():
+        assert got[suite] < 2 ** (width - 1), suite
 
 
 @pytest.mark.parametrize(
