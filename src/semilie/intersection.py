@@ -18,7 +18,9 @@ operations on ``orbital._derivative_tables``' prefix tables, the way
 ``int_total`` add and subtract such ints and decode the result once; the
 miracle and afl sweeps in ``verify`` compare them without decoding.
 ``gross_keating`` decodes the same ``_packed_gk``, with one branch for the
-Fraction top coefficient of a pair no orbit gives.
+Fraction top coefficient of a pair no orbit gives, and ``int_circ_kr_closed``
+decodes ``_packed_kr_closed``, which the afl sweep compares with the level
+difference of two packed int_circ values.
 """
 
 from __future__ import annotations
@@ -222,27 +224,44 @@ def int_total(p: OrbitalParams) -> QPolynomial:
 
 def int_circ_kr_closed(p: OrbitalParams) -> QPolynomial:
     """Closed form for the primitive intersection number against the single
-    Cartan-cell indicator at level r (r >= 1, ve >= 1):
-
-        (C+1) q**N + (C+2) q**(N-1)   if ve - r = vda <= (vb+vc-1)/2,
-        2 q**N                         if (vb+vc-1)/2 + r < min(ve, vda + r),
-        q**N + q**(N-1)                otherwise,
-
-    where N = min(ve, (vb+vc-1)/2 + r, vda + r) and, in the first case,
-    C = (vb + vc - 2 vda - 1)/2.  Equals int_circ(r) - int_circ(r-1)."""
+    Cartan-cell indicator at level r (r >= 1, ve >= 1), ``_packed_kr_closed``
+    decoded at width bits((vb + vc + 3)/2) + 1, its coefficient bound.
+    Equals int_circ(r) - int_circ(r-1)."""
     if p.r < 1:
         raise InvalidParamsError(f"int_circ_kr_closed needs r >= 1, got {p.r}")
     if p.ve < 1:
         raise InvalidParamsError(f"int_circ_kr_closed needs ve >= 1, got {p.ve}")
     s = p.vb + p.vc
-    cap = p.n_bound()
-    # c >= 0 and N >= 1, so each dict has two positive terms and is canonical.
-    if p.ve - p.r == p.vda and p.vda <= (s - 1) // 2:
-        c = (s - 2 * p.vda - 1) // 2
-        return QPolynomial._raw({cap: c + 1, cap - 1: c + 2})
-    if (s - 1) // 2 + p.r < min(p.ve, p.vda + p.r):
-        return QPolynomial.q_power(cap, 2)
-    return QPolynomial._raw({cap: 1, cap - 1: 1})
+    width = ((s + 3) // 2).bit_length() + 1
+    return QPolynomial._from_packed(_packed_kr_closed(p.r, s, p.ve, p.vda, width), width)
+
+
+def _packed_kr_closed(r: int, s: int, ve: int, vda: int | float, width: int) -> int:
+    """``int_circ_kr_closed`` at level r >= 1 of the orbit with vb + vc = s,
+    ve >= 1 and vda, packed (see ``exactpoly.unpack``) at ``width``, with
+    X = 2**width:
+
+        (C+1) X**N + (C+2) X**(N-1)   if ve - r = vda <= (s-1)/2,
+        2 X**N                         if (s-1)/2 + r < min(ve, vda + r),
+        X**N + X**(N-1)                otherwise,
+
+    where N = min(ve, (s-1)/2 + r, vda + r) >= 1 (r, ve >= 1) and, in the
+    first case, C = (s - 2 vda - 1)/2 >= 0.  It reads no prefix table.
+
+    The width must hold the coefficients, which lie in [1, (s + 3)/2]: C + 2
+    is at most (s + 3)/2.  That is below 2 ve + s + 2 r, the int_circ bound
+    of ``verify._afl_width``."""
+    cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
+    if ve < cap:
+        cap = ve
+    if vda + r < cap:
+        cap = vda + r
+    if ve - r == vda and 2 * vda < s:
+        c = (s - 2 * vda - 1) // 2
+        return (c + 1 << width * cap) + (c + 2 << width * (cap - 1))
+    if (s - 1) // 2 + r < ve and (s - 1) // 2 < vda:
+        return 2 << width * cap
+    return (1 << width * cap) + (1 << width * (cap - 1))
 
 
 def geom_to_orbital(g: GeometricParams) -> PartialOrbitalParams:

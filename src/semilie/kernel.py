@@ -23,11 +23,16 @@ packed once (``_packed_weights``), the signed D(j) of an orbit packed once
 (``_signed_derivatives``), and their combination (``_packed_combination``)
 compared with 0, at a width its caller proves.
 
-Rank certification is two-sided: a fraction-free (Bareiss) elimination over
-the q-polynomial entries, packed as ints at a width every minor fits
-(``_packed_rank``), computes the rank outright, and independently the
+Rank certification is two-sided: a fraction-free (Bareiss) elimination on
+the packed entries (``_packed_rank``), at a width every minor fits
+(``_rank_width``), computes the rank outright, and independently the
 reduced matrix M'' is checked against the predicted zero pattern and
-anti-diagonal entries, whose product is spot-evaluated at q = 3, 5, 7.
+anti-diagonal entries, whose product is spot-evaluated at q = 3, 5, 7.  One
+int core (``_certificate``) does all of it on M packed once: the kernel
+sweep's ``_packed_certificate`` builds M from ``_packed_derivative`` at the
+rank width, read from the row 1-norms as values at q = 1, and
+``certify_full_rank`` packs a ``DerivMatrix``'s entries.  Only the pivots
+are decoded, for the spot check.
 """
 
 from __future__ import annotations
@@ -127,10 +132,19 @@ def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int) -> tuple[list[tupl
     """
     n_rows = _matrix_rows(sum_bc, vda, n_cap)
     width = (n_rows - 1 + (sum_bc + 1) // 2 + n_cap).bit_length() + 1
+    return _matrix_ints(sum_bc, vda, n_cap, n_rows, width), width
+
+
+def _matrix_ints(sum_bc: int, vda: int | float, n_cap: int, n_rows: int, width: int) -> list[tuple[int, ...]]:
+    """The first ``n_rows`` rows of the matrix at (sum_bc, vda, N = n_cap),
+    each entry its value at q = 2**width: entry (i, r) is
+    ``orbital._packed_derivative`` at (r, 0, sum_bc, ve = i, vda), read from
+    one set of prefix tables at ``width`` >= 0.  At a width that holds the
+    coefficients that is the packed form; at width 0 it is the value at
+    q = 1."""
     tables = _derivative_tables(width, n_rows - 1)
     cols = range(n_cap + 1)
-    rows = [tuple([_packed_derivative(r, 0, sum_bc, ve, vda, tables) for r in cols]) for ve in range(n_rows)]
-    return rows, width
+    return [tuple([_packed_derivative(r, 0, sum_bc, ve, vda, tables) for r in cols]) for ve in range(n_rows)]
 
 
 def build_matrix(sum_bc: int, vda: int | float, n_cap: int) -> DerivMatrix:
@@ -165,11 +179,12 @@ def row_reduce(m: DerivMatrix) -> tuple[DerivMatrix, DerivMatrix]:
     )
 
 
-def _rank_width(entries) -> int:
-    """The width at which ``_packed_rank`` packs ``entries``, q-polynomials
-    with int coefficients and exponents >= 0: bits(bound) + 2, bound the
-    product of the largest ``cols`` row 1-norms (each at least 1), a row's
-    1-norm the sum of |c| over its entries' coefficients.
+def _rank_width(norms: Sequence[int], cols: int) -> int:
+    """The width at which ``_packed_rank`` eliminates a matrix of ``cols``
+    columns of q-polynomials with int coefficients and exponents >= 0, whose
+    rows have the 1-norms ``norms``, a row's 1-norm the sum of |c| over its
+    entries' coefficients: bits(bound) + 2, bound the product of the largest
+    ``cols`` norms (each at least 1).
 
     Every entry the elimination keeps is a minor of the matrix (Sylvester's
     identity, which makes each division exact), of at most ``cols`` rows.
@@ -177,18 +192,16 @@ def _rank_width(entries) -> int:
     is at most the product of its rows' 1-norms, so at most the bound, and
     each of its coefficients is below 2**(width - 1) in absolute value.
     """
-    cols = len(entries[0]) if entries else 0
-    norms = sorted((sum(abs(c) for poly in row for c in poly.coefficients()) for row in entries), reverse=True)
     bound = 1
-    for norm in norms[:cols]:
+    for norm in sorted(norms, reverse=True)[:cols]:
         bound *= max(norm, 1)
     return bound.bit_length() + 2
 
 
-def _packed_rank(entries) -> int:
+def _packed_rank(rows: Sequence[Sequence[int]]) -> int:
     """The rank of a matrix of q-polynomials with int coefficients and
-    exponents >= 0, by fraction-free (Bareiss) elimination on the entries
-    packed at ``_rank_width`` (see ``exactpoly.unpack``).
+    exponents >= 0, by fraction-free (Bareiss) elimination on its rows
+    packed (see ``exactpoly.unpack``) at a width at least ``_rank_width``.
 
     Packing is evaluation at q = 2**width, a ring homomorphism, so every
     int the elimination keeps is the value of the minor the same
@@ -198,8 +211,7 @@ def _packed_rank(entries) -> int:
     when the minor is: the pivots are those of the q-polynomial elimination,
     and so is the rank.  Each division checks its remainder all the same,
     and raises ArithmeticError rather than return a rank."""
-    width = _rank_width(entries)
-    mat = [[sum(c << width * e for e, c in poly.items()) for poly in row] for row in entries]
+    mat = [list(row) for row in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if n_rows else 0
     prev, rank = 1, 0
@@ -225,24 +237,35 @@ def _packed_rank(entries) -> int:
     return rank
 
 
-def predicted_antidiagonal(m: DerivMatrix, r: int) -> QPolynomial:
-    """Predicted M'' entry at (r + floor(theta/2) + 1, r).
+def _packed_antidiagonal(sum_bc: int, vda: int | float, r: int, width: int) -> int:
+    """``predicted_antidiagonal`` at column r of the matrix at (sum_bc,
+    vda), packed (see ``exactpoly.unpack``) at ``width``, with X = 2**width
+    and x = r + floor(theta/2):
 
-    theta odd:  q**x - q**(x-1)                       with x = r + floor(theta/2),
-    theta even: -C1 q**x - (C1+1) q**(x-1)            with C1 = (sum_bc - 1 - 2 vda)/2,
-    and in either case the q**(x-1) term is dropped when x = 0."""
-    theta = m.theta
+      theta odd:   X**x - X**(x-1),
+      theta even:  -C1 X**x - (C1 + 1) X**(x-1),  C1 = (sum_bc - 1 - 2 vda)/2,
+
+    the X**(x-1) term dropped at x = 0.  An even theta = 2 vda is below the
+    odd sum_bc, so C1 >= 0, and every coefficient lies in [-(sum_bc +
+    1)/2, 1]."""
+    theta = min(sum_bc, 2 * vda)
     x = r + theta // 2
     if theta % 2:
-        out = QPolynomial.q_power(x)
-        if x >= 1:
-            out = out - QPolynomial.q_power(x - 1)
-        return out
-    c1 = (m.sum_bc - 1 - 2 * m.vda) // 2
-    out = QPolynomial.q_power(x, -c1)
+        top, below = 1, 1
+    else:
+        top = -((sum_bc - 1 - 2 * vda) // 2)
+        below = 1 - top
+    out = top << width * x
     if x >= 1:
-        out = out - QPolynomial.q_power(x - 1, c1 + 1)
+        out -= below << width * (x - 1)
     return out
+
+
+def predicted_antidiagonal(m: DerivMatrix, r: int) -> QPolynomial:
+    """Predicted M'' entry at (r + floor(theta/2) + 1, r): ``_packed_antidiagonal``
+    decoded, at width bits((sum_bc + 1)/2) + 1, its coefficient bound."""
+    width = ((m.sum_bc + 1) // 2).bit_length() + 1
+    return QPolynomial._from_packed(_packed_antidiagonal(m.sum_bc, m.vda, r, width), width)
 
 
 @dataclass
@@ -277,62 +300,92 @@ class RankCertificate:
         return {"sum_bc": self.sum_bc, "vda": vda, "N": self.n_cap}
 
 
-def certify_full_rank(m: DerivMatrix) -> RankCertificate:
-    """Exact elimination rank plus the structural checks on M''."""
-    _, m2 = row_reduce(m)
-    theta = m.theta
-    half = theta // 2
+def _certificate(sum_bc: int, vda: int | float, n_cap: int, rows: list[tuple[int, ...]], width: int) -> RankCertificate:
+    """The certificate of the matrix at (sum_bc, vda, N = n_cap) from its
+    rows ``rows`` packed at ``width``, which must be at least their
+    ``_rank_width`` and hold every coefficient of M'' and of the predicted
+    anti-diagonal, so that equal ints are equal q-polynomials and an int is
+    0 exactly when its q-polynomial is.
+
+    M' and M'' are reduced on the ints (``_reduce_rows``); the structural
+    zeros are the ints of M'' below the anti-diagonal; the anti-diagonal is
+    compared with ``_packed_antidiagonal`` and gives the pivots, the top
+    row's entry standing in at column 0 where it is 0 (which is legitimate
+    only where floor(theta/2) <= 1); the rank is ``_packed_rank`` of M.  Only
+    the pivots are decoded, for the spot check: their product is nonzero at
+    q = 3, 5 and 7, that is, each pivot is, as evaluation is a ring
+    homomorphism into the integers."""
+    _, m2 = _reduce_rows(rows)
+    n_rows, cols = len(rows), len(rows[0]) if rows else 0
+    half = min(sum_bc, 2 * vda) // 2
     flags: list[str] = []
-
-    structural = all(
-        not m2.entry(i, r)
-        for r in range(m.cols)
-        for i in range(r + half + 2, m.rows)
-    )
-
+    structural = all(not m2[i][r] for r in range(cols) for i in range(r + half + 2, n_rows))
     antidiagonal = True
-    pivots: list[QPolynomial] = []
+    pivots: list[int] = []
     fallback = False
-    for r in range(m.cols):
+    for r in range(cols):
         i = r + half + 1
-        predicted = predicted_antidiagonal(m, r)
-        actual = m2.entry(i, r)
-        if actual != predicted:
+        actual = m2[i][r]
+        if actual != _packed_antidiagonal(sum_bc, vda, r, width):
             antidiagonal = False
             flags.append(f"entry ({i},{r}) != predicted anti-diagonal value")
         if actual:
             pivots.append(actual)
         elif r == 0:
-            # Zero pivot can legitimately happen only at column 0 when
-            # r + floor(theta/2) <= 1; substitute the top row, whose leading
-            # entry (sum_bc + 1)/2 is positive.
             fallback = True
-            pivots.append(m2.entry(0, 0))
-            if r + half > 1:
+            pivots.append(m2[0][0])
+            if half > 1:
                 flags.append("unexpected zero pivot at column 0")
         else:
             flags.append(f"unexpected zero pivot at column {r}")
             pivots.append(actual)
-
-    rank = _packed_rank(m.entries)
-
-    product = QPolynomial.one()
-    for piv in pivots:
-        product = product * piv
-    spot = {q: bool(product.evaluate(q)) for q in (3, 5, 7)}
-
+    polys = _decoded(pivots, width)
+    spot = {q: all(piv.evaluate(q) for piv in polys) for q in (3, 5, 7)}
     return RankCertificate(
-        sum_bc=m.sum_bc,
-        vda=m.vda,
-        n_cap=m.n_cap,
-        rank=rank,
-        expected_rank=m.cols,
+        sum_bc=sum_bc,
+        vda=vda,
+        n_cap=n_cap,
+        rank=_packed_rank(rows),
+        expected_rank=cols,
         structural_zeros=structural,
         antidiagonal_match=antidiagonal,
         fallback_row_used=fallback,
         spot_checks=spot,
         flags=flags,
     )
+
+
+def _packed_certificate(sum_bc: int, vda: int | float, n_cap: int) -> RankCertificate:
+    """``certify_full_rank(build_matrix(sum_bc, vda, n_cap))`` on M packed
+    once, at its ``_rank_width``; raises as ``_matrix_rows`` does.
+
+    Every entry of M has its coefficients in [0, T] (``_packed_matrix``), so
+    a row's 1-norm is the sum of its entries' values at q = 1, which
+    ``_matrix_ints`` gives at width 0, exactly.  The width holds the rest
+    (``_certificate``): a coefficient of M is at most its row's 1-norm, so
+    at most the bound b of ``_rank_width``, and one of M'', c_i - c_(i-1) -
+    c_(i-2) + c_(i-3) in the coefficients c_j >= 0 of one column, lies in
+    [-2b, 2b]; a predicted coefficient is at most (sum_bc + 1)/2
+    (``_packed_antidiagonal``), which is entry (0, 0), D at r = ve = 0, so at
+    most row 0's 1-norm.  All are below 2**(bits(b) + 1) = 2**(width - 1)."""
+    n_rows = _matrix_rows(sum_bc, vda, n_cap)
+    norms = [sum(row) for row in _matrix_ints(sum_bc, vda, n_cap, n_rows, 0)]
+    width = _rank_width(norms, n_cap + 1)
+    return _certificate(sum_bc, vda, n_cap, _matrix_ints(sum_bc, vda, n_cap, n_rows, width), width)
+
+
+def certify_full_rank(m: DerivMatrix) -> RankCertificate:
+    """Exact elimination rank plus the structural checks on M'': the int
+    core ``_certificate`` on m's entries packed one bit above their
+    ``_rank_width`` (their coefficient 1-norms), and at least at bits((sum_bc
+    + 1)/2) + 1.  A coefficient of M'' is a signed sum of four of M's, each
+    at most the bound b of ``_rank_width``, so below 4b < 2**(width - 1)
+    whatever the entries' signs; and the predicted anti-diagonal's are at
+    most (sum_bc + 1)/2 (``_packed_antidiagonal``)."""
+    norms = [sum(abs(c) for poly in row for c in poly.coefficients()) for row in m.entries]
+    width = max(_rank_width(norms, m.cols) + 1, ((m.sum_bc + 1) // 2).bit_length() + 1)
+    rows = [tuple([poly._packed(width) for poly in row]) for row in m.entries]
+    return _certificate(m.sum_bc, m.vda, m.n_cap, rows, width)
 
 
 def _packed_weights(vec: HeckeVector, width: int) -> list[tuple[int, int]]:

@@ -36,12 +36,13 @@ The public ``orbital_closed_form`` and ``orbital_support_sum`` decode the
 pair (``LaurentSeries._from_rows``); the orbital sweep in ``verify`` works
 on the pair itself.  The closed form's rows may be shared: calls on the
 same ``_derivative_tables`` return one memoised list for every tuple of a
-tent, so no caller may mutate the rows a builder returns.
+tent or plateau key, so no caller may mutate the rows a builder returns.
 ``_packed_derivative`` is D packed the same way, one int per tuple, which
 the sweeps and the kernel matrix read and ``derivative_closed_form``
-decodes.  The three private builders take the five ints (r, vb, vc, ve,
-vda) rather than an ``OrbitalParams``, so that a sweep builds none per
-tuple.
+decodes; ``_packed_combo`` is ``derivative_combo`` packed, which the afl
+sweep reads and ``derivative_combo`` decodes.  The private builders take
+the orbit's ints rather than an ``OrbitalParams``, so that a sweep builds
+none per tuple.
 """
 
 from __future__ import annotations
@@ -182,46 +183,73 @@ def _closed_form_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, table
 
     With j = k - lo, lo = -(vb + r), the span h = hi - lo = 2 ve + vb + vc
     + 2 r is odd, so n(k) = min(j // 2, (h - j) // 2, cap) is the same at
-    j = 2i and 2i + 1: min(i, H - i, cap), H = (h - 1)/2 (``half``).  Over i in [0, H]
-    that is a tent G[0], ..., G[cap - 1], then G[cap] H + 1 - 2 cap times,
-    then G[cap - 1], ..., G[0], as cap <= ve and cap <= (vb + vc - 1)/2 + r
-    give 2 cap <= H.  The rows are the tent at even k and its negation at
-    odd k, each built by list slicing; they read only (half, cap, lo & 1)
-    and G, so they are built once per key and kept in the memo of
-    ``tables``.  The plateau adds the trapezoid c(k) = min(k - c_lo, c_hi -
-    k, plateau) X**(vda + r) to a copy of them: a ramp, a flat top and the
-    ramp reversed, c_hi - c_lo being odd and above 2 plateau, added with
-    the sign of k on the two stride-2 slices of its span."""
+    j = 2i and 2i + 1: min(i, H - i, cap), H = (h - 1)/2 (``half``).  Over i
+    in [0, H] that is a tent G[0], ..., G[cap - 1], then G[cap] H + 1 - 2 cap
+    times, then G[cap - 1], ..., G[0], as cap <= ve and cap <= (vb + vc -
+    1)/2 + r give 2 cap <= H.  The rows are the tent at even k and its
+    negation at odd k: they read only (half, cap, lo & 1) and G.
+
+    The plateau, active where vda < ve - r and vb + vc > 2 vda, adds c(k) =
+    min(k - c_lo, c_hi - k, ve - vda - r) over k in [c_lo, c_hi], c_lo = 2
+    vda - vb + r and c_hi = 2 ve + vc - 2 vda - r.  There s = vb + vc > 2
+    vda gives (s - 1)/2 >= vda, and vda + r < ve, so cap = vda + r and, in
+    terms of the key:
+      * the monomial is X**cap, and the height ve - vda - r is ve - cap;
+      * c_lo - lo = 2 vda + 2 r = 2 cap;
+      * c_hi - lo + 1 = 2 ve + s - 2 vda + 1 = 2 half - 2 cap + 2, as
+        half = ve + (s - 1)/2 + r;
+      * c_lo = lo + 2 cap has the parity of lo, which fixes the sign of
+        each of the trapezoid's two stride-2 slices.
+    So a plateau tuple's rows read only (half, cap, lo & 1, ve - cap) and
+    G, and both kinds of rows are built once per key (``_memo_rows``) and
+    kept in the memo of ``tables``, a tent under its 3-tuple key and a
+    plateau under its 4-tuple key."""
     if ve < 0:
         return 0, []
-    width, geometric, _, tents = tables
+    width, geometric, _, memo = tables
     a = (vb + vc - 1) // 2 + r
     cap = ve if ve < a else a  # min(ve, (vb + vc - 1)/2 + r, vda + r)
     if vda + r < cap:
         cap = vda + r
     lo = -(vb + r)
-    half = ve + a
-    key = half, cap, lo & 1
-    rows = tents.get(key)
+    if vda < ve - r and vb + vc > 2 * vda:
+        key = ve + a, cap, lo & 1, ve - cap
+    else:
+        key = ve + a, cap, lo & 1
+    rows = memo.get(key)
     if rows is None:
+        rows = memo[key] = _memo_rows(tables, *key)
+    return lo, rows
+
+
+def _memo_rows(tables: tuple, half: int, cap: int, parity: int, plateau: int = 0) -> list[int]:
+    """The rows ``_closed_form_rows`` keeps in the memo of ``tables`` under
+    the key (half, cap, parity) or (half, cap, parity, plateau), with
+    lo & 1 = parity: the signed tent, by list slicing; or, for a plateau
+    height, the trapezoid [0, x, ..., (plateau - 1) x, plateau x, ...,
+    plateau x, (plateau - 1) x, ..., 0], x = X**cap, on rows [2 cap, 2 half
+    - 2 cap + 2) of a copy of the tent (read from the memo), with the sign
+    of k on each stride-2 slice, c_hi - c_lo being odd and above 2 plateau."""
+    width, geometric, _, memo = tables
+    if not plateau:
         rise = geometric[:cap]
         tent = rise + geometric[cap:cap + 1] * (half + 1 - 2 * cap) + rise[::-1]
-        rows = tents[key] = [0] * (2 * half + 2)
-        rows[lo & 1::2] = tent  # the even k
-        rows[(lo + 1) & 1::2] = map(neg, tent)  # the odd k
-    if vda < ve - r and vb + vc > 2 * vda:
-        c_lo = 2 * vda - vb + r
-        c_hi = 2 * ve + vc - 2 * vda - r
-        plateau = ve - vda - r
-        x = 1 << width * (vda + r)
-        ramp = range(0, plateau * x, x)
-        trapezoid = [*ramp, *[plateau * x] * (c_hi - c_lo + 1 - 2 * plateau), *ramp[::-1]]
-        rows = [*rows]
-        i, j = c_lo - lo, c_hi - lo + 1
-        first, second = (sub, add) if c_lo & 1 else (add, sub)
-        rows[i:j:2] = map(first, rows[i:j:2], trapezoid[::2])
-        rows[i + 1:j:2] = map(second, rows[i + 1:j:2], trapezoid[1::2])
-    return lo, rows
+        rows = [0] * (2 * half + 2)
+        rows[parity::2] = tent  # the even k
+        rows[parity ^ 1::2] = map(neg, tent)  # the odd k
+        return rows
+    rows = memo.get((half, cap, parity))
+    if rows is None:
+        rows = memo[half, cap, parity] = _memo_rows(tables, half, cap, parity)
+    x = 1 << width * cap
+    ramp = range(0, plateau * x, x)
+    i, j = 2 * cap, 2 * half - 2 * cap + 2
+    trapezoid = [*ramp, *[plateau * x] * (j - i - 2 * plateau), *ramp[::-1]]
+    rows = [*rows]
+    first, second = (sub, add) if parity else (add, sub)
+    rows[i:j:2] = map(first, rows[i:j:2], trapezoid[::2])
+    rows[i + 1:j:2] = map(second, rows[i + 1:j:2], trapezoid[1::2])
+    return rows
 
 
 def orbital_support_sum(p: OrbitalParams) -> LaurentSeries:
@@ -338,10 +366,11 @@ def derivative_closed_form(p: OrbitalParams) -> QPolynomial:
 
 
 def _derivative_tables(width: int, n: int) -> tuple[int, list[int], list[int], dict]:
-    """(width, G, W, tents), the prefix tables that ``_packed_derivative``
+    """(width, G, W, memo), the prefix tables that ``_packed_derivative``
     reads at X = 2**width, G[m] = X**0 + ... + X**m and W[m] = 1 X + 2 X**2
-    + ... + m X**m for 0 <= m <= n, and the memo of the signed tent rows
-    that ``_closed_form_rows`` slices out of G, empty until it fills it."""
+    + ... + m X**m for 0 <= m <= n, and the memo of the signed tent and
+    plateau rows that ``_closed_form_rows`` builds from G, empty until it
+    fills it."""
     geometric, weighted = [1], [0]
     for m in range(1, n + 1):
         x = 1 << width * m
@@ -352,7 +381,7 @@ def _derivative_tables(width: int, n: int) -> tuple[int, list[int], list[int], d
 
 def _top_tables(width: int, *degrees: int) -> tuple[int, dict[int, int], dict[int, int], None]:
     """``_derivative_tables`` read at the given degrees m alone, as maps
-    (the full tables hold O(n**2) bits), with no tent memo: G[m] =
+    (the full tables hold O(n**2) bits), with no row memo: G[m] =
     (X**(m + 1) - 1)/(X - 1) and W[m] = X (m X**(m + 1) - (m + 1) X**m +
     1)/(X - 1)**2, X = 2**width."""
     x = 1 << width
@@ -401,10 +430,10 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
 
         (q**N + ... + 1) + C q**N + C' q**(N-1)
 
-    with N = min(ve, (vb+vc-1)/2 + r, vda + r) and C, C' as below.
-    Equals derivative_closed_form(r) - derivative_closed_form(r-1).
-    C and C' are >= 0, so the coefficients are positive and are built as
-    one dict; C' is 0 at N = 0, which needs ve = 0 (r >= 1), so kappa < 0.
+    with N = min(ve, (vb+vc-1)/2 + r, vda + r) and C, C' as in
+    ``_packed_combo``, which this decodes, at width bits(ve + (vb + vc +
+    3)/2) + 1 (its coefficient bound).  Equals derivative_closed_form(r) -
+    derivative_closed_form(r-1).
     """
     if p.r < 1:
         raise InvalidParamsError(
@@ -413,24 +442,50 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
         )
     if p.ve < 0:
         return QPolynomial.zero()
-    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
-    s = vb + vc
-    cap = p.n_bound()
-    kap = p.kappa()
-    if kap > 0 and kap % 2 == 1 and s > 2 * vda:
-        c_top = (kap - 1) // 2
-    elif kap >= 0 and kap % 2 == 0 and s > 2 * vda:
-        c_top = (kap + s - 2 * vda - 1) // 2
-    elif ve >= (s - 1) // 2 + r and 2 * vda > s:
+    s = p.vb + p.vc
+    width = (p.ve + (s + 3) // 2).bit_length() + 1
+    x = _packed_combo(p.r, s, p.ve, p.vda, _top_tables(width, p.n_bound()))
+    return QPolynomial._from_packed(x, width)
+
+
+def _packed_combo(r: int, s: int, ve: int, vda: int | float, tables: tuple) -> int:
+    """``derivative_combo`` at level r >= 1 of the orbit with vb + vc = s,
+    ve >= 0 and vda, packed (see ``exactpoly.unpack``) at the width of
+    ``tables``, ``_derivative_tables`` with n >= N = min(ve, (s - 1)/2 + r,
+    vda + r) or ``_top_tables`` at N: G[N] + C X**N + C' X**(N - 1), with
+    kappa = ve - (vda + r) and
+
+      C  = (kappa - 1)/2                    if kappa > 0 is odd and s > 2 vda,
+           (kappa + s - 2 vda - 1)/2        if kappa >= 0 is even and s > 2 vda,
+           ve - N                           if ve >= (s - 1)/2 + r and 2 vda > s,
+           0                                otherwise;
+      C' = C + 1 if kappa >= 0 and s > 2 vda, else 0.
+
+    C' is 0 at N = 0, which needs ve = 0 (r >= 1), so kappa < 0.
+
+    The width must hold the coefficients, which lie in [1, ve + (s + 3)/2]:
+    1 + C is at most (ve + 1)/2, (ve + s + 1)/2 or ve + 1 in the three
+    cases with C > 0, as kappa <= ve, and 1 + C' at most (ve + 3)/2 or
+    (ve + s + 3)/2.  For r >= 1 that is below 2 ve + s + 2 r, the int_circ
+    bound of ``verify._afl_width``."""
+    width, geometric, _, _ = tables
+    cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
+    if ve < cap:
+        cap = ve
+    if vda + r < cap:
+        cap = vda + r
+    kap = ve - vda - r
+    plateau = kap >= 0 and s > 2 * vda
+    if plateau:
+        c_top = (kap - 1) // 2 if kap & 1 else (kap + s - 2 * vda - 1) // 2
+    elif 2 * vda > s and ve >= (s - 1) // 2 + r:
         c_top = ve - cap
     else:
         c_top = 0
-    c_next = c_top + 1 if (kap >= 0 and s > 2 * vda) else 0
-    terms = dict.fromkeys(range(cap + 1), 1)
-    terms[cap] += c_top
-    if c_next:
-        terms[cap - 1] += c_next
-    return QPolynomial._raw(terms)
+    x = geometric[cap] + (c_top << width * cap)
+    if plateau:
+        x += c_top + 1 << width * (cap - 1)
+    return x
 
 
 class HeckeVector(KeyedModule):

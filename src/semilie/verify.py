@@ -27,11 +27,13 @@ the series builders' packed pairs (lo, rows) and the packed derivative (see
 ``orbital``) as ints, without decoding them, its sign pattern through
 ``exactpoly._sign_mask``; the miracle and afl suites check the packed
 Gross-Keating values (see ``intersection``) against the packed derivative
-the same way, and the kernel suite each vanishing Hecke combination as one
-packed int compared with 0 (see ``kernel``, "Packed vanishing"); each
-decodes a value only for a failure record.  The orbital, miracle and afl
-suites walk their grids as nested loops over ints and build an
-``OrbitalParams`` only where a record or a public builder reads one.
+the same way, and afl its two closed forms packed too; and the kernel suite
+certifies each rank on packed ints and checks each vanishing Hecke
+combination as one packed int compared with 0 (see ``kernel``); each
+decodes a value only for a failure record (the certificate its pivots, for
+its spot check).  The orbital, miracle and afl suites walk their grids as
+nested loops over ints and build an ``OrbitalParams`` only for a failure
+record.
 """
 
 from __future__ import annotations
@@ -48,14 +50,13 @@ from .intersection import (
     _gk_pair,
     _packed_circ,
     _packed_gk,
-    int_circ_kr_closed,
+    _packed_kr_closed,
 )
 from .kernel import (
+    _packed_certificate,
     _packed_combination,
     _packed_weights,
     _signed_derivatives,
-    build_matrix,
-    certify_full_rank,
     large_r_vector,
     phi_exceptional_window,
     phi_sequence_vector,
@@ -65,10 +66,10 @@ from .orbital import (
     OrbitalParams,
     _closed_form_rows,
     _derivative_tables,
+    _packed_combo,
     _packed_derivative,
     _support_finish,
     _support_walk,
-    derivative_combo,
     require_ints,
     row_width,
     support_points,
@@ -230,11 +231,11 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
     sweep: 29,069,040 units, 3.5 s; walked as ints on the (lo, rows) pairs,
-    at one width and with one table per run, each tent built once, each
-    oracle lattice walked once per (r, vb + vc, ve, theta) and its row checks
-    read once per finish, it runs in about 0.23 s of a 0.33 s
-    ``grid_orbital`` pass on perfbench's host clock, so the charge is about
-    15 times its time)."""
+    at one width and with one table per run, the rows of each tent and of
+    each plateau built once, each oracle lattice walked once per (r, vb +
+    vc, ve, theta) and its row checks read once per finish, it runs in about
+    0.16 s of a 0.24 s ``grid_orbital`` pass on perfbench's host clock, so
+    the charge is about 22 times its time)."""
 
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
@@ -300,15 +301,15 @@ def _miracle_work(config: SweepConfig) -> int:
 def _afl_work(config: SweepConfig) -> int:
     """500 + 5n units per reduced tuple, n = ``_top_degree``: a tuple
     builds one packed ``int_circ`` (two Gross-Keating values) and packed
-    derivative and, for r >= 1, ``derivative_combo`` and the single-cell
-    closed form, each of at most n + 1 terms.  Timed on a 2-CPU Xeon with
-    Python 3.11 (single in-process runs, 7.5-24 µs a tuple), the charge at
-    0.12 µs a unit is 4.1-8.3 times the suite's time from the smoke grid
-    and the default grid to ve_max = 300, r_max = 456, sum_bc_max = 1075,
-    vda_max = 715, r_max = ve_max = 60 and r_max = ve_max = 100; --rmax 40
-    --ve-max 40 --sum-bc-max 41 runs in 4.4 s, charged 197,685,600.  The
-    charge was fitted to the suite's QPolynomial form, 3-4 times slower,
-    and is kept so that no refusal boundary moves."""
+    derivative and, for r >= 1, the packed ``derivative_combo`` and
+    single-cell closed form, each of at most n + 1 terms.  Timed on a 2-CPU
+    Xeon with Python 3.11 (single in-process runs, 3-7.5 µs a tuple), the
+    charge at 0.12 µs a unit is 9-27 times the suite's time from the smoke
+    grid and the default grid to ve_max = 300, r_max = 456, sum_bc_max =
+    1075, vda_max = 715, r_max = ve_max = 60 and r_max = ve_max = 100;
+    --rmax 40 --ve-max 40 --sum-bc-max 41 runs in 1.4 s, charged
+    197,685,600.  The charge was fitted to the suite's QPolynomial form,
+    several times slower, and is kept so that no refusal boundary moves."""
     return config.reduced_tuple_count() * (500 + 5 * _top_degree(config))
 
 
@@ -397,9 +398,12 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     (``_orbital_width``), at which every coefficient of the rows, of their
     sums and of the derivative fits, so equal ints are equal q-polynomials;
     and the closed form and the derivative read one set of prefix tables,
-    whose memo keeps each signed tent the closed form slices out of them,
-    so each (half, cap, parity of lo) of the run builds its tent once and a
-    plateau tuple adds its trapezoid to a copy.  The value at s = 0 is the
+    whose memo keeps the rows the closed form builds from them, so each
+    (half, cap, parity of lo) of the run builds its signed tent once, and
+    each (half, cap, parity of lo, ve - cap) its plateau rows once, the
+    trapezoid added to a copy of the tent (``orbital._closed_form_rows``:
+    222 tents and 640 plateaus for the 48,048 default tuples, 11,190 of
+    them at a plateau).  The value at s = 0 is the
     sum of the rows and the log-derivative their k-weighted sum; nothing is
     decoded, and no tuple allocates a ``LaurentSeries`` or ``QPolynomial``.
 
@@ -555,10 +559,11 @@ def _afl_width(config: SweepConfig) -> int:
     coefficients lie in [-(ve + 1) C, (ve + 1) C] (``intersection.int_total``),
     so those of the difference of the totals at r and r - 1 within
     2 (ve + 1) C; an int_circ's lie in [-C, C] (``intersection._packed_circ``),
-    so those of a difference of two within 2C; and D's in [0, ve + (s + 1)/2
-    + r] (``orbital._packed_derivative``), within C.  Each bound grows with
-    r, s and ve, so at every tuple of the grid all are at most 2M <
-    2**(width - 1)."""
+    so those of a difference of two within 2C; D's in [0, ve + (s + 1)/2
+    + r] (``orbital._packed_derivative``), within C; and at r >= 1 those of
+    the two closed forms within C too (``orbital._packed_combo``,
+    ``intersection._packed_kr_closed``).  Each bound grows with r, s and ve,
+    so at every tuple of the grid all are at most 2M < 2**(width - 1)."""
     m = (config.ve_max + 1) * (2 * config.ve_max + config.sum_bc_max + 2 * config.r_max)
     return (2 * m).bit_length() + 1
 
@@ -590,12 +595,12 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
     upwards within each (r, vb + vc).  It walks r outermost, so the values
     at r - 1 are those the level below computed.  Both are kept by
     (vb + vc, ve, vda) for the current level and the one below it only.  The
-    derivative is ``orbital._packed_derivative``; ``derivative_combo`` and
-    ``int_circ_kr_closed``, which read an ``OrbitalParams``, built for them
-    at r >= 1 and otherwise only for a failure record, are packed once each
-    (``QPolynomial._packed``), and one with a coefficient that does not fit
-    the width counts as a mismatch.  A packed side is decoded only for a
-    failure record.  Each identity is counted once for the whole grid.
+    derivative is ``orbital._packed_derivative``, and the two closed forms
+    are ``orbital._packed_combo`` and ``intersection._packed_kr_closed``,
+    which ``derivative_combo`` and ``int_circ_kr_closed`` decode; each
+    docstring proves its coefficients within ``_afl_width``.  A packed side
+    is decoded, and the tuple's ``OrbitalParams`` built, only for a failure
+    record.  Each identity is counted once for the whole grid.
     """
     width = _afl_width(config)
     tables = _derivative_tables(width, config.ve_max)
@@ -612,28 +617,31 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
                     total = circ + here[s, ve - 2, vda][0] if ve >= 2 else circ
                     here[key] = total, circ
                     deriv = _packed_derivative(r, 0, s, ve, vda, tables)
-                    p = OrbitalParams(r, 0, s, ve, vda) if r >= 1 else None
                     if total != deriv:
-                        res.record(_AFL_TOTAL, params=p or OrbitalParams(r, 0, s, ve, vda),
+                        res.record(_AFL_TOTAL, params=OrbitalParams(r, 0, s, ve, vda),
                                    lhs=QPolynomial._from_packed(total, width),
                                    rhs=QPolynomial._from_packed(deriv, width))
                     n1, n2 = _gk_pair(r, s, ve, vda)
                     if n1 + n2 != 2 * ve + s + 2 * r:
-                        res.record(_AFL_PAIR, params=p or OrbitalParams(r, 0, s, ve, vda))
-                    if p is None:
+                        res.record(_AFL_PAIR, params=OrbitalParams(r, 0, s, ve, vda))
+                    if r == 0:
                         continue
                     levels += 1
                     total_below, circ_below = below[key]
                     lhs = total - total_below
-                    combo = derivative_combo(p)
-                    if combo._packed(width) != lhs:
-                        res.record(_AFL_LEVEL, params=p, lhs=QPolynomial._from_packed(lhs, width), rhs=combo)
+                    combo = _packed_combo(r, s, ve, vda, tables)
+                    if combo != lhs:
+                        res.record(_AFL_LEVEL, params=OrbitalParams(r, 0, s, ve, vda),
+                                   lhs=QPolynomial._from_packed(lhs, width),
+                                   rhs=QPolynomial._from_packed(combo, width))
                     if ve >= 1:
                         cells += 1
-                        closed = int_circ_kr_closed(p)
+                        closed = _packed_kr_closed(r, s, ve, vda, width)
                         diff = circ - circ_below
-                        if closed._packed(width) != diff:
-                            res.record(_AFL_CELL, params=p, lhs=closed, rhs=QPolynomial._from_packed(diff, width))
+                        if closed != diff:
+                            res.record(_AFL_CELL, params=OrbitalParams(r, 0, s, ve, vda),
+                                       lhs=QPolynomial._from_packed(closed, width),
+                                       rhs=QPolynomial._from_packed(diff, width))
     tuples = config.reduced_tuple_count()
     for identity, n in ((_AFL_TOTAL, tuples), (_AFL_PAIR, tuples), (_AFL_LEVEL, levels), (_AFL_CELL, cells)):
         if n:
@@ -681,19 +689,22 @@ def _kernel_width(config: SweepConfig) -> int:
 # Charged 80 (ve_max + 20)**3, fitted to the suite's times at ve_max 10 to
 # 120 (0.28 s to 25 s) when each vanishing check multiplied q-polynomials:
 # the rank grid is fixed, so only ve_max counts.  On packed ints the suite
-# runs in 0.03 s at ve_max 10, 0.12 s at 80 and 0.2-0.35 s at 150, the
-# most the sweep limit admits (in-process, a 2-CPU Xeon with Python 3.11),
-# so the charge at 0.12 µs a unit is 10, 80 and 130-220 times its time.  It
-# is kept so that no refusal boundary moves.
+# runs in 0.02 s at ve_max 10, 0.08 s at 80 and 0.2 s at 150, the most the
+# sweep limit admits (in-process, a 2-CPU Xeon with Python 3.11), so the
+# charge at 0.12 µs a unit is 13, 120 and about 200 times its time.  It is
+# kept so that no refusal boundary moves.
 @_suite("kernel", work=lambda config: 80 * (config.ve_max + 20) ** 3)
 def suite_kernel(config: SweepConfig, res: SuiteResult) -> None:
     """Full-rank certificates over the rank grid, the large-r vanishing
     combination, and the almost-kernel sequence outside its window.
 
-    Each vanishing check is one packed int compared with 0 (see ``kernel``,
-    "Packed vanishing"), at one width, ``_kernel_width``: each vector's
-    weights are packed once per level r, and the signed D(j) once per orbit
-    (s, ve, vda).  Inside the sequence's window the check passes by
+    Each certificate is ``kernel._packed_certificate``, the
+    ``certify_full_rank`` of ``build_matrix`` on M packed once at its rank
+    width: it decodes only the pivots of its spot check.  Each vanishing
+    check is one packed int compared with 0 (see ``kernel``, "Packed
+    vanishing"), at one width, ``_kernel_width``: each vector's weights are
+    packed once per level r, and the signed D(j) once per orbit (s, ve,
+    vda).  Inside the sequence's window the check passes by
     definition, so nothing is computed there.  Only a nonzero int builds a
     failure record, with the keys, in order, of the ``kernel`` report
     (``test_large_r_vanishing`` or ``test_phi_sequence``) and its value
@@ -701,7 +712,7 @@ def suite_kernel(config: SweepConfig, res: SuiteResult) -> None:
     for s in KERNEL_RANK_GRID["sum_bc"]:
         for vda in KERNEL_RANK_GRID["vda"]:
             for n_cap in KERNEL_RANK_GRID["n_cap"]:
-                cert = certify_full_rank(build_matrix(s, vda, n_cap))
+                cert = _packed_certificate(s, vda, n_cap)
                 res.check(
                     cert.passed, "full rank certificate",
                     params=cert.label(), rank=cert.rank, expected=cert.expected_rank, flags=cert.flags,

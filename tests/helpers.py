@@ -7,9 +7,10 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from semilie import GKPair, LaurentSeries, OrbitalParams, QPolynomial, SweepConfig
+from semilie import DerivMatrix, GKPair, LaurentSeries, OrbitalParams, QPolynomial, SweepConfig, row_reduce
 from semilie.exactpoly import _as_qpoly, _norm_scalar, _sign_mask
 from semilie.intersection import _gk_pair
+from semilie.kernel import RankCertificate
 from semilie.orbital import _derivative_tables
 from semilie.verify import _VB_MIN
 
@@ -289,6 +290,58 @@ def reference_gross_keating(g: GKPair) -> QPolynomial:
     return QPolynomial._raw(terms)
 
 
+def reference_combo(p: OrbitalParams) -> QPolynomial:
+    """``derivative_combo`` built as one dict of its coefficients: the
+    reference for ``semilie.orbital._packed_combo``, which
+    ``derivative_combo`` decodes (r >= 1, ve >= 0).
+
+        (q**N + ... + 1) + C q**N + C' q**(N-1)
+
+    with N = min(ve, (vb+vc-1)/2 + r, vda + r).  C and C' are >= 0, so the
+    coefficients are positive; C' is 0 at N = 0, which needs ve = 0
+    (r >= 1), so kappa < 0."""
+    r, vb, vc, ve, vda = p.r, p.vb, p.vc, p.ve, p.vda
+    s = vb + vc
+    cap = p.n_bound()
+    kap = p.kappa()
+    if kap > 0 and kap % 2 == 1 and s > 2 * vda:
+        c_top = (kap - 1) // 2
+    elif kap >= 0 and kap % 2 == 0 and s > 2 * vda:
+        c_top = (kap + s - 2 * vda - 1) // 2
+    elif ve >= (s - 1) // 2 + r and 2 * vda > s:
+        c_top = ve - cap
+    else:
+        c_top = 0
+    c_next = c_top + 1 if (kap >= 0 and s > 2 * vda) else 0
+    terms = dict.fromkeys(range(cap + 1), 1)
+    terms[cap] += c_top
+    if c_next:
+        terms[cap - 1] += c_next
+    return QPolynomial._raw(terms)
+
+
+def reference_kr_closed(p: OrbitalParams) -> QPolynomial:
+    """``int_circ_kr_closed`` built as a dict of its two terms: the
+    reference for ``semilie.intersection._packed_kr_closed`` (r >= 1,
+    ve >= 1).
+
+        (C+1) q**N + (C+2) q**(N-1)   if ve - r = vda <= (vb+vc-1)/2,
+        2 q**N                         if (vb+vc-1)/2 + r < min(ve, vda + r),
+        q**N + q**(N-1)                otherwise,
+
+    where N = min(ve, (vb+vc-1)/2 + r, vda + r) and, in the first case,
+    C = (vb + vc - 2 vda - 1)/2."""
+    s = p.vb + p.vc
+    cap = p.n_bound()
+    # c >= 0 and N >= 1, so each dict has two positive terms and is canonical.
+    if p.ve - p.r == p.vda and p.vda <= (s - 1) // 2:
+        c = (s - 2 * p.vda - 1) // 2
+        return QPolynomial._raw({cap: c + 1, cap - 1: c + 2})
+    if (s - 1) // 2 + p.r < min(p.ve, p.vda + p.r):
+        return QPolynomial.q_power(cap, 2)
+    return QPolynomial._raw({cap: 1, cap - 1: 1})
+
+
 def gk_from_params(p: OrbitalParams) -> GKPair:
     """Translate orbit valuations into the Gross-Keating pair:
 
@@ -337,6 +390,85 @@ def reference_stages(sum_bc: int, vda: int | float, n_cap: int) -> dict[str, lis
     for i in range(len(m2) - 1, 1, -1):
         m2[i] = [a - b for a, b in zip(m2[i], m2[i - 2])]
     return {"M": m, "M'": m1, "M''": m2}
+
+
+def coefficient_norms(entries) -> list[int]:
+    """Each row's 1-norm, the sum of |c| over its q-polynomials' coefficients:
+    what ``semilie.kernel._rank_width`` reads."""
+    return [sum(abs(c) for poly in row for c in poly.coefficients()) for row in entries]
+
+
+def reference_antidiagonal(m: DerivMatrix, r: int) -> QPolynomial:
+    """The predicted M'' entry at (r + floor(theta/2) + 1, r) built from
+    ``QPolynomial`` monomials: the reference for
+    ``semilie.kernel._packed_antidiagonal``, which ``predicted_antidiagonal``
+    decodes.
+
+    theta odd:  q**x - q**(x-1)                       with x = r + floor(theta/2),
+    theta even: -C1 q**x - (C1+1) q**(x-1)            with C1 = (sum_bc - 1 - 2 vda)/2,
+    and in either case the q**(x-1) term is dropped when x = 0."""
+    theta = m.theta
+    x = r + theta // 2
+    if theta % 2:
+        out = QPolynomial.q_power(x)
+        if x >= 1:
+            out = out - QPolynomial.q_power(x - 1)
+        return out
+    c1 = (m.sum_bc - 1 - 2 * m.vda) // 2
+    out = QPolynomial.q_power(x, -c1)
+    if x >= 1:
+        out = out - QPolynomial.q_power(x - 1, c1 + 1)
+    return out
+
+
+def reference_certificate(m: DerivMatrix) -> RankCertificate:
+    """The rank certificate of ``m`` on its ``QPolynomial`` entries: M''
+    by ``row_reduce``, its structural zeros and anti-diagonal against
+    ``reference_antidiagonal``, the rank by ``bareiss_rank`` and the spot
+    check on the product of the pivots: the reference for
+    ``semilie.kernel.certify_full_rank`` and the packed certificate the
+    kernel suite reads."""
+    _, m2 = row_reduce(m)
+    half = m.theta // 2
+    flags: list[str] = []
+    structural = all(not m2.entry(i, r) for r in range(m.cols) for i in range(r + half + 2, m.rows))
+    antidiagonal = True
+    pivots: list[QPolynomial] = []
+    fallback = False
+    for r in range(m.cols):
+        i = r + half + 1
+        actual = m2.entry(i, r)
+        if actual != reference_antidiagonal(m, r):
+            antidiagonal = False
+            flags.append(f"entry ({i},{r}) != predicted anti-diagonal value")
+        if actual:
+            pivots.append(actual)
+        elif r == 0:
+            # Zero pivot can legitimately happen only at column 0 when
+            # r + floor(theta/2) <= 1; substitute the top row, whose leading
+            # entry (sum_bc + 1)/2 is positive.
+            fallback = True
+            pivots.append(m2.entry(0, 0))
+            if r + half > 1:
+                flags.append("unexpected zero pivot at column 0")
+        else:
+            flags.append(f"unexpected zero pivot at column {r}")
+            pivots.append(actual)
+    product = QPolynomial.one()
+    for piv in pivots:
+        product = product * piv
+    return RankCertificate(
+        sum_bc=m.sum_bc,
+        vda=m.vda,
+        n_cap=m.n_cap,
+        rank=bareiss_rank(m.entries),
+        expected_rank=m.cols,
+        structural_zeros=structural,
+        antidiagonal_match=antidiagonal,
+        fallback_row_used=fallback,
+        spot_checks={q: bool(product.evaluate(q)) for q in (3, 5, 7)},
+        flags=flags,
+    )
 
 
 def bareiss_rank(entries, seen: list | None = None) -> int:

@@ -8,12 +8,25 @@ independently of the code under test.
 import random
 
 import pytest
-from helpers import bareiss_rank, qp, reference_derivative, reference_stages
+from helpers import (
+    bareiss_rank,
+    coefficient_norms,
+    pack_row,
+    qp,
+    reference_antidiagonal,
+    reference_certificate,
+    reference_derivative,
+    reference_stages,
+)
 
 from semilie import INFINITY, InvalidParamsError, OrbitalParams, QPolynomial, build_matrix, certify_full_rank, row_reduce
 from semilie import kernel
 from semilie.exactpoly import unpack
 from semilie.kernel import (
+    _matrix_ints,
+    _matrix_rows,
+    _packed_antidiagonal,
+    _packed_certificate,
     _packed_combination,
     _packed_matrix,
     _packed_rank,
@@ -24,6 +37,7 @@ from semilie.kernel import (
     large_r_vector,
     phi_exceptional_window,
     phi_sequence_vector,
+    predicted_antidiagonal,
     test_large_r_vanishing as large_r_report,
     test_phi_sequence as phi_sequence_report,
 )
@@ -223,16 +237,29 @@ DEFICIENT = {
 }
 
 
+def rank_width(entries):
+    """``_rank_width`` of q-polynomial entries, read from their coefficient
+    1-norms."""
+    return _rank_width(coefficient_norms(entries), len(entries[0]))
+
+
+def packed_rank(entries):
+    """``_packed_rank`` of q-polynomial entries packed at their
+    ``rank_width``."""
+    width = rank_width(entries)
+    return _packed_rank([[pack_row(dict(poly.items()), width) for poly in row] for row in entries])
+
+
 def test_packed_rank_matches_the_reference_on_the_rank_grid():
     for m in rank_grid_matrices():
-        assert _packed_rank(m.entries) == bareiss_rank(m.entries) == m.cols, (m.sum_bc, m.vda, m.n_cap)
+        assert packed_rank(m.entries) == bareiss_rank(m.entries) == m.cols, (m.sum_bc, m.vda, m.n_cap)
 
 
 @pytest.mark.parametrize("make", DEFICIENT.values(), ids=DEFICIENT)
 @pytest.mark.parametrize("sum_bc, vda, n_cap", [(1, 0, 4), (17, 2, 4), (5, INFINITY, 6)])
 def test_packed_rank_matches_the_reference_below_full_rank(make, sum_bc, vda, n_cap):
     entries = make(build_matrix(sum_bc, vda, n_cap).entries)
-    assert _packed_rank(entries) == bareiss_rank(entries) == n_cap
+    assert packed_rank(entries) == bareiss_rank(entries) == n_cap
 
 
 def test_packed_elimination_keeps_every_minor_in_the_digit_range():
@@ -245,14 +272,66 @@ def test_packed_elimination_keeps_every_minor_in_the_digit_range():
         seen = [e for row in entries for e in row]
         bareiss_rank(entries, seen)
         top = max(abs(c) for e in seen for c in e.coefficients())
-        assert top < 1 << (_rank_width(entries) - 1)
+        assert top < 1 << (rank_width(entries) - 1)
 
 
 def test_inexact_packed_division_raises(monkeypatch):
     """A division that leaves a remainder raises, and no rank is returned."""
     monkeypatch.setattr(kernel, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(ArithmeticError, match="inexact"):
-        _packed_rank(build_matrix(3, 1, 2).entries)
+        packed_rank(build_matrix(3, 1, 2).entries)
+
+
+#: Matrices past the rank grid: the calculator's largest vb + vc among
+#: them, a vda past every theta/2 and an unbounded one, and N from 0.
+OFF_GRID_CERTIFICATES = [
+    (sum_bc, vda, n_cap) for sum_bc in (7, 11, 41) for vda in (3, 20, INFINITY) for n_cap in range(11)
+]
+
+
+RANK_GRID_CERTIFICATES = [
+    (s, v, n) for s in KERNEL_RANK_GRID["sum_bc"] for v in KERNEL_RANK_GRID["vda"] for n in KERNEL_RANK_GRID["n_cap"]
+]
+
+
+@pytest.mark.parametrize("cases", [RANK_GRID_CERTIFICATES, OFF_GRID_CERTIFICATES], ids=["rank_grid", "off_grid"])
+def test_packed_certificate_matches_the_reference(cases):
+    """Every field of the certificate the kernel suite reads, on M packed
+    once at its rank width, and of ``certify_full_rank``, which runs the
+    same int core on the decoded matrix, equals the ``QPolynomial``
+    certificate of ``helpers.reference_certificate``; the row 1-norms read
+    as values at q = 1 equal the coefficient 1-norms; and the packed
+    anti-diagonal decodes to its monomial reference."""
+    for sum_bc, vda, n_cap in cases:
+        m = build_matrix(sum_bc, vda, n_cap)
+        want = reference_certificate(m)
+        assert _packed_certificate(sum_bc, vda, n_cap) == want == certify_full_rank(m), (sum_bc, vda, n_cap)
+        assert want.passed, (sum_bc, vda, n_cap, want.flags)
+        n_rows = _matrix_rows(sum_bc, vda, n_cap)
+        assert [sum(row) for row in _matrix_ints(sum_bc, vda, n_cap, n_rows, 0)] == coefficient_norms(m.entries)
+        width = rank_width(m.entries)
+        for r in range(m.cols):
+            want = reference_antidiagonal(m, r)
+            assert predicted_antidiagonal(m, r) == want, (sum_bc, vda, n_cap, r)
+            assert QPolynomial._raw(unpack(_packed_antidiagonal(sum_bc, vda, r, width), width)) == want
+
+
+def test_certificates_flag_what_the_reference_flags():
+    """On matrices whose M'' breaks the predicted shape, a column made
+    zero or an entry moved, the int core reports the reference's fields:
+    the rank, the flags in order, the fallback pivot and the spot checks."""
+    m = build_matrix(5, 1, 4)
+    moved = [list(row) for row in m.entries]
+    moved[3][1] = moved[3][1] + QPolynomial.one()
+    broken = [
+        with_column(m.entries, 2, lambda row: QPolynomial.zero()),
+        moved,
+        with_column(m.entries, 0, lambda row: QPolynomial.zero()),
+    ]
+    for entries in broken:
+        bad = kernel.DerivMatrix(m.sum_bc, m.vda, m.n_cap, tuple(map(tuple, entries)))
+        got, want = certify_full_rank(bad), reference_certificate(bad)
+        assert got == want and not got.passed
 
 
 class TestFrozenMatrices:

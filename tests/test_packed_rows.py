@@ -18,28 +18,43 @@ from helpers import (
     orbit_fields,
     pack_row,
     reference_closed_form_rows,
+    reference_combo,
     reference_derivative,
     reference_first_sign_break,
+    reference_kr_closed,
     reference_row_sums,
     reference_support_sum_rows,
+    reduced_tuples,
     tables_at,
 )
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from semilie import INFINITY, LaurentSeries, OrbitalParams, QPolynomial, build_matrix, cli, exactpoly
+from semilie import (
+    INFINITY,
+    LaurentSeries,
+    OrbitalParams,
+    QPolynomial,
+    build_matrix,
+    cli,
+    derivative_combo,
+    exactpoly,
+    int_circ_kr_closed,
+)
 from semilie.cli import _json
 from semilie.exactpoly import _sign_mask, unpack
+from semilie.intersection import _packed_kr_closed
 from semilie.kernel import _packed_matrix, _reduce_rows
 from semilie.orbital import (
     _closed_form_rows,
     _derivative_tables,
+    _packed_combo,
     _packed_derivative,
     _support_sum_rows,
     row_width,
     support_points,
 )
-from semilie.verify import SweepConfig, _first_sign_break, _orbital_width, _row_sums
+from semilie.verify import SweepConfig, _afl_width, _first_sign_break, _orbital_width, _row_sums
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2)
 
@@ -375,30 +390,36 @@ def packed_matrix_width(p):
 def assert_memoised_rows(tuples, tables_for):
     """``_closed_form_rows`` at each tuple in order, read from the tables
     ``tables_for(p)`` returns, against its dict reference at their width.
-    Returns how many calls found their tent in the tables' memo and the
+    Returns how many calls found their rows in the tables' memo, how many
+    plateau tuples there were and how many of them found theirs, and the
     parities of c_lo = 2 vda - vb + r at the plateau tuples."""
-    hits, parities = 0, set()
+    hits, plateaus, plateau_hits, parities = 0, 0, 0, set()
     for p in tuples:
         tables = tables_for(p)
-        width, tents = tables[0], tables[3]
-        before = len(tents)
+        width, memo = tables[0], tables[3]
+        before = len(memo)
         lo, rows = _closed_form_rows(*orbit_fields(p), tables)
-        hits += len(tents) == before
+        hit = len(memo) == before
+        hits += hit
         assert {k: x for k, x in enumerate(rows, lo) if x} == reference_closed_form_rows(p, width), p
         if p.vda < p.ve - p.r and p.sum_bc() > 2 * p.vda:
+            plateaus += 1
+            plateau_hits += hit
             parities.add((2 * p.vda - p.vb + p.r) & 1)
-    return hits, parities
+    return hits, plateaus, plateau_hits, parities
 
 
 @pytest.mark.parametrize("config", [SMALL, SweepConfig()], ids=["small", "default"])
 def test_memoised_rows_match_the_reference_block_by_block(config):
     """The grid walked block (r, vb + vc) by block in the orbital sweep's
     order with one set of tables for the run at its width, as the sweep
-    reads them: most tuples reuse a tent an earlier tuple memoised, plateau
-    tuples (which add to a copy) included, at both parities of c_lo."""
+    reads them: most tuples reuse rows an earlier tuple memoised, and so do
+    most plateau tuples (whose rows are kept under (half, cap, lo & 1,
+    ve - cap)), at both parities of c_lo."""
     tables = _derivative_tables(_orbital_width(config), config.ve_max)
-    hits, parities = assert_memoised_rows(full_tuples(config), lambda p: tables)
+    hits, plateaus, plateau_hits, parities = assert_memoised_rows(full_tuples(config), lambda p: tables)
     assert 2 * hits > config.full_tuple_count()
+    assert 2 * plateau_hits > plateaus > 0
     assert parities == {0, 1}
 
 
@@ -429,7 +450,7 @@ def test_memoised_rows_match_the_reference_off_grid():
         return shared[width]
 
     tuples = seeded_calculator_tuples(600)
-    hits, parities = assert_memoised_rows(tuples, tables_for)
+    hits, _, _, parities = assert_memoised_rows(tuples, tables_for)
     assert hits > len(tuples) // 4
     assert parities == {0, 1}
 
@@ -455,6 +476,32 @@ def test_packed_derivative_matches_the_closed_form_at_the_calculator_corner(ve, 
     p = OrbitalParams(r=30, vb=-50, vc=91, ve=ve, vda=vda)
     for width in (row_width(p), packed_matrix_width(p)):
         assert_packed_derivative(p, width)
+
+
+def test_packed_afl_closed_forms_match_their_dict_references():
+    """``_packed_combo`` and ``_packed_kr_closed``, read at the afl sweep's
+    width and tables on the default grid, and ``derivative_combo`` and
+    ``int_circ_kr_closed``, which decode them at their own widths, there
+    and at seeded calculator-range tuples, equal the dict references
+    ``helpers.reference_combo`` (r >= 1) and ``reference_kr_closed``
+    (r, ve >= 1)."""
+    config = SweepConfig()
+    width = _afl_width(config)
+    tables = _derivative_tables(width, config.ve_max)
+    grid = [p for p in reduced_tuples(config) if p.r >= 1]
+    for p in grid:
+        s = p.sum_bc()
+        combo = _packed_combo(p.r, s, p.ve, p.vda, tables)
+        assert QPolynomial._raw(unpack(combo, width)) == reference_combo(p), p
+        if p.ve >= 1:
+            closed = _packed_kr_closed(p.r, s, p.ve, p.vda, width)
+            assert QPolynomial._raw(unpack(closed, width)) == reference_kr_closed(p), p
+    off_grid = [p for p in seeded_calculator_tuples(600) if p.r >= 1]
+    for p in grid + off_grid:
+        assert derivative_combo(p) == reference_combo(p), p
+        if p.ve >= 1:
+            assert int_circ_kr_closed(p) == reference_kr_closed(p), p
+    assert {p.ve >= 1 for p in off_grid} == {True, False}
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

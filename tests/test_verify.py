@@ -11,10 +11,12 @@ from helpers import (
     gk_from_params,
     orbit_fields,
     pack_row,
+    reference_combo,
     reference_derivative,
     reference_gross_keating,
     reference_int_circ,
     reference_int_total,
+    reference_kr_closed,
     reduced_tuples,
     support,
     t_power,
@@ -654,10 +656,10 @@ def reference_afl(config, derivative=reference_derivative):
         pair = gk_from_params(p)
         res.check(pair.n1 + pair.n2 == 2 * p.ve + p.vb + p.vc + 2 * p.r, "n1 + n2 == 2 ve + vb + vc + 2r", params=p)
         if p.r >= 1:
-            lhs, rhs = total - reference_int_total(p.with_r(p.r - 1)), verify.derivative_combo(p)
+            lhs, rhs = total - reference_int_total(p.with_r(p.r - 1)), reference_combo(p)
             res.check(lhs == rhs, "int_total(r) - int_total(r-1) == derivative_combo", params=p, lhs=lhs, rhs=rhs)
             if p.ve >= 1:
-                closed = verify.int_circ_kr_closed(p)
+                closed = reference_kr_closed(p)
                 diff = reference_int_circ(p) - reference_int_circ(p.with_r(p.r - 1))
                 res.check(
                     closed == diff, "int_circ_kr_closed == int_circ(r) - int_circ(r-1)", params=p, lhs=closed, rhs=diff
@@ -723,27 +725,6 @@ def test_afl_int_circ_mutation_reaches_every_value_built_from_it(monkeypatch, ve
     assert all(f["params"] == {**target.label(), "r": f["params"]["r"], "ve": f["params"]["ve"]} for f in res.failures)
 
 
-def test_afl_counts_a_value_past_its_width_as_a_mismatch(monkeypatch):
-    """``derivative_combo`` less q plus 2**width at q**0 sums, as c << width e
-    over its terms, to the same int as the right value; its q**0 coefficient
-    does not fit the width, so ``QPolynomial._packed`` refuses it and every
-    level difference fails rather than matches."""
-    width, original = verify._afl_width(SMALL), verify.derivative_combo
-
-    def wrapped(p):
-        return original(p) - QPolynomial.q_power(1) + QPolynomial.constant(1 << width)
-
-    p = OrbitalParams(r=1, vb=0, vc=3, ve=2, vda=1)
-    assert pack_row(dict(wrapped(p).items()), width) == pack_row(dict(original(p).items()), width)
-    monkeypatch.setattr(verify, "derivative_combo", wrapped)
-    (res,) = run_suite("afl", SMALL)
-    assert [f["identity"] for f in res.failures] == [LEVEL_DIFFERENCE] * res.checks_by_identity[LEVEL_DIFFERENCE]
-
-
-def plus_one(original):
-    return lambda *args: original(*args) + QPolynomial.one()
-
-
 def packed_plus_one(original):
     """+ 1 at q**0 on a packed value."""
     return lambda *args: original(*args) + 1
@@ -782,13 +763,13 @@ RECORD_CASES = [
         lambda f: lambda *args: (f(*args)[0], f(*args)[1] + 1),
         {"n1 + n2 == 2 ve + vb + vc + 2r": ORBIT},
     ),
-    ("afl", "derivative_combo", plus_one, {"int_total(r) - int_total(r-1) == derivative_combo": SIDES}),
-    ("afl", "int_circ_kr_closed", plus_one, {"int_circ_kr_closed == int_circ(r) - int_circ(r-1)": SIDES}),
+    ("afl", "_packed_combo", packed_plus_one, {"int_total(r) - int_total(r-1) == derivative_combo": SIDES}),
+    ("afl", "_packed_kr_closed", packed_plus_one, {"int_circ_kr_closed == int_circ(r) - int_circ(r-1)": SIDES}),
     ("miracle", "_packed_gk", packed_plus_one, {None: ["params", "lhs", "rhs", "pass"]}),
     (
         "kernel",
-        "certify_full_rank",
-        lambda f: lambda m: dataclasses.replace(f(m), rank=f(m).rank - 1),
+        "_packed_certificate",
+        lambda f: lambda *args: dataclasses.replace(f(*args), rank=f(*args).rank - 1),
         {"full rank certificate": ["identity", "params", "rank", "expected", "flags"]},
     ),
     (
@@ -870,36 +851,46 @@ def miracle_values(p):
 
 
 def afl_values(p):
-    """Every value ``suite_afl`` packs at ``p``: the total, int_circ and D,
-    and at r >= 1 the level differences of the total and of int_circ and
-    ``derivative_combo``, from the dict references."""
+    """Every value ``suite_afl`` packs at ``p`` but its two closed forms: the
+    total, int_circ and D, and at r >= 1 the level differences of the total
+    and of int_circ, from the dict references."""
     values = [reference_int_total(p), reference_int_circ(p), reference_derivative(p)]
     if p.r >= 1:
         q = p.with_r(p.r - 1)
-        values += [values[0] - reference_int_total(q), values[1] - reference_int_circ(q), orbital.derivative_combo(p)]
+        values += [values[0] - reference_int_total(q), values[1] - reference_int_circ(q)]
     return values
 
 
 @pytest.mark.parametrize(
     "config, largest",
-    [(SMOKE, {"miracle": 17, "afl": 9}), (SweepConfig(), {"miracle": 43, "afl": 22})],
+    [(SMOKE, {"miracle": 17, "afl": 9, "combo": 5, "kr_closed": 4}),
+     (SweepConfig(), {"miracle": 43, "afl": 22, "combo": 11, "kr_closed": 7})],
     ids=["smoke", "default"],
 )
 def test_packing_widths_hold_every_value(config, largest):
     """Equal packed ints are equal q-polynomials only while every
     coefficient is below 2**(width - 1) in absolute value: at every reduced
     tuple, each value the miracle and afl sweeps pack fits their width
-    (``_miracle_width``, ``_afl_width``).  The largest |coefficient| is
-    recorded: on the default grid miracle's 43 against 64 is the tightest
-    margin, so a width one bit lower fails, and afl's is 22 against 1,024."""
+    (``_miracle_width``, ``_afl_width``), the afl sweep's two closed forms
+    included, read from their dict references: each ``derivative_combo``
+    (r >= 1) and each single-cell ``int_circ_kr_closed`` (r, ve >= 1),
+    which ``_packed_combo`` and ``_packed_kr_closed`` build at
+    ``_afl_width``.  The largest |coefficient| is recorded: on the default
+    grid miracle's 43 against 64 is the tightest margin, so a width one bit
+    lower fails, and afl's is 22 against 1,024."""
     widths = {"miracle": verify._miracle_width(config), "afl": verify._afl_width(config)}
-    got = {"miracle": 0, "afl": 0}
+    widths["combo"] = widths["kr_closed"] = widths["afl"]
+    got = dict.fromkeys(largest, 0)
     for p in reduced_tuples(config):
         got["miracle"] = max(got["miracle"], largest_coefficient(*miracle_values(p)))
         got["afl"] = max(got["afl"], largest_coefficient(*afl_values(p)))
+        if p.r >= 1:
+            got["combo"] = max(got["combo"], largest_coefficient(reference_combo(p)))
+            if p.ve >= 1:
+                got["kr_closed"] = max(got["kr_closed"], largest_coefficient(reference_kr_closed(p)))
     assert got == largest
-    for suite, width in widths.items():
-        assert got[suite] < 2 ** (width - 1), suite
+    for name, width in widths.items():
+        assert got[name] < 2 ** (width - 1), name
 
 
 @pytest.mark.parametrize(
