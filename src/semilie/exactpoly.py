@@ -16,8 +16,9 @@ each subclass fixes its key rule and how a coefficient becomes canonical.
 
 The fast paths' packed ints (``unpack``) are read here alone: ``_decoded``
 decodes each distinct one once, ``QPolynomial._from_packed`` decodes one,
-``QPolynomial._packed`` packs a polynomial where it fits, and
-``_sign_mask`` tests digit signs.
+``QPolynomial._packed`` packs a polynomial where it fits,
+``_sign_mask`` tests digit signs, and ``width_for`` turns a coefficient
+bound into the width that holds it, the one way semilie picks a width.
 
 Scalars are Python ints or ``fractions.Fraction``; there is no floating
 point anywhere.  Values are immutable by convention: every operation
@@ -372,6 +373,14 @@ def unpack(x: int, width: int) -> dict[int, int]:
 
 
 _UNPACK_SPLIT = 1 << 14  # bits
+
+
+def width_for(bound: int) -> int:
+    """The least width at which every int c with |c| <= ``bound`` is a
+    balanced digit that ``unpack`` reads back: bound < 2**bits(bound) =
+    2**(width - 1), and one bit fewer would not hold c = bound.  At least 2,
+    the least width ``unpack`` reads a nonzero int at, for bound >= 1."""
+    return bound.bit_length() + 1
 
 
 def _decoded(xs: Iterable[int], width: int, encode: Callable[[dict], object] = QPolynomial._raw) -> list:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactpoly import QPolynomial, unpack
+from .exactpoly import QPolynomial, unpack, width_for
 from .orbital import (
     INFINITY,
     InvalidParamsError,
@@ -102,15 +102,13 @@ def gross_keating(g: GKPair) -> QPolynomial:
     n1 even:  (n2 - n1 + 1)/2 * q**(n1/2) + sum_{j=0}^{n1/2-1} (n1+n2-4j) q**j
     empty:    0
 
-    ``_packed_gk`` decoded.  Its digits lie in [1, n1 + n2] (``_packed_gk``)
-    but where n1 and n2 - n1 are both even: there the top digit is
-    (n2 - n1)/2 + 1 <= n1 + n2 + 1, 1 at (0, 0), and (n2 - n1 + 1)/2 replaces
-    it.  So the width is bits(n1 + n2 + 1) + 1.
+    ``_packed_gk`` decoded at the width of ``_gk_bound``, its top digit
+    replaced by (n2 - n1 + 1)/2 where n1 and n2 - n1 are both even.
     """
     if g.is_empty():
         return QPolynomial.zero()
     n1, n2 = g.n1, g.n2
-    width = (n1 + n2 + 1).bit_length() + 1
+    width = width_for(_gk_bound(n1, n2))
     terms = unpack(_packed_gk(n1, n2, _top_tables(width, n1 >> 1)), width)
     if not (n1 | n2) & 1:  # n1 and n2 - n1 both even
         terms[n1 >> 1] = Fraction(n2 - n1 + 1, 2)
@@ -128,6 +126,16 @@ def _gk_pair(r: int, s: int, ve: int, vda: int | float) -> tuple[int, int]:
     return n1, 2 * ve + s + 2 * r - n1
 
 
+def _gk_bound(n1: int, n2: int) -> int:
+    """The coefficient bound of the Gross-Keating value of (n1, n2), and of
+    the digits ``_packed_gk`` leaves where the value is not integral:
+    n1 + n2 + 1.  The value's coefficients lie in [1, n1 + n2]: n1 + n2 -
+    4j >= n2 - n1 + 2 for j <= (n1 - 1)/2, and (n2 - n1 + 1)/2 >= 1.  Where
+    n1 and n2 - n1 are both even, the top digit is (n2 - n1)/2 + 1 <= n1 +
+    n2 + 1 instead, 1 at (0, 0)."""
+    return n1 + n2 + 1
+
+
 def _packed_gk(n1: int, n2: int, tables: tuple) -> int:
     """The Gross-Keating value (``gross_keating``) of an integral pair (n1
     odd, or n2 - n1 odd), packed (see ``exactpoly.unpack``) at the width of
@@ -138,10 +146,8 @@ def _packed_gk(n1: int, n2: int, tables: tuple) -> int:
     With m = floor(n1/2), the main sum of (n1 + n2 - 4j) q**j over j <= m
     is (n1 + n2) G[m] - 4 W[m].  For odd n1 that is the value.  For even n1
     the value's top term is (n2 - n1 + 1)/2 q**m where the main sum has
-    n1 + n2 - 4m = n2 - n1, so (n2 - n1 - 1)/2 X**m is taken off.
-
-    The width must hold the value's coefficients, which lie in [1, n1 + n2]:
-    n1 + n2 - 4j >= n2 - n1 + 2 for j <= (n1 - 1)/2, and (n2 - n1 + 1)/2 >= 1."""
+    n1 + n2 - 4m = n2 - n1, so (n2 - n1 - 1)/2 X**m is taken off.  The
+    width must hold ``_gk_bound``."""
     width, geometric, weighted, _ = tables
     m = n1 >> 1
     x = (n1 + n2) * geometric[m] - 4 * weighted[m]
@@ -153,27 +159,30 @@ def _packed_gk(n1: int, n2: int, tables: tuple) -> int:
 def _packed_circ(r: int, s: int, ve: int, vda: int | float, tables: tuple) -> int:
     """``int_circ`` at (r, vb + vc = s, ve >= 0, vda), packed as
     ``_packed_gk`` is: the value at ve less the value at ve - 1, 0 at
-    ve - 1 = -1 (the empty sentinel).  Both values' coefficients lie in
-    [0, 2 ve + s + 2r], so the difference's lie in [-(2 ve + s + 2r),
-    2 ve + s + 2r]."""
+    ve - 1 = -1 (the empty sentinel).  The width must hold its coefficients,
+    which lie within ``_total_bound``."""
     x = _packed_gk(*_gk_pair(r, s, ve, vda), tables)
     if ve:
         x -= _packed_gk(*_gk_pair(r, s, ve - 1, vda), tables)
     return x
 
 
+def _total_bound(r: int, s: int, ve: int) -> int:
+    """The coefficient bound of ``int_total`` and ``int_circ`` at level r,
+    vb + vc = s and ve >= 0: M = (ve + 1) C, C = 2 ve + s + 2r.  GK(i), the
+    Gross-Keating value at v(e) = i <= ve, has its coefficients in [1, n1 +
+    n2] = [1, 2 i + s + 2r] (``_gk_bound``), within [0, C].  So a
+    coefficient of any signed sum of the ve + 1 values, each partial sum
+    included, lies in [-M, M], and int_circ's, a difference of two, in
+    [-C, C].  The bound reads only the shape of each GK(i), never that the
+    total equals the derivative, so a wrong closed form decodes to its own
+    coefficients and never wraps into a right one."""
+    return (ve + 1) * (2 * ve + s + 2 * r)
+
+
 def _total_width(p: OrbitalParams) -> int:
-    """The width at which ``int_total`` and ``int_circ`` pack p, bits(M) +
-    1 with M = (ve + 1)(2 ve + vb + vc + 2r), which ``int_total`` shows to
-    hold both."""
-    return ((p.ve + 1) * (2 * p.ve + p.vb + p.vc + 2 * p.r)).bit_length() + 1
-
-
-def _total_tables(p: OrbitalParams) -> tuple:
-    """``orbital._derivative_tables`` at ``_total_width`` and with n =
-    ``n_bound``: at every v(e) = i <= ve, floor(n1/2) = min(i, (vb + vc -
-    1)/2 + r, vda + r) is at most that."""
-    return _derivative_tables(_total_width(p), p.n_bound())
+    """The width ``int_total`` and ``int_circ`` pack p at: ``width_for`` of ``_total_bound``."""
+    return width_for(_total_bound(p.r, p.vb + p.vc, p.ve))
 
 
 def int_circ(p: OrbitalParams) -> QPolynomial:
@@ -198,42 +207,41 @@ def int_total(p: OrbitalParams) -> QPolynomial:
 
         sum_{i=0}^{ve} (-1)**(ve - i) GK(i),
 
-    made of ``_packed_gk`` ints and decoded once.  Equals
+    made of ``_packed_gk`` ints at ``_total_width``, read from prefix tables
+    up to ``n_bound`` >= floor(n1/2) = min(i, (vb + vc - 1)/2 + r, vda + r)
+    at every v(e) = i <= ve, and decoded once.  Equals
     derivative_closed_form(p) exactly (checked by the identity sweeps),
     which is what ties the geometric side to the orbital side.
-
-    It packs at width B = bits(M) + 1, M = (ve + 1)(2 ve + s + 2r) with
-    s = vb + vc, which holds every coefficient of the sum whatever cancels.
-    GK(i)'s coefficients lie in [1, n1 + n2] = [1, 2 i + s + 2r]
-    (``_packed_gk``), within [0, C] for C = 2 ve + s + 2r.  So a coefficient
-    of any signed sum of the ve + 1 values, each partial sum included, lies
-    in [-M, M], and M < 2**bits(M) = 2**(B - 1).  The bound reads only the
-    shape of each GK(i), never that the sum equals the derivative, so a
-    wrong closed form decodes to its own coefficients and never wraps into
-    a right one.  int_circ packs at the same width: its coefficients lie in
-    [-C, C] (``_packed_circ``).
     """
     if p.ve < 0:
         raise InvalidParamsError(f"int_total is undefined in the vanishing regime, got ve = {p.ve}")
     r, s, ve, vda = p.r, p.vb + p.vc, p.ve, p.vda
-    tables = _total_tables(p)
+    width = _total_width(p)
+    tables = _derivative_tables(width, p.n_bound())
     x = sum([_packed_gk(*_gk_pair(r, s, i, vda), tables) for i in range(ve, -1, -2)])
     x -= sum([_packed_gk(*_gk_pair(r, s, i, vda), tables) for i in range(ve - 1, -1, -2)])
-    return QPolynomial._from_packed(x, tables[0])
+    return QPolynomial._from_packed(x, width)
 
 
 def int_circ_kr_closed(p: OrbitalParams) -> QPolynomial:
     """Closed form for the primitive intersection number against the single
     Cartan-cell indicator at level r (r >= 1, ve >= 1), ``_packed_kr_closed``
-    decoded at width bits((vb + vc + 3)/2) + 1, its coefficient bound.
-    Equals int_circ(r) - int_circ(r-1)."""
+    decoded at the width of ``_kr_closed_bound``.  Equals int_circ(r) -
+    int_circ(r-1)."""
     if p.r < 1:
         raise InvalidParamsError(f"int_circ_kr_closed needs r >= 1, got {p.r}")
     if p.ve < 1:
         raise InvalidParamsError(f"int_circ_kr_closed needs ve >= 1, got {p.ve}")
     s = p.vb + p.vc
-    width = ((s + 3) // 2).bit_length() + 1
+    width = width_for(_kr_closed_bound(s))
     return QPolynomial._from_packed(_packed_kr_closed(p.r, s, p.ve, p.vda, width), width)
+
+
+def _kr_closed_bound(s: int) -> int:
+    """The coefficient bound of ``int_circ_kr_closed`` at vb + vc = s, any
+    r, ve >= 1: (s + 3)/2, as its coefficients are 1, 2, C + 1 and C + 2
+    with C <= (s - 1)/2 (``_packed_kr_closed``)."""
+    return (s + 3) // 2
 
 
 def _packed_kr_closed(r: int, s: int, ve: int, vda: int | float, width: int) -> int:
@@ -246,11 +254,8 @@ def _packed_kr_closed(r: int, s: int, ve: int, vda: int | float, width: int) -> 
         X**N + X**(N-1)                otherwise,
 
     where N = min(ve, (s-1)/2 + r, vda + r) >= 1 (r, ve >= 1) and, in the
-    first case, C = (s - 2 vda - 1)/2 >= 0.  It reads no prefix table.
-
-    The width must hold the coefficients, which lie in [1, (s + 3)/2]: C + 2
-    is at most (s + 3)/2.  That is below 2 ve + s + 2 r, the int_circ bound
-    of ``verify._afl_width``."""
+    first case, C = (s - 2 vda - 1)/2 >= 0.  It reads no prefix table.  The
+    width must hold ``_kr_closed_bound``."""
     cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
     if ve < cap:
         cap = ve

@@ -25,7 +25,7 @@ compared with 0, at a width its caller proves.
 
 Rank certification is two-sided: a fraction-free (Bareiss) elimination on
 the packed entries (``_packed_rank``), at a width every minor fits
-(``_rank_width``), computes the rank outright, and independently the
+(``_rank_bound``), computes the rank outright, and independently the
 reduced matrix M'' is checked against the predicted zero pattern and
 anti-diagonal entries, whose product is spot-evaluated at q = 3, 5, 7.  One
 int core (``_certificate``) does all of it on M packed once: the kernel
@@ -40,14 +40,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from math import prod
 from operator import sub
 
-from .exactpoly import QPolynomial, _decoded
+from .exactpoly import QPolynomial, _decoded, width_for
 from .orbital import (
     INFINITY,
     HeckeVector,
     InvalidParamsError,
     OrbitalParams,
+    _derivative_bound,
     _derivative_tables,
     _packed_derivative,
     derivative_of_vector,
@@ -98,22 +100,17 @@ def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int) -> tuple[list[tupl
     pack; raises as ``_matrix_rows`` does, in the same order as
     ``build_matrix``.
 
-    Every coefficient of M, M' and M'' must be below 2**(B - 1) in absolute
-    value, the digit range of the packed form.  Fix a column r, let a =
-    (s - 1)/2 + r and b = vda + r (s = sum_bc; b is infinite with vda), and
-    let D_i be the entry at ve = i, a sum of (i + a + 1 - 2j) q**j over j <=
-    c_i = min(i, a, b), less corr q**b when b <= a and k = i - b >= 0
-    (``orbital._packed_derivative``).
+    B must hold every coefficient of M, M' and M''.  Fix a column r, let
+    a = (s - 1)/2 + r and b = vda + r (s = sum_bc; b is infinite with vda):
+    the entry D_i at ve = i has its coefficients in [0, i + a + 1]
+    (``orbital._derivative_bound``, which writes D_i out).
 
-    * M: since 2 c_i <= i + a, every main coefficient lies in [1, i + a +
-      1], and the correction (then c_i = b) leaves k/2 + a - b + 1 at q**b
-      for even k and (k + 1)/2 for odd k.  So D_i has its coefficients in
-      [0, i + a + 1].
     * M' (row i >= 1 is D_i - D_(i-1); row 0 is D_0, in [0, a + 1]): it is
       1 at each q**j with j <= c_(i-1) and j < b, plus a + 1 - i at q**i
       when i <= min(a, b); and when i > b (b <= a), a - b + 1 at q**b for
-      even k and b - a for odd k.  So its coefficients lie in [0, a + 1],
-      but for b - a in [-a, 0] at q**b in rows i > b with i - b odd.
+      even k = i - b and b - a for odd k.  So its coefficients lie in
+      [0, a + 1], but for b - a in [-a, 0] at q**b in rows i > b with i - b
+      odd.
     * M'' (row i >= 2 is M'_i - M'_(i-2)): where neither term is negative,
       the difference lies in [-(a + 1), a + 1].  A negative M'_(i-2) at
       q**b has i - 2 - b odd, so M'_i is the same b - a there: difference
@@ -121,17 +118,12 @@ def _packed_matrix(sum_bc: int, vda: int | float, n_cap: int) -> tuple[list[tupl
       otherwise i = b + 1, and q**b is above row i - 2's top degree, so the
       difference is b - a.
 
-    Each bound is at most T = V + (s + 1)/2 + N, V = N + floor(theta/2) + 1
-    the last row's ve: the top coefficient of M's bottom right entry, which
-    it attains unless vda = N = 0.  So B = bits(T) + 1 holds them all, and
-    B - 1 would not.
-
-    Each entry is ``orbital._packed_derivative`` at (r, 0, s, ve = i, vda),
-    a fixed number of int operations from the prefix tables of
-    ``orbital._derivative_tables``, built once at B.
+    Each bound is at most D's at the bottom right entry, ve = N +
+    floor(theta/2) + 1 and r = N, so B is ``width_for`` of that; the entry
+    attains it unless vda = N = 0, so B - 1 would not hold M.
     """
     n_rows = _matrix_rows(sum_bc, vda, n_cap)
-    width = (n_rows - 1 + (sum_bc + 1) // 2 + n_cap).bit_length() + 1
+    width = width_for(_derivative_bound(n_cap, sum_bc, n_rows - 1))
     return _matrix_ints(sum_bc, vda, n_cap, n_rows, width), width
 
 
@@ -179,29 +171,25 @@ def row_reduce(m: DerivMatrix) -> tuple[DerivMatrix, DerivMatrix]:
     )
 
 
-def _rank_width(norms: Sequence[int], cols: int) -> int:
-    """The width at which ``_packed_rank`` eliminates a matrix of ``cols``
+def _rank_bound(norms: Sequence[int], cols: int) -> int:
+    """The coefficient bound b of every minor of a matrix of ``cols``
     columns of q-polynomials with int coefficients and exponents >= 0, whose
-    rows have the 1-norms ``norms``, a row's 1-norm the sum of |c| over its
-    entries' coefficients: bits(bound) + 2, bound the product of the largest
-    ``cols`` norms (each at least 1).
-
-    Every entry the elimination keeps is a minor of the matrix (Sylvester's
-    identity, which makes each division exact), of at most ``cols`` rows.
-    Expanded as a sum over permutations, a k x k minor's coefficient 1-norm
-    is at most the product of its rows' 1-norms, so at most the bound, and
-    each of its coefficients is below 2**(width - 1) in absolute value.
-    """
-    bound = 1
-    for norm in sorted(norms, reverse=True)[:cols]:
-        bound *= max(norm, 1)
-    return bound.bit_length() + 2
+    rows have the 1-norms ``norms`` (the sum of |c| over a row's entries'
+    coefficients): the product of the largest ``cols`` norms, each at least
+    1.  Expanded as a sum over permutations, a k x k minor's coefficient
+    1-norm is at most the product of its rows' 1-norms.  ``_packed_rank``
+    keeps only minors (Sylvester's identity, which makes each division
+    exact) of at most ``cols`` rows.  A coefficient of M'' is c_i - c_(i-1)
+    - c_(i-2) + c_(i-3) in coefficients of one column, each at most its
+    row's 1-norm, so at most b: it lies in [-2b, 2b] where the c_j are >= 0,
+    and in [-4b, 4b] whatever their signs."""
+    return prod(max(norm, 1) for norm in sorted(norms, reverse=True)[:cols])
 
 
 def _packed_rank(rows: Sequence[Sequence[int]]) -> int:
     """The rank of a matrix of q-polynomials with int coefficients and
     exponents >= 0, by fraction-free (Bareiss) elimination on its rows
-    packed (see ``exactpoly.unpack``) at a width at least ``_rank_width``.
+    packed (see ``exactpoly.unpack``) at a width that holds ``_rank_bound``.
 
     Packing is evaluation at q = 2**width, a ring homomorphism, so every
     int the elimination keeps is the value of the minor the same
@@ -237,6 +225,14 @@ def _packed_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _antidiagonal_bound(sum_bc: int) -> int:
+    """The coefficient bound of ``predicted_antidiagonal`` at sum_bc,
+    (sum_bc + 1)/2: at an odd theta its coefficients are 1 and -1, and an
+    even theta = 2 vda is below the odd sum_bc, so C1 >= 0 and they are
+    -C1 and -(C1 + 1) >= -(sum_bc + 1)/2."""
+    return (sum_bc + 1) // 2
+
+
 def _packed_antidiagonal(sum_bc: int, vda: int | float, r: int, width: int) -> int:
     """``predicted_antidiagonal`` at column r of the matrix at (sum_bc,
     vda), packed (see ``exactpoly.unpack``) at ``width``, with X = 2**width
@@ -245,9 +241,8 @@ def _packed_antidiagonal(sum_bc: int, vda: int | float, r: int, width: int) -> i
       theta odd:   X**x - X**(x-1),
       theta even:  -C1 X**x - (C1 + 1) X**(x-1),  C1 = (sum_bc - 1 - 2 vda)/2,
 
-    the X**(x-1) term dropped at x = 0.  An even theta = 2 vda is below the
-    odd sum_bc, so C1 >= 0, and every coefficient lies in [-(sum_bc +
-    1)/2, 1]."""
+    the X**(x-1) term dropped at x = 0.  The width must hold
+    ``_antidiagonal_bound``."""
     theta = min(sum_bc, 2 * vda)
     x = r + theta // 2
     if theta % 2:
@@ -263,8 +258,8 @@ def _packed_antidiagonal(sum_bc: int, vda: int | float, r: int, width: int) -> i
 
 def predicted_antidiagonal(m: DerivMatrix, r: int) -> QPolynomial:
     """Predicted M'' entry at (r + floor(theta/2) + 1, r): ``_packed_antidiagonal``
-    decoded, at width bits((sum_bc + 1)/2) + 1, its coefficient bound."""
-    width = ((m.sum_bc + 1) // 2).bit_length() + 1
+    decoded at the width of ``_antidiagonal_bound``."""
+    width = width_for(_antidiagonal_bound(m.sum_bc))
     return QPolynomial._from_packed(_packed_antidiagonal(m.sum_bc, m.vda, r, width), width)
 
 
@@ -302,10 +297,10 @@ class RankCertificate:
 
 def _certificate(sum_bc: int, vda: int | float, n_cap: int, rows: list[tuple[int, ...]], width: int) -> RankCertificate:
     """The certificate of the matrix at (sum_bc, vda, N = n_cap) from its
-    rows ``rows`` packed at ``width``, which must be at least their
-    ``_rank_width`` and hold every coefficient of M'' and of the predicted
-    anti-diagonal, so that equal ints are equal q-polynomials and an int is
-    0 exactly when its q-polynomial is.
+    rows ``rows`` packed at ``width``, which must hold their ``_rank_bound``
+    and every coefficient of M'' and of the predicted anti-diagonal, so
+    that equal ints are equal q-polynomials and an int is 0 exactly when
+    its q-polynomial is.
 
     M' and M'' are reduced on the ints (``_reduce_rows``); the structural
     zeros are the ints of M'' below the anti-diagonal; the anti-diagonal is
@@ -357,33 +352,25 @@ def _certificate(sum_bc: int, vda: int | float, n_cap: int, rows: list[tuple[int
 
 def _packed_certificate(sum_bc: int, vda: int | float, n_cap: int) -> RankCertificate:
     """``certify_full_rank(build_matrix(sum_bc, vda, n_cap))`` on M packed
-    once, at its ``_rank_width``; raises as ``_matrix_rows`` does.
-
-    Every entry of M has its coefficients in [0, T] (``_packed_matrix``), so
-    a row's 1-norm is the sum of its entries' values at q = 1, which
-    ``_matrix_ints`` gives at width 0, exactly.  The width holds the rest
-    (``_certificate``): a coefficient of M is at most its row's 1-norm, so
-    at most the bound b of ``_rank_width``, and one of M'', c_i - c_(i-1) -
-    c_(i-2) + c_(i-3) in the coefficients c_j >= 0 of one column, lies in
-    [-2b, 2b]; a predicted coefficient is at most (sum_bc + 1)/2
-    (``_packed_antidiagonal``), which is entry (0, 0), D at r = ve = 0, so at
-    most row 0's 1-norm.  All are below 2**(bits(b) + 1) = 2**(width - 1)."""
+    once, at ``width_for`` of 2b, b its ``_rank_bound``; raises as
+    ``_matrix_rows`` does.  M's coefficients are >= 0 (``_packed_matrix``),
+    so a row's 1-norm is the sum of its entries' values at q = 1, which
+    ``_matrix_ints`` gives at width 0, and 2b holds M'' (``_rank_bound``)
+    and the predicted anti-diagonal: ``_antidiagonal_bound`` is entry
+    (0, 0), D at r = ve = 0, so at most row 0's 1-norm."""
     n_rows = _matrix_rows(sum_bc, vda, n_cap)
     norms = [sum(row) for row in _matrix_ints(sum_bc, vda, n_cap, n_rows, 0)]
-    width = _rank_width(norms, n_cap + 1)
+    width = width_for(2 * _rank_bound(norms, n_cap + 1))
     return _certificate(sum_bc, vda, n_cap, _matrix_ints(sum_bc, vda, n_cap, n_rows, width), width)
 
 
 def certify_full_rank(m: DerivMatrix) -> RankCertificate:
     """Exact elimination rank plus the structural checks on M'': the int
-    core ``_certificate`` on m's entries packed one bit above their
-    ``_rank_width`` (their coefficient 1-norms), and at least at bits((sum_bc
-    + 1)/2) + 1.  A coefficient of M'' is a signed sum of four of M's, each
-    at most the bound b of ``_rank_width``, so below 4b < 2**(width - 1)
-    whatever the entries' signs; and the predicted anti-diagonal's are at
-    most (sum_bc + 1)/2 (``_packed_antidiagonal``)."""
+    core ``_certificate`` on m's entries packed at ``width_for`` of the
+    larger of 4b, b the ``_rank_bound`` of their coefficient 1-norms, which
+    holds M'' whatever the entries' signs, and ``_antidiagonal_bound``."""
     norms = [sum(abs(c) for poly in row for c in poly.coefficients()) for row in m.entries]
-    width = max(_rank_width(norms, m.cols) + 1, ((m.sum_bc + 1) // 2).bit_length() + 1)
+    width = width_for(max(4 * _rank_bound(norms, m.cols), _antidiagonal_bound(m.sum_bc)))
     rows = [tuple([poly._packed(width) for poly in row]) for row in m.entries]
     return _certificate(m.sum_bc, m.vda, m.n_cap, rows, width)
 

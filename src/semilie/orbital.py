@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass
 from operator import add, neg, sub
 
-from .exactpoly import KeyedModule, LaurentSeries, QPolynomial
+from .exactpoly import KeyedModule, LaurentSeries, QPolynomial, width_for
 
 #: Sentinel for an unbounded v(d - a).  Compares larger than every int.
 INFINITY = math.inf
@@ -143,32 +143,32 @@ def support_points(r: int, s: int, ve: int) -> int:
     return (ve + 1) * (2 * ve + 2 * s + 2 * r + 1)
 
 
-def row_width(p: OrbitalParams) -> int:
-    """Bits per q-digit B at which the T-power rows of ``p``'s series pack.
+def _rows_bound(r: int, vb: int, vc: int, ve: int) -> int:
+    """The coefficient bound of the series rows at (r, vb, vc, ve), of
+    their sum (the value at s = 0) and of their k-weighted sum (the
+    log-derivative): P K, P = ``support_points(r, vb + vc, ve)`` and K =
+    max(|vb + r|, |2 ve + vc + r|, 1); 1 at ve < 0, where the rows are 0.
 
-    Each row of the two builders below is a q-polynomial with exponents in
-    [0, n_bound] (``n_bound`` <= ve) and int coefficients, packed as its
-    value at q = 2**B (see ``exactpoly.unpack``).  Every coefficient of the
-    rows, of their sum (the value at s = 0) and of their k-weighted sum (the
-    log-derivative) must be below 2**(B - 1) in absolute value.  Each
-    support-lattice point adds +-1 to one coefficient, so an oracle
-    coefficient is at most the number of points P (``support_points``).  A
-    closed-form coefficient, and any coefficient of the sum of its rows, is
-    at most the total coefficient mass M <= (2 ve + s + 2 r + 1)(n_bound +
-    1 + plateau height), and M <= P: the plateau is active only where
+    Each support-lattice point adds +-1 to one coefficient of a row, a
+    q-polynomial with exponents in [0, n_bound] (``n_bound`` <= ve), so an
+    oracle coefficient is at most the number of points P.  A closed-form
+    coefficient, and any coefficient of the sum of its rows, is at most the
+    total coefficient mass M <= (2 ve + s + 2 r + 1)(n_bound + 1 + plateau
+    height), s = vb + vc, and M <= P: the plateau is active only where
     vda < ve - r and s > 2 vda, so (s - 1)/2 >= vda, n_bound = vda + r and
     n_bound + plateau = ve; elsewhere it is 0 and n_bound <= ve.  Either way
     n_bound + 1 + plateau <= ve + 1, and 2 ve + s + 2 r + 1 <= 2 ve + 2 s +
     2 r + 1 as s >= 1.  Both series live on k in [-(vb + r), 2 ve + vc + r],
-    so a k-weighted coefficient is at most K = max |k| times P, and
-    B = bits(P * K) + 1 bounds all of them.  B reads only r, vb, vc and ve,
-    never vda.  Zero rows (ve < 0) pack at any width.
-    """
-    if p.ve < 0:
-        return 2
-    r, vb, vc, ve = p.r, p.vb, p.vc, p.ve
-    k_max = max(abs(vb + r), abs(2 * ve + vc + r), 1)
-    return (support_points(r, vb + vc, ve) * k_max).bit_length() + 1
+    so a k-weighted coefficient is at most K P.  The bound never reads vda."""
+    if ve < 0:
+        return 1
+    return support_points(r, vb + vc, ve) * max(abs(vb + r), abs(2 * ve + vc + r), 1)
+
+
+def row_width(p: OrbitalParams) -> int:
+    """Bits per q-digit at which the T-power rows of ``p``'s series pack
+    (see ``exactpoly.unpack``): ``width_for`` of ``_rows_bound``."""
+    return width_for(_rows_bound(p.r, p.vb, p.vc, p.ve))
 
 
 def _closed_form_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> tuple[int, list[int]]:
@@ -355,12 +355,11 @@ def _support_finish(lo: int, acc: list[int]) -> tuple[int, list[int]]:
 
 def derivative_closed_form(p: OrbitalParams) -> QPolynomial:
     """The normalised derivative D = (-1)**(vc+r)/log(q) * dOrb/ds at s=0,
-    ``_packed_derivative`` decoded; 0 in the vanishing regime (ve < 0).
-    It packs at width bits(T) + 1, T = ve + (vb + vc + 1)/2 + r: D's
-    coefficients lie in [0, T], as ``kernel._packed_matrix`` proves."""
+    ``_packed_derivative`` decoded at the width of ``_derivative_bound``;
+    0 in the vanishing regime (ve < 0)."""
     if p.ve < 0:
         return QPolynomial.zero()
-    width = (p.ve + (p.vb + p.vc + 1) // 2 + p.r).bit_length() + 1
+    width = width_for(_derivative_bound(p.r, p.vb + p.vc, p.ve))
     x = _packed_derivative(p.r, p.vb, p.vc, p.ve, p.vda, _top_tables(width, p.n_bound()))
     return QPolynomial._from_packed(x, width)
 
@@ -393,6 +392,18 @@ def _top_tables(width: int, *degrees: int) -> tuple[int, dict[int, int], dict[in
     return width, geometric, weighted, None
 
 
+def _derivative_bound(r: int, s: int, ve: int) -> int:
+    """The coefficient bound of D at level r, vb + vc = s and ve >= 0:
+    ve + (s + 1)/2 + r, D's constant term unless vda = r = 0.  With a =
+    (s - 1)/2 + r and b = vda + r, D is a sum of (ve + a + 1 - 2j) q**j over
+    j <= c = min(ve, a, b), less corr q**b when b <= a and k = ve - b >= 0
+    (``_packed_derivative``).  Since 2 c <= ve + a, every main coefficient
+    lies in [1, ve + a + 1], and the correction (then c = b) leaves k/2 +
+    a - b + 1 at q**b for even k and (k + 1)/2 for odd k.  So D's
+    coefficients lie in [0, ve + a + 1]."""
+    return ve + (s + 1) // 2 + r
+
+
 def _packed_derivative(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> int:
     """D at (r, vb, vc, ve, vda), packed (see ``exactpoly.unpack``) at the
     width of ``tables``, ``_derivative_tables`` with n >= cap = min(ve,
@@ -403,9 +414,8 @@ def _packed_derivative(r: int, vb: int, vc: int, ve: int, vda: int | float, tabl
     (vda + r) >= 0 and s > 2 vda, corr q**(vda + r): corr = kappa/2 for
     even kappa, else (ve + s/2 - 2 vda - r) - kappa/2.
 
-    The width must hold D's coefficients, which lie in [0, ve + (s + 1)/2
-    + r] (the bound on M in ``kernel._packed_matrix``); any width at least
-    ``row_width`` does, as its 2**(B - 1) exceeds the support points
+    The width must hold ``_derivative_bound``; any width at least
+    ``row_width`` does, as ``_rows_bound`` is at least the support points
     P >= 2 ve + 2 s + 2 r + 1, more than that bound."""
     width, geometric, weighted, _ = tables
     s = vb + vc
@@ -431,9 +441,8 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
         (q**N + ... + 1) + C q**N + C' q**(N-1)
 
     with N = min(ve, (vb+vc-1)/2 + r, vda + r) and C, C' as in
-    ``_packed_combo``, which this decodes, at width bits(ve + (vb + vc +
-    3)/2) + 1 (its coefficient bound).  Equals derivative_closed_form(r) -
-    derivative_closed_form(r-1).
+    ``_packed_combo``, which this decodes at the width of ``_combo_bound``.
+    Equals derivative_closed_form(r) - derivative_closed_form(r-1).
     """
     if p.r < 1:
         raise InvalidParamsError(
@@ -443,9 +452,18 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
     if p.ve < 0:
         return QPolynomial.zero()
     s = p.vb + p.vc
-    width = (p.ve + (s + 3) // 2).bit_length() + 1
+    width = width_for(_combo_bound(s, p.ve))
     x = _packed_combo(p.r, s, p.ve, p.vda, _top_tables(width, p.n_bound()))
     return QPolynomial._from_packed(x, width)
+
+
+def _combo_bound(s: int, ve: int) -> int:
+    """The coefficient bound of ``derivative_combo`` at vb + vc = s and
+    ve >= 0, any level r >= 1: ve + (s + 3)/2.  Its coefficients are 1, 1 +
+    C and 1 + C' (``_packed_combo``): 1 + C is at most (ve + 1)/2,
+    (ve + s + 1)/2 or ve + 1 in the three cases with C > 0, as kappa <= ve,
+    and 1 + C' at most (ve + 3)/2 or (ve + s + 3)/2."""
+    return ve + (s + 3) // 2
 
 
 def _packed_combo(r: int, s: int, ve: int, vda: int | float, tables: tuple) -> int:
@@ -461,13 +479,8 @@ def _packed_combo(r: int, s: int, ve: int, vda: int | float, tables: tuple) -> i
            0                                otherwise;
       C' = C + 1 if kappa >= 0 and s > 2 vda, else 0.
 
-    C' is 0 at N = 0, which needs ve = 0 (r >= 1), so kappa < 0.
-
-    The width must hold the coefficients, which lie in [1, ve + (s + 3)/2]:
-    1 + C is at most (ve + 1)/2, (ve + s + 1)/2 or ve + 1 in the three
-    cases with C > 0, as kappa <= ve, and 1 + C' at most (ve + 3)/2 or
-    (ve + s + 3)/2.  For r >= 1 that is below 2 ve + s + 2 r, the int_circ
-    bound of ``verify._afl_width``."""
+    C' is 0 at N = 0, which needs ve = 0 (r >= 1), so kappa < 0.  The width
+    must hold ``_combo_bound``."""
     width, geometric, _, _ = tables
     cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
     if ve < cap:

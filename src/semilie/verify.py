@@ -34,6 +34,15 @@ decodes a value only for a failure record (the certificate its pivots, for
 its spot check).  The orbital, miracle and afl suites walk their grids as
 nested loops over ints and build an ``OrbitalParams`` only for a failure
 record.
+
+Packed widths.  A packed sweep compares every value at one width per run,
+at which equal ints are equal q-polynomials: ``exactpoly.width_for`` of a
+multiple of its values' named coefficient bounds (``orbital``,
+``intersection``, ``kernel``) at the top corner of its grid, the largest
+r, vb + vc and ve it reaches.  Every named bound is nondecreasing in r,
+vb + vc and ve, so no tuple of the grid has a larger one than the corner;
+the rows' bound, which reads vb too, is read at its largest over vb
+(``_orbital_width``).
 """
 
 from __future__ import annotations
@@ -45,12 +54,13 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
-from .exactpoly import QPolynomial, _sign_mask
+from .exactpoly import QPolynomial, _sign_mask, width_for
 from .intersection import (
     _gk_pair,
     _packed_circ,
     _packed_gk,
     _packed_kr_closed,
+    _total_bound,
 )
 from .kernel import (
     _packed_certificate,
@@ -65,6 +75,7 @@ from .orbital import (
     INFINITY,
     OrbitalParams,
     _closed_form_rows,
+    _derivative_bound,
     _derivative_tables,
     _packed_combo,
     _packed_derivative,
@@ -350,18 +361,12 @@ def _shifted_checks(finish: tuple, lo: int) -> tuple:
 
 def _orbital_width(config: SweepConfig) -> int:
     """The width at which ``suite_orbital`` packs every tuple of the grid:
-    the ``row_width`` of its top corner, r = r_max, vb = _VB_MIN, vb + vc =
-    s the largest odd s on the grid and ve = ve_max.
-
-    ``row_width`` is bits(P K) + 1, P = ``support_points(r, s, ve)``, which
-    reads vb only through s, and K = max(|vb + r|, 2 ve + s - vb + r, 1)
-    (2 ve + vc + r, >= 0 as vb <= s).  In vb, K is convex, a max of convex
-    functions, so on [_VB_MIN, s] it is largest at an end; and the low end
-    wins, since with _VB_MIN <= 0 its K = 2 ve + s - _VB_MIN + r is at least
-    both terms at vb = s, s + r and 2 ve + r.  That K and P are
-    nondecreasing in r, s and ve, so no tuple of the grid has a wider
-    ``row_width`` than the top corner.
-    """
+    the ``row_width`` of its top corner, r = r_max, vb = _VB_MIN, the
+    largest odd s = vb + vc on the grid and ve = ve_max.  ``_rows_bound`` is
+    P K, P reading vb only through s, and K = max(|vb + r|, 2 ve + s - vb +
+    r, 1) is convex in vb, so largest on [_VB_MIN, s] at an end: the low
+    end, since with _VB_MIN <= 0 its K = 2 ve + s - _VB_MIN + r is at least
+    both terms at vb = s, s + r and 2 ve + r."""
     s = config.sum_bc_values()[-1]
     return row_width(OrbitalParams(r=config.r_max, vb=_VB_MIN, vc=s - _VB_MIN, ve=config.ve_max))
 
@@ -393,19 +398,17 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     one int per T power from T**lo on, equal exactly when the series are and
     compared as tuples, the forms the public ``orbital_closed_form`` and
     ``orbital_support_sum`` wrap, and the derivative as
-    ``orbital._packed_derivative``, one int per tuple.  A run has one width
-    and one table: every tuple packs at the grid's widest ``row_width``
-    (``_orbital_width``), at which every coefficient of the rows, of their
-    sums and of the derivative fits, so equal ints are equal q-polynomials;
-    and the closed form and the derivative read one set of prefix tables,
-    whose memo keeps the rows the closed form builds from them, so each
-    (half, cap, parity of lo) of the run builds its signed tent once, and
-    each (half, cap, parity of lo, ve - cap) its plateau rows once, the
-    trapezoid added to a copy of the tent (``orbital._closed_form_rows``:
-    222 tents and 640 plateaus for the 48,048 default tuples, 11,190 of
-    them at a plateau).  The value at s = 0 is the
-    sum of the rows and the log-derivative their k-weighted sum; nothing is
-    decoded, and no tuple allocates a ``LaurentSeries`` or ``QPolynomial``.
+    ``orbital._packed_derivative``, one int per tuple.  A run has one width,
+    ``_orbital_width``, and one table: the closed form and the derivative
+    read one set of prefix tables, whose memo keeps the rows the closed form
+    builds from them, so each (half, cap, parity of lo) of the run builds
+    its signed tent once, and each (half, cap, parity of lo, ve - cap) its
+    plateau rows once, the trapezoid added to a copy of the tent
+    (``orbital._closed_form_rows``: 222 tents and 640 plateaus for the
+    48,048 default tuples, 11,190 of them at a plateau).  The value at s = 0
+    is the sum of the rows and the log-derivative their k-weighted sum;
+    nothing is decoded, and no tuple allocates a ``LaurentSeries`` or
+    ``QPolynomial``.
 
     The oracle's lattice walk (``orbital._support_walk``) reads a tuple
     only through (r, vb + vc, ve, theta), and its finish
@@ -508,15 +511,11 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
 
 def _miracle_width(config: SweepConfig) -> int:
     """The width at which ``suite_miracle`` packs both sides of every
-    tuple: bits(B) + 1, B = 2 ve_max + sum_bc_max + 2 r_max + 1.
-
-    At a tuple (r, s = vb + vc, ve), the Gross-Keating value's coefficients
-    lie in [1, n1 + n2] = [1, 2 ve + s + 2r] (``intersection._packed_gk``),
-    and those of D(ve) and D(ve - 1) each in [0, ve + (s + 1)/2 + r]
-    (``orbital._packed_derivative``), so their sum's in [0, 2 ve + s + 1 +
-    2r].  Both bounds grow with r, s and ve, so at every tuple of the grid
-    they are at most B < 2**(width - 1)."""
-    return (2 * config.ve_max + config.sum_bc_max + 2 * config.r_max + 1).bit_length() + 1
+    tuple: twice D's bound (``orbital._derivative_bound``) at the top corner
+    (see "Packed widths" above).  D(ve) + D(ve - 1) is within it, and so is
+    the Gross-Keating value, whose bound n1 + n2 + 1 = 2 ve + s + 2r + 1
+    (``intersection._gk_bound``) is twice D's, as s is odd."""
+    return width_for(2 * _derivative_bound(config.r_max, config.sum_bc_max, config.ve_max))
 
 
 _MIRACLE = "gross_keating == D(ve) + D(ve-1)"
@@ -530,10 +529,10 @@ def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
     and vda in that order, with vb = 0 and vc = s, admissible by
     construction as in ``suite_orbital``.  Both sides are packed ints at one
     width (``_miracle_width``): the value is ``intersection._packed_gk`` at
-    ``_gk_pair`` and each derivative ``orbital._packed_derivative``.  Equal
-    ints are equal q-polynomials, and the sides are decoded, and the
-    tuple's ``OrbitalParams`` built, only for a failure record, which holds
-    the ``verify_miracle`` report: params, lhs, rhs and pass."""
+    ``_gk_pair`` and each derivative ``orbital._packed_derivative``.  The
+    sides are decoded, and the tuple's ``OrbitalParams`` built, only for a
+    failure record, which holds the ``verify_miracle`` report: params, lhs,
+    rhs and pass."""
     width = _miracle_width(config)
     tables = _derivative_tables(width, config.ve_max)
     ves, vdas = range(config.ve_max + 1), config.vda_values()
@@ -553,19 +552,13 @@ def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
 
 def _afl_width(config: SweepConfig) -> int:
     """The width at which ``suite_afl`` packs every value it compares:
-    bits(2M) + 1, M = (ve_max + 1)(2 ve_max + sum_bc_max + 2 r_max).
-
-    At a tuple (r, s = vb + vc, ve), with C = 2 ve + s + 2r: a total's
-    coefficients lie in [-(ve + 1) C, (ve + 1) C] (``intersection.int_total``),
-    so those of the difference of the totals at r and r - 1 within
-    2 (ve + 1) C; an int_circ's lie in [-C, C] (``intersection._packed_circ``),
-    so those of a difference of two within 2C; D's in [0, ve + (s + 1)/2
-    + r] (``orbital._packed_derivative``), within C; and at r >= 1 those of
-    the two closed forms within C too (``orbital._packed_combo``,
-    ``intersection._packed_kr_closed``).  Each bound grows with r, s and ve,
-    so at every tuple of the grid all are at most 2M < 2**(width - 1)."""
-    m = (config.ve_max + 1) * (2 * config.ve_max + config.sum_bc_max + 2 * config.r_max)
-    return (2 * m).bit_length() + 1
+    twice the total's bound M (``intersection._total_bound``) at the top
+    corner (see "Packed widths" above).  A difference of two totals is
+    within 2M, and so are an int_circ and a difference of two, within 2C,
+    C = 2 ve + s + 2r (``_total_bound``); D (``orbital._derivative_bound``)
+    is within C, and at r >= 1 so are the two closed forms
+    (``orbital._combo_bound``, ``intersection._kr_closed_bound``)."""
+    return width_for(2 * _total_bound(config.r_max, config.sum_bc_max, config.ve_max))
 
 
 _AFL_TOTAL = "int_total == derivative_closed_form"
@@ -587,9 +580,8 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
       * n1 + n2 == 2 ve + vb + vc + 2r.
 
     The suite walks the reduced grid as nested loops over ints, as
-    ``suite_miracle`` does.  Every value is a packed int at one width
-    (``_afl_width``), so equal ints are equal q-polynomials.
-    ``intersection._packed_circ`` runs once per tuple, and no total is
+    ``suite_miracle`` does.  Every value is a packed int at one width,
+    ``_afl_width``.  ``intersection._packed_circ`` runs once per tuple, and no total is
     summed afresh: the total at ve is the int_circ at ve plus the total at
     ve - 2, which this level computed before, since the walk takes ve
     upwards within each (r, vb + vc).  It walks r outermost, so the values
@@ -597,11 +589,9 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
     (vb + vc, ve, vda) for the current level and the one below it only.  The
     derivative is ``orbital._packed_derivative``, and the two closed forms
     are ``orbital._packed_combo`` and ``intersection._packed_kr_closed``,
-    which ``derivative_combo`` and ``int_circ_kr_closed`` decode; each
-    docstring proves its coefficients within ``_afl_width``.  A packed side
-    is decoded, and the tuple's ``OrbitalParams`` built, only for a failure
-    record.  Each identity is counted once for the whole grid.
-    """
+    which ``derivative_combo`` and ``int_circ_kr_closed`` decode.  A packed
+    side is decoded, and the tuple's ``OrbitalParams`` built, only for a
+    failure record.  Each identity is counted once for the whole grid."""
     width = _afl_width(config)
     tables = _derivative_tables(width, config.ve_max)
     ves, vdas = range(config.ve_max + 1), config.vda_values()
@@ -667,23 +657,17 @@ _PHI = "sequence vanishing outside window"
 
 def _kernel_width(config: SweepConfig) -> int:
     """The width at which ``suite_kernel`` packs its vanishing combinations:
-    bits(16 M) + 1, M = 2 ve_max + (max s + 1)/2 + 8, s over _KERNEL_SUMS.
-
-    A combination at the orbit (s, ve, vda) and level r is sum_j c_j
-    (-1)**(s + j) D(j) over the vector's levels j <= r, with r <= ve + 8 and
-    ve <= ve_max.  D(j)'s coefficients lie in [0, ve + (s + 1)/2 + j]
-    (``orbital._packed_derivative``), so in [0, M].  A coefficient of
-    c_j D(j) is a sum of products of one of c_j's coefficients with one of
-    D(j)'s, so at most |c_j| M in absolute value, |c| the sum of the
-    absolute values of c's coefficients; and the combination's are at most
-    |c| M, |c| = sum_j |c_j| the vector's 1-norm.  That is 4 for the 1,2,1
-    vector, and at most 4 + 2 * 4 + 4 = 16 for phi_r + (q + 1) phi_(r-1) +
-    q phi_(r-2), as each phi has 1-norm 4 (weights 1, 1, -q**2, -q**2) and
-    |(q + 1) phi| <= |q + 1| |phi| = 8.  So every coefficient of a
-    combination, of a weight (at most 2) and of a D(j) is at most
-    16 M < 2**(width - 1)."""
-    m = 2 * config.ve_max + (max(_KERNEL_SUMS) + 1) // 2 + 8
-    return (16 * m).bit_length() + 1
+    16 times D's bound B (``orbital._derivative_bound``) at the top corner
+    of its checks (see "Packed widths" above), level ve_max + 8, the largest
+    s of _KERNEL_SUMS and ve = ve_max.  A combination at the orbit (s, ve,
+    vda) and level r <= ve + 8 is sum_j c_j (-1)**(s + j) D(j), so its
+    coefficients are at most |c| B, |c| the vector's 1-norm, the sum of the
+    absolute values of its weights' coefficients: 4 for the 1,2,1 vector,
+    and at most 4 + 2 * 4 + 4 = 16 for phi_r + (q + 1) phi_(r-1) + q
+    phi_(r-2), as each phi has 1-norm 4 (weights 1, 1, -q**2, -q**2) and
+    |(q + 1) phi| <= |q + 1| |phi| = 8.  A weight's coefficients are at
+    most 2."""
+    return width_for(16 * _derivative_bound(config.ve_max + 8, max(_KERNEL_SUMS), config.ve_max))
 
 
 # Charged 80 (ve_max + 20)**3, fitted to the suite's times at ve_max 10 to

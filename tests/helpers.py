@@ -394,7 +394,7 @@ def reference_stages(sum_bc: int, vda: int | float, n_cap: int) -> dict[str, lis
 
 def coefficient_norms(entries) -> list[int]:
     """Each row's 1-norm, the sum of |c| over its q-polynomials' coefficients:
-    what ``semilie.kernel._rank_width`` reads."""
+    what ``semilie.kernel._rank_bound`` reads."""
     return [sum(abs(c) for poly in row for c in poly.coefficients()) for row in entries]
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semilie import HeckeVector, LaurentSeries, QPolynomial, SatakeGL, SatakeY
+from semilie.exactpoly import unpack, width_for
 
 coeffs = st.one_of(
     st.integers(-9, 9),
@@ -324,3 +325,18 @@ def test_log_derivative_linear(f, g, a, b):
 def test_at_one_is_ring_hom(f, g):
     assert (f + g).at_one() == f.at_one() + g.at_one()
     assert series_mul(f, g).at_one() == f.at_one() * g.at_one()
+
+
+def test_width_for_is_the_least_width_that_holds_its_bound():
+    """A polynomial with coefficients +-b packs at ``width_for(b)`` and
+    unpacks back to itself; one bit lower, a coefficient of b does not
+    pack, at either sign, for b = 1, 2, 3 and 2**k - 1, 2**k, 2**k + 1 up
+    to k = 70."""
+    for b in sorted({1, 2, 3} | {2**k + d for k in range(2, 71) for d in (-1, 0, 1)}):
+        width = width_for(b)
+        poly = QPolynomial({0: b, 1: -b, 3: b, 4: -1})
+        x = poly._packed(width)
+        assert x is not None and unpack(x, width) == {0: b, 1: -b, 3: b, 4: -1}, b
+        assert QPolynomial._from_packed(x, width) == poly
+        assert QPolynomial.constant(b)._packed(width - 1) is None, b
+        assert QPolynomial.q_power(2, -b)._packed(width - 1) is None, b

@@ -30,7 +30,7 @@ from semilie import (
     verify_miracle,
 )
 from semilie import intersection, orbital
-from semilie.intersection import _packed_gk, _total_tables
+from semilie.intersection import _packed_gk, _total_width
 from semilie.orbital import _derivative_tables
 
 GRID = [
@@ -158,7 +158,7 @@ class TestPacked:
                     values = [reference_gross_keating(gk_from_params(base.with_ve(i))) for i in range(ve + 1)]
                     absolute = sum(values, QPolynomial.zero())
                     bound = (ve + 1) * (2 * ve + s + 2 * r)
-                    assert max(absolute.coefficients()) <= bound < 2 ** (_total_tables(base)[0] - 1), base
+                    assert max(absolute.coefficients()) <= bound < 2 ** (_total_width(base) - 1), base
 
     def test_int_circ_reads_the_two_degrees_alone(self, monkeypatch):
         """``int_circ`` builds no O(n**2) prefix tables, only the two top

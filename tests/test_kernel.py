@@ -21,7 +21,7 @@ from helpers import (
 
 from semilie import INFINITY, InvalidParamsError, OrbitalParams, QPolynomial, build_matrix, certify_full_rank, row_reduce
 from semilie import kernel
-from semilie.exactpoly import unpack
+from semilie.exactpoly import unpack, width_for
 from semilie.kernel import (
     _matrix_ints,
     _matrix_rows,
@@ -31,7 +31,7 @@ from semilie.kernel import (
     _packed_matrix,
     _packed_rank,
     _packed_weights,
-    _rank_width,
+    _rank_bound,
     _reduce_rows,
     _signed_derivatives,
     large_r_vector,
@@ -238,9 +238,10 @@ DEFICIENT = {
 
 
 def rank_width(entries):
-    """``_rank_width`` of q-polynomial entries, read from their coefficient
+    """The packed certificate's width, ``width_for`` of twice the
+    ``_rank_bound`` of q-polynomial entries, read from their coefficient
     1-norms."""
-    return _rank_width(coefficient_norms(entries), len(entries[0]))
+    return width_for(2 * _rank_bound(coefficient_norms(entries), len(entries[0])))
 
 
 def packed_rank(entries):
@@ -265,7 +266,7 @@ def test_packed_rank_matches_the_reference_below_full_rank(make, sum_bc, vda, n_
 def test_packed_elimination_keeps_every_minor_in_the_digit_range():
     """Every entry the q-polynomial elimination computes, the minors the
     packed one holds as ints, has its coefficients below 2**(width - 1) at
-    ``_rank_width``, on the rank grid and below full rank."""
+    ``rank_width``, on the rank grid and below full rank."""
     matrices = [m.entries for m in rank_grid_matrices()]
     matrices += [make(build_matrix(17, 8, 6).entries) for make in DEFICIENT.values()]
     for entries in matrices:

@@ -50,6 +50,7 @@ from semilie.orbital import (
     _derivative_tables,
     _packed_combo,
     _packed_derivative,
+    _rows_bound,
     _support_sum_rows,
     row_width,
     support_points,
@@ -131,14 +132,15 @@ def assert_rows_match(p):
         lo, rows = pair
         assert all(rows) and (lo, lo + len(rows)) == ((min(want), max(want) + 1) if want else (0, 0))
         # The width bound: every coefficient of the rows, of their sum and of
-        # their k-weighted sum is below 2**(width - 1) in absolute value.
+        # their k-weighted sum is at most ``_rows_bound``, below 2**(width - 1)
+        # in absolute value.
         value, weighted = {}, {}
         for k, coeff in want.items():
             for e, c in coeff.items():
                 value[e] = value.get(e, 0) + c
                 weighted[e] = weighted.get(e, 0) + k * c
         biggest = max((abs(c) for m in (*want.values(), value, weighted) for c in m.values()), default=0)
-        assert biggest < 1 << (width - 1)
+        assert biggest <= _rows_bound(p.r, p.vb, p.vc, p.ve) < 1 << (width - 1)
         # The rows do not depend on the width.
         wider = build(p, width + 16)
         assert unpacked(wider, width + 16) == want

@@ -3,20 +3,25 @@
 import dataclasses
 import functools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    bareiss_rank,
+    coefficient_norms,
     full_tuples,
     gk_from_params,
     orbit_fields,
     pack_row,
+    reference_antidiagonal,
     reference_combo,
     reference_derivative,
     reference_gross_keating,
     reference_int_circ,
     reference_int_total,
     reference_kr_closed,
+    reference_stages,
     reduced_tuples,
     support,
     t_power,
@@ -25,12 +30,33 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semilie import INFINITY, HeckeVector, LaurentSeries, OrbitalParams, QPolynomial, SatakeY, SweepConfig, run_suite
+from semilie import (
+    INFINITY,
+    DerivMatrix,
+    GKPair,
+    HeckeVector,
+    LaurentSeries,
+    OrbitalParams,
+    QPolynomial,
+    SatakeY,
+    SweepConfig,
+    run_suite,
+)
 from semilie import cli, intersection, kernel, orbital, satake, verify
 from semilie.exactpoly import _sign_mask, unpack
-from semilie.orbital import InvalidParamsError
+from semilie.intersection import _gk_bound, _kr_closed_bound, _total_bound
+from semilie.kernel import _antidiagonal_bound, _rank_bound, large_r_vector, phi_sequence_vector
+from semilie.orbital import InvalidParamsError, _combo_bound, _derivative_bound, derivative_of_vector
 from semilie.padiclab import DiskCounter, QuadExtRing
-from semilie.verify import SuiteResult, suite_miracle, suite_orbital, suite_quaternion
+from semilie.verify import (
+    _KERNEL_SUMS,
+    _KERNEL_VDAS,
+    KERNEL_RANK_GRID,
+    SuiteResult,
+    suite_miracle,
+    suite_orbital,
+    suite_quaternion,
+)
 
 SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2, quaternion_samples=20, precision=3)
 
@@ -843,10 +869,18 @@ def largest_coefficient(*values):
     return max((abs(c) for value in values for c in value._terms.values()), default=0)
 
 
+#: The dict references memoised: ``miracle_values``, ``afl_values`` and
+#: ``bounded_references`` read the same values at a tuple, and the level
+#: differences read the level below's.
+cached_derivative, cached_circ, cached_total = map(
+    functools.cache, (reference_derivative, reference_int_circ, reference_int_total)
+)
+
+
 def miracle_values(p):
     """Every value ``suite_miracle`` packs at ``p``: the Gross-Keating value,
     D(ve), D(ve - 1) and their sum, from the dict references."""
-    here, below = reference_derivative(p), reference_derivative(p.with_ve(p.ve - 1))
+    here, below = cached_derivative(p), cached_derivative(p.with_ve(p.ve - 1))
     return reference_gross_keating(gk_from_params(p)), here, below, here + below
 
 
@@ -854,41 +888,133 @@ def afl_values(p):
     """Every value ``suite_afl`` packs at ``p`` but its two closed forms: the
     total, int_circ and D, and at r >= 1 the level differences of the total
     and of int_circ, from the dict references."""
-    values = [reference_int_total(p), reference_int_circ(p), reference_derivative(p)]
+    values = [cached_total(p), cached_circ(p), cached_derivative(p)]
     if p.r >= 1:
         q = p.with_r(p.r - 1)
-        values += [values[0] - reference_int_total(q), values[1] - reference_int_circ(q)]
+        values += [values[0] - cached_total(q), values[1] - cached_circ(q)]
     return values
 
 
+def bounded_references(p, totals=True):
+    """{family: (named bound, values)} at ``p``: each coefficient bound a
+    packed builder is proven within, read at p's ints, and the dict
+    references it must hold.  The total's bound holds int_circ and, with
+    ``totals``, int_total; the anti-diagonal's is read at column r."""
+    s = p.vb + p.vc
+    gk = gk_from_params(p)
+    totals = [cached_total(p)] if totals else []
+    antidiagonal = reference_antidiagonal(DerivMatrix(s, p.vda, p.r, ()), p.r)
+    out = {
+        "derivative": (_derivative_bound(p.r, s, p.ve), [cached_derivative(p)]),
+        "gross_keating": (_gk_bound(gk.n1, gk.n2), [reference_gross_keating(gk)]),
+        "total": (_total_bound(p.r, s, p.ve), [cached_circ(p), *totals]),
+        "antidiagonal": (_antidiagonal_bound(s), [antidiagonal]),
+    }
+    if p.r >= 1:
+        out["combo"] = _combo_bound(s, p.ve), [reference_combo(p)]
+        if p.ve >= 1:
+            out["kr_closed"] = _kr_closed_bound(s), [reference_kr_closed(p)]
+    return out
+
+
+def kernel_references(config):
+    """(family, bound, values) for the kernel suite at ``config``: each
+    vanishing combination (``derivative_of_vector``) at its orbits and
+    levels up to ``ve_max``, against its vector's 1-norm times D's bound at
+    its top level; and each rank-grid matrix's minors (``bareiss_rank``)
+    against their ``_rank_bound`` b, and its M'' against 2b."""
+    for s in _KERNEL_SUMS:
+        for vda in _KERNEL_VDAS:
+            for ve in range(0, config.ve_max + 1, 2):
+                base = OrbitalParams(r=0, vb=0, vc=s, ve=ve, vda=vda)
+                vectors = [large_r_vector(r) for r in range(ve + 2, ve + 9)]
+                vectors += [phi_sequence_vector(r) for r in range(5, ve + 9)]
+                for vec in vectors:
+                    norm = sum(abs(c) for _, weight in vec.items() for c in weight.coefficients())
+                    r = max(level for level, _ in vec.items())
+                    yield "kernel", norm * _derivative_bound(r, s, ve), [derivative_of_vector(base, vec)]
+    for s in KERNEL_RANK_GRID["sum_bc"]:
+        for vda in KERNEL_RANK_GRID["vda"]:
+            for n_cap in KERNEL_RANK_GRID["n_cap"]:
+                stages = reference_stages(s, vda, n_cap)
+                bound = _rank_bound(coefficient_norms(stages["M"]), n_cap + 1)
+                minors = []
+                bareiss_rank(stages["M"], minors)
+                yield "rank", bound, minors
+                yield "rank_m2", 2 * bound, [e for row in stages["M''"] for e in row]
+
+
+def far_points(n=1500, seed=20261021):
+    """Seeded tuples far past the default grid: r <= 200, odd vb + vc <=
+    399, vb >= -50, ve <= 199 and vda <= 99 or INFINITY."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        s = 2 * rng.randrange(200) + 1
+        vb = rng.randrange(-50, s + 1)
+        vda = rng.choice([INFINITY, rng.randrange(100)])
+        yield OrbitalParams(r=rng.randrange(201), vb=vb, vc=s - vb, ve=rng.randrange(200), vda=vda)
+
+
+#: The families whose bound a value on the smoke and default grids attains;
+#: the total's at r = ve = 0 and vb + vc = 1, where int_total is 1.
+GRID_ATTAINED = {"derivative", "kr_closed", "antidiagonal", "total"}
+
+
 @pytest.mark.parametrize(
-    "config, largest",
-    [(SMOKE, {"miracle": 17, "afl": 9, "combo": 5, "kr_closed": 4}),
-     (SweepConfig(), {"miracle": 43, "afl": 22, "combo": 11, "kr_closed": 7})],
-    ids=["smoke", "default"],
+    "config, largest, attained",
+    [(SMOKE, {"miracle": 17, "afl": 9, "combo": 5, "kr_closed": 4, "derivative": 9, "gross_keating": 17, "total": 9,
+              "antidiagonal": 3, "kernel": 11, "rank": 123844671, "rank_m2": 15}, GRID_ATTAINED),
+     (SweepConfig(), {"miracle": 43, "afl": 22, "combo": 11, "kr_closed": 7, "derivative": 22, "gross_keating": 43,
+                      "total": 22, "antidiagonal": 6, "kernel": 11, "rank": 123844671, "rank_m2": 15}, GRID_ATTAINED),
+     (None, {"combo": 255, "kr_closed": 140, "derivative": 539, "gross_keating": 1077, "total": 417,
+             "antidiagonal": 193, "gk_top_digit": 60}, {"derivative", "kr_closed", "antidiagonal", "gk_top_digit"})],
+    ids=["smoke", "default", "far"],
 )
-def test_packing_widths_hold_every_value(config, largest):
+def test_packing_widths_hold_every_value(config, largest, attained):
     """Equal packed ints are equal q-polynomials only while every
-    coefficient is below 2**(width - 1) in absolute value: at every reduced
-    tuple, each value the miracle and afl sweeps pack fits their width
-    (``_miracle_width``, ``_afl_width``), the afl sweep's two closed forms
-    included, read from their dict references: each ``derivative_combo``
-    (r >= 1) and each single-cell ``int_circ_kr_closed`` (r, ve >= 1),
-    which ``_packed_combo`` and ``_packed_kr_closed`` build at
-    ``_afl_width``.  The largest |coefficient| is recorded: on the default
-    grid miracle's 43 against 64 is the tightest margin, so a width one bit
-    lower fails, and afl's is 22 against 1,024."""
-    widths = {"miracle": verify._miracle_width(config), "afl": verify._afl_width(config)}
-    widths["combo"] = widths["kr_closed"] = widths["afl"]
-    got = dict.fromkeys(largest, 0)
-    for p in reduced_tuples(config):
-        got["miracle"] = max(got["miracle"], largest_coefficient(*miracle_values(p)))
-        got["afl"] = max(got["afl"], largest_coefficient(*afl_values(p)))
-        if p.r >= 1:
-            got["combo"] = max(got["combo"], largest_coefficient(reference_combo(p)))
-            if p.ve >= 1:
-                got["kr_closed"] = max(got["kr_closed"], largest_coefficient(reference_kr_closed(p)))
-    assert got == largest
+    coefficient is below 2**(width - 1) in absolute value.  Every named
+    coefficient bound holds its values, read from the dict references, at
+    every reduced tuple of the smoke and default grids and at seeded far
+    points (``bounded_references``); on the grids, so do the kernel suite's
+    (``kernel_references``), and every value the miracle and afl sweeps pack
+    fits their width (``_miracle_width``, ``_afl_width``), the afl sweep's
+    two closed forms included.  At the far points the Gross-Keating bound
+    also holds the packed top digit of each pair with n1 and n2 - n1 both
+    even, the reference's Fraction top coefficient plus 1/2.  The largest
+    |coefficient| of each family is pinned, and so are the families whose
+    bound some value attains, so that the bound less 1 would fail: on the
+    default grid miracle's 43 against 64 is the tightest width, so a width
+    one bit lower fails."""
+    got, reached = dict.fromkeys(largest, 0), set()
+
+    def hold(family, bound, values):
+        top = largest_coefficient(*values)
+        assert top <= bound, family
+        got[family] = max(got[family], top)
+        if top == bound:
+            reached.add(family)
+
+    widths = {}
+    if config is None:
+        for p in far_points():
+            for family, (bound, values) in bounded_references(p, totals=p.ve <= 40).items():
+                hold(family, bound, values)
+        for n1 in range(0, 60, 2):
+            for n2 in range(n1, 120, 2):
+                top = reference_gross_keating(GKPair(n1, n2)).coefficient(n1 // 2) + Fraction(1, 2)
+                hold("gk_top_digit", _gk_bound(n1, n2), [QPolynomial.constant(top)])
+    else:
+        widths = {"miracle": verify._miracle_width(config), "afl": verify._afl_width(config)}
+        widths["combo"] = widths["kr_closed"] = widths["afl"]
+        widths["kernel"] = verify._kernel_width(config)
+        for p in reduced_tuples(config):
+            for family, (bound, values) in bounded_references(p).items():
+                hold(family, bound, values)
+            got["miracle"] = max(got["miracle"], largest_coefficient(*miracle_values(p)))
+            got["afl"] = max(got["afl"], largest_coefficient(*afl_values(p)))
+        for family, bound, values in kernel_references(config):
+            hold(family, bound, values)
+    assert (got, reached) == (largest, attained)
     for name, width in widths.items():
         assert got[name] < 2 ** (width - 1), name
 
