@@ -34,6 +34,7 @@ from .orbital import (
     InvalidParamsError,
     OrbitalParams,
     _derivative_tables,
+    _n_bound,
     _top_tables,
     derivative_closed_form,
     require_ints,
@@ -117,12 +118,14 @@ def gross_keating(g: GKPair) -> QPolynomial:
 
 def _gk_pair(r: int, s: int, ve: int, vda: int | float) -> tuple[int, int]:
     """(n1, n2) of the orbit at level r with vb + vc = s, ve >= 0 and vda:
-    n1 = min(2 ve, s + 2r, 2 vda + 2r) and n2 = 2 ve + s + 2r - n1."""
-    n1 = 2 * ve  # min(2 ve, s + 2r, 2 vda + 2r), without calling min
-    if s + 2 * r < n1:
-        n1 = s + 2 * r
-    if 2 * (vda + r) < n1:
-        n1 = 2 * (vda + r)
+    n1 = min(2 ve, s + 2r, 2 vda + 2r) and n2 = 2 ve + s + 2r - n1.
+
+    With cap = ``orbital._n_bound`` = min(ve, a, b), s + 2r = 2a + 1, so n1
+    is 2 cap + 1 where a is strictly least (a < ve and a < b give 2a + 1 <
+    2 ve and < 2b) and 2 cap elsewhere (cap = min(ve, b) <= a, so 2 cap <
+    2a + 1).  Either way floor(n1/2) = cap."""
+    cap = _n_bound(r, s, ve, vda)
+    n1 = 2 * cap + 1 if cap < ve and cap < vda + r else 2 * cap
     return n1, 2 * ve + s + 2 * r - n1
 
 
@@ -188,38 +191,33 @@ def _total_width(p: OrbitalParams) -> int:
 def int_circ(p: OrbitalParams) -> QPolynomial:
     """Primitive intersection number: GK at ve minus GK at ve - 1, packed
     (``_packed_circ``) at ``int_total``'s width and decoded once.  The
-    prefix sums are read at the two degrees floor(n1/2) of ``_gk_pair`` at
-    ve and ve - 1 alone (``orbital._top_tables``), so the tables hold O(n)
-    bits, not the O(n**2) of ``orbital._derivative_tables``."""
+    prefix sums are read at the two degrees floor(n1/2) = ``_n_bound`` of
+    ``_gk_pair`` at ve and ve - 1 alone (``orbital._top_tables``), so the
+    tables hold O(n) bits, not the O(n**2) of ``orbital._derivative_tables``."""
     if p.ve < 0:
         raise InvalidParamsError(f"int_circ is undefined in the vanishing regime, got ve = {p.ve}")
     r, s, ve, vda = p.r, p.vb + p.vc, p.ve, p.vda
     width = _total_width(p)
-    degrees = [_gk_pair(r, s, i, vda)[0] >> 1 for i in (ve, ve - 1) if i >= 0]
+    degrees = [_n_bound(r, s, i, vda) for i in (ve, ve - 1) if i >= 0]
     return QPolynomial._from_packed(_packed_circ(r, s, ve, vda, _top_tables(width, *degrees)), width)
 
 
 def int_total(p: OrbitalParams) -> QPolynomial:
     """Total intersection number: the sum of int_circ at ve, ve - 2, ...,
-    down to ve mod 2.  Each int_circ is GK(i) - GK(i - 1), GK(i) the
-    Gross-Keating value at v(e) = i and GK(-1) = 0 the empty sentinel, so
-    the sum telescopes to one alternating sum,
-
-        sum_{i=0}^{ve} (-1)**(ve - i) GK(i),
-
-    made of ``_packed_gk`` ints at ``_total_width``, read from prefix tables
-    up to ``n_bound`` >= floor(n1/2) = min(i, (vb + vc - 1)/2 + r, vda + r)
-    at every v(e) = i <= ve, and decoded once.  Equals
-    derivative_closed_form(p) exactly (checked by the identity sweeps),
-    which is what ties the geometric side to the orbital side.
+    down to ve mod 2, the recurrence total(ve) = int_circ(ve) + total(ve -
+    2) that the afl sweep checks.  Each int_circ is ``_packed_circ`` at
+    ``_total_width``, read from prefix tables up to ``n_bound``, which is
+    at least floor(n1/2) = ``_n_bound`` at every v(e) <= ve, and the sum is
+    decoded once.  Equals derivative_closed_form(p) exactly (checked by the
+    identity sweeps), which is what ties the geometric side to the orbital
+    side.
     """
     if p.ve < 0:
         raise InvalidParamsError(f"int_total is undefined in the vanishing regime, got ve = {p.ve}")
     r, s, ve, vda = p.r, p.vb + p.vc, p.ve, p.vda
     width = _total_width(p)
     tables = _derivative_tables(width, p.n_bound())
-    x = sum([_packed_gk(*_gk_pair(r, s, i, vda), tables) for i in range(ve, -1, -2)])
-    x -= sum([_packed_gk(*_gk_pair(r, s, i, vda), tables) for i in range(ve - 1, -1, -2)])
+    x = sum([_packed_circ(r, s, i, vda, tables) for i in range(ve, -1, -2)])
     return QPolynomial._from_packed(x, width)
 
 
@@ -249,22 +247,18 @@ def _packed_kr_closed(r: int, s: int, ve: int, vda: int | float, width: int) -> 
     ve >= 1 and vda, packed (see ``exactpoly.unpack``) at ``width``, with
     X = 2**width:
 
-        (C+1) X**N + (C+2) X**(N-1)   if ve - r = vda <= (s-1)/2,
-        2 X**N                         if (s-1)/2 + r < min(ve, vda + r),
+        (C+1) X**N + (C+2) X**(N-1)   if vda + r attains N and N = ve,
+        2 X**N                         if (s-1)/2 + r is strictly least,
         X**N + X**(N-1)                otherwise,
 
-    where N = min(ve, (s-1)/2 + r, vda + r) >= 1 (r, ve >= 1) and, in the
-    first case, C = (s - 2 vda - 1)/2 >= 0.  It reads no prefix table.  The
-    width must hold ``_kr_closed_bound``."""
-    cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
-    if ve < cap:
-        cap = ve
-    if vda + r < cap:
-        cap = vda + r
-    if ve - r == vda and 2 * vda < s:
+    where N = ``orbital._n_bound`` >= 1 (r, ve >= 1) and, in the first
+    case, C = (s - 2 vda - 1)/2 >= 0.  It reads no prefix table.  The width
+    must hold ``_kr_closed_bound``."""
+    cap = _n_bound(r, s, ve, vda)
+    if cap == vda + r == ve:
         c = (s - 2 * vda - 1) // 2
         return (c + 1 << width * cap) + (c + 2 << width * (cap - 1))
-    if (s - 1) // 2 + r < ve and (s - 1) // 2 < vda:
+    if cap < ve and cap < vda + r:
         return 2 << width * cap
     return (1 << width * cap) + (1 << width * (cap - 1))
 

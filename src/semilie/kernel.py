@@ -52,6 +52,7 @@ from .orbital import (
     _derivative_bound,
     _derivative_tables,
     _packed_derivative,
+    _theta,
     derivative_of_vector,
     require_ints,
 )
@@ -68,7 +69,7 @@ class DerivMatrix:
 
     @property
     def theta(self) -> int:
-        return min(self.sum_bc, 2 * self.vda)
+        return _theta(self.sum_bc, self.vda)
 
     @property
     def rows(self) -> int:
@@ -243,7 +244,7 @@ def _packed_antidiagonal(sum_bc: int, vda: int | float, r: int, width: int) -> i
 
     the X**(x-1) term dropped at x = 0.  The width must hold
     ``_antidiagonal_bound``."""
-    theta = min(sum_bc, 2 * vda)
+    theta = _theta(sum_bc, vda)
     x = r + theta // 2
     if theta % 2:
         top, below = 1, 1
@@ -312,7 +313,7 @@ def _certificate(sum_bc: int, vda: int | float, n_cap: int, rows: list[tuple[int
     homomorphism into the integers."""
     _, m2 = _reduce_rows(rows)
     n_rows, cols = len(rows), len(rows[0]) if rows else 0
-    half = min(sum_bc, 2 * vda) // 2
+    half = _theta(sum_bc, vda) // 2
     flags: list[str] = []
     structural = all(not m2[i][r] for r in range(cols) for i in range(r + half + 2, n_rows))
     antidiagonal = True

@@ -95,12 +95,12 @@ class OrbitalParams:
         return self.vb + self.vc
 
     def theta(self) -> int:
-        """min(vb + vc, 2 vda); odd iff vb + vc < 2 vda."""
-        return min(self.vb + self.vc, 2 * self.vda)
+        """``_theta`` of the orbit."""
+        return _theta(self.vb + self.vc, self.vda)
 
-    def n_bound(self) -> int | float:
-        """min(ve, (vb + vc - 1)/2 + r, vda + r), the top q-degree."""
-        return min(self.ve, (self.vb + self.vc - 1) // 2 + self.r, self.vda + self.r)
+    def n_bound(self) -> int:
+        """``_n_bound`` of the orbit, the top q-degree."""
+        return _n_bound(self.r, self.vb + self.vc, self.ve, self.vda)
 
     def kappa(self) -> int | float:
         """ve - (vda + r)."""
@@ -117,6 +117,40 @@ class OrbitalParams:
         return {"r": self.r, "vb": self.vb, "vc": self.vc, "ve": self.ve, "vda": vda}
 
 
+def _theta(s: int, vda: int | float) -> int:
+    """theta = min(s, 2 vda) of an orbit with vb + vc = s: the even 2 vda
+    where 2 vda < s, else the odd s, so theta is odd exactly where vda >
+    (s - 1)/2.  It is nondecreasing in vda."""
+    return s if s < 2 * vda else 2 * vda
+
+
+def _n_bound(r: int, s: int, ve: int, vda: int | float) -> int:
+    """n_bound = min(ve, a, b), a = (s - 1)/2 + r and b = vda + r (b is
+    infinite with vda), of the orbit at level r with vb + vc = s: the top
+    q-degree of every closed form.  It is < 0 exactly where ve < 0, as a
+    and b are >= 0.
+
+    Every closed form splits on which term attains it, ties going to the
+    first case that holds:
+      * b, ``cap == vda + r``: b <= ve, that is kappa = ve - b >= 0, and
+        b <= a, that is 2 vda <= s - 1, so theta = 2 vda is even.  This is
+        D's correction and the combination's plateau; the closed form's
+        plateau, of height ve - cap, also needs ``cap < ve``.
+      * a strictly least, ``cap < ve and cap < vda + r``: then cap = a, and
+        a < b reads 2 vda > s - 1, so theta = s is odd.  This is the odd
+        n1 = 2 cap + 1 of ``intersection._gk_pair`` and the single cell's
+        2 X**N.
+      * ve otherwise: cap = ve < b.
+    As s is odd, theta (``_theta``) is odd exactly where a < b: never in the
+    first case, always in the second.  So n_bound is one number per (r, s,
+    ve, theta): either theta = 2 vda < s fixes vda, or theta = s < 2 vda,
+    b > a and n_bound = min(ve, a) does not read vda."""
+    a = (s - 1) // 2 + r
+    cap = ve if ve < a else a
+    b = vda + r
+    return b if b < cap else cap
+
+
 def transfer_factor(p: OrbitalParams) -> int:
     """The matching sign (-1)**(vc + 1) = (-1)**vb."""
     return -1 if p.vc % 2 == 0 else 1
@@ -127,8 +161,9 @@ def orbital_closed_form(p: OrbitalParams) -> LaurentSeries:
 
     Zero when ve < 0.  Otherwise the coefficient of T**k is
     (-1)**k (1 + q + ... + q**n(k)) over k in [-(vb+r), 2 ve + vc + r], plus,
-    when vda < ve - r and vb + vc > 2 vda, a plateau correction
-    (-1)**k c(k) q**(vda + r) over k in [2 vda - vb + r, 2 ve + vc - 2 vda - r].
+    when vda + r attains n_bound and is below ve (``_n_bound``), a plateau
+    correction (-1)**k c(k) q**(vda + r) over k in [2 vda - vb + r,
+    2 ve + vc - 2 vda - r].
     """
     width = row_width(p)
     tables = _derivative_tables(width, max(p.n_bound(), 0))
@@ -155,8 +190,8 @@ def _rows_bound(r: int, vb: int, vc: int, ve: int) -> int:
     coefficient, and any coefficient of the sum of its rows, is at most the
     total coefficient mass M <= (2 ve + s + 2 r + 1)(n_bound + 1 + plateau
     height), s = vb + vc, and M <= P: the plateau is active only where
-    vda < ve - r and s > 2 vda, so (s - 1)/2 >= vda, n_bound = vda + r and
-    n_bound + plateau = ve; elsewhere it is 0 and n_bound <= ve.  Either way
+    vda + r attains n_bound below ve (``_n_bound``), its height ve -
+    n_bound; elsewhere it is 0 and n_bound <= ve.  Either way
     n_bound + 1 + plateau <= ve + 1, and 2 ve + s + 2 r + 1 <= 2 ve + 2 s +
     2 r + 1 as s >= 1.  Both series live on k in [-(vb + r), 2 ve + vc + r],
     so a k-weighted coefficient is at most K P.  The bound never reads vda."""
@@ -174,11 +209,11 @@ def row_width(p: OrbitalParams) -> int:
 def _closed_form_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> tuple[int, list[int]]:
     """``orbital_closed_form`` at (r, vb, vc, ve, vda) as the pair (lo, rows)
     (see "Packed rows" above), packed at the width of ``tables``,
-    ``_derivative_tables`` at a width >= ``row_width`` with n >= n_bound;
-    the arguments must be admissible (``OrbitalParams``).  With
-    X = 2**width, row k is (-1)**k G[n(k)], G[n] = 1 + X + ... + X**n, plus
-    the plateau monomial (-1)**k c(k) X**(vda + r), of the same sign, so no
-    row is 0.  The returned rows may be shared with other calls on the same
+    ``_derivative_tables`` at a width >= ``row_width`` with n >= cap =
+    ``_n_bound``; the arguments must be admissible (``OrbitalParams``).
+    With X = 2**width, row k is (-1)**k G[n(k)], G[n] = 1 + X + ... +
+    X**n, plus the plateau monomial (-1)**k c(k) X**(vda + r), of the same
+    sign, so no row is 0.  The returned rows may be shared with other calls on the same
     ``tables`` and must never be mutated.
 
     With j = k - lo, lo = -(vb + r), the span h = hi - lo = 2 ve + vb + vc
@@ -189,11 +224,10 @@ def _closed_form_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, table
     1)/2 + r give 2 cap <= H.  The rows are the tent at even k and its
     negation at odd k: they read only (half, cap, lo & 1) and G.
 
-    The plateau, active where vda < ve - r and vb + vc > 2 vda, adds c(k) =
-    min(k - c_lo, c_hi - k, ve - vda - r) over k in [c_lo, c_hi], c_lo = 2
-    vda - vb + r and c_hi = 2 ve + vc - 2 vda - r.  There s = vb + vc > 2
-    vda gives (s - 1)/2 >= vda, and vda + r < ve, so cap = vda + r and, in
-    terms of the key:
+    The plateau, active where vda + r attains cap and cap < ve
+    (``_n_bound``), adds c(k) = min(k - c_lo, c_hi - k, ve - vda - r) over k
+    in [c_lo, c_hi], c_lo = 2 vda - vb + r and c_hi = 2 ve + vc - 2 vda - r.
+    There cap = vda + r, s = vb + vc, and, in terms of the key:
       * the monomial is X**cap, and the height ve - vda - r is ve - cap;
       * c_lo - lo = 2 vda + 2 r = 2 cap;
       * c_hi - lo + 1 = 2 ve + s - 2 vda + 1 = 2 half - 2 cap + 2, as
@@ -206,16 +240,15 @@ def _closed_form_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, table
     plateau under its 4-tuple key."""
     if ve < 0:
         return 0, []
-    width, geometric, _, memo = tables
-    a = (vb + vc - 1) // 2 + r
-    cap = ve if ve < a else a  # min(ve, (vb + vc - 1)/2 + r, vda + r)
-    if vda + r < cap:
-        cap = vda + r
+    memo = tables[3]
+    s = vb + vc
+    cap = _n_bound(r, s, ve, vda)
+    half = ve + (s - 1) // 2 + r
     lo = -(vb + r)
-    if vda < ve - r and vb + vc > 2 * vda:
-        key = ve + a, cap, lo & 1, ve - cap
+    if cap == vda + r and cap < ve:  # the plateau
+        key = half, cap, lo & 1, ve - cap
     else:
-        key = ve + a, cap, lo & 1
+        key = half, cap, lo & 1
     rows = memo.get(key)
     if rows is None:
         rows = memo[key] = _memo_rows(tables, *key)
@@ -283,7 +316,7 @@ def _support_sum_rows(r: int, vb: int, vc: int, ve: int, vda: int | float, width
     if ve < 0:
         return 0, []
     s = vb + vc
-    m_top, acc = _support_walk(r, s, ve, min(s, 2 * vda), width)
+    m_top, acc = _support_walk(r, s, ve, _theta(s, vda), width)
     return _support_finish(vc + r - m_top, acc)
 
 
@@ -396,41 +429,37 @@ def _derivative_bound(r: int, s: int, ve: int) -> int:
     """The coefficient bound of D at level r, vb + vc = s and ve >= 0:
     ve + (s + 1)/2 + r, D's constant term unless vda = r = 0.  With a =
     (s - 1)/2 + r and b = vda + r, D is a sum of (ve + a + 1 - 2j) q**j over
-    j <= c = min(ve, a, b), less corr q**b when b <= a and k = ve - b >= 0
-    (``_packed_derivative``).  Since 2 c <= ve + a, every main coefficient
-    lies in [1, ve + a + 1], and the correction (then c = b) leaves k/2 +
-    a - b + 1 at q**b for even k and (k + 1)/2 for odd k.  So D's
-    coefficients lie in [0, ve + a + 1]."""
+    j <= c = ``_n_bound``, less corr q**b where b attains c, so b <= a and
+    k = ve - b >= 0 (``_packed_derivative``).  Since 2 c <= ve + a, every
+    main coefficient lies in [1, ve + a + 1], and the correction (then
+    c = b) leaves k/2 + a - b + 1 at q**b for even k and (k + 1)/2 for odd
+    k.  So D's coefficients lie in [0, ve + a + 1]."""
     return ve + (s + 1) // 2 + r
 
 
 def _packed_derivative(r: int, vb: int, vc: int, ve: int, vda: int | float, tables: tuple) -> int:
     """D at (r, vb, vc, ve, vda), packed (see ``exactpoly.unpack``) at the
-    width of ``tables``, ``_derivative_tables`` with n >= cap = min(ve,
-    (s - 1)/2 + r, vda + r), s = vb + vc, or ``_top_tables`` at n = cap;
-    the arguments must be admissible (``OrbitalParams``), and ve < 0 gives
-    0.  D is the main sum of (top - 2j) q**j over j <= cap, top = (2 ve + s
-    + 1)/2 + r, which is top G[cap] - 2 W[cap], less, when kappa = ve -
-    (vda + r) >= 0 and s > 2 vda, corr q**(vda + r): corr = kappa/2 for
-    even kappa, else (ve + s/2 - 2 vda - r) - kappa/2.
+    width of ``tables``, ``_derivative_tables`` with n >= cap =
+    ``_n_bound``, s = vb + vc, or ``_top_tables`` at n = cap; the arguments
+    must be admissible (``OrbitalParams``), and ve < 0 gives 0.  D is the
+    main sum of (top - 2j) q**j over j <= cap, top = (2 ve + s + 1)/2 + r,
+    which is top G[cap] - 2 W[cap], less, where vda + r attains cap, corr
+    q**cap with kappa = ve - cap >= 0: corr = kappa/2 for even kappa, else
+    (ve + s/2 - 2 vda - r) - kappa/2.
 
     The width must hold ``_derivative_bound``; any width at least
     ``row_width`` does, as ``_rows_bound`` is at least the support points
     P >= 2 ve + 2 s + 2 r + 1, more than that bound."""
     width, geometric, weighted, _ = tables
     s = vb + vc
-    cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
-    if ve < cap:
-        cap = ve
-    if vda + r < cap:
-        cap = vda + r
+    cap = _n_bound(r, s, ve, vda)
     if cap < 0:
         return 0
     x = ((2 * ve + s + 1) // 2 + r) * geometric[cap] - 2 * weighted[cap]
-    kap = ve - vda - r
-    if kap >= 0 and s > 2 * vda:
+    if cap == vda + r:  # the correction
+        kap = ve - cap
         corr = kap // 2 if kap % 2 == 0 else (2 * ve + s - 4 * vda - 2 * r - kap) // 2
-        x -= corr << width * (vda + r)
+        x -= corr << width * cap
     return x
 
 
@@ -440,8 +469,8 @@ def derivative_combo(p: OrbitalParams) -> QPolynomial:
 
         (q**N + ... + 1) + C q**N + C' q**(N-1)
 
-    with N = min(ve, (vb+vc-1)/2 + r, vda + r) and C, C' as in
-    ``_packed_combo``, which this decodes at the width of ``_combo_bound``.
+    with N = n_bound (``_n_bound``) and C, C' as in ``_packed_combo``,
+    which this decodes at the width of ``_combo_bound``.
     Equals derivative_closed_form(r) - derivative_closed_form(r-1).
     """
     if p.r < 1:
@@ -469,36 +498,24 @@ def _combo_bound(s: int, ve: int) -> int:
 def _packed_combo(r: int, s: int, ve: int, vda: int | float, tables: tuple) -> int:
     """``derivative_combo`` at level r >= 1 of the orbit with vb + vc = s,
     ve >= 0 and vda, packed (see ``exactpoly.unpack``) at the width of
-    ``tables``, ``_derivative_tables`` with n >= N = min(ve, (s - 1)/2 + r,
-    vda + r) or ``_top_tables`` at N: G[N] + C X**N + C' X**(N - 1), with
-    kappa = ve - (vda + r) and
+    ``tables``, ``_derivative_tables`` with n >= N = ``_n_bound`` or
+    ``_top_tables`` at N: G[N] + C X**N + C' X**(N - 1).  Where vda + r
+    attains N (the plateau), kappa = ve - N >= 0 and
 
-      C  = (kappa - 1)/2                    if kappa > 0 is odd and s > 2 vda,
-           (kappa + s - 2 vda - 1)/2        if kappa >= 0 is even and s > 2 vda,
-           ve - N                           if ve >= (s - 1)/2 + r and 2 vda > s,
-           0                                otherwise;
-      C' = C + 1 if kappa >= 0 and s > 2 vda, else 0.
+      C  = (kappa - 1)/2              for odd kappa,
+           (kappa + s - 2 vda - 1)/2  for even kappa,
+      C' = C + 1;
 
-    C' is 0 at N = 0, which needs ve = 0 (r >= 1), so kappa < 0.  The width
-    must hold ``_combo_bound``."""
+    elsewhere C = ve - N, which is 0 unless (s - 1)/2 + r is strictly
+    least, and C' = 0.  The plateau has N = vda + r >= 1, as r >= 1.  The
+    width must hold ``_combo_bound``."""
     width, geometric, _, _ = tables
-    cap = (s - 1) // 2 + r  # min(ve, (s - 1)/2 + r, vda + r), without calling min
-    if ve < cap:
-        cap = ve
-    if vda + r < cap:
-        cap = vda + r
-    kap = ve - vda - r
-    plateau = kap >= 0 and s > 2 * vda
-    if plateau:
-        c_top = (kap - 1) // 2 if kap & 1 else (kap + s - 2 * vda - 1) // 2
-    elif 2 * vda > s and ve >= (s - 1) // 2 + r:
-        c_top = ve - cap
-    else:
-        c_top = 0
-    x = geometric[cap] + (c_top << width * cap)
-    if plateau:
-        x += c_top + 1 << width * (cap - 1)
-    return x
+    cap = _n_bound(r, s, ve, vda)
+    if cap != vda + r:
+        return geometric[cap] + (ve - cap << width * cap)
+    kap = ve - cap  # the plateau
+    c_top = (kap - 1) // 2 if kap & 1 else (kap + s - 2 * vda - 1) // 2
+    return geometric[cap] + (c_top << width * cap) + (c_top + 1 << width * (cap - 1))
 
 
 class HeckeVector(KeyedModule):

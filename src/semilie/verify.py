@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import groupby
 from operator import mul, neg, or_
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -77,10 +78,12 @@ from .orbital import (
     _closed_form_rows,
     _derivative_bound,
     _derivative_tables,
+    _n_bound,
     _packed_combo,
     _packed_derivative,
     _support_finish,
     _support_walk,
+    _theta,
     require_ints,
     row_width,
     support_points,
@@ -123,7 +126,6 @@ class SweepConfig:
     rmax_satake: int = 8
     p: int = 3
     precision: int = 4
-    quaternion_samples: int = 120
     seed: int = 20240501
 
     def __post_init__(self):
@@ -234,10 +236,16 @@ def _encode(value):
 
 _SUITES: dict[str, Callable[..., SuiteResult]] = {}
 
+#: The identity under which a suite run records an exception from its body.
+INTERNAL_ERROR = "internal error"
+
 
 def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[SweepConfig], int]):
     """Register ``body(config, res)`` as ``suite(config=None) -> SuiteResult``,
     which runs it on ``config`` (default: the default grid) and returns ``res``.
+    An exception from the body ends the run with one failure record under
+    ``INTERNAL_ERROR`` holding its type and message, so that the run fails
+    and the other suites of a ``run_suite`` call still run.
 
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
@@ -251,7 +259,11 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
     def register(body: Callable[[SweepConfig, SuiteResult], None]) -> Callable[..., SuiteResult]:
         def suite(config: SweepConfig | None = None) -> SuiteResult:
             res = SuiteResult(name, identity_key=identity_key)
-            body(config or SweepConfig(), res)
+            config = config or SweepConfig()
+            try:
+                body(config, res)
+            except Exception as exc:
+                res.record(INTERNAL_ERROR, error=type(exc).__name__, message=str(exc))
             return res
 
         suite.__name__, suite.__qualname__, suite.__doc__ = body.__name__, body.__qualname__, body.__doc__
@@ -291,9 +303,9 @@ def _grid_work(config: SweepConfig) -> int:
 
 
 def _top_degree(config: SweepConfig) -> int:
-    """min(ve_max, (sum_bc_max - 1)/2 + r_max), the top q-degree on the
-    reduced grid (vda = INFINITY is on it)."""
-    return min(config.ve_max, (config.sum_bc_max - 1) // 2 + config.r_max)
+    """``orbital._n_bound`` at the top corner with vda = INFINITY (on every
+    grid), the top q-degree on the reduced grid."""
+    return _n_bound(config.r_max, config.sum_bc_max, config.ve_max, INFINITY)
 
 
 def _miracle_work(config: SweepConfig) -> int:
@@ -422,9 +434,11 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     positive powers, so no finish is the zero series (0, []), whose lo
     would not shift.  Each oracle entry (r, vb, vc, ve, theta) is so exactly
     ``orbital._support_sum_rows`` at it, the walk followed by the finish at
-    the entry's own lo.  Every tuple still builds its own closed form and
-    derivative and compares them with the lattice sum for exactly its own
-    inputs.
+    the entry's own lo.  theta (``orbital._theta``) is nondecreasing in
+    vda, so each block walks its vdas in runs of equal theta, each run
+    contiguous and in vda order, and reads one oracle entry per (vb, ve,
+    run).  Every tuple still builds its own closed form and derivative and
+    compares them with the lattice sum for exactly its own inputs.
 
     The three checks that read only the rows (the value at s = 0, the signed
     log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
@@ -436,8 +450,8 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     d times the signed row sum, and the first sign break plus d, or None.
     That is exact, as the entries that share a finish key
       * hold the same rows, shifted by an even d (see ``_shifted_checks``);
-      * share n_bound = min(ve, (s - 1)/2 + r, vda + r), one number per
-        (r, s, ve, theta) as s is odd, so the sign mask;
+      * share n_bound, one number per (r, s, ve, theta)
+        (``orbital._n_bound``), so the sign mask;
       * share the sign negate = (vc + r) & 1 = (lo + m_top) & 1, with m_top
         the walk's own.
     A tuple whose closed-form pair equals the entry's pair reuses the
@@ -456,6 +470,7 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     tuples = 0
     for r in range(config.r_max + 1):
         for s in config.sum_bc_values():
+            runs = [(theta, [*run]) for theta, run in groupby(vdas, lambda vda: _theta(s, vda))]
             seen_derivative: dict[tuple, int] = {}
             walks: dict[tuple, tuple[int, list[int]]] = {}  # (ve, theta): (m_top, acc)
             finished: dict[tuple, tuple] = {}  # (ve, theta, lo & 1): its _finish_checks
@@ -463,46 +478,40 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
                 vc = s - vb
                 negate = (vc + r) & 1
                 for ve in ves:
-                    oracle = {}
                     tuples += len(vdas)
-                    for vda in vdas:
-                        theta = s if s < 2 * vda else 2 * vda  # min(vb + vc, 2 vda)
-                        entry = oracle.get(theta)
-                        if entry is None:
-                            walk = walks.get((ve, theta))
-                            if walk is None:
-                                walk = walks[ve, theta] = _support_walk(r, s, ve, theta, width)
-                            m_top, acc = walk
-                            lo = vc + r - m_top
-                            shared = finished.get((ve, theta, lo & 1))
-                            if shared is None:
-                                # The sign pattern reads n_bound = min(ve, (s - 1)/2 + r, vda + r),
-                                # one number per (ve, theta) as s is odd: either theta = 2 vda < s,
-                                # so vda is fixed, or theta = s < 2 vda, so vda + r > (s - 1)/2 + r.
-                                mask = masks[min(ve, (s - 1) // 2 + r, vda + r)]
-                                shared = finished[ve, theta, lo & 1] = _finish_checks(lo, acc, negate, mask)
-                            entry = oracle[theta] = _shifted_checks(shared, lo)
-                        oracle_pair, zero, log_deriv, k, mask = entry
-                        pair = _closed_form_rows(r, vb, vc, ve, vda, tables)
-                        p = None
-                        if pair != oracle_pair:
-                            p = OrbitalParams(r, vb, vc, ve, vda)
-                            res.record("closed_form == support_sum", params=p)
-                            zero, log_deriv = _row_sums(pair, negate)
-                            k = _first_sign_break(pair, mask)
-                        deriv = _packed_derivative(r, vb, vc, ve, vda, tables)
-                        first = seen_derivative.setdefault((ve, vda), deriv)
-                        if zero and deriv == log_deriv and k is None and first == deriv:
-                            continue
-                        p = p or OrbitalParams(r, vb, vc, ve, vda)
-                        if not zero:
-                            res.record("value at s=0 is 0", params=p)
-                        if deriv != log_deriv:
-                            res.record("derivative == signed series derivative", params=p)
-                        if k is not None:
-                            res.record("sign pattern (-1)^k", params=p, k=k)
-                        if first != deriv:
-                            res.record("derivative depends only on vb+vc", params=p)
+                    for theta, run in runs:
+                        walk = walks.get((ve, theta))
+                        if walk is None:
+                            walk = walks[ve, theta] = _support_walk(r, s, ve, theta, width)
+                        m_top, acc = walk
+                        lo = vc + r - m_top
+                        shared = finished.get((ve, theta, lo & 1))
+                        if shared is None:
+                            mask = masks[_n_bound(r, s, ve, run[0])]  # one n_bound per (ve, theta)
+                            shared = finished[ve, theta, lo & 1] = _finish_checks(lo, acc, negate, mask)
+                        entry = _shifted_checks(shared, lo)
+                        for vda in run:
+                            oracle_pair, zero, log_deriv, k, mask = entry
+                            pair = _closed_form_rows(r, vb, vc, ve, vda, tables)
+                            p = None
+                            if pair != oracle_pair:
+                                p = OrbitalParams(r, vb, vc, ve, vda)
+                                res.record("closed_form == support_sum", params=p)
+                                zero, log_deriv = _row_sums(pair, negate)
+                                k = _first_sign_break(pair, mask)
+                            deriv = _packed_derivative(r, vb, vc, ve, vda, tables)
+                            first = seen_derivative.setdefault((ve, vda), deriv)
+                            if zero and deriv == log_deriv and k is None and first == deriv:
+                                continue
+                            p = p or OrbitalParams(r, vb, vc, ve, vda)
+                            if not zero:
+                                res.record("value at s=0 is 0", params=p)
+                            if deriv != log_deriv:
+                                res.record("derivative == signed series derivative", params=p)
+                            if k is not None:
+                                res.record("sign pattern (-1)^k", params=p, k=k)
+                            if first != deriv:
+                                res.record("derivative depends only on vb+vc", params=p)
     for identity in _ORBITAL_IDENTITIES:
         res.count(identity, tuples)
 
@@ -953,6 +962,10 @@ def suite_volumes(config: SweepConfig, res: SuiteResult) -> None:
     res.count("two_disk", pairs * sum(len(ns) * (rho1 + 1) for rho1, ns in disks))
 
 
+#: The admissible unitary samples a quaternion run draws.
+QUATERNION_SAMPLES = 120
+
+
 def _quaternion_work(config: SweepConfig) -> int:
     """Per sample 3p + 20N + b**2/200, b = N bits(p): ``norm_preimage``
     searches O(p) residues and lifts through N small-by-big digit updates,
@@ -964,15 +977,16 @@ def _quaternion_work(config: SweepConfig) -> int:
     N = 4: -p 3 -N 12000 runs in 33 s, and -N 15000 (54 s) is refused."""
     n = config.precision
     size = n * config.p.bit_length()
-    return config.quaternion_samples * (3 * config.p + 20 * n + size * size // 200)
+    return QUATERNION_SAMPLES * (3 * config.p + 20 * n + size * size // 200)
 
 
 @_suite("quaternion", work=_quaternion_work)
 def suite_quaternion(config: SweepConfig, res: SuiteResult) -> None:
-    """Invariant identities for randomized admissible unitary data."""
+    """Invariant identities for ``QUATERNION_SAMPLES`` randomized
+    admissible unitary data."""
     ring = QuadExtRing(p=config.p, precision=config.precision)
     rng = random.Random(config.seed)
-    for i in range(config.quaternion_samples):
+    for i in range(QUATERNION_SAMPLES):
         lam, alpha, beta = sample_admissible(ring, rng)
         if i % 2:
             s, t = ring.zero(), ring.random_unit(rng)

@@ -275,7 +275,7 @@ def test_criterion_11_property_suite(orbital_sweep):
     t0 = time.time()
     vanish_failures = [f for f in result.failures if "s=0" in f["identity"]]
     deriv_failures = [f for f in result.failures if "signed series" in f["identity"]]
-    quat = suite_quaternion(SweepConfig(quaternion_samples=120))
+    quat = suite_quaternion(SweepConfig())
     ok = not vanish_failures and not deriv_failures and quat.passed and quat.checked >= 100 and counts_pinned(quat)
     report(
         11,

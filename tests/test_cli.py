@@ -1,6 +1,7 @@
 """Command-line interface behaviour: output formats, exit codes, JSON."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -447,6 +448,38 @@ def test_sweep_flags_set_their_fields(capsys, monkeypatch, argv, fields):
     monkeypatch.setattr(cli, "run_suite", lambda name, config: configs.append(config) or [])
     assert run(capsys, *argv.split()) == (0, "", "")
     assert configs == [verify.SweepConfig(**fields)]
+
+
+def test_every_sweep_field_has_a_verify_flag():
+    """Each ``SweepConfig`` field is set by a ``verify`` flag: the config
+    holds no knob that only code can turn."""
+    flags = sorted(cli.SWEEP_FLAGS["verify"].values())
+    assert flags == sorted(field.name for field in dataclasses.fields(verify.SweepConfig))
+
+
+@pytest.mark.parametrize("error", [ValueError("negative shift count"), IndexError("list index out of range")])
+def test_internal_error_exits_1_with_a_record(capsys, monkeypatch, error):
+    """An exception inside a suite is that suite's failure, recorded under
+    ``verify.INTERNAL_ERROR`` with its type and message: exit 1, neither a
+    parameter error's 2 nor a traceback, and every other suite of the run
+    still reports."""
+
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(verify, "_packed_circ", broken)
+    record = {"identity": "internal error", "error": type(error).__name__, "message": str(error)}
+    grid = ["--rmax", "1", "--ve-max", "1", "--sum-bc-max", "1"]
+    code, out, err = run(capsys, "verify", "afl", *grid)
+    assert (code, err) == (1, "")
+    head, line = out.splitlines()
+    assert head == "afl: FAIL (0 checks)" and json.loads(line) == record
+    code, out, err = run(capsys, "verify", "all", *grid, "--json")
+    reports = json.loads(out)
+    assert (code, err) == (1, "")
+    assert [report["suite"] for report in reports] == list(verify.SUITE_NAMES)
+    assert [report["failures"] for report in reports if not report["passed"]] == [[record]]
+    assert run(capsys, "verify", "orbital", "--rmax", "-1")[0] == 2
 
 
 def test_mismatch_exit_code_1(capsys):

@@ -23,6 +23,8 @@ from semilie import (
     transfer_factor,
     verify_miracle,
 )
+from semilie.intersection import _gk_pair
+from semilie.orbital import _n_bound, _theta
 
 
 def params(r=0, vb=0, vc=1, ve=0, vda=0):
@@ -245,3 +247,30 @@ class TestHeckeVector:
 
     def test_negative_levels_dropped(self):
         assert HeckeVector({0: 1, -1: 5}) == HeckeVector({0: 1})
+
+
+def test_case_splits_read_which_term_attains_n_bound():
+    """``_n_bound`` and ``_theta`` are the builtin minima, and each branch
+    that reads which term attains cap = n_bound is the predicate it stands
+    for, written out here, on a box with every tie: r <= 12, odd s <= 25,
+    ve in -2..18 and vda in 0..15 or INFINITY."""
+    for r in range(13):
+        for s in range(1, 26, 2):
+            for vda in [*range(16), INFINITY]:
+                assert _theta(s, vda) == min(s, 2 * vda)
+                b = vda + r
+                for ve in range(-2, 19):
+                    cap = _n_bound(r, s, ve, vda)
+                    assert cap == min(ve, (s - 1) // 2 + r, vda + r)
+                    # the closed form's plateau
+                    assert (cap == b and cap < ve) == (vda < ve - r and s > 2 * vda)
+                    # D's correction, the combination's plateau
+                    assert (cap == b) == (ve - vda - r >= 0 and s > 2 * vda)
+                    # the single cell's (C+1) X**N + (C+2) X**(N-1) and 2 X**N
+                    assert (cap == b == ve) == (ve - r == vda and 2 * vda < s)
+                    assert (cap < ve and cap < b) == ((s - 1) // 2 + r < ve and (s - 1) // 2 < vda)
+                    # off the plateau the combination's C is ve - N in every case
+                    if cap != b:
+                        c = ve - cap if 2 * vda > s and ve >= (s - 1) // 2 + r else 0
+                        assert ve - cap == c
+                    assert _gk_pair(r, s, ve, vda)[0] == min(2 * ve, s + 2 * r, 2 * vda + 2 * r)

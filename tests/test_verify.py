@@ -58,7 +58,7 @@ from semilie.verify import (
     suite_quaternion,
 )
 
-SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2, quaternion_samples=20, precision=3)
+SMALL = SweepConfig(r_max=2, sum_bc_max=3, ve_max=3, vda_max=2, precision=3)
 
 
 def test_default_grid_shape():
