@@ -45,6 +45,7 @@ from .orbital import (
     OrbitalParams,
     _closed_form_rows,
     _derivative_tables,
+    _n_bound,
     _support_sum_rows,
     derivative_closed_form,
     derivative_combo,
@@ -323,7 +324,7 @@ def cmd_kernel_matrix(args) -> int:
     vda, n = _parse_vda(args.vda), args.N
     n_rows = _matrix_rows(args.sum_bc, vda, n)
     # (N + theta/2 + 2) x (N + 1) entries, the bottom right one the longest
-    degree = OrbitalParams(r=n, vb=0, vc=args.sum_bc, ve=n_rows - 1, vda=vda).n_bound()
+    degree = _n_bound(n, args.sum_bc, n_rows - 1, vda)
     _check_work(args, n_rows * (n + 1) * (degree + 1), degree)
     rows, width = _packed_matrix(args.sum_bc, vda, n)
     if args.stage != "M":

@@ -28,11 +28,12 @@ the packed entries (``_packed_rank``), at a width every minor fits
 (``_rank_bound``), computes the rank outright, and independently the
 reduced matrix M'' is checked against the predicted zero pattern and
 anti-diagonal entries, whose product is spot-evaluated at q = 3, 5, 7.  One
-int core (``_certificate``) does all of it on M packed once: the kernel
-sweep's ``_packed_certificate`` builds M from ``_packed_derivative`` at the
-rank width, read from the row 1-norms as values at q = 1, and
-``certify_full_rank`` packs a ``DerivMatrix``'s entries.  Only the pivots
-are decoded, for the spot check.
+int core (``_certificate``) does all of it on M packed once, at one width
+rule (``_certificate_width``): the kernel sweep's ``_packed_certificate``
+builds M from ``_packed_derivative``, its row 1-norms read as values at
+q = 1, and ``certify_full_rank`` packs a ``DerivMatrix``'s entries.  No
+``QPolynomial`` is built: the spot check sums each pivot's ``unpack``ed
+digits at q = 3, 5 and 7 as ints.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import chain, islice
 from math import prod
 from operator import sub
 
-from .exactpoly import QPolynomial, _decoded, width_for
+from .exactpoly import QPolynomial, _decoded, unpack, width_for
 from .orbital import (
     INFINITY,
     HeckeVector,
@@ -182,8 +183,7 @@ def _rank_bound(norms: Sequence[int], cols: int) -> int:
     keeps only minors (Sylvester's identity, which makes each division
     exact) of at most ``cols`` rows.  A coefficient of M'' is c_i - c_(i-1)
     - c_(i-2) + c_(i-3) in coefficients of one column, each at most its
-    row's 1-norm, so at most b: it lies in [-2b, 2b] where the c_j are >= 0,
-    and in [-4b, 4b] whatever their signs."""
+    row's 1-norm, so at most b: it lies in [-4b, 4b]."""
     return prod(max(norm, 1) for norm in sorted(norms, reverse=True)[:cols])
 
 
@@ -292,25 +292,36 @@ class RankCertificate:
         )
 
     def label(self) -> dict:
-        vda = "inf" if self.vda == INFINITY else self.vda
-        return {"sum_bc": self.sum_bc, "vda": vda, "N": self.n_cap}
+        return _matrix_label(self.sum_bc, self.vda, self.n_cap)
+
+
+def _matrix_label(sum_bc: int, vda: int | float, n_cap: int) -> dict:
+    """The label of the matrix at (sum_bc, vda, N = n_cap), an infinite vda
+    written "inf"."""
+    return {"sum_bc": sum_bc, "vda": "inf" if vda == INFINITY else vda, "N": n_cap}
+
+
+def _certificate_width(sum_bc: int, norms: Sequence[int], cols: int) -> int:
+    """The width at which ``_certificate`` reads a matrix at sum_bc of
+    ``cols`` columns whose rows have the 1-norms ``norms``: ``width_for``
+    of the larger of 4b, b their ``_rank_bound``, which holds every minor
+    and M'' whatever the entries' signs, and ``_antidiagonal_bound``."""
+    return width_for(max(4 * _rank_bound(norms, cols), _antidiagonal_bound(sum_bc)))
 
 
 def _certificate(sum_bc: int, vda: int | float, n_cap: int, rows: list[tuple[int, ...]], width: int) -> RankCertificate:
     """The certificate of the matrix at (sum_bc, vda, N = n_cap) from its
-    rows ``rows`` packed at ``width``, which must hold their ``_rank_bound``
-    and every coefficient of M'' and of the predicted anti-diagonal, so
-    that equal ints are equal q-polynomials and an int is 0 exactly when
-    its q-polynomial is.
+    rows ``rows`` packed at ``_certificate_width``, so that equal ints are
+    equal q-polynomials and an int is 0 exactly when its q-polynomial is.
 
     M' and M'' are reduced on the ints (``_reduce_rows``); the structural
     zeros are the ints of M'' below the anti-diagonal; the anti-diagonal is
     compared with ``_packed_antidiagonal`` and gives the pivots, the top
     row's entry standing in at column 0 where it is 0 (which is legitimate
-    only where floor(theta/2) <= 1); the rank is ``_packed_rank`` of M.  Only
-    the pivots are decoded, for the spot check: their product is nonzero at
-    q = 3, 5 and 7, that is, each pivot is, as evaluation is a ring
-    homomorphism into the integers."""
+    only where floor(theta/2) <= 1); the rank is ``_packed_rank`` of M.  The
+    spot check asks that the pivots' product be nonzero at q = 3, 5 and 7,
+    that is, each pivot, as evaluation is a ring homomorphism into the
+    integers: each is the int sum of c q**e over its ``unpack``ed digits."""
     _, m2 = _reduce_rows(rows)
     n_rows, cols = len(rows), len(rows[0]) if rows else 0
     half = _theta(sum_bc, vda) // 2
@@ -335,8 +346,8 @@ def _certificate(sum_bc: int, vda: int | float, n_cap: int, rows: list[tuple[int
         else:
             flags.append(f"unexpected zero pivot at column {r}")
             pivots.append(actual)
-    polys = _decoded(pivots, width)
-    spot = {q: all(piv.evaluate(q) for piv in polys) for q in (3, 5, 7)}
+    digits = [unpack(piv, width).items() for piv in pivots]
+    spot = {q: all(sum(c * q**e for e, c in piv) for piv in digits) for q in (3, 5, 7)}
     return RankCertificate(
         sum_bc=sum_bc,
         vda=vda,
@@ -353,25 +364,22 @@ def _certificate(sum_bc: int, vda: int | float, n_cap: int, rows: list[tuple[int
 
 def _packed_certificate(sum_bc: int, vda: int | float, n_cap: int) -> RankCertificate:
     """``certify_full_rank(build_matrix(sum_bc, vda, n_cap))`` on M packed
-    once, at ``width_for`` of 2b, b its ``_rank_bound``; raises as
-    ``_matrix_rows`` does.  M's coefficients are >= 0 (``_packed_matrix``),
-    so a row's 1-norm is the sum of its entries' values at q = 1, which
-    ``_matrix_ints`` gives at width 0, and 2b holds M'' (``_rank_bound``)
-    and the predicted anti-diagonal: ``_antidiagonal_bound`` is entry
-    (0, 0), D at r = ve = 0, so at most row 0's 1-norm."""
+    once, at its ``_certificate_width``; raises as ``_matrix_rows`` does.
+    M's coefficients are >= 0 (``_packed_matrix``), so a row's 1-norm is
+    the sum of its entries' values at q = 1, which ``_matrix_ints`` gives
+    at width 0."""
     n_rows = _matrix_rows(sum_bc, vda, n_cap)
     norms = [sum(row) for row in _matrix_ints(sum_bc, vda, n_cap, n_rows, 0)]
-    width = width_for(2 * _rank_bound(norms, n_cap + 1))
+    width = _certificate_width(sum_bc, norms, n_cap + 1)
     return _certificate(sum_bc, vda, n_cap, _matrix_ints(sum_bc, vda, n_cap, n_rows, width), width)
 
 
 def certify_full_rank(m: DerivMatrix) -> RankCertificate:
     """Exact elimination rank plus the structural checks on M'': the int
-    core ``_certificate`` on m's entries packed at ``width_for`` of the
-    larger of 4b, b the ``_rank_bound`` of their coefficient 1-norms, which
-    holds M'' whatever the entries' signs, and ``_antidiagonal_bound``."""
+    core ``_certificate`` on m's entries packed at the
+    ``_certificate_width`` of their coefficient 1-norms."""
     norms = [sum(abs(c) for poly in row for c in poly.coefficients()) for row in m.entries]
-    width = width_for(max(4 * _rank_bound(norms, m.cols), _antidiagonal_bound(m.sum_bc)))
+    width = _certificate_width(m.sum_bc, norms, m.cols)
     rows = [tuple([poly._packed(width) for poly in row]) for row in m.entries]
     return _certificate(m.sum_bc, m.vda, m.n_cap, rows, width)
 
@@ -450,8 +458,9 @@ def phi_sequence_vector(r: int) -> HeckeVector:
 
 def phi_exceptional_window(p: OrbitalParams) -> tuple[int, int]:
     """The three consecutive r values where the sequence may not vanish:
-    ve - min((vb+vc-1)/2, vda) + 2 through + 4."""
-    m = min((p.vb + p.vc - 1) // 2, p.vda)
+    ve - m + 2 through + 4, m = min((vb+vc-1)/2, vda) = floor(theta/2)
+    (``orbital._theta``), as vb + vc is odd."""
+    m = _theta(p.vb + p.vc, p.vda) // 2
     return (p.ve - m + 2, p.ve - m + 4)
 
 

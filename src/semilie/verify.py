@@ -8,8 +8,11 @@ Every identity at every grid point is one check, made through
 it fails, appends ``record`` with orbit parameters and exact values encoded
 by ``_encode``.  The orbital, miracle, afl and volumes sweeps and the
 kernel suite's vanishing checks make the same counts and records in bulk:
-each identity counted once per run (``SuiteResult.count``) and each failure
-appended as it occurs (``SuiteResult.record``).  Suites are deterministic
+each identity counted at the end of each block of the grid
+(``SuiteResult.count``: an orbital (r, vb + vc), a miracle or afl level r,
+a kernel orbit, a volumes half), so that a run that raises reports the
+checks of every block it finished, and each failure appended as it occurs
+(``SuiteResult.record``).  Suites are deterministic
 (randomised ones take a seed) and order-independent.  Each registration
 also states what a run of the suite costs, as a function of the
 ``SweepConfig`` fields the suite reads (``sweep_work``), so that a caller
@@ -30,10 +33,10 @@ Gross-Keating values (see ``intersection``) against the packed derivative
 the same way, and afl its two closed forms packed too; and the kernel suite
 certifies each rank on packed ints and checks each vanishing Hecke
 combination as one packed int compared with 0 (see ``kernel``); each
-decodes a value only for a failure record (the certificate its pivots, for
-its spot check).  The orbital, miracle and afl suites walk their grids as
-nested loops over ints and build an ``OrbitalParams`` only for a failure
-record.
+decodes a value only for a failure record (the certificate reads its
+pivots' digits, for its spot check).  The orbital, miracle and afl suites
+walk their grids as nested loops over ints and build an ``OrbitalParams``
+only for a failure record.
 
 Packed widths.  A packed sweep compares every value at one width per run,
 at which equal ints are equal q-polynomials: ``exactpoly.width_for`` of a
@@ -69,6 +72,7 @@ from .kernel import (
     _packed_weights,
     _signed_derivatives,
     large_r_vector,
+    _matrix_label,
     phi_exceptional_window,
     phi_sequence_vector,
 )
@@ -244,8 +248,9 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
     """Register ``body(config, res)`` as ``suite(config=None) -> SuiteResult``,
     which runs it on ``config`` (default: the default grid) and returns ``res``.
     An exception from the body ends the run with one failure record under
-    ``INTERNAL_ERROR`` holding its type and message, so that the run fails
-    and the other suites of a ``run_suite`` call still run.
+    ``INTERNAL_ERROR`` holding its type and message (``_internal_error``),
+    so that the run fails and the other suites of a ``run_suite`` call
+    still run.
 
     ``work(config)`` charges a run from the fields the suite reads, in a unit
     of about 0.12 µs on a 2-CPU host with Python 3.11 (the default orbital
@@ -263,7 +268,7 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
             try:
                 body(config, res)
             except Exception as exc:
-                res.record(INTERNAL_ERROR, error=type(exc).__name__, message=str(exc))
+                _internal_error(res, exc)
             return res
 
         suite.__name__, suite.__qualname__, suite.__doc__ = body.__name__, body.__qualname__, body.__doc__
@@ -272,6 +277,14 @@ def _suite(name: str, identity_key: str | None = "identity", *, work: Callable[[
         return suite
 
     return register
+
+
+def _internal_error(res: SuiteResult, exc: Exception, **where) -> None:
+    """Record ``exc`` under ``INTERNAL_ERROR``, its type and message, and
+    ``where``: the orbital, miracle, afl and kernel sweeps catch an
+    exception around each loop nest and name the grid point their loop
+    variables were at, as ``params``."""
+    res.record(INTERNAL_ERROR, error=type(exc).__name__, message=str(exc), **where)
 
 
 # --------------------------------------------------------------- orbital
@@ -345,30 +358,22 @@ def _row_sums(pair: tuple[int, list[int]], negate: bool) -> tuple[bool, int]:
     return not sum(rows), -weighted if negate else weighted
 
 
-def _finish_checks(lo: int, acc: list[int], negate: bool, mask: int) -> tuple:
-    """A walk's accumulator ``acc`` finished at lo (``orbital._support_finish``)
-    with its three row checks read once, by ``_row_sums`` and
-    ``_first_sign_break``: (lo, pair, zero, log-derivative, signed row sum,
-    sign break, mask), the row sum signed as the log-derivative is."""
-    pair = _support_finish(lo, acc)
-    total = sum(pair[1])
-    return lo, pair, *_row_sums(pair, negate), -total if negate else total, _first_sign_break(pair, mask), mask
-
-
-def _shifted_checks(finish: tuple, lo: int) -> tuple:
-    """The oracle entry (pair, zero, log-derivative, sign break, mask) at lo
-    of a ``_finish_checks`` ``finish`` read at lo0 = lo - d, d even, derived
-    without reading the rows: the pair's lo moves by d, the value at s = 0
-    stays, the log-derivative moves by d times the signed row sum, and the
-    first sign break moves by d, or stays None.
-
-    That is ``_row_sums`` (at the same sign) and ``_first_sign_break`` (at
-    the same mask) at the shifted pair: as d is even, each row keeps the
-    parity of its k, so its sign and its mask test; the rows sum to the same
-    total; and their k-weighted sum gains d for each unit of it."""
-    lo0, (pair_lo, rows), zero, log_deriv, step, k, mask = finish
-    d = lo - lo0
-    return (pair_lo + d, rows), zero, log_deriv + d * step, k if k is None else k + d, mask
+def _finish_checks(parity: int, m_top: int, acc: list[int], mask: int) -> tuple:
+    """A walk (m_top, acc) finished (``orbital._support_finish``) at the lo
+    of one parity, with its three row checks read once in the walk's own
+    frame k - lo, by ``_row_sums`` and ``_first_sign_break`` at lo =
+    ``parity``: (start, rows, zero, w, t, k0), row i at k = lo + start + i.
+    w = sum (start + i) row_i and t = sum row_i, both signed by
+    (-1)**(lo + m_top) = (-1)**(vc + r), and k0 is the first sign break less
+    lo, or None.  At any lo of that parity the rows and their signs are the
+    same, so the pair is (lo + start, rows), the log-derivative w + lo t and
+    the first sign break k0 + lo, or None."""
+    negate = (parity + m_top) & 1
+    pair = _support_finish(parity, acc)
+    zero, weighted = _row_sums(pair, negate)
+    total = -sum(pair[1]) if negate else sum(pair[1])
+    k = _first_sign_break(pair, mask)
+    return pair[0] - parity, pair[1], zero, weighted - parity * total, total, k if k is None else k - parity
 
 
 def _orbital_width(config: SweepConfig) -> int:
@@ -425,95 +430,90 @@ def suite_orbital(config: SweepConfig, res: SuiteResult) -> None:
     The oracle's lattice walk (``orbital._support_walk``) reads a tuple
     only through (r, vb + vc, ve, theta), and its finish
     (``orbital._support_finish``) reads vc only through lo = vc + r -
-    m_top, the walk's own m_top.  So each block (r, vb + vc) walks each
-    (ve, theta) once and keeps the walk while the sweep stays in the block,
-    shared by every split vb; and it finishes each walk once per parity of
-    lo, as two splits of the same parity sign the same rows and differ only
-    in lo, the finished rows shifted by it.  At ve >= 0 the walk's point
-    n2 = m = 0 adds 1 to the accumulator, whose entries are sums of
-    positive powers, so no finish is the zero series (0, []), whose lo
-    would not shift.  Each oracle entry (r, vb, vc, ve, theta) is so exactly
-    ``orbital._support_sum_rows`` at it, the walk followed by the finish at
-    the entry's own lo.  theta (``orbital._theta``) is nondecreasing in
-    vda, so each block walks its vdas in runs of equal theta, each run
-    contiguous and in vda order, and reads one oracle entry per (vb, ve,
-    run).  Every tuple still builds its own closed form and derivative and
-    compares them with the lattice sum for exactly its own inputs.
+    m_top, the walk's own m_top.  So each block (r, vb + vc) keeps one
+    memo, keyed (ve, theta), while the sweep stays in the block, shared by
+    every split vb: the first tuple to read a key walks it, and
+    ``_finish_checks`` finishes the walk at both parities of lo and reads
+    the three checks that read only the rows (the value at s = 0, the
+    signed log-derivative, whose sign (-1)**(vc + r) = (-1)**(lo + m_top)
+    is the orbit's, and the sign pattern) in the walk's own frame k - lo;
+    the memo keeps them with m_top and the sign mask, as n_bound is one
+    number per (r, s, ve, theta) (``orbital._n_bound``).  An oracle entry
+    (r, vb, vc, ve, theta) reads the finish of its lo's parity at its own
+    lo, row i at k = lo + start + i: that is ``orbital._support_sum_rows``
+    at the entry, and ``_row_sums`` and ``_first_sign_break`` at its pair
+    and mask.  At ve >= 0 the walk's point n2 = m = 0 adds 1 to the
+    accumulator, whose entries are sums of positive powers, so no finish is
+    the zero series (0, []), which has no frame.  theta (``orbital._theta``)
+    is nondecreasing in vda, so each block walks its vdas in runs of equal
+    theta, each run contiguous and in vda order, and reads one oracle entry
+    per (vb, ve, run).  Every tuple still builds its own closed form and
+    derivative and compares them with the lattice sum for exactly its own
+    inputs.
 
-    The three checks that read only the rows (the value at s = 0, the signed
-    log-derivative, whose sign (-1)**(vc + r) is the orbit's, and the sign
-    pattern) are read once per finish (ve, theta, lo & 1) of a block, by
-    ``_row_sums`` and ``_first_sign_break`` at the finish's own lo0
-    (``_finish_checks``), and kept in ``finished`` with its rows.  An
-    oracle entry at lo = lo0 + d derives its own from them
-    (``_shifted_checks``): the same value at s = 0, the log-derivative plus
-    d times the signed row sum, and the first sign break plus d, or None.
-    That is exact, as the entries that share a finish key
-      * hold the same rows, shifted by an even d (see ``_shifted_checks``);
-      * share n_bound, one number per (r, s, ve, theta)
-        (``orbital._n_bound``), so the sign mask;
-      * share the sign negate = (vc + r) & 1 = (lo + m_top) & 1, with m_top
-        the walk's own.
     A tuple whose closed-form pair equals the entry's pair reuses the
     entry's checks, and a tuple whose pair differs reads its own.  The sign
     pattern reads its ``exactpoly._sign_mask`` at the digit count
     n_bound + 1 from the run's masks, one per n_bound in [0, ve_max].  The
     derivative at (ve, vda) is compared across the splits of one block
     (r, vb + vc), the first split's kept only while the walk stays in the
-    block.  Each identity is counted once for the whole grid;
-    failures are recorded as they occur, in tuple order and, within a
-    tuple, in the order above."""
+    block.  Each identity is counted at the end of each block; failures are
+    recorded as they occur, in tuple order and, within a tuple, in the order
+    above.  An exception's record names the tuple the sweep was at, for a
+    walk the first tuple of its run."""
     ves, vdas = range(config.ve_max + 1), config.vda_values()
     width = _orbital_width(config)
     tables = _derivative_tables(width, config.ve_max)
     masks = [_sign_mask(width, n + 1) for n in ves]  # masks[n_bound]
-    tuples = 0
-    for r in range(config.r_max + 1):
-        for s in config.sum_bc_values():
-            runs = [(theta, [*run]) for theta, run in groupby(vdas, lambda vda: _theta(s, vda))]
-            seen_derivative: dict[tuple, int] = {}
-            walks: dict[tuple, tuple[int, list[int]]] = {}  # (ve, theta): (m_top, acc)
-            finished: dict[tuple, tuple] = {}  # (ve, theta, lo & 1): its _finish_checks
-            for vb in range(_VB_MIN, s + 1):
-                vc = s - vb
-                negate = (vc + r) & 1
-                for ve in ves:
-                    tuples += len(vdas)
-                    for theta, run in runs:
-                        walk = walks.get((ve, theta))
-                        if walk is None:
-                            walk = walks[ve, theta] = _support_walk(r, s, ve, theta, width)
-                        m_top, acc = walk
-                        lo = vc + r - m_top
-                        shared = finished.get((ve, theta, lo & 1))
-                        if shared is None:
-                            mask = masks[_n_bound(r, s, ve, run[0])]  # one n_bound per (ve, theta)
-                            shared = finished[ve, theta, lo & 1] = _finish_checks(lo, acc, negate, mask)
-                        entry = _shifted_checks(shared, lo)
-                        for vda in run:
-                            oracle_pair, zero, log_deriv, k, mask = entry
-                            pair = _closed_form_rows(r, vb, vc, ve, vda, tables)
-                            p = None
-                            if pair != oracle_pair:
-                                p = OrbitalParams(r, vb, vc, ve, vda)
-                                res.record("closed_form == support_sum", params=p)
-                                zero, log_deriv = _row_sums(pair, negate)
-                                k = _first_sign_break(pair, mask)
-                            deriv = _packed_derivative(r, vb, vc, ve, vda, tables)
-                            first = seen_derivative.setdefault((ve, vda), deriv)
-                            if zero and deriv == log_deriv and k is None and first == deriv:
-                                continue
-                            p = p or OrbitalParams(r, vb, vc, ve, vda)
-                            if not zero:
-                                res.record("value at s=0 is 0", params=p)
-                            if deriv != log_deriv:
-                                res.record("derivative == signed series derivative", params=p)
-                            if k is not None:
-                                res.record("sign pattern (-1)^k", params=p, k=k)
-                            if first != deriv:
-                                res.record("derivative depends only on vb+vc", params=p)
-    for identity in _ORBITAL_IDENTITIES:
-        res.count(identity, tuples)
+    runs_of = {s: [(theta, [*run]) for theta, run in groupby(vdas, lambda vda: _theta(s, vda))]
+               for s in config.sum_bc_values()}
+    try:
+        for r in range(config.r_max + 1):
+            for s, runs in runs_of.items():
+                seen_derivative: dict[tuple, int] = {}
+                oracle: dict[tuple, tuple] = {}  # (ve, theta): (m_top, mask, _finish_checks at even and odd lo)
+                for vb in range(_VB_MIN, s + 1):
+                    vc = s - vb
+                    negate = (vc + r) & 1
+                    for ve in ves:
+                        for theta, run in runs:
+                            memo = oracle.get((ve, theta))
+                            if memo is None:
+                                vda = run[0]  # the first tuple to read the walk
+                                m_top, acc = _support_walk(r, s, ve, theta, width)
+                                mask = masks[_n_bound(r, s, ve, vda)]
+                                memo = oracle[ve, theta] = m_top, mask, [
+                                    _finish_checks(parity, m_top, acc, mask) for parity in (0, 1)]
+                            m_top, mask, finishes = memo
+                            lo = vc + r - m_top
+                            start, rows, zero, w, t, k = finishes[lo & 1]
+                            oracle_pair, entry = (lo + start, rows), (zero, w + lo * t, k if k is None else k + lo)
+                            for vda in run:
+                                zero, log_deriv, k = entry
+                                pair = _closed_form_rows(r, vb, vc, ve, vda, tables)
+                                p = None
+                                if pair != oracle_pair:
+                                    p = OrbitalParams(r, vb, vc, ve, vda)
+                                    res.record("closed_form == support_sum", params=p)
+                                    zero, log_deriv = _row_sums(pair, negate)
+                                    k = _first_sign_break(pair, mask)
+                                deriv = _packed_derivative(r, vb, vc, ve, vda, tables)
+                                first = seen_derivative.setdefault((ve, vda), deriv)
+                                if zero and deriv == log_deriv and k is None and first == deriv:
+                                    continue
+                                p = p or OrbitalParams(r, vb, vc, ve, vda)
+                                if not zero:
+                                    res.record("value at s=0 is 0", params=p)
+                                if deriv != log_deriv:
+                                    res.record("derivative == signed series derivative", params=p)
+                                if k is not None:
+                                    res.record("sign pattern (-1)^k", params=p, k=k)
+                                if first != deriv:
+                                    res.record("derivative depends only on vb+vc", params=p)
+                for identity in _ORBITAL_IDENTITIES:
+                    res.count(identity, (s + 1 - _VB_MIN) * len(ves) * len(vdas))
+    except Exception as exc:
+        _internal_error(res, exc, params=OrbitalParams(r, vb, vc, ve, vda))
 
 
 # ---------------------------------------------------------- intersection
@@ -541,22 +541,25 @@ def suite_miracle(config: SweepConfig, res: SuiteResult) -> None:
     ``_gk_pair`` and each derivative ``orbital._packed_derivative``.  The
     sides are decoded, and the tuple's ``OrbitalParams`` built, only for a
     failure record, which holds the ``verify_miracle`` report: params, lhs,
-    rhs and pass."""
+    rhs and pass.  The identity is counted at the end of each level r."""
     width = _miracle_width(config)
     tables = _derivative_tables(width, config.ve_max)
-    ves, vdas = range(config.ve_max + 1), config.vda_values()
-    for r in range(config.r_max + 1):
-        for s in config.sum_bc_values():
-            for ve in ves:
-                for vda in vdas:
-                    lhs = _packed_gk(*_gk_pair(r, s, ve, vda), tables)
-                    rhs = (_packed_derivative(r, 0, s, ve, vda, tables)
-                           + _packed_derivative(r, 0, s, ve - 1, vda, tables))
-                    if lhs != rhs:
-                        res.record(_MIRACLE, params=OrbitalParams(r, 0, s, ve, vda),
-                                   lhs=QPolynomial._from_packed(lhs, width),
-                                   rhs=QPolynomial._from_packed(rhs, width), **{"pass": False})
-    res.count(_MIRACLE, config.reduced_tuple_count())
+    ves, vdas, sums = range(config.ve_max + 1), config.vda_values(), config.sum_bc_values()
+    try:
+        for r in range(config.r_max + 1):
+            for s in sums:
+                for ve in ves:
+                    for vda in vdas:
+                        lhs = _packed_gk(*_gk_pair(r, s, ve, vda), tables)
+                        rhs = (_packed_derivative(r, 0, s, ve, vda, tables)
+                               + _packed_derivative(r, 0, s, ve - 1, vda, tables))
+                        if lhs != rhs:
+                            res.record(_MIRACLE, params=OrbitalParams(r, 0, s, ve, vda),
+                                       lhs=QPolynomial._from_packed(lhs, width),
+                                       rhs=QPolynomial._from_packed(rhs, width), **{"pass": False})
+            res.count(_MIRACLE, len(sums) * len(ves) * len(vdas))
+    except Exception as exc:
+        _internal_error(res, exc, params=OrbitalParams(r, 0, s, ve, vda))
 
 
 def _afl_width(config: SweepConfig) -> int:
@@ -600,51 +603,54 @@ def suite_afl(config: SweepConfig, res: SuiteResult) -> None:
     are ``orbital._packed_combo`` and ``intersection._packed_kr_closed``,
     which ``derivative_combo`` and ``int_circ_kr_closed`` decode.  A packed
     side is decoded, and the tuple's ``OrbitalParams`` built, only for a
-    failure record.  Each identity is counted once for the whole grid."""
+    failure record.  Each identity is counted at the end of each level r."""
     width = _afl_width(config)
     tables = _derivative_tables(width, config.ve_max)
-    ves, vdas = range(config.ve_max + 1), config.vda_values()
+    ves, vdas, sums = range(config.ve_max + 1), config.vda_values(), config.sum_bc_values()
+    tuples = len(sums) * len(ves) * len(vdas)  # per level
     here = {}
-    levels = cells = 0
-    for r in range(config.r_max + 1):
-        here, below = {}, here
-        for s in config.sum_bc_values():
-            for ve in ves:
-                for vda in vdas:
-                    key = (s, ve, vda)
-                    circ = _packed_circ(r, s, ve, vda, tables)
-                    total = circ + here[s, ve - 2, vda][0] if ve >= 2 else circ
-                    here[key] = total, circ
-                    deriv = _packed_derivative(r, 0, s, ve, vda, tables)
-                    if total != deriv:
-                        res.record(_AFL_TOTAL, params=OrbitalParams(r, 0, s, ve, vda),
-                                   lhs=QPolynomial._from_packed(total, width),
-                                   rhs=QPolynomial._from_packed(deriv, width))
-                    n1, n2 = _gk_pair(r, s, ve, vda)
-                    if n1 + n2 != 2 * ve + s + 2 * r:
-                        res.record(_AFL_PAIR, params=OrbitalParams(r, 0, s, ve, vda))
-                    if r == 0:
-                        continue
-                    levels += 1
-                    total_below, circ_below = below[key]
-                    lhs = total - total_below
-                    combo = _packed_combo(r, s, ve, vda, tables)
-                    if combo != lhs:
-                        res.record(_AFL_LEVEL, params=OrbitalParams(r, 0, s, ve, vda),
-                                   lhs=QPolynomial._from_packed(lhs, width),
-                                   rhs=QPolynomial._from_packed(combo, width))
-                    if ve >= 1:
-                        cells += 1
-                        closed = _packed_kr_closed(r, s, ve, vda, width)
-                        diff = circ - circ_below
-                        if closed != diff:
-                            res.record(_AFL_CELL, params=OrbitalParams(r, 0, s, ve, vda),
-                                       lhs=QPolynomial._from_packed(closed, width),
-                                       rhs=QPolynomial._from_packed(diff, width))
-    tuples = config.reduced_tuple_count()
-    for identity, n in ((_AFL_TOTAL, tuples), (_AFL_PAIR, tuples), (_AFL_LEVEL, levels), (_AFL_CELL, cells)):
-        if n:
-            res.count(identity, n)
+    try:
+        for r in range(config.r_max + 1):
+            here, below = {}, here
+            for s in sums:
+                for ve in ves:
+                    for vda in vdas:
+                        key = (s, ve, vda)
+                        circ = _packed_circ(r, s, ve, vda, tables)
+                        total = circ + here[s, ve - 2, vda][0] if ve >= 2 else circ
+                        here[key] = total, circ
+                        deriv = _packed_derivative(r, 0, s, ve, vda, tables)
+                        if total != deriv:
+                            res.record(_AFL_TOTAL, params=OrbitalParams(r, 0, s, ve, vda),
+                                       lhs=QPolynomial._from_packed(total, width),
+                                       rhs=QPolynomial._from_packed(deriv, width))
+                        n1, n2 = _gk_pair(r, s, ve, vda)
+                        if n1 + n2 != 2 * ve + s + 2 * r:
+                            res.record(_AFL_PAIR, params=OrbitalParams(r, 0, s, ve, vda))
+                        if r == 0:
+                            continue
+                        total_below, circ_below = below[key]
+                        lhs = total - total_below
+                        combo = _packed_combo(r, s, ve, vda, tables)
+                        if combo != lhs:
+                            res.record(_AFL_LEVEL, params=OrbitalParams(r, 0, s, ve, vda),
+                                       lhs=QPolynomial._from_packed(lhs, width),
+                                       rhs=QPolynomial._from_packed(combo, width))
+                        if ve >= 1:
+                            closed = _packed_kr_closed(r, s, ve, vda, width)
+                            diff = circ - circ_below
+                            if closed != diff:
+                                res.record(_AFL_CELL, params=OrbitalParams(r, 0, s, ve, vda),
+                                           lhs=QPolynomial._from_packed(closed, width),
+                                           rhs=QPolynomial._from_packed(diff, width))
+            res.count(_AFL_TOTAL, tuples)
+            res.count(_AFL_PAIR, tuples)
+            if r:
+                res.count(_AFL_LEVEL, tuples)
+                if len(ves) > 1:
+                    res.count(_AFL_CELL, tuples - len(sums) * len(vdas))  # every ve >= 1
+    except Exception as exc:
+        _internal_error(res, exc, params=OrbitalParams(r, 0, s, ve, vda))
 
 
 # ---------------------------------------------------------------- kernel
@@ -692,8 +698,8 @@ def suite_kernel(config: SweepConfig, res: SuiteResult) -> None:
     combination, and the almost-kernel sequence outside its window.
 
     Each certificate is ``kernel._packed_certificate``, the
-    ``certify_full_rank`` of ``build_matrix`` on M packed once at its rank
-    width: it decodes only the pivots of its spot check.  Each vanishing
+    ``certify_full_rank`` of ``build_matrix`` on M packed once at its
+    ``kernel._certificate_width``, with no ``QPolynomial`` built.  Each vanishing
     check is one packed int compared with 0 (see ``kernel``, "Packed
     vanishing"), at one width, ``_kernel_width``: each vector's weights are
     packed once per level r, and the signed D(j) once per orbit (s, ve,
@@ -701,44 +707,50 @@ def suite_kernel(config: SweepConfig, res: SuiteResult) -> None:
     definition, so nothing is computed there.  Only a nonzero int builds a
     failure record, with the keys, in order, of the ``kernel`` report
     (``test_large_r_vanishing`` or ``test_phi_sequence``) and its value
-    decoded from the int."""
-    for s in KERNEL_RANK_GRID["sum_bc"]:
-        for vda in KERNEL_RANK_GRID["vda"]:
-            for n_cap in KERNEL_RANK_GRID["n_cap"]:
-                cert = _packed_certificate(s, vda, n_cap)
-                res.check(
-                    cert.passed, "full rank certificate",
-                    params=cert.label(), rank=cert.rank, expected=cert.expected_rank, flags=cert.flags,
-                )
+    decoded from the int.  The vanishing identities are counted at the end
+    of each orbit."""
+    try:
+        for s in KERNEL_RANK_GRID["sum_bc"]:
+            for vda in KERNEL_RANK_GRID["vda"]:
+                for n_cap in KERNEL_RANK_GRID["n_cap"]:
+                    cert = _packed_certificate(s, vda, n_cap)
+                    res.check(
+                        cert.passed, "full rank certificate",
+                        params=cert.label(), rank=cert.rank, expected=cert.expected_rank, flags=cert.flags,
+                    )
+    except Exception as exc:
+        _internal_error(res, exc, params=_matrix_label(s, vda, n_cap))
+        return
     width = _kernel_width(config)
     tables = _derivative_tables(width, config.ve_max)
     top = config.ve_max + 8
     large = {r: _packed_weights(large_r_vector(r), width) for r in range(2, top + 1)}
     phi = {r: _packed_weights(phi_sequence_vector(r), width) for r in range(5, top + 1)}
-    large_checks = phi_checks = 0
-    for s in _KERNEL_SUMS:
-        for vda in _KERNEL_VDAS:
-            for ve in range(0, config.ve_max + 1, 2):
-                base = OrbitalParams(r=0, vb=0, vc=s, ve=ve, vda=vda)
-                signed = _signed_derivatives(s, ve, vda, ve + 8, tables)
-                for r in range(ve + 2, ve + 9):  # r >= ve + 2: every check expects 0
-                    value = _packed_combination(large[r], signed)
-                    if value:
-                        res.record(_LARGE_R, params=base.with_r(r), value=QPolynomial._from_packed(value, width),
-                                   expected_zero=True, **{"pass": False})
-                large_checks += 7
-                lo, hi = phi_exceptional_window(base)
-                for r in range(5, ve + 9):
-                    if lo <= r <= hi:
-                        continue
-                    value = _packed_combination(phi[r], signed)
-                    if value:
-                        res.record(_PHI, params=base, r=r, window=[lo, hi],
-                                   value=QPolynomial._from_packed(value, width), **{"pass": False},
-                                   inside_window=False)
-                phi_checks += ve + 4
-    res.count(_LARGE_R, large_checks)
-    res.count(_PHI, phi_checks)
+    try:
+        for s in _KERNEL_SUMS:
+            for vda in _KERNEL_VDAS:
+                for ve in range(0, config.ve_max + 1, 2):
+                    r = 0  # the orbit's own level, which an exception names outside the level loops
+                    base = OrbitalParams(r=0, vb=0, vc=s, ve=ve, vda=vda)
+                    signed = _signed_derivatives(s, ve, vda, ve + 8, tables)
+                    lo, hi = phi_exceptional_window(base)
+                    for r in range(ve + 2, ve + 9):  # r >= ve + 2: every check expects 0
+                        value = _packed_combination(large[r], signed)
+                        if value:
+                            res.record(_LARGE_R, params=base.with_r(r), value=QPolynomial._from_packed(value, width),
+                                       expected_zero=True, **{"pass": False})
+                    for r in range(5, ve + 9):
+                        if lo <= r <= hi:
+                            continue
+                        value = _packed_combination(phi[r], signed)
+                        if value:
+                            res.record(_PHI, params=base, r=r, window=[lo, hi],
+                                       value=QPolynomial._from_packed(value, width), **{"pass": False},
+                                       inside_window=False)
+                    res.count(_LARGE_R, 7)
+                    res.count(_PHI, ve + 4)
+    except Exception as exc:
+        _internal_error(res, exc, params=OrbitalParams(r, 0, s, ve, vda))
 
 
 # ---------------------------------------------------------------- satake

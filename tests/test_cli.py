@@ -460,15 +460,20 @@ def test_every_sweep_field_has_a_verify_flag():
 @pytest.mark.parametrize("error", [ValueError("negative shift count"), IndexError("list index out of range")])
 def test_internal_error_exits_1_with_a_record(capsys, monkeypatch, error):
     """An exception inside a suite is that suite's failure, recorded under
-    ``verify.INTERNAL_ERROR`` with its type and message: exit 1, neither a
-    parameter error's 2 nor a traceback, and every other suite of the run
-    still reports."""
+    ``verify.INTERNAL_ERROR`` with its type and message and the tuple the
+    sweep was at: exit 1, neither a parameter error's 2 nor a traceback,
+    and every other suite of the run still reports."""
 
     def broken(*args):
         raise error
 
     monkeypatch.setattr(verify, "_packed_circ", broken)
-    record = {"identity": "internal error", "error": type(error).__name__, "message": str(error)}
+    record = {
+        "identity": "internal error",
+        "error": type(error).__name__,
+        "message": str(error),
+        "params": {"r": 0, "vb": 0, "vc": 1, "ve": 0, "vda": 0},
+    }
     grid = ["--rmax", "1", "--ve-max", "1", "--sum-bc-max", "1"]
     code, out, err = run(capsys, "verify", "afl", *grid)
     assert (code, err) == (1, "")
@@ -480,6 +485,32 @@ def test_internal_error_exits_1_with_a_record(capsys, monkeypatch, error):
     assert [report["suite"] for report in reports] == list(verify.SUITE_NAMES)
     assert [report["failures"] for report in reports if not report["passed"]] == [[record]]
     assert run(capsys, "verify", "orbital", "--rmax", "-1")[0] == 2
+
+
+def test_internal_error_reports_the_levels_finished_before_it(capsys, monkeypatch):
+    """``_packed_circ`` raising on its 2,001st call, at level 3 of the
+    default grid, ends ``verify afl`` with exit 1, a record naming that
+    tuple, and the checks of levels 0-2, counted at the end of each."""
+    calls, original = [], verify._packed_circ
+
+    def raising(*args):
+        calls.append(args)
+        if len(calls) == 2_001:
+            raise ValueError("negative shift count")
+        return original(*args)
+
+    monkeypatch.setattr(verify, "_packed_circ", raising)
+    code, out, err = run(capsys, "verify", "afl", "--json")
+    (report,) = json.loads(out)
+    assert (code, err) == (1, "")
+    assert report["checked"] == 5_184
+    assert list(report["checks_by_identity"].values()) == [1_584, 1_584, 1_056, 960]
+    assert report["failures"] == [{
+        "identity": "internal error",
+        "error": "ValueError",
+        "message": "negative shift count",
+        "params": {"r": 3, "vb": 0, "vc": 9, "ve": 8, "vda": 0},
+    }]
 
 
 def test_mismatch_exit_code_1(capsys):

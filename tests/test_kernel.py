@@ -238,9 +238,9 @@ DEFICIENT = {
 
 
 def rank_width(entries):
-    """The packed certificate's width, ``width_for`` of twice the
-    ``_rank_bound`` of q-polynomial entries, read from their coefficient
-    1-norms."""
+    """``width_for`` of twice the ``_rank_bound`` of q-polynomial entries,
+    read from their coefficient 1-norms: at most their
+    ``_certificate_width``, so that what holds here holds there."""
     return width_for(2 * _rank_bound(coefficient_norms(entries), len(entries[0])))
 
 
@@ -432,6 +432,27 @@ class TestVanishingSuites:
             if not derivative_of_vector(base, phi_sequence_vector(r)).is_zero()
         ]
         assert set(nonzero) <= {7, 8, 9}
+
+    def test_phi_window_reads_half_theta(self):
+        """The window's m, floor(theta/2), is min((vb + vc - 1)/2, vda) on
+        the kernel suite's orbits up to the largest --ve-max its charge
+        admits and at seeded far points, vda = INFINITY among them."""
+        orbits = [
+            OrbitalParams(r=0, vb=0, vc=s, ve=ve, vda=vda)
+            for s in _KERNEL_SUMS
+            for vda in _KERNEL_VDAS
+            for ve in range(0, 151, 2)
+        ]
+        rng = random.Random(20261022)
+        for _ in range(2000):
+            s = 2 * rng.randrange(500) + 1
+            vb = rng.randrange(-50, s + 1)
+            vda = rng.choice([INFINITY, rng.randrange(600)])
+            orbits.append(OrbitalParams(r=rng.randrange(200), vb=vb, vc=s - vb, ve=rng.randrange(300), vda=vda))
+        assert {p.vda == INFINITY for p in orbits} == {True, False} == {p.theta() % 2 == 1 for p in orbits}
+        for p in orbits:
+            m = min((p.vb + p.vc - 1) // 2, p.vda)
+            assert phi_exceptional_window(p) == (p.ve - m + 2, p.ve - m + 4), p
 
     def test_phi_needs_r_at_least_5(self):
         with pytest.raises(Exception):

@@ -517,13 +517,16 @@ ROW_CHECK_CASES = ["clean", "one_tuple_differs", "negated_top_row"]
 @pytest.mark.parametrize("case", ROW_CHECK_CASES, ids=ROW_CHECK_CASES)
 def test_row_checks_read_once_per_finish(monkeypatch, case):
     """The value at s = 0, the log-derivative and the sign pattern are read
-    once per finish (r, vb + vc, ve, theta, lo & 1) of the oracle's walk; a
-    tuple whose rows differ from its entry's reads its own, once more.  Each
-    oracle entry (orbit, theta) derives its own from its finish, and they
-    are exactly ``_row_sums`` and ``_first_sign_break`` at the entry's own
-    pair and mask, also where a walk and the closed forms sharing it are
-    mutated alike, so that the derived checks fail.  Every tuple still
-    builds its own closed form and packed derivative, in order."""
+    once per finish (r, vb + vc, ve, theta, lo & 1) of the oracle's walk,
+    in the walk's frame k - lo (``_finish_checks``); a tuple whose rows
+    differ from its entry's reads its own, once more.  Each oracle entry
+    (orbit, theta) reads its finish at its own lo, row i at k = lo + start
+    + i, and that is exactly ``_row_sums`` and ``_first_sign_break`` at the
+    entry's own pair and mask, also where a walk and the closed forms
+    sharing it are mutated alike, so that the checks fail; its pair is the
+    one the sweep compares with the closed form of every tuple of the
+    entry.  Every tuple still builds its own closed form and packed
+    derivative, in order."""
     row_sums, first_sign_break = verify._row_sums, verify._first_sign_break
     differs = case == "one_tuple_differs"
     if differs:
@@ -532,30 +535,124 @@ def test_row_checks_read_once_per_finish(monkeypatch, case):
         negate_top_row(monkeypatch, (1, 3, 2, 2))
     breaks = counted(monkeypatch, "_first_sign_break")
     sums = counted(monkeypatch, "_row_sums")
-    closed = counted(monkeypatch, "_closed_form_rows")
     derivatives = counted(monkeypatch, "_packed_derivative")
-    derived, shifted = [], verify._shifted_checks
+    walks = counted(monkeypatch, "_support_walk")
+    compared, closed = [], verify._closed_form_rows
+    monkeypatch.setattr(
+        verify, "_closed_form_rows", lambda *args: ComparedPair(closed(*args), OrbitalParams(*args[:5]), compared)
+    )
+    finishes, finish = {}, verify._finish_checks
 
-    def recorded(finish, lo):
-        out = shifted(finish, lo)
-        derived.append(out)
+    def recorded(parity, m_top, acc, mask):
+        out = finish(parity, m_top, acc, mask)
+        finishes[(*walks[-1][:4], parity)] = m_top, mask, out  # a walk's finishes follow it
         return out
 
-    monkeypatch.setattr(verify, "_shifted_checks", recorded)
+    monkeypatch.setattr(verify, "_finish_checks", recorded)
     assert suite_orbital(SMALL).passed == (case == "clean")
     tuples = list(full_tuples(SMALL))
-    finishes = {finish_key(p) for p in tuples}
-    entries = {(p.r, p.vb, p.vc, p.ve, p.theta()): p for p in tuples}  # each entry's first tuple
+    entries = {(p.r, p.vb, p.vc, p.ve, p.theta()) for p in tuples}
+    assert set(finishes) == {finish_key(p) for p in tuples}
     assert len(finishes) < len(entries) < len(tuples)
     assert len(sums) == len(breaks) == len(finishes) + differs
-    assert len(derived) == len(entries)
+    assert len({id(oracle_pair) for _, oracle_pair in compared}) == len(entries)  # one pair per entry, kept alive
     width = verify._orbital_width(SMALL)
-    for p, (pair, zero, log_deriv, k, mask) in zip(entries.values(), derived):
-        assert pair == orbital._support_sum_rows(*orbit_fields(p), width), p
+    for p, oracle_pair in compared:
+        m_top, mask, (start, rows, zero, w, t, k) = finishes[finish_key(p)]
+        lo = p.vc + p.r - m_top
+        pair = lo + start, rows
+        assert pair == oracle_pair == orbital._support_sum_rows(*orbit_fields(p), width), p
         assert mask == _sign_mask(width, p.n_bound() + 1), p
-        assert (zero, log_deriv) == row_sums(pair, (p.vc + p.r) & 1), p
-        assert k == first_sign_break(pair, mask), p
-    assert [OrbitalParams(*args[:5]) for args in closed] == [OrbitalParams(*args[:5]) for args in derivatives] == tuples
+        assert (zero, w + lo * t) == row_sums(pair, (p.vc + p.r) & 1), p
+        assert (k if k is None else k + lo) == first_sign_break(pair, mask), p
+    assert [p for p, _ in compared] == [OrbitalParams(*args[:5]) for args in derivatives] == tuples
+
+
+def test_default_orbital_pass_walks_and_finishes_once_per_key(monkeypatch):
+    """A default orbital pass walks each (r, vb + vc, ve, theta) once and
+    finishes each walk once per parity of lo: every block's vb spans at
+    least 8 consecutive values, so each walk reaches both."""
+    walks = counted(monkeypatch, "_support_walk")
+    finishes = counted(monkeypatch, "_finish_checks")
+    assert suite_orbital(SweepConfig()).passed
+    assert (len(walks), len(finishes)) == (2_079, 4_158)
+    assert [args[0] for args in finishes] == [0, 1] * 2_079
+
+
+def raising_at(monkeypatch, name, hit):
+    """Wrap ``verify.<name>`` so that it raises ValueError at the first call
+    whose 1-based number and arguments satisfy ``hit``; returns the
+    arguments of every call, the raising one last."""
+    calls, original = [], getattr(verify, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        if hit(len(calls), args):
+            raise ValueError("raised at a grid point")
+        return original(*args)
+
+    monkeypatch.setattr(verify, name, wrapper)
+    return calls
+
+
+def internal_error(params, identity_key="identity"):
+    """The record of ``raising_at``'s exception at ``params`` (a label)."""
+    head = {identity_key: "internal error"} if identity_key else {}
+    return head | {"error": "ValueError", "message": "raised at a grid point", "params": params}
+
+
+@pytest.mark.parametrize("name, call", [("_packed_derivative", 500), ("_support_walk", 40)], ids=["tuple", "walk"])
+def test_orbital_internal_error_names_its_tuple(monkeypatch, name, call):
+    """An exception inside the orbital sweep ends it with one record that
+    names the tuple the sweep was at, for a walk the first tuple that reads
+    it, and the identities counted for every block (r, vb + vc) finished
+    before it."""
+    calls = raising_at(monkeypatch, name, lambda n, args: n == call)
+    res = suite_orbital(SMALL)
+    tuples = list(full_tuples(SMALL))
+    if name == "_support_walk":
+        at = next(p for p in tuples if block_key(p) == calls[-1][:4])
+    else:
+        at = OrbitalParams(*calls[-1][:5])
+    finished = sum((p.r, p.sum_bc()) < (at.r, at.sum_bc()) for p in tuples)
+    assert 0 < finished < len(tuples)
+    assert res.failures == [internal_error(at.label())]
+    assert res.checks_by_identity == dict.fromkeys(verify._ORBITAL_IDENTITIES, finished)
+
+
+@pytest.mark.parametrize("suite, name", [("miracle", "_packed_gk"), ("afl", "_packed_circ")])
+def test_level_sweeps_count_each_level_they_finish(monkeypatch, suite, name):
+    """The miracle and afl sweeps call their Gross-Keating builder once per
+    reduced tuple; one raising at the 40th names that tuple in the
+    record, and each identity is counted at every level r finished before
+    it, as a run that raises nowhere counts it there."""
+    raising_at(monkeypatch, name, lambda n, args: n == 40)
+    (res,) = run_suite(suite, SMALL)
+    at = list(reduced_tuples(SMALL))[39]
+    assert at.r == 1
+    assert res.failures == [internal_error(at.label(), res.identity_key)]
+    monkeypatch.undo()
+    (level_0,) = run_suite(suite, dataclasses.replace(SMALL, r_max=0))
+    assert level_0.passed and res.checks_by_identity == level_0.checks_by_identity
+
+
+def test_kernel_internal_error_names_its_certificate_or_its_level(monkeypatch):
+    """An exception in the kernel suite's certificate nest names the
+    certificate's label, after the certificates checked before it; one in
+    its vanishing nest names the orbit at the level r being checked, here
+    the first combination of top level 7, the 1,2,1 vector at the first
+    orbit."""
+    calls = raising_at(monkeypatch, "_packed_certificate", lambda n, args: n == 50)
+    (res,) = run_suite("kernel", SMALL)
+    s, vda, n_cap = calls[-1]
+    assert res.failures == [internal_error({"sum_bc": s, "vda": vda, "N": n_cap})]
+    assert res.checks_by_identity == {"full rank certificate": 49}
+    monkeypatch.undo()
+    raising_at(monkeypatch, "_packed_combination", lambda n, args: max(level for level, _ in args[0]) == 7)
+    (res,) = run_suite("kernel", SMALL)
+    at = OrbitalParams(r=7, vb=0, vc=_KERNEL_SUMS[0], ve=0, vda=_KERNEL_VDAS[0])
+    assert res.failures == [internal_error(at.label())]
+    assert res.checks_by_identity == {"full rank certificate": 96}
 
 
 ROW_IDENTITIES = ("value at s=0 is 0", "derivative == signed series derivative", "sign pattern (-1)^k")
@@ -565,7 +662,7 @@ ROW_IDENTITIES = ("value at s=0 is 0", "derivative == signed series derivative",
 def test_mutated_finish_fails_every_entry_that_shares_it(monkeypatch, key):
     """A walk and the closed forms that share it, mutated alike at one key
     (r, vb + vc, ve, theta), agree, so every tuple there reuses its entry's
-    row checks, most of them derived from another entry's finish; each of the
+    row checks, read from its walk's finish at its own lo; each of the
     three row identities fails at exactly the tuples that share the key, and
     the report is the per-tuple walk's, which reads every tuple's rows
     afresh."""
